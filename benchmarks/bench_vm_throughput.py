@@ -113,22 +113,37 @@ def _copy_cost_us(nbytes: int) -> float:
 
 
 # ----------------------------------------------------------------------
-# Execution tiers: closure-threaded code vs the reference interpreter
+# Execution tiers: compiled code vs the reference interpreter
 # ----------------------------------------------------------------------
 
-#: Relative threaded-vs-interpreter floor enforced by the tier-1 smoke
+#: Relative compiled-vs-interpreter floor enforced by the tier-1 smoke
 #: guard (tests/wasm/test_tier_smoke.py reads it from the results JSON).
-SMOKE_FLOOR = 2.0
+#: The smoke kernel measures 13x; under half of that means the tier has
+#: been de-optimised, whatever the host's speed.
+SMOKE_FLOOR = 6.0
 
-#: Geomean Polybench speedup the tiered engine must deliver (ISSUE 1).
-GEOMEAN_TARGET = 3.0
+#: Geomean Polybench speedup (compiled / interp) the engine must deliver.
+#: Measured 15.9x; the closure-threaded tier it replaced measured 5.0x.
+GEOMEAN_TARGET = 8.0
+
+
+def _compile_ms(module) -> float:
+    """Cost of generating and ``exec``-ing the Python form of every
+    function of ``module`` (what a process pays once, on first call)."""
+    from repro.wasm import compile_module, lower_function
+
+    functions = compile_module(module)
+    start = time.perf_counter()
+    for fn in functions:
+        lower_function(fn, module)
+    return (time.perf_counter() - start) * 1e3
 
 
 def _time_kernel(module, tier: str, n: int) -> tuple[float, int, object]:
     from repro.wasm import instantiate
 
     inst = instantiate(module, tier=tier)
-    inst.invoke("kernel", 4)  # warm-up: triggers lazy threading
+    inst.invoke("kernel", 4)  # warm-up: triggers lazy compilation
     before = inst.instructions_executed
     start = time.perf_counter()
     result = inst.invoke("kernel", n)
@@ -137,8 +152,8 @@ def _time_kernel(module, tier: str, n: int) -> tuple[float, int, object]:
 
 
 def test_tiered_throughput_polybench():
-    """Polybench on both tiers: per-kernel speedup and the geomean the
-    tentpole promises (≥3×), recorded for EXPERIMENTS.md."""
+    """Polybench on both tiers: per-kernel speedup, compile cost and the
+    geomean, recorded for EXPERIMENTS.md."""
     import math
 
     from repro.apps.kernels import KERNELS
@@ -150,19 +165,20 @@ def test_tiered_throughput_polybench():
         module = build(kernel.source)
         n = kernel.default_n
         t_interp, instrs, r_interp = _time_kernel(module, "interp", n)
-        t_threaded, instrs_t, r_threaded = _time_kernel(module, "threaded", n)
-        assert r_threaded == r_interp, f"{name}: tier results diverge"
-        assert instrs_t == instrs, f"{name}: tier instruction counts diverge"
-        speedup = t_interp / t_threaded
+        t_compiled, instrs_c, r_compiled = _time_kernel(module, "compiled", n)
+        assert r_compiled == r_interp, f"{name}: tier results diverge"
+        assert instrs_c == instrs, f"{name}: tier instruction counts diverge"
+        speedup = t_interp / t_compiled
         speedups.append(speedup)
         rows.append(
             {
                 "kernel": name,
                 "interp_ms": round(t_interp * 1e3, 2),
-                "threaded_ms": round(t_threaded * 1e3, 2),
+                "compiled_ms": round(t_compiled * 1e3, 2),
                 "interp_mips": round(instrs / t_interp / 1e6, 2),
-                "threaded_mips": round(instrs / t_threaded / 1e6, 2),
+                "compiled_mips": round(instrs / t_compiled / 1e6, 2),
                 "speedup": round(speedup, 2),
+                "compile_ms": round(_compile_ms(module), 2),
             }
         )
     geomean = math.exp(sum(math.log(s) for s in speedups) / len(speedups))
@@ -175,7 +191,7 @@ def test_tiered_throughput_polybench():
     )
     report("vm_throughput_tiered", "Execution tiers: Polybench", rows)
     assert geomean >= GEOMEAN_TARGET, (
-        f"threaded tier geomean speedup {geomean:.2f}x below "
+        f"compiled tier geomean speedup {geomean:.2f}x below "
         f"{GEOMEAN_TARGET}x target"
     )
 

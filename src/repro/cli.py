@@ -3,7 +3,7 @@
 Commands::
 
     run <file.ml|file.wat> [--entry NAME] [--input TEXT] [--arg N ...]
-        [--tier threaded|interp]
+        [--tier compiled|interp]
         Compile (minilang) or assemble (WAT), validate, and execute the
         module inside a Faaslet; prints output/result and exit code.
 
@@ -11,7 +11,7 @@ Commands::
         [--top N] [--export FILE]
         Execute on the reference interpreter with per-opcode dispatch
         counters and print the hottest opcodes and opcode pairs — the
-        data that picks the threaded tier's next fusion candidates.
+        sequences the compiled tier's expression folding must cover.
         ``--export`` writes the unified telemetry artifact (spans +
         metrics + dispatch counts) as JSON.
 
@@ -1161,7 +1161,7 @@ def main(argv: list[str] | None = None) -> int:
     from repro.wasm import TIERS
 
     p_run.add_argument("--tier", choices=TIERS,
-                       help="execution tier (default: threaded, or "
+                       help="execution tier (default: compiled, or "
                             "$REPRO_WASM_TIER)")
     p_run.set_defaults(fn=cmd_run)
 
@@ -1189,7 +1189,7 @@ def main(argv: list[str] | None = None) -> int:
     p_tr.add_argument("--arg", type=int, action="append",
                       help="invoke entry with integer args instead of call I/O")
     p_tr.add_argument("--tier", choices=TIERS,
-                      help="execution tier (default: threaded)")
+                      help="execution tier (default: compiled)")
     p_tr.add_argument("--format", choices=("tree", "chrome", "jsonl"),
                       default="tree",
                       help="export format (default: tree + latency table)")
@@ -1208,7 +1208,7 @@ def main(argv: list[str] | None = None) -> int:
     p_met.add_argument("--arg", type=int, action="append",
                        help="invoke entry with integer args instead of call I/O")
     p_met.add_argument("--tier", choices=TIERS,
-                       help="execution tier (default: threaded)")
+                       help="execution tier (default: compiled)")
     p_met.add_argument("--json", action="store_true",
                        help="dump as JSON instead of a table")
     p_met.add_argument("--profile", action="store_true",

@@ -77,7 +77,7 @@ class FunctionDefinition:
 
         Codegen goes through the cluster-wide code cache, so re-uploading
         the same module text (or spawning from a re-parsed copy) reuses
-        the existing compiled — and closure-threaded — function list.
+        the existing function list and the Python code generated for it.
         """
         validate_module(module)
         return cls(name, module, GLOBAL_CODE_CACHE.get_or_compile(module), **kwargs)

@@ -255,8 +255,8 @@ class ProtoFaaslet:
         no validation, no codegen, no data copies — COW page aliasing).
 
         The restored instance shares ``definition.compiled`` — and with it
-        any closure-threaded code already attached to those functions — so
-        restores never re-run codegen or re-threading."""
+        any generated Python code already attached to those functions — so
+        restores never re-run either compilation step."""
         with span(
             "snapshot.restore",
             function=self.definition.name,

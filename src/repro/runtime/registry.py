@@ -184,8 +184,8 @@ class FunctionRegistry:
         # Seed the cluster-wide code cache keyed by the object file's own
         # bytes (restored modules carry no bodies, so printed text cannot
         # key them). Repeated loads of the same artifact then share one
-        # compiled list — and its lazily-built closure-threaded code —
-        # instead of re-running codegen or re-threading.
+        # compiled list — and its lazily-generated Python code — instead
+        # of re-running either compilation step.
         import hashlib
 
         from repro.wasm.codecache import GLOBAL_CODE_CACHE

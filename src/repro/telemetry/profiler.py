@@ -6,8 +6,8 @@ interp-tier only and far too slow to leave on. This module is the
 function indices (pushed/popped in ``Instance._call``, the chokepoint
 both execution tiers share) and, every ``interval``-th guest call,
 records the stack weighted by the instance's dispatch counter delta
-(``instructions_executed`` — the threaded tier's block-batched fuel
-meter). Off means one ``is not None`` check per guest call; on costs an
+(``instructions_executed`` — the compiled tier's superblock-batched
+fuel meter). Off means one ``is not None`` check per guest call; on costs an
 append/pop plus a counter decrement, with the weighted sample taken only
 at the sampling period.
 

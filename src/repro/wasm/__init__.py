@@ -2,8 +2,8 @@
 
 This package is the substrate the paper's Faaslets run on: a linear-memory,
 stack-typed, validated, trap-enforcing virtual ISA with a text assembler and
-a flat-code interpreter. See DESIGN.md §2 for how it maps onto the original
-system's WebAssembly/WAVM stack.
+a flat-code interpreter plus a compiler to Python. See DESIGN.md §2 for how
+it maps onto the original system's WebAssembly/WAVM stack.
 
 Typical use::
 
@@ -19,6 +19,7 @@ Typical use::
 """
 
 from .codegen import CompiledFunction, compile_function, compile_module
+from .compiled import lower_function
 from .errors import (
     CallStackExhausted,
     IndirectCallTypeMismatch,
@@ -53,7 +54,6 @@ from .module import (
 from .printer import print_module
 from .simd import canon_v128, f64x2, f64x2_lanes, i32x4, i32x4_lanes, v128_to_int
 from .text import parse_module
-from .threaded import ThreadedCode, thread_function
 from .types import (
     F32,
     F64,
@@ -107,7 +107,6 @@ __all__ = [
     "ParseError",
     "TIERS",
     "TableType",
-    "ThreadedCode",
     "Trap",
     "UnalignedAtomicAccess",
     "UndefinedElement",
@@ -126,9 +125,9 @@ __all__ = [
     "i32x4_lanes",
     "instantiate",
     "instr",
+    "lower_function",
     "parse_module",
     "print_module",
-    "thread_function",
     "v128_to_int",
     "validate_module",
 ]

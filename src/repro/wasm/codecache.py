@@ -4,7 +4,7 @@ The paper amortises WAVM's expensive code generation by caching object
 code in the global object store and ``mmap``-ing the shared machine code
 into every Faaslet on the same host (§3.4, §5.2). This module is the
 Python analogue: flat codegen (and, transitively, the lazily-built
-closure-threaded tier attached to each
+Python function attached to each
 :class:`~repro.wasm.codegen.CompiledFunction`) runs **once per distinct
 module text** per process, no matter how many uploads, spawns, dlopens or
 Proto-Faaslet restores reference it.
@@ -38,8 +38,9 @@ _KEY_ATTR = "_codecache_key"
 #: different lowering), so object code cached by an older build is never
 #: reused for a module that now compiles differently — the analogue of a
 #: machine-code version tag in an on-disk object cache. "2" added the
-#: vector ISA (v128), shared-memory atomics and the guest-thread ops.
-ISA_VERSION = "repro-isa-2"
+#: vector ISA (v128), shared-memory atomics and the guest-thread ops; "3"
+#: replaced closure-threaded blocks with whole-function compiled code.
+ISA_VERSION = "repro-isa-3"
 
 
 def module_key(module: Module) -> str:
@@ -103,7 +104,7 @@ class ModuleCodeCache:
                 return compiled
             self._misses.inc()
         # Compile outside the lock; a racing duplicate is harmless and the
-        # first writer wins, keeping threaded code shared.
+        # first writer wins, keeping generated code shared.
         with span("module.compile", key=key[:12]) as sp:
             compiled = compile_module(module)
             sp.set_attr("functions", len(compiled))
@@ -133,7 +134,7 @@ class ModuleCodeCache:
         object file itself instead. The key is bound to the module so any
         later :func:`module_key` consult resolves to the same entry, and
         the first-seeded list wins so every loader shares one compiled —
-        and transitively one threaded — function list.
+        and transitively one generated-code — function list.
         """
         setattr(module, _KEY_ATTR, key)
         with self._lock:

@@ -2,9 +2,10 @@
 
 This is the trusted phase 2 of §3.4: after validation, nested control
 structures are lowered to a linear instruction array with every branch
-target resolved to a program counter. The interpreter then executes the
-flat form with no per-branch searching, which is our stand-in for WAVM's
-native code generation.
+target resolved to a program counter. The reference interpreter executes
+the flat form directly; the default tier lowers it once more, to one
+Python function per guest function (:mod:`repro.wasm.compiled`), which is
+our stand-in for WAVM's native code generation.
 
 Flat form conventions (``code`` is a list of tuples):
 
@@ -46,10 +47,10 @@ class CompiledFunction:
     code: list[tuple]
     #: Total number of locals including parameters.
     n_locals: int = 0
-    #: Lazily-built closure-threaded form (see :mod:`repro.wasm.threaded`).
+    #: Lazily-built Python function (see :mod:`repro.wasm.compiled`).
     #: Runtime-only: instance-independent, shared across every instance of
     #: the module, and deliberately excluded from object-file serialisation.
-    threaded: object | None = field(default=None, repr=False, compare=False)
+    compiled: object | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.n_locals = len(self.type.params) + len(self.local_types)

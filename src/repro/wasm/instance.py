@@ -16,6 +16,7 @@ from typing import Callable
 
 from .codecache import GLOBAL_CODE_CACHE
 from .codegen import CompiledFunction
+from .compiled import UNMETERED, lower_function
 from .errors import (
     CallStackExhausted,
     IndirectCallTypeMismatch,
@@ -38,7 +39,6 @@ from .memory import LinearMemory
 from .module import Module
 from .ops import BINOPS, UNOPS
 from .simd import SIMD_EXTRACT_OPS, SIMD_REPLACE_OPS, canon_v128
-from .threaded import Frame, thread_function
 from .types import FuncType, ValType
 from .validation import validate_module
 from .values import (
@@ -53,10 +53,11 @@ from .values import (
 #: Default guest call-depth limit (Python recursion bounds this from above).
 DEFAULT_CALL_DEPTH = 220
 
-#: Available execution tiers: "threaded" (closure-threaded code with
-#: block-level fuel batching, the default) and "interp" (the reference
-#: tuple interpreter, retained as the semantics oracle).
-TIERS = ("threaded", "interp")
+#: Available execution tiers: "compiled" (one generated Python function
+#: per guest function with superblock fuel charging, the default) and
+#: "interp" (the reference tuple interpreter, retained as the semantics
+#: oracle).
+TIERS = ("compiled", "interp")
 
 #: Sequentially-consistent accesses that additionally require alignment.
 _ATOMIC_LOADS = frozenset({"i32.atomic.load", "i64.atomic.load"})
@@ -64,8 +65,9 @@ _ATOMIC_STORES = frozenset({"i32.atomic.store", "i64.atomic.store"})
 
 
 def default_tier() -> str:
-    """Session default tier; override with ``REPRO_WASM_TIER=interp``."""
-    return os.environ.get("REPRO_WASM_TIER", "threaded")
+    """Session default tier (``compiled``); override with
+    ``REPRO_WASM_TIER=interp``."""
+    return os.environ.get("REPRO_WASM_TIER", "compiled")
 
 
 @dataclass
@@ -137,17 +139,13 @@ class Instance:
         self.module = module
         self.call_depth_limit = call_depth_limit
         self._fuel = fuel
-        self.tier = tier if tier is not None else default_tier()
-        if self.tier not in TIERS:
-            raise ValueError(f"unknown execution tier {self.tier!r}")
-        # Opt-in per-opcode dispatch profiling. Profiling runs on the
-        # reference interpreter (counters are per flat opcode, the unit
-        # the next superinstruction would fuse), whatever the tier.
-        self.op_counts: Counter | None = Counter() if profile else None
-        self.pair_counts: Counter | None = Counter() if profile else None
+        self._select_tier(tier, profile)
         #: Total instructions executed; the cgroup layer reads this as the
         #: Faaslet's consumed "CPU cycles".
         self.instructions_executed = 0
+        #: Of those, how many the compiled tier handed to the interpreter
+        #: loop because the remaining fuel did not cover a superblock.
+        self.metered_instructions = 0
         #: Guest-thread support: a scheduler (``repro.faaslet.threads``)
         #: installs itself here so ``memory.atomic.wait32/notify`` can park
         #: and wake guest threads, and sets ``_refuel_hook`` to preempt the
@@ -175,7 +173,7 @@ class Instance:
         # Without explicit precompiled code, go through the cluster-wide
         # code cache: repeated instantiations of structurally identical
         # modules (spawn churn, dlopen, re-parsed uploads) share one
-        # compiled — and threaded — function list.
+        # function list, and with it the generated Python code.
         self.funcs.extend(
             precompiled
             if precompiled is not None
@@ -246,12 +244,9 @@ class Instance:
         inst.module = module
         inst.call_depth_limit = call_depth_limit
         inst._fuel = fuel
-        inst.tier = tier if tier is not None else default_tier()
-        if inst.tier not in TIERS:
-            raise ValueError(f"unknown execution tier {inst.tier!r}")
-        inst.op_counts = Counter() if profile else None
-        inst.pair_counts = Counter() if profile else None
+        inst._select_tier(tier, profile)
         inst.instructions_executed = 0
+        inst.metered_instructions = 0
         inst._thread_runtime = None
         inst._refuel_hook = None
         inst._profiler = None
@@ -261,6 +256,21 @@ class Instance:
         inst.table = table
         inst._exports = module.export_map()
         return inst
+
+    def _select_tier(self, tier: str | None, profile: bool) -> None:
+        """Pick the guest-function executor once, at construction."""
+        self.tier = tier if tier is not None else default_tier()
+        if self.tier not in TIERS:
+            raise ValueError(f"unknown execution tier {self.tier!r}")
+        # Opt-in per-opcode dispatch profiling. Profiling runs on the
+        # reference interpreter (counters are per flat opcode, the unit
+        # a superblock fuses), whatever the tier.
+        self.op_counts: Counter | None = Counter() if profile else None
+        self.pair_counts: Counter | None = Counter() if profile else None
+        self._execute = (
+            self._exec if profile or self.tier == "interp"
+            else self._exec_compiled
+        )
 
     # ------------------------------------------------------------------
     # Fuel (CPU metering)
@@ -355,9 +365,7 @@ class Instance:
         fn = self.funcs[index]
         if isinstance(fn, HostFunc):
             return self._call_host(fn, args)
-        if self.tier == "threaded" and self.op_counts is None:
-            return self._exec_threaded(fn, args, depth)
-        return self._exec(fn, args, depth)
+        return self._execute(fn, args, depth)
 
     def _call_profiled(self, prof, index: int, args: list, depth: int) -> list:
         """:meth:`_call` with the continuous-profiler tap around it; the
@@ -367,9 +375,7 @@ class Instance:
             fn = self.funcs[index]
             if isinstance(fn, HostFunc):
                 return self._call_host(fn, args)
-            if self.tier == "threaded" and self.op_counts is None:
-                return self._exec_threaded(fn, args, depth)
-            return self._exec(fn, args, depth)
+            return self._execute(fn, args, depth)
         finally:
             prof.exit()
 
@@ -391,42 +397,68 @@ class Instance:
             )
         return [_canon(r, t) for r, t in zip(results, fn.type.results)]
 
-    def _exec_threaded(self, fn: CompiledFunction, args: list, depth: int) -> list:
-        """Tier-2 dispatch: run the function's closure-threaded form.
+    def _exec_compiled(self, fn: CompiledFunction, args: list, depth: int) -> list:
+        """Tier-2 dispatch: run the function's generated Python form.
 
         Observationally identical to :meth:`_exec` — same results, traps,
-        memory effects, ``fuel`` and ``instructions_executed`` — but fuel is
-        charged per basic block and each superinstruction is a pre-bound
-        closure (see :mod:`repro.wasm.threaded`).
+        memory effects, ``fuel`` and ``instructions_executed`` (see
+        :mod:`repro.wasm.compiled`). The code is built on first call and
+        cached on the shared function object.
         """
-        if depth >= self.call_depth_limit:
-            raise CallStackExhausted(
-                f"call depth exceeded {self.call_depth_limit}"
+        run = fn.compiled
+        if run is None:
+            run = lower_function(fn, self.module)
+            if run is None:
+                # Nested deeper than CPython compiles: the oracle runs it.
+                GLOBAL_CODE_CACHE.metrics.counter("wasm.compile_fallbacks").inc()
+
+                def run(inst, depth, *args):
+                    return inst._exec(fn, list(args), depth)
+
+            fn.compiled = run
+        return run(self, depth, *args)
+
+    def _run_metered(self, code, pc, stop, term, stack, locals_, lim, executed):
+        """A compiled superblock's slow arm: interpret ``code[pc:stop]``
+        (plus the charge for a terminating control instruction) one
+        instruction at a time. ``lim``/``executed`` are the generated
+        code's meters and come back updated, still unflushed, so a trap
+        in here drops them exactly as the interpreter would."""
+        self.metered_instructions += stop - pc + term
+        fuel, executed = self._run(
+            code, pc, stop, term, stack, locals_, 0,
+            None if lim is UNMETERED else lim - executed, executed,
+        )
+        return (UNMETERED if fuel is None else fuel + executed), executed
+
+    def _resolve_indirect(self, expected: FuncType, i: int):
+        """Checked table lookup for ``call_indirect``: the ``(instance,
+        function index)`` to call. Entries are local function indices, or
+        — for dynamically linked modules (Tab. 2, dlopen/dlsym) —
+        ``("ext", instance, index)`` references into another instance."""
+        table = self.table
+        if table is None or i >= len(table):
+            raise OutOfBoundsTableAccess(f"table index {i} out of bounds")
+        callee = table[i]
+        if callee is None:
+            raise UndefinedElement(f"uninitialised table element {i}")
+        if isinstance(callee, tuple):
+            _, inst, index = callee
+        else:
+            inst, index = self, callee
+        actual = inst.module.func_type(index)
+        if actual != expected:
+            raise IndirectCallTypeMismatch(
+                f"indirect call type mismatch: {actual} != {expected}"
             )
-        tc = fn.threaded
-        if tc is None:
-            tc = thread_function(fn, self.module)
-            fn.threaded = tc
-        locals_ = args + [default_value(t) for t in fn.local_types]
-        stack: list = []
-        frame = Frame(self, depth)
-        ops = tc.ops
-        pc = 0
-        while pc >= 0:
-            pc = ops[pc](stack, locals_, frame)
-        # Normal exit: flush the frame-local meters. Traps propagate
-        # without flushing, matching the reference tier exactly.
-        self._fuel = frame.fuel
-        self.instructions_executed += frame.executed
-        n_results = len(fn.type.results)
-        return stack[len(stack) - n_results :] if n_results else []
+        return inst, index
 
     def dispatch_report(self, top: int | None = None) -> list[tuple[str, int]]:
         """Hottest flat opcodes recorded by ``profile=True``, descending.
 
         The companion ``pair_counts`` attribute holds adjacent-opcode pair
-        frequencies — the data that justifies the next superinstruction in
-        the threaded tier's fusion table.
+        frequencies — which sequences the compiled tier's expression
+        folding has to get right to matter.
         """
         if self.op_counts is None:
             raise ValueError("instance was not created with profile=True")
@@ -444,27 +476,45 @@ class Instance:
         return families.most_common()
 
     def _exec(self, fn: CompiledFunction, args: list, depth: int) -> list:
+        """Reference tier: interpret ``fn`` from its first instruction."""
         if depth >= self.call_depth_limit:
             raise CallStackExhausted(
                 f"call depth exceeded {self.call_depth_limit}"
             )
         locals_ = args + [default_value(t) for t in fn.local_types]
         stack: list = []
-        labels: list[tuple[int, int, int]] = []
-        code = fn.code
+        fuel, executed = self._run(
+            fn.code, 0, -1, 0, stack, locals_, depth, self._fuel, 0
+        )
+        self._fuel = fuel
+        self.instructions_executed += executed
+        n_results = len(fn.type.results)
+        return stack[len(stack) - n_results :] if n_results else []
+
+    def _run(self, code, pc, stop, term, stack, locals_, depth, fuel, executed):
+        """The interpreter loop: run from ``pc`` until the function returns
+        or ``pc`` reaches ``stop``, charging one fuel per instruction.
+
+        ``fuel``/``executed`` are the caller's unflushed meters; they are
+        returned, and written to the instance only around calls and at
+        exhaustion (:meth:`_refuel`), never when a trap propagates. With
+        ``term`` set, the instruction at ``stop`` is charged but not
+        evaluated — the compiled tier evaluates a superblock's closing
+        control instruction itself.
+        """
+        # A range may close labels opened before it: ``end`` needs
+        # something to pop (a range never branches, so never reads one).
+        labels: list = [None] * (stop - pc) if stop >= 0 else []
         mem = self.memory
         globals_ = self.globals
         binops = BINOPS
         unops = UNOPS
-        pc = 0
-        executed = 0
-        fuel = self._fuel
         metered = fuel is not None
         prof = self.op_counts
         pairs = self.pair_counts
         prev_op: str | None = None
 
-        while True:
+        while pc != stop:
             ins = code[pc]
             op = ins[0]
             if prof is not None:
@@ -569,12 +619,7 @@ class Instance:
                 break
             elif op == "call":
                 callee = ins[1]
-                ftype = (
-                    self.funcs[callee].type
-                    if isinstance(self.funcs[callee], HostFunc)
-                    else self.funcs[callee].type
-                )
-                n = len(ftype.params)
+                n = len(self.funcs[callee].type.params)
                 call_args = stack[len(stack) - n :] if n else []
                 if n:
                     del stack[len(stack) - n :]
@@ -587,27 +632,7 @@ class Instance:
                 metered = fuel is not None
             elif op == "call_indirect":
                 expected = ins[1]
-                i = stack.pop()
-                table = self.table
-                if table is None or i >= len(table):
-                    raise OutOfBoundsTableAccess(
-                        f"table index {i} out of bounds"
-                    )
-                callee = table[i]
-                if callee is None:
-                    raise UndefinedElement(f"uninitialised table element {i}")
-                # Entries are either local function indices, or — for
-                # dynamically linked modules (Tab. 2, dlopen/dlsym) —
-                # ("ext", instance, index) references into another instance.
-                if isinstance(callee, tuple):
-                    _, ext_inst, ext_idx = callee
-                    actual = ext_inst.module.func_type(ext_idx)
-                else:
-                    actual = self.module.func_type(callee)
-                if actual != expected:
-                    raise IndirectCallTypeMismatch(
-                        f"indirect call type mismatch: {actual} != {expected}"
-                    )
+                target, callee = self._resolve_indirect(expected, stack.pop())
                 n = len(expected.params)
                 call_args = stack[len(stack) - n :] if n else []
                 if n:
@@ -616,10 +641,7 @@ class Instance:
                     self._fuel = fuel
                 self.instructions_executed += executed
                 executed = 0
-                if isinstance(callee, tuple):
-                    stack.extend(callee[1]._call(callee[2], call_args, depth + 1))
-                else:
-                    stack.extend(self._call(callee, call_args, depth + 1))
+                stack.extend(target._call(callee, call_args, depth + 1))
                 fuel = self._fuel
                 metered = fuel is not None
             elif op == "global.get":
@@ -680,11 +702,14 @@ class Instance:
                 raise Trap(f"unknown opcode {op!r}")
             pc += 1
 
-        if metered:
-            self._fuel = fuel
-        self.instructions_executed += executed
-        n_results = len(fn.type.results)
-        return stack[len(stack) - n_results :] if n_results else []
+        if term:
+            executed += 1
+            if metered:
+                fuel -= 1
+                if fuel < 0:
+                    fuel = self._refuel(executed)
+                    executed = 0
+        return fuel, executed
 
 
 def instantiate(

@@ -65,6 +65,8 @@ _STRUCTS = {
     ("f64", 8): struct.Struct("<d"),
 }
 
+_U8 = struct.Struct("<B")
+_I8 = struct.Struct("<b")
 _U16 = struct.Struct("<H")
 _I16 = struct.Struct("<h")
 _U32 = struct.Struct("<I")
@@ -359,155 +361,10 @@ class LinearMemory:
             self.write(addr, st.pack(value))
 
     # ------------------------------------------------------------------
-    # Contiguous-page fast paths (threaded-tier API)
+    # v128 access (both tiers; scalar accesses are inlined by the compiled
+    # tier from INLINE_LOADS/INLINE_STORES and take the typed path above
+    # on a miss)
     # ------------------------------------------------------------------
-    # Each accessor handles the common case — a well-aligned access that
-    # falls inside a single page — with one divmod, one bounds comparison
-    # and a pre-compiled struct (un)packer, and falls back to the generic
-    # bounds-checked path for page-straddling or out-of-range addresses
-    # (which re-raises :class:`OutOfBoundsMemoryAccess` with the exact
-    # semantics of the reference interpreter). Values are canonical: loads
-    # return unsigned ints / Python floats, stores accept canonical values.
-
-    def load_i32(self, addr: int) -> int:
-        if addr >= 0:
-            page_idx, offset = divmod(addr, PAGE_SIZE)
-            if offset <= PAGE_SIZE - 4 and page_idx < len(self.pages):
-                return _U32.unpack_from(self.pages[page_idx].view, offset)[0]
-        return self.load_int(addr, 4, False)
-
-    def load_i64(self, addr: int) -> int:
-        if addr >= 0:
-            page_idx, offset = divmod(addr, PAGE_SIZE)
-            if offset <= PAGE_SIZE - 8 and page_idx < len(self.pages):
-                return _U64.unpack_from(self.pages[page_idx].view, offset)[0]
-        return self.load_int(addr, 8, False)
-
-    def load_f32(self, addr: int) -> float:
-        if addr >= 0:
-            page_idx, offset = divmod(addr, PAGE_SIZE)
-            if offset <= PAGE_SIZE - 4 and page_idx < len(self.pages):
-                return _F32.unpack_from(self.pages[page_idx].view, offset)[0]
-        return self.load_float(addr, 4)
-
-    def load_f64(self, addr: int) -> float:
-        if addr >= 0:
-            page_idx, offset = divmod(addr, PAGE_SIZE)
-            if offset <= PAGE_SIZE - 8 and page_idx < len(self.pages):
-                return _F64.unpack_from(self.pages[page_idx].view, offset)[0]
-        return self.load_float(addr, 8)
-
-    def load_i32_8s(self, addr: int) -> int:
-        if 0 <= addr < len(self.pages) * PAGE_SIZE:
-            page_idx, offset = divmod(addr, PAGE_SIZE)
-            b = self.pages[page_idx].view[offset]
-            return b if b < 0x80 else 0xFFFFFF00 + b
-        return self.load_int(addr, 1, True) & 0xFFFFFFFF
-
-    def load_i32_8u(self, addr: int) -> int:
-        if 0 <= addr < len(self.pages) * PAGE_SIZE:
-            page_idx, offset = divmod(addr, PAGE_SIZE)
-            return self.pages[page_idx].view[offset]
-        return self.load_int(addr, 1, False)
-
-    def load_i32_16s(self, addr: int) -> int:
-        if addr >= 0:
-            page_idx, offset = divmod(addr, PAGE_SIZE)
-            if offset <= PAGE_SIZE - 2 and page_idx < len(self.pages):
-                return _I16.unpack_from(self.pages[page_idx].view, offset)[0] & 0xFFFFFFFF
-        return self.load_int(addr, 2, True) & 0xFFFFFFFF
-
-    def load_i32_16u(self, addr: int) -> int:
-        if addr >= 0:
-            page_idx, offset = divmod(addr, PAGE_SIZE)
-            if offset <= PAGE_SIZE - 2 and page_idx < len(self.pages):
-                return _U16.unpack_from(self.pages[page_idx].view, offset)[0]
-        return self.load_int(addr, 2, False)
-
-    def load_i64_32s(self, addr: int) -> int:
-        if addr >= 0:
-            page_idx, offset = divmod(addr, PAGE_SIZE)
-            if offset <= PAGE_SIZE - 4 and page_idx < len(self.pages):
-                value = _I32.unpack_from(self.pages[page_idx].view, offset)[0]
-                return value & 0xFFFFFFFFFFFFFFFF
-        return self.load_int(addr, 4, True) & 0xFFFFFFFFFFFFFFFF
-
-    def load_i64_32u(self, addr: int) -> int:
-        if addr >= 0:
-            page_idx, offset = divmod(addr, PAGE_SIZE)
-            if offset <= PAGE_SIZE - 4 and page_idx < len(self.pages):
-                return _U32.unpack_from(self.pages[page_idx].view, offset)[0]
-        return self.load_int(addr, 4, False)
-
-    def store_i32(self, addr: int, value: int) -> None:
-        if addr >= 0:
-            page_idx, offset = divmod(addr, PAGE_SIZE)
-            if offset <= PAGE_SIZE - 4 and page_idx < len(self.pages):
-                page = self.pages[page_idx]
-                if page.writable:
-                    _U32.pack_into(page.view, offset, value)
-                    return
-        self.store_int(addr, value, 4)
-
-    def store_i64(self, addr: int, value: int) -> None:
-        if addr >= 0:
-            page_idx, offset = divmod(addr, PAGE_SIZE)
-            if offset <= PAGE_SIZE - 8 and page_idx < len(self.pages):
-                page = self.pages[page_idx]
-                if page.writable:
-                    _U64.pack_into(page.view, offset, value)
-                    return
-        self.store_int(addr, value, 8)
-
-    def store_f32(self, addr: int, value: float) -> None:
-        if addr >= 0:
-            page_idx, offset = divmod(addr, PAGE_SIZE)
-            if offset <= PAGE_SIZE - 4 and page_idx < len(self.pages):
-                page = self.pages[page_idx]
-                if page.writable:
-                    _F32.pack_into(page.view, offset, value)
-                    return
-        self.store_float(addr, value, 4)
-
-    def store_f64(self, addr: int, value: float) -> None:
-        if addr >= 0:
-            page_idx, offset = divmod(addr, PAGE_SIZE)
-            if offset <= PAGE_SIZE - 8 and page_idx < len(self.pages):
-                page = self.pages[page_idx]
-                if page.writable:
-                    _F64.pack_into(page.view, offset, value)
-                    return
-        self.store_float(addr, value, 8)
-
-    def store_i32_8(self, addr: int, value: int) -> None:
-        if 0 <= addr < len(self.pages) * PAGE_SIZE:
-            page_idx, offset = divmod(addr, PAGE_SIZE)
-            page = self.pages[page_idx]
-            if page.writable:
-                page.view[offset] = value & 0xFF
-                return
-        self.store_int(addr, value, 1)
-
-    def store_i32_16(self, addr: int, value: int) -> None:
-        if addr >= 0:
-            page_idx, offset = divmod(addr, PAGE_SIZE)
-            if offset <= PAGE_SIZE - 2 and page_idx < len(self.pages):
-                page = self.pages[page_idx]
-                if page.writable:
-                    _U16.pack_into(page.view, offset, value & 0xFFFF)
-                    return
-        self.store_int(addr, value, 2)
-
-    def store_i64_32(self, addr: int, value: int) -> None:
-        if addr >= 0:
-            page_idx, offset = divmod(addr, PAGE_SIZE)
-            if offset <= PAGE_SIZE - 4 and page_idx < len(self.pages):
-                page = self.pages[page_idx]
-                if page.writable:
-                    _U32.pack_into(page.view, offset, value & 0xFFFFFFFF)
-                    return
-        self.store_int(addr, value, 4)
-
     def load_v128(self, addr: int) -> bytes:
         if addr >= 0:
             page_idx, offset = divmod(addr, PAGE_SIZE)
@@ -533,22 +390,6 @@ class LinearMemory:
     def _check_aligned(self, addr: int, size: int) -> None:
         if addr % size:
             raise UnalignedAtomicAccess(addr, size)
-
-    def atomic_load_i32(self, addr: int) -> int:
-        self._check_aligned(addr, 4)
-        return self.load_i32(addr)
-
-    def atomic_load_i64(self, addr: int) -> int:
-        self._check_aligned(addr, 8)
-        return self.load_i64(addr)
-
-    def atomic_store_i32(self, addr: int, value: int) -> None:
-        self._check_aligned(addr, 4)
-        self.store_i32(addr, value)
-
-    def atomic_store_i64(self, addr: int, value: int) -> None:
-        self._check_aligned(addr, 8)
-        self.store_i64(addr, value)
 
     def atomic_rmw(self, addr: int, operand: int, size: int, kind: str) -> int:
         """Atomically apply ``kind`` at ``addr``; returns the old value.
@@ -604,33 +445,38 @@ class LinearMemory:
         )
 
 
-#: op mnemonic -> unbound fast-path accessor, consumed by the threaded
-#: code generator (closures capture the function once, at compile time).
-TYPED_LOADS = {
-    "i32.load": LinearMemory.load_i32,
-    "i64.load": LinearMemory.load_i64,
-    "f32.load": LinearMemory.load_f32,
-    "f64.load": LinearMemory.load_f64,
-    "i32.load8_s": LinearMemory.load_i32_8s,
-    "i32.load8_u": LinearMemory.load_i32_8u,
-    "i32.load16_s": LinearMemory.load_i32_16s,
-    "i32.load16_u": LinearMemory.load_i32_16u,
-    "i64.load32_s": LinearMemory.load_i64_32s,
-    "i64.load32_u": LinearMemory.load_i64_32u,
-    "v128.load": LinearMemory.load_v128,
-    "i32.atomic.load": LinearMemory.atomic_load_i32,
-    "i64.atomic.load": LinearMemory.atomic_load_i64,
+#: op mnemonic -> (struct (un)packer, canonicalising suffix): the scalar
+#: accesses the compiled tier inlines when they fall inside one page,
+#: testing bounds, page straddle and (stores) ``Page.writable`` itself. On
+#: a miss it calls ``load_int``/``load_float``/``store_int``/``store_float``
+#: (COW fault, dirty-tracking ``notify``, the trap), so this table is the
+#: only other statement of the single-page case. An atomic load or store
+#: is the plain access behind an alignment test (``_check_aligned``). v128
+#: and the read-modify-write atomics are absent: they always go through
+#: their accessors.
+INLINE_LOADS = {
+    "i32.load": (_U32.unpack_from, ""),
+    "i64.load": (_U64.unpack_from, ""),
+    "f32.load": (_F32.unpack_from, ""),
+    "f64.load": (_F64.unpack_from, ""),
+    "i32.load8_s": (_I8.unpack_from, " & 0xFFFFFFFF"),
+    "i32.load8_u": (_U8.unpack_from, ""),
+    "i32.load16_s": (_I16.unpack_from, " & 0xFFFFFFFF"),
+    "i32.load16_u": (_U16.unpack_from, ""),
+    "i64.load32_s": (_I32.unpack_from, " & 0xFFFFFFFFFFFFFFFF"),
+    "i64.load32_u": (_U32.unpack_from, ""),
+    "i32.atomic.load": (_U32.unpack_from, ""),
+    "i64.atomic.load": (_U64.unpack_from, ""),
 }
 
-TYPED_STORES = {
-    "i32.store": LinearMemory.store_i32,
-    "i64.store": LinearMemory.store_i64,
-    "f32.store": LinearMemory.store_f32,
-    "f64.store": LinearMemory.store_f64,
-    "i32.store8": LinearMemory.store_i32_8,
-    "i32.store16": LinearMemory.store_i32_16,
-    "i64.store32": LinearMemory.store_i64_32,
-    "v128.store": LinearMemory.store_v128,
-    "i32.atomic.store": LinearMemory.atomic_store_i32,
-    "i64.atomic.store": LinearMemory.atomic_store_i64,
+INLINE_STORES = {
+    "i32.store": (_U32.pack_into, ""),
+    "i64.store": (_U64.pack_into, ""),
+    "f32.store": (_F32.pack_into, ""),
+    "f64.store": (_F64.pack_into, ""),
+    "i32.store8": (_U8.pack_into, " & 0xFF"),
+    "i32.store16": (_U16.pack_into, " & 0xFFFF"),
+    "i64.store32": (_U32.pack_into, " & 0xFFFFFFFF"),
+    "i32.atomic.store": (_U32.pack_into, ""),
+    "i64.atomic.store": (_U64.pack_into, ""),
 }

@@ -35,16 +35,17 @@ def test_hogwild_concurrent_workers_converge():
 def test_colocated_workers_share_one_dataset_replica():
     """The training matrix crosses the network once per host, not once per
     worker (the §4.2 local-tier claim, now for wasm guests)."""
-    X, y, _ = make_linear_dataset(n=400, d=8)
+    n = 1600
+    X, y, _ = make_linear_dataset(n=n, d=8)
     cluster = FaasmCluster(n_hosts=1, capacity=8)
     setup_wasm_sgd(cluster, X, y)
     # Enough work per call that the four dispatches overlap and the pool
-    # grows past one Faaslet.
-    run_wasm_sgd(cluster, 400, 8, n_workers=4, epochs=3, lr=0.02)
+    # grows past one Faaslet (sized for the compiled tier's guest speed).
+    run_wasm_sgd(cluster, n, 8, n_workers=4, epochs=3, lr=0.02)
     meter = cluster.instances[0].state_client.meter
-    x_bytes = 400 * 8 * 8
+    x_bytes = n * 8 * 8
     # Received: X once, y once, w once — NOT multiplied by the 4 workers.
-    assert meter.received_bytes <= x_bytes + 400 * 8 + 8 * 8 + 1024
+    assert meter.received_bytes <= x_bytes + n * 8 + 8 * 8 + 1024
 
     replica = cluster.instances[0].local_tier.replica(X_KEY)
     # At least two Faaslets ran concurrently, each mapping the SAME region.

@@ -21,7 +21,7 @@ from repro.host import StandaloneEnvironment
 from repro.telemetry.metrics import MetricsRegistry
 from repro.wasm import Trap, parse_module
 
-TIERS = ("interp", "threaded")
+TIERS = ("interp", "compiled")
 
 _IMPORTS = """
   (import "env" "thread_spawn" (func $spawn (param i32 i32) (result i32)))
@@ -126,7 +126,25 @@ def test_tiers_agree_on_thread_stats():
         faaslet = make_faaslet(_counter_src(3, 200), tier)
         result = faaslet.invoke_export("run")
         per_tier[tier] = (result, faaslet.thread_runtime.stats())
-    assert per_tier["interp"] == per_tier["threaded"]
+    assert per_tier["interp"] == per_tier["compiled"]
+
+
+def test_preempted_workers_stay_on_compiled_code():
+    """A worker preempted at a dozen quantum boundaries re-enters compiled
+    code after each: only the superblock a boundary cuts goes through the
+    interpreter loop, and every account the scheduler keeps is unchanged."""
+    per_tier = {}
+    for tier in TIERS:
+        faaslet = make_faaslet(_counter_src(2, 40_000), tier)
+        result = faaslet.invoke_export("run")
+        runtime, inst = faaslet.thread_runtime, faaslet.instance
+        quantum = runtime.cgroup.period_fuel // 2
+        assert all(t.fuel_used >= 10 * quantum for t in runtime.threads.values())
+        share = inst.metered_instructions / inst.instructions_executed
+        assert share == 0 if tier == "interp" else 0 < share < 0.05
+        per_tier[tier] = (result, runtime.stats(), inst.instructions_executed)
+    assert per_tier["interp"] == per_tier["compiled"]
+    assert per_tier["compiled"][0] == 80_000
 
 
 @pytest.mark.parametrize("tier", TIERS)

@@ -41,7 +41,7 @@ def _faaslet(tier=None):
     return Faaslet(definition, StandaloneEnvironment(), tier=tier)
 
 
-@pytest.mark.parametrize("tier", ["threaded", "interp"])
+@pytest.mark.parametrize("tier", ["compiled", "interp"])
 def test_sampling_captures_nested_stacks(tier):
     profiler = ContinuousProfiler(interval=1)  # sample every guest call
     faaslet = _faaslet(tier=tier)

@@ -1,6 +1,6 @@
 """The cluster-wide compiled-module cache (§3.4/§5.2 object-code sharing).
 
-Codegen — and the lazily-attached closure-threaded tier — must run once
+Codegen — and the lazily-attached generated Python code — must run once
 per distinct module text per process, no matter how many uploads, spawns
 or object-store loads reference it; these tests pin the identity-sharing
 and counter behaviour the registry and Faaslet paths rely on.
@@ -91,10 +91,13 @@ def test_instance_uses_global_cache():
     i1 = Instance(parse_module(_WAT))
     i2 = Instance(parse_module(_WAT))
     assert i1.funcs[-1] is i2.funcs[-1]
+    assert i1.funcs[-1].compiled is None  # lowered lazily, on first call
     assert i1.invoke("double", 21) == 42
+    run = i1.funcs[-1].compiled
+    assert run is not None
     assert i2.invoke("double", 21) == 42
-    # The threaded code attached by the first call is shared too.
-    assert i1.funcs[-1].threaded is not None
+    # The Python function built by the first call serves both instances.
+    assert i2.funcs[-1].compiled is run
 
 
 def test_registry_object_store_loads_share_compiled(tmp_path):
@@ -119,9 +122,9 @@ def test_registry_object_store_loads_share_compiled(tmp_path):
     assert uploaded.module is not d1.module  # distinct objects, shared code
 
 
-def test_proto_restore_shares_threaded_code():
+def test_proto_restore_shares_generated_code():
     """Proto-Faaslet restores reuse the definition's compiled functions, so
-    threaded code built in any restored instance is visible to all."""
+    code generated in any restored instance is visible to all."""
     from repro.faaslet import Faaslet, FunctionDefinition, ProtoFaaslet
     from repro.host.environment import StandaloneEnvironment
 
@@ -139,8 +142,54 @@ def test_proto_restore_shares_threaded_code():
     proto = ProtoFaaslet.capture(definition, env)
     f1 = Faaslet(definition, env, proto=proto)
     assert f1.invoke_export("kernel") == 1225
-    threaded = [fn.threaded for fn in definition.compiled if fn.threaded]
-    assert threaded, "first call should have attached threaded code"
+    generated = [fn.compiled for fn in definition.compiled if fn.compiled]
+    assert generated, "first call should have attached generated code"
     f2 = Faaslet(definition, env, proto=proto)
     assert f2.instance.funcs[-1] is f1.instance.funcs[-1]
-    assert f2.instance.funcs[-1].threaded is f1.instance.funcs[-1].threaded
+    assert f2.instance.funcs[-1].compiled is f1.instance.funcs[-1].compiled
+
+
+def test_each_function_is_lowered_once_per_process(monkeypatch):
+    """One ``exec`` per distinct module, however instances of it come to
+    be: upload, plain spawn, Proto-Faaslet restore, a re-upload of the same
+    text, ``dlopen`` of the same text into another Faaslet."""
+    from repro.faaslet import Faaslet
+    from repro.host.environment import StandaloneEnvironment
+    from repro.runtime.registry import FunctionRegistry
+    from repro.wasm import instance as instance_module
+
+    lowered = []
+    lower = instance_module.lower_function
+
+    def counting(fn, module):
+        lowered.append(fn)
+        return lower(fn, module)
+
+    monkeypatch.setattr(instance_module, "lower_function", counting)
+    # A constant no other test uses keeps the global cache cold for it.
+    src = """
+    export int kernel() {
+        int s = 0;
+        for (int i = 0; i < 7; i = i + 1) { s = s + i * 770077; }
+        return s;
+    }
+    """
+    reg = FunctionRegistry()
+    definition = reg.upload("once", src, entry="kernel")  # captures a proto
+    env = StandaloneEnvironment(object_store=reg.object_store)
+    expected = sum(i * 770077 for i in range(7))
+    spawned = Faaslet(definition, env)
+    restored = [Faaslet(definition, env, proto=reg.proto("once")) for _ in range(3)]
+    again = Faaslet(reg.upload("once-more", src, entry="kernel"), env)
+    for faaslet in (spawned, *restored, again):
+        assert faaslet.invoke_export("kernel") == expected
+    env.object_store.upload("lib/once.ml", src.encode())
+    host = Faaslet(reg.upload("host", "export int main() { return 0; }"), env)
+    entry = host.dlsym(host.dlopen("lib/once.ml"), "kernel")
+    lib = host.instance.table[entry][1]
+    assert lib.invoke("kernel") == expected
+
+    kernels = {id(f.instance.funcs[-1]) for f in (spawned, *restored, again)}
+    assert kernels == {id(lib.funcs[-1])}  # one function object for all
+    assert [fn.name for fn in lowered].count("kernel") == 1
+    assert len(lowered) == len({id(fn) for fn in lowered})

@@ -1,14 +1,14 @@
-"""Tier-1 regression guard for the closure-threaded execution tier.
+"""Tier-1 regression guard for the compiled execution tier.
 
 The full tiered benchmark (``benchmarks/bench_vm_throughput.py``) measures
 Polybench at real problem sizes; this smoke test is its fast tier-1 proxy:
-it measures the threaded tier's speedup over the reference interpreter on
+it measures the compiled tier's speedup over the reference interpreter on
 one loop-dense kernel and fails if it drops below the floor stored in
 ``benchmarks/results/vm_throughput_tiered.json``. The floor is *relative*
-(threaded vs interp on the same machine, same run), so the guard is
+(compiled vs interp on the same machine, same run), so the guard is
 insensitive to host speed but catches regressions that de-optimise the
-threaded tier — a botched fusion rule, accidental slow-path fallbacks,
-lost code-cache sharing.
+compiled tier — a botched lowering rule, superblocks falling into their
+metered arm, interpreter fallbacks, lost code-cache sharing.
 
 Run just this guard with ``python benchmarks/bench_vm_throughput.py
 --smoke`` or ``pytest -m smoke``.
@@ -63,7 +63,7 @@ def _stored_floor() -> float:
 
 def _time_tier(module, tier: str, n: int) -> tuple[float, int, float]:
     inst = instantiate(module, tier=tier)
-    inst.invoke("kernel", 8)  # warm-up: lazy threading, allocator paths
+    inst.invoke("kernel", 8)  # warm-up: lazy compilation, allocator paths
     before = inst.instructions_executed
     start = time.perf_counter()
     result = inst.invoke("kernel", n)
@@ -72,18 +72,18 @@ def _time_tier(module, tier: str, n: int) -> tuple[float, int, float]:
 
 
 @pytest.mark.smoke
-def test_threaded_tier_speedup_floor():
+def test_compiled_tier_speedup_floor():
     module = build(_KERNEL_SRC)
     n = 600
     t_interp, instrs_i, r_interp = _time_tier(module, "interp", n)
-    t_threaded, instrs_t, r_threaded = _time_tier(module, "threaded", n)
+    t_compiled, instrs_c, r_compiled = _time_tier(module, "compiled", n)
     # Semantics first: the guard is meaningless if the tiers diverge.
-    assert r_threaded == r_interp
-    assert instrs_t == instrs_i
-    speedup = t_interp / t_threaded
+    assert r_compiled == r_interp
+    assert instrs_c == instrs_i
+    speedup = t_interp / t_compiled
     floor = _stored_floor()
     assert speedup >= floor, (
-        f"threaded tier speedup {speedup:.2f}x fell below the stored "
+        f"compiled tier speedup {speedup:.2f}x fell below the stored "
         f"floor {floor}x (interp {t_interp * 1e3:.1f} ms, "
-        f"threaded {t_threaded * 1e3:.1f} ms, {instrs_i:,} instructions)"
+        f"compiled {t_compiled * 1e3:.1f} ms, {instrs_i:,} instructions)"
     )
