@@ -4,14 +4,13 @@ The ingestion plane (ISSUE 10) exists to absorb million-call open-loop
 arrival streams: callers enqueue and leave, and the plane amortises every
 per-call cost — record creation, admission, placement, bus traffic —
 across batches. This harness quantifies that against the per-call
-baseline, where each call walks the full ``dispatch → schedule →
-new_attempt → bus.send`` path on its own.
+baseline, where each call walks the same road (``dispatch`` → one
+scheduling pass → attempt record → ``bus.send``) as a batch of one.
 
-Both sides run the same host-native echo guest with ``RetryPolicy.off()``
-(the retry plane's no-fault overhead is measured separately by
-``bench_retry_overhead.py``), the same host count, and the same number of
-queued calls, and both are *open loop*: all calls are enqueued up front,
-then the harness waits for the cluster to drain.
+Both sides run the same host-native echo guest on a default cluster, the
+same host count, and the same number of queued calls, and both are *open
+loop*: all calls are enqueued up front, then the harness waits for the
+cluster to drain.
 
 Acceptance (ISSUE 10): at 10⁵ queued calls the batched plane must sustain
 **>= 5x** the per-call baseline's calls/s with bounded p99 sojourn and
@@ -30,7 +29,7 @@ import time
 import pytest
 
 from conftest import report
-from repro.runtime import FaasmCluster, RetryPolicy
+from repro.runtime import FaasmCluster
 from repro.runtime.ingest import IngestionConfig
 
 HOSTS = 4
@@ -47,7 +46,7 @@ def _echo(ctx):
 
 
 def _make_cluster() -> FaasmCluster:
-    cluster = FaasmCluster(n_hosts=HOSTS, retry_policy=RetryPolicy.off())
+    cluster = FaasmCluster(n_hosts=HOSTS)
     cluster.register_python("echo", _echo)
     return cluster
 

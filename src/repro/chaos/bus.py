@@ -13,15 +13,18 @@ network-backed bus exhibits, as decided by a :class:`ChaosEngine`:
   message sent to the same host (with a timer fallback so a held message
   on a quiet host is not held forever).
 
-``Shutdown`` messages are never faulted — chaos ends when the cluster
-does.
+Faults are decided per *carried call* of an
+:class:`~repro.runtime.bus.ExecuteBatch`, identity-hashed on the call id,
+so the canonical fault log does not depend on how the cluster happened to
+group calls into batches. Anything else on the bus (``Shutdown``, metric
+scrapes) is never faulted — chaos ends when the cluster does.
 """
 
 from __future__ import annotations
 
 import threading
 
-from repro.runtime.bus import ExecuteBatch, ExecuteCall, MessageBus, Shutdown
+from repro.runtime.bus import ExecuteBatch, MessageBus
 from repro.telemetry import MetricsRegistry
 
 from .engine import ChaosEngine
@@ -45,102 +48,61 @@ class ChaosMessageBus(MessageBus):
         self._held_mutex = threading.Lock()
 
     def send(self, host: str, message) -> None:
-        if self.engine is None or isinstance(message, Shutdown):
-            self._send_with_flush(host, message)
-            return
-        if isinstance(message, ExecuteBatch):
-            self._send_batch(host, message)
-            return
-        action = self.engine.bus_action(message)
-        if action is None:
-            self._send_with_flush(host, message)
-            return
-        kind, delay_s = action
-        if kind == "drop":
-            return  # lost on the wire; the monitor's timeout recovers it
-        if kind == "duplicate":
-            self._send_with_flush(host, message)
-            super().send(host, message)
-            return
-        if kind == "delay":
-            timer = threading.Timer(delay_s, super().send, args=(host, message))
-            timer.daemon = True
-            timer.start()
-            return
-        # reorder: hold until the next send to this host overtakes it.
-        with self._held_mutex:
-            self._held.setdefault(host, []).append(message)
-        timer = threading.Timer(_REORDER_FLUSH_S, self._flush_held, args=(host,))
-        timer.daemon = True
-        timer.start()
+        """Deliver ``message``, injecting the plan's faults into a batch.
 
-    def send_many(self, host: str, messages) -> None:
-        """Route every message of a batched send through the per-message
-        fault logic; chaos mode trades the single-lock fast path for
-        faithful per-delivery fault decisions."""
-        for message in messages:
-            self.send(host, message)
-
-    def _send_batch(self, host: str, batch: ExecuteBatch) -> None:
-        """Inject faults into a batched dispatch, per carried call.
-
-        Fault decisions are identity-hashed on each item's call id — the
-        very same decisions its per-call dispatch would have drawn — so
-        the canonical fault log does not depend on how the ingestion
-        plane happened to group calls into batches. Faulted items are
-        carved out of the batch: drops vanish (the monitor's attempt
-        timeout recovers them), duplicates ride the clean batch *and* a
-        single-item echo, delays/reorders travel as held-back single-item
-        batches.
+        Faulted items are carved out of the batch: drops vanish (the
+        monitor's attempt timeout recovers them), duplicates ride the
+        clean batch *and* a single-item echo, delays/reorders travel as
+        held-back single-item batches.
         """
-        clean: list[tuple] = []
-        for item in batch.items:
-            call_id, attempt = item
-            probe = ExecuteCall(call_id, batch.function, attempt=attempt)
-            action = self.engine.bus_action(probe)
+        if self.engine is None or not isinstance(message, ExecuteBatch):
+            self._send_with_flush(host, message)
+            return
+        clean: list[int] = []
+        for index, (call_id, attempt) in enumerate(message.items):
+            action = self.engine.bus_action(call_id, attempt)
             if action is None:
-                clean.append(item)
+                clean.append(index)
                 continue
             kind, delay_s = action
-            single = ExecuteBatch(
-                batch.function, (item,), origin=batch.origin,
-                shared=batch.shared,
-            )
             if kind == "drop":
                 continue
+            single = message.only([index])
             if kind == "duplicate":
-                clean.append(item)
-                super().send(host, single)
-                continue
-            if kind == "delay":
-                timer = threading.Timer(
-                    delay_s, self._super_send_safely, args=(host, single)
-                )
-                timer.daemon = True
-                timer.start()
-                continue
-            # reorder: hold until the next send to this host overtakes it.
-            with self._held_mutex:
-                self._held.setdefault(host, []).append(single)
-            timer = threading.Timer(
-                _REORDER_FLUSH_S, self._flush_held, args=(host,)
-            )
-            timer.daemon = True
-            timer.start()
-        if clean:
-            self._send_with_flush(
-                host,
-                ExecuteBatch(
-                    batch.function, tuple(clean), origin=batch.origin,
-                    shared=batch.shared,
-                ),
-            )
+                clean.append(index)
+                self._send_safely(host, single)
+            elif kind == "delay":
+                self._later(delay_s, self._send_safely, host, single)
+            else:
+                # reorder: hold until the next send to this host overtakes
+                # it (or the flush timer gives up waiting for one).
+                with self._held_mutex:
+                    self._held.setdefault(host, []).append(single)
+                self._later(_REORDER_FLUSH_S, self._flush_held, host)
+        if len(clean) == len(message.items):
+            self._send_with_flush(host, message)
+        elif clean:
+            self._send_with_flush(host, message.only(clean))
         else:
             self._flush_held(host)
 
-    def _super_send_safely(self, host: str, message) -> None:
-        """Timer-thread delivery that tolerates a host deregistering
-        while the message was in flight."""
+    def send_many(self, host: str, messages) -> None:
+        """Route every message of a batched send through the fault logic;
+        chaos mode trades the single-lock fast path for faithful
+        per-delivery fault decisions."""
+        for message in messages:
+            self.send(host, message)
+
+    @staticmethod
+    def _later(delay_s: float, fn, *args) -> None:
+        timer = threading.Timer(delay_s, fn, args=args)
+        timer.daemon = True
+        timer.start()
+
+    def _send_safely(self, host: str, message) -> None:
+        """Off-path delivery (timer threads, duplicate echoes) that
+        tolerates the host deregistering while the message was in
+        flight."""
         try:
             super().send(host, message)
         except KeyError:
@@ -155,7 +117,4 @@ class ChaosMessageBus(MessageBus):
         with self._held_mutex:
             held = self._held.pop(host, [])
         for message in held:
-            try:
-                super().send(host, message)
-            except KeyError:
-                pass  # host deregistered while the message was held
+            self._send_safely(host, message)

@@ -56,17 +56,15 @@ class ChaosEngine:
     # ------------------------------------------------------------------
     # Message-bus faults
     # ------------------------------------------------------------------
-    def bus_action(self, message) -> tuple[str, float] | None:
-        """The fault (if any) for this delivery: ``(kind, delay_seconds)``.
+    def bus_action(self, call_id: int, attempt: int) -> tuple[str, float] | None:
+        """The fault (if any) for this delivery of one carried call:
+        ``(kind, delay_seconds)``.
 
-        Only the first dispatch of a managed call (``attempt == 0``) is
-        faulted; retries and unmanaged traffic travel cleanly. Decisions
-        are identity-hashed on the call id, so they are stable across
-        threads and runs.
+        Only the first dispatch of a call (``attempt == 0``) is faulted;
+        retries travel cleanly. Decisions are identity-hashed on the call
+        id, so they are stable across threads and runs.
         """
-        attempt = getattr(message, "attempt", -1)
-        call_id = getattr(message, "call_id", None)
-        if attempt != 0 or call_id is None:
+        if attempt != 0:
             return None
         plan = self.plan
         if _hash01(plan.seed, "drop", call_id) < plan.drop_rate:

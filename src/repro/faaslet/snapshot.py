@@ -31,14 +31,11 @@ from repro.wasm.types import PAGE_SIZE, Limits, MemoryType
 
 from .faaslet import Faaslet, FunctionDefinition
 
-#: Legacy (v1) monolithic header: page count, globals blob len, table blob len.
-_HEADER_V1 = struct.Struct("<III")
-
-#: Zero-eliding (v2) monolithic header: magic, total pages, present (non-zero)
+#: Zero-eliding monolithic header: magic, total pages, present (non-zero)
 #: pages, globals blob len, table blob len. Followed by the present pages'
 #: indices (``<I`` each), the blobs, then the present pages back to back.
-_MAGIC_V2 = b"PF02"
-_HEADER_V2 = struct.Struct("<4sIIII")
+_MAGIC = b"PF02"
+_HEADER = struct.Struct("<4sIIII")
 
 #: Manifest wire header: magic, format version, function-name length,
 #: snapshot version, page count, globals blob len, table blob len. Followed
@@ -333,7 +330,7 @@ class ProtoFaaslet:
     def to_bytes(self) -> bytes:
         """Serialise to OS-independent bytes for cross-host restores.
 
-        The v2 format elides all-zero pages (they are reconstructed from
+        The format elides all-zero pages (they are reconstructed from
         the shared zero page on restore) and is assembled by streaming
         straight into one exactly-sized preallocated buffer — no per-page
         intermediate ``bytes`` and no join copy.
@@ -344,23 +341,23 @@ class ProtoFaaslet:
         present = [i for i, d in enumerate(digests) if d != ZERO_DIGEST]
         index_blob_len = 4 * len(present)
         total = (
-            _HEADER_V2.size
+            _HEADER.size
             + index_blob_len
             + len(globals_blob)
             + len(table_blob)
             + len(present) * PAGE_SIZE
         )
         buf = bytearray(total)
-        _HEADER_V2.pack_into(
+        _HEADER.pack_into(
             buf,
             0,
-            _MAGIC_V2,
+            _MAGIC,
             len(self.frozen_pages),
             len(present),
             len(globals_blob),
             len(table_blob),
         )
-        pos = _HEADER_V2.size
+        pos = _HEADER.size
         struct.pack_into(f"<{len(present)}I", buf, pos, *present)
         pos += index_blob_len
         buf[pos : pos + len(globals_blob)] = globals_blob
@@ -383,18 +380,25 @@ class ProtoFaaslet:
         buffer (and the shared zero page for elided pages) — no per-page
         copies; copy-on-write materialisation makes a private copy on the
         first write, exactly as for locally frozen pages. The caller must
-        therefore treat ``data`` as immutable once passed in.
+        therefore treat ``data`` as immutable once passed in. Raises
+        ``ValueError`` when ``data`` lacks the ``PF02`` magic or is shorter
+        than its header says.
         """
         view = memoryview(data)
-        if bytes(view[:4]) == _MAGIC_V2:
-            _, n_pages, n_present, glen, tlen = _HEADER_V2.unpack_from(view, 0)
-            pos = _HEADER_V2.size
-            present = struct.unpack_from(f"<{n_present}I", view, pos)
-            pos += 4 * n_present
-        else:  # legacy v1: every page serialised, zero or not
-            n_pages, glen, tlen = _HEADER_V1.unpack_from(view, 0)
-            pos = _HEADER_V1.size
-            present = tuple(range(n_pages))
+        if len(view) < _HEADER.size or bytes(view[:4]) != _MAGIC:
+            raise ValueError("not a Proto-Faaslet snapshot: no PF02 header")
+        _, n_pages, n_present, glen, tlen = _HEADER.unpack_from(view, 0)
+        expected = (
+            _HEADER.size + 4 * n_present + glen + tlen + n_present * PAGE_SIZE
+        )
+        if len(view) < expected:
+            raise ValueError(
+                f"truncated Proto-Faaslet snapshot: {len(view)} of "
+                f"{expected} bytes"
+            )
+        pos = _HEADER.size
+        present = struct.unpack_from(f"<{n_present}I", view, pos)
+        pos += 4 * n_present
         globals_snapshot = pickle.loads(view[pos : pos + glen])
         pos += glen
         table_snapshot = pickle.loads(view[pos : pos + tlen])

@@ -17,11 +17,10 @@ Compose a cluster, upload functions, invoke them::
     code, output = cluster.invoke("hello")
 """
 
-from .bus import ExecuteCall, MessageBus, Shutdown
+from .bus import ExecuteBatch, MessageBus, Shutdown
 from .calls import (
     AttemptRecord,
     CallRecord,
-    CallRegistry,
     CallStatus,
     InvocationRegistry,
 )
@@ -40,11 +39,10 @@ from .scheduler import LocalScheduler, SchedulingDecision, WarmSetRegistry
 __all__ = [
     "AttemptRecord",
     "CallRecord",
-    "CallRegistry",
     "CallStatus",
     "DEFAULT_CAPACITY",
     "DrainTimeout",
-    "ExecuteCall",
+    "ExecuteBatch",
     "FaasmCluster",
     "HostCrashed",
     "InvocationMonitor",

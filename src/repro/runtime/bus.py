@@ -6,21 +6,23 @@ hosts by the scheduler, Fig. 5's "sharing queue") and shutdown signals.
 Each runtime instance runs a dispatcher that drains its queue and executes
 calls on worker threads.
 
-Two message shapes carry work. :class:`ExecuteCall` is the historic
-one-call-per-message path; :class:`ExecuteBatch` is the ingestion plane's
-batched form — one message carrying many placement-decided calls for one
-function, enqueued with :meth:`MessageBus.send_many` under a **single**
-lock acquisition per host and executed on the receiving host's bounded
-worker pool instead of a thread per call. At high arrival rates the
-per-message lock/notify tax is what the dispatch hot path spends most of
-its time on, so batching here is a large part of the ingestion speedup.
+One message shape carries work: :class:`ExecuteBatch` — the calls of one
+function that one scheduling pass placed on one host, whether that is a
+single chained call or a few hundred admitted ones. The cluster sends it
+with :meth:`MessageBus.send`; the ingestion dispatcher, which places
+several function groups per round, flushes each host's batches with
+:meth:`MessageBus.send_many` under a **single** lock acquisition. At high
+arrival rates the per-message lock/notify tax is what the dispatch hot
+path spends most of its time on, so batching here is a large part of the
+ingestion speedup. The receiving host expands a batch into one
+:class:`ExecuteCall` per carried call.
 
 Telemetry rides the bus two ways: delivery counters live in a
 :class:`~repro.telemetry.metrics.MetricsRegistry` (``BusStats`` is a thin
-view over them), and every :class:`ExecuteCall` can carry a **trace
-context** (:data:`repro.telemetry.trace.Wire`) so the receiving host's
-spans attach to the sender's trace — the in-process analogue of trace
-headers on a cross-host RPC. Per-host queue depths are exported as
+view over them), and every carried call can bring its **trace context**
+(:data:`repro.telemetry.trace.Wire`) so the receiving host's spans attach
+to the sender's trace — the in-process analogue of trace headers on a
+cross-host RPC. Per-host queue depths are exported as
 ``bus.queue_depth{host=}`` gauges by :meth:`MessageBus.update_queue_gauges`
 (refreshed lazily by the autoscaler, ``repro top`` and metric snapshots
 rather than on every send, keeping the hot path gauge-free).
@@ -31,58 +33,64 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.telemetry import MetricsRegistry
 
 
-@dataclass(frozen=True)
-class ExecuteCall:
-    """Run the call with this id on the receiving host."""
+class ExecuteBatch(NamedTuple):
+    """Run a batch of placement-decided calls of one function.
 
-    call_id: int
+    The one work message (DESIGN.md §11): ``items`` is a tuple of
+    ``(call_id, attempt_number)`` pairs, all for ``function``, all placed
+    on the receiving host by one scheduling pass. Every item runs the full
+    attempt-claim protocol, so batching changes *how many lock
+    acquisitions* the calls cost, never their exactly-once semantics.
+    Chaos fault decisions are taken per item (identity-hashed on the call
+    id), so a call is dropped/duplicated/delayed identically however the
+    cluster happened to group it.
+    """
+
     function: str
+    #: ((call_id, attempt_number), ...)
+    items: tuple
     #: Host that made the scheduling decision (for metrics/debugging).
     origin: str | None = None
-    #: Whether this message crossed hosts (work sharing, Fig. 5).
+    #: Whether this batch crossed hosts (work sharing, Fig. 5).
     shared: bool = False
-    #: Propagated trace context: (trace_id, parent span id, sampled,
-    #: sender perf_counter timestamp), or None when tracing is off.
-    trace: tuple | None = None
-    #: Which dispatch of the call this delivery is (the invocation plane's
-    #: attempt number); -1 means unmanaged (retry plane disabled).
-    attempt: int = -1
+    #: Propagated trace contexts, one per item: (trace_id, parent span id,
+    #: sampled, sender perf_counter timestamp); None when tracing is off.
+    traces: tuple | None = None
     #: Push-invalidate hints piggybacked from the sender's local tier
     #: (DESIGN.md §10): per key, the latest global write version the
     #: sender knows plus its recent push chain, so the receiving host can
     #: skip or delta-pull its forced pulls. None when delivery is off.
     invalidate: tuple | None = None
+    #: The execution vehicle on the receiving host. Work the ingestion
+    #: plane admitted runs on the host's bounded worker pool; directly
+    #: dispatched, chained and retried calls each get their own thread, so
+    #: a parent blocked in ``await_call`` can never starve its callee.
+    pooled: bool = False
+
+    def only(self, indices) -> "ExecuteBatch":
+        """The sub-batch carrying just the items at ``indices`` (how the
+        chaos bus carves faulted calls out of a batch)."""
+        return self._replace(
+            items=tuple(self.items[i] for i in indices),
+            traces=self.traces and tuple(self.traces[i] for i in indices),
+        )
 
 
-@dataclass(frozen=True)
-class ExecuteBatch:
-    """Run a batch of placement-decided calls of one function.
+class ExecuteCall(NamedTuple):
+    """One carried call of an :class:`ExecuteBatch`, as the receiving host
+    expands it for its executor. Never sent over the bus itself."""
 
-    The ingestion plane's wire format (DESIGN.md §11): ``items`` is a
-    tuple of ``(call_id, attempt_number)`` pairs, all for ``function``,
-    all placed on the receiving host by one batched scheduling decision.
-    The receiver expands the batch into per-call execution on its worker
-    pool; every item still runs the full attempt-claim protocol, so
-    batching changes *how many lock acquisitions and threads* the calls
-    cost, never their exactly-once semantics. Chaos fault decisions are
-    taken per item (identity-hashed on the call id), so a batched call
-    is dropped/duplicated/delayed exactly when its per-call dispatch
-    would have been.
-    """
-
-    function: str
-    #: ((call_id, attempt_number), ...); attempt -1 means unmanaged.
-    items: tuple
-    origin: str | None = None
-    #: Whether this batch crossed hosts (placement on a peer).
+    call_id: int
+    #: Which dispatch of the call this delivery is.
+    attempt: int
     shared: bool = False
-
-    def __len__(self) -> int:
-        return len(self.items)
+    trace: tuple | None = None
+    invalidate: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -92,9 +100,8 @@ class Shutdown:
 
 class BusStats:
     """Delivery counters — a view over the bus's metrics registry, kept
-    so existing ``bus.stats.sent`` consumers are unaffected. Batches
-    count once as a message and once per carried call, so ``sent`` stays
-    comparable across the per-call and batched dispatch planes."""
+    so existing ``bus.stats.sent`` consumers are unaffected. A batch
+    counts once as a message and once per carried call."""
 
     def __init__(self, metrics: MetricsRegistry):
         self._sent = metrics.counter("bus.messages_sent")
@@ -120,19 +127,11 @@ class BusStats:
 
     def record(self, message) -> None:
         self._sent.inc()
-        if isinstance(message, ExecuteCall):
-            if message.shared:
-                self._shared.inc()
-        elif isinstance(message, ExecuteBatch):
+        if isinstance(message, ExecuteBatch):
             self._batches.inc()
             self._batched_calls.inc(len(message.items))
             if message.shared:
                 self._shared.inc()
-
-    def record_many(self, messages) -> None:
-        """Batched accounting for :meth:`MessageBus.send_many`."""
-        for message in messages:
-            self.record(message)
 
     def __repr__(self) -> str:  # keeps the old dataclass-ish repr
         return f"BusStats(sent={self.sent}, shared={self.shared})"
@@ -218,15 +217,15 @@ class MessageBus:
         """Enqueue a batch for ``host`` under ONE queue-lock acquisition.
 
         The ingestion dispatcher's path: a scheduling round that produced
-        several messages for the same host (e.g. per-function
-        :class:`ExecuteBatch` chunks) pays one lock/notify instead of one
-        per message.
+        several messages for the same host (one :class:`ExecuteBatch` per
+        function) pays one lock/notify instead of one per message.
         """
         messages = list(messages)
         if not messages:
             return
         self._queue_for(host).put_many(messages)
-        self.stats.record_many(messages)
+        for message in messages:
+            self.stats.record(message)
 
     def receive(self, host: str, timeout: float | None = None):
         """Blocking receive; returns None on timeout."""

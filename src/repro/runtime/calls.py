@@ -5,14 +5,14 @@ the value returned by ``chain_call`` and accepted by ``await_call`` /
 ``get_call_output`` (Tab. 2). The registry is the in-process stand-in for
 the coordination the paper does over its message bus and global state.
 
-The registry is also the **fault-tolerant invocation plane**'s source of
-truth: each delivery of a call to a host is an :class:`AttemptRecord`, and
-the registry arbitrates an *attempt-claim protocol* so that duplicate
-``ExecuteCall`` deliveries (a lossy/duplicating bus) and stale retries (a
-host presumed dead that is merely slow) cannot double-execute a call:
+There is one call lifecycle: every placement of a call on a host is an
+:class:`AttemptRecord`, and the registry arbitrates an *attempt-claim
+protocol* so that duplicate deliveries (a lossy/duplicating bus) and stale
+retries (a host presumed dead that is merely slow) cannot double-execute a
+call:
 
-* :meth:`InvocationRegistry.new_attempt` records a dispatch (host + the
-  host's liveness epoch at send time);
+* :meth:`InvocationRegistry.new_attempts` records a round of placements
+  (host + the host's liveness epoch at send time);
 * :meth:`InvocationRegistry.begin_attempt` is the executor's atomic claim —
   it succeeds at most once per attempt, and never while another attempt
   is running or after the call reached a terminal state;
@@ -179,28 +179,21 @@ class InvocationRegistry:
         input_data: bytes,
         idempotency_key: str | None = None,
     ) -> CallRecord:
-        record = CallRecord(
-            next(self._ids),
-            function,
-            bytes(input_data),
-            submitted_at=time.monotonic(),
-            idempotency_key=idempotency_key,
-        )
-        with self._mutex:
-            self._calls[record.call_id] = record
-            if idempotency_key is not None:
+        """One record: the one-element form of :meth:`create_many`."""
+        (record,) = self.create_many(function, [input_data])
+        if idempotency_key is not None:
+            record.idempotency_key = idempotency_key
+            with self._mutex:
                 self._by_key[idempotency_key] = record.call_id
         return record
 
     def create_many(
         self, function: str, inputs: list[bytes]
     ) -> list["CallRecord"]:
-        """Create one record per input with a single registry lock hold —
-        the bulk front door's amortised version of :meth:`create`.
+        """Create one record per input with a single registry lock hold.
 
-        Records (and their ``done`` events) are built outside the mutex:
-        holding it through a thousand Event allocations would serialise
-        against every concurrent completion."""
+        Records are built outside the mutex: holding it through a thousand
+        allocations would serialise against every concurrent completion."""
         now = time.monotonic()
         records = [
             CallRecord(
@@ -211,10 +204,10 @@ class InvocationRegistry:
             )
             for data in inputs
         ]
+        calls = self._calls
         with self._mutex:
-            self._calls.update(
-                (record.call_id, record) for record in records
-            )
+            for record in records:
+                calls[record.call_id] = record
         return records
 
     def create_or_get(
@@ -249,26 +242,15 @@ class InvocationRegistry:
     # Attempt protocol
     # ------------------------------------------------------------------
     def new_attempt(self, call_id: int, host: str, epoch: int) -> AttemptRecord:
-        """Record a dispatch of ``call_id`` to ``host``."""
-        record = self.get(call_id)
-        with record.lock:
-            attempt = AttemptRecord(
-                number=len(record.attempts),
-                host=host,
-                epoch=epoch,
-                dispatched_at=time.monotonic(),
-            )
-            record.attempts.append(attempt)
-        return attempt
+        """Record a dispatch of ``call_id`` to ``host``: the one-element
+        form of :meth:`new_attempts`."""
+        return self.new_attempts([(self.get(call_id), host, epoch)])[0]
 
     def new_attempts(
         self, specs: list[tuple["CallRecord", str, int]]
     ) -> list[AttemptRecord]:
-        """Record a batch of dispatches under ONE mutex acquisition.
-
-        ``specs`` is ``[(record, host, epoch), ...]`` — the ingestion
-        plane's batched form of :meth:`new_attempt`, so a scheduling round
-        of N calls pays one registry lock instead of N. Returns the
+        """Record a placement round: one attempt per ``(record, host,
+        epoch)`` spec, all stamped with one clock read. Returns the
         attempt records in spec order.
         """
         now = time.monotonic()
@@ -334,24 +316,14 @@ class InvocationRegistry:
     def mark_attempt_lost(self, call_id: int, number: int, reason: str) -> bool:
         """Write an in-flight attempt off (timeout or host death); the call
         returns to PENDING for the monitor to re-queue."""
-        record = self.get(call_id)
-        with record.lock:
-            if record.done.is_set():
-                return False
-            if number < 0 or number >= len(record.attempts):
-                return False
-            attempt = record.attempts[number]
-            if attempt.state not in (ATTEMPT_SENT, ATTEMPT_RUNNING):
-                return False
-            attempt.state = ATTEMPT_LOST
-            attempt.reason = reason
-            attempt.finished_at = time.monotonic()
-            record.status = CallStatus.PENDING
-        return True
+        return self._park(call_id, number, ATTEMPT_LOST, reason)
 
     def attempt_failed(self, call_id: int, number: int, reason: str) -> bool:
         """An executor hit a transient infrastructure error (e.g. the state
         tier was unavailable); park the attempt for a backed-off retry."""
+        return self._park(call_id, number, ATTEMPT_FAILED, reason)
+
+    def _park(self, call_id: int, number: int, state: str, reason: str) -> bool:
         record = self.get(call_id)
         with record.lock:
             if record.done.is_set():
@@ -361,7 +333,7 @@ class InvocationRegistry:
             attempt = record.attempts[number]
             if attempt.state not in (ATTEMPT_SENT, ATTEMPT_RUNNING):
                 return False
-            attempt.state = ATTEMPT_FAILED
+            attempt.state = state
             attempt.reason = reason
             attempt.finished_at = time.monotonic()
             record.status = CallStatus.PENDING
@@ -386,11 +358,9 @@ class InvocationRegistry:
             record.done.set()
         return True
 
-    # ------------------------------------------------------------------
-    # Legacy (attempt-less) lifecycle — used when the retry plane is off
-    # and by direct-execution tests.
-    # ------------------------------------------------------------------
     def mark_running(self, call_id: int, host: str, cold_start: bool) -> None:
+        """The claiming executor has its Faaslet: record where the call
+        runs and whether it had to cold-start."""
         record = self.get(call_id)
         record.status = CallStatus.RUNNING
         record.host = host
@@ -398,16 +368,15 @@ class InvocationRegistry:
         record.started_at = time.monotonic()
 
     def complete(self, call_id: int, return_code: int, output: bytes) -> bool:
-        """Finish a call (first completion wins; duplicates are no-ops)."""
-        record = self.get(call_id)
-        with record.lock:
-            if record.done.is_set():
-                return False
-            self._finish(record, return_code, output)
-        return True
+        """Finish a call on behalf of its latest attempt
+        (:meth:`complete_attempt` for callers that do not track attempt
+        numbers); first completion wins, duplicates are no-ops."""
+        return self.complete_attempt(
+            call_id, len(self.get(call_id).attempts) - 1, return_code, output
+        )
 
     def _finish(self, record: CallRecord, return_code: int, output: bytes) -> None:
-        """Terminal-state write; caller holds the mutex (or owns the record)."""
+        """Terminal-state write; caller holds the record's lock."""
         record.return_code = return_code
         record.output_data = bytes(output)
         record.finished_at = time.monotonic()
@@ -415,9 +384,6 @@ class InvocationRegistry:
             CallStatus.SUCCEEDED if return_code == 0 else CallStatus.FAILED
         )
         record.done.set()
-
-    def fail(self, call_id: int, message: str = "") -> None:
-        self.complete(call_id, 1, message.encode())
 
     def wait(self, call_id: int, timeout: float | None = None) -> int:
         """Block until the call finishes; returns its exit code."""
@@ -436,7 +402,3 @@ class InvocationRegistry:
     def all_records(self) -> list[CallRecord]:
         with self._mutex:
             return list(self._calls.values())
-
-
-#: Historic name, kept for existing imports.
-CallRegistry = InvocationRegistry

@@ -2,22 +2,28 @@
 
 A :class:`FaasmCluster` bundles the shared substrate — global state tier,
 object store, function registry, invocation registry, warm sets — with a
-set of per-host runtime instances. Incoming calls are spread round-robin
-over the local schedulers, which place them using the shared-state warm
-sets; each accepted call runs on a daemon thread (the stand-in for the
-paper's Faaslet-pool threads), and chained calls re-enter through the same
-path.
+set of per-host runtime instances.
 
-The cluster also owns the **fault-tolerant invocation plane**: every
-dispatch is an attempt record, an :class:`~repro.runtime.monitor.
+**There is one way in.** An external ``dispatch``, a guest's chained
+call, the monitor's ``redispatch`` and the ingestion plane's
+``dispatch_batch`` all hand their call records to
+:meth:`FaasmCluster._place_and_send`, which runs one scheduling pass at
+the entry host's local scheduler, records one attempt per call, and puts
+one :class:`~repro.runtime.bus.ExecuteBatch` per target host on the bus —
+carrying the trace contexts and push-invalidate hints with it. External
+calls are spread round-robin over the local schedulers, as Knative's
+default endpoint spreads requests; chained calls enter at their
+originating host's.
+
+Every placement is an attempt record: the :class:`~repro.runtime.monitor.
 InvocationMonitor` re-queues attempts whose host died (liveness epoch) or
-whose ``ExecuteCall`` was lost (timeout) with exponential backoff, dead
-hosts are evicted from the warm sets so schedulers stop routing to them,
-and a call whose retry budget is spent reaches the terminal ``CALL_FAILED``
-state carrying its failure chain. Passing a
-:class:`~repro.chaos.plan.ChaosPlan` (or prebuilt engine) as ``chaos=``
-wraps the bus and the global state store in the deterministic
-fault-injection layer that this plane is tested against.
+whose message was lost (timeout) with exponential backoff, dead hosts are
+evicted from the warm sets so schedulers stop routing to them, and a call
+whose retry budget is spent reaches the terminal ``CALL_FAILED`` state
+carrying its failure chain. Passing a :class:`~repro.chaos.plan.ChaosPlan`
+(or prebuilt engine) as ``chaos=`` wraps the bus and the global state
+store in the deterministic fault-injection layer that this plane is tested
+against.
 """
 
 from __future__ import annotations
@@ -26,19 +32,20 @@ import itertools
 import logging
 import threading
 import time
+from contextlib import ExitStack, nullcontext
 
 from repro.host.filesystem import GlobalObjectStore
 from repro.state.kv import GlobalStateStore
 from repro.state.prefetch import DeliveryPolicy
 from repro.telemetry import ProfileStore, Telemetry, export as telemetry_export
 
-from .bus import ExecuteBatch, ExecuteCall, MessageBus, Shutdown
+from .bus import ExecuteBatch, MessageBus, Shutdown
 from .calls import CallRecord, InvocationRegistry
 from .ingest import IngestionConfig, IngestionPlane
 from .instance import DEFAULT_CAPACITY, FaasmRuntimeInstance
 from .monitor import InvocationMonitor, RetryPolicy
 from .registry import FunctionRegistry
-from .scheduler import WarmSetRegistry
+from .scheduler import SchedulingDecision, WarmSetRegistry
 
 logger = logging.getLogger(__name__)
 
@@ -107,8 +114,6 @@ class FaasmCluster:
         )
         #: Shared endpoint registry for Faaslet virtual NICs.
         self.endpoints: dict = {}
-        #: Retry plane: on by default; ``RetryPolicy.off()`` restores the
-        #: legacy fire-and-forget dispatch (the overhead baseline).
         self.retry = retry_policy if retry_policy is not None else RetryPolicy()
         #: Proactive data delivery (prefetch / push-invalidate /
         #: pre-placement, DESIGN.md §10). Off by default: every
@@ -137,17 +142,15 @@ class FaasmCluster:
         #: A reactive :class:`~repro.runtime.autoscale.Autoscaler`, when
         #: the caller attached one (``Autoscaler(cluster, ...)``).
         self.autoscaler = None
-        self._dispatched: list[CallRecord] = []
-        self._dispatched_lock = threading.Lock()
+        #: Every placed call that is not yet known finished: what the
+        #: monitor watches and what :meth:`drain` waits for.
         self._inflight: dict[int, CallRecord] = {}
         self._inflight_lock = threading.Lock()
         for instance in self.instances:
             self.bus.register(instance.host)
             instance.start_dispatcher()
-        self.monitor: InvocationMonitor | None = None
-        if self.retry.enabled:
-            self.monitor = InvocationMonitor(self, self.retry)
-            self.monitor.start()
+        self.monitor = InvocationMonitor(self, self.retry)
+        self.monitor.start()
 
     # ------------------------------------------------------------------
     # Deployment
@@ -178,35 +181,40 @@ class FaasmCluster:
     ) -> int:
         """Asynchronously invoke ``function``; returns the call id.
 
-        External calls (``origin=None``) are assigned round-robin to a local
-        scheduler, as Knative's default endpoint spreads requests; chained
-        calls enter at their originating host's scheduler. A repeated
-        ``idempotency_key`` returns the original call instead of invoking
-        again.
+        ``origin`` is the host a chained call was made on (None for an
+        external call). A repeated ``idempotency_key`` returns the
+        original call instead of invoking again.
         """
         if not self.registry.exists(function):
             raise KeyError(f"unknown function {function!r}")
         record, created = self.calls.create_or_get(
             function, input_data, idempotency_key
         )
-        if not created:
-            return record.call_id
-        instance = self._entry_instance(origin)
-        # The dispatch span roots a new trace for external calls; a
-        # chained call re-entering on an executor thread continues the
-        # caller's trace (its ambient context is still active there).
-        with self.telemetry.tracer.trace(
-            "call.dispatch",
-            host=instance.host,
-            function=function,
-            call_id=record.call_id,
-        ) as sp:
-            decision = self._place_and_send(record, instance, sp)
-            sp.set_attr("decision", decision.reason)
-            sp.set_attr("target", decision.host)
-        with self._dispatched_lock:
-            self._dispatched.append(record)
+        if created:
+            self._place_and_send(function, [record], self._entry_instance(origin))
         return record.call_id
+
+    def dispatch_batch(
+        self,
+        function: str,
+        records: list[CallRecord],
+        origin: str | None = None,
+        collect: dict | None = None,
+    ) -> list[str]:
+        """Place and send already-created records of one function — the
+        ingestion plane's entry, whose work runs on the target hosts'
+        bounded pools. With ``collect`` (a ``host -> [messages]`` dict)
+        the messages are accumulated there instead of sent, so a caller
+        processing several function groups can flush each host's messages
+        with one :meth:`MessageBus.send_many`. Returns the target host
+        per record, in order."""
+        if not records:
+            return []
+        decisions = self._place_and_send(
+            function, records, self._entry_instance(origin),
+            pooled=True, collect=collect,
+        )
+        return [decision.host for decision in decisions]
 
     def _entry_instance(self, origin: str | None) -> FaasmRuntimeInstance:
         """The (live, non-draining) scheduler a call enters through."""
@@ -221,122 +229,90 @@ class FaasmCluster:
             raise RuntimeError("no live hosts in the cluster")
         return live[next(self._rr) % len(live)]
 
-    def _place_and_send(self, record: CallRecord, instance, sp) -> "SchedulingDecision":
-        """Schedule ``record`` from ``instance`` and put it on the bus.
-
-        Deliver over the message bus: locally, or to the warm host the
-        scheduler shared the work with (Fig. 5's sharing queue). The wire
-        context makes the receiving executor's spans children of the
-        dispatch span, across hosts.
-        """
-        decision = instance.scheduler.schedule(record.function)
-        attempt_no = -1
-        if self.retry.enabled:
-            target = self._by_host[decision.host]
-            attempt_no = self.calls.new_attempt(
-                record.call_id, decision.host, target.epoch
-            ).number
-            with self._inflight_lock:
-                self._inflight[record.call_id] = record
-        invalidate = None
-        if self.delivery.push_invalidate and decision.host != instance.host:
-            # Piggyback the sender's freshness knowledge so the target
-            # host's forced pulls can skip clean keys / delta-pull stale
-            # ranges (same-host chains share the tier — nothing to ship).
-            invalidate = instance.local_tier.invalidation_payload(
-                self.delivery.max_keys
-            )
-        self.bus.send(
-            decision.host,
-            ExecuteCall(
-                record.call_id,
-                record.function,
-                origin=instance.host,
-                # Work left this host for a peer — via the warm set or a
-                # snapshot-locality (page-resident) placement.
-                shared=decision.reason in ("shared", "resident")
-                and decision.host != instance.host,
-                trace=sp.wire(),
-                attempt=attempt_no,
-                invalidate=invalidate,
-            ),
-        )
-        if self.delivery.pre_place:
-            self._pre_place(record.function, instance, decision.host)
-        return decision
-
-    # ------------------------------------------------------------------
-    # Batched dispatch & the ingestion front door (DESIGN.md §11)
-    # ------------------------------------------------------------------
-    def dispatch_batch(
+    def _place_and_send(
         self,
         function: str,
         records: list[CallRecord],
-        origin: str | None = None,
+        instance: FaasmRuntimeInstance,
+        span_name: str = "call.dispatch",
+        span_attrs: dict | None = None,
+        pooled: bool = False,
         collect: dict | None = None,
-    ) -> list[str]:
-        """Place and send a batch of already-created call records.
+    ) -> list[SchedulingDecision]:
+        """The one road onto the bus: place ``records`` (all of
+        ``function``) from ``instance``'s scheduler and send them.
 
-        The ingestion plane's hot path: one batched scheduling decision
-        (warm-set snapshot read once, usually from the epoch cache), one
-        registry lock for all the attempt records, and one
-        :class:`ExecuteBatch` message per target host. With ``collect``
-        (a ``host -> [messages]`` dict) the messages are accumulated there
-        instead of sent, so a caller processing several function groups
-        can flush each host's messages with one :meth:`MessageBus.
-        send_many`. Returns the target host per record, in order.
+        One scheduling pass, one registry hold for the attempt records,
+        one :class:`ExecuteBatch` per target host. Each call gets its own
+        ``span_name`` span — the root of a new trace for an external
+        call, a child of the caller's ambient context for a chained one
+        (the guest's executor thread still has it active) — whose wire
+        context rides the batch, so the receiving executor's spans become
+        its children across hosts. The scheduling pass runs inside those
+        spans (for a batch of many it records under the last of them).
+        Returns the decisions, in record order.
         """
-        if not records:
-            return []
-        instance = self._entry_instance(origin)
-        decisions = instance.scheduler.schedule_batch(function, len(records))
-        by_host: dict[str, list[CallRecord]] = {}
-        shared_hosts: set[str] = set()
-        for record, decision in zip(records, decisions):
-            by_host.setdefault(decision.host, []).append(record)
-            if decision.host != instance.host and decision.reason in (
-                "shared", "resident", "cold-spread"
-            ):
-                shared_hosts.add(decision.host)
-        if self.retry.enabled:
-            # One registry lock for the whole round's attempt records.
-            specs, flat = [], []
-            for host, group in by_host.items():
-                epoch = self._by_host[host].epoch
-                for record in group:
-                    specs.append((record, host, epoch))
-                    flat.append(record)
-            attempts = self.calls.new_attempts(specs)
-            numbers = {
-                record.call_id: attempt.number
-                for record, attempt in zip(flat, attempts)
-            }
+        tracer, attrs = self.telemetry.tracer, span_attrs or {}
+        spans = [
+            tracer.trace(
+                span_name, host=instance.host, function=function,
+                call_id=record.call_id, **attrs,
+            )
+            for record in records
+        ] if tracer.enabled else ()
+        with ExitStack() if spans else nullcontext() as stack:
+            for sp in spans:
+                stack.enter_context(sp)
+            decisions = instance.scheduler.schedule_batch(function, len(records))
+            hosts = self._by_host
+            attempts = self.calls.new_attempts([
+                (record, decision.host, hosts[decision.host].epoch)
+                for record, decision in zip(records, decisions)
+            ])
             with self._inflight_lock:
                 for record in records:
                     self._inflight[record.call_id] = record
-        else:
-            numbers = {record.call_id: -1 for record in records}
-        for host, group in by_host.items():
-            batch = ExecuteBatch(
-                function,
-                tuple(
-                    (record.call_id, numbers[record.call_id])
-                    for record in group
-                ),
-                origin=instance.host,
-                shared=host in shared_hosts,
-            )
-            if collect is not None:
-                collect.setdefault(host, []).append(batch)
-            else:
-                self.bus.send(host, batch)
-        with self._dispatched_lock:
-            self._dispatched.extend(records)
-        targets = {}
-        for host, group in by_host.items():
-            for record in group:
-                targets[record.call_id] = host
-        return [targets[record.call_id] for record in records]
+            by_host: dict[str, list[int]] = {}
+            for index, attempt in enumerate(attempts):
+                by_host.setdefault(attempt.host, []).append(index)
+            for sp, decision in zip(spans, decisions):
+                sp.set_attr("decision", decision.reason)
+                sp.set_attr("target", decision.host)
+            invalidate = None
+            if self.delivery.push_invalidate and any(
+                host != instance.host for host in by_host
+            ):
+                # Piggyback the sender's freshness knowledge so a peer's
+                # forced pulls can skip clean keys / delta-pull stale
+                # ranges (same-host chains share the tier — nothing to
+                # ship).
+                invalidate = instance.local_tier.invalidation_payload(
+                    self.delivery.max_keys
+                )
+            for host, indices in by_host.items():
+                # Work that left this host for a peer — via the warm set,
+                # a page-resident placement or a cold spread.
+                shared = host != instance.host
+                batch = ExecuteBatch(
+                    function,
+                    tuple([
+                        (records[i].call_id, attempts[i].number)
+                        for i in indices
+                    ]),
+                    origin=instance.host,
+                    shared=shared,
+                    traces=tuple([spans[i].wire() for i in indices])
+                    if spans else None,
+                    invalidate=invalidate if shared else None,
+                    pooled=pooled,
+                )
+                if collect is not None:
+                    collect.setdefault(host, []).append(batch)
+                else:
+                    self.bus.send(host, batch)
+                if self.delivery.pre_place:
+                    self._pre_place(function, instance, host)
+        return decisions
 
     def ingestion(self, config: IngestionConfig | None = None) -> IngestionPlane:
         """The cluster's ingestion plane (created on first use). Passing a
@@ -495,22 +471,18 @@ class FaasmCluster:
             self.telemetry.metrics.counter("call.failed").inc()
             self.forget_inflight(record.call_id)
             return
-        with self.telemetry.tracer.trace(
-            "call.retry",
-            host=instance.host,
-            function=record.function,
-            call_id=record.call_id,
-        ) as sp:
-            sp.set_attr("attempt", len(record.attempts))
-            if reason:
-                sp.set_attr("reason", reason)
-            if self.chaos is not None:
-                # Attribute the retry to the injected fault(s) that cost
-                # the previous attempt, so traces explain *why*.
-                faults = self.chaos.faults_for(record.call_id)
-                if faults:
-                    sp.set_attr("fault", ",".join(faults))
-            self._place_and_send(record, instance, sp)
+        attrs = {"attempt": len(record.attempts)}
+        if reason:
+            attrs["reason"] = reason
+        if self.chaos is not None:
+            # Attribute the retry to the injected fault(s) that cost the
+            # previous attempt, so traces explain *why*.
+            faults = self.chaos.faults_for(record.call_id)
+            if faults:
+                attrs["fault"] = ",".join(faults)
+        self._place_and_send(
+            record.function, [record], instance, "call.retry", attrs
+        )
         self.telemetry.metrics.counter("call.retries").inc()
 
     def invoke(self, function: str, input_data: bytes = b"", timeout: float = 60.0) -> tuple[int, bytes]:
@@ -777,15 +749,11 @@ class FaasmCluster:
         is raised, so a stuck call can never be mistaken for a clean drain.
         """
         deadline = time.monotonic() + timeout
-        with self._dispatched_lock:
-            records = list(self._dispatched)
         stragglers = []
-        for record in records:
+        for record in self.inflight_records():
             remaining = deadline - time.monotonic()
             if not record.done.wait(max(0.0, remaining)):
                 stragglers.append(record.call_id)
-        with self._dispatched_lock:
-            self._dispatched = [r for r in self._dispatched if not r.done.is_set()]
         if stragglers and raise_on_stragglers:
             raise DrainTimeout(
                 f"drain timed out after {timeout}s with {len(stragglers)} "
@@ -801,8 +769,7 @@ class FaasmCluster:
         with self._ingest_lock:
             if self._ingest is not None:
                 self._ingest.stop()
-        if self.monitor is not None:
-            self.monitor.stop()
+        self.monitor.stop()
         with self._metrics_endpoint_lock:
             if self._metrics_endpoint is not None:
                 self._metrics_endpoint.shutdown()

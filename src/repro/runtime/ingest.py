@@ -1,12 +1,13 @@
 """The open-loop ingestion plane (DESIGN.md §11).
 
-The cluster's historic front door, :meth:`FaasmCluster.dispatch`, does a
-full placement — warm-set read, attempt record, bus send — on the caller's
-thread, per call. That is the right shape for chained calls and tests, but
-at "millions of users" arrival rates the submitter must never block on
-placement, one hot tenant must not starve the rest, and the per-call
-bookkeeping (a global-tier round trip, a registry lock, a bus lock, a
-thread spawn) has to amortise over batches. This module is that plane:
+:meth:`FaasmCluster.dispatch` places its call — warm-set read, attempt
+record, bus send — on the caller's thread, a batch of one. That is the
+right shape for chained calls and tests, but at "millions of users"
+arrival rates the submitter must never block on placement, one hot tenant
+must not starve the rest, and the per-call bookkeeping (a global-tier
+round trip, a registry lock, a bus lock, a thread spawn) has to amortise
+over batches. This module queues calls in front of the same road so that
+it carries many at a time:
 
 * :class:`AdmissionController` — bounded per-tenant FIFO queues under a
   **stride-scheduling weighted-fair queue**: each tenant carries a *pass*
@@ -22,13 +23,12 @@ thread spawn) has to amortise over batches. This module is that plane:
   creates a call record, so no admitted call is ever stranded.
 
 * :class:`IngestionPlane` — the async front door plus the batch
-  dispatcher thread: admitted calls are grouped per function, placed with
-  one :meth:`LocalScheduler.schedule_batch` decision, given attempt
-  records under one registry lock (:meth:`InvocationRegistry.
-  new_attempts`), and shipped as :class:`~repro.runtime.bus.ExecuteBatch`
-  messages flushed with one :meth:`MessageBus.send_many` per host per
-  round. Every admitted call still runs PR 4's full attempt-claim
-  protocol on the receiving host, so exactly-once semantics and the
+  dispatcher thread: admitted calls are grouped per function, handed to
+  :meth:`FaasmCluster.dispatch_batch` (one scheduling pass, one registry
+  hold, one :class:`~repro.runtime.bus.ExecuteBatch` per target host) and
+  flushed with one :meth:`MessageBus.send_many` per host per round; the
+  receiving hosts run them on their bounded worker pools. It is the same
+  road every other call takes, so tracing, exactly-once semantics and the
   chaos-fault surface are unchanged — only the per-call overhead is gone.
 """
 
@@ -38,8 +38,6 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-
-from .bus import ExecuteBatch  # noqa: F401  (re-exported for callers)
 
 #: Sliding window over which :meth:`IngestionPlane.stats` reports the
 #: arrival rate.
@@ -103,13 +101,13 @@ class AdmissionController:
         #: WFQ virtual time: the pass of the last tenant served, which
         #: re-backlogged tenants catch up to (idling earns no credit).
         self._vtime = 0.0
+        #: Size of the batch the last :meth:`next_batch` handed out, until
+        #: the next call asks for more: calls that are in neither a queue
+        #: nor (yet) on the bus, which :meth:`IngestionPlane.drain` must
+        #: not mistake for an empty plane.
+        self.in_service = 0
         for spec in config.tenants:
             self._tenants[spec.name] = _TenantState(spec)
-
-    def _counter(self, name: str, tenant: str):
-        if self._metrics is None:
-            return None
-        return self._metrics.counter(name, tenant=tenant)
 
     def _state(self, tenant: str) -> _TenantState:
         state = self._tenants.get(tenant)
@@ -126,42 +124,26 @@ class AdmissionController:
         return state
 
     def offer(self, tenant: str, make_item) -> tuple[str, object | None]:
-        """Admit one submission for ``tenant``.
-
-        ``make_item()`` is called — under the admission lock — only when
-        the offer is admitted, so a shed/deferred submission creates no
-        call record (nothing to strand). Returns ``(outcome, item)`` with
-        outcome one of "admitted", "deferred", "shed".
-        """
-        with self._cv:
-            state = self._state(tenant)
-            if len(state.queue) >= state.spec.queue_limit:
-                outcome = (
-                    "shed" if state.spec.on_full == "shed" else "deferred"
-                )
-                counter = self._counter("ingest." + outcome, tenant)
-                if counter is not None:
-                    counter.inc()
-                return outcome, None
-            item = make_item()
-            if not state.queue:
-                # Re-entering the backlog: catch the pass up to virtual
-                # time so time spent idle earns no service credit.
-                state.pass_value = max(state.pass_value, self._vtime)
-            state.queue.append(item)
-            counter = self._counter("ingest.admitted", tenant)
-            if counter is not None:
-                counter.inc()
-            self._cv.notify()
-            return "admitted", item
+        """Admit one submission: the one-element form of
+        :meth:`offer_many`. ``make_item()`` is called only on admission.
+        Returns ``(outcome, item)`` with outcome one of "admitted",
+        "deferred", "shed"."""
+        items, _, outcome = self.offer_many(
+            tenant, 1, lambda take: [make_item()]
+        )
+        return ("admitted", items[0]) if items else (outcome, None)
 
     def offer_many(
         self, tenant: str, count: int, make_items
     ) -> tuple[list, int, str]:
-        """Bulk :meth:`offer`: admit up to ``count`` submissions under one
-        lock acquisition. ``make_items(k)`` builds the ``k`` admitted
-        items (called under the lock, only for the admitted prefix).
-        Returns ``(admitted_items, n_rejected, rejection_outcome)``."""
+        """Admit up to ``count`` submissions for ``tenant`` under one lock
+        acquisition; a full queue rejects the tail.
+
+        ``make_items(k)`` builds the ``k`` admitted items — called under
+        the admission lock and only for the admitted prefix, so a
+        shed/deferred submission creates no call record (nothing to
+        strand). Returns ``(admitted_items, n_rejected,
+        rejection_outcome)``."""
         with self._cv:
             state = self._state(tenant)
             room = max(0, state.spec.queue_limit - len(state.queue))
@@ -172,6 +154,8 @@ class AdmissionController:
             )
             items = make_items(take) if take else []
             if items and not state.queue:
+                # Re-entering the backlog: catch the pass up to virtual
+                # time so time spent idle earns no service credit.
                 state.pass_value = max(state.pass_value, self._vtime)
             state.queue.extend(items)
             if self._metrics is not None:
@@ -195,6 +179,7 @@ class AdmissionController:
         advances by ``served / weight``. Returns ``(tenant, items)`` or
         ``(None, [])`` on timeout."""
         with self._cv:
+            self.in_service = 0
             if timeout is not None:
                 deadline = time.monotonic() + timeout
                 while not any(s.queue for s in self._tenants.values()):
@@ -217,6 +202,7 @@ class AdmissionController:
                 items.append(state.queue.popleft())
             state.pass_value += len(items) / max(state.spec.weight, 1e-9)
             state.served += len(items)
+            self.in_service = len(items)
         return name, items
 
     def backlog(self) -> int:
@@ -288,25 +274,11 @@ class IngestionPlane:
         input_data: bytes = b"",
         tenant: str = "default",
     ) -> tuple[int | None, str]:
-        """Admit a call without blocking on placement; the batch
-        dispatcher places it later. ``(call_id, "admitted")``, or
-        ``(None, "deferred"|"shed")`` under backpressure."""
-        if not self.cluster.registry.exists(function):
-            raise KeyError(f"unknown function {function!r}")
-
-        def make_item():
-            record = self.cluster.calls.create(function, input_data)
-            return _AdmittedItem(
-                function, record, tenant, enqueued_at=time.monotonic()
-            )
-
-        outcome, item = self.admission.offer(tenant, make_item)
-        if outcome != "admitted":
-            return None, outcome
-        with self._recent_lock:
-            self._recent.append(item.record)
-            self._admit_times.append(item.enqueued_at)
-        return item.record.call_id, "admitted"
+        """Admit a call without blocking on placement (the one-element
+        form of :meth:`submit_many`); the batch dispatcher places it
+        later. ``(call_id, "admitted")``, or ``(None, "deferred"|"shed")``
+        under backpressure."""
+        return self.submit_many(function, [input_data], tenant)[0]
 
     def submit_many(
         self,
@@ -393,6 +365,7 @@ class IngestionPlane:
         while time.monotonic() < deadline:
             if (
                 self.admission.backlog() == 0
+                and self.admission.in_service == 0
                 and self.cluster.bus.total_pending() == 0
                 and all(
                     i.pool_backlog() == 0 for i in self.cluster.instances

@@ -28,6 +28,7 @@ from repro.state.local import LocalTier
 from repro.state.prefetch import Prefetcher
 from repro.telemetry import MetricsRegistry, context_from_wire, span
 
+from .bus import ExecuteCall, Shutdown, _HostQueue
 from .calls import CallRecord
 from .pyguest import PythonCallContext
 from .registry import PythonFunctionDefinition
@@ -185,12 +186,10 @@ class FaasmRuntimeInstance:
         self._executing = 0
         self.metrics = InstanceMetrics(cluster.telemetry.metrics, host=host)
         self._dispatcher: threading.Thread | None = None
-        #: Bounded executor pool for batched dispatch (created lazily on
-        #: the first ExecuteBatch): batch items run on these workers
-        #: instead of a thread per call, which is most of the per-call
-        #: overhead the ingestion plane removes. Chained calls re-enter
-        #: through the per-call path (thread per call), so a pool worker
-        #: blocked in ``await_call`` can never starve its own callee.
+        #: Bounded executor pool for ``pooled`` batches (created lazily on
+        #: the first one): admitted calls run on these workers instead of
+        #: a thread per call, which is most of the per-call overhead the
+        #: ingestion plane removes.
         self._pool_threads: list[threading.Thread] = []
         self._pool_queue = None
         self._pool_lock = threading.Lock()
@@ -223,58 +222,34 @@ class FaasmRuntimeInstance:
         self._dispatcher.start()
 
     def _dispatch_loop(self) -> None:
-        from .bus import ExecuteBatch, ExecuteCall, Shutdown
-
         while True:
             message = self.cluster.bus.receive(self.host)
-            if message is None or isinstance(message, Shutdown):
+            if isinstance(message, Shutdown):
                 self._stop_pool()
                 return
-            if not self.alive:
-                # Dead hosts consume nothing: the drained message is lost
-                # with the host and the monitor re-queues it from its
-                # attempt record. The loop itself keeps draining (rather
-                # than exiting) so a later restart() reuses it without
-                # racing the thread-liveness check.
-                continue
-            if isinstance(message, ExecuteCall):
-                try:
-                    self._chaos_point("pre-dispatch", message)
-                except HostCrashed:
-                    continue  # died holding an undispatched message
-                if message.shared:
-                    self.shared_received += 1
-                record = self.cluster.calls.get(message.call_id)
-                # One thread per in-flight call: functions may block in
-                # await_call, so calls must not share the dispatcher thread.
-                threading.Thread(
-                    target=self._execute_safely,
-                    args=(record, message),
-                    daemon=True,
-                    name=f"call-{record.call_id}-{record.function}",
-                ).start()
-            elif isinstance(message, ExecuteBatch):
+            # Dead hosts consume nothing: the drained message is lost with
+            # the host and the monitor re-queues it from its attempt
+            # record. The loop itself keeps draining (rather than exiting)
+            # so a later restart() reuses it without racing the
+            # thread-liveness check.
+            if self.alive:
                 self._expand_batch(message)
 
-    # ------------------------------------------------------------------
-    # Batched execution (ingestion plane, DESIGN.md §11)
-    # ------------------------------------------------------------------
     def _expand_batch(self, batch) -> None:
-        """Feed a batch's calls to the bounded worker pool, one chaos
-        pre-dispatch point per carried call (same fault surface as the
-        per-call path)."""
-        from .bus import ExecuteCall
-
-        queue = self._ensure_pool()
+        """Hand a batch's calls to their executors, one chaos pre-dispatch
+        point per carried call. ``batch.pooled`` work goes to the bounded
+        worker pool under one queue lock; everything else gets a thread
+        per call — functions may block in ``await_call``, so a chained
+        callee must never wait for a worker its own caller occupies."""
+        traces = batch.traces or (None,) * len(batch.items)
         accepted: list = []
-        crashed = False
-        for call_id, attempt in batch.items:
+        for (call_id, attempt), trace in zip(batch.items, traces):
             message = ExecuteCall(
                 call_id,
-                batch.function,
-                origin=batch.origin,
+                attempt,
                 shared=batch.shared,
-                attempt=attempt,
+                trace=trace,
+                invalidate=batch.invalidate,
             )
             try:
                 self._chaos_point("pre-dispatch", message)
@@ -283,26 +258,29 @@ class FaasmRuntimeInstance:
                 # are lost with the host; the monitor re-queues them. The
                 # already-accepted prefix still ships below, exactly as if
                 # each item had been enqueued before the crash point.
-                crashed = True
                 break
             if batch.shared:
                 self.shared_received += 1
             accepted.append(message)
-        if accepted:
-            # One registry lock for the records, one queue lock for the
-            # hand-off — the receive-side half of batch amortisation.
-            records = self.cluster.calls.get_many(
-                [message.call_id for message in accepted]
-            )
-            queue.put_many(list(zip(records, accepted)))
-        if crashed:
+        work = list(zip(
+            self.cluster.calls.get_many([m.call_id for m in accepted]),
+            accepted,
+        ))
+        if batch.pooled:
+            if work:
+                self._ensure_pool().put_many(work)
             return
+        for record, message in work:
+            threading.Thread(
+                target=self._execute_safely,
+                args=(record, message),
+                daemon=True,
+                name=f"call-{record.call_id}-{record.function}",
+            ).start()
 
     def _ensure_pool(self):
         with self._pool_lock:
             if self._pool_queue is None:
-                from .bus import _HostQueue
-
                 self._pool_queue = _HostQueue()
                 n = max(2, self.capacity)
                 for i in range(n):
@@ -341,16 +319,14 @@ class FaasmRuntimeInstance:
             queue = self._pool_queue
         return queue.qsize() if queue is not None else 0
 
-    def _chaos_point(self, phase: str, message: "ExecuteCall | None") -> None:
+    def _chaos_point(self, phase: str, message) -> None:
         """Give the chaos engine (if any) a chance to kill this host."""
-        if self.chaos is not None and message is not None:
+        if self.chaos is not None:
             self.chaos.on_phase(self, phase, message.call_id, message.attempt)
 
-    def _execute_safely(self, record, message: "ExecuteCall | None" = None) -> None:
-        attempt = message.attempt if message is not None else -1
-        if attempt >= 0 and not self.cluster.calls.begin_attempt(
-            record.call_id, attempt, self.host
-        ):
+    def _execute_safely(self, record, message) -> None:
+        calls, attempt = self.cluster.calls, message.attempt
+        if not calls.begin_attempt(record.call_id, attempt, self.host):
             # Duplicate delivery, a stale retry, or the call already
             # finished elsewhere — drop it without executing.
             return
@@ -364,23 +340,14 @@ class FaasmRuntimeInstance:
             logger.warning(
                 "call %s hit unavailable state tier: %s", record.call_id, exc
             )
-            if attempt >= 0:
-                self.cluster.calls.attempt_failed(
-                    record.call_id, attempt, f"state unavailable: {exc}"
-                )
-            elif not record.done.is_set():
-                self.cluster.calls.fail(record.call_id, str(exc))
+            calls.attempt_failed(
+                record.call_id, attempt, f"state unavailable: {exc}"
+            )
         except Exception as exc:  # never kill the host on a bad call
             logger.exception("call %s crashed the executor", record.call_id)
-            if not record.done.is_set():
-                if attempt >= 0:
-                    self.cluster.calls.complete_attempt(
-                        record.call_id, attempt, 1, str(exc).encode()
-                    )
-                else:
-                    self.cluster.calls.fail(record.call_id, str(exc))
+            calls.complete_attempt(record.call_id, attempt, 1, str(exc).encode())
 
-    def _execute_traced(self, record, message: "ExecuteCall | None") -> None:
+    def _execute_traced(self, record, message) -> None:
         """Execute under the trace context carried by the bus message.
 
         Executor threads start with an empty ambient context, so the
@@ -388,7 +355,7 @@ class FaasmRuntimeInstance:
         cross-host propagation. Without a carried context (tracing off,
         or the trace was unsampled at its root) this is a plain execute.
         """
-        wire = message.trace if message is not None else None
+        wire = message.trace
         if wire is None:
             self.execute(record, message)
             return
@@ -465,10 +432,11 @@ class FaasmRuntimeInstance:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def execute(self, record: CallRecord, message=None) -> None:
-        """Execute a call on this host (runs on the caller's thread)."""
+    def execute(self, record: CallRecord, message) -> None:
+        """Execute attempt ``message.attempt`` of a call on this host (runs
+        on the caller's thread, which has already claimed the attempt)."""
         definition = self.cluster.registry.get(record.function)
-        if message is not None and getattr(message, "invalidate", None):
+        if message.invalidate:
             # Push-invalidate hints from the caller's host: remembered per
             # key and consumed by the local tier's next forced pull.
             self.local_tier.apply_invalidations(message.invalidate)
@@ -492,16 +460,12 @@ class FaasmRuntimeInstance:
         """Write the call's completion — unless this host died meanwhile
         (a dead host's completions are lost, like the paper's crashed
         worker never answering the message bus)."""
-        if message is not None and message.attempt >= 0:
-            if not self.alive:
-                return
+        if self.alive:
             self.cluster.calls.complete_attempt(
                 record.call_id, message.attempt, code, output
             )
-        else:
-            self.cluster.calls.complete(record.call_id, code, output)
 
-    def _execute_python(self, record: CallRecord, definition, message=None) -> None:
+    def _execute_python(self, record: CallRecord, definition, message) -> None:
         self.cluster.calls.mark_running(record.call_id, self.host, cold_start=False)
         self.metrics.record_call()
         self._chaos_point("mid-guest", message)
@@ -519,7 +483,7 @@ class FaasmRuntimeInstance:
             self._complete(record, message, 1, str(exc).encode())
 
     def _execute_wasm(
-        self, record: CallRecord, definition: FunctionDefinition, message=None
+        self, record: CallRecord, definition: FunctionDefinition, message
     ) -> None:
         faaslet, cold = self._acquire_faaslet(definition)
         self.cluster.calls.mark_running(record.call_id, self.host, cold_start=cold)

@@ -9,16 +9,17 @@ call's latest :class:`~repro.runtime.calls.AttemptRecord` and
   liveness epoch advanced past the one recorded at dispatch) — the
   re-queue path for a crashed host's in-flight calls;
 * writes an attempt off when it exceeds the per-attempt timeout (a dropped
-  or endlessly delayed ``ExecuteCall``);
+  or endlessly delayed delivery);
 * re-dispatches written-off attempts with capped exponential backoff and
   jitter, up to :attr:`RetryPolicy.max_attempts`;
 * declares the terminal ``CALL_FAILED`` state — with the per-attempt
   failure chain — once the budget is spent.
 
-The monitor never executes anything itself; re-dispatch goes back through
-the cluster's normal schedule-and-send path (under a ``call.retry`` span,
-counted in the ``call.retries`` metric), so retried calls are placed with
-current warm-set and liveness information.
+Every cluster runs one: there is no unmonitored way to place a call. The
+monitor never executes anything itself; re-dispatch goes back through the
+cluster's one place-and-send road (under a ``call.retry`` span, counted in
+the ``call.retries`` metric), so retried calls are placed with current
+warm-set and liveness information.
 """
 
 from __future__ import annotations
@@ -49,9 +50,6 @@ class RetryPolicy:
     max_delay: float = 1.0
     #: Multiplicative jitter in [0, jitter] added to each delay.
     jitter: float = 0.2
-    #: With ``enabled=False`` the cluster runs the legacy fire-and-forget
-    #: plane: no attempt records, no monitor (the overhead baseline).
-    enabled: bool = True
     #: Extra time a SENT attempt is granted past ``attempt_timeout`` while
     #: its target host is alive but *backlogged* (non-empty bus queue or
     #: executor pool). Under the ingestion plane, deep queues are the
@@ -60,10 +58,6 @@ class RetryPolicy:
     #: merely waiting their turn. A genuinely dropped message still times
     #: out once the backlog clears (or after the grace, whichever first).
     backlog_grace: float = 30.0
-
-    @classmethod
-    def off(cls) -> "RetryPolicy":
-        return cls(enabled=False)
 
     def backoff(self, attempt_number: int, rng: random.Random) -> float:
         delay = min(self.max_delay, self.base_delay * (2 ** attempt_number))

@@ -23,8 +23,9 @@ it performs (every mutation in this in-process deployment goes through the
 shared registry), and the TTL bounds staleness against writers the epoch
 cannot see. A stale snapshot is at worst a slightly worse *advisory*
 placement, never a correctness issue. :meth:`LocalScheduler.schedule_batch`
-amortises one snapshot read and one capacity survey over a whole batch of
-calls, which is what the ingestion plane dispatches with.
+is the one placement rule: it amortises one snapshot read and one capacity
+survey over however many calls the cluster places at once (one for a
+dispatched or chained call, a batch for the ingestion plane).
 """
 
 from __future__ import annotations
@@ -52,6 +53,10 @@ _RESIDENT_PREFIX = "faasm/sched/resident/"
 DEFAULT_CACHE_TTL = 0.5
 
 
+#: Placements that start a new Faaslet on the target (restore or boot).
+_COLD_REASONS = frozenset({"cold-local", "resident", "cold-spread"})
+
+
 @dataclass
 class SchedulingDecision:
     host: str
@@ -63,7 +68,7 @@ class SchedulingDecision:
     def is_cold(self) -> bool:
         """True when the target must cold-start (restore or boot) — both
         genuinely cold and page-resident placements start a new Faaslet."""
-        return self.reason in ("cold-local", "resident", "cold-spread")
+        return self.reason in _COLD_REASONS
 
 
 class _CacheEntry:
@@ -304,8 +309,9 @@ class LocalScheduler:
             "cold-spread": 0,
         }
 
-    def _resident_candidate(self, function: str) -> str | None:
-        """The best live page-resident host with capacity, or None.
+    def _resident_candidate(self, function: str, room) -> str | None:
+        """The best live page-resident host with a free slot (per the
+        pass's capacity model ``room(host)``), or None.
 
         Candidates rank by advertised PageStore coverage of the function's
         snapshot manifest (then by name, for determinism): restoring where
@@ -316,13 +322,7 @@ class LocalScheduler:
         resident = self.warm_sets.resident_hosts(function)
         ranked = sorted(resident.items(), key=lambda hc: (-hc[1], hc[0]))
         for host, coverage in ranked:
-            if coverage <= 0.0 or not self._live(host):
-                continue
-            capacity = (
-                self._capacity() if host == self.host
-                else self._peer_capacity(host)
-            )
-            if capacity > 0:
+            if coverage > 0.0 and self._live(host) and room(host) > 0:
                 return host
         return None
 
@@ -349,122 +349,88 @@ class LocalScheduler:
         return out
 
     def schedule(self, function: str) -> SchedulingDecision:
-        with span("schedule", function=function) as sp:
-            warm = {
-                h for h in self.warm_sets.warm_hosts(function) if self._live(h)
-            }
-            if self.host in warm and self._capacity() > 0:
-                decision = SchedulingDecision(self.host, "warm-local")
-            else:
-                shared_to = None
-                for peer in sorted(warm):
-                    if peer != self.host and self._peer_capacity(peer) > 0:
-                        shared_to = peer
-                        break
-                if shared_to is not None:
-                    decision = SchedulingDecision(shared_to, "shared")
-                else:
-                    resident_to = self._resident_candidate(function)
-                    if resident_to is not None:
-                        # Snapshot-locality placement: the target must
-                        # restore (cold for the pool), but its PageStore
-                        # already holds the pages. It becomes warm once
-                        # the restore lands, so advertise it now — the
-                        # same optimistic claim cold-local makes below.
-                        self.warm_sets.add(function, resident_to)
-                        decision = SchedulingDecision(resident_to, "resident")
-                    else:
-                        # Cold start locally and advertise this host as warm.
-                        self.warm_sets.add(function, self.host)
-                        decision = SchedulingDecision(self.host, "cold-local")
-            self.decisions[decision.reason] += 1
-            sp.set_attr("reason", decision.reason)
-            sp.set_attr("warm_hosts", len(warm))
-        return decision
+        """Place one call: the one-element form of :meth:`schedule_batch`."""
+        return self.schedule_batch(function, 1)[0]
 
     def schedule_batch(self, function: str, count: int) -> list[SchedulingDecision]:
         """Place ``count`` calls of one function in a single pass.
 
-        The batched hot path: the warm-set and residency snapshots are
-        read once (usually straight from the epoch cache), every
-        candidate's capacity is surveyed once, and placements draw that
-        capacity down against a local model instead of re-querying per
-        call. Warm capacity fills first (local, then peers), then one
-        page-resident host, and any overflow spreads round-robin: over
-        the warm hosts when some exist (the calls queue for warm
-        Faaslets), otherwise cold across the live hosts so a cold burst
-        lands cluster-wide instead of serialising on the entry host.
+        The one placement rule (§5.1), applied in order until every call
+        has a host:
+
+        1. **warm capacity** — this host when it is warm and has a free
+           slot (``warm-local``), then warm peers by name (``shared``);
+        2. **page-resident host** — the best live host whose PageStore
+           already covers the snapshot, up to its free slots
+           (``resident``): it must restore, but ships few or no pages;
+        3. **cold start where a slot is free** — the entry host first
+           (``cold-local``), then live peers (``cold-spread``);
+        4. **overflow**, only once no live host has a free slot — queue
+           round-robin on the warm hosts when some exist (the calls wait
+           for warm Faaslets), otherwise spread over the live hosts so a
+           cold burst lands cluster-wide instead of serialising on the
+           entry host.
+
+        The warm-set and residency snapshots are read once (usually
+        straight from the epoch cache) and each candidate's capacity is
+        surveyed at most once; placements draw it down against a local
+        model instead of re-querying per call. Hosts that will start a
+        Faaslet are advertised warm optimistically, so the next pass
+        shares work with them.
         """
         if count <= 0:
             return []
-        with span("schedule.batch", function=function) as sp:
-            warm = sorted(
-                h for h in self.warm_sets.warm_hosts(function) if self._live(h)
-            )
-            capacity = {
-                h: (self._capacity() if h == self.host
-                    else self._peer_capacity(h))
-                for h in warm
-            }
+        with span("schedule", function=function) as sp:
+            me, live = self.host, self._live
+            # Candidate lists put the entry host first, then peers by name.
+            warm = sorted(filter(live, self.warm_sets.warm_hosts(function)))
+            if me in warm:
+                warm.remove(me)
+                warm.insert(0, me)
+            free: dict[str, int] = {}
+            starting: set[str] = set()
             decisions: list[SchedulingDecision] = []
 
-            def place(host: str, reason: str, n: int) -> None:
-                for _ in range(n):
-                    decisions.append(SchedulingDecision(host, reason))
-                self.decisions[reason] += n
-
-            # Tier 1: local warm capacity, then warm peers by name.
-            if self.host in capacity:
-                take = min(count - len(decisions), max(0, capacity[self.host]))
-                if take:
-                    place(self.host, "warm-local", take)
-                    capacity[self.host] -= take
-            for peer in warm:
-                if peer == self.host or len(decisions) >= count:
-                    continue
-                take = min(count - len(decisions), max(0, capacity[peer]))
-                if take:
-                    place(peer, "shared", take)
-                    capacity[peer] -= take
-
-            # Tier 2: one page-resident host soaks up to its capacity.
-            if len(decisions) < count and not warm:
-                resident_to = self._resident_candidate(function)
-                if resident_to is not None:
-                    room = max(
-                        1,
-                        self._capacity() if resident_to == self.host
-                        else self._peer_capacity(resident_to),
+            def room(host: str) -> int:
+                n = free.get(host)
+                if n is None:
+                    n = free[host] = max(
+                        0,
+                        self._capacity() if host == me
+                        else self._peer_capacity(host),
                     )
-                    take = min(count - len(decisions), room)
-                    self.warm_sets.add(function, resident_to)
-                    place(resident_to, "resident", take)
+                return n
 
-            # Tier 3: overflow. Queue round-robin on warm hosts when any
-            # exist; otherwise spread the cold burst over the live hosts.
-            remaining = count - len(decisions)
-            if remaining > 0:
-                if warm:
-                    for i in range(remaining):
-                        host = warm[i % len(warm)]
-                        place(
-                            host,
-                            "warm-local" if host == self.host else "shared",
-                            1,
-                        )
-                else:
-                    targets = [h for h in self._peers() if self._live(h)]
-                    if self.host in targets:  # entry host soaks first
-                        targets.remove(self.host)
-                    targets.insert(0, self.host)
-                    for i in range(remaining):
-                        host = targets[i % len(targets)]
-                        reason = (
-                            "cold-local" if host == self.host else "cold-spread"
-                        )
-                        place(host, reason, 1)
-                    for host in dict.fromkeys(targets[: min(remaining, len(targets))]):
-                        self.warm_sets.add(function, host)
+            def place(host: str, on_self: str, on_peer: str, n: int) -> None:
+                n = min(n, count - len(decisions))
+                if n > 0:
+                    reason = on_self if host == me else on_peer
+                    if reason in _COLD_REASONS:
+                        starting.add(host)
+                    decisions.extend([SchedulingDecision(host, reason)] * n)
+                    self.decisions[reason] += n
+                    free[host] = free.get(host, 0) - n
+
+            for host in warm:
+                place(host, "warm-local", "shared", room(host))
+            if len(decisions) < count:
+                resident_to = self._resident_candidate(function, room)
+                if resident_to is not None:
+                    place(resident_to, "resident", "resident", room(resident_to))
+            if len(decisions) < count:
+                peers = [me] + [h for h in self._peers() if h != me and live(h)]
+                for host in peers:
+                    place(host, "cold-local", "cold-spread", room(host))
+                queue_on, on_self, on_peer = (
+                    (warm, "warm-local", "shared") if warm
+                    else (peers, "cold-local", "cold-spread")
+                )
+                share, extra = divmod(count - len(decisions), len(queue_on))
+                for i, host in enumerate(queue_on):
+                    place(host, on_self, on_peer, share + (i < extra))
+            for host in sorted(starting):
+                self.warm_sets.add(function, host)
             sp.set_attr("count", count)
+            sp.set_attr("reason", decisions[0].reason)
             sp.set_attr("warm_hosts", len(warm))
         return decisions

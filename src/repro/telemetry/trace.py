@@ -5,7 +5,7 @@ arranged into per-invocation trace trees: the schedule decision, the
 bus hop, proto-Faaslet restore vs. cold boot, module compile, guest
 execution, every state push/pull, and chained calls all become spans of
 one trace, even when the chain crosses hosts (the trace context rides on
-the :class:`~repro.runtime.bus.ExecuteCall` message).
+the :class:`~repro.runtime.bus.ExecuteBatch` that carries the call).
 
 Design constraints, in order:
 

@@ -7,8 +7,9 @@ import threading
 import pytest
 
 from repro.chaos import ChaosEngine, ChaosEventLog, ChaosPlan, CrashSpec, StripeOutage
+from repro.chaos.bus import ChaosMessageBus
 from repro.chaos.engine import _hash01
-from repro.runtime.bus import ExecuteCall
+from repro.runtime.bus import Shutdown
 from repro.state.kv import StateUnavailableError
 
 
@@ -27,9 +28,8 @@ def test_bus_action_is_a_pure_function_of_call_id():
     first = ChaosEngine(plan)
     second = ChaosEngine(plan)
     for call_id in range(1, 200):
-        message = ExecuteCall(call_id, "f", attempt=0)
-        a = first.bus_action(message)
-        b = second.bus_action(message)
+        a = first.bus_action(call_id, 0)
+        b = second.bus_action(call_id, 0)
         assert (a is None) == (b is None)
         if a is not None:
             assert a == b
@@ -38,11 +38,16 @@ def test_bus_action_is_a_pure_function_of_call_id():
 def test_bus_action_never_faults_retries_or_unmanaged_traffic():
     plan = ChaosPlan(seed=1, drop_rate=1.0)  # would drop everything
     engine = ChaosEngine(plan)
-    # attempt >= 1 (a retry) and attempt == -1 (legacy) travel cleanly:
-    assert engine.bus_action(ExecuteCall(5, "f", attempt=1)) is None
-    assert engine.bus_action(ExecuteCall(5, "f", attempt=-1)) is None
+    # attempt >= 1 (a retry) travels cleanly:
+    assert engine.bus_action(5, 1) is None
+    assert engine.bus_action(5, 3) is None
     # the first dispatch is faulted:
-    assert engine.bus_action(ExecuteCall(5, "f", attempt=0)) == ("drop", 0.0)
+    assert engine.bus_action(5, 0) == ("drop", 0.0)
+    # and what is not work at all (Shutdown) passes the chaos bus untouched:
+    bus = ChaosMessageBus(engine=engine)
+    bus.register("h")
+    bus.send("h", Shutdown())
+    assert isinstance(bus.receive("h", timeout=1), Shutdown)
 
 
 def test_canonical_log_excludes_host_and_time_and_sorts():
@@ -70,7 +75,7 @@ def test_same_plan_same_decisions_same_digest():
     for _ in range(2):
         engine = ChaosEngine(plan)
         for call_id in range(1, 300):
-            engine.bus_action(ExecuteCall(call_id, "f", attempt=0))
+            engine.bus_action(call_id, 0)
         digests.append(engine.log.digest())
     assert digests[0] == digests[1]
 
@@ -89,7 +94,7 @@ def test_decisions_are_thread_order_independent():
             threads.append(
                 threading.Thread(
                     target=lambda p=part: [
-                        engine.bus_action(ExecuteCall(c, "f", attempt=0))
+                        engine.bus_action(c, 0)
                         for c in p
                     ]
                 )
@@ -142,3 +147,26 @@ def test_crash_spec_fires_exactly_once():
     assert inst.killed == 1
     assert engine.crashes_fired() == 1
     assert engine.log.canonical_lines().count("crash call=7 phase=mid-guest") == 1
+
+
+def test_delayed_delivery_to_a_deregistered_host_is_dropped_quietly():
+    """A delayed fault fires on a timer thread; the host deregistering in
+    the meantime must not surface there as an uncaught ``KeyError``."""
+    import time
+
+    from repro.runtime.bus import ExecuteBatch
+
+    engine = ChaosEngine(ChaosPlan(seed=3, delay_rate=1.0, max_delay_ms=20.0))
+    bus = ChaosMessageBus(engine=engine)
+    bus.register("h")
+    uncaught = []
+    previous, threading.excepthook = threading.excepthook, uncaught.append
+    try:
+        bus.send("h", ExecuteBatch("f", ((1, 0), (2, 0))))
+        assert bus.pending("h") == 0  # both items are in flight on timers
+        bus.deregister("h")
+        time.sleep(0.1)
+    finally:
+        threading.excepthook = previous
+    assert uncaught == []
+    assert [e.kind for e in engine.log.events()] == ["delay", "delay"]

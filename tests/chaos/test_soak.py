@@ -12,6 +12,11 @@ pytestmark = pytest.mark.chaos
 
 SEED = 1729
 
+#: Digest of this seed's canonical log as ``repro chaos --seed 1729 --log``
+#: wrote it before the dispatch paths were merged into one: refactors of the
+#: invocation plane must not move a single fault.
+GOLDEN_DIGEST = "278d25baa220e403438c8d5185e4d63e0671a3cb7875cec81cba476523736fda"
+
 
 def test_soak_no_call_is_stranded_and_log_replays():
     plan = build_plan(SEED, calls=500, drop_rate=0.10, n_crashes=2, n_outages=1)
@@ -28,6 +33,7 @@ def test_soak_no_call_is_stranded_and_log_replays():
     assert any(line.startswith("drop ") for line in first.log_lines)
     assert any(line.startswith("crash ") for line in first.log_lines)
     assert any(line.startswith("outage-armed ") for line in first.log_lines)
+    assert first.digest == GOLDEN_DIGEST
 
     # Determinism: a second run from the same seed reproduces the fault
     # log byte for byte.

@@ -362,6 +362,23 @@ class TestProtoFaaslet:
         restored = remote_proto.restore(env_host2)
         assert restored.call()[0] == 1
 
+    def test_from_bytes_rejects_foreign_and_truncated_buffers(self):
+        definition = define(self.INIT_SRC, "portable")
+        wire = ProtoFaaslet.capture(
+            definition, StandaloneEnvironment(), init="init"
+        ).to_bytes()
+        assert wire[:4] == b"PF02"
+        for bad in (
+            b"",
+            b"PF0",
+            b"PF01" + wire[4:],  # some other magic
+            wire[4:],  # headerless
+            wire[:20],  # header only
+            wire[:-1],  # one byte short of the last page
+        ):
+            with pytest.raises(ValueError):
+                ProtoFaaslet.from_bytes(definition, bad)
+
     def test_snapshot_rejects_mapped_regions(self):
         env = StandaloneEnvironment()
         faaslet = Faaslet(define(self.INIT_SRC), env)

@@ -5,7 +5,12 @@ import threading
 import pytest
 
 from repro.runtime import FaasmCluster
-from repro.runtime.bus import ExecuteCall, MessageBus, Shutdown
+from repro.runtime.bus import ExecuteBatch, MessageBus, Shutdown
+
+
+def _work(call_id, function="fn", **kwargs):
+    """A one-call work message."""
+    return ExecuteBatch(function, ((call_id, 0),), **kwargs)
 
 
 class TestMessageBus:
@@ -13,8 +18,8 @@ class TestMessageBus:
         bus = MessageBus()
         bus.register("h1")
         for i in range(5):
-            bus.send("h1", ExecuteCall(i, "fn"))
-        received = [bus.receive("h1", timeout=1).call_id for _ in range(5)]
+            bus.send("h1", _work(i))
+        received = [bus.receive("h1", timeout=1).items[0][0] for _ in range(5)]
         assert received == [0, 1, 2, 3, 4]
 
     def test_unknown_endpoint_rejected(self):
@@ -37,7 +42,7 @@ class TestMessageBus:
         bus = MessageBus()
         bus.register("h1")
         bus.register("h2")
-        bus.send("h1", ExecuteCall(1, "a"))
+        bus.send("h1", _work(1, "a"))
         assert bus.pending("h1") == 1
         assert bus.pending("h2") == 0
 
@@ -51,15 +56,15 @@ class TestMessageBus:
 
         t = threading.Thread(target=consumer)
         t.start()
-        bus.send("h1", ExecuteCall(42, "fn"))
+        bus.send("h1", _work(42))
         t.join(5)
-        assert got and got[0].call_id == 42
+        assert got and got[0].items == ((42, 0),)
 
     def test_shared_accounting(self):
         bus = MessageBus()
         bus.register("h1")
-        bus.send("h1", ExecuteCall(1, "a", shared=True))
-        bus.send("h1", ExecuteCall(2, "a", shared=False))
+        bus.send("h1", _work(1, "a", shared=True))
+        bus.send("h1", _work(2, "a", shared=False))
         assert bus.stats.sent == 2
         assert bus.stats.shared == 1
 
@@ -138,17 +143,17 @@ class TestEndpointStrictness:
     def test_send_never_auto_creates_a_queue(self):
         bus = MessageBus()
         with pytest.raises(KeyError):
-            bus.send("ghost", ExecuteCall(1, "fn"))
+            bus.send("ghost", _work(1))
         assert bus.hosts() == []
 
     def test_deregister_discards_queue_and_closes_endpoint(self):
         bus = MessageBus()
         bus.register("h1")
-        bus.send("h1", ExecuteCall(1, "fn"))
+        bus.send("h1", _work(1))
         bus.deregister("h1")
         assert bus.hosts() == []
         with pytest.raises(KeyError):
-            bus.send("h1", ExecuteCall(2, "fn"))
+            bus.send("h1", _work(2))
         with pytest.raises(KeyError):
             bus.receive("h1", timeout=0.01)
 

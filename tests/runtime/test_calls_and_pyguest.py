@@ -7,40 +7,45 @@ import time
 import numpy as np
 import pytest
 
-from repro.runtime import CallRegistry, CallStatus, FaasmCluster
+from repro.runtime import CallStatus, FaasmCluster, InvocationRegistry
 from repro.runtime.pyguest import PythonCallContext
 
 
 class TestCallRegistry:
     def test_lifecycle(self):
-        reg = CallRegistry()
+        reg = InvocationRegistry()
         record = reg.create("fn", b"input")
         assert record.status is CallStatus.PENDING
+        attempt = reg.new_attempt(record.call_id, "h1", epoch=0)
+        assert reg.begin_attempt(record.call_id, attempt.number, "h1")
         reg.mark_running(record.call_id, "h1", cold_start=True)
         assert record.status is CallStatus.RUNNING
         assert record.cold_start
-        reg.complete(record.call_id, 0, b"out")
+        assert reg.complete(record.call_id, 0, b"out")
+        assert not reg.complete(record.call_id, 0, b"again")
         assert record.status is CallStatus.SUCCEEDED
         assert reg.output(record.call_id) == b"out"
         assert record.latency >= 0
 
     def test_failure_status(self):
-        reg = CallRegistry()
+        reg = InvocationRegistry()
         record = reg.create("fn", b"")
-        reg.fail(record.call_id, "boom")
+        reg.new_attempt(record.call_id, "h1", epoch=0)
+        reg.complete(record.call_id, 1, b"boom")
         assert record.status is CallStatus.FAILED
         assert reg.wait(record.call_id) == 1
         assert b"boom" in reg.output(record.call_id)
 
     def test_wait_timeout(self):
-        reg = CallRegistry()
+        reg = InvocationRegistry()
         record = reg.create("fn", b"")
         with pytest.raises(TimeoutError):
             reg.wait(record.call_id, timeout=0.01)
 
     def test_wait_blocks_until_completion(self):
-        reg = CallRegistry()
+        reg = InvocationRegistry()
         record = reg.create("fn", b"")
+        reg.new_attempt(record.call_id, "h1", epoch=0)
 
         def finisher():
             time.sleep(0.05)
@@ -50,18 +55,18 @@ class TestCallRegistry:
         assert reg.wait(record.call_id, timeout=5) == 0
 
     def test_output_before_completion_rejected(self):
-        reg = CallRegistry()
+        reg = InvocationRegistry()
         record = reg.create("fn", b"")
         with pytest.raises(RuntimeError):
             reg.output(record.call_id)
 
     def test_unknown_call_id(self):
-        reg = CallRegistry()
+        reg = InvocationRegistry()
         with pytest.raises(KeyError):
             reg.get(999)
 
     def test_ids_are_unique_and_monotonic(self):
-        reg = CallRegistry()
+        reg = InvocationRegistry()
         ids = [reg.create("fn", b"").call_id for _ in range(10)]
         assert ids == sorted(set(ids))
 

@@ -239,6 +239,100 @@ def test_chained_calls_still_work_under_ingestion():
         cluster.shutdown()
 
 
+def test_submit_yields_the_same_span_tree_as_dispatch():
+    """An ingested call is traced like a directly dispatched one: its own
+    ``call.dispatch`` root, the receiving executor's ``call.invoke`` under
+    it across the bus hop, ``guest.exec`` under that."""
+    from repro.telemetry import Telemetry
+    from repro.telemetry.export import build_trees
+
+    cluster = FaasmCluster(n_hosts=2, telemetry=Telemetry(enabled=True))
+    try:
+        cluster.register_python("echo", _echo)
+        direct = cluster.dispatch("echo", b"a")
+        cluster.calls.wait(direct, 10.0)
+        admitted, outcome = cluster.submit("echo", b"b")
+        assert outcome == "admitted"
+        cluster.ingestion().drain(timeout=10.0)
+        roots = {
+            root.span.attrs["call_id"]: root
+            for root in build_trees(cluster.trace_spans())
+        }
+        assert set(roots) == {direct, admitted}
+        shapes = {}
+        for call_id, root in roots.items():
+            assert root.name == "call.dispatch"
+            (invoke,) = [c for c in root.children if c.name == "call.invoke"]
+            assert invoke.span.attrs["call_id"] == call_id
+            assert "guest.exec" in [c.name for c in invoke.children]
+            shapes[call_id] = sorted(node.name for node in root.walk())
+        assert shapes[direct] == shapes[admitted]
+        assert roots[direct].span.trace_id != roots[admitted].span.trace_id
+    finally:
+        cluster.shutdown()
+
+
+def test_submit_carries_delivery_hints_and_pre_places():
+    """Push-invalidate hints and page pre-placement ride the one road, so
+    an ingested call that leaves its entry host gets both."""
+    from repro.state.prefetch import DeliveryPolicy
+
+    cluster = FaasmCluster(
+        n_hosts=2, delivery=DeliveryPolicy.aggressive(synchronous=True)
+    )
+    try:
+        cluster.register_python("echo", _echo)
+        # host-0 (the first entry host) knows a version of "k"; echo is
+        # warm on host-1 only, so the batch crosses hosts.
+        entry = cluster.instances[0]
+        entry.state_api.set_state("k", b"v" * 64)
+        entry.state_api.push_state("k")
+        cluster.warm_sets.add("echo", "host-1")
+        sent, pre_placed = [], []
+        send_many = cluster.bus.send_many
+        cluster.bus.send_many = lambda host, messages: (
+            sent.extend((host, m) for m in messages),
+            send_many(host, messages),
+        )
+        cluster._pre_place = lambda fn, inst, host: pre_placed.append(
+            (fn, inst.host, host)
+        )
+        call_id, _ = cluster.submit("echo", b"x")
+        cluster.ingestion().drain(timeout=10.0)
+        assert cluster.calls.get(call_id).status is CallStatus.SUCCEEDED
+        ((host, batch),) = sent
+        assert host == "host-1" and batch.shared
+        assert [key for key, _version, _chain in batch.invalidate] == ["k"]
+        assert pre_placed == [("echo", "host-0", "host-1")]
+    finally:
+        cluster.shutdown()
+
+
+def test_drain_waits_for_a_batch_between_queue_and_bus():
+    """A batch the dispatcher has taken from admission but not yet placed
+    is in neither queue; ``drain`` must still wait for it."""
+    cluster = FaasmCluster(n_hosts=1)
+    try:
+        cluster.register_python("echo", _echo)
+        taken, release = threading.Event(), threading.Event()
+        dispatch_batch = cluster.dispatch_batch
+
+        def gated(*args, **kwargs):
+            taken.set()
+            release.wait(10.0)
+            return dispatch_batch(*args, **kwargs)
+
+        cluster.dispatch_batch = gated
+        plane = cluster.ingestion()
+        call_id, _ = cluster.submit("echo", b"x")
+        assert taken.wait(5.0)
+        threading.Timer(0.2, release.set).start()
+        plane.drain(timeout=10.0)
+        assert cluster.calls.get(call_id).status is CallStatus.SUCCEEDED
+    finally:
+        cluster.shutdown()
+
+
 def test_ingestion_stats_shape():
     cluster = FaasmCluster(n_hosts=1)
     try:

@@ -19,7 +19,7 @@ import time
 
 import pytest
 
-from repro.runtime import FaasmCluster, RetryPolicy
+from repro.runtime import FaasmCluster
 from repro.runtime.ingest import IngestionConfig
 
 _RESULTS = (
@@ -56,7 +56,7 @@ def _stored_floor() -> float:
 
 @pytest.mark.smoke
 def test_batched_ingestion_throughput_floor():
-    cluster = FaasmCluster(n_hosts=4, retry_policy=RetryPolicy.off())
+    cluster = FaasmCluster(n_hosts=4)
     try:
         cluster.register_python("echo", _echo)
         plane = cluster.ingestion(

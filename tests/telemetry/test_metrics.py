@@ -3,7 +3,7 @@ the pre-existing ad-hoc counters were refactored onto."""
 
 import pytest
 
-from repro.runtime.bus import ExecuteCall, MessageBus
+from repro.runtime.bus import ExecuteBatch, MessageBus
 from repro.state.kv import GlobalStateStore, StateClient, TransferMeter
 from repro.telemetry import MetricsRegistry, percentile
 from repro.telemetry.metrics import Histogram
@@ -98,8 +98,8 @@ def test_bus_stats_view_backed_by_registry():
     reg = MetricsRegistry()
     bus = MessageBus(metrics=reg)
     bus.register("host-0")
-    bus.send("host-0", ExecuteCall(1, "f", origin="host-0"))
-    bus.send("host-0", ExecuteCall(2, "f", origin="host-1", shared=True))
+    bus.send("host-0", ExecuteBatch("f", ((1, 0),), origin="host-0"))
+    bus.send("host-0", ExecuteBatch("f", ((2, 0),), origin="host-1", shared=True))
     assert bus.stats.sent == 2
     assert bus.stats.shared == 1
     # The legacy attributes and the registry read the same counters.
