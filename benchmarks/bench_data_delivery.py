@@ -1,138 +1,34 @@
-"""Proactive data delivery benchmarks: push-invalidate and prefetch wins.
+"""Proactive data delivery benchmark: the cold-path prefetch win.
 
-The demand-only two-tier plane (§4.2) charges a chained callee a full
-demand pull of every key it force-syncs, and charges every cold call its
-hot state on the critical path. The delivery plane (DESIGN.md §10) claims
-two wins, both **byte/trip-counted, not timed**, so the floors are
+The demand-only two-tier plane (§4.2) charges every cold call its hot
+state on the critical path. The delivery plane (DESIGN.md §10) moves it
+earlier; the claim is **byte-counted, not timed**, so it is
 machine-independent:
 
-* **Chained push-invalidate** — a parent dirties 4 KiB of a 256 KiB key
-  and chains; the callee's forced pull with the piggybacked invalidation
-  hints ships only the 4 KiB delta (vs the 256 KiB demand pull), and a
-  *clean* key's forced pull ships nothing at all. Headline metric is
-  ``bytes_saved_ratio`` with the tier-1 smoke floor
-  (``tests/state/test_data_delivery_smoke.py``) stored alongside.
 * **Cold-path prefetch** — a profile-guided speculative pull delivers the
   function's hot ranges before the guest asks: the guest's own reads then
   move zero further bytes, and every prefetched byte is credited as hit
   (no waste for an exact profile).
-* **Cluster end-to-end** — the same chained workload through a real
-  two-host cluster, demand-only vs aggressive delivery, reporting global
-  tier bytes per chained call (illustrative wall-clock alongside).
 
-Rows accumulate into ``benchmarks/results/data_delivery.json``.
+What a chained callee's forced pull moves is no longer a delivery policy
+but the pull protocol itself; its exact byte counts are gated in tier-1
+by ``tests/state/test_delta_pull_bytes.py``.
+
+The row lands in ``benchmarks/results/data_delivery.json``.
 """
 
 from __future__ import annotations
 
-import time
-
 from conftest import report
 from repro.host.filesystem import GlobalObjectStore
-from repro.runtime import FaasmCluster
 from repro.state.api import StateAPI
 from repro.state.kv import GlobalStateStore, StateClient, TransferMeter
 from repro.state.local import LocalTier
 from repro.state.prefetch import DeliveryPolicy, Prefetcher
 from repro.telemetry import AccessProfile, ProfileStore
 
-#: Invalidate-delta vs demand-pull bytes-saved floor enforced by the
-#: tier-1 smoke guard (tests/state/test_data_delivery_smoke.py reads it
-#: from the results JSON). 4 KiB dirty of 256 KiB is 64x; the floor
-#: leaves an 8x margin for layout changes.
-SMOKE_FLOOR = 8.0
-
 KEY = "delivery/grid"
 SIZE = 256 * 1024
-DIRTY = 4 * 1024
-
-_rows: list[dict] = []
-
-
-def _report_all() -> None:
-    columns: list[str] = []
-    for row in _rows:
-        columns.extend(c for c in row if c not in columns)
-    report(
-        "data_delivery",
-        "Proactive data delivery: push-invalidate and prefetch",
-        _rows,
-        columns,
-    )
-
-
-def _two_hosts():
-    """Parent tier A and callee tier B over one global store, with B's
-    global traffic metered."""
-    store = GlobalStateStore()
-    store.set_value(KEY, b"\x33" * SIZE)
-    tier_a = LocalTier("host-a", StateClient(store))
-    meter_b = TransferMeter()
-    tier_b = LocalTier("host-b", StateClient(store, meter_b))
-    return store, tier_a, tier_b, meter_b
-
-
-def test_push_invalidate_delta_vs_demand_pull():
-    """The chained-call state hop: callee force-syncs a 256 KiB key of
-    which the parent dirtied 4 KiB."""
-    _, tier_a, tier_b, meter_b = _two_hosts()
-    tier_b.pull(KEY)  # callee host already holds the pre-chain value
-
-    # Parent writes one chunk and pushes (the pre-chain-call publish).
-    tier_a.pull(KEY)
-    tier_a.write_local(KEY, b"\x44" * DIRTY, 0)
-    tier_a.push(KEY)
-    payload = tier_a.invalidation_payload()
-
-    # Demand baseline: a forced pull with no hints ships the full value.
-    demand_before = meter_b.received_bytes
-    tier_b.pull(KEY, force=True)
-    demand_bytes = meter_b.received_bytes - demand_before
-
-    # Hinted pull: re-dirty on A, push, deliver the hints to B.
-    tier_a.write_local(KEY, b"\x55" * DIRTY, 0)
-    tier_a.push(KEY)
-    tier_b.apply_invalidations(tier_a.invalidation_payload())
-    delta_before = meter_b.received_bytes
-    trips_before = meter_b.round_trips
-    tier_b.pull(KEY, force=True)
-    delta_bytes = meter_b.received_bytes - delta_before
-    delta_trips = meter_b.round_trips - trips_before
-
-    # Clean key: nothing pushed since the hint — the forced pull is free.
-    tier_b.apply_invalidations(tier_a.invalidation_payload())
-    clean_before = meter_b.received_bytes
-    clean_trips_before = meter_b.round_trips
-    tier_b.pull(KEY, force=True)
-    clean_bytes = meter_b.received_bytes - clean_before
-    clean_trips = meter_b.round_trips - clean_trips_before
-
-    assert bytes(tier_b.read_local(KEY, 0, DIRTY)) == b"\x55" * DIRTY
-    ratio = demand_bytes / delta_bytes
-    stats = tier_b.delivery_stats()
-    _rows.append(
-        {
-            "scenario": f"push-invalidate ({DIRTY//1024}KiB dirty of {SIZE//1024}KiB)",
-            "demand_pull_bytes": demand_bytes,
-            "delta_pull_bytes": delta_bytes,
-            "delta_round_trips": delta_trips,
-            "clean_pull_bytes": clean_bytes,
-            "clean_round_trips": clean_trips,
-            "bytes_saved_ratio": round(ratio, 1),
-            "smoke_floor": SMOKE_FLOOR,
-        }
-    )
-    _report_all()
-    assert demand_bytes == SIZE
-    assert delta_bytes == DIRTY
-    assert delta_trips == 1
-    assert (clean_bytes, clean_trips) == (0, 0)
-    assert stats["invalidate_skips"] >= 1
-    assert stats["invalidate_delta_pulls"] >= 1
-    assert ratio >= SMOKE_FLOOR, (
-        f"delta pull saved only {ratio:.1f}x, target {SMOKE_FLOOR}x"
-    )
-
 
 def test_cold_path_prefetch_hits_cover_demand():
     """An exact profile: the speculative pull moves the hot bytes, the
@@ -162,91 +58,20 @@ def test_cold_path_prefetch_hits_cover_demand():
     demand_bytes = meter.received_bytes - demand_before
 
     stats = prefetcher.stats()["fn"]
-    _rows.append(
-        {
-            "scenario": f"cold-path prefetch ({SIZE//1024}KiB hot, exact profile)",
-            "prefetched_bytes": prefetched,
-            "demand_bytes_after_prefetch": demand_bytes,
-            "hit_bytes": stats["hit_bytes"],
-            "waste_bytes": stats["waste_bytes"],
-        }
+    row = {
+        "scenario": f"cold-path prefetch ({SIZE//1024}KiB hot, exact profile)",
+        "prefetched_bytes": prefetched,
+        "demand_bytes_after_prefetch": demand_bytes,
+        "hit_bytes": stats["hit_bytes"],
+        "waste_bytes": stats["waste_bytes"],
+    }
+    report(
+        "data_delivery", "Proactive data delivery: prefetch", [row], list(row)
     )
-    _report_all()
     assert prefetched == SIZE
     assert demand_bytes == 0
     assert stats["hit_bytes"] == SIZE
     assert stats["waste_bytes"] == 0
-
-
-def _chained_workload(cluster):
-    def parent(ctx):
-        view = ctx.state.get_state_offset(KEY, 0, DIRTY)
-        view[0] = (view[0] + 1) % 256
-        ctx.state.push_state_offset(KEY, 0, DIRTY)
-        cid = ctx.chain("child", b"")
-        ctx.await_all([cid])
-        ctx.write_output(b"ok")
-        return 0
-
-    def child(ctx):
-        ctx.state.pull_state(KEY)
-        ctx.state.get_state_offset(KEY, 0, 64, mark_dirty=False)
-        ctx.write_output(b"ok")
-        return 0
-
-    cluster.register_python("parent", parent)
-    cluster.register_python("child", child)
-    cluster.warm_sets.add("child", "host-1")  # chain crosses the bus
-
-
-def _profile_for(cluster, function: str, spans):
-    profile = AccessProfile(function)
-    profile.calls = 10
-    kp = profile.key_profile(KEY)
-    for s, e in spans:
-        kp.reads.add(s, e, 10)
-    cluster.profile_store.save(profile)
-
-
-def _run_cluster(policy, rounds: int = 8):
-    cluster = FaasmCluster(n_hosts=2, delivery=policy)
-    try:
-        cluster.global_state.set_value(KEY, b"\x00" * SIZE)
-        _chained_workload(cluster)
-        _profile_for(cluster, "child", [(0, DIRTY)])
-        start = time.perf_counter()
-        for _ in range(rounds):
-            assert cluster.invoke("parent")[0] == 0
-        elapsed = time.perf_counter() - start
-        cluster.quiesce_delivery()
-        received = cluster.telemetry.metrics.aggregate("state.bytes_received")
-        return received, elapsed
-    finally:
-        cluster.shutdown()
-
-
-def test_cluster_chained_end_to_end():
-    """The same chained workload, demand-only vs aggressive delivery:
-    global-tier bytes per chained call must drop."""
-    rounds = 8
-    demand_bytes, demand_s = _run_cluster(DeliveryPolicy.off(), rounds)
-    delivery_bytes, delivery_s = _run_cluster(
-        DeliveryPolicy.aggressive(confidence=0.2), rounds
-    )
-    _rows.append(
-        {
-            "scenario": f"cluster chained e2e ({rounds} rounds)",
-            "demand_pull_bytes": demand_bytes,
-            "delta_pull_bytes": delivery_bytes,
-            "bytes_saved_ratio": round(demand_bytes / delivery_bytes, 2),
-            "demand_wall_s": round(demand_s, 4),
-            "delivery_wall_s": round(delivery_s, 4),
-        }
-    )
-    _report_all()
-    # The callee's per-round forced full pulls dominate the demand run;
-    # with hints they collapse to the dirty delta.
-    assert delivery_bytes < demand_bytes
 
 
 if __name__ == "__main__":

@@ -681,7 +681,7 @@ def cmd_prefetch(args) -> int:
     access profiles. Round two replays the same workload in a *fresh*
     cluster with proactive delivery enabled, fed by those profiles, and
     prints what speculation bought: per-function prefetched vs hit vs
-    wasted bytes, push-invalidate savings, and pre-placed pages.
+    wasted bytes, pre-placed pages, and what the delta pull saved.
     """
     import json
 
@@ -729,11 +729,15 @@ def cmd_prefetch(args) -> int:
                 f"{fn:<12}{fetched:>12,}{row['hit_bytes']:>12,}"
                 f"{row['waste_bytes']:>12,}{ratio:>7.1f}%{row['aborted']:>9}"
             )
-        inv = stats["invalidate"]
+        delta = stats["delta"]
+        causes = ", ".join(
+            f"{cause} {count}"
+            for cause, count in sorted(delta["full_fallbacks"].items())
+        )
         print(
-            f"push-invalidate: {inv['skips']} pulls skipped,"
-            f" {inv['delta_pulls']} delta pulls,"
-            f" {inv['bytes_saved']:,} bytes saved"
+            f"delta pull: {delta['delta_pulls']} delta pulls,"
+            f" {delta['bytes_saved']:,} bytes saved,"
+            f" full fallbacks: {causes}"
         )
         print(f"pre-placed pages: {stats['preplaced_pages']}")
         return 0

@@ -61,11 +61,6 @@ class ExecuteBatch(NamedTuple):
     #: Propagated trace contexts, one per item: (trace_id, parent span id,
     #: sampled, sender perf_counter timestamp); None when tracing is off.
     traces: tuple | None = None
-    #: Push-invalidate hints piggybacked from the sender's local tier
-    #: (DESIGN.md §10): per key, the latest global write version the
-    #: sender knows plus its recent push chain, so the receiving host can
-    #: skip or delta-pull its forced pulls. None when delivery is off.
-    invalidate: tuple | None = None
     #: The execution vehicle on the receiving host. Work the ingestion
     #: plane admitted runs on the host's bounded worker pool; directly
     #: dispatched, chained and retried calls each get their own thread, so
@@ -90,7 +85,6 @@ class ExecuteCall(NamedTuple):
     attempt: int
     shared: bool = False
     trace: tuple | None = None
-    invalidate: tuple | None = None
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ call, the monitor's ``redispatch`` and the ingestion plane's
 :meth:`FaasmCluster._place_and_send`, which runs one scheduling pass at
 the entry host's local scheduler, records one attempt per call, and puts
 one :class:`~repro.runtime.bus.ExecuteBatch` per target host on the bus —
-carrying the trace contexts and push-invalidate hints with it. External
+carrying the trace contexts with it. External
 calls are spread round-robin over the local schedulers, as Knative's
 default endpoint spreads requests; chained calls enter at their
 originating host's.
@@ -115,9 +115,8 @@ class FaasmCluster:
         #: Shared endpoint registry for Faaslet virtual NICs.
         self.endpoints: dict = {}
         self.retry = retry_policy if retry_policy is not None else RetryPolicy()
-        #: Proactive data delivery (prefetch / push-invalidate /
-        #: pre-placement, DESIGN.md §10). Off by default: every
-        #: speculative mechanism is opt-in.
+        #: Proactive data delivery (prefetch / pre-placement, DESIGN.md
+        #: §10). Off by default: every speculative mechanism is opt-in.
         self.delivery = delivery if delivery is not None else DeliveryPolicy.off()
         self._delivery_threads: list[threading.Thread] = []
         self._delivery_lock = threading.Lock()
@@ -278,17 +277,6 @@ class FaasmCluster:
             for sp, decision in zip(spans, decisions):
                 sp.set_attr("decision", decision.reason)
                 sp.set_attr("target", decision.host)
-            invalidate = None
-            if self.delivery.push_invalidate and any(
-                host != instance.host for host in by_host
-            ):
-                # Piggyback the sender's freshness knowledge so a peer's
-                # forced pulls can skip clean keys / delta-pull stale
-                # ranges (same-host chains share the tier — nothing to
-                # ship).
-                invalidate = instance.local_tier.invalidation_payload(
-                    self.delivery.max_keys
-                )
             for host, indices in by_host.items():
                 # Work that left this host for a peer — via the warm set,
                 # a page-resident placement or a cold spread.
@@ -303,7 +291,6 @@ class FaasmCluster:
                     shared=shared,
                     traces=tuple([spans[i].wire() for i in indices])
                     if spans else None,
-                    invalidate=invalidate if shared else None,
                     pooled=pooled,
                 )
                 if collect is not None:
@@ -430,9 +417,9 @@ class FaasmCluster:
 
     def delivery_stats(self) -> dict:
         """Cluster-wide delivery-plane ledger: per-function prefetch
-        hit/waste, push-invalidate savings, pre-placed pages."""
+        hit/waste, pre-placed pages, and what the delta pull saved."""
         functions: dict[str, dict] = {}
-        invalidate = {"skips": 0, "delta_pulls": 0, "bytes_saved": 0}
+        delta = {"delta_pulls": 0, "full_fallbacks": {}, "bytes_saved": 0}
         for instance in self.instances:
             for fn, row in instance.prefetcher.stats().items():
                 agg = functions.setdefault(
@@ -447,13 +434,16 @@ class FaasmCluster:
                 for field in agg:
                     agg[field] += row.get(field, 0)
             tier = instance.local_tier.delivery_stats()
-            invalidate["skips"] += tier["invalidate_skips"]
-            invalidate["delta_pulls"] += tier["invalidate_delta_pulls"]
-            invalidate["bytes_saved"] += tier["invalidate_bytes_saved"]
+            delta["delta_pulls"] += tier["delta_pulls"]
+            delta["bytes_saved"] += tier["bytes_saved"]
+            for cause, count in tier["full_fallbacks"].items():
+                delta["full_fallbacks"][cause] = (
+                    delta["full_fallbacks"].get(cause, 0) + count
+                )
         return {
             "policy": self.delivery.mode,
             "functions": functions,
-            "invalidate": invalidate,
+            "delta": delta,
             "preplaced_pages": int(
                 self.telemetry.metrics.aggregate("prefetch.preplaced_pages")
             ),

@@ -245,11 +245,7 @@ class FaasmRuntimeInstance:
         accepted: list = []
         for (call_id, attempt), trace in zip(batch.items, traces):
             message = ExecuteCall(
-                call_id,
-                attempt,
-                shared=batch.shared,
-                trace=trace,
-                invalidate=batch.invalidate,
+                call_id, attempt, shared=batch.shared, trace=trace
             )
             try:
                 self._chaos_point("pre-dispatch", message)
@@ -436,10 +432,6 @@ class FaasmRuntimeInstance:
         """Execute attempt ``message.attempt`` of a call on this host (runs
         on the caller's thread, which has already claimed the attempt)."""
         definition = self.cluster.registry.get(record.function)
-        if message.invalidate:
-            # Push-invalidate hints from the caller's host: remembered per
-            # key and consumed by the local tier's next forced pull.
-            self.local_tier.apply_invalidations(message.invalidate)
         # Kick off the profile-guided prefetch so hot state rides in
         # concurrently with faaslet acquisition / snapshot restore below.
         prefetch = self.prefetcher.begin(record.function)

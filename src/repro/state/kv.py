@@ -30,6 +30,7 @@ from __future__ import annotations
 import threading
 import time
 import zlib
+from collections import deque
 
 from repro.telemetry import MetricsRegistry
 
@@ -118,6 +119,26 @@ class TransferMeter:
 #: distinct keys rarely collide, small enough to stay cache-friendly.
 DEFAULT_STRIPES = 16
 
+#: Ranged writes remembered per key for :meth:`GlobalStateStore.get_since`.
+#: A replica more than this many writes behind is sent the whole value.
+WRITE_LOG_DEPTH = 8
+
+#: Bytes charged to the meter for each ``(start, end)`` span descriptor in
+#: a delta reply, on top of the payload bytes it describes.
+SPAN_DESCRIPTOR_BYTES = 8
+
+
+def _merge(spans) -> list[tuple[int, int]]:
+    """The union of ``[start, end)`` spans, sorted and non-overlapping."""
+    out: list[tuple[int, int]] = []
+    for start, end in sorted(spans):
+        if out and start <= out[-1][1]:
+            if end > out[-1][1]:
+                out[-1] = (out[-1][0], end)
+        else:
+            out.append((start, end))
+    return out
+
 
 class GlobalStateStore:
     """Thread-safe authoritative store for all state keys in a cluster.
@@ -135,11 +156,17 @@ class GlobalStateStore:
         self._values: dict[str, bytearray] = {}
         #: Per-key monotonic write version, bumped by exactly one on every
         #: mutating operation (under the key's stripe lock). Versions
-        #: survive delete/recreate so a stale replica can never alias a
-        #: recreated key's counter. This is what makes push-invalidate
-        #: safe: a pusher learns the version its write produced, and any
-        #: replica matching that version is provably byte-identical.
+        #: survive delete/recreate and resharding so a stale replica can
+        #: never alias a recreated key's counter. This is what makes the
+        #: delta pull safe: a version names one exact value of the key.
         self._versions: dict[str, int] = {}
+        #: Per-key write log: the spans of the last ranged writes, newest
+        #: last, one entry per version (offsets only, never bytes). The
+        #: newest entry belongs to the key's current version, so the log
+        #: can answer "what changed since v" for the ``len(log)`` versions
+        #: behind it. Anything that is not a same-size ranged write empties
+        #: it, and older readers are sent the whole value.
+        self._wlog: dict[str, deque] = {}
         self._locks: dict[str, RWLock] = {}
         self._stripes = [threading.Lock() for _ in range(n_stripes)]
         #: Guards the distributed-lock registry (not the values).
@@ -148,10 +175,20 @@ class GlobalStateStore:
     def _stripe(self, key: str) -> threading.Lock:
         return self._stripes[zlib.crc32(key.encode()) % len(self._stripes)]
 
-    def _bump(self, key: str) -> int:
-        """Advance ``key``'s write version (stripe lock must be held)."""
+    def _bump(self, key: str, spans=None) -> int:
+        """Advance ``key``'s write version (stripe lock must be held) and
+        log the write: ``spans`` for a ranged write that kept the value's
+        size, ``None`` for any other mutation, which empties the log."""
         version = self._versions.get(key, 0) + 1
         self._versions[key] = version
+        log = self._wlog.get(key)
+        if spans is None:
+            if log:
+                log.clear()
+        else:
+            if log is None:
+                log = self._wlog[key] = deque(maxlen=WRITE_LOG_DEPTH)
+            log.append(spans)
         return version
 
     # ------------------------------------------------------------------
@@ -206,17 +243,7 @@ class GlobalStateStore:
         read path pulls into shared regions use (one round trip for a whole
         gap list).
         """
-        with self._stripe(key):
-            value = self._values.get(key)
-            if value is None:
-                raise StateKeyError(key)
-            total = 0
-            for offset, view in dests:
-                length = len(view)
-                self._check_range(key, value, offset, length)
-                view[:] = memoryview(value)[offset : offset + length]
-                total += length
-            return total
+        return self.get_ranges_into_versioned(key, dests)[0]
 
     def get_ranges_into_versioned(
         self, key: str, dests: list[tuple[int, memoryview]]
@@ -237,14 +264,56 @@ class GlobalStateStore:
                 total += length
             return total, self._versions.get(key, 0), len(value)
 
+    def get_since(
+        self,
+        key: str,
+        since: int,
+        view: memoryview,
+        extra: list[tuple[int, int]] = (),
+    ) -> tuple[list[tuple[int, int]] | None, int, int]:
+        """The delta read: bring a replica that equalled the value at
+        version ``since`` up to date.
+
+        ``view`` is the replica's whole value. Every span written after
+        ``since``, plus the caller's ``extra`` spans (its own unflushed
+        writes, which a forced pull overwrites), is copied into it at the
+        same offsets, and ``(spans copied, version, size)`` comes back —
+        one stripe-lock hold, so the three are exact. When the log no
+        longer reaches back to ``since``, or the value's size is not
+        ``len(view)``, nothing is copied and the spans are ``None``: the
+        caller needs the whole value.
+        """
+        with self._stripe(key):
+            value = self._values.get(key)
+            if value is None:
+                raise StateKeyError(key)
+            size, version = len(value), self._versions.get(key, 0)
+            log = self._wlog.get(key, ())
+            behind = version - since
+            if not 0 <= behind <= len(log) or len(view) != size:
+                return None, version, size
+            newer = list(log)[len(log) - behind:]
+            spans = _merge(
+                (start, min(end, size))
+                for entry in (*newer, extra)
+                for start, end in entry
+                if start < size
+            )
+            source = memoryview(value)
+            for start, end in spans:
+                view[start:end] = source[start:end]
+            return spans, version, size
+
     def set_range(self, key: str, offset: int, data: bytes) -> None:
         """Overwrite ``[offset, offset+len(data))``, growing if needed."""
         with self._stripe(key):
             value = self._values.get(key)
             if value is None:
                 raise StateKeyError(key)
+            size = len(value)
             self._apply_range(value, offset, data)
-            self._bump(key)
+            resized = len(value) != size
+            self._bump(key, None if resized else [(offset, offset + len(data))])
 
     def set_ranges(
         self,
@@ -272,21 +341,25 @@ class GlobalStateStore:
         this batch produced. Data and version are captured under one
         stripe-lock hold, so the pusher's knowledge is exact: the global
         value at the returned version is *precisely* its pre-image at
-        ``version - 1`` with these ranges applied."""
+        ``version - 1`` with these ranges applied. A batch that leaves the
+        value's size as it was is logged for :meth:`get_since`."""
         with self._stripe(key):
             value = self._values.get(key)
             if value is None:
                 value = self._values[key] = bytearray()
+            size = len(value)
             total = 0
+            spans = []
             for offset, data in parts:
                 self._apply_range(value, offset, data)
                 total += len(data)
+                spans.append((offset, offset + len(data)))
             if truncate_to is not None:
                 if truncate_to < len(value):
                     del value[truncate_to:]
                 elif truncate_to > len(value):
                     value.extend(b"\x00" * (truncate_to - len(value)))
-            return total, self._bump(key)
+            return total, self._bump(key, spans if len(value) == size else None)
 
     def append(self, key: str, data: bytes) -> None:
         """Append ``data`` to ``key`` (created empty if missing)."""
@@ -304,6 +377,16 @@ class GlobalStateStore:
         with self._meta:
             self._locks.pop(key, None)
 
+    def adopt(self, key: str, value: bytes | None, version: int) -> None:
+        """Install ``key`` as it stood in another store (resharding):
+        its value, or none for a deleted key, at write version ``version``
+        with an empty log, so versions keep counting from where they were
+        and a replica behind ``version`` is sent the whole value."""
+        with self._stripe(key):
+            if value is not None:
+                self._values[key] = bytearray(value)
+            self._versions[key] = version
+
     def exists(self, key: str) -> bool:
         """Whether ``key`` has a value."""
         return key in self._values
@@ -320,6 +403,10 @@ class GlobalStateStore:
         """``key``'s current write version (0 if never written)."""
         with self._stripe(key):
             return self._versions.get(key, 0)
+
+    def versions(self) -> dict[str, int]:
+        """Every key's write version, deleted keys included (a snapshot)."""
+        return dict(self._versions)
 
     def keys(self) -> list[str]:
         """All keys, sorted (an atomic snapshot)."""
@@ -433,14 +520,33 @@ class StateClient:
         self, key: str, dests: list[tuple[int, memoryview]]
     ) -> tuple[int, int, int]:
         """:meth:`pull_ranges_into` plus the ``(version, value size)`` the
-        bytes were read at; still ONE round trip. The delivery plane uses
-        the version to prove a speculative pull is (or is not) still
-        current, and the size to detect a concurrent resize."""
+        bytes were read at; still ONE round trip. The version is what a
+        whole-value pull is synced at and what proves a speculative pull
+        is (or is not) still current; the size detects a concurrent
+        resize."""
         total, version, size = self._retry(
             self.store.get_ranges_into_versioned, key, dests
         )
         self.meter.record_received(total)
         return total, version, size
+
+    def pull_since(
+        self,
+        key: str,
+        since: int,
+        view: memoryview,
+        extra: list[tuple[int, int]] = (),
+    ) -> tuple[list[tuple[int, int]] | None, int, int]:
+        """:meth:`GlobalStateStore.get_since` in ONE round trip. The reply
+        is charged as the bytes copied plus a descriptor per span; a reply
+        of ``None`` (the whole value is needed) carries no payload."""
+        spans, version, size = self._retry(
+            self.store.get_since, key, since, view, extra
+        )
+        self.meter.record_received(
+            sum(e - s + SPAN_DESCRIPTOR_BYTES for s, e in spans or ())
+        )
+        return spans, version, size
 
     def push(self, key: str, value: bytes) -> None:
         """Replace the whole value; one round trip."""
@@ -471,7 +577,8 @@ class StateClient:
         truncate_to: int | None = None,
     ) -> int:
         """:meth:`push_ranges`, returning the write version this push
-        produced — what a pusher advertises in push-invalidate hints."""
+        produced — the pusher's replica is synced at it when it follows
+        directly on the version the replica was synced at before."""
         self.meter.record_sent(sum(len(d) for _, d in parts))
         _, version = self._retry(
             self.store.set_ranges_versioned, key, parts, truncate_to

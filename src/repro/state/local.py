@@ -16,12 +16,15 @@ dirty spans — batched into one round trip — instead of shipping the whole
 value, the Python analogue of Faasm's dirty-page flush. Pulls likewise
 batch all missing gaps into a single ranged round trip and copy straight
 into the region's backing through a ``memoryview`` (no intermediate
-``bytes``).
+``bytes``), and a *forced* pull of a fully-present replica is a delta too:
+it asks the store for the spans written since the version the replica was
+last synced at (``Replica.gver``, DESIGN.md §10).
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from repro.faaslet.sharing import SharedRegion
@@ -31,8 +34,11 @@ from .kv import StateClient
 from .rwlock import RWLock
 
 
+_INF = float("inf")
+
+
 class _IntervalSet:
-    """A merged set of [start, end) byte intervals."""
+    """A merged set of [start, end) byte intervals, kept sorted."""
 
     def __init__(self) -> None:
         self._spans: list[tuple[int, int]] = []
@@ -41,21 +47,16 @@ class _IntervalSet:
         if end <= start:
             return
         spans = self._spans
-        merged: list[tuple[int, int]] = []
-        placed = False
-        for s, e in spans:
-            if e < start or s > end:
-                merged.append((s, e))
-            else:
-                start, end = min(s, start), max(e, end)
-        for i, (s, e) in enumerate(merged):
-            if start < s:
-                merged.insert(i, (start, end))
-                placed = True
-                break
-        if not placed:
-            merged.append((start, end))
-        self._spans = merged
+        # [lo, hi): the spans that overlap or touch [start, end).
+        lo = bisect_left(spans, (start,))
+        if lo and spans[lo - 1][1] >= start:
+            lo -= 1
+        hi = bisect_right(spans, (end, _INF), lo)
+        if hi - lo == 1 and spans[lo][0] <= start and end <= spans[lo][1]:
+            return  # already covered
+        if hi > lo:
+            start, end = min(start, spans[lo][0]), max(end, spans[hi - 1][1])
+        spans[lo:hi] = [(start, end)]
 
     def remove(self, start: int, end: int) -> None:
         """Subtract [start, end), splitting spans that straddle it."""
@@ -75,7 +76,8 @@ class _IntervalSet:
     def covers(self, start: int, end: int) -> bool:
         if end <= start:
             return True
-        return any(s <= start and end <= e for s, e in self._spans)
+        at = bisect_right(self._spans, (start, _INF)) - 1
+        return at >= 0 and self._spans[at][1] >= end
 
     def missing(self, start: int, end: int) -> list[tuple[int, int]]:
         """Sub-ranges of [start, end) not yet present."""
@@ -136,10 +138,10 @@ class Replica:
     dirty: _IntervalSet = field(default_factory=_IntervalSet)
     value_size: int = 0
     synced_size: int | None = None
-    #: Global write version this replica is known byte-identical to. Only
-    #: meaningful when checked together with "fully present and nothing
-    #: dirty" at the use site; ``None`` means unknown/diverged. Maintained
-    #: by versioned pulls and pushes, consumed by push-invalidate.
+    #: Global write version this replica is *synced at*: every byte of a
+    #: fully-present replica that is not dirty equals the global byte,
+    #: unless a write newer than ``gver`` covers it — which is exactly
+    #: what a forced pull asks the store for. ``None`` means unknown.
     gver: int | None = None
     #: Delivery-plane bookkeeping: ranges materialised ahead of demand
     #: (drained into hit counters as demand reads arrive), the global
@@ -175,11 +177,6 @@ class Replica:
         with self._dirty_mutex:
             self.dirty.add(start, end)
 
-    def has_dirty(self) -> bool:
-        """Whether any locally written bytes are still unflushed."""
-        with self._dirty_mutex:
-            return self.dirty.total() > 0
-
     def take_dirty(self, limit: int) -> list[tuple[int, int]]:
         """Atomically drain the dirty set, clipped to [0, limit).
 
@@ -192,6 +189,12 @@ class Replica:
             self.dirty.clear()
         self.region.reprotect_mappings()
         return spans
+
+    def restore_dirty(self, spans: list[tuple[int, int]]) -> None:
+        """Put back spans a failed operation drained with :meth:`take_dirty`."""
+        with self._dirty_mutex:
+            for start, end in spans:
+                self.dirty.add(start, end)
 
     def discard_dirty(self, start: int, end: int) -> None:
         """Forget dirty marks inside [start, end) (a forced pull overwrote
@@ -208,16 +211,7 @@ class LocalTier:
         self.client = client
         self._replicas: dict[str, Replica] = {}
         self._mutex = threading.Lock()
-        # ---- proactive-delivery bookkeeping (repro.state.prefetch) ----
-        #: Recent pushes from this host: key -> [(base_version,
-        #: new_version, logical_size | None, dirty spans)], the chain a
-        #: callee's host can walk to turn a full forced pull into a
-        #: delta pull of only the truly-stale ranges.
-        self._push_log: dict[str, list[tuple]] = {}
-        #: Push-invalidate hints received from callers:
-        #: key -> (latest known version, push chain).
-        self._hints: dict[str, tuple[int, tuple]] = {}
-        #: Guards the two dicts above plus the delivery counters.
+        #: Guards the delivery counters below.
         self._spec_mutex = threading.Lock()
         #: Per-key bytes that were prefetched and then actually read by
         #: demand (each prefetched byte is counted at most once).
@@ -225,10 +219,13 @@ class LocalTier:
         #: Optional callback ``(key, nbytes)`` fired on every prefetch
         #: hit — the Prefetcher hooks this to attribute hits to functions.
         self.on_prefetch_hit = None
-        #: Push-invalidate effectiveness counters.
-        self.invalidate_skips = 0
-        self.invalidate_delta_pulls = 0
-        self.invalidate_bytes_saved = 0
+        #: Forced pulls served as a delta, the bytes they did not move,
+        #: and those that needed the whole value, by cause.
+        self.delta_pulls = 0
+        self.bytes_saved = 0
+        self.full_fallbacks = dict.fromkeys(
+            ("unknown-version", "partial", "overflow", "resized"), 0
+        )
 
     # ------------------------------------------------------------------
     # Replica management
@@ -294,61 +291,92 @@ class LocalTier:
     def pull(self, key: str, force: bool = False) -> Replica:
         """Ensure the full value is present locally; fetch it if not.
 
-        The fetch lands directly in the shared region through a view (one
-        copy, global backing → region) and resets the dirty set: after a
-        forced pull the replica is byte-identical to the global tier.
-
-        Two delivery-plane fast paths may satisfy the request without the
-        full fetch, both proven exact via write versions: a *forced* pull
-        consults push-invalidate hints (:meth:`apply_invalidations`) to
-        skip clean keys or delta-pull only the pushed ranges, and a
-        non-forced pull of a speculative replica gap-fills around the
-        prefetched bytes. Either path falls back to the demand fetch the
-        moment the version check fails.
+        After a forced pull the replica is byte-identical to the global
+        tier, unflushed local writes included. A fully-present replica
+        synced at a known version gets there by a *delta pull*: one round
+        trip that copies only the spans written since that version (and
+        the replica's own dirty spans) straight into the shared region.
+        Every other case — and a delta the store can no longer answer —
+        is the whole-value fetch. A non-forced pull of a speculative
+        replica gap-fills around the prefetched bytes when their version
+        is provably current.
         """
         rep = self.replica(key)
-        if force:
-            with self._spec_mutex:
-                hint = self._hints.get(key)
-        else:
-            hint = None
         with rep.lock.write_locked():
-            if hint is not None and self._fast_forward(rep, hint):
+            if not force and (
+                self._complete_speculative(rep)
+                if rep.speculative
+                else rep.present.covers(0, rep.size)
+            ):
                 return rep
-            if force or rep.speculative or not rep.present.covers(0, rep.size):
-                if (
-                    not force
-                    and rep.speculative
-                    and self._complete_speculative(rep)
-                ):
-                    return rep
+            # Drained first so a write racing the copy re-marks itself and
+            # survives as a local write; put back if the store is down.
+            mine = rep.take_dirty(rep.region.size)
+            try:
                 with span("state.pull", key=key, host=self.host) as sp:
-                    size = self.client.size(key)  # raises StateKeyError if absent
-                    if size > rep.region.size:
-                        rep.region.resize(size)
-                    version: int | None = None
-                    if size:
-                        _, version, vsize = (
-                            self.client.pull_ranges_into_versioned(
-                                key, [(0, rep.region.view(0, size))]
-                            )
-                        )
-                        if vsize != size:
-                            # The value was resized between the metadata
-                            # trip and the data trip: the bytes are real
-                            # but no version-equality claim can be made.
-                            version = None
-                    rep.value_size = size
-                    rep.present.clear()
-                    rep.present.add(0, size)
-                    rep.discard_dirty(0, max(size, rep.region.size))
-                    rep.synced_size = size
-                    rep.gver = version
-                    self._clear_speculative(rep, credit=False)
-                    sp.set_attr("bytes", size)
-                    sp.set_attr("round_trips", 2 if size else 1)
-                    sp.set_attr("ranges", [(0, size)])
+                    if not (force and self._delta_pull(rep, mine, sp)):
+                        self._full_pull(rep, sp)
+            except BaseException:
+                rep.restore_dirty(mine)
+                raise
+            self._clear_speculative(rep, credit=False)
         return rep
+
+    def _delta_pull(self, rep: Replica, mine, sp) -> bool:
+        """Bring ``rep`` up to date with the spans written since it last
+        synced plus ``mine``, its drained dirty spans (replica write lock
+        held). False, with the cause counted, when only the whole value
+        will do."""
+        size = rep.value_size
+        cause = None
+        if rep.gver is None:
+            cause = "unknown-version"
+        elif not rep.present.covers(0, size):
+            cause = "partial"
+        else:
+            spans, version, gsize = self.client.pull_since(
+                rep.key, rep.gver, rep.region.view(0, size), mine
+            )
+            if spans is None:
+                cause = "overflow" if gsize == size else "resized"
+        if cause is not None:
+            with self._spec_mutex:
+                self.full_fallbacks[cause] += 1
+            return False
+        moved = sum(e - s for s, e in spans)
+        with self._spec_mutex:
+            self.delta_pulls += 1
+            self.bytes_saved += size - moved
+        rep.synced_size = size
+        rep.gver = version
+        sp.set_attr("bytes", moved)
+        sp.set_attr("round_trips", 1)
+        sp.set_attr("ranges", spans)
+        return True
+
+    def _full_pull(self, rep: Replica, sp) -> None:
+        """Fetch the whole value into the shared region through a view:
+        one copy, global backing → region (replica write lock held)."""
+        size = self.client.size(rep.key)  # raises StateKeyError if absent
+        if size > rep.region.size:
+            rep.region.resize(size)
+        version: int | None = None
+        if size:
+            _, version, vsize = self.client.pull_ranges_into_versioned(
+                rep.key, [(0, rep.region.view(0, size))]
+            )
+            if vsize != size:
+                # Resized between the metadata trip and the data trip: the
+                # bytes are real but were read at no one version.
+                version = None
+        rep.value_size = size
+        rep.present.clear()
+        rep.present.add(0, size)
+        rep.synced_size = size
+        rep.gver = version
+        sp.set_attr("bytes", size)
+        sp.set_attr("round_trips", 2 if size else 1)
+        sp.set_attr("ranges", [(0, size)])
 
     def pull_chunk(self, key: str, offset: int, length: int, force: bool = False) -> Replica:
         """Ensure ``[offset, offset+length)`` is present locally (state
@@ -361,6 +389,11 @@ class LocalTier:
             # requested chunk, then pull. A request past the *global* end
             # still fails the store's range check, as it always did.
             rep = self.replica(key, size=offset + length)
+        if not force:
+            with rep.lock.read_locked():
+                if rep.present.covers(offset, offset + length):
+                    self._credit_read(rep, offset, offset + length)
+                    return rep
         with rep.lock.write_locked():
             if force:
                 gaps = [(offset, offset + length)]
@@ -368,15 +401,14 @@ class LocalTier:
                 gaps = rep.present.missing(offset, offset + length)
             if gaps:
                 with span("state.pull", key=key, host=self.host, chunk=True) as sp:
-                    _, version, _ = self.client.pull_ranges_into_versioned(
+                    self.client.pull_ranges_into_versioned(
                         key, [(s, rep.region.view(s, e - s)) for s, e in gaps]
                     )
+                    # Newer bytes in a replica synced at an older version
+                    # are bytes the write log covers: ``gver`` stands.
                     for s, e in gaps:
                         rep.present.add(s, e)
                         rep.discard_dirty(s, e)
-                    if rep.gver is not None and version != rep.gver:
-                        # Newer bytes mixed into an older-version replica.
-                        rep.gver = None
                     sp.set_attr("bytes", sum(e - s for s, e in gaps))
                     sp.set_attr("round_trips", 1)
                     sp.set_attr("ranges", list(gaps))
@@ -406,10 +438,11 @@ class LocalTier:
                 new_version = self.client.push_ranges_versioned(
                     key, parts, truncate_to=rep.value_size
                 )
-                for s, e in spans:
-                    rep.present.add(s, e)
+                if not rep.present.covers(0, rep.value_size):
+                    for s, e in spans:
+                        rep.present.add(s, e)
                 rep.synced_size = rep.value_size
-                self._note_push(rep, new_version, spans, rep.value_size)
+                self._note_push(rep, new_version)
                 sp.set_attr("bytes", sum(e - s for s, e in spans))
                 sp.set_attr("round_trips", 1)
                 sp.set_attr("ranges", list(spans))
@@ -424,15 +457,7 @@ class LocalTier:
                 )
                 rep.present.add(offset, offset + length)
                 rep.discard_dirty(offset, offset + length)
-                self._note_push(
-                    rep,
-                    new_version,
-                    [(offset, offset + length)],
-                    # A chunk push never truncates: the global size only
-                    # grows (if at all), which the chain walk models as
-                    # "grow to cover the pushed span".
-                    None,
-                )
+                self._note_push(rep, new_version)
                 sp.set_attr("bytes", length)
                 sp.set_attr("round_trips", 1)
                 sp.set_attr("ranges", [(offset, offset + length)])
@@ -540,131 +565,10 @@ class LocalTier:
                     # but the gap-fill fast path must not claim them
                     # uniform (-1 is the "mixed" sentinel).
                     rep.prefetch_version = -1
-                if rep.gver is not None and version != rep.gver:
-                    rep.gver = None
                 sp.set_attr("bytes", total)
                 sp.set_attr("round_trips", 1)
                 sp.set_attr("ranges", list(gaps))
             return total
-
-    def apply_invalidations(self, payload) -> None:
-        """Record push-invalidate hints piggybacked on a chained call.
-
-        ``payload`` is what the caller's host's
-        :meth:`invalidation_payload` produced: per key, the latest global
-        write version that host knows plus its recent push chain. Hints
-        only ever *accelerate forced pulls* (see :meth:`_fast_forward`);
-        no other path consults them, so delivery off/on cannot diverge
-        on non-forced reads.
-        """
-        if not payload:
-            return
-        with self._spec_mutex:
-            for key, version, chain in payload:
-                current = self._hints.get(key)
-                if current is None or current[0] <= version:
-                    self._hints[key] = (version, chain)
-
-    def invalidation_payload(self, max_keys: int = 32):
-        """This host's freshness knowledge, for piggybacking on a chained
-        call: ``(key, latest known version, recent push chain)`` per
-        replica whose version is known. Versions are facts about the
-        global tier, so shipping them to any host is always sound."""
-        with self._mutex:
-            reps = sorted(self._replicas.items())
-        out = []
-        with self._spec_mutex:
-            for key, rep in reps:
-                chain = tuple(self._push_log.get(key, ()))
-                version = rep.gver
-                if version is None:
-                    version = chain[-1][1] if chain else None
-                if version is None:
-                    continue
-                out.append((key, version, chain))
-                if len(out) >= max_keys:
-                    break
-        return tuple(out) or None
-
-    def _fast_forward(self, rep: Replica, hint) -> bool:
-        """Serve a *forced* pull from a push-invalidate hint (replica
-        write lock held). Returns True only when the result is provably
-        what the demand pull would produce as of the hint's version:
-        either the replica already matches it (skip: zero round trips),
-        or a contiguous push chain from the replica's version reaches it
-        (delta pull of only the pushed ranges, one round trip). Any
-        doubt — unknown version, local dirt, partial presence, version
-        drift during the pull — falls back to the full demand pull."""
-        version, chain = hint
-        if (
-            rep.gver is None
-            or rep.has_dirty()
-            or not rep.present.covers(0, rep.value_size)
-        ):
-            return False
-        if rep.gver == version:
-            with self._spec_mutex:
-                self.invalidate_skips += 1
-                self.invalidate_bytes_saved += rep.value_size
-            return True
-        # Walk the push chain from our version towards the hint's.
-        stale = _IntervalSet()
-        cursor = rep.gver
-        size = rep.value_size
-        while cursor != version:
-            entry = next((e for e in chain if e[0] == cursor), None)
-            if entry is None or entry[1] > version:
-                return False
-            _, cursor, entry_size, entry_spans = entry
-            for s, e in entry_spans:
-                stale.add(s, e)
-            if entry_size is not None:
-                size = entry_size
-            else:
-                size = max(size, max((e for _, e in entry_spans), default=0))
-        old_size = rep.value_size
-        if size > rep.region.size:
-            rep.region.resize(size)
-        if size > old_size:
-            # Grown tail: global bytes there are either zeros (truncate
-            # growth) or covered by the chain's pushed spans.
-            rep.region.view(old_size, size - old_size)[:] = bytes(
-                size - old_size
-            )
-        elif size < old_size:
-            # Shrink: stale tail must never resurface on a later regrow.
-            rep.region.view(size, old_size - size)[:] = bytes(
-                old_size - size
-            )
-        rep.value_size = size
-        rep.present.add(min(old_size, size), size)
-        gaps = stale.intersect(0, size)
-        if gaps:
-            with span("state.pull", key=rep.key, host=self.host) as sp:
-                total, pulled_version, vsize = (
-                    self.client.pull_ranges_into_versioned(
-                        rep.key,
-                        [(s, rep.region.view(s, e - s)) for s, e in gaps],
-                    )
-                )
-                sp.set_attr("bytes", total)
-                sp.set_attr("round_trips", 1)
-                sp.set_attr("ranges", list(gaps))
-                sp.set_attr("invalidate", "delta")
-            if pulled_version != version or vsize != size:
-                # A third writer moved the value past the hint while we
-                # pulled: the delta no longer proves equality. The bytes
-                # written so far are all overwritten by the full pull.
-                rep.gver = None
-                return False
-        rep.synced_size = size
-        rep.gver = version
-        with self._spec_mutex:
-            self.invalidate_delta_pulls += 1
-            self.invalidate_bytes_saved += max(
-                0, size - sum(e - s for s, e in gaps)
-            )
-        return True
 
     def _complete_speculative(self, rep: Replica) -> bool:
         """Finish a speculative replica's first demand pull by fetching
@@ -706,26 +610,15 @@ class LocalTier:
         self._clear_speculative(rep, credit=True)
         return True
 
-    def _note_push(self, rep: Replica, new_version: int, spans, size) -> None:
-        """Record a push in the host's push log and maintain the
-        replica's version-equality claim (replica write lock held)."""
-        base = new_version - 1
-        span_end = max((e for _, e in spans), default=0)
-        if (
-            rep.gver == base
-            and not rep.has_dirty()
-            and rep.present.covers(0, rep.value_size)
-            and (size is not None or span_end <= rep.value_size)
-        ):
-            # We pushed onto exactly the version we mirror: the global
-            # value is now our bytes, verbatim.
+    @staticmethod
+    def _note_push(rep: Replica, new_version: int) -> None:
+        """Keep ``gver`` after a push (replica write lock held). A push
+        straight onto the synced-at version advances it: the global value
+        is that version with our spans applied, which is what the replica
+        holds. After any other push it stays, so the next forced pull
+        re-fetches the interleaved writers' spans (and ours)."""
+        if rep.gver is not None and new_version == rep.gver + 1:
             rep.gver = new_version
-        else:
-            rep.gver = None
-        with self._spec_mutex:
-            log = self._push_log.setdefault(rep.key, [])
-            log.append((base, new_version, size, tuple(spans)))
-            del log[:-8]
 
     def _credit_read(self, rep: Replica, start: int, end: int) -> None:
         """Count demand-read bytes that a prefetch had already delivered
@@ -736,16 +629,19 @@ class LocalTier:
             parts = rep.prefetched.intersect(start, end)
             for s, e in parts:
                 rep.prefetched.remove(s, e)
-        nbytes = sum(e - s for s, e in parts)
+        self._credit(rep.key, sum(e - s for s, e in parts))
+
+    def _credit(self, key: str, nbytes: int) -> None:
+        """Count ``nbytes`` of ``key`` as prefetched and then demanded."""
         if not nbytes:
             return
         with self._spec_mutex:
-            self.prefetch_hit_bytes[rep.key] = (
-                self.prefetch_hit_bytes.get(rep.key, 0) + nbytes
+            self.prefetch_hit_bytes[key] = (
+                self.prefetch_hit_bytes.get(key, 0) + nbytes
             )
         hook = self.on_prefetch_hit
         if hook is not None:
-            hook(rep.key, nbytes)
+            hook(key, nbytes)
 
     def credit_read(self, key: str, start: int, end: int) -> None:
         """Public :meth:`_credit_read` for callers that hand out raw
@@ -764,27 +660,17 @@ class LocalTier:
         with rep._dirty_mutex:
             parts = rep.prefetched.spans
             rep.prefetched.clear()
-        if not credit:
-            return
-        nbytes = sum(e - s for s, e in parts)
-        if not nbytes:
-            return
-        with self._spec_mutex:
-            self.prefetch_hit_bytes[rep.key] = (
-                self.prefetch_hit_bytes.get(rep.key, 0) + nbytes
-            )
-        hook = self.on_prefetch_hit
-        if hook is not None:
-            hook(rep.key, nbytes)
+        if credit:
+            self._credit(rep.key, sum(e - s for s, e in parts))
 
     def delivery_stats(self) -> dict:
         """This host's delivery-plane counters (for ``repro prefetch``)."""
         with self._spec_mutex:
             return {
                 "hit_bytes": dict(self.prefetch_hit_bytes),
-                "invalidate_skips": self.invalidate_skips,
-                "invalidate_delta_pulls": self.invalidate_delta_pulls,
-                "invalidate_bytes_saved": self.invalidate_bytes_saved,
+                "delta_pulls": self.delta_pulls,
+                "full_fallbacks": dict(self.full_fallbacks),
+                "bytes_saved": self.bytes_saved,
             }
 
     @staticmethod

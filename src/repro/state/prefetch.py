@@ -10,14 +10,11 @@ those bytes *before* the guest asks:
 * **Prefetch** — on dispatch, the HEAD :class:`AccessProfile`'s hot read
   ranges are pulled into the local tier concurrently with the snapshot
   restore (:meth:`LocalTier.prefetch_spans`).
-* **Push-invalidate** — a host piggybacks its push chain and latest known
-  write versions on outgoing calls, so the callee's forced pull skips
-  clean keys entirely or delta-pulls only the truly-stale ranges.
 * **Pre-placement** — the scheduler's residency ranking warms likely-next
   hosts' page stores with a callee's snapshot pages in the background
   (:meth:`HostSnapshotCache.warm_pages`).
 
-All three are governed by one :class:`DeliveryPolicy` and are *semantically
+Both are governed by one :class:`DeliveryPolicy` and are *semantically
 invisible*: every speculative action is either a legal early demand
 operation under the §4.1 consistency model or is proven byte-identical via
 global write versions before it substitutes for a demand operation. The
@@ -53,13 +50,12 @@ class DeliveryPolicy:
 
     mode: str = "off"
     prefetch: bool = False
-    push_invalidate: bool = False
     pre_place: bool = False
     confidence: float = 0.6
     top_ranges: int = 8
     #: Hard cap on speculative bytes pulled per dispatch.
     max_bytes_per_call: int = 4 * 1024 * 1024
-    #: Most keys considered per dispatch (and per invalidation payload).
+    #: Most keys considered per dispatch.
     max_keys: int = 8
     #: Run speculative work inline on the dispatching thread instead of
     #: overlapped — deterministic ordering for tests and benchmarks.
@@ -67,7 +63,7 @@ class DeliveryPolicy:
 
     @property
     def enabled(self) -> bool:
-        return self.prefetch or self.push_invalidate or self.pre_place
+        return self.prefetch or self.pre_place
 
     @classmethod
     def off(cls) -> "DeliveryPolicy":
@@ -76,11 +72,10 @@ class DeliveryPolicy:
 
     @classmethod
     def conservative(cls, **overrides) -> "DeliveryPolicy":
-        """Prefetch + push-invalidate, only for near-certain ranges."""
+        """Prefetch only, and only for near-certain ranges."""
         defaults = dict(
             mode="conservative",
             prefetch=True,
-            push_invalidate=True,
             confidence=0.9,
             top_ranges=4,
         )
@@ -89,12 +84,11 @@ class DeliveryPolicy:
 
     @classmethod
     def aggressive(cls, **overrides) -> "DeliveryPolicy":
-        """All three mechanisms, speculating on anything seen in half of
-        the profiled calls."""
+        """Prefetch and pre-placement, speculating on anything seen in
+        half of the profiled calls."""
         defaults = dict(
             mode="aggressive",
             prefetch=True,
-            push_invalidate=True,
             pre_place=True,
             confidence=0.5,
             top_ranges=16,

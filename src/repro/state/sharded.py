@@ -73,6 +73,9 @@ class ShardedStateStore:
     def get_ranges_into_versioned(self, key, dests):
         return self._route(key).get_ranges_into_versioned(key, dests)
 
+    def get_since(self, key, since, view, extra=()):
+        return self._route(key).get_since(key, since, view, extra)
+
     def set_range(self, key, offset, data):
         self._route(key).set_range(key, offset, data)
 
@@ -124,7 +127,9 @@ class ShardedStateStore:
         """Repartition onto ``n_shards`` shards; returns keys moved.
 
         Stop-the-world: concurrent writers must be quiesced by the caller
-        (the runtime performs resharding between scheduling epochs).
+        (the runtime performs resharding between scheduling epochs). Every
+        key keeps its write version — deleted keys too — so a version a
+        replica remembers never comes to name a different value.
         """
         if n_shards < 1:
             raise ValueError("need at least one shard")
@@ -134,11 +139,11 @@ class ShardedStateStore:
             self.shard_ops = [0] * n_shards
             moved = 0
             for shard in old_shards:
-                for key in shard.keys():
-                    value = shard.get_value(key)
+                for key, version in shard.versions().items():
+                    value = shard.get_value(key) if shard.exists(key) else None
                     target = _stable_hash(key) % n_shards
-                    self._shards[target].set_value(key, value)
-                    moved += 1
+                    self._shards[target].adopt(key, value, version)
+                    moved += value is not None
             return moved
 
     def imbalance(self) -> float:

@@ -90,7 +90,7 @@ def test_prefetch_reports_hit_waste_ratios(capsys):
     hit_pct = float(stage_row[4].rstrip("%"))
     assert prefetched > 0
     assert hit_pct > 0.0
-    assert "push-invalidate:" in out
+    assert "delta pull:" in out and "full fallbacks:" in out
     assert "pre-placed pages:" in out
 
 
@@ -105,7 +105,10 @@ def test_prefetch_json_ledger(capsys):
     assert stage["waste_bytes"] == (
         stage["prefetched_bytes"] - stage["hit_bytes"]
     )
-    assert set(doc["invalidate"]) == {"skips", "delta_pulls", "bytes_saved"}
+    assert set(doc["delta"]) == {"delta_pulls", "full_fallbacks", "bytes_saved"}
+    assert set(doc["delta"]["full_fallbacks"]) == {
+        "unknown-version", "partial", "overflow", "resized",
+    }
 
 
 def test_report_html_to_file(tmp_path, capsys):

@@ -273,8 +273,9 @@ def test_submit_yields_the_same_span_tree_as_dispatch():
 
 
 def test_submit_carries_delivery_hints_and_pre_places():
-    """Push-invalidate hints and page pre-placement ride the one road, so
-    an ingested call that leaves its entry host gets both."""
+    """Page pre-placement rides the one road, so an ingested call that
+    leaves its entry host gets it (the work message itself carries no
+    state hints: what a forced pull moves is decided by the pull)."""
     from repro.state.prefetch import DeliveryPolicy
 
     cluster = FaasmCluster(
@@ -282,11 +283,7 @@ def test_submit_carries_delivery_hints_and_pre_places():
     )
     try:
         cluster.register_python("echo", _echo)
-        # host-0 (the first entry host) knows a version of "k"; echo is
-        # warm on host-1 only, so the batch crosses hosts.
-        entry = cluster.instances[0]
-        entry.state_api.set_state("k", b"v" * 64)
-        entry.state_api.push_state("k")
+        # echo is warm on host-1 only, so the batch crosses hosts.
         cluster.warm_sets.add("echo", "host-1")
         sent, pre_placed = [], []
         send_many = cluster.bus.send_many
@@ -302,7 +299,7 @@ def test_submit_carries_delivery_hints_and_pre_places():
         assert cluster.calls.get(call_id).status is CallStatus.SUCCEEDED
         ((host, batch),) = sent
         assert host == "host-1" and batch.shared
-        assert [key for key, _version, _chain in batch.invalidate] == ["k"]
+        assert not hasattr(batch, "invalidate")
         assert pre_placed == [("echo", "host-0", "host-1")]
     finally:
         cluster.shutdown()

@@ -1,0 +1,416 @@
+"""The delta pull protocol, held by test (DESIGN.md §10).
+
+A forced pull of a fully-present replica asks the store for the spans
+written since the version the replica last synced at. Whatever the
+interleaving of writers, resizes, deletes and reshards, three things must
+hold after it: the replica is byte-identical to the store; it moved no
+more than what was written since its previous sync (plus a descriptor per
+span), or exactly the value on a *recorded* fallback; and a write version
+never names two values. The machine drives one store and three tiers
+through every operation that can touch a key; the cases below it pin the
+paths the issue names one at a time.
+"""
+
+from __future__ import annotations
+
+import zlib
+
+import pytest
+from hypothesis import settings, stateful, strategies as st
+
+from repro.chaos import ChaosPlan
+from repro.chaos.engine import ChaosEngine
+from repro.chaos.plan import StripeOutage
+from repro.chaos.state import ChaosStateStore
+from repro.state.api import StateAPI
+from repro.state.kv import (
+    SPAN_DESCRIPTOR_BYTES,
+    WRITE_LOG_DEPTH,
+    GlobalStateStore,
+    StateClient,
+    StateUnavailableError,
+)
+from repro.state.local import LocalTier
+from repro.state.sharded import ShardedStateStore
+
+KEY = "delta/key"
+_MAX = 96  # small value => dense span collisions
+
+
+class _RacingStore(ShardedStateStore):
+    """A sharded store whose reads can be raced: ``racer`` runs after the
+    request arrived and before any byte is copied, which is where a guest
+    store into a mapped page lands when it races a pull."""
+
+    racer = None
+
+    def _race(self):
+        racer, self.racer = self.racer, None
+        if racer is not None:
+            racer()
+
+    def get_since(self, key, since, view, extra=()):
+        self._race()
+        return super().get_since(key, since, view, extra)
+
+    def get_ranges_into_versioned(self, key, dests):
+        self._race()
+        return super().get_ranges_into_versioned(key, dests)
+
+
+class DeltaPullMachine(stateful.RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.store = _RacingStore(n_shards=2)
+        self.store.set_value(KEY, bytes(64))
+        self.tiers = [
+            LocalTier(f"host-{i}", StateClient(self.store)) for i in range(3)
+        ]
+        for tier in self.tiers:
+            tier.pull(KEY)  # every tier starts synced: deltas from step one
+        #: Per tier: payload bytes and spans written to the global value
+        #: since the tier's last forced pull of the whole key.
+        self.written = [0, 0, 0]
+        self.spans = [0, 0, 0]
+        self.version = self.store.version(KEY)
+
+    tier_ids = st.integers(0, 2)
+    offsets = st.integers(0, _MAX - 1)
+    lengths = st.integers(1, _MAX)
+    sizes = st.integers(1, _MAX)
+    fills = st.integers(1, 255)
+
+    # -- bookkeeping ----------------------------------------------------
+    def _mutated(self, nbytes=0, nspans=0):
+        """A global write happened: versions only ever go up, by one."""
+        version = self.store.version(KEY)
+        assert version > self.version
+        self.version = version
+        for i in range(3):
+            self.written[i] += nbytes
+            self.spans[i] += nspans
+
+    def _push(self, tier_id, push):
+        meter = self.tiers[tier_id].client.meter
+        sent, trips = meter.sent_bytes, meter.round_trips
+        nspans = len(self.tiers[tier_id].replica(KEY).dirty.spans) + 1
+        push()
+        if meter.round_trips > trips:
+            self._mutated(meter.sent_bytes - sent, nspans)
+
+    def _check_synced(self, tier_id):
+        """After a forced pull: byte-identical wherever not (still) dirty,
+        which without a racing writer is everywhere."""
+        rep = self.tiers[tier_id].replica(KEY)
+        value = self.store.get_value(KEY)
+        assert rep.value_size == len(value)
+        assert rep.present.covers(0, len(value))
+        local = rep.region.read(0, len(value))
+        dirty = {i for s, e in rep.dirty.spans for i in range(s, e)}
+        for i, (mine, theirs) in enumerate(zip(local, value)):
+            assert mine == theirs or i in dirty, f"byte {i} diverged"
+        return dirty
+
+    def _forced_pull(self, tier_id):
+        tier = self.tiers[tier_id]
+        rep = tier.replica(KEY)
+        allowed = (
+            self.written[tier_id] + rep.dirty.total()
+            + SPAN_DESCRIPTOR_BYTES
+            * (self.spans[tier_id] + len(rep.dirty.spans))
+        )
+        received = tier.client.meter.received_bytes
+        fallbacks = sum(tier.full_fallbacks.values())
+        tier.pull(KEY, force=True)
+        received = tier.client.meter.received_bytes - received
+        if sum(tier.full_fallbacks.values()) > fallbacks:
+            assert received == self.store.size(KEY)
+        else:
+            assert received <= allowed
+        self.written[tier_id] = self.spans[tier_id] = 0
+
+    # -- local writes ----------------------------------------------------
+    @stateful.rule(tier_id=tier_ids, offset=offsets, length=lengths, fill=fills)
+    def ranged_write(self, tier_id, offset, length, fill):
+        length = min(length, _MAX - offset)
+        self.tiers[tier_id].write_local(KEY, bytes([fill]) * length, offset)
+
+    @stateful.rule(tier_id=tier_ids, size=sizes, fill=fills)
+    def set_state(self, tier_id, size, fill):
+        StateAPI(self.tiers[tier_id]).set_state(KEY, bytes([fill]) * size)
+
+    @stateful.rule(tier_id=tier_ids, size=sizes, fill=fills)
+    def sized_write(self, tier_id, size, fill):
+        """One byte plus a new logical size: growth the dirty set never
+        sees (the zero fill is not a write), carried by the next push."""
+        self.tiers[tier_id].write_local(KEY, bytes([fill]), 0, size=size)
+
+    # -- global writes ---------------------------------------------------
+    @stateful.rule(tier_id=tier_ids)
+    def push(self, tier_id):
+        self._push(tier_id, lambda: self.tiers[tier_id].push(KEY))
+
+    @stateful.rule(tier_id=tier_ids, offset=offsets, length=lengths)
+    def push_chunk(self, tier_id, offset, length):
+        tier = self.tiers[tier_id]
+        size = tier.replica(KEY).value_size
+        if offset >= size:
+            return
+        length = min(length, size - offset)
+        self._push(tier_id, lambda: tier.push_chunk(KEY, offset, length))
+
+    @stateful.rule(tier_id=tier_ids, fill=fills)
+    def append(self, tier_id, fill):
+        if self.store.size(KEY) < _MAX:
+            StateAPI(self.tiers[tier_id]).append_state(KEY, bytes([fill]))
+            self._mutated()
+
+    @stateful.rule(size=sizes, fill=fills)
+    def set_value(self, size, fill):
+        self.store.set_value(KEY, bytes([fill]) * size)
+        self._mutated()
+
+    @stateful.rule(size=sizes, fill=fills)
+    def delete_and_recreate(self, size, fill):
+        self.store.delete(KEY)
+        self._mutated()
+        self.store.set_value(KEY, bytes([fill]) * size)
+        self._mutated()
+
+    @stateful.rule(n_shards=st.integers(1, 4))
+    def reshard(self, n_shards):
+        value = self.store.get_value(KEY)
+        self.store.reshard(n_shards)
+        assert self.store.get_value(KEY) == value
+        assert self.store.version(KEY) == self.version
+
+    # -- pulls -------------------------------------------------------------
+    @stateful.rule(tier_id=tier_ids)
+    def forced_pull(self, tier_id):
+        self._forced_pull(tier_id)
+        assert not self._check_synced(tier_id)
+
+    @stateful.rule(tier_id=tier_ids, offset=offsets, length=lengths)
+    def forced_chunk_pull(self, tier_id, offset, length):
+        tier = self.tiers[tier_id]
+        received = tier.client.meter.received_bytes
+        try:
+            rep = tier.pull_chunk(KEY, offset, length, force=True)
+        except IndexError:
+            assert offset + length > self.store.size(KEY)
+            return
+        assert tier.client.meter.received_bytes - received == length
+        assert rep.region.read(offset, length) == self.store.get_range(
+            KEY, offset, length
+        )
+
+    @stateful.rule(tier_id=tier_ids, offset=offsets, fill=fills)
+    def guest_write_racing_a_pull(self, tier_id, offset, fill):
+        """A store into the mapped region that lands mid-pull stays a
+        local write: still dirty afterwards, never silently dropped."""
+        rep = self.tiers[tier_id].replica(KEY)
+        offset = min(offset, rep.value_size - 1)
+        self.store.racer = lambda: rep.region.write(bytes([fill]), offset)
+        self._forced_pull(tier_id)
+        assert self.store.racer is None  # it ran
+        assert self._check_synced(tier_id) == {offset}
+
+    @stateful.invariant()
+    def versions_never_go_back(self):
+        assert self.store.version(KEY) == self.version
+
+
+DeltaPullMachine.TestCase.settings = settings(
+    max_examples=200, stateful_step_count=40, deadline=None
+)
+TestDeltaPullMachine = DeltaPullMachine.TestCase
+
+
+# ---------------------------------------------------------------------------
+# The named paths, one at a time
+# ---------------------------------------------------------------------------
+
+SIZE = 64 * 1024
+SPAN = 1024
+
+
+def _two_tiers(store=None):
+    store = store if store is not None else GlobalStateStore()
+    store.set_value(KEY, b"\x11" * SIZE)
+    tiers = [LocalTier(f"host-{i}", StateClient(store)) for i in range(2)]
+    for tier in tiers:
+        tier.pull(KEY)
+    return store, tiers
+
+
+def _pulled(tier):
+    """(bytes, round trips) one forced pull of KEY moved."""
+    meter = tier.client.meter
+    received, trips = meter.received_bytes, meter.round_trips
+    tier.pull(KEY, force=True)
+    return meter.received_bytes - received, meter.round_trips - trips
+
+
+def _write_and_push(tier, slot, fill):
+    tier.write_local(KEY, bytes([fill]) * SPAN, slot * SPAN)
+    tier.push(KEY)
+
+
+def _in_sync(store, tier):
+    rep = tier.replica(KEY)
+    return rep.region.read(0, rep.value_size) == store.get_value(KEY)
+
+
+def test_delta_ships_the_written_spans_in_one_round_trip():
+    store, (writer, reader) = _two_tiers()
+    _write_and_push(writer, 3, 0x22)
+    assert _pulled(reader) == (SPAN + SPAN_DESCRIPTOR_BYTES, 1)
+    assert _in_sync(store, reader)
+    # Nothing written since: one round trip, no payload (the price of
+    # having no hint that says "clean").
+    assert _pulled(reader) == (0, 1)
+    stats = reader.delivery_stats()
+    assert stats["delta_pulls"] == 2
+    assert stats["bytes_saved"] == (SIZE - SPAN) + SIZE
+    assert not any(stats["full_fallbacks"].values())
+
+
+def test_log_overflow_falls_back_to_the_full_pull_then_deltas_again():
+    store, (writer, reader) = _two_tiers()
+    for i in range(WRITE_LOG_DEPTH):
+        _write_and_push(writer, i, 0x30 + i)
+    # Exactly as far behind as the log reaches: still a delta.
+    # Exactly as far behind as the log reaches: still a delta (of one
+    # span, the adjacent writes merged).
+    assert _pulled(reader) == (
+        WRITE_LOG_DEPTH * SPAN + SPAN_DESCRIPTOR_BYTES, 1
+    )
+    for i in range(WRITE_LOG_DEPTH + 1):
+        _write_and_push(writer, 2 * i, 0x40 + i)
+    assert _pulled(reader) == (SIZE, 2)
+    assert reader.delivery_stats()["full_fallbacks"]["overflow"] == 1
+    assert _in_sync(store, reader)
+    _write_and_push(writer, 5, 0x55)
+    assert _pulled(reader) == (SPAN + SPAN_DESCRIPTOR_BYTES, 1)
+    assert _in_sync(store, reader)
+
+
+def test_interleaved_writers_on_two_hosts():
+    store, (a, b) = _two_tiers()
+    base = store.version(KEY)
+    _write_and_push(a, 1, 0xA1)  # base + 1: straight onto a's synced-at
+    assert a.replica(KEY).gver == base + 1
+    _write_and_push(b, 2, 0xB2)  # base + 2, but b is synced at base
+    assert b.replica(KEY).gver == base
+    # b re-fetches a's span and its own; a fetches only b's.
+    assert _pulled(b) == (2 * SPAN + SPAN_DESCRIPTOR_BYTES, 1)  # adjacent
+    assert _pulled(a) == (SPAN + SPAN_DESCRIPTOR_BYTES, 1)
+    assert _in_sync(store, a) and _in_sync(store, b)
+    assert a.replica(KEY).gver == b.replica(KEY).gver == base + 2
+
+
+def test_unpushed_local_writes_are_overwritten():
+    store, (writer, reader) = _two_tiers()
+    reader.write_local(KEY, b"\x99" * SPAN, 10 * SPAN)  # never pushed
+    _write_and_push(writer, 3, 0x22)
+    assert _pulled(reader) == (2 * (SPAN + SPAN_DESCRIPTOR_BYTES), 1)
+    assert _in_sync(store, reader)
+    assert not reader.replica(KEY).dirty.spans
+    reader.push(KEY)  # nothing left to flush
+    assert store.get_range(KEY, 10 * SPAN, SPAN) == b"\x11" * SPAN
+
+
+def test_unknown_version_partial_and_resized_fall_back():
+    store, (writer, reader) = _two_tiers()
+    fresh = LocalTier("host-2", StateClient(store))
+    fresh.write_local(KEY, b"\x01" * SPAN, 0)  # created locally: no version
+    assert _pulled(fresh)[0] == SIZE
+    assert fresh.delivery_stats()["full_fallbacks"]["unknown-version"] == 1
+
+    chunky = LocalTier("host-3", StateClient(store))
+    chunky.pull_chunk(KEY, 0, SPAN)
+    chunky.replica(KEY).gver = store.version(KEY)  # even with a version
+    assert _pulled(chunky)[0] == SIZE
+    assert chunky.delivery_stats()["full_fallbacks"]["partial"] == 1
+
+    StateAPI(writer).set_state(KEY, b"\x77" * (SIZE // 2))
+    writer.push(KEY)
+    assert _pulled(reader) == (SIZE // 2, 2)
+    assert reader.delivery_stats()["full_fallbacks"]["resized"] == 1
+    assert _in_sync(store, reader)
+    # The shrinking pusher itself stays synced: its next pull is a delta.
+    assert _pulled(writer) == (0, 1)
+
+
+def _outage_scenario(outage_at):
+    """Writer pushed a span, reader holds an unpushed write; the reader's
+    forced pull is next. The key's stripe goes dark for its
+    ``outage_at``-th operation."""
+    stripe = zlib.crc32(KEY.encode()) % 16
+    engine = ChaosEngine(ChaosPlan(
+        seed=3, stripe_outages=(StripeOutage(stripe, outage_at, n_ops=1),)
+    ))
+    store, (writer, reader) = _two_tiers(ChaosStateStore(engine))
+    reader.client.UNAVAILABLE_RETRIES = 0  # let the outage through
+    _write_and_push(writer, 3, 0x22)
+    reader.write_local(KEY, b"\x99" * SPAN, 10 * SPAN)
+    return store, reader, lambda: engine._stripe_ops[stripe]
+
+
+def test_stripe_outage_mid_delta_pull_claims_nothing():
+    # Dry run: which stripe operation is the delta read? It is one
+    # operation — one pass through the chaos choke point — not two.
+    store, reader, ops = _outage_scenario(outage_at=10**9)
+    delta_op = ops()
+    assert _pulled(reader) == (2 * (SPAN + SPAN_DESCRIPTOR_BYTES), 1)
+    assert ops() == delta_op + 1
+
+    store, reader, ops = _outage_scenario(outage_at=delta_op)
+    rep = reader.replica(KEY)
+
+    def claims():
+        return (rep.gver, rep.present.spans, rep.dirty.spans,
+                rep.value_size, bytes(rep.region.backing))
+
+    before = claims()
+    with pytest.raises(StateUnavailableError):
+        reader.pull(KEY, force=True)
+    assert claims() == before
+    assert reader.delivery_stats()["delta_pulls"] == 0
+    # The retry is an ordinary delta pull.
+    assert _pulled(reader) == (2 * (SPAN + SPAN_DESCRIPTOR_BYTES), 1)
+    assert _in_sync(store, reader)
+
+
+def test_versions_survive_reshard_and_delete_recreate():
+    store = ShardedStateStore(n_shards=2)
+    store.set_value(KEY, b"\x11" * SIZE)
+    tier = LocalTier("host-0", StateClient(store))
+    other = LocalTier("host-1", StateClient(store))
+    tier.pull(KEY)
+    other.pull(KEY)
+    _write_and_push(other, 1, 0x21)
+    version = store.version(KEY)
+    store.delete("gone")
+    gone = store.version("gone")
+
+    store.reshard(5)
+    assert store.version(KEY) == version
+    assert store.version("gone") == gone and not store.exists("gone")
+    # One write behind with the log gone: the whole value, not a guess.
+    assert _pulled(tier)[0] == SIZE
+    assert _in_sync(store, tier)
+    # Level with the carried version: an exact, empty delta.
+    assert _pulled(other) == (0, 1)
+    # The log restarts from the carried version.
+    _write_and_push(other, 2, 0x22)
+    assert store.version(KEY) == version + 1
+    assert _pulled(tier) == (SPAN + SPAN_DESCRIPTOR_BYTES, 1)
+
+    store.delete(KEY)
+    store.set_value(KEY, b"\x33" * SIZE)  # same size, new life
+    assert store.version(KEY) == version + 3
+    assert _pulled(tier)[0] == SIZE
+    assert _in_sync(store, tier)
+    store.set_value("gone", b"back")
+    assert store.version("gone") == gone + 1

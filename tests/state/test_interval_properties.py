@@ -90,6 +90,37 @@ def test_adjacent_spans_merge():
     assert iset.spans == [(0, 4), (6, 10), (12, 25)]
 
 
+def test_add_covered_adjacent_and_bridging_ranges():
+    """The three shapes ``add`` tells apart: a range some span already
+    covers changes nothing, one that touches a span extends it, and one
+    that reaches across spans fuses them with the gaps between."""
+    iset = _IntervalSet()
+    for s, e in [(10, 20), (30, 40), (50, 60)]:
+        iset.add(s, e)
+    backing = iset._spans
+    for s, e in [(10, 20), (12, 18), (10, 15), (15, 20), (30, 31), (59, 60)]:
+        iset.add(s, e)
+        assert iset._spans is backing
+        assert iset.spans == [(10, 20), (30, 40), (50, 60)]
+    assert iset.covers(10, 20) and iset.covers(12, 18)
+    assert not iset.covers(10, 21) and not iset.covers(20, 30)
+    assert not iset.covers(15, 35)  # both ends inside spans, a gap between
+
+    iset.add(5, 10)  # adjacent on the left
+    iset.add(40, 45)  # adjacent on the right
+    assert iset.spans == [(5, 20), (30, 45), (50, 60)]
+    iset.add(0, 2)  # separate, before everything
+    iset.add(70, 80)  # separate, after everything
+    assert iset.spans == [(0, 2), (5, 20), (30, 45), (50, 60), (70, 80)]
+
+    iset.add(20, 30)  # exactly the gap: bridges two neighbours
+    assert iset.spans == [(0, 2), (5, 45), (50, 60), (70, 80)]
+    iset.add(40, 75)  # from inside one span, over a whole one, into a third
+    assert iset.spans == [(0, 2), (5, 80)]
+    iset.add(1, 100)  # swallows everything it overlaps
+    assert iset.spans == [(0, 100)]
+
+
 # Writes stay within a 256-byte value; no explicit shrink, so the dirty set
 # must end up as exactly the union of the written ranges.
 _writes = st.lists(

@@ -1,10 +1,9 @@
 """Differential proof that proactive delivery is semantically invisible.
 
 Every scenario runs the same workload twice — once with
-``DeliveryPolicy.off()`` (pure demand delivery, the PR-7-and-earlier
-behaviour) and once with ``DeliveryPolicy.aggressive(synchronous=True)``
-(prefetch + push-invalidate + pre-placement, run inline so the comparison
-is deterministic) — and asserts the *final global state* and every
+``DeliveryPolicy.off()`` (pure demand delivery) and once with
+``DeliveryPolicy.aggressive(synchronous=True)`` (prefetch + pre-placement,
+run inline so the comparison is deterministic) — and asserts the *final global state* and every
 *guest-visible read* are byte-identical. The stateful machine at the
 bottom then interleaves prefetch completion with guest reads and writes
 to prove the invariant the scenarios spot-check: a stale prefetched span
@@ -93,8 +92,8 @@ def test_cold_start_reader_is_identical():
 
 def test_chained_calls_are_identical():
     """Parent dirties a range and chains cross-host; the callee's forced
-    pull must see the parent's write whether it arrived by push-invalidate
-    delta or by full demand pull."""
+    pull — a delta pull from its second call on — must see the parent's
+    write with or without speculation around it."""
 
     def scenario(cluster):
         cluster.global_state.set_value(KEY, b"\x01" * SIZE)
@@ -117,8 +116,8 @@ def test_chained_calls_are_identical():
         cluster.register_python("parent", parent)
         cluster.register_python("child", child)
         _seed_profile(cluster, "child", KEY, [(0, CHUNK)])
-        # Pin the child to the other host so the chain crosses the bus
-        # (the push-invalidate payload only rides cross-host sends).
+        # Pin the child to the other host so the state crosses the
+        # global tier.
         cluster.warm_sets.add("child", "host-1")
         outs = [cluster.invoke("parent") for _ in range(3)]
         assert all(out[1].startswith(b"PARENTED") for out in outs)
@@ -198,7 +197,7 @@ class PrefetchInterleaving(stateful.RuleBasedStateMachine):
     speculation is then:
 
     * a byte the guest wrote locally (and has not force-pulled away) reads
-      back *exactly* — no prefetch completion, gap-fill, or fast-forward
+      back *exactly* — no prefetch completion, gap-fill, or delta pull
       may shadow it;
     * any other byte reads as *some* value the global tier legally held
       (§4.1 allows stale reads; it never allows invented ones);
@@ -274,10 +273,13 @@ class PrefetchInterleaving(stateful.RuleBasedStateMachine):
 
     @stateful.rule()
     def force_pull(self):
-        # A forced pull deliberately discards unpushed local writes.
+        # A forced pull deliberately discards unpushed local writes. After
+        # the first one the replica is synced at a version, so later ones
+        # are delta pulls of whatever ``remote_write`` logged since.
         self.tier.pull(KEY, force=True)
         self.lsize = self.synced = self.gsize
         self.local.clear()
+        assert self.tier.read_local(KEY, 0, self.gsize) == self.store.get_value(KEY)
 
     @stateful.rule(offset=offsets, length=lengths)
     def guest_read(self, offset, length):
