@@ -1,4 +1,4 @@
-"""A global state store whose lock stripes can go dark.
+"""A global state store whose stripes can go dark.
 
 :class:`ChaosStateStore` subclasses the real
 :class:`~repro.state.kv.GlobalStateStore` and interposes on stripe-lock
@@ -16,9 +16,6 @@ error parks its attempt for the invocation monitor to re-dispatch.
 
 from __future__ import annotations
 
-import threading
-import zlib
-
 from repro.state.kv import DEFAULT_STRIPES, GlobalStateStore
 
 from .engine import ChaosEngine
@@ -31,7 +28,7 @@ class ChaosStateStore(GlobalStateStore):
         super().__init__(n_stripes)
         self.engine = engine
 
-    def _stripe(self, key: str) -> threading.Lock:
-        index = zlib.crc32(key.encode()) % len(self._stripes)
+    def _stripe(self, key: str):
+        index = self.stripe_of(key)
         self.engine.check_stripe(index)
         return self._stripes[index]

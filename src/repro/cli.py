@@ -789,7 +789,7 @@ def _render_top_frame(cluster, frame: int, frames: int, started: float) -> str:
     miner = telemetry.profiles
     for fn in sorted(report):
         slo = report[fn]
-        hist = telemetry.metrics.streaming_histogram(
+        hist = telemetry.metrics.histogram(
             "function.latency", function=fn
         )
         profile = miner.profile(fn) if miner is not None else None

@@ -9,13 +9,13 @@ are physically copied only when first written. This is what makes restores
 take hundreds of microseconds instead of the hundreds of milliseconds a
 container boot costs (Tab. 3, Fig. 10).
 
-Snapshots are OS-independent plain bytes: :meth:`ProtoFaaslet.to_bytes` /
-:meth:`from_bytes` serialise them for cross-host restore, the property that
-distinguishes Proto-Faaslets from single-machine snapshotting systems like
-SEUSS or Catalyzer. At cluster scale the monolithic blob is superseded by
-the content-addressed plane: a :class:`SnapshotManifest` (ordered page
-digests + globals/table blobs) travels instead of the pages, and hosts pull
-only the pages their :class:`~repro.faaslet.pagestore.PageStore` is missing.
+Snapshots are OS-independent plain bytes, restorable on another host — the
+property that distinguishes Proto-Faaslets from single-machine snapshotting
+systems like SEUSS or Catalyzer. The one wire form is content-addressed: a
+:class:`SnapshotManifest` (ordered page digests + globals/table blobs,
+:meth:`~SnapshotManifest.to_bytes` / :meth:`~SnapshotManifest.from_bytes`)
+travels instead of the pages, and hosts pull only the 64 KiB pages their
+:class:`~repro.faaslet.pagestore.PageStore` is missing.
 """
 
 from __future__ import annotations
@@ -26,16 +26,10 @@ from dataclasses import dataclass
 
 from repro.telemetry import MetricsRegistry, span
 from repro.wasm.instance import GlobalInstance, Instance
-from repro.wasm.memory import ZERO_DIGEST, ZERO_PAGE, LinearMemory, page_digest
+from repro.wasm.memory import ZERO_DIGEST, LinearMemory, page_digest
 from repro.wasm.types import PAGE_SIZE, Limits, MemoryType
 
 from .faaslet import Faaslet, FunctionDefinition
-
-#: Zero-eliding monolithic header: magic, total pages, present (non-zero)
-#: pages, globals blob len, table blob len. Followed by the present pages'
-#: indices (``<I`` each), the blobs, then the present pages back to back.
-_MAGIC = b"PF02"
-_HEADER = struct.Struct("<4sIIII")
 
 #: Manifest wire header: magic, format version, function-name length,
 #: snapshot version, page count, globals blob len, table blob len. Followed
@@ -112,12 +106,25 @@ class SnapshotManifest:
 
     @classmethod
     def from_bytes(cls, data: "bytes | bytearray | memoryview") -> "SnapshotManifest":
+        """Parse a manifest received from outside. Raises ``ValueError``
+        when ``data`` lacks the ``FMAN`` header, names a format other than
+        1, or is shorter than its header says."""
         view = memoryview(data)
+        if len(view) < _MANIFEST_HEADER.size:
+            raise ValueError("not a snapshot manifest: no FMAN header")
         magic, fmt, name_len, version, n_pages, glen, tlen = (
             _MANIFEST_HEADER.unpack_from(view, 0)
         )
         if magic != _MANIFEST_MAGIC or fmt != 1:
             raise ValueError("not a snapshot manifest")
+        expected = (
+            _MANIFEST_HEADER.size + name_len + n_pages * _DIGEST_RAW_LEN
+            + glen + tlen
+        )
+        if len(view) < expected:
+            raise ValueError(
+                f"truncated snapshot manifest: {len(view)} of {expected} bytes"
+            )
         pos = _MANIFEST_HEADER.size
         name = bytes(view[pos : pos + name_len]).decode()
         pos += name_len
@@ -323,91 +330,6 @@ class ProtoFaaslet:
             version=manifest.version,
             metrics=metrics,
         )
-
-    # ------------------------------------------------------------------
-    # Cross-host serialisation (monolithic wire format)
-    # ------------------------------------------------------------------
-    def to_bytes(self) -> bytes:
-        """Serialise to OS-independent bytes for cross-host restores.
-
-        The format elides all-zero pages (they are reconstructed from
-        the shared zero page on restore) and is assembled by streaming
-        straight into one exactly-sized preallocated buffer — no per-page
-        intermediate ``bytes`` and no join copy.
-        """
-        globals_blob = pickle.dumps(self.globals_snapshot)
-        table_blob = pickle.dumps(self.table_snapshot)
-        digests = self.page_digests
-        present = [i for i, d in enumerate(digests) if d != ZERO_DIGEST]
-        index_blob_len = 4 * len(present)
-        total = (
-            _HEADER.size
-            + index_blob_len
-            + len(globals_blob)
-            + len(table_blob)
-            + len(present) * PAGE_SIZE
-        )
-        buf = bytearray(total)
-        _HEADER.pack_into(
-            buf,
-            0,
-            _MAGIC,
-            len(self.frozen_pages),
-            len(present),
-            len(globals_blob),
-            len(table_blob),
-        )
-        pos = _HEADER.size
-        struct.pack_into(f"<{len(present)}I", buf, pos, *present)
-        pos += index_blob_len
-        buf[pos : pos + len(globals_blob)] = globals_blob
-        pos += len(globals_blob)
-        buf[pos : pos + len(table_blob)] = table_blob
-        pos += len(table_blob)
-        out = memoryview(buf)
-        for i in present:
-            out[pos : pos + PAGE_SIZE] = self.frozen_pages[i]
-            pos += PAGE_SIZE
-        return bytes(buf)
-
-    @classmethod
-    def from_bytes(
-        cls, definition: FunctionDefinition, data: "bytes | memoryview"
-    ) -> "ProtoFaaslet":
-        """Deserialise a snapshot whose pages *alias* ``data``.
-
-        Restored pages are memoryview slices over the single received
-        buffer (and the shared zero page for elided pages) — no per-page
-        copies; copy-on-write materialisation makes a private copy on the
-        first write, exactly as for locally frozen pages. The caller must
-        therefore treat ``data`` as immutable once passed in. Raises
-        ``ValueError`` when ``data`` lacks the ``PF02`` magic or is shorter
-        than its header says.
-        """
-        view = memoryview(data)
-        if len(view) < _HEADER.size or bytes(view[:4]) != _MAGIC:
-            raise ValueError("not a Proto-Faaslet snapshot: no PF02 header")
-        _, n_pages, n_present, glen, tlen = _HEADER.unpack_from(view, 0)
-        expected = (
-            _HEADER.size + 4 * n_present + glen + tlen + n_present * PAGE_SIZE
-        )
-        if len(view) < expected:
-            raise ValueError(
-                f"truncated Proto-Faaslet snapshot: {len(view)} of "
-                f"{expected} bytes"
-            )
-        pos = _HEADER.size
-        present = struct.unpack_from(f"<{n_present}I", view, pos)
-        pos += 4 * n_present
-        globals_snapshot = pickle.loads(view[pos : pos + glen])
-        pos += glen
-        table_snapshot = pickle.loads(view[pos : pos + tlen])
-        pos += tlen
-        pages: list[memoryview] = [ZERO_PAGE] * n_pages
-        for i in present:
-            pages[i] = view[pos : pos + PAGE_SIZE]
-            pos += PAGE_SIZE
-        return cls(definition, pages, globals_snapshot, table_snapshot)
 
     # ------------------------------------------------------------------
     @property

@@ -39,6 +39,8 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro.telemetry.stats import percentile
+
 #: Sliding window over which :meth:`IngestionPlane.stats` reports the
 #: arrival rate.
 _RATE_WINDOW_S = 5.0
@@ -380,15 +382,14 @@ class IngestionPlane:
         finished calls, in seconds."""
         with self._recent_lock:
             records = list(self._recent)
-        latencies = sorted(
+        latencies = [
             r.latency for r in records if r.done.is_set() and r.finished_at
-        )
-        if not latencies:
-            return {"p50": 0.0, "p99": 0.0, "n": 0}
-        def pct(p):
-            idx = min(len(latencies) - 1, int(p * (len(latencies) - 1)))
-            return latencies[idx]
-        return {"p50": pct(0.50), "p99": pct(0.99), "n": len(latencies)}
+        ]
+        return {
+            "p50": percentile(latencies, 50),
+            "p99": percentile(latencies, 99),
+            "n": len(latencies),
+        }
 
     def arrival_rate(self) -> float:
         """Admitted calls/sec over the trailing window."""

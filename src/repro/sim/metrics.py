@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-# One percentile implementation serves the whole repo: this module, the
-# telemetry Histogram and the span exporters all share it (re-exported
-# here because `sim.metrics.percentile` is the historic import path).
+# One percentile implementation serves every sample list in the repo: this
+# module, the ingestion plane and the span exporters all share it
+# (re-exported here because `sim.metrics.percentile` is the historic import
+# path).
 from repro.telemetry.stats import percentile
 from repro.telemetry.streaming import StreamingHistogram
 

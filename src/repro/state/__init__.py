@@ -1,7 +1,8 @@
 """``repro.state`` — the two-tier state architecture of §4.
 
 A cluster has one :class:`GlobalStateStore` (the authoritative global tier,
-standing in for the paper's Redis deployment). Each host owns a
+standing in for the paper's Redis deployment; its stripes are its
+partitions, resized by ``reshard``). Each host owns a
 :class:`LocalTier` of replicas held in Faaslet shared memory regions, a
 metered :class:`StateClient` connection to the global tier, and a
 :class:`StateAPI` exposing the Tab. 2 state operations. Distributed data
@@ -38,7 +39,6 @@ from .kv import (
 from .local import LocalTier, Replica
 from .prefetch import DeliveryPolicy, Prefetcher
 from .rwlock import RWLock
-from .sharded import ShardedStateStore
 
 __all__ = [
     "DeliveryPolicy",
@@ -52,7 +52,6 @@ __all__ = [
     "MatrixReadOnly",
     "Prefetcher",
     "RWLock",
-    "ShardedStateStore",
     "Replica",
     "SparseMatrixReadOnly",
     "StateAPI",

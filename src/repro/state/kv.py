@@ -5,11 +5,15 @@ into their local tier and push updates back. The store supports the byte-
 oriented operations the state API needs (whole values, ranges, appends) plus
 per-key distributed read/write locks.
 
-Concurrency: keys are spread over a fixed set of **lock stripes** (per-key
+Concurrency: keys are spread over **stripes** by ``crc32(key) % n`` (per-key
 striping instead of one store-wide mutex), so operations on different keys
 from different hosts' dispatcher threads proceed in parallel — the Python
 analogue of Redis's per-connection pipelining plus the paper's observation
-that the global tier must not serialise independent keys.
+that the global tier must not serialise independent keys. A stripe is also
+the store's partition: it counts the operations routed to it, it is the
+unit a chaos plan takes down, and :meth:`GlobalStateStore.reshard` changes
+how many there are (the §7 "autoscaling storage" direction of Anna, Tuba and
+Pocket) without touching a value.
 
 Data movement is **batched and zero-copy** where it matters: a gap list of
 byte ranges moves in one :meth:`StateClient.pull_ranges` /
@@ -140,19 +144,38 @@ def _merge(spans) -> list[tuple[int, int]]:
     return out
 
 
+class _Stripe:
+    """One partition of the key space: the lock its keys' operations
+    serialise on, and how many operations it has served (counted under
+    that lock, so the hot path takes no second one)."""
+
+    __slots__ = ("lock", "ops")
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.ops = 0
+
+    def __enter__(self) -> None:
+        self.lock.acquire()
+        self.ops += 1
+
+    def __exit__(self, *exc) -> None:
+        self.lock.release()
+
+
 class GlobalStateStore:
     """Thread-safe authoritative store for all state keys in a cluster.
 
     Per-key operations take only the key's *stripe* lock, so concurrent
     accesses to different keys do not serialise behind one mutex (the
-    multi-key throughput measured by ``bench_state_plane.py``). Whole-store
-    snapshots (``keys``/``total_bytes``) read the dict atomically under the
-    GIL without stopping writers.
+    multi-key throughput measured by ``bench_state_plane.py``). Values,
+    versions, write logs and distributed locks live in store-wide dicts;
+    a stripe owns none of them, which is why :meth:`reshard` moves nothing.
+    Whole-store snapshots (``keys``/``total_bytes``) read the dict
+    atomically under the GIL without stopping writers.
     """
 
     def __init__(self, n_stripes: int = DEFAULT_STRIPES) -> None:
-        if n_stripes < 1:
-            raise ValueError("need at least one lock stripe")
         self._values: dict[str, bytearray] = {}
         #: Per-key monotonic write version, bumped by exactly one on every
         #: mutating operation (under the key's stripe lock). Versions
@@ -168,12 +191,16 @@ class GlobalStateStore:
         #: it, and older readers are sent the whole value.
         self._wlog: dict[str, deque] = {}
         self._locks: dict[str, RWLock] = {}
-        self._stripes = [threading.Lock() for _ in range(n_stripes)]
         #: Guards the distributed-lock registry (not the values).
         self._meta = threading.Lock()
+        self.reshard(n_stripes)
 
-    def _stripe(self, key: str) -> threading.Lock:
-        return self._stripes[zlib.crc32(key.encode()) % len(self._stripes)]
+    def stripe_of(self, key: str) -> int:
+        """The index of the stripe ``key`` belongs to."""
+        return zlib.crc32(key.encode()) % len(self._stripes)
+
+    def _stripe(self, key: str) -> _Stripe:
+        return self._stripes[self.stripe_of(key)]
 
     def _bump(self, key: str, spans=None) -> int:
         """Advance ``key``'s write version (stripe lock must be held) and
@@ -377,16 +404,6 @@ class GlobalStateStore:
         with self._meta:
             self._locks.pop(key, None)
 
-    def adopt(self, key: str, value: bytes | None, version: int) -> None:
-        """Install ``key`` as it stood in another store (resharding):
-        its value, or none for a deleted key, at write version ``version``
-        with an empty log, so versions keep counting from where they were
-        and a replica behind ``version`` is sent the whole value."""
-        with self._stripe(key):
-            if value is not None:
-                self._values[key] = bytearray(value)
-            self._versions[key] = version
-
     def exists(self, key: str) -> bool:
         """Whether ``key`` has a value."""
         return key in self._values
@@ -404,10 +421,6 @@ class GlobalStateStore:
         with self._stripe(key):
             return self._versions.get(key, 0)
 
-    def versions(self) -> dict[str, int]:
-        """Every key's write version, deleted keys included (a snapshot)."""
-        return dict(self._versions)
-
     def keys(self) -> list[str]:
         """All keys, sorted (an atomic snapshot)."""
         return sorted(self._values)
@@ -415,6 +428,40 @@ class GlobalStateStore:
     def total_bytes(self) -> int:
         """Bytes stored across all keys."""
         return sum(len(v) for v in list(self._values.values()))
+
+    # ------------------------------------------------------------------
+    # Partitions: load accounting and resharding
+    # ------------------------------------------------------------------
+    @property
+    def stripe_ops(self) -> list[int]:
+        """Operations served by each stripe since the last reshard."""
+        return [stripe.ops for stripe in self._stripes]
+
+    def stripe_sizes(self) -> list[int]:
+        """Bytes stored per stripe."""
+        sizes = [0] * len(self._stripes)
+        for key, value in list(self._values.items()):
+            sizes[self.stripe_of(key)] += len(value)
+        return sizes
+
+    def imbalance(self) -> float:
+        """max/mean stripe size (1.0 = perfectly even); empty store → 1.0."""
+        sizes = self.stripe_sizes()
+        total = sum(sizes)
+        return max(sizes) * len(sizes) / total if total else 1.0
+
+    def reshard(self, n_stripes: int) -> None:
+        """Partition the key space over ``n_stripes`` fresh stripes.
+
+        Stop-the-world: concurrent operations must be quiesced by the
+        caller (the runtime reshards between scheduling epochs) — one
+        still waiting on an old stripe's lock would no longer exclude its
+        key's new stripe. Only the stripe list changes: every value,
+        write version, write log and distributed lock stays where it is.
+        """
+        if n_stripes < 1:
+            raise ValueError("need at least one stripe")
+        self._stripes = [_Stripe() for _ in range(n_stripes)]
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -9,8 +9,8 @@ measurement substrate every layer reports into:
   cross-host context propagation over the message bus;
 * :mod:`repro.telemetry.metrics` — the labelled counter / gauge /
   histogram registry the ad-hoc counters are views over;
-* :mod:`repro.telemetry.streaming` — log-bucketed streaming histograms
-  (O(1) memory, bounded relative error, no recency bias);
+* :mod:`repro.telemetry.streaming` — the one histogram: log-bucketed and
+  streaming (O(1) memory, bounded relative error, no recency bias);
 * :mod:`repro.telemetry.profiles` — the online trace miner folding
   finished spans into persisted per-function access profiles;
 * :mod:`repro.telemetry.profiler` — the continuous guest profiler and
@@ -34,7 +34,7 @@ instrumentation site).
 from __future__ import annotations
 
 from . import export
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Counter, Gauge, MetricsRegistry
 from .profiler import ContinuousProfiler
 from .profiles import AccessProfile, ProfileStore, TraceMiner
 from .slo import SLO, SLORegistry, check_regression
@@ -112,7 +112,7 @@ class Telemetry:
             ).observe(finished.duration)
         if finished.name == "call.invoke":
             function = finished.attrs.get("function", "?")
-            self.metrics.streaming_histogram(
+            self.metrics.histogram(
                 "function.latency", function=function
             ).observe(finished.duration)
             if self.slos is not None:
@@ -124,7 +124,7 @@ class Telemetry:
         elif finished.name == "guest.exec":
             fuel = finished.attrs.get("fuel_consumed")
             if fuel is not None:
-                self.metrics.streaming_histogram(
+                self.metrics.histogram(
                     "function.fuel",
                     function=finished.attrs.get("function", "?"),
                 ).observe(fuel)
@@ -148,7 +148,6 @@ __all__ = [
     "ContinuousProfiler",
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "NOOP_SPAN",
     "ProfileStore",

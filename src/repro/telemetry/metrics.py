@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import threading
 
-from .stats import percentile, summarize
 from .streaming import StreamingHistogram
 
 
@@ -90,90 +89,6 @@ class Gauge:
         return self._value
 
 
-class Histogram:
-    """Observation distribution with exact count/sum/min/max and
-    percentiles over a bounded sample window.
-
-    Samples are kept in a ring of the most recent ``max_samples``
-    observations (count/sum/min/max stay exact over the full stream), so
-    a long-running host cannot grow unboundedly. Percentiles reuse the
-    shared :func:`repro.telemetry.stats.percentile` implementation — the
-    same one :class:`repro.sim.metrics.LatencyRecorder` uses.
-    """
-
-    __slots__ = ("_lock", "_samples", "_next", "_count", "_sum", "_min",
-                 "_max", "max_samples")
-    kind = "histogram"
-
-    def __init__(self, max_samples: int = 8192) -> None:
-        self._lock = threading.Lock()
-        self._samples: list[float] = []
-        self._next = 0
-        self._count = 0
-        self._sum = 0.0
-        self._min = float("inf")
-        self._max = float("-inf")
-        self.max_samples = max_samples
-
-    def observe(self, value: float) -> None:
-        with self._lock:
-            self._count += 1
-            self._sum += value
-            if value < self._min:
-                self._min = value
-            if value > self._max:
-                self._max = value
-            if len(self._samples) < self.max_samples:
-                self._samples.append(value)
-            else:
-                self._samples[self._next] = value
-                self._next = (self._next + 1) % self.max_samples
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def sum(self) -> float:
-        return self._sum
-
-    @property
-    def min(self) -> float:
-        return self._min if self._count else 0.0
-
-    @property
-    def max(self) -> float:
-        return self._max if self._count else 0.0
-
-    def mean(self) -> float:
-        return self._sum / self._count if self._count else 0.0
-
-    def percentile(self, pct: float) -> float:
-        with self._lock:
-            samples = list(self._samples)
-        return percentile(samples, pct)
-
-    def samples(self) -> list[float]:
-        with self._lock:
-            return list(self._samples)
-
-    def reset(self) -> None:
-        with self._lock:
-            self._samples.clear()
-            self._next = 0
-            self._count = 0
-            self._sum = 0.0
-            self._min = float("inf")
-            self._max = float("-inf")
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            samples = list(self._samples)
-            out = {"count": self._count, "sum": self._sum}
-        out.update({k: v for k, v in summarize(samples).items() if k != "count"})
-        return out
-
-
 class MetricsRegistry:
     """Thread-safe get-or-create registry of labelled metrics."""
 
@@ -182,12 +97,12 @@ class MetricsRegistry:
         self._metrics: dict[tuple, object] = {}
 
     # ------------------------------------------------------------------
-    def _get(self, cls, name: str, labels: dict, **kwargs):
+    def _get(self, cls, name: str, labels: dict):
         key = (name, _label_key(labels))
         with self._lock:
             metric = self._metrics.get(key)
             if metric is None:
-                metric = self._metrics[key] = cls(**kwargs)
+                metric = self._metrics[key] = cls()
             elif not isinstance(metric, cls):
                 raise TypeError(
                     f"metric {name!r} already registered as {metric.kind}"
@@ -200,17 +115,11 @@ class MetricsRegistry:
     def gauge(self, name: str, **labels) -> Gauge:
         return self._get(Gauge, name, labels)
 
-    def histogram(self, name: str, max_samples: int = 8192, **labels) -> Histogram:
-        return self._get(Histogram, name, labels, max_samples=max_samples)
-
-    def streaming_histogram(
-        self, name: str, growth: float | None = None, **labels
-    ) -> StreamingHistogram:
+    def histogram(self, name: str, **labels) -> StreamingHistogram:
         """A log-bucketed streaming histogram: O(1) memory, no recency
         bias, mergeable across label sets (see
         :mod:`repro.telemetry.streaming`)."""
-        kwargs = {} if growth is None else {"growth": growth}
-        return self._get(StreamingHistogram, name, labels, **kwargs)
+        return self._get(StreamingHistogram, name, labels)
 
     # ------------------------------------------------------------------
     # Read side

@@ -3,10 +3,9 @@
 :func:`render_openmetrics` serialises a
 :class:`~repro.telemetry.metrics.MetricsRegistry` in the OpenMetrics
 text format (the Prometheus exposition format's standardised successor):
-counters as ``_total`` samples, gauges verbatim, sample-window
-histograms as summaries (quantile series + ``_count``/``_sum``), and
-streaming log-bucketed histograms as real histogram types with
-cumulative ``le`` buckets — every registered series appears.
+counters as ``_total`` samples, gauges verbatim, and histograms as real
+histogram types with cumulative ``le`` buckets plus ``_count``/``_sum`` —
+every registered series appears.
 
 :class:`MetricsEndpoint` is the scrape surface: it registers a
 ``metrics`` endpoint on the cluster's
@@ -26,9 +25,6 @@ from dataclasses import dataclass
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 _LABEL_RE = re.compile(r"[^a-zA-Z0-9_]")
-
-#: Quantiles published for sample-window histograms.
-_QUANTILES = (0.5, 0.95, 0.99)
 
 
 def sanitize_name(name: str) -> str:
@@ -100,33 +96,21 @@ def render_openmetrics(registry) -> str:
                 lines.append(
                     f"{base}{_labels(labels)} {_format_number(metric.value)}"
                 )
-        else:  # histogram — streaming (le buckets) or sample-window
-            streaming = any(
-                hasattr(metric, "buckets") for _, metric in groups[name]
-            )
-            lines.append(
-                f"# TYPE {base} {'histogram' if streaming else 'summary'}"
-            )
+        else:  # histogram: cumulative le buckets
+            lines.append(f"# TYPE {base} histogram")
             for labels, metric in groups[name]:
-                if hasattr(metric, "buckets"):
-                    cumulative = 0
-                    for bound, count in metric.buckets():
-                        cumulative += count
-                        lines.append(
-                            f"{base}_bucket"
-                            f"{_labels(labels, {'le': _format_number(bound)})}"
-                            f" {cumulative}"
-                        )
+                cumulative = 0
+                for bound, count in metric.buckets():
+                    cumulative += count
                     lines.append(
-                        f"{base}_bucket{_labels(labels, {'le': '+Inf'})}"
-                        f" {metric.count}"
+                        f"{base}_bucket"
+                        f"{_labels(labels, {'le': _format_number(bound)})}"
+                        f" {cumulative}"
                     )
-                else:
-                    for q in _QUANTILES:
-                        lines.append(
-                            f"{base}{_labels(labels, {'quantile': str(q)})}"
-                            f" {_format_number(metric.percentile(q * 100))}"
-                        )
+                lines.append(
+                    f"{base}_bucket{_labels(labels, {'le': '+Inf'})}"
+                    f" {metric.count}"
+                )
                 lines.append(
                     f"{base}_count{_labels(labels)} {metric.count}"
                 )

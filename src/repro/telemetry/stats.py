@@ -1,11 +1,13 @@
 """Shared descriptive-statistics helpers for all measurement layers.
 
-One percentile implementation serves the whole codebase: the simulator's
-:class:`~repro.sim.metrics.LatencyRecorder`, the telemetry
-:class:`~repro.telemetry.metrics.Histogram`, and the span-summary
-exporters all call :func:`percentile` here, so every reported p50/p99 in
-the repo is computed identically (linear interpolation, the same method
-the paper's kernel-density latency plots assume).
+One percentile implementation serves every list of raw samples in the
+codebase: the simulator's :class:`~repro.sim.metrics.LatencyRecorder`, the
+ingestion plane's sojourn percentiles and the span-summary exporters all
+call :func:`percentile` here, so every p50/p99 computed from samples is
+computed identically (linear interpolation, the same method the paper's
+kernel-density latency plots assume). Streamed series have no samples to
+sort; :class:`~repro.telemetry.streaming.StreamingHistogram` answers those
+from its buckets.
 """
 
 from __future__ import annotations

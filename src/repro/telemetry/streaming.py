@@ -1,12 +1,10 @@
 """Streaming log-bucketed histograms (HDR-style, O(1) memory).
 
-The sample-window :class:`~repro.telemetry.metrics.Histogram` keeps the
-most recent 8192 observations, so its percentiles are recency-biased on
-long runs — fine for phase latencies over one experiment, wrong for the
-million-call SLO windows the roadmap needs. A
-:class:`StreamingHistogram` instead keeps **logarithmic buckets**: an
-observation ``v`` lands in bucket ``floor(log(v) / log(growth))``, and a
-percentile is answered by a rank walk over the bucket counts, returning
+A window of the most recent N observations gives recency-biased
+percentiles on long runs — wrong for million-call SLO windows — and cannot
+be merged across hosts. A :class:`StreamingHistogram`, the repo's one
+histogram, instead keeps **logarithmic buckets**: an observation ``v``
+lands in bucket ``floor(log(v) / log(growth))``, and a percentile is answered by a rank walk over the bucket counts, returning
 the geometric midpoint of the bucket holding that rank.
 
 Properties:
@@ -38,9 +36,7 @@ DEFAULT_GROWTH = 1.08
 class StreamingHistogram:
     """Log-bucketed observation distribution with mergeable state.
 
-    Registered through :meth:`MetricsRegistry.streaming_histogram`; its
-    ``kind`` is ``"histogram"`` so snapshots, printers and the
-    OpenMetrics exposition treat both histogram flavours uniformly.
+    Registered through :meth:`MetricsRegistry.histogram`.
     """
 
     __slots__ = ("_lock", "_pos", "_neg", "_zero", "_count", "_sum",

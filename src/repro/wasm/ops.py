@@ -160,10 +160,9 @@ UNOPS.update(
     }
 )
 
-# Vector lane kernels (i32x4/f64x2 over 16-byte v128 values). The kernels
-# live in repro.wasm.simd so the struct/numpy backends stay swappable;
-# registering them here lets both execution tiers dispatch SIMD exactly
-# like scalar operators.
+# Vector lane kernels (i32x4/f64x2 over 16-byte v128 values), defined in
+# repro.wasm.simd; registering them here lets both execution tiers dispatch
+# SIMD exactly like scalar operators.
 from .simd import SIMD_BINOPS as _SIMD_BINOPS  # noqa: E402
 from .simd import SIMD_UNOPS as _SIMD_UNOPS  # noqa: E402
 

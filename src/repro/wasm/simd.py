@@ -5,23 +5,16 @@ string — interpretation-agnostic raw bits, exactly like the spec's v128.
 Each lane-wise operator unpacks the bits under its shape (``i32x4`` or
 ``f64x2``), applies the scalar rule per lane, and repacks.
 
-Two interchangeable kernel backends are provided:
-
-* ``struct`` (default) — precompiled :class:`struct.Struct` codecs plus
-  scalar Python arithmetic. At 16-byte width this beats NumPy ~3-4x:
-  ``frombuffer``/``tobytes`` round-trip overhead dominates 2-4 lane math.
-* ``numpy`` — NumPy element-wise kernels over ``frombuffer`` views. Kept
-  both as the reference oracle for differential tests and for
-  experimentation with wider vector shapes, selectable via the
-  ``REPRO_SIMD_BACKEND`` environment variable.
-
-Both backends are bit-identical on every op (a property test pins this),
-so the choice is invisible to guests.
+The kernels are precompiled :class:`struct.Struct` codecs plus scalar
+Python arithmetic. At 16-byte width this beats NumPy ~3-4x:
+``frombuffer``/``tobytes`` round-trip overhead dominates 2-4 lane math.
+The NumPy kernels they were measured against live on as the reference in
+``tests/wasm/simd_reference.py``; a property test pins the two
+bit-identical on every op.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 from typing import Callable
 
@@ -82,7 +75,7 @@ def f64x2_lanes(value: bytes) -> tuple[float, ...]:
 
 
 # ----------------------------------------------------------------------
-# struct backend
+# Lane kernels
 # ----------------------------------------------------------------------
 
 
@@ -191,7 +184,7 @@ def _s_f64x2_replace(v: bytes, x: float, lane: int) -> bytes:
     return _F64X2.pack(*lanes)
 
 
-_STRUCT_BINOPS: dict[str, Callable] = {
+SIMD_BINOPS: dict[str, Callable] = {
     "i32x4.add": _s_i32x4_add,
     "i32x4.sub": _s_i32x4_sub,
     "i32x4.mul": _s_i32x4_mul,
@@ -204,126 +197,23 @@ _STRUCT_BINOPS: dict[str, Callable] = {
     "f64x2.max": _s_f64x2_max,
 }
 
-_STRUCT_UNOPS: dict[str, Callable] = {
+SIMD_UNOPS: dict[str, Callable] = {
     "i32x4.splat": _s_i32x4_splat,
     "f64x2.splat": _s_f64x2_splat,
     "i32x4.neg": _s_i32x4_neg,
     "f64x2.neg": _s_f64x2_neg,
 }
 
-_STRUCT_EXTRACT: dict[str, Callable] = {
+SIMD_EXTRACT_OPS: dict[str, Callable] = {
     "i32x4.extract_lane": _s_i32x4_extract,
     "f64x2.extract_lane": _s_f64x2_extract,
 }
 
-_STRUCT_REPLACE: dict[str, Callable] = {
+SIMD_REPLACE_OPS: dict[str, Callable] = {
     "i32x4.replace_lane": _s_i32x4_replace,
     "f64x2.replace_lane": _s_f64x2_replace,
 }
 
-
-# ----------------------------------------------------------------------
-# numpy backend (reference oracle; selectable with REPRO_SIMD_BACKEND)
-# ----------------------------------------------------------------------
-
-
-def _numpy_tables():
-    import numpy as np
-
-    u32 = np.dtype("<u4")
-    i32 = np.dtype("<i4")
-    f64 = np.dtype("<f8")
-
-    def _bin(dtype, fn):
-        def kernel(a, b):
-            with np.errstate(all="ignore"):
-                out = fn(np.frombuffer(a, dtype), np.frombuffer(b, dtype))
-            return out.astype(dtype, copy=False).tobytes()
-
-        return kernel
-
-    def _nan_aware(fn, picker):
-        # wasm min/max propagate NaN; numpy's minimum/maximum do too.
-        def kernel(a, b):
-            x = np.frombuffer(a, f64)
-            y = np.frombuffer(b, f64)
-            with np.errstate(all="ignore"):
-                out = picker(x, y)
-                # Spec-style signed-zero handling: min(-0, +0) == -0 etc.
-                both_zero = (x == 0) & (y == 0)
-                if both_zero.any():
-                    signs = np.signbit(x) | np.signbit(y) if fn == "min" else (
-                        np.signbit(x) & np.signbit(y)
-                    )
-                    zeros = np.where(signs, -0.0, 0.0)
-                    out = np.where(both_zero, zeros, out)
-            return out.tobytes()
-
-        return kernel
-
-    binops = {
-        "i32x4.add": _bin(u32, lambda a, b: a + b),
-        "i32x4.sub": _bin(u32, lambda a, b: a - b),
-        "i32x4.mul": _bin(u32, lambda a, b: a * b),
-        "i32x4.min_s": _bin(i32, np.minimum),
-        "i32x4.max_s": _bin(i32, np.maximum),
-        "f64x2.add": _bin(f64, lambda a, b: a + b),
-        "f64x2.sub": _bin(f64, lambda a, b: a - b),
-        "f64x2.mul": _bin(f64, lambda a, b: a * b),
-        "f64x2.min": _nan_aware("min", np.minimum),
-        "f64x2.max": _nan_aware("max", np.maximum),
-    }
-
-    def _splat(dtype, lanes):
-        def kernel(x):
-            return np.full(lanes, x, dtype).tobytes()
-
-        return kernel
-
-    unops = {
-        "i32x4.splat": lambda x: np.full(4, x & _M32, u32).tobytes(),
-        "f64x2.splat": _splat(f64, 2),
-        "i32x4.neg": lambda a: (
-            (-np.frombuffer(a, u32)).astype(u32, copy=False).tobytes()
-        ),
-        "f64x2.neg": lambda a: (-np.frombuffer(a, f64)).tobytes(),
-    }
-
-    extract = {
-        "i32x4.extract_lane": lambda v, lane: int(np.frombuffer(v, u32)[lane]),
-        "f64x2.extract_lane": lambda v, lane: float(np.frombuffer(v, f64)[lane]),
-    }
-
-    def _replace(dtype, mask=None):
-        def kernel(v, x, lane):
-            arr = np.frombuffer(v, dtype).copy()
-            arr[lane] = (x & _M32) if mask else x
-            return arr.tobytes()
-
-        return kernel
-
-    replace = {
-        "i32x4.replace_lane": _replace(u32, mask=True),
-        "f64x2.replace_lane": _replace(f64),
-    }
-    return binops, unops, extract, replace
-
-
-def make_tables(backend: str = "struct"):
-    """Return ``(binops, unops, extract, replace)`` kernel tables."""
-    if backend == "struct":
-        return _STRUCT_BINOPS, _STRUCT_UNOPS, _STRUCT_EXTRACT, _STRUCT_REPLACE
-    if backend == "numpy":
-        try:
-            return _numpy_tables()
-        except ImportError:  # pragma: no cover - numpy is baked into the image
-            return _STRUCT_BINOPS, _STRUCT_UNOPS, _STRUCT_EXTRACT, _STRUCT_REPLACE
-    raise ValueError(f"unknown SIMD backend {backend!r}")
-
-
-SIMD_BINOPS, SIMD_UNOPS, SIMD_EXTRACT_OPS, SIMD_REPLACE_OPS = make_tables(
-    os.environ.get("REPRO_SIMD_BACKEND", "struct")
-)
 
 #: Every SIMD mnemonic, including the memory and const forms handled
 #: elsewhere — used for profile roll-ups and the simd.ops metric.
@@ -349,6 +239,5 @@ __all__ = [
     "f64x2_lanes",
     "i32x4",
     "i32x4_lanes",
-    "make_tables",
     "v128_to_int",
 ]

@@ -3,10 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.faaslet import Faaslet, FunctionDefinition, ProtoFaaslet, SharedRegion
+from repro.faaslet import (
+    Faaslet,
+    FunctionDefinition,
+    ProtoFaaslet,
+    SharedRegion,
+    SnapshotManifest,
+)
 from repro.host import StandaloneEnvironment
 from repro.minilang import build
 from repro.state import VectorAsync
+from tests.conftest import ship_snapshot
 
 
 def define(source, name="fn", **kwargs):
@@ -355,29 +362,32 @@ class TestProtoFaaslet:
         env_host1 = StandaloneEnvironment(host="host-1")
         definition = define(self.INIT_SRC, "portable")
         proto = ProtoFaaslet.capture(definition, env_host1, init="init")
-        wire = proto.to_bytes()
         # "Ship" to another host and restore there (§5.2: OS-independent).
         env_host2 = StandaloneEnvironment(host="host-2")
-        remote_proto = ProtoFaaslet.from_bytes(definition, wire)
+        remote_proto, _ = ship_snapshot(definition, proto)
+        assert remote_proto is not proto
         restored = remote_proto.restore(env_host2)
         assert restored.call()[0] == 1
 
     def test_from_bytes_rejects_foreign_and_truncated_buffers(self):
         definition = define(self.INIT_SRC, "portable")
-        wire = ProtoFaaslet.capture(
+        manifest = ProtoFaaslet.capture(
             definition, StandaloneEnvironment(), init="init"
-        ).to_bytes()
-        assert wire[:4] == b"PF02"
+        ).manifest()
+        wire = manifest.to_bytes()
+        assert wire[:4] == b"FMAN"
+        assert SnapshotManifest.from_bytes(wire) == manifest
         for bad in (
             b"",
-            b"PF0",
-            b"PF01" + wire[4:],  # some other magic
+            b"FMA",
+            b"PF02" + wire[4:],  # some other magic
+            wire[:4] + b"\x02" + wire[5:],  # a format this reader predates
             wire[4:],  # headerless
-            wire[:20],  # header only
-            wire[:-1],  # one byte short of the last page
+            wire[:24],  # header only
+            wire[:-1],  # one byte short of the table blob
         ):
             with pytest.raises(ValueError):
-                ProtoFaaslet.from_bytes(definition, bad)
+                SnapshotManifest.from_bytes(bad)
 
     def test_snapshot_rejects_mapped_regions(self):
         env = StandaloneEnvironment()

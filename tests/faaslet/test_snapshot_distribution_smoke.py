@@ -4,8 +4,8 @@ The full benchmark (``benchmarks/bench_snapshot_distribution.py``)
 measures delta pulls on 64-page snapshots; this smoke test is its fast
 tier-1 proxy: a one-page version bump on a 16-page snapshot must still
 ship at least the bytes-saved floor stored in
-``benchmarks/results/snapshot_distribution.json`` fewer bytes than the
-monolithic wire form, and a fully-resident restore must ship nothing in
+``benchmarks/results/snapshot_distribution.json`` fewer bytes than
+shipping every non-zero page, and a fully-resident restore must ship nothing in
 exactly one metadata round trip. Both metrics are deterministic byte/trip
 counts, not timings, so the guard is machine-independent — it catches
 regressions that silently fall back to full-snapshot transfers (lost
@@ -16,8 +16,6 @@ Run just this guard with ``python benchmarks/bench_snapshot_distribution.py
 --smoke`` or ``pytest -m smoke``.
 """
 
-import json
-import pathlib
 import struct
 
 import pytest
@@ -30,28 +28,12 @@ from repro.faaslet import (
 )
 from repro.minilang import build
 from repro.wasm.types import PAGE_SIZE
-
-_RESULTS = (
-    pathlib.Path(__file__).parents[2]
-    / "benchmarks"
-    / "results"
-    / "snapshot_distribution.json"
-)
+from tests.conftest import stored_floor
 
 #: Used when the results file is missing (fresh checkout, no bench run).
 _DEFAULT_FLOOR = 10.0
 
 _N_PAGES = 16
-
-
-def _stored_floor() -> float:
-    if not _RESULTS.exists():
-        return _DEFAULT_FLOOR
-    rows = json.loads(_RESULTS.read_text())
-    for row in rows:
-        if "smoke_floor" in row:
-            return float(row["smoke_floor"])
-    return _DEFAULT_FLOOR
 
 
 def _pages(seed_of_page):
@@ -82,7 +64,9 @@ def test_delta_pull_bytes_saved_floor():
     v2 = ProtoFaaslet(
         defn, _pages(lambda i: 2 if i == 0 else 1), [("i32", True, 0)], None
     )
-    full_bytes = len(v2.to_bytes())
+    # The monolithic transfer: every non-zero page, whatever the host holds.
+    manifest = v2.manifest()
+    full_bytes = (manifest.n_pages - manifest.zero_pages) * PAGE_SIZE
     repo.publish("smoke-snap", v2)
     before = cache.stats()
     assert cache.get_proto(defn).version == 2
@@ -91,7 +75,7 @@ def test_delta_pull_bytes_saved_floor():
     # Semantics first: the guard is meaningless if the pull is wrong.
     assert shipped == PAGE_SIZE, "delta must be exactly the changed page"
     ratio = full_bytes / shipped
-    floor = _stored_floor()
+    floor = stored_floor("snapshot_distribution", _DEFAULT_FLOOR)
     assert ratio >= floor, (
         f"delta pull saved only {ratio:.1f}x bytes, below the stored "
         f"floor {floor}x ({shipped} of {full_bytes} bytes shipped)"

@@ -6,6 +6,9 @@ from hypothesis import given, settings, strategies as st
 from repro.faaslet import Faaslet, FunctionDefinition, ProtoFaaslet
 from repro.host import StandaloneEnvironment
 from repro.minilang import build
+from repro.wasm.memory import ZERO_DIGEST
+from repro.wasm.types import PAGE_SIZE
+from tests.conftest import ship_snapshot
 
 STATEFUL_SRC = """
 global int a = 0;
@@ -38,13 +41,13 @@ def definition():
 )
 @settings(max_examples=40, deadline=None)
 def test_serialised_snapshot_preserves_all_state(definition, x, y, z):
-    """to_bytes/from_bytes round-trips globals of every type and memory."""
+    """Manifest + pages round-trips globals of every type and memory."""
     env = StandaloneEnvironment()
     source = Faaslet(definition, env)
     source.invoke_export("setup", x, y, z)
     proto = ProtoFaaslet.capture_from(source)
 
-    remote = ProtoFaaslet.from_bytes(definition, proto.to_bytes())
+    remote, _ = ship_snapshot(definition, proto, host="other")
     restored = remote.restore(StandaloneEnvironment(host="other"))
     assert restored.invoke_export("geta") == x
     assert restored.invoke_export("getb") == y
@@ -52,20 +55,19 @@ def test_serialised_snapshot_preserves_all_state(definition, x, y, z):
 
 
 def test_serialised_size_tracks_nonzero_pages(definition):
-    """The v2 wire format ships only non-zero pages (zero-page elision)."""
-    from repro.wasm.memory import ZERO_DIGEST
-
+    """A cold host is shipped only the non-zero unique pages (zero-page
+    elision); the manifest that describes them stays far below one page."""
     env = StandaloneEnvironment()
     source = Faaslet(definition, env)
     source.invoke_export("setup", 7, 7, 7.0)  # dirty real data pages
     proto = ProtoFaaslet.capture_from(source)
-    wire = proto.to_bytes()
-    present = sum(1 for d in proto.page_digests if d != ZERO_DIGEST)
+    present = len({d for d in proto.page_digests if d != ZERO_DIGEST})
     assert present >= 1
-    assert present * 64 * 1024 <= len(wire) < (present + 1) * 64 * 1024
-    assert proto.size_bytes == len(proto.frozen_pages) * 64 * 1024
+    remote, cache = ship_snapshot(definition, proto)
+    assert cache.stats()["bytes_shipped"] == present * PAGE_SIZE
+    assert len(proto.manifest().to_bytes()) < PAGE_SIZE
+    assert proto.size_bytes == len(proto.frozen_pages) * PAGE_SIZE
     # A restore of the wire form still reports the full memory size.
-    remote = ProtoFaaslet.from_bytes(definition, wire)
     assert remote.size_bytes == proto.size_bytes
     assert remote.page_digests == proto.page_digests
 
@@ -95,6 +97,10 @@ def test_snapshot_of_grown_memory():
     proto = ProtoFaaslet.capture(definition, env, init="init")
     assert len(proto.frozen_pages) > 1
     assert proto.restore(env).call()[0] == 7
+    # ... and every grown page reaches a second host.
+    remote, _ = ship_snapshot(definition, proto)
+    assert len(remote.frozen_pages) == len(proto.frozen_pages)
+    assert remote.restore(StandaloneEnvironment(host="host-2")).call()[0] == 7
 
 
 def test_capture_with_python_init_callable():

@@ -20,8 +20,6 @@ Run just this guard with ``python benchmarks/bench_simd_threads.py
 --smoke`` or ``pytest -m smoke``.
 """
 
-import json
-import pathlib
 import time
 
 import pytest
@@ -30,13 +28,7 @@ from repro.faaslet import Faaslet, FunctionDefinition
 from repro.host import StandaloneEnvironment
 from repro.minilang import build
 from repro.wasm import instantiate
-
-_RESULTS = (
-    pathlib.Path(__file__).parents[2]
-    / "benchmarks"
-    / "results"
-    / "simd_threads.json"
-)
+from tests.conftest import stored_floor
 
 #: Used when the results file is missing (fresh checkout, no bench run).
 _DEFAULT_FLOORS = {
@@ -87,11 +79,10 @@ export int main(int n) {
 
 
 def _stored_floors() -> dict[str, float]:
-    floors = dict(_DEFAULT_FLOORS)
-    if _RESULTS.exists():
-        for row in json.loads(_RESULTS.read_text()):
-            floors.update((k, float(row[k])) for k in floors if k in row)
-    return floors
+    return {
+        key: stored_floor("simd_threads", default, key)
+        for key, default in _DEFAULT_FLOORS.items()
+    }
 
 
 @pytest.mark.smoke

@@ -13,21 +13,13 @@ Run via ``python benchmarks/bench_ingestion.py --smoke`` (full probe) or
 ``pytest -m smoke`` (this guard).
 """
 
-import json
-import pathlib
 import time
 
 import pytest
 
 from repro.runtime import FaasmCluster
 from repro.runtime.ingest import IngestionConfig
-
-_RESULTS = (
-    pathlib.Path(__file__).parents[2]
-    / "benchmarks"
-    / "results"
-    / "ingestion.json"
-)
+from tests.conftest import stored_floor
 
 #: Used when the results file is missing (fresh checkout, no bench run).
 #: Deliberately loose: even a slow machine batches thousands of echo
@@ -42,16 +34,6 @@ _CHUNK = 500
 def _echo(ctx):
     ctx.write_output(ctx.input())
     return 0
-
-
-def _stored_floor() -> float:
-    if not _RESULTS.exists():
-        return _DEFAULT_FLOOR
-    rows = json.loads(_RESULTS.read_text())
-    for row in rows:
-        if "smoke_floor" in row:
-            return float(row["smoke_floor"])
-    return _DEFAULT_FLOOR
 
 
 @pytest.mark.smoke
@@ -79,7 +61,7 @@ def test_batched_ingestion_throughput_floor():
     finally:
         cluster.shutdown()
     calls_per_s = _CALLS / elapsed
-    floor = _stored_floor()
+    floor = stored_floor("ingestion", _DEFAULT_FLOOR)
     assert calls_per_s >= floor * 0.95, (
         f"batched ingestion throughput {calls_per_s:.1f} calls/s fell more "
         f"than 5% below the stored floor {floor} calls/s"

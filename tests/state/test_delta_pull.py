@@ -31,14 +31,13 @@ from repro.state.kv import (
     StateUnavailableError,
 )
 from repro.state.local import LocalTier
-from repro.state.sharded import ShardedStateStore
 
 KEY = "delta/key"
 _MAX = 96  # small value => dense span collisions
 
 
-class _RacingStore(ShardedStateStore):
-    """A sharded store whose reads can be raced: ``racer`` runs after the
+class _RacingStore(GlobalStateStore):
+    """A store whose reads can be raced: ``racer`` runs after the
     request arrived and before any byte is copied, which is where a guest
     store into a mapped page lands when it races a pull."""
 
@@ -61,7 +60,7 @@ class _RacingStore(ShardedStateStore):
 class DeltaPullMachine(stateful.RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.store = _RacingStore(n_shards=2)
+        self.store = _RacingStore(n_stripes=2)
         self.store.set_value(KEY, bytes(64))
         self.tiers = [
             LocalTier(f"host-{i}", StateClient(self.store)) for i in range(3)
@@ -177,10 +176,10 @@ class DeltaPullMachine(stateful.RuleBasedStateMachine):
         self.store.set_value(KEY, bytes([fill]) * size)
         self._mutated()
 
-    @stateful.rule(n_shards=st.integers(1, 4))
-    def reshard(self, n_shards):
+    @stateful.rule(n_stripes=st.integers(1, 4))
+    def reshard(self, n_stripes):
         value = self.store.get_value(KEY)
-        self.store.reshard(n_shards)
+        self.store.reshard(n_stripes)
         assert self.store.get_value(KEY) == value
         assert self.store.version(KEY) == self.version
 
@@ -383,7 +382,7 @@ def test_stripe_outage_mid_delta_pull_claims_nothing():
 
 
 def test_versions_survive_reshard_and_delete_recreate():
-    store = ShardedStateStore(n_shards=2)
+    store = GlobalStateStore(n_stripes=2)
     store.set_value(KEY, b"\x11" * SIZE)
     tier = LocalTier("host-0", StateClient(store))
     other = LocalTier("host-1", StateClient(store))
@@ -397,12 +396,11 @@ def test_versions_survive_reshard_and_delete_recreate():
     store.reshard(5)
     assert store.version(KEY) == version
     assert store.version("gone") == gone and not store.exists("gone")
-    # One write behind with the log gone: the whole value, not a guess.
-    assert _pulled(tier)[0] == SIZE
+    # One write behind: the write log survived too, so still a delta.
+    assert _pulled(tier) == (SPAN + SPAN_DESCRIPTOR_BYTES, 1)
     assert _in_sync(store, tier)
-    # Level with the carried version: an exact, empty delta.
+    # Level with the store: an exact, empty delta.
     assert _pulled(other) == (0, 1)
-    # The log restarts from the carried version.
     _write_and_push(other, 2, 0x22)
     assert store.version(KEY) == version + 1
     assert _pulled(tier) == (SPAN + SPAN_DESCRIPTOR_BYTES, 1)

@@ -13,32 +13,14 @@ Run just this guard with ``python benchmarks/bench_state_plane.py
 --smoke`` or ``pytest -m smoke``.
 """
 
-import json
-import pathlib
 
 import pytest
 
 from repro.state import GlobalStateStore, LocalTier, StateClient
-
-_RESULTS = (
-    pathlib.Path(__file__).parents[2]
-    / "benchmarks"
-    / "results"
-    / "state_plane.json"
-)
+from tests.conftest import stored_floor
 
 #: Used when the results file is missing (fresh checkout, no bench run).
 _DEFAULT_FLOOR = 10.0
-
-
-def _stored_floor() -> float:
-    if not _RESULTS.exists():
-        return _DEFAULT_FLOOR
-    rows = json.loads(_RESULTS.read_text())
-    for row in rows:
-        if "smoke_floor" in row:
-            return float(row["smoke_floor"])
-    return _DEFAULT_FLOOR
 
 
 @pytest.mark.smoke
@@ -65,7 +47,7 @@ def test_sparse_push_bytes_saved_floor():
     assert meter.round_trips == 1, "dirty spans must batch into one trip"
 
     ratio = size / meter.sent_bytes
-    floor = _stored_floor()
+    floor = stored_floor("state_plane", _DEFAULT_FLOOR)
     assert ratio >= floor, (
         f"sparse push saved only {ratio:.1f}x bytes, below the stored "
         f"floor {floor}x ({meter.sent_bytes} of {size} bytes shipped)"

@@ -5,9 +5,9 @@ import pytest
 
 from repro.runtime.bus import ExecuteBatch, MessageBus
 from repro.state.kv import GlobalStateStore, StateClient, TransferMeter
-from repro.telemetry import MetricsRegistry, percentile
-from repro.telemetry.metrics import Histogram
+from repro.telemetry import MetricsRegistry, StreamingHistogram, percentile
 from repro.telemetry.stats import percentile as stats_percentile
+from repro.telemetry.streaming import DEFAULT_GROWTH
 
 
 def test_counter_and_gauge_basics():
@@ -52,27 +52,38 @@ def test_kind_conflict_rejected():
 
 
 def test_histogram_exact_totals_with_bounded_window():
-    h = Histogram(max_samples=8)
-    for i in range(20):
-        h.observe(float(i))
+    reg = MetricsRegistry()
+    h = reg.histogram("h", host="a")
+    assert type(h) is StreamingHistogram
+    for i in range(20_000):
+        h.observe(float(i % 20))
     # Exact over the full stream...
-    assert h.count == 20
-    assert h.sum == sum(range(20))
+    assert h.count == 20_000
+    assert h.sum == 1000 * sum(range(20))
     assert h.min == 0.0
     assert h.max == 19.0
-    # ...while the percentile window holds only the most recent samples.
-    assert len(h.samples()) == 8
-    assert min(h.samples()) == 12.0
+    # ...in memory bounded by the value range, not the observation count.
+    assert h.bucket_count() <= 20
+    # Per-label series fold into one distribution.
+    other = reg.histogram("h", host="b")
+    other.observe(50.0)
+    total = StreamingHistogram()
+    total.merge(h)
+    total.merge(other)
+    assert total.count == 20_001 and total.max == 50.0
 
 
 def test_histogram_percentile_uses_shared_implementation():
-    h = Histogram()
+    h = MetricsRegistry().histogram("h")
     values = [1.0, 2.0, 3.0, 4.0, 5.0]
     for v in values:
         h.observe(v)
-    assert h.percentile(50) == stats_percentile(values, 50)
-    # One percentile implementation serves the whole repo: sim.metrics
-    # re-exports the telemetry one.
+    # Within the bucket error of the exact (sample-list) percentile.
+    for pct in (0, 25, 50, 75, 100):  # ranks that name one sample each
+        exact = stats_percentile(values, pct)
+        assert abs(h.percentile(pct) - exact) <= exact * (DEFAULT_GROWTH - 1)
+    # One sample-list percentile implementation serves the whole repo:
+    # sim.metrics re-exports the telemetry one.
     from repro.sim.metrics import percentile as sim_percentile
 
     assert sim_percentile is stats_percentile
@@ -88,7 +99,7 @@ def test_snapshot_structure():
     assert snap["counters"] == {"c{host=a}": 2}
     assert snap["gauges"] == {"g": 1.5}
     hist = snap["histograms"]["h"]
-    assert hist["count"] == 1 and hist["p50"] == 0.25
+    assert hist["count"] == 1 and hist["p50"] == 0.25  # clamped to [min, max]
 
 
 # ----------------------------------------------------------------------

@@ -25,12 +25,12 @@ def _full_registry():
     registry.counter("calls.total", host="h0").inc(3)
     registry.counter("calls.total", host="h1").inc(2)
     registry.gauge("pool.size").set(7)
-    window = registry.histogram("span.latency", span="call.invoke")
+    spans = registry.histogram("span.latency", span="call.invoke")
     for v in (0.1, 0.2, 0.3):
-        window.observe(v)
-    streaming = registry.streaming_histogram("function.latency", function="f")
+        spans.observe(v)
+    latency = registry.histogram("function.latency", function="f")
     for v in (0.01, 0.02, 5.0):
-        streaming.observe(v)
+        latency.observe(v)
     return registry
 
 
@@ -61,7 +61,7 @@ def test_exposition_parses_line_by_line():
         if line.startswith("# TYPE"):
             assert re.fullmatch(
                 r"# TYPE [a-zA-Z_:][a-zA-Z0-9_:]* "
-                r"(counter|gauge|histogram|summary)", line,
+                r"(counter|gauge|histogram)", line,
             )
         else:
             assert _SAMPLE_RE.match(line), line
@@ -88,11 +88,12 @@ def test_streaming_histogram_buckets_are_cumulative():
     assert 'function_latency_count{function="f"} 3' in body
 
 
-def test_sample_window_histogram_exposes_quantiles():
+def test_span_histogram_exposes_le_buckets():
     body = render_openmetrics(_full_registry())
-    assert "# TYPE span_latency summary" in body
-    for q in ("0.5", "0.95", "0.99"):
-        assert f'quantile="{q}"' in body
+    assert "# TYPE span_latency histogram" in body
+    assert 'span_latency_bucket{le="+Inf",span="call.invoke"} 3' in body
+    assert 'span_latency_count{span="call.invoke"} 3' in body
+    assert "summary" not in body and "quantile=" not in body
 
 
 def test_bus_endpoint_round_trip():

@@ -12,8 +12,6 @@ Run via ``python benchmarks/bench_telemetry_overhead.py --smoke`` or
 ``pytest -m smoke``.
 """
 
-import json
-import pathlib
 import time
 
 import pytest
@@ -22,13 +20,7 @@ from repro.apps.kernels import KERNELS
 from repro.runtime import FaasmCluster
 from repro.telemetry import span
 from repro.telemetry.trace import NOOP_SPAN
-
-_RESULTS = (
-    pathlib.Path(__file__).parents[2]
-    / "benchmarks"
-    / "results"
-    / "telemetry_overhead.json"
-)
+from tests.conftest import stored_floor
 
 #: Used when the results file is missing (fresh checkout, no bench run).
 _DEFAULT_FLOOR = 5.0
@@ -37,16 +29,6 @@ _KERNEL_SRC = (
     KERNELS["jacobi-1d"].source
     + "\nexport int main() { float r = kernel(48); return 0; }\n"
 )
-
-
-def _stored_floor() -> float:
-    if not _RESULTS.exists():
-        return _DEFAULT_FLOOR
-    rows = json.loads(_RESULTS.read_text())
-    for row in rows:
-        if "smoke_floor" in row:
-            return float(row["smoke_floor"])
-    return _DEFAULT_FLOOR
 
 
 @pytest.mark.smoke
@@ -68,7 +50,7 @@ def test_tracing_off_throughput_floor():
     finally:
         cluster.shutdown()
     calls_per_s = calls / elapsed
-    floor = _stored_floor()
+    floor = stored_floor("telemetry_overhead", _DEFAULT_FLOOR)
     assert calls_per_s >= floor * 0.95, (
         f"tracing-off throughput {calls_per_s:.1f} calls/s fell more than "
         f"5% below the stored floor {floor} calls/s "

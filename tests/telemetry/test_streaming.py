@@ -136,11 +136,11 @@ def test_serialisation_round_trip_is_exact():
 
 def test_registry_integration():
     registry = MetricsRegistry()
-    hist = registry.streaming_histogram("function.latency", function="f")
-    assert registry.streaming_histogram("function.latency", function="f") is hist
+    hist = registry.histogram("function.latency", function="f")
+    assert registry.histogram("function.latency", function="f") is hist
     assert hist.kind == "histogram"
     hist.observe(1.0)
-    other = registry.streaming_histogram("function.latency", function="g")
+    other = registry.histogram("function.latency", function="g")
     other.observe(2.0)
     other.observe(3.0)
     # aggregate() sums observation counts across label sets.

@@ -2,8 +2,8 @@
 
 Every v128 lane op and every atomic op runs on both execution tiers and
 must be observationally identical — results, traps, final memory, fuel
-and instruction counts. The struct and numpy SIMD backends are also
-cross-checked against each other on random lane bytes.
+and instruction counts. The struct SIMD kernels are also cross-checked
+against the NumPy reference kernels on random lane bytes.
 """
 
 import struct
@@ -28,7 +28,13 @@ from repro.wasm.instructions import (
     ATOMIC_RMW_OPS,
     SIMD_LANE_IMM_OPS,
 )
-from repro.wasm.simd import SIMD_BINOPS, SIMD_UNOPS, make_tables
+from repro.wasm.simd import (
+    SIMD_BINOPS,
+    SIMD_EXTRACT_OPS,
+    SIMD_REPLACE_OPS,
+    SIMD_UNOPS,
+)
+from tests.wasm import simd_reference
 
 TIERS = ("interp", "compiled")
 
@@ -333,16 +339,28 @@ def test_fuel_sweep_over_simd_atomic_program():
 
 
 # ----------------------------------------------------------------------
-# Backend agreement (struct vs numpy kernels)
+# Kernel agreement (struct kernels vs the NumPy reference)
 # ----------------------------------------------------------------------
 
-_NP_BINOPS, _NP_UNOPS, _NP_EXTRACT, _NP_REPLACE = make_tables("numpy")
+
+def test_reference_covers_every_kernel():
+    """Same mnemonics on both sides, and the two tables share no kernel —
+    the comparison below can never be a table against itself."""
+    for ours, reference in (
+        (SIMD_BINOPS, simd_reference.BINOPS),
+        (SIMD_UNOPS, simd_reference.UNOPS),
+        (SIMD_EXTRACT_OPS, simd_reference.EXTRACT_OPS),
+        (SIMD_REPLACE_OPS, simd_reference.REPLACE_OPS),
+    ):
+        assert set(ours) == set(reference)
+        assert not set(ours.values()) & set(reference.values())
+
 
 _v128_bytes = st.binary(min_size=16, max_size=16)
 
 
 def _canon_bytes(v: bytes) -> bytes:
-    """Collapse NaN payloads so backends only need semantic agreement."""
+    """Collapse NaN payloads so kernels only need semantic agreement."""
     lanes = []
     for x in struct.unpack("<2d", v):
         lanes.append(float("nan") if x != x else x)
@@ -355,7 +373,7 @@ def test_simd_backends_agree_on_binops(a, b):
     a, b = canon_v128(a), canon_v128(b)
     for op, kernel in SIMD_BINOPS.items():
         got = kernel(a, b)
-        want = _NP_BINOPS[op](a, b)
+        want = simd_reference.BINOPS[op](a, b)
         if got != want and op.startswith("f64x2"):
             got, want = _canon_bytes(got), _canon_bytes(want)
         assert got == want, op
@@ -365,17 +383,13 @@ def test_simd_backends_agree_on_binops(a, b):
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_simd_backends_agree_on_lane_ops(v):
     v = canon_v128(v)
-    for op, kernel in {**_NP_EXTRACT}.items():
-        from repro.wasm.simd import SIMD_EXTRACT_OPS
-
+    for op, kernel in simd_reference.EXTRACT_OPS.items():
         lanes = SIMD_LANE_IMM_OPS[op]
         for lane in range(lanes):
             got = SIMD_EXTRACT_OPS[op](v, lane)
             want = kernel(v, lane)
             assert got == want or (got != got and want != want), op
-    for op, kernel in _NP_REPLACE.items():
-        from repro.wasm.simd import SIMD_REPLACE_OPS
-
+    for op, kernel in simd_reference.REPLACE_OPS.items():
         lanes = SIMD_LANE_IMM_OPS[op]
         value = 123 if op.startswith("i32x4") else -7.5
         for lane in range(lanes):
@@ -386,7 +400,7 @@ def test_simd_backends_agree_on_lane_ops(v):
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_simd_backends_agree_on_splat_neg(x, f):
     for op, arg in (("i32x4.splat", x), ("f64x2.splat", f)):
-        assert SIMD_UNOPS[op](arg) == _NP_UNOPS[op](arg), op
+        assert SIMD_UNOPS[op](arg) == simd_reference.UNOPS[op](arg), op
     vi, vf = SIMD_UNOPS["i32x4.splat"](x), SIMD_UNOPS["f64x2.splat"](f)
-    assert SIMD_UNOPS["i32x4.neg"](vi) == _NP_UNOPS["i32x4.neg"](vi)
-    assert SIMD_UNOPS["f64x2.neg"](vf) == _NP_UNOPS["f64x2.neg"](vf)
+    assert SIMD_UNOPS["i32x4.neg"](vi) == simd_reference.UNOPS["i32x4.neg"](vi)
+    assert SIMD_UNOPS["f64x2.neg"](vf) == simd_reference.UNOPS["f64x2.neg"](vf)

@@ -14,21 +14,13 @@ Run just this guard with ``python benchmarks/bench_vm_throughput.py
 --smoke`` or ``pytest -m smoke``.
 """
 
-import json
-import pathlib
 import time
 
 import pytest
 
 from repro.minilang import build
 from repro.wasm import instantiate
-
-_RESULTS = (
-    pathlib.Path(__file__).parents[2]
-    / "benchmarks"
-    / "results"
-    / "vm_throughput_tiered.json"
-)
+from tests.conftest import stored_floor
 
 #: Used when the results file is missing (fresh checkout, no bench run).
 _DEFAULT_FLOOR = 2.0
@@ -51,16 +43,6 @@ export float kernel(int n) {
 """
 
 
-def _stored_floor() -> float:
-    if not _RESULTS.exists():
-        return _DEFAULT_FLOOR
-    rows = json.loads(_RESULTS.read_text())
-    for row in rows:
-        if "smoke_floor" in row:
-            return float(row["smoke_floor"])
-    return _DEFAULT_FLOOR
-
-
 def _time_tier(module, tier: str, n: int) -> tuple[float, int, float]:
     inst = instantiate(module, tier=tier)
     inst.invoke("kernel", 8)  # warm-up: lazy compilation, allocator paths
@@ -81,7 +63,7 @@ def test_compiled_tier_speedup_floor():
     assert r_compiled == r_interp
     assert instrs_c == instrs_i
     speedup = t_interp / t_compiled
-    floor = _stored_floor()
+    floor = stored_floor("vm_throughput_tiered", _DEFAULT_FLOOR)
     assert speedup >= floor, (
         f"compiled tier speedup {speedup:.2f}x fell below the stored "
         f"floor {floor}x (interp {t_interp * 1e3:.1f} ms, "
