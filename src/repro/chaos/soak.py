@@ -20,8 +20,6 @@ from repro.runtime.calls import CallStatus
 from repro.runtime.cluster import FaasmCluster
 from repro.runtime.monitor import RetryPolicy
 from repro.state.kv import StateKeyError, StateUnavailableError
-from repro.state.prefetch import DeliveryPolicy
-from repro.telemetry import Telemetry
 
 from .plan import ChaosPlan, CrashSpec, StripeOutage
 
@@ -87,9 +85,9 @@ def chaos_target(ctx):
     idx = ctx.input().decode() or "0"
     try:
         # Shared hot read (seeded by run_soak when present): the stable
-        # access every call makes, which profile mining turns into the
-        # prefetcher's hot range. Reading it is optional — plain soaks
-        # that never seeded the key just skip it.
+        # access every call makes, and so part of the canonical fault
+        # log. Reading it is optional — a cluster that never seeded the
+        # key just skips it.
         ctx.state.get_state_offset("chaos/config", 0, 64, mark_dirty=False)
     except StateKeyError:
         pass
@@ -146,18 +144,9 @@ def run_soak(
     n_outages: int = 1,
     timeout: float = 20.0,
     plan: ChaosPlan | None = None,
-    delivery: DeliveryPolicy | None = None,
-    warmup: int = 0,
     ingest: bool = False,
 ) -> SoakReport:
     """Run a full seeded soak and report every call's fate.
-
-    With ``delivery`` enabled and ``warmup > 0``, the soak first runs a
-    fault-free warm-up batch with profile mining on and persists the mined
-    profiles, so the main (faulted) batch exercises the prefetcher for
-    real: every dispatch races a speculative pull of ``chaos/config``
-    against the chaos plan. Warm-up calls are excluded from the report —
-    the invariant and the canonical fault log cover the main batch only.
 
     With ``ingest=True`` the calls enter through the ingestion plane
     (admission + batched dispatch + ``ExecuteBatch`` pool execution,
@@ -170,12 +159,8 @@ def run_soak(
         seed, calls=calls, drop_rate=drop_rate,
         n_crashes=n_crashes, n_outages=n_outages,
     )
-    telemetry = None
-    if delivery is not None and delivery.enabled and warmup > 0:
-        telemetry = Telemetry(enabled=True, mine_profiles=True)
     cluster = FaasmCluster(
-        n_hosts=hosts, chaos=plan, retry_policy=SOAK_RETRY_POLICY,
-        delivery=delivery, telemetry=telemetry,
+        n_hosts=hosts, chaos=plan, retry_policy=SOAK_RETRY_POLICY
     )
     start = time.monotonic()
     try:
@@ -186,22 +171,11 @@ def run_soak(
             cluster.global_state.set_value("chaos/config", b"\x07" * 64)
         except StateUnavailableError:
             pass
-        if telemetry is not None:
-            warm_ids = [
-                cluster.dispatch("chaos-target", str(calls + i).encode())
-                for i in range(warmup)
-            ]
-            warm_deadline = time.monotonic() + timeout
-            for warm_id in warm_ids:
-                cluster.calls.get(warm_id).done.wait(
-                    max(0.0, warm_deadline - time.monotonic())
-                )
-            cluster.persist_profiles()
         if ingest:
             from repro.runtime.ingest import IngestionConfig
 
             cluster.ingestion(
-                IngestionConfig(default_queue_limit=calls + warmup + 16)
+                IngestionConfig(default_queue_limit=calls + 16)
             )
             ids = []
             for i in range(calls):

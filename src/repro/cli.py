@@ -24,7 +24,8 @@ Commands::
     metrics <file.ml|file.wat|file.obj> [--entry NAME] [--arg N ...]
         [--json]
         Run the guest and dump the metrics registry (span latency
-        histograms, code-cache counters) as a table or JSON.
+        histograms, code-cache counters, the state tier's delta-pull
+        counters) as a table or JSON.
 
     disasm <file.ml|file.wat|file.obj>
         Print the module's text-format disassembly.
@@ -71,8 +72,9 @@ Commands::
 
     report [--hosts N] [--calls N] [--html] [--out FILE]
         Drive the demo workload and emit a cluster report (markdown, or
-        HTML with ``--html``): aggregate counters, SLO compliance table,
-        and every persisted access profile.
+        HTML with ``--html``): aggregate counters (the state tier's
+        delta-pull counters among them), SLO compliance table, and every
+        persisted access profile.
 """
 
 from __future__ import annotations
@@ -251,6 +253,21 @@ def cmd_trace(args) -> int:
     return code
 
 
+def _pull_counters(tiers) -> dict[str, int]:
+    """The local tiers' ``pull_stats()`` summed into metric series: delta
+    pulls, the bytes they did not move, whole-value fall-backs by cause."""
+    from collections import Counter
+
+    counters: Counter = Counter()
+    for tier in tiers:
+        stats = tier.pull_stats()
+        counters["state.delta_pulls"] += stats["delta_pulls"]
+        counters["state.bytes_saved"] += stats["bytes_saved"]
+        for cause, count in stats["full_fallbacks"].items():
+            counters[f"state.full_fallbacks{{cause={cause}}}"] += count
+    return counters
+
+
 def cmd_metrics(args) -> int:
     """``repro metrics``: run a guest and dump the metrics registry."""
     import json
@@ -262,9 +279,10 @@ def cmd_metrics(args) -> int:
 
     definition = _make_definition(args)
     telemetry = Telemetry(enabled=True)
+    environment = StandaloneEnvironment()
     with telemetry.tracer.trace("cli.run", host="local", file=args.file):
         faaslet = Faaslet(
-            definition, StandaloneEnvironment(),
+            definition, environment,
             tier=None if args.profile else args.tier,
             profile=bool(args.profile),
         )
@@ -281,6 +299,7 @@ def cmd_metrics(args) -> int:
     # registry; fold them in so one dump covers the run.
     for kind, series in GLOBAL_CODE_CACHE.metrics.snapshot().items():
         snapshot[kind].update(series)
+    snapshot["counters"].update(_pull_counters([environment.state.tier]))
     if args.json:
         print(json.dumps(snapshot, indent=2))
         return code
@@ -522,10 +541,9 @@ def _stage_fn(ctx):
     ctx.write_output_object(int(view[0]))
 
 
-def _observability_cluster(hosts: int, delivery=None):
+def _observability_cluster(hosts: int):
     """A cluster with the full observability plane on and the demo
-    workload registered (``delivery`` forwards a DeliveryPolicy so the
-    prefetch demo can replay the workload with speculation on)."""
+    workload registered."""
     from repro.runtime import FaasmCluster
     from repro.telemetry import Telemetry
 
@@ -533,7 +551,7 @@ def _observability_cluster(hosts: int, delivery=None):
         enabled=True, mine_profiles=True, guest_profiler=True,
         slos=True, profiler_interval=16,
     )
-    cluster = FaasmCluster(n_hosts=hosts, telemetry=telemetry, delivery=delivery)
+    cluster = FaasmCluster(n_hosts=hosts, telemetry=telemetry)
     cluster.register_python("pipeline", _pipeline_fn)
     cluster.register_python("stage", _stage_fn)
     cluster.upload("kernel", _PROFILES_KERNEL_SRC, init="init")
@@ -630,7 +648,7 @@ def cmd_profiles(args) -> int:
         functions = [args.function] if args.function else sorted(digests)
         # Print what the object store holds, not what the miner holds:
         # the round-trip through the content-addressed artifact is the
-        # path the prefetcher (and any other consumer) will take.
+        # path any consumer will take.
         loaded = {}
         for fn in functions:
             profile = cluster.load_profile(fn)
@@ -672,77 +690,6 @@ def cmd_profiles(args) -> int:
         return 0
     finally:
         cluster.shutdown()
-
-
-def cmd_prefetch(args) -> int:
-    """``repro prefetch``: the profiles→prefetch feedback loop end to end.
-
-    Round one drives the demo workload with mining on and persists the
-    access profiles. Round two replays the same workload in a *fresh*
-    cluster with proactive delivery enabled, fed by those profiles, and
-    prints what speculation bought: per-function prefetched vs hit vs
-    wasted bytes, pre-placed pages, and what the delta pull saved.
-    """
-    import json
-
-    from repro.state.prefetch import DeliveryPolicy
-
-    observe = _observability_cluster(args.hosts)
-    try:
-        _drive_demo(observe, args.calls)
-        observe.persist_profiles()
-        profiles = [
-            observe.load_profile(fn)
-            for fn in ("pipeline", "stage", "kernel")
-        ]
-    finally:
-        observe.shutdown()
-
-    # The demo's stage calls spread reads across four grid chunks, so each
-    # chunk is touched by ~a quarter of calls: set the confidence floor
-    # below that, or the planner would (correctly) call nothing hot.
-    # Synchronous so the reported byte counts are run-to-run stable (an
-    # overlapped prefetch can lose the race to the guest's own pull).
-    policy = DeliveryPolicy.aggressive(confidence=0.2, synchronous=True)
-    serve = _observability_cluster(args.hosts, delivery=policy)
-    try:
-        for profile in profiles:
-            if profile is not None:
-                serve.profile_store.save(profile)
-        _drive_demo(serve, args.calls)
-        serve.quiesce_delivery()
-        stats = serve.delivery_stats()
-        if args.json:
-            print(json.dumps(stats, indent=2))
-            return 0
-        print(f"delivery policy: {stats['policy']}")
-        header = (
-            f"{'function':<12}{'prefetched':>12}{'hit':>12}"
-            f"{'waste':>12}{'hit%':>8}{'aborted':>9}"
-        )
-        print(header)
-        print("-" * len(header))
-        for fn, row in sorted(stats["functions"].items()):
-            fetched = row["prefetched_bytes"]
-            ratio = (100.0 * row["hit_bytes"] / fetched) if fetched else 0.0
-            print(
-                f"{fn:<12}{fetched:>12,}{row['hit_bytes']:>12,}"
-                f"{row['waste_bytes']:>12,}{ratio:>7.1f}%{row['aborted']:>9}"
-            )
-        delta = stats["delta"]
-        causes = ", ".join(
-            f"{cause} {count}"
-            for cause, count in sorted(delta["full_fallbacks"].items())
-        )
-        print(
-            f"delta pull: {delta['delta_pulls']} delta pulls,"
-            f" {delta['bytes_saved']:,} bytes saved,"
-            f" full fallbacks: {causes}"
-        )
-        print(f"pre-placed pages: {stats['preplaced_pages']}")
-        return 0
-    finally:
-        serve.shutdown()
 
 
 def _render_ingest_row(cluster) -> str:
@@ -989,6 +936,7 @@ def _report_markdown(cluster, digests: dict, rounds: int) -> str:
         "| series | total |",
         "| --- | ---: |",
     ]
+    agg.update(_pull_counters(i.local_tier for i in cluster.instances))
     for name, value in agg.items():
         lines.append(f"| `{name}` | {value:g} |")
     lines += [
@@ -1318,19 +1266,6 @@ def main(argv: list[str] | None = None) -> int:
                       help="write collapsed-stack + speedscope flamegraph "
                            "artifacts per function into DIR")
     p_pr.set_defaults(fn=cmd_profiles)
-
-    p_pf = sub.add_parser(
-        "prefetch",
-        help="mine profiles, replay with proactive delivery on, and "
-             "report per-function prefetch hit/waste ratios",
-    )
-    p_pf.add_argument("--hosts", type=int, default=2,
-                      help="cluster size (default 2)")
-    p_pf.add_argument("--calls", type=int, default=6,
-                      help="demo workload rounds per phase (default 6)")
-    p_pf.add_argument("--json", action="store_true",
-                      help="dump the delivery ledger as JSON")
-    p_pf.set_defaults(fn=cmd_prefetch)
 
     p_top = sub.add_parser(
         "top", help="live per-function cluster dashboard"

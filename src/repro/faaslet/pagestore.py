@@ -311,12 +311,6 @@ class HostSnapshotCache:
         #: advertisement hook (the scheduler's locality signal).
         self._on_residency = on_residency
         self._protos: dict[str, ProtoFaaslet] = {}
-        #: function -> manifest version already pre-placed, so repeated
-        #: speculative warms of an unchanged snapshot cost nothing.
-        self._warmed: dict[str, int] = {}
-        self._preplaced_pages = metrics.counter(
-            "prefetch.preplaced_pages", host=host
-        )
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -365,49 +359,6 @@ class HostSnapshotCache:
             ))
         return proto
 
-    # ------------------------------------------------------------------
-    def warm_pages(self, name: str) -> int:
-        """Speculative page pre-placement (DESIGN.md §10): pull the
-        current manifest's missing pages into this host's PageStore
-        *without* materialising a proto. Returns pages newly inserted.
-
-        The pages are inserted unpinned — a later real restore retains
-        them (and finds nothing missing); until then they are ordinary
-        unreferenced cache content. Purely a warm-up: correctness never
-        depends on it, so any failure is simply ignored by callers.
-        """
-        advertise = False
-        with self._lock:
-            with span("prefetch.preplace", function=name, host=self.host) as sp:
-                manifest = self.repository.manifest(name)
-                self._round_trips.inc()
-                if manifest is None:
-                    return 0
-                cached = self._protos.get(name)
-                already = (
-                    cached is not None and cached.version == manifest.version
-                ) or self._warmed.get(name) == manifest.version
-                if already:
-                    sp.set_attr("outcome", "already-resident")
-                    return 0
-                payload = manifest.payload_digests()
-                missing = self.store.missing(payload)
-                inserted = 0
-                if missing:
-                    order, buffer = self.repository.pull_missing(missing)
-                    self._round_trips.inc()
-                    self._bytes_shipped.inc(len(buffer))
-                    self._pages_shipped.inc(len(order))
-                    inserted = self.store.insert_buffer(order, buffer)
-                self._warmed[name] = manifest.version
-                self._preplaced_pages.inc(inserted)
-                sp.set_attr("pages", inserted)
-                coverage = self.store.coverage(manifest.page_digests)
-                advertise = True
-        if advertise and self._on_residency is not None:
-            self._on_residency(name, self.host, coverage)
-        return inserted
-
     def drop(self, name: str) -> None:
         """Forget one function's materialised snapshot (releases pages)."""
         with self._lock:
@@ -419,7 +370,6 @@ class HostSnapshotCache:
         """Host restart: the page cache and proto cache died with it."""
         with self._lock:
             self._protos.clear()
-            self._warmed.clear()
             self.store.clear()
 
     # ------------------------------------------------------------------

@@ -203,17 +203,6 @@ def build_host_imports(faaslet) -> dict[tuple[str, str], HostFunc]:
         except StateKeyError:
             return -1
 
-    @export("prefetch_state", (I32, I32), (I32,))
-    def prefetch_state(kptr, klen):
-        # Guest-directed delivery hint (DESIGN.md §10): start pulling the
-        # key in the background so a later get_state finds it resident.
-        # Advisory — returns 1 if a prefetch was started, 0 otherwise
-        # (delivery off, key unknown, or env without a prefetcher).
-        prefetcher = getattr(env, "prefetcher", None)
-        if prefetcher is None:
-            return 0
-        return 1 if prefetcher.hint(_key(kptr, klen)) else 0
-
     for lock_name in (
         "lock_state_read",
         "unlock_state_read",

@@ -29,7 +29,6 @@ extern void push_state_offset(int key_ptr, int key_len, int off, int len);
 extern void pull_state_offset(int key_ptr, int key_len, int off, int len);
 extern void append_state(int key_ptr, int key_len, int val_ptr, int val_len);
 extern int state_size(int key_ptr, int key_len);
-extern int prefetch_state(int key_ptr, int key_len);
 extern void lock_state_read(int key_ptr, int key_len);
 extern void unlock_state_read(int key_ptr, int key_len);
 extern void lock_state_write(int key_ptr, int key_len);

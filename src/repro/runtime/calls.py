@@ -173,18 +173,9 @@ class InvocationRegistry:
         self._ids = itertools.count(1)
         self._mutex = threading.Lock()
 
-    def create(
-        self,
-        function: str,
-        input_data: bytes,
-        idempotency_key: str | None = None,
-    ) -> CallRecord:
+    def create(self, function: str, input_data: bytes) -> CallRecord:
         """One record: the one-element form of :meth:`create_many`."""
         (record,) = self.create_many(function, [input_data])
-        if idempotency_key is not None:
-            record.idempotency_key = idempotency_key
-            with self._mutex:
-                self._by_key[idempotency_key] = record.call_id
         return record
 
     def create_many(
@@ -215,12 +206,22 @@ class InvocationRegistry:
     ) -> tuple[CallRecord, bool]:
         """Create a call, or return the existing one for the idempotency
         key; the flag says whether a new record was created."""
-        if idempotency_key is not None:
-            with self._mutex:
-                existing = self._by_key.get(idempotency_key)
-                if existing is not None:
-                    return self._calls[existing], False
-        return self.create(function, input_data, idempotency_key), True
+        if idempotency_key is None:
+            return self.create(function, input_data), True
+        # Look-up, key reservation and registration share one hold, so
+        # concurrent dispatches of one key agree on a single record.
+        with self._mutex:
+            existing = self._by_key.get(idempotency_key)
+            if existing is not None:
+                return self._calls[existing], False
+            record = CallRecord(
+                next(self._ids), function, bytes(input_data),
+                submitted_at=time.monotonic(),
+                idempotency_key=idempotency_key,
+            )
+            self._calls[record.call_id] = record
+            self._by_key[idempotency_key] = record.call_id
+        return record, True
 
     def get(self, call_id: int) -> CallRecord:
         # Lock-free: dict reads are atomic under the GIL and records are

@@ -36,7 +36,6 @@ from contextlib import ExitStack, nullcontext
 
 from repro.host.filesystem import GlobalObjectStore
 from repro.state.kv import GlobalStateStore
-from repro.state.prefetch import DeliveryPolicy
 from repro.telemetry import ProfileStore, Telemetry, export as telemetry_export
 
 from .bus import ExecuteBatch, MessageBus, Shutdown
@@ -74,7 +73,6 @@ class FaasmCluster:
         telemetry: Telemetry | None = None,
         retry_policy: RetryPolicy | None = None,
         chaos=None,
-        delivery: DeliveryPolicy | None = None,
     ):
         #: Unified telemetry: span tracer + metrics registry. Disabled by
         #: default (the tracing-off path is a no-op fast path); pass
@@ -115,13 +113,6 @@ class FaasmCluster:
         #: Shared endpoint registry for Faaslet virtual NICs.
         self.endpoints: dict = {}
         self.retry = retry_policy if retry_policy is not None else RetryPolicy()
-        #: Proactive data delivery (prefetch / pre-placement, DESIGN.md
-        #: §10). Off by default: every speculative mechanism is opt-in.
-        self.delivery = delivery if delivery is not None else DeliveryPolicy.off()
-        self._delivery_threads: list[threading.Thread] = []
-        self._delivery_lock = threading.Lock()
-        #: function -> (profile digest, chained callees) for pre-placement.
-        self._callee_cache: dict[str, tuple] = {}
         self._capacity = capacity
         self._reset_between_calls = reset_between_calls
         self._host_seq = itertools.count(n_hosts)
@@ -297,8 +288,6 @@ class FaasmCluster:
                     collect.setdefault(host, []).append(batch)
                 else:
                     self.bus.send(host, batch)
-                if self.delivery.pre_place:
-                    self._pre_place(function, instance, host)
         return decisions
 
     def ingestion(self, config: IngestionConfig | None = None) -> IngestionPlane:
@@ -340,114 +329,6 @@ class FaasmCluster:
     def ingestion_stats(self) -> dict:
         plane = self._ingest
         return plane.stats() if plane is not None else {}
-
-    # ------------------------------------------------------------------
-    # Speculative page pre-placement (DESIGN.md §10c)
-    # ------------------------------------------------------------------
-    def _profile_callees(self, function: str) -> tuple:
-        """The function's most-chained callees per its HEAD profile
-        (cached by profile digest) — the snapshots worth pre-placing."""
-        head = self.profile_store.head(function)
-        if head is None:
-            return ()
-        with self._delivery_lock:
-            cached = self._callee_cache.get(function)
-            if cached is not None and cached[0] == head:
-                return cached[1]
-        profile = self.profile_store.load(function, head)
-        callees: tuple = ()
-        if profile is not None and profile.chains:
-            callees = tuple(
-                sorted(
-                    profile.chains, key=lambda fn: (-profile.chains[fn], fn)
-                )[:2]
-            )
-        with self._delivery_lock:
-            self._callee_cache[function] = (head, callees)
-        return callees
-
-    def _pre_place(self, function: str, entry, target_host: str) -> None:
-        """Warm likely-next hosts' PageStores with the snapshot pages of
-        ``function``'s chained callees, in the background. Best-effort:
-        failures are swallowed — correctness never depends on placement."""
-        callees = self._profile_callees(function)
-        if not callees:
-            return
-
-        def work():
-            for callee in callees:
-                hosts = entry.scheduler.likely_hosts(
-                    callee, default=target_host
-                )
-                for host in hosts[:2]:
-                    target = self._by_host.get(host)
-                    if target is None or not target.alive:
-                        continue
-                    try:
-                        target.snapshots.warm_pages(callee)
-                    except Exception:
-                        logger.debug(
-                            "pre-place of %s on %s failed", callee, host,
-                            exc_info=True,
-                        )
-
-        if self.delivery.synchronous:
-            work()
-            return
-        thread = threading.Thread(
-            target=work, name=f"preplace-{function}", daemon=True
-        )
-        with self._delivery_lock:
-            self._delivery_threads = [
-                t for t in self._delivery_threads if t.is_alive()
-            ]
-            self._delivery_threads.append(thread)
-        thread.start()
-
-    def quiesce_delivery(self, timeout: float = 5.0) -> None:
-        """Wait for in-flight speculative work (prefetches and page
-        pre-placements) to settle — tests and the CLI call this before
-        reading the delivery ledgers."""
-        with self._delivery_lock:
-            threads = list(self._delivery_threads)
-        for thread in threads:
-            thread.join(timeout)
-        for instance in self.instances:
-            instance.prefetcher.quiesce(timeout)
-
-    def delivery_stats(self) -> dict:
-        """Cluster-wide delivery-plane ledger: per-function prefetch
-        hit/waste, pre-placed pages, and what the delta pull saved."""
-        functions: dict[str, dict] = {}
-        delta = {"delta_pulls": 0, "full_fallbacks": {}, "bytes_saved": 0}
-        for instance in self.instances:
-            for fn, row in instance.prefetcher.stats().items():
-                agg = functions.setdefault(
-                    fn,
-                    {
-                        "prefetched_bytes": 0,
-                        "hit_bytes": 0,
-                        "waste_bytes": 0,
-                        "aborted": 0,
-                    },
-                )
-                for field in agg:
-                    agg[field] += row.get(field, 0)
-            tier = instance.local_tier.delivery_stats()
-            delta["delta_pulls"] += tier["delta_pulls"]
-            delta["bytes_saved"] += tier["bytes_saved"]
-            for cause, count in tier["full_fallbacks"].items():
-                delta["full_fallbacks"][cause] = (
-                    delta["full_fallbacks"].get(cause, 0) + count
-                )
-        return {
-            "policy": self.delivery.mode,
-            "functions": functions,
-            "delta": delta,
-            "preplaced_pages": int(
-                self.telemetry.metrics.aggregate("prefetch.preplaced_pages")
-            ),
-        }
 
     def redispatch(self, record: CallRecord, reason: str = "") -> None:
         """Re-queue a call whose previous attempt was lost (the invocation
@@ -649,10 +530,6 @@ class FaasmCluster:
         "atomic.waits",
         "call.retries",
         "call.failed",
-        "prefetch.bytes",
-        "prefetch.hit_bytes",
-        "prefetch.aborted",
-        "prefetch.preplaced_pages",
         "ingest.admitted",
         "ingest.deferred",
         "ingest.shed",
@@ -693,7 +570,7 @@ class FaasmCluster:
 
     def load_profile(self, function: str, digest: str | None = None):
         """A persisted access profile from the object store (the
-        round-trip path ``repro profiles`` and the prefetcher read)."""
+        round-trip path ``repro profiles`` reads)."""
         return self.profile_store.load(function, digest)
 
     def metrics_endpoint(self):

@@ -25,7 +25,6 @@ from repro.host.filesystem import VirtualFilesystem
 from repro.state.api import StateAPI
 from repro.state.kv import StateClient, StateUnavailableError, TransferMeter
 from repro.state.local import LocalTier
-from repro.state.prefetch import Prefetcher
 from repro.telemetry import MetricsRegistry, context_from_wire, span
 
 from .bus import ExecuteCall, Shutdown, _HostQueue
@@ -62,9 +61,6 @@ class RuntimeEnvironment(FaasletEnvironment):
         #: Cluster metrics registry, so per-Faaslet layers (guest-thread
         #: runtime) count into the cluster-wide series.
         self.metrics = instance.cluster.telemetry.metrics
-        #: Host prefetcher, exposed so the ``prefetch_state`` host call can
-        #: issue guest-directed hints (DESIGN.md §10).
-        self.prefetcher = instance.prefetcher
 
     def chain_call(self, name: str, input_data: bytes) -> int:
         return self.instance.cluster.dispatch(name, input_data, origin=self.instance.host)
@@ -143,16 +139,6 @@ class FaasmRuntimeInstance:
         self.state_client = StateClient(cluster.global_state, meter)
         self.local_tier = LocalTier(host, self.state_client)
         self.state_api = StateAPI(self.local_tier)
-        #: Profile-guided speculative state delivery (DESIGN.md §10):
-        #: consulted on every dispatch; a no-op under the default
-        #: ``DeliveryPolicy.off()``.
-        self.prefetcher = Prefetcher(
-            host,
-            self.local_tier,
-            cluster.profile_store,
-            cluster.delivery,
-            metrics=cluster.telemetry.metrics,
-        )
         self.filesystem = VirtualFilesystem(cluster.object_store, user=host)
         self.netns_template = NetworkNamespace(f"host-{host}", endpoints=cluster.endpoints)
         self.env = RuntimeEnvironment(self)
@@ -432,11 +418,6 @@ class FaasmRuntimeInstance:
         """Execute attempt ``message.attempt`` of a call on this host (runs
         on the caller's thread, which has already claimed the attempt)."""
         definition = self.cluster.registry.get(record.function)
-        # Kick off the profile-guided prefetch so hot state rides in
-        # concurrently with faaslet acquisition / snapshot restore below.
-        prefetch = self.prefetcher.begin(record.function)
-        if prefetch is not None:
-            self._chaos_point("mid-prefetch", message)
         with self._mutex:
             self._executing += 1
         try:

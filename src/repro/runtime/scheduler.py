@@ -326,28 +326,6 @@ class LocalScheduler:
                 return host
         return None
 
-    def likely_hosts(
-        self, function: str, default: str | None = None
-    ) -> list[str]:
-        """Ranked guess at where ``function``'s next call will land,
-        for speculative page pre-placement (DESIGN.md §10): warm hosts
-        first (the :meth:`schedule` fast path), then page-resident hosts
-        by advertised coverage, then ``default``. Purely advisory — a
-        wrong guess wastes some background page shipping, nothing else."""
-        out: list[str] = []
-        for host in sorted(self.warm_sets.warm_hosts(function)):
-            if self._live(host) and host not in out:
-                out.append(host)
-        resident = self.warm_sets.resident_hosts(function)
-        for host, coverage in sorted(
-            resident.items(), key=lambda hc: (-hc[1], hc[0])
-        ):
-            if coverage > 0.0 and self._live(host) and host not in out:
-                out.append(host)
-        if default is not None and self._live(default) and default not in out:
-            out.append(default)
-        return out
-
     def schedule(self, function: str) -> SchedulingDecision:
         """Place one call: the one-element form of :meth:`schedule_batch`."""
         return self.schedule_batch(function, 1)[0]

@@ -37,11 +37,9 @@ from .kv import (
     TransferMeter,
 )
 from .local import LocalTier, Replica
-from .prefetch import DeliveryPolicy, Prefetcher
 from .rwlock import RWLock
 
 __all__ = [
-    "DeliveryPolicy",
     "DistributedCounter",
     "DistributedDict",
     "DistributedList",
@@ -50,7 +48,6 @@ __all__ = [
     "ImmutableValue",
     "LocalTier",
     "MatrixReadOnly",
-    "Prefetcher",
     "RWLock",
     "Replica",
     "SparseMatrixReadOnly",

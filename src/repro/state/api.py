@@ -41,12 +41,6 @@ class StateAPI:
         """
         if self.tier.has_replica(key):
             rep = self.tier.replica(key, size)
-            if rep.speculative:
-                # Touched only by the prefetcher so far: this is the
-                # demand pull; the tier completes it exactly (gap-fill
-                # when the speculation is provably current, full pull
-                # otherwise).
-                rep = self.tier.pull(key)
         elif size is not None and not self.tier.client.exists(key):
             rep = self.tier.replica(key, size)
             with rep.lock.write_locked():
@@ -55,7 +49,6 @@ class StateAPI:
             rep = self.tier.pull(key)
         if mark_dirty:
             rep.mark_dirty(0, rep.size)
-        self.tier.credit_read(key, 0, rep.size)
         return rep.region.view(0, rep.size)
 
     def get_state_offset(
@@ -159,17 +152,11 @@ class StateAPI:
     # ------------------------------------------------------------------
     def state_size(self, key: str) -> int:
         if self.tier.has_replica(key):
-            rep = self.tier.replica(key)
-            # A purely speculative replica must be invisible: answer from
-            # the global tier, exactly as if no prefetch had happened.
-            if not rep.speculative:
-                return rep.size
+            return self.tier.replica(key).size
         return self.tier.client.size(key)
 
     def exists(self, key: str) -> bool:
-        if self.tier.has_replica(key) and not self.tier.replica(key).speculative:
-            return True
-        return self.tier.client.exists(key)
+        return self.tier.has_replica(key) or self.tier.client.exists(key)
 
     def delete(self, key: str) -> None:
         self.tier.drop(key)

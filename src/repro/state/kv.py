@@ -277,8 +277,7 @@ class GlobalStateStore:
     ) -> tuple[int, int, int]:
         """:meth:`get_ranges_into`, additionally returning ``(version,
         value size)`` as of the read. Copy, version, and size are captured
-        under one stripe-lock hold, so the triple is exact — the
-        foundation of the speculative pull path's staleness check."""
+        under one stripe-lock hold, so the triple is exact."""
         with self._stripe(key):
             value = self._values.get(key)
             if value is None:
@@ -568,8 +567,7 @@ class StateClient:
     ) -> tuple[int, int, int]:
         """:meth:`pull_ranges_into` plus the ``(version, value size)`` the
         bytes were read at; still ONE round trip. The version is what a
-        whole-value pull is synced at and what proves a speculative pull
-        is (or is not) still current; the size detects a concurrent
+        whole-value pull is synced at; the size detects a concurrent
         resize."""
         total, version, size = self._retry(
             self.store.get_ranges_into_versioned, key, dests

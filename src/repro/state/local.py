@@ -143,17 +143,8 @@ class Replica:
     #: unless a write newer than ``gver`` covers it — which is exactly
     #: what a forced pull asks the store for. ``None`` means unknown.
     gver: int | None = None
-    #: Delivery-plane bookkeeping: ranges materialised ahead of demand
-    #: (drained into hit counters as demand reads arrive), the global
-    #: version they were read at (``-1`` = mixed versions, unusable for
-    #: the gap-fill fast path), and whether the replica has only ever
-    #: been touched speculatively — a speculative replica must stay
-    #: invisible to ``get_state``/``state_size`` until demand completes it.
-    prefetched: _IntervalSet = field(default_factory=_IntervalSet)
-    prefetch_version: int | None = None
-    speculative: bool = False
-    #: Guards ``dirty`` and ``prefetched``: marks arrive from guest write
-    #: faults on executor threads that do not hold the replica lock.
+    #: Guards ``dirty``: marks arrive from guest write faults on executor
+    #: threads that do not hold the replica lock.
     _dirty_mutex: threading.Lock = field(default_factory=threading.Lock)
 
     def __post_init__(self) -> None:
@@ -171,9 +162,6 @@ class Replica:
     # ------------------------------------------------------------------
     def mark_dirty(self, start: int, end: int) -> None:
         """Record that [start, end) was modified locally (thread-safe)."""
-        # A local write promotes the replica out of speculative status:
-        # the guest has observably interacted with it.
-        self.speculative = False
         with self._dirty_mutex:
             self.dirty.add(start, end)
 
@@ -211,14 +199,8 @@ class LocalTier:
         self.client = client
         self._replicas: dict[str, Replica] = {}
         self._mutex = threading.Lock()
-        #: Guards the delivery counters below.
-        self._spec_mutex = threading.Lock()
-        #: Per-key bytes that were prefetched and then actually read by
-        #: demand (each prefetched byte is counted at most once).
-        self.prefetch_hit_bytes: dict[str, int] = {}
-        #: Optional callback ``(key, nbytes)`` fired on every prefetch
-        #: hit — the Prefetcher hooks this to attribute hits to functions.
-        self.on_prefetch_hit = None
+        #: Guards the pull counters below.
+        self._stats_mutex = threading.Lock()
         #: Forced pulls served as a delta, the bytes they did not move,
         #: and those that needed the whole value, by cause.
         self.delta_pulls = 0
@@ -230,14 +212,9 @@ class LocalTier:
     # ------------------------------------------------------------------
     # Replica management
     # ------------------------------------------------------------------
-    def replica(
-        self, key: str, size: int | None = None, _speculative: bool = False
-    ) -> Replica:
+    def replica(self, key: str, size: int | None = None) -> Replica:
         """Get or create the replica for ``key`` (sized from the global tier
-        when ``size`` is not given). ``_speculative`` marks a replica the
-        prefetcher creates ahead of demand — only a *newly created*
-        replica is marked, atomically, so a demand-created replica can
-        never be demoted by a racing prefetch."""
+        when ``size`` is not given)."""
         with self._mutex:
             rep = self._replicas.get(key)
             if rep is not None:
@@ -262,8 +239,7 @@ class LocalTier:
                 synced = size  # sized from the global tier at this instant
             region = SharedRegion(f"{self.host}/{key}", size)
             rep = self._replicas[key] = Replica(
-                key, region, value_size=size, synced_size=synced,
-                speculative=_speculative,
+                key, region, value_size=size, synced_size=synced
             )
             return rep
 
@@ -297,17 +273,11 @@ class LocalTier:
         trip that copies only the spans written since that version (and
         the replica's own dirty spans) straight into the shared region.
         Every other case — and a delta the store can no longer answer —
-        is the whole-value fetch. A non-forced pull of a speculative
-        replica gap-fills around the prefetched bytes when their version
-        is provably current.
+        is the whole-value fetch.
         """
         rep = self.replica(key)
         with rep.lock.write_locked():
-            if not force and (
-                self._complete_speculative(rep)
-                if rep.speculative
-                else rep.present.covers(0, rep.size)
-            ):
+            if not force and rep.present.covers(0, rep.size):
                 return rep
             # Drained first so a write racing the copy re-marks itself and
             # survives as a local write; put back if the store is down.
@@ -319,7 +289,6 @@ class LocalTier:
             except BaseException:
                 rep.restore_dirty(mine)
                 raise
-            self._clear_speculative(rep, credit=False)
         return rep
 
     def _delta_pull(self, rep: Replica, mine, sp) -> bool:
@@ -340,11 +309,11 @@ class LocalTier:
             if spans is None:
                 cause = "overflow" if gsize == size else "resized"
         if cause is not None:
-            with self._spec_mutex:
+            with self._stats_mutex:
                 self.full_fallbacks[cause] += 1
             return False
         moved = sum(e - s for s, e in spans)
-        with self._spec_mutex:
+        with self._stats_mutex:
             self.delta_pulls += 1
             self.bytes_saved += size - moved
         rep.synced_size = size
@@ -392,7 +361,6 @@ class LocalTier:
         if not force:
             with rep.lock.read_locked():
                 if rep.present.covers(offset, offset + length):
-                    self._credit_read(rep, offset, offset + length)
                     return rep
         with rep.lock.write_locked():
             if force:
@@ -412,7 +380,6 @@ class LocalTier:
                     sp.set_attr("bytes", sum(e - s for s, e in gaps))
                     sp.set_attr("round_trips", 1)
                     sp.set_attr("ranges", list(gaps))
-            self._credit_read(rep, offset, offset + length)
         return rep
 
     def push(self, key: str) -> None:
@@ -468,9 +435,7 @@ class LocalTier:
     def read_local(self, key: str, offset: int = 0, length: int | None = None) -> bytes:
         rep = self.replica(key)
         with rep.lock.read_locked():
-            data = rep.region.read(offset, length)
-        self._credit_read(rep, offset, offset + len(data))
-        return data
+            return rep.region.read(offset, length)
 
     def write_local(self, key: str, data: bytes, offset: int = 0, size: int | None = None) -> Replica:
         """Write to the local replica only; creates it if needed.
@@ -503,113 +468,6 @@ class LocalTier:
             rep.present.add(offset, offset + length)
         return rep
 
-    # ------------------------------------------------------------------
-    # Proactive data delivery (repro.state.prefetch, DESIGN.md §10)
-    # ------------------------------------------------------------------
-    def prefetch_spans(
-        self,
-        key: str,
-        spans: list[tuple[int, int]],
-        max_bytes: int | None = None,
-    ) -> int:
-        """Speculatively materialise byte ranges of ``key`` ahead of
-        demand; returns the bytes actually pulled.
-
-        Safety: only *missing, non-dirty* ranges are filled — a prefetch
-        can never overwrite a byte the guest has written — and the
-        gap-compute + fill happens atomically under the replica write
-        lock, so a demand access either waits for the fill or sees it
-        complete. Semantically a prefetch is just a legal
-        ``pull_chunk(force=False)`` issued early; the §4.1 consistency
-        model already permits it at any point.
-
-        Raises :class:`~repro.state.kv.StateKeyError` when the key does
-        not exist (the caller skips it — nothing to prefetch).
-        """
-        rep = self.replica(key, _speculative=True)  # StateKeyError if absent
-        with rep.lock.write_locked():
-            gapset = _IntervalSet()
-            for s, e in spans:
-                s, e = max(0, int(s)), min(int(e), rep.value_size)
-                for gs, ge in rep.present.missing(s, e):
-                    gapset.add(gs, ge)
-            # Defence in depth: never touch a dirty byte, even though a
-            # dirty byte is also present and thus already excluded.
-            with rep._dirty_mutex:
-                for s, e in rep.dirty.spans:
-                    gapset.remove(s, e)
-            gaps: list[tuple[int, int]] = []
-            budget = max_bytes if max_bytes is not None else None
-            for s, e in gapset.spans:
-                if budget is not None:
-                    if budget <= 0:
-                        break
-                    e = min(e, s + budget)
-                    budget -= e - s
-                gaps.append((s, e))
-            if not gaps:
-                return 0
-            with span("prefetch.pull", key=key, host=self.host) as sp:
-                total, version, _ = self.client.pull_ranges_into_versioned(
-                    key, [(s, rep.region.view(s, e - s)) for s, e in gaps]
-                )
-                for s, e in gaps:
-                    rep.present.add(s, e)
-                with rep._dirty_mutex:
-                    for s, e in gaps:
-                        rep.prefetched.add(s, e)
-                if rep.prefetch_version is None:
-                    rep.prefetch_version = version
-                elif rep.prefetch_version != version:
-                    # Mixed-version speculative data: still legal bytes,
-                    # but the gap-fill fast path must not claim them
-                    # uniform (-1 is the "mixed" sentinel).
-                    rep.prefetch_version = -1
-                sp.set_attr("bytes", total)
-                sp.set_attr("round_trips", 1)
-                sp.set_attr("ranges", list(gaps))
-            return total
-
-    def _complete_speculative(self, rep: Replica) -> bool:
-        """Finish a speculative replica's first demand pull by fetching
-        only the gaps around the prefetched bytes (replica write lock
-        held). Returns True only when the result is provably
-        byte-identical to the full demand pull: the gap bytes came back
-        at exactly the version the prefetch read, and the size is
-        unchanged. Any mismatch returns False and the caller does the
-        full pull (exactness over savings)."""
-        version = rep.prefetch_version
-        if version is None or version < 0:
-            return False
-        size = self.client.size(rep.key)
-        if size != rep.value_size or self.client.version(rep.key) != version:
-            return False
-        gaps = rep.present.missing(0, size)
-        if gaps:
-            with span(
-                "state.pull", key=rep.key, host=self.host, chunk=True
-            ) as sp:
-                total, pulled_version, vsize = (
-                    self.client.pull_ranges_into_versioned(
-                        rep.key,
-                        [(s, rep.region.view(s, e - s)) for s, e in gaps],
-                    )
-                )
-                sp.set_attr("bytes", total)
-                sp.set_attr("round_trips", 1)
-                sp.set_attr("ranges", list(gaps))
-                sp.set_attr("speculative_fill", True)
-            if pulled_version != version or vsize != size:
-                return False
-            for s, e in gaps:
-                rep.present.add(s, e)
-                rep.discard_dirty(s, e)
-        rep.synced_size = size
-        rep.gver = version
-        # Every prefetched byte of a completed pull was demanded.
-        self._clear_speculative(rep, credit=True)
-        return True
-
     @staticmethod
     def _note_push(rep: Replica, new_version: int) -> None:
         """Keep ``gver`` after a push (replica write lock held). A push
@@ -620,54 +478,10 @@ class LocalTier:
         if rep.gver is not None and new_version == rep.gver + 1:
             rep.gver = new_version
 
-    def _credit_read(self, rep: Replica, start: int, end: int) -> None:
-        """Count demand-read bytes that a prefetch had already delivered
-        (each prefetched byte is credited at most once)."""
-        if not rep.prefetched._spans:
-            return
-        with rep._dirty_mutex:
-            parts = rep.prefetched.intersect(start, end)
-            for s, e in parts:
-                rep.prefetched.remove(s, e)
-        self._credit(rep.key, sum(e - s for s, e in parts))
-
-    def _credit(self, key: str, nbytes: int) -> None:
-        """Count ``nbytes`` of ``key`` as prefetched and then demanded."""
-        if not nbytes:
-            return
-        with self._spec_mutex:
-            self.prefetch_hit_bytes[key] = (
-                self.prefetch_hit_bytes.get(key, 0) + nbytes
-            )
-        hook = self.on_prefetch_hit
-        if hook is not None:
-            hook(key, nbytes)
-
-    def credit_read(self, key: str, start: int, end: int) -> None:
-        """Public :meth:`_credit_read` for callers that hand out raw
-        views (the state API's whole-value ``get_state``)."""
-        with self._mutex:
-            rep = self._replicas.get(key)
-        if rep is not None:
-            self._credit_read(rep, start, end)
-
-    def _clear_speculative(self, rep: Replica, credit: bool) -> None:
-        """Retire a replica's speculative status; optionally credit all
-        still-unread prefetched bytes as hits (a completed demand pull
-        consumed them all)."""
-        rep.speculative = False
-        rep.prefetch_version = None
-        with rep._dirty_mutex:
-            parts = rep.prefetched.spans
-            rep.prefetched.clear()
-        if credit:
-            self._credit(rep.key, sum(e - s for s, e in parts))
-
-    def delivery_stats(self) -> dict:
-        """This host's delivery-plane counters (for ``repro prefetch``)."""
-        with self._spec_mutex:
+    def pull_stats(self) -> dict:
+        """This host's forced-pull counters (``repro metrics`` / ``report``)."""
+        with self._stats_mutex:
             return {
-                "hit_bytes": dict(self.prefetch_hit_bytes),
                 "delta_pulls": self.delta_pulls,
                 "full_fallbacks": dict(self.full_fallbacks),
                 "bytes_saved": self.bytes_saved,

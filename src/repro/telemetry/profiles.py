@@ -1,13 +1,12 @@
 """The online trace miner: finished spans -> per-function access profiles.
 
-Traces record *what one invocation did*; the experiments (and ROADMAP
-item 3's prefetcher) need *what a function habitually does*: which state
-keys it touches and at which byte ranges, how many snapshot pages a
-restore ships, how much fuel it burns, what it chains into, where its
-latency goes. A :class:`TraceMiner` folds every finished span — hooked on
-:class:`~repro.telemetry.trace.Tracer`'s ``on_finish`` callback, so
-mining is online and needs no post-hoc span walk — into one
-:class:`AccessProfile` per function.
+Traces record *what one invocation did*; the experiments need *what a
+function habitually does*: which state keys it touches and at which byte
+ranges, how many snapshot pages a restore ships, how much fuel it burns,
+what it chains into, where its latency goes. A :class:`TraceMiner` folds
+every finished span — hooked on :class:`~repro.telemetry.trace.Tracer`'s
+``on_finish`` callback, so mining is online and needs no post-hoc span walk
+— into one :class:`AccessProfile` per function.
 
 Folding is driven by ``call.invoke`` spans: children always finish
 before their parents (the span context manager guarantees it), so when
@@ -21,8 +20,7 @@ bounded buffer.
 Profiles persist **content-addressed** in the cluster's
 :class:`~repro.host.filesystem.GlobalObjectStore` via
 :class:`ProfileStore`: the JSON payload's digest names the artifact, a
-per-function ``HEAD`` names the latest — the store layout the prefetcher
-reads unchanged.
+per-function ``HEAD`` names the latest.
 """
 
 from __future__ import annotations
@@ -47,8 +45,8 @@ class RangeCounter:
     """Byte-range hit counts for one state key, bounded in size.
 
     Ranges are kept exactly as observed (the access pattern — chunk
-    boundaries included — is the signal a prefetcher wants); when the
-    table is full, the coldest range is evicted to admit a new one.
+    boundaries included — is the signal); when the table is full, the
+    coldest range is evicted to admit a new one.
     """
 
     def __init__(self, max_ranges: int = _MAX_RANGES):
@@ -188,41 +186,6 @@ class AccessProfile:
         if kp is None:
             kp = self.state[key] = KeyProfile()
         return kp
-
-    def hot_ranges(
-        self, confidence: float = 0.5, top: int = 8
-    ) -> dict[str, list[tuple[int, int]]]:
-        """The prefetcher's query: per state key, the byte-ranges accessed
-        in at least ``confidence`` fraction of this function's calls —
-        hottest first, at most ``top`` per key. Write ranges count too:
-        the dominant guest pattern is read-modify-write through
-        ``get_state`` (recorded as a write because the returned view is
-        writable), and those bytes are pulled before they are modified, so
-        prefetching them saves the same demand traffic. A profile with no
-        calls, or whose ranges all fall below the threshold, yields ``{}``
-        (nothing worth speculating on)."""
-        if self.calls <= 0:
-            return {}
-        out: dict[str, list[tuple[int, int]]] = {}
-        for key, kp in sorted(self.state.items()):
-            spans = [
-                (s, e, hits)
-                for counter in (kp.reads, kp.writes)
-                for s, e, hits in counter.hot(top)
-                if e > s and hits / self.calls >= confidence
-            ]
-            # Hottest first across both counters; dedupe exact repeats
-            # (a range both read- and write-hot is speculated on once).
-            spans.sort(key=lambda t: (-t[2], t[0], t[1]))
-            picked: list[tuple[int, int]] = []
-            for s, e, _hits in spans:
-                if (s, e) not in picked:
-                    picked.append((s, e))
-                if len(picked) >= top:
-                    break
-            if picked:
-                out[key] = picked
-        return out
 
     def add_phase(self, name: str, duration: float) -> None:
         entry = self.phases.get(name)

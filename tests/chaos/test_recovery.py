@@ -8,7 +8,10 @@ warm-set eviction for crashes, the failure chain for exhausted budgets.
 
 from __future__ import annotations
 
+import sys
+import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -181,6 +184,48 @@ def test_idempotency_key_dedupes_dispatch(make_cluster):
     assert cluster.calls.output(first) == b"echo:x"
     other = cluster.dispatch("echo", b"y", idempotency_key="job-2")
     assert other != first
+
+
+def test_idempotency_key_dedupes_concurrent_dispatch(make_cluster):
+    """Racing dispatches of one key agree on one record and the guest runs
+    once: the key is reserved in the same registry hold that looks it up."""
+    cluster = make_cluster(n_hosts=2)
+    executions: Counter = Counter()
+    counting = threading.Lock()
+
+    def count(ctx):
+        with counting:
+            executions[ctx.input()] += 1
+        return 0
+
+    cluster.register_python("count", count)
+    n_threads, trials = 8, 100
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(trials):
+            key = f"job-{trial}"
+            barrier = threading.Barrier(n_threads)
+            ids: list[int] = []
+
+            def racer():
+                barrier.wait(timeout=10.0)
+                ids.append(
+                    cluster.dispatch("count", key.encode(), idempotency_key=key)
+                )
+
+            threads = [threading.Thread(target=racer) for _ in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10.0)
+                assert not thread.is_alive()
+            assert len(ids) == n_threads and len(set(ids)) == 1, (trial, ids)
+    finally:
+        sys.setswitchinterval(interval)
+    cluster.drain(timeout=10.0)
+    assert len(cluster.calls.all_records()) == trials
+    assert executions == {f"job-{t}".encode(): 1 for t in range(trials)}
 
 
 def test_drain_reports_stragglers(make_cluster):

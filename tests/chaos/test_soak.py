@@ -36,11 +36,12 @@ def test_soak_no_call_is_stranded_and_log_replays():
     assert first.digest == GOLDEN_DIGEST
 
     # Determinism: a second run from the same seed reproduces the fault
-    # log byte for byte.
-    second = run_soak(SEED, calls=500, hosts=4, plan=plan)
+    # log byte for byte — through the ingestion plane as well, so both
+    # front doors are pinned to the golden digest.
+    second = run_soak(SEED, calls=500, hosts=4, plan=plan, ingest=True)
     assert second.ok
     assert second.log_lines == first.log_lines
-    assert second.digest == first.digest
+    assert second.digest == GOLDEN_DIGEST
 
 
 def test_soak_different_seed_different_faults():

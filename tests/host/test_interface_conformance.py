@@ -30,7 +30,6 @@ TABLE2_SURFACE = [
     ("pull_state_offset", 4, 0),
     ("append_state", 4, 0),
     ("state_size", 2, 1),
-    ("prefetch_state", 2, 1),  # extension: guest-directed delivery hint
     ("lock_state_read", 2, 0),
     ("unlock_state_read", 2, 0),
     ("lock_state_write", 2, 0),

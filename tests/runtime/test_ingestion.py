@@ -272,27 +272,20 @@ def test_submit_yields_the_same_span_tree_as_dispatch():
         cluster.shutdown()
 
 
-def test_submit_carries_delivery_hints_and_pre_places():
-    """Page pre-placement rides the one road, so an ingested call that
-    leaves its entry host gets it (the work message itself carries no
-    state hints: what a forced pull moves is decided by the pull)."""
-    from repro.state.prefetch import DeliveryPolicy
-
-    cluster = FaasmCluster(
-        n_hosts=2, delivery=DeliveryPolicy.aggressive(synchronous=True)
-    )
+def test_submit_leaving_its_entry_host_is_one_shared_batch():
+    """An ingested call placed on a peer rides the one road as a single
+    shared batch (the work message itself carries no state hints: what a
+    forced pull moves is decided by the pull)."""
+    cluster = FaasmCluster(n_hosts=2)
     try:
         cluster.register_python("echo", _echo)
         # echo is warm on host-1 only, so the batch crosses hosts.
         cluster.warm_sets.add("echo", "host-1")
-        sent, pre_placed = [], []
+        sent = []
         send_many = cluster.bus.send_many
         cluster.bus.send_many = lambda host, messages: (
             sent.extend((host, m) for m in messages),
             send_many(host, messages),
-        )
-        cluster._pre_place = lambda fn, inst, host: pre_placed.append(
-            (fn, inst.host, host)
         )
         call_id, _ = cluster.submit("echo", b"x")
         cluster.ingestion().drain(timeout=10.0)
@@ -300,7 +293,6 @@ def test_submit_carries_delivery_hints_and_pre_places():
         ((host, batch),) = sent
         assert host == "host-1" and batch.shared
         assert not hasattr(batch, "invalidate")
-        assert pre_placed == [("echo", "host-0", "host-1")]
     finally:
         cluster.shutdown()
 

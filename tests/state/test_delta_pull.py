@@ -8,7 +8,9 @@ more than what was written since its previous sync (plus a descriptor per
 span), or exactly the value on a *recorded* fallback; and a write version
 never names two values. The machine drives one store and three tiers
 through every operation that can touch a key; the cases below it pin the
-paths the issue names one at a time.
+paths the issue names one at a time. A second machine and two cluster
+scenarios hold the other half of the demand path: partial replicas filled
+by non-forced chunk pulls, where a local write must never be shadowed.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from repro.chaos import ChaosPlan
 from repro.chaos.engine import ChaosEngine
 from repro.chaos.plan import StripeOutage
 from repro.chaos.state import ChaosStateStore
+from repro.runtime import FaasmCluster
 from repro.state.api import StateAPI
 from repro.state.kv import (
     SPAN_DESCRIPTOR_BYTES,
@@ -268,7 +271,7 @@ def test_delta_ships_the_written_spans_in_one_round_trip():
     # Nothing written since: one round trip, no payload (the price of
     # having no hint that says "clean").
     assert _pulled(reader) == (0, 1)
-    stats = reader.delivery_stats()
+    stats = reader.pull_stats()
     assert stats["delta_pulls"] == 2
     assert stats["bytes_saved"] == (SIZE - SPAN) + SIZE
     assert not any(stats["full_fallbacks"].values())
@@ -287,7 +290,7 @@ def test_log_overflow_falls_back_to_the_full_pull_then_deltas_again():
     for i in range(WRITE_LOG_DEPTH + 1):
         _write_and_push(writer, 2 * i, 0x40 + i)
     assert _pulled(reader) == (SIZE, 2)
-    assert reader.delivery_stats()["full_fallbacks"]["overflow"] == 1
+    assert reader.pull_stats()["full_fallbacks"]["overflow"] == 1
     assert _in_sync(store, reader)
     _write_and_push(writer, 5, 0x55)
     assert _pulled(reader) == (SPAN + SPAN_DESCRIPTOR_BYTES, 1)
@@ -324,18 +327,18 @@ def test_unknown_version_partial_and_resized_fall_back():
     fresh = LocalTier("host-2", StateClient(store))
     fresh.write_local(KEY, b"\x01" * SPAN, 0)  # created locally: no version
     assert _pulled(fresh)[0] == SIZE
-    assert fresh.delivery_stats()["full_fallbacks"]["unknown-version"] == 1
+    assert fresh.pull_stats()["full_fallbacks"]["unknown-version"] == 1
 
     chunky = LocalTier("host-3", StateClient(store))
     chunky.pull_chunk(KEY, 0, SPAN)
     chunky.replica(KEY).gver = store.version(KEY)  # even with a version
     assert _pulled(chunky)[0] == SIZE
-    assert chunky.delivery_stats()["full_fallbacks"]["partial"] == 1
+    assert chunky.pull_stats()["full_fallbacks"]["partial"] == 1
 
     StateAPI(writer).set_state(KEY, b"\x77" * (SIZE // 2))
     writer.push(KEY)
     assert _pulled(reader) == (SIZE // 2, 2)
-    assert reader.delivery_stats()["full_fallbacks"]["resized"] == 1
+    assert reader.pull_stats()["full_fallbacks"]["resized"] == 1
     assert _in_sync(store, reader)
     # The shrinking pusher itself stays synced: its next pull is a delta.
     assert _pulled(writer) == (0, 1)
@@ -375,7 +378,7 @@ def test_stripe_outage_mid_delta_pull_claims_nothing():
     with pytest.raises(StateUnavailableError):
         reader.pull(KEY, force=True)
     assert claims() == before
-    assert reader.delivery_stats()["delta_pulls"] == 0
+    assert reader.pull_stats()["delta_pulls"] == 0
     # The retry is an ordinary delta pull.
     assert _pulled(reader) == (2 * (SPAN + SPAN_DESCRIPTOR_BYTES), 1)
     assert _in_sync(store, reader)
@@ -412,3 +415,179 @@ def test_versions_survive_reshard_and_delete_recreate():
     assert _in_sync(store, tier)
     store.set_value("gone", b"back")
     assert store.version("gone") == gone + 1
+
+
+# ---------------------------------------------------------------------------
+# Partial replicas: non-forced chunk pulls vs guest writes
+# ---------------------------------------------------------------------------
+
+_MSIZE = 64  # small value => dense rule collisions
+
+
+class DemandInterleaving(stateful.RuleBasedStateMachine):
+    """One host's tier against a global store mutated behind its back.
+
+    The replica is born partial (by a local write or a chunk pull), which
+    the machine above never is. The model tracks, per byte, (a) the
+    guest's unpushed local writes and (b) every value the global tier has
+    ever held:
+
+    * a byte the guest wrote locally (and has not force-pulled away) reads
+      back *exactly* — no gap fill or delta pull may shadow it;
+    * any other byte reads as *some* value the global tier legally held
+      (§4.1 allows stale reads; it never allows invented ones);
+    * an op raises the store's range error only when it genuinely needed
+      a byte past the current *global* value end (a push of a locally
+      created value may legally truncate the global value — the model
+      mirrors the size machinery so it knows when that happened).
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.store = GlobalStateStore()
+        self.store.set_value(KEY, bytes(_MSIZE))
+        self.tier = LocalTier("host", StateClient(self.store))
+        #: offset -> value for unpushed guest writes.
+        self.local = {}
+        #: per-byte set of every value the global tier has held.
+        self.history = [{0} for _ in range(_MSIZE)]
+        #: current global value length (pushes may shrink it).
+        self.gsize = _MSIZE
+        #: replica's logical length / last synced length (None: no replica).
+        self.lsize = None
+        self.synced = None
+
+    offsets = st.integers(min_value=0, max_value=_MSIZE - 1)
+    lengths = st.integers(min_value=1, max_value=_MSIZE)
+    values = st.integers(min_value=1, max_value=255)
+
+    def _span(self, offset, length):
+        return offset, min(_MSIZE, offset + length)
+
+    @stateful.rule(offset=offsets, length=lengths, value=values)
+    def remote_write(self, offset, length, value):
+        start, end = self._span(offset, length)
+        self.store.set_range(KEY, start, bytes([value]) * (end - start))
+        self.gsize = max(self.gsize, end)
+        for i in range(start, end):
+            self.history[i].add(value)
+
+    @stateful.rule(offset=offsets, length=lengths, value=values)
+    def guest_write(self, offset, length, value):
+        start, end = self._span(offset, length)
+        self.lsize = end if self.lsize is None else max(self.lsize, end)
+        self.tier.write_local(KEY, bytes([value]) * (end - start), start)
+        for i in range(start, end):
+            self.local[i] = value
+
+    @stateful.rule()
+    def push(self):
+        if self.lsize is None:
+            self.tier.push(KEY)  # creates a clean replica; pushes nothing
+            self.lsize = self.synced = self.gsize
+            return
+        if self.local or self.synced != self.lsize:
+            # The push truncates (or grows, zero-filled) the global value
+            # to the replica's logical length and publishes local writes.
+            self.gsize = self.synced = self.lsize
+            for i, value in self.local.items():
+                self.history[i].add(value)
+        self.tier.push(KEY)
+        self.local.clear()
+
+    @stateful.rule()
+    def force_pull(self):
+        # A forced pull deliberately discards unpushed local writes. After
+        # the first one the replica is synced at a version, so later ones
+        # are delta pulls of whatever ``remote_write`` logged since.
+        self.tier.pull(KEY, force=True)
+        self.lsize = self.synced = self.gsize
+        self.local.clear()
+        assert self.tier.read_local(KEY, 0, self.gsize) == self.store.get_value(KEY)
+
+    @stateful.rule(offset=offsets, length=lengths)
+    def guest_read(self, offset, length):
+        start, end = self._span(offset, length)
+        if self.lsize is None:  # the pull creates it, global-sized
+            self.lsize = self.synced = self.gsize
+        self.lsize = max(self.lsize, end)  # pull_chunk grows to cover
+        try:
+            rep = self.tier.pull_chunk(KEY, start, end - start)
+        except IndexError:
+            assert end > self.gsize  # a needed gap was past the global end
+            return
+        data = rep.region.read(start, end - start)
+        for i, byte in enumerate(data, start=start):
+            if i in self.local:
+                assert byte == self.local[i], (
+                    f"local write at {i} shadowed: "
+                    f"wrote {self.local[i]}, read {byte}"
+                )
+            else:
+                assert byte in self.history[i], (
+                    f"byte {i} read {byte}, never held by the global tier"
+                )
+
+
+DemandInterleaving.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=30, deadline=None
+)
+TestDemandInterleaving = DemandInterleaving.TestCase
+
+
+CHUNK = 4 * 1024
+
+
+def test_concurrent_disjoint_range_writers_union_in_the_global_value():
+    """Four calls spread over two hosts each pull, fill and push their own
+    chunk of one key: the global value is the union of the pushes."""
+    cluster = FaasmCluster(n_hosts=2)
+    try:
+        cluster.global_state.set_value(KEY, bytes(16 * CHUNK))
+
+        def writer(ctx):
+            slot = int(ctx.input())
+            view = ctx.state.get_state_offset(KEY, slot * CHUNK, CHUNK)
+            view[:] = bytes([slot + 1]) * CHUNK
+            ctx.state.push_state_offset(KEY, slot * CHUNK, CHUNK)
+            return 0
+
+        cluster.register_python("writer", writer)
+        ids = [cluster.dispatch("writer", str(i).encode()) for i in range(4)]
+        assert [cluster.calls.wait(cid, 10.0) for cid in ids] == [0] * 4
+        assert cluster.global_state.get_value(KEY) == b"".join(
+            bytes([slot + 1]) * CHUNK for slot in range(4)
+        ) + bytes(12 * CHUNK)
+    finally:
+        cluster.shutdown()
+
+
+def test_shrink_then_regrow_reads_zeros_in_the_tail():
+    """A pulled value that shrinks and then regrows through
+    ``get_state(size)``: the bytes the larger value held there must not
+    resurface, locally or in the global tier — on a fresh replica and on
+    a reused one."""
+    cluster = FaasmCluster(n_hosts=1)
+    try:
+
+        def regrow(ctx):
+            ctx.state.pull_state(KEY)  # the whole 0xaa value is local
+            ctx.state.set_state(KEY, b"\xbb" * 1024)
+            ctx.state.push_state(KEY)
+            view = ctx.state.get_state(KEY, 2 * CHUNK)
+            view[0] = 0xCC
+            ctx.state.push_state(KEY)
+            ctx.write_output(bytes(
+                ctx.state.get_state_offset(KEY, CHUNK, 64, mark_dirty=False)
+            ))
+            return 0
+
+        cluster.register_python("regrow", regrow)
+        for _ in range(2):
+            cluster.global_state.set_value(KEY, b"\xaa" * (16 * CHUNK))
+            assert cluster.invoke("regrow") == (0, bytes(64))
+            assert cluster.global_state.get_value(KEY) == (
+                b"\xcc" + b"\xbb" * 1023 + bytes(2 * CHUNK - 1024)
+            )
+    finally:
+        cluster.shutdown()

@@ -123,7 +123,7 @@ def test_chained_call_moves_exactly_the_written_spans():
         parent, child = _call(cluster, next(rounds))
         assert [parent, child] == [(written, 0, 1), (0, delta, 1)]
 
-        tier = cluster.instances[1].local_tier.delivery_stats()
+        tier = cluster.instances[1].local_tier.pull_stats()
         assert tier["delta_pulls"] == 5
         assert tier["full_fallbacks"]["overflow"] == 1
         assert cluster.global_state.get_value(KEY) == bytes(

@@ -3,8 +3,7 @@
 The tentpole scenario: a chained multi-host run must yield mined
 profiles showing state keys with byte-ranges, snapshot pages, chain
 fan-out and phase breakdowns — and the profiles must round-trip through
-the content-addressed object store unchanged (that persisted artifact is
-what ROADMAP item 3's prefetcher will read).
+the content-addressed object store unchanged.
 """
 
 from __future__ import annotations
@@ -199,7 +198,7 @@ class TestMinerMechanics:
 
 
 # ---------------------------------------------------------------------------
-# Property tests: RangeCounter merge/coverage and AccessProfile.hot_ranges
+# Property tests: RangeCounter merge/coverage
 # ---------------------------------------------------------------------------
 
 from hypothesis import given, settings
@@ -267,50 +266,3 @@ class TestRangeCounterProperties:
         clone = RangeCounter.from_dict(counter.to_dict())
         assert clone.hot() == counter.hot()
 
-
-class TestHotRanges:
-    def _profile(self, calls: int, read_spans, write_spans=()):
-        profile = AccessProfile("fn")
-        profile.calls = calls
-        kp = profile.key_profile("grid")
-        for s, e, n in read_spans:
-            kp.reads.add(s, e, n)
-        for s, e, n in write_spans:
-            kp.writes.add(s, e, n)
-        return profile
-
-    def test_empty_profile_yields_nothing(self):
-        assert AccessProfile("fn").hot_ranges() == {}
-        # Ranges recorded but zero observed calls: no denominator, no plan.
-        assert self._profile(0, [(0, 10, 3)]).hot_ranges() == {}
-
-    def test_all_cold_profile_yields_nothing(self):
-        profile = self._profile(100, [(0, 10, 4), (10, 20, 9)])
-        assert profile.hot_ranges(confidence=0.5) == {}
-
-    def test_confidence_threshold_filters_per_range(self):
-        profile = self._profile(10, [(0, 10, 9), (10, 20, 2)])
-        assert profile.hot_ranges(confidence=0.5) == {"grid": [(0, 10)]}
-        assert profile.hot_ranges(confidence=0.1) == {
-            "grid": [(0, 10), (10, 20)]
-        }
-
-    def test_write_ranges_count_and_dedupe_against_reads(self):
-        """Read-modify-write guests record writes; those ranges prefetch
-        too, and a range hot in both counters appears once."""
-        profile = self._profile(
-            4, [(0, 10, 4)], write_spans=[(0, 10, 4), (10, 20, 4)]
-        )
-        assert profile.hot_ranges(confidence=0.5) == {
-            "grid": [(0, 10), (10, 20)]
-        }
-
-    def test_top_caps_span_count(self):
-        spans = [(i * 10, i * 10 + 10, 5) for i in range(6)]
-        profile = self._profile(5, spans)
-        hot = profile.hot_ranges(confidence=0.5, top=3)
-        assert len(hot["grid"]) == 3
-
-    def test_degenerate_spans_are_ignored(self):
-        profile = self._profile(2, [(5, 5, 10)])
-        assert profile.hot_ranges(confidence=0.5) == {}
