@@ -245,9 +245,7 @@ class Faaslet:
             return base
         tier = self.env.state.tier
         if size is not None and not tier.client.exists(key) and not tier.has_replica(key):
-            replica = tier.replica(key, size)
-            with replica.lock.write_locked():
-                replica.present.add(0, size)
+            replica = tier.create(key, size)
         elif pull and not tier.has_replica(key):
             replica = tier.pull(key)
         else:

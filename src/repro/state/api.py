@@ -42,9 +42,7 @@ class StateAPI:
         if self.tier.has_replica(key):
             rep = self.tier.replica(key, size)
         elif size is not None and not self.tier.client.exists(key):
-            rep = self.tier.replica(key, size)
-            with rep.lock.write_locked():
-                rep.present.add(0, size)
+            rep = self.tier.create(key, size)
         else:
             rep = self.tier.pull(key)
         if mark_dirty:

@@ -35,6 +35,7 @@ import threading
 import time
 import zlib
 from collections import deque
+from itertools import chain
 
 from repro.telemetry import MetricsRegistry
 
@@ -101,11 +102,6 @@ class TransferMeter:
     @property
     def round_trips(self) -> int:
         return self._trips.value
-
-    @property
-    def operations(self) -> int:
-        """Historic alias for :attr:`round_trips`."""
-        return self.round_trips
 
     @property
     def total_bytes(self) -> int:
@@ -293,21 +289,24 @@ class GlobalStateStore:
     def get_since(
         self,
         key: str,
+        offset: int,
+        length: int,
         since: int,
         view: memoryview,
         extra: list[tuple[int, int]] = (),
     ) -> tuple[list[tuple[int, int]] | None, int, int]:
-        """The delta read: bring a replica that equalled the value at
-        version ``since`` up to date.
+        """The delta read: bring ``[offset, offset+length)`` of a replica,
+        every byte of which equalled the value at version ``since`` or
+        later, up to date.
 
         ``view`` is the replica's whole value. Every span written after
         ``since``, plus the caller's ``extra`` spans (its own unflushed
-        writes, which a forced pull overwrites), is copied into it at the
-        same offsets, and ``(spans copied, version, size)`` comes back —
-        one stripe-lock hold, so the three are exact. When the log no
-        longer reaches back to ``since``, or the value's size is not
-        ``len(view)``, nothing is copied and the spans are ``None``: the
-        caller needs the whole value.
+        writes, which a forced pull overwrites), is clipped to the range
+        and copied into it at the same offsets, and ``(spans copied,
+        version, size)`` comes back — one stripe-lock hold, so the three
+        are exact. When the log no longer reaches back to ``since``, or
+        the value's size is not ``len(view)``, nothing is copied and the
+        spans are ``None``: the caller needs the bytes themselves.
         """
         with self._stripe(key):
             value = self._values.get(key)
@@ -319,15 +318,17 @@ class GlobalStateStore:
             if not 0 <= behind <= len(log) or len(view) != size:
                 return None, version, size
             newer = list(log)[len(log) - behind:]
-            spans = _merge(
-                (start, min(end, size))
-                for entry in (*newer, extra)
-                for start, end in entry
-                if start < size
-            )
+            spans = _merge(chain.from_iterable((*newer, extra)))
+            if length != size:  # the whole value needs no clipping
+                end = offset + length
+                spans = [
+                    (max(start, offset), min(stop, end))
+                    for start, stop in spans
+                    if start < end and stop > offset
+                ]
             source = memoryview(value)
-            for start, end in spans:
-                view[start:end] = source[start:end]
+            for start, stop in spans:
+                view[start:stop] = source[start:stop]
             return spans, version, size
 
     def set_range(self, key: str, offset: int, data: bytes) -> None:
@@ -538,12 +539,6 @@ class StateClient:
         self.meter.record_received(len(value))
         return value
 
-    def pull_range(self, key: str, offset: int, length: int) -> bytes:
-        """Fetch one byte range; one round trip."""
-        value = self._retry(self.store.get_range, key, offset, length)
-        self.meter.record_received(len(value))
-        return value
-
     def pull_ranges(
         self, key: str, ranges: list[tuple[int, int]]
     ) -> list[bytes]:
@@ -555,20 +550,13 @@ class StateClient:
         self.meter.record_received(sum(len(b) for b in out))
         return out
 
-    def pull_ranges_into(self, key: str, dests: list[tuple[int, memoryview]]) -> int:
-        """Fetch several ranges straight into caller views (e.g. a shared
-        region) in ONE round trip, with no intermediate copies."""
-        total = self._retry(self.store.get_ranges_into, key, dests)
-        self.meter.record_received(total)
-        return total
-
     def pull_ranges_into_versioned(
         self, key: str, dests: list[tuple[int, memoryview]]
     ) -> tuple[int, int, int]:
-        """:meth:`pull_ranges_into` plus the ``(version, value size)`` the
-        bytes were read at; still ONE round trip. The version is what a
-        whole-value pull is synced at; the size detects a concurrent
-        resize."""
+        """Fetch several ranges straight into caller views (e.g. a shared
+        region) in ONE round trip, with no intermediate copies, plus the
+        ``(version, value size)`` they were read at. The version is what
+        the ranges are synced at; the size detects a concurrent resize."""
         total, version, size = self._retry(
             self.store.get_ranges_into_versioned, key, dests
         )
@@ -578,15 +566,17 @@ class StateClient:
     def pull_since(
         self,
         key: str,
+        offset: int,
+        length: int,
         since: int,
         view: memoryview,
         extra: list[tuple[int, int]] = (),
     ) -> tuple[list[tuple[int, int]] | None, int, int]:
         """:meth:`GlobalStateStore.get_since` in ONE round trip. The reply
         is charged as the bytes copied plus a descriptor per span; a reply
-        of ``None`` (the whole value is needed) carries no payload."""
+        of ``None`` (the bytes themselves are needed) carries no payload."""
         spans, version, size = self._retry(
-            self.store.get_since, key, since, view, extra
+            self.store.get_since, key, offset, length, since, view, extra
         )
         self.meter.record_received(
             sum(e - s + SPAN_DESCRIPTOR_BYTES for s, e in spans or ())
@@ -597,11 +587,6 @@ class StateClient:
         """Replace the whole value; one round trip."""
         self.meter.record_sent(len(value))
         self._retry(self.store.set_value, key, value)
-
-    def push_range(self, key: str, offset: int, data: bytes) -> None:
-        """Overwrite one byte range; one round trip."""
-        self.meter.record_sent(len(data))
-        self._retry(self.store.set_range, key, offset, data)
 
     def push_ranges(
         self,

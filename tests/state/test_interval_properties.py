@@ -1,7 +1,12 @@
 """Property tests for the delta-sync data plane.
 
-Two layers are checked against brute-force models:
+Three layers are checked against brute-force models:
 
+* ``_RangeMap`` — the replica's ``range -> synced-at version`` map must agree
+  with a per-byte array after any sequence of assignments and drops, keep
+  its spans normalised (touching spans of one version coalesced, a partial
+  overwrite splitting what it straddles), and answer the gap and
+  oldest-version queries a pull asks.
 * ``_IntervalSet`` — every operation (add/remove/covers/missing/intersect/
   total) must agree with a byte-granular bitmap model, and the internal
   span list must stay normalised (sorted, disjoint, adjacent spans merged).
@@ -13,8 +18,9 @@ Two layers are checked against brute-force models:
 
 from hypothesis import given, settings, strategies as st
 
+from repro.faaslet.sharing import SharedRegion
 from repro.state import GlobalStateStore, LocalTier, StateClient
-from repro.state.local import _IntervalSet
+from repro.state.local import Replica, _IntervalSet, _RangeMap
 
 UNIVERSE = 64
 
@@ -119,6 +125,86 @@ def test_add_covered_adjacent_and_bridging_ranges():
     assert iset.spans == [(0, 2), (5, 80)]
     iset.add(1, 100)  # swallows everything it overlaps
     assert iset.spans == [(0, 100)]
+
+
+_ABSENT = "absent"
+#: (start, end, version): a version to assign (``None`` = present, version
+#: unknown) or ``_ABSENT`` to drop the range.
+_assignments = st.lists(
+    st.tuples(
+        st.integers(0, UNIVERSE),
+        st.integers(0, UNIVERSE),
+        st.sampled_from([None, 1, 2, 3, _ABSENT]),
+    ),
+    max_size=30,
+)
+
+
+def _assign(ops):
+    """Run assignments against both the map and a per-byte array."""
+    rmap = _RangeMap()
+    model = [_ABSENT] * UNIVERSE
+    for a, b, version in ops:
+        start, end = min(a, b), max(a, b)
+        rmap.set(start, end, version, drop=version is _ABSENT)
+        model[start:end] = [version] * (end - start)
+    return rmap, model
+
+
+@given(_assignments, st.integers(0, UNIVERSE), st.integers(0, UNIVERSE))
+@settings(max_examples=300, deadline=None)
+def test_range_map_matches_per_byte_reference(ops, a, b):
+    rmap, model = _assign(ops)
+    spans = rmap._spans
+    # Normalised: non-empty, sorted, disjoint, and two spans that touch
+    # carry different versions (equal ones would have coalesced).
+    for s, e, _ in spans:
+        assert s < e
+    for (_, e1, v1), (s2, _, v2) in zip(spans, spans[1:]):
+        assert e1 < s2 or (e1 == s2 and v1 != v2)
+    # Exact, byte by byte.
+    seen = [_ABSENT] * UNIVERSE
+    for s, e, v in spans:
+        seen[s:e] = [v] * (e - s)
+    assert seen == model
+    # The queries a pull asks of [start, end).
+    start, end = min(a, b), max(a, b)
+    window = model[start:end]
+    gaps, versions = rmap.scan(start, end)
+    assert {i for s, e in gaps for i in range(s, e)} == {
+        i for i, v in enumerate(window, start) if v is _ABSENT
+    }
+    assert rmap.missing(start, end) == gaps
+    assert rmap.covers(start, end) == (_ABSENT not in window)
+    held = [v for v in window if v is not _ABSENT]
+    assert set(versions) == set(held)
+    if held and None not in held:
+        assert min(versions) == min(held)  # the oldest: what a delta asks since
+
+
+@given(
+    _assignments,
+    st.lists(st.tuples(st.integers(0, UNIVERSE), st.integers(0, UNIVERSE)), max_size=4),
+)
+@settings(max_examples=300, deadline=None)
+def test_a_push_advances_exactly_the_ranges_one_version_behind(ops, pushed):
+    new = 4  # just produced by the push: no range can be synced at it yet
+    rmap, model = _assign(ops)
+    replica = Replica("k", SharedRegion("k", UNIVERSE), synced=rmap)
+    dirty = _IntervalSet()
+    for a, b in pushed:
+        dirty.add(min(a, b), max(a, b))
+    spans = dirty.spans  # what a push carries: sorted, disjoint
+    replica.pushed(spans, new)
+    expected = [new if v == new - 1 else v for v in model]
+    for s, e in spans:
+        expected[s:e] = [new] * (e - s)
+    seen = [_ABSENT] * UNIVERSE
+    for s, e, v in replica.synced._spans:
+        seen[s:e] = [v] * (e - s)
+    assert seen == expected
+    for (_, e1, v1), (s2, _, v2) in zip(replica.synced._spans, replica.synced._spans[1:]):
+        assert e1 < s2 or v1 != v2
 
 
 # Writes stay within a 256-byte value; no explicit shrink, so the dirty set

@@ -116,8 +116,11 @@ def test_transfer_meter_counts_both_directions(store):
     api = make_host(store)
     api.set_state("k", b"x" * 100)
     api.push_state("k")
-    api.pull_state("k")
     meter = api.tier.client.meter
+    api.pull_state("k")  # the pushed bytes are synced at the push's version
+    assert (meter.sent_bytes, meter.received_bytes) == (100, 0)
+    store.set_value("k", b"y" * 100)  # replaced behind the host's back
+    api.pull_state("k")
     assert meter.sent_bytes == 100
     assert meter.received_bytes == 100
 
