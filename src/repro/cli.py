@@ -726,7 +726,9 @@ def _render_top_frame(cluster, frame: int, frames: int, started: float) -> str:
         f"  failed {agg['call.failed']:.0f}"
         f"  state {(agg['state.bytes_sent'] + agg['state.bytes_received']) / 2**20:.2f} MiB"
         f"  simd {agg['simd.ops']:.0f}"
-        f"  threads {agg['thread.spawned']:.0f}",
+        f"  threads {agg['thread.spawned']:.0f}"
+        f"  workers {agg['instance.workers']:.0f}"
+        f" ({agg['instance.workers_born']:.0f} born)",
         _render_ingest_row(cluster),
         "",
         f"{'function':<12}{'calls':>7}{'p50ms':>9}{'p95ms':>9}{'p99ms':>9}"

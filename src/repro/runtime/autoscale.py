@@ -1,7 +1,7 @@
 """Reactive autoscaling against queue depth (DESIGN.md §11).
 
 A background loop sizes the cluster to its backlog: when the undispatched
-work per live host (bus queues + executor-pool backlogs + the ingestion
+work per live host (bus queues + worker backlogs + the ingestion
 plane's admission backlog) exceeds the policy's high-water mark, hosts are
 added — dead hosts are revived first, then fresh ones — and when the
 cluster has been fully idle for a grace period, the highest-numbered live
@@ -110,7 +110,7 @@ class Autoscaler:
 
     # ------------------------------------------------------------------
     def backlog(self) -> int:
-        """Undispatched work: bus queues + executor pools + admission."""
+        """Undispatched work: bus queues + worker backlogs + admission."""
         depths = self.cluster.bus.update_queue_gauges()
         total = sum(depths.values())
         total += sum(i.pool_backlog() for i in self.cluster.instances)

@@ -1,31 +1,28 @@
 """The message bus (Fig. 1/Fig. 5).
 
-Faaslets and runtime instances communicate through per-host queues: the
-bus carries function-execution requests (including work shared between
-hosts by the scheduler, Fig. 5's "sharing queue") and shutdown signals.
-Each runtime instance runs a dispatcher that drains its queue and executes
-calls on worker threads.
+Runtime instances communicate through per-host queues: the bus carries
+function-execution requests (including work shared between hosts by the
+scheduler, Fig. 5's "sharing queue") and shutdown signals. Each instance
+keeps one elastic set of standing workers on its queue and the worker that
+takes a message off it runs it (DESIGN.md §11), so a queue may have several
+receivers blocked in :meth:`MessageBus.receive`; every message enqueued
+wakes one of them.
 
 One message shape carries work: :class:`ExecuteBatch` — the calls of one
-function that one scheduling pass placed on one host, whether that is a
-single chained call or a few hundred admitted ones. The cluster sends it
-with :meth:`MessageBus.send`; the ingestion dispatcher, which places
-several function groups per round, flushes each host's batches with
-:meth:`MessageBus.send_many` under a **single** lock acquisition. At high
-arrival rates the per-message lock/notify tax is what the dispatch hot
-path spends most of its time on, so batching here is a large part of the
-ingestion speedup. The receiving host expands a batch into one
+function that one scheduling pass placed on one host, a single chained
+call or a few hundred admitted ones. The cluster sends it with
+:meth:`MessageBus.send`; the ingestion dispatcher flushes each host's
+batches with :meth:`MessageBus.send_many` under a **single** lock
+acquisition (at high arrival rates the per-message lock/notify tax is most
+of the dispatch hot path). The receiving worker expands a batch into one
 :class:`ExecuteCall` per carried call.
 
-Telemetry rides the bus two ways: delivery counters live in a
-:class:`~repro.telemetry.metrics.MetricsRegistry` (``BusStats`` is a thin
-view over them), and every carried call can bring its **trace context**
-(:data:`repro.telemetry.trace.Wire`) so the receiving host's spans attach
-to the sender's trace — the in-process analogue of trace headers on a
-cross-host RPC. Per-host queue depths are exported as
-``bus.queue_depth{host=}`` gauges by :meth:`MessageBus.update_queue_gauges`
-(refreshed lazily by the autoscaler, ``repro top`` and metric snapshots
-rather than on every send, keeping the hot path gauge-free).
+Delivery counters live in a :class:`~repro.telemetry.metrics.MetricsRegistry`
+(``BusStats`` is a view over them), every carried call can bring its
+**trace context** (:data:`repro.telemetry.trace.Wire`) so the receiving
+host's spans attach to the sender's trace, and queue depths are exported as
+``bus.queue_depth{host=}`` gauges — lazily, by
+:meth:`MessageBus.update_queue_gauges`, keeping the hot path gauge-free.
 """
 
 from __future__ import annotations
@@ -44,11 +41,10 @@ class ExecuteBatch(NamedTuple):
     The one work message (DESIGN.md §11): ``items`` is a tuple of
     ``(call_id, attempt_number)`` pairs, all for ``function``, all placed
     on the receiving host by one scheduling pass. Every item runs the full
-    attempt-claim protocol, so batching changes *how many lock
-    acquisitions* the calls cost, never their exactly-once semantics.
-    Chaos fault decisions are taken per item (identity-hashed on the call
-    id), so a call is dropped/duplicated/delayed identically however the
-    cluster happened to group it.
+    attempt-claim protocol, so batching changes how many lock acquisitions
+    the calls cost, never their exactly-once semantics; chaos faults are
+    decided per item (identity-hashed on the call id), so a call is
+    dropped/duplicated/delayed identically however it was grouped.
     """
 
     function: str
@@ -61,10 +57,11 @@ class ExecuteBatch(NamedTuple):
     #: Propagated trace contexts, one per item: (trace_id, parent span id,
     #: sampled, sender perf_counter timestamp); None when tracing is off.
     traces: tuple | None = None
-    #: The execution vehicle on the receiving host. Work the ingestion
-    #: plane admitted runs on the host's bounded worker pool; directly
-    #: dispatched, chained and retried calls each get their own thread, so
-    #: a parent blocked in ``await_call`` can never starve its callee.
+    #: Work the ingestion plane admitted: it runs on at most ``max(2,
+    #: capacity)`` of the receiving host's workers at once and a batch
+    #: summons at most one. Dispatched, chained and retried calls (False)
+    #: never wait for a worker another call occupies — one is born if none
+    #: is idle — so a parent in ``await_call`` cannot starve its callee.
     pooled: bool = False
 
     def only(self, indices) -> "ExecuteBatch":
@@ -77,8 +74,8 @@ class ExecuteBatch(NamedTuple):
 
 
 class ExecuteCall(NamedTuple):
-    """One carried call of an :class:`ExecuteBatch`, as the receiving host
-    expands it for its executor. Never sent over the bus itself."""
+    """One carried call of an :class:`ExecuteBatch`, as the receiving
+    worker expands it. Never sent over the bus itself."""
 
     call_id: int
     #: Which dispatch of the call this delivery is.
@@ -89,15 +86,15 @@ class ExecuteCall(NamedTuple):
 
 @dataclass(frozen=True)
 class Shutdown:
-    """Stop the receiving dispatcher."""
+    """Stop the receiving host's workers."""
 
 
 class BusStats:
-    """Delivery counters — a view over the bus's metrics registry, kept
-    so existing ``bus.stats.sent`` consumers are unaffected. A batch
-    counts once as a message and once per carried call."""
+    """Delivery counters — a view over the bus's metrics registry. A
+    batch counts once as a message and once per carried call."""
 
     def __init__(self, metrics: MetricsRegistry):
+        self._metrics = metrics
         self._sent = metrics.counter("bus.messages_sent")
         self._shared = metrics.counter("bus.messages_shared")
         self._batches = metrics.counter("bus.batches_sent")
@@ -119,13 +116,16 @@ class BusStats:
     def batched_calls(self) -> int:
         return self._batched_calls.value
 
-    def record(self, message) -> None:
+    def record(self, host: str, message) -> None:
         self._sent.inc()
         if isinstance(message, ExecuteBatch):
+            n = len(message.items)
             self._batches.inc()
-            self._batched_calls.inc(len(message.items))
+            self._batched_calls.inc(n)
             if message.shared:
                 self._shared.inc()
+                # What the receiving instance reads as ``shared_received``.
+                self._metrics.counter("bus.shared_calls", host=host).inc(n)
 
     def __repr__(self) -> str:  # keeps the old dataclass-ish repr
         return f"BusStats(sent={self.sent}, shared={self.shared})"
@@ -134,10 +134,8 @@ class BusStats:
 class _HostQueue:
     """One host's FIFO: a deque under a condition variable.
 
-    ``queue.Queue`` acquires its mutex once per ``put``; this queue adds
-    :meth:`put_many`, which appends a whole batch and wakes the consumer
-    under **one** acquisition — the primitive ``MessageBus.send_many``
-    needs for the ingestion hot path.
+    :meth:`put_many` appends a whole batch and wakes a consumer per item
+    under **one** acquisition (``queue.Queue`` would take one per ``put``).
     """
 
     __slots__ = ("_items", "_cv")
@@ -154,7 +152,7 @@ class _HostQueue:
     def put_many(self, items) -> None:
         with self._cv:
             self._items.extend(items)
-            self._cv.notify()
+            self._cv.notify(len(items))
 
     def get(self, timeout: float | None = None):
         """Blocking pop; returns None on timeout."""
@@ -186,8 +184,8 @@ class MessageBus:
             self._queues[host] = _HostQueue()
 
     def deregister(self, host: str) -> None:
-        """Remove a host's queue (undelivered messages are discarded);
-        subsequent sends/receives for the host raise ``KeyError``."""
+        """Remove a host's queue and its undelivered messages; later
+        sends/receives for the host raise ``KeyError``."""
         with self._mutex:
             if host not in self._queues:
                 raise KeyError(f"unknown bus endpoint {host!r}")
@@ -205,21 +203,18 @@ class MessageBus:
 
     def send(self, host: str, message) -> None:
         self._queue_for(host).put(message)
-        self.stats.record(message)
+        self.stats.record(host, message)
 
     def send_many(self, host: str, messages) -> None:
-        """Enqueue a batch for ``host`` under ONE queue-lock acquisition.
-
-        The ingestion dispatcher's path: a scheduling round that produced
-        several messages for the same host (one :class:`ExecuteBatch` per
-        function) pays one lock/notify instead of one per message.
-        """
+        """Enqueue a batch for ``host`` under ONE queue-lock acquisition:
+        an ingestion round that produced several messages for one host
+        (an :class:`ExecuteBatch` per function) pays for one."""
         messages = list(messages)
         if not messages:
             return
         self._queue_for(host).put_many(messages)
         for message in messages:
-            self.stats.record(message)
+            self.stats.record(host, message)
 
     def receive(self, host: str, timeout: float | None = None):
         """Blocking receive; returns None on timeout."""
@@ -235,10 +230,9 @@ class MessageBus:
         return sum(q.qsize() for q in queues)
 
     def update_queue_gauges(self) -> dict[str, int]:
-        """Refresh the ``bus.queue_depth{host=}`` gauges from the current
-        queue sizes and return the depths. Called lazily (autoscaler scan,
-        ``repro top`` frames, metric snapshots) so the send path never
-        pays for gauge upkeep."""
+        """Refresh the ``bus.queue_depth{host=}`` gauges and return the
+        depths. Called lazily (autoscaler scan, ``repro top`` frames) so
+        the send path never pays for gauge upkeep."""
         with self._mutex:
             queues = dict(self._queues)
         depths = {host: q.qsize() for host, q in queues.items()}

@@ -9,21 +9,20 @@ call, the monitor's ``redispatch`` and the ingestion plane's
 ``dispatch_batch`` all hand their call records to
 :meth:`FaasmCluster._place_and_send`, which runs one scheduling pass at
 the entry host's local scheduler, records one attempt per call, and puts
-one :class:`~repro.runtime.bus.ExecuteBatch` per target host on the bus —
-carrying the trace contexts with it. External
-calls are spread round-robin over the local schedulers, as Knative's
-default endpoint spreads requests; chained calls enter at their
-originating host's.
+one :class:`~repro.runtime.bus.ExecuteBatch` per target host on the bus,
+trace contexts included; one of that host's standing workers takes it off
+and runs it. External calls are spread round-robin over the local
+schedulers, as Knative's default endpoint spreads requests; chained calls
+enter at their originating host's.
 
 Every placement is an attempt record: the :class:`~repro.runtime.monitor.
 InvocationMonitor` re-queues attempts whose host died (liveness epoch) or
 whose message was lost (timeout) with exponential backoff, dead hosts are
 evicted from the warm sets so schedulers stop routing to them, and a call
 whose retry budget is spent reaches the terminal ``CALL_FAILED`` state
-carrying its failure chain. Passing a :class:`~repro.chaos.plan.ChaosPlan`
-(or prebuilt engine) as ``chaos=`` wraps the bus and the global state
-store in the deterministic fault-injection layer that this plane is tested
-against.
+carrying its failure chain. A :class:`~repro.chaos.plan.ChaosPlan` (or
+prebuilt engine) passed as ``chaos=`` wraps the bus and the global state
+store in the deterministic fault-injection layer this plane is tested with.
 """
 
 from __future__ import annotations
@@ -116,13 +115,7 @@ class FaasmCluster:
         self._capacity = capacity
         self._reset_between_calls = reset_between_calls
         self._host_seq = itertools.count(n_hosts)
-        self.instances = [
-            FaasmRuntimeInstance(
-                f"host-{i}", self, capacity=capacity,
-                reset_between_calls=reset_between_calls,
-            )
-            for i in range(n_hosts)
-        ]
+        self.instances = [self._boot(f"host-{i}") for i in range(n_hosts)]
         self._by_host = {instance.host: instance for instance in self.instances}
         self._rr = itertools.count()
         #: The ingestion plane (admission control + batched dispatch),
@@ -136,11 +129,18 @@ class FaasmCluster:
         #: monitor watches and what :meth:`drain` waits for.
         self._inflight: dict[int, CallRecord] = {}
         self._inflight_lock = threading.Lock()
-        for instance in self.instances:
-            self.bus.register(instance.host)
-            instance.start_dispatcher()
         self.monitor = InvocationMonitor(self, self.retry)
         self.monitor.start()
+
+    def _boot(self, host: str) -> FaasmRuntimeInstance:
+        """A new host: its instance, its bus endpoint, its first worker."""
+        instance = FaasmRuntimeInstance(
+            host, self, capacity=self._capacity,
+            reset_between_calls=self._reset_between_calls,
+        )
+        self.bus.register(host)
+        instance.start_dispatcher()
+        return instance
 
     # ------------------------------------------------------------------
     # Deployment
@@ -192,12 +192,11 @@ class FaasmCluster:
         collect: dict | None = None,
     ) -> list[str]:
         """Place and send already-created records of one function — the
-        ingestion plane's entry, whose work runs on the target hosts'
-        bounded pools. With ``collect`` (a ``host -> [messages]`` dict)
-        the messages are accumulated there instead of sent, so a caller
-        processing several function groups can flush each host's messages
-        with one :meth:`MessageBus.send_many`. Returns the target host
-        per record, in order."""
+        ingestion plane's entry, whose work travels ``pooled``. With
+        ``collect`` (a ``host -> [messages]`` dict) the messages are
+        accumulated there instead of sent, so a caller with several
+        function groups can flush each host's with one
+        :meth:`MessageBus.send_many`. Returns the target host per record."""
         if not records:
             return []
         decisions = self._place_and_send(
@@ -236,11 +235,11 @@ class FaasmCluster:
         one :class:`ExecuteBatch` per target host. Each call gets its own
         ``span_name`` span — the root of a new trace for an external
         call, a child of the caller's ambient context for a chained one
-        (the guest's executor thread still has it active) — whose wire
-        context rides the batch, so the receiving executor's spans become
-        its children across hosts. The scheduling pass runs inside those
-        spans (for a batch of many it records under the last of them).
-        Returns the decisions, in record order.
+        (the guest's worker still has it active) — whose wire context
+        rides the batch, so the receiving worker's spans become its
+        children across hosts. The scheduling pass runs inside those spans
+        (for a batch of many, under the last). Returns the decisions, in
+        record order.
         """
         tracer, attrs = self.telemetry.tracer, span_attrs or {}
         spans = [
@@ -375,13 +374,9 @@ class FaasmCluster:
         instance = self.instance_for(host)
         return instance.free_capacity() if instance.alive else 0
 
-    def host_alive(self, host: str) -> bool:
-        instance = self._by_host.get(host)
-        return instance is not None and instance.alive
-
     def placement_ok(self, host: str) -> bool:
         """Whether schedulers may place *new* work on ``host`` — alive and
-        not draining. (Liveness for the monitor is :meth:`host_alive`: a
+        not draining. (Liveness for the monitor is :meth:`host_liveness`: a
         draining host still finishes its in-flight attempts.)"""
         instance = self._by_host.get(host)
         return instance is not None and instance.alive and not instance.draining
@@ -411,12 +406,7 @@ class FaasmCluster:
                 added.append(dead.host)
                 continue
             host = f"host-{next(self._host_seq)}"
-            instance = FaasmRuntimeInstance(
-                host, self, capacity=self._capacity,
-                reset_between_calls=self._reset_between_calls,
-            )
-            self.bus.register(host)
-            instance.start_dispatcher()
+            instance = self._boot(host)
             # Copy-then-rebind so lock-free readers of the instance list
             # never see a half-built membership.
             self.instances = self.instances + [instance]
@@ -429,11 +419,10 @@ class FaasmCluster:
     def retire_host(self, host: str, timeout: float = 10.0) -> bool:
         """Shrink: gracefully retire ``host``. The host stops receiving
         new placements (``draining``), is evicted from the warm sets, and
-        once its queue and executors are idle it is taken down through the
-        PR 4 death path — so any straggler the drain raced is re-queued by
-        the invocation monitor, never stranded. Returns False when the
-        host is not retirable (unknown, already down, or the last live
-        host)."""
+        once its queue and workers are idle it is taken down through the
+        death path — so any straggler the drain raced is re-queued by the
+        monitor, never stranded. Returns False when the host is not
+        retirable (unknown, already down, or the last live host)."""
         instance = self._by_host.get(host)
         if instance is None or not instance.alive:
             return False
@@ -446,17 +435,11 @@ class FaasmCluster:
         self.warm_sets.evict_host(host)
         instance.reclaim_idle(0)
         deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            try:
-                pending = self.bus.pending(host)
-            except KeyError:
-                pending = 0
-            if (
-                pending == 0
-                and instance.pool_backlog() == 0
-                and instance.executing() == 0
-            ):
-                break
+        while time.monotonic() < deadline and (
+            self.bus.pending(host)
+            or instance.pool_backlog()
+            or instance.executing()
+        ):
             time.sleep(0.005)
         # kill() ends the liveness epoch: anything the drain wait raced
         # is written off by the monitor and re-queued elsewhere.
@@ -500,9 +483,6 @@ class FaasmCluster:
         """Bytes exchanged with the global tier across all hosts."""
         return sum(i.state_client.meter.total_bytes for i in self.instances)
 
-    def total_memory_footprint(self) -> int:
-        return sum(i.memory_footprint() for i in self.instances)
-
     def total_cold_starts(self) -> int:
         return sum(i.metrics.cold_starts for i in self.instances)
 
@@ -521,6 +501,8 @@ class FaasmCluster:
         "instance.calls_executed",
         "instance.cold_starts",
         "instance.warm_hits",
+        "instance.workers",
+        "instance.workers_born",
         "state.bytes_sent",
         "state.bytes_received",
         "state.round_trips",
@@ -608,13 +590,11 @@ class FaasmCluster:
         return doc
 
     def drain(self, timeout: float = 30.0, raise_on_stragglers: bool = True) -> list[int]:
-        """Wait for all dispatched calls to finish (tests/benchmarks).
-
-        The timeout is an overall deadline. Calls still unfinished when it
+        """Wait for all dispatched calls to finish (tests/benchmarks),
+        with ``timeout`` as an overall deadline. Calls unfinished when it
         expires are *stragglers*: their ids are returned, and — unless
         ``raise_on_stragglers=False`` — a :class:`DrainTimeout` naming them
-        is raised, so a stuck call can never be mistaken for a clean drain.
-        """
+        is raised, so a stuck call is never mistaken for a clean drain."""
         deadline = time.monotonic() + timeout
         stragglers = []
         for record in self.inflight_records():
@@ -630,7 +610,7 @@ class FaasmCluster:
         return stragglers
 
     def shutdown(self) -> None:
-        """Stop every host's dispatcher and the monitor (idempotent)."""
+        """Stop every host's workers and the monitor (idempotent)."""
         if self.autoscaler is not None:
             self.autoscaler.stop()
         with self._ingest_lock:

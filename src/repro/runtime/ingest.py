@@ -27,7 +27,7 @@ it carries many at a time:
   :meth:`FaasmCluster.dispatch_batch` (one scheduling pass, one registry
   hold, one :class:`~repro.runtime.bus.ExecuteBatch` per target host) and
   flushed with one :meth:`MessageBus.send_many` per host per round; the
-  receiving hosts run them on their bounded worker pools. It is the same
+  receiving hosts run them on the workers they already have. It is the same
   road every other call takes, so tracing, exactly-once semantics and the
   chaos-fault surface are unchanged — only the per-call overhead is gone.
 """
@@ -360,8 +360,8 @@ class IngestionPlane:
 
     # ------------------------------------------------------------------
     def drain(self, timeout: float = 60.0) -> None:
-        """Wait for the admission backlog, the bus, and the pools to go
-        empty, then for every dispatched call to finish (via
+        """Wait for the admission backlog, the bus, and the hosts' backlogs
+        to go empty, then for every dispatched call to finish (via
         :meth:`FaasmCluster.drain`, which raises on stragglers)."""
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:

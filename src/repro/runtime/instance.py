@@ -1,9 +1,9 @@
 """A FAASM runtime instance: one per host (§5, Fig. 5).
 
 Each instance owns a pool of Faaslets (warm ones are reused across calls),
-a local scheduler, the host's local state tier and a metered connection to
-the global tier. Calls arrive from the cluster front door or from other
-instances (work sharing); chained calls made by executing functions re-enter
+a local scheduler, the host's local state tier, a metered connection to the
+global tier and the standing workers that run its calls. Calls arrive from
+the front door or from other instances (work sharing); chained calls re-enter
 the cluster through the instance's environment.
 """
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import threading
 import time
+from collections import deque
 
 from repro.faaslet import (
     CpuCgroup,
@@ -27,7 +28,7 @@ from repro.state.kv import StateClient, StateUnavailableError, TransferMeter
 from repro.state.local import LocalTier
 from repro.telemetry import MetricsRegistry, context_from_wire, span
 
-from .bus import ExecuteCall, Shutdown, _HostQueue
+from .bus import ExecuteCall, Shutdown
 from .calls import CallRecord
 from .pyguest import PythonCallContext
 from .registry import PythonFunctionDefinition
@@ -35,19 +36,22 @@ from .scheduler import LocalScheduler
 
 logger = logging.getLogger(__name__)
 
-#: Default number of concurrent calls a host accepts (capacity for the
-#: scheduler's shared-state decisions).
+#: Default number of concurrent calls a host accepts (the scheduler's signal).
 DEFAULT_CAPACITY = 8
+
+#: Workers a host keeps however idle it is: its free workers wait on the
+#: bus itself up to this many (the rest sleep until summoned).
+WORKER_FLOOR = 2
+#: A worker above the floor retires after this long with nothing to do.
+WORKER_IDLE_S = 1.0
+_BUS = object()  # ``_take``'s answer for "go and hold a bus seat"
 
 
 class HostCrashed(RuntimeError):
     """An injected host failure: the host this code runs on just died.
-
     Raised by a chaos engine's phase hooks after it has killed the host;
-    executor and dispatcher threads let it unwind — whatever they were
-    doing is lost with the host, and the invocation monitor re-queues the
-    affected calls from their attempt records.
-    """
+    workers let it unwind — whatever they were doing is lost with the host,
+    and the monitor re-queues the affected calls from their attempt records."""
 
 
 class RuntimeEnvironment(FaasletEnvironment):
@@ -75,9 +79,8 @@ class RuntimeEnvironment(FaasletEnvironment):
 
 class InstanceMetrics:
     """Per-host lifecycle counters — a view over the cluster's metrics
-    registry (labelled ``host=``), keeping the historic attribute API so
-    ``instance.metrics.cold_starts`` consumers are unaffected while the
-    same series aggregate cluster-wide through the registry."""
+    registry (labelled ``host=``): ``instance.metrics.cold_starts`` reads
+    the series that also aggregates cluster-wide through the registry."""
 
     def __init__(self, metrics: MetricsRegistry | None = None, host: str = ""):
         # `is None`, not truthiness: an empty registry has len() == 0.
@@ -86,6 +89,9 @@ class InstanceMetrics:
         self._cold = metrics.counter("instance.cold_starts", host=host)
         self._warm = metrics.counter("instance.warm_hits", host=host)
         self._init = metrics.histogram("instance.init_time", host=host)
+        #: Threads ever started / alive now (they never move per call).
+        self.workers_born = metrics.counter("instance.workers_born", host=host)
+        self.workers = metrics.gauge("instance.workers", host=host)
 
     def record_call(self) -> None:
         self._calls.inc()
@@ -151,14 +157,13 @@ class FaasmRuntimeInstance:
             peer_capacity_fn=cluster.peer_capacity,
             # Placement-eligibility, not raw liveness: a draining host
             # finishes its work but receives no new placements.
-            live_fn=getattr(cluster, "placement_ok", None)
-            or getattr(cluster, "host_alive", None),
-            peers_fn=getattr(cluster, "live_hosts", None),
+            live_fn=cluster.placement_ok,
+            peers_fn=cluster.live_hosts,
         )
 
         #: The content-addressed snapshot client: this host's PageStore
-        #: plus the delta-pull protocol against the cluster repository.
-        #: Materialised snapshots advertise page residency to the shared
+        #: plus the delta-pull protocol against the cluster repository;
+        #: materialised snapshots advertise page residency to the shared
         #: scheduler state (the locality signal for placement).
         self.snapshots = HostSnapshotCache(
             host,
@@ -171,21 +176,23 @@ class FaasmRuntimeInstance:
         self._mutex = threading.Lock()
         self._executing = 0
         self.metrics = InstanceMetrics(cluster.telemetry.metrics, host=host)
-        self._dispatcher: threading.Thread | None = None
-        #: Bounded executor pool for ``pooled`` batches (created lazily on
-        #: the first one): admitted calls run on these workers instead of
-        #: a thread per call, which is most of the per-call overhead the
-        #: ingestion plane removes.
-        self._pool_threads: list[threading.Thread] = []
-        self._pool_queue = None
-        self._pool_lock = threading.Lock()
+        #: The worker set (below), guarded by ``_cv``, which idle workers
+        #: beyond the bus seats also sleep on. ``_handoff`` / ``_backlog``
+        #: hold what was accepted and is not yet executing, as ``(record,
+        #: message, pooled)``: unpooled calls handed to a sibling, pooled
+        #: ones waiting (``_pooled`` of them execute now).
+        self._cv = threading.Condition(threading.Lock())
+        self._workers: list[threading.Thread] = []
+        self._idle = 0  # asleep on _cv, or woken / born and not yet run
+        self._receiving = 0  # in, or heading for, bus.receive
+        self._stopped = False
+        self._handoff, self._backlog = deque(), deque()
+        self._pooled, self._pooled_max = 0, max(2, capacity)
         #: Graceful retirement: a draining host finishes its in-flight
         #: work but receives no new placements (the autoscaler's shrink
         #: path); distinct from ``alive`` so the invocation monitor does
         #: not write its in-flight attempts off.
         self.draining = False
-        #: Calls received over the bus that were shared from another host.
-        self.shared_received = 0
         #: Liveness: a dead host executes nothing and completes nothing.
         #: The epoch advances on every death, so attempt records dispatched
         #: to a previous life are detectable as lost (Fig. 5's independent
@@ -193,113 +200,149 @@ class FaasmRuntimeInstance:
         self.alive = True
         self.epoch = 0
         #: Fault-injection hooks (a ChaosEngine), or None in production.
-        self.chaos = getattr(cluster, "chaos", None)
+        self.chaos = cluster.chaos
+
+    @property
+    def shared_received(self) -> int:
+        """Calls delivered here that another host placed (the bus counts)."""
+        counters = self.cluster.bus.metrics
+        return counters.counter("bus.shared_calls", host=self.host).value
 
     # ------------------------------------------------------------------
-    # Message-bus dispatcher (Fig. 5)
+    # Workers: the host's one execution vehicle (Fig. 5). Free workers fill
+    # the WORKER_FLOOR bus seats (blocked in ``bus.receive``), the rest
+    # sleep on ``_cv``, and the worker that takes a batch off the bus runs
+    # it. Four invariants (DESIGN.md §11): (i) an unpooled call never waits
+    # for a worker another call occupies — ``_summon`` wakes or starts one;
+    # (ii) pooled items run on at most max(2, capacity) workers at once, a
+    # pooled batch summons at most one, and ``pool_backlog()`` is what was
+    # accepted and is not yet executing; (iii) a dead host consumes nothing
+    # (what it meets is dropped, the attempt left SENT); (iv) a worker idle
+    # for WORKER_IDLE_S retires (the seats keep the floor), ``Shutdown``
+    # stops them all, ``restart()`` restores them.
     # ------------------------------------------------------------------
     def start_dispatcher(self) -> None:
-        """Start the thread that drains this host's bus queue."""
-        if self._dispatcher is not None:
+        """Put a first worker on the bus; the rest are born on demand."""
+        with self._cv:
+            if not self._workers:
+                self._stopped = False
+                self._summon()
+
+    def _summon(self) -> None:
+        """Under ``_cv``, after adding work that must not wait for a busy
+        worker (an empty last seat, a handed-off call, a pooled batch
+        below the limit): wake a worker for it or, when every idle one is
+        spoken for, start one — the only place a host starts a thread."""
+        pooled = min(len(self._backlog), self._pooled_max - self._pooled)
+        if self._idle >= len(self._handoff) + (not self._receiving) + pooled:
+            self._cv.notify()
             return
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, daemon=True, name=f"bus-{self.host}"
+        self.metrics.workers_born.inc()
+        worker = threading.Thread(
+            target=self._work, daemon=True,
+            name=f"worker-{self.host}-{self.metrics.workers_born.value}",
         )
-        self._dispatcher.start()
+        self._workers.append(worker)
+        self.metrics.workers.set(len(self._workers))
+        self._idle += 1  # spoken for, like a woken sleeper, until it runs
+        worker.start()
 
-    def _dispatch_loop(self) -> None:
-        while True:
-            message = self.cluster.bus.receive(self.host)
-            if isinstance(message, Shutdown):
-                self._stop_pool()
-                return
-            # Dead hosts consume nothing: the drained message is lost with
-            # the host and the monitor re-queues it from its attempt
-            # record. The loop itself keeps draining (rather than exiting)
-            # so a later restart() reuses it without racing the
-            # thread-liveness check.
-            if self.alive:
-                self._expand_batch(message)
+    def _take(self):
+        """Under ``_cv``: what a free worker does next — a handed-off
+        call, a bus seat (``_BUS``), a pooled item — or None. The first
+        seat comes before the backlog, the backlog before the others."""
+        if self._handoff:
+            return self._handoff.popleft()
+        # A stopped host's seats all read as taken.
+        seated = WORKER_FLOOR if self._stopped else self._receiving
+        if seated and self._backlog and self._pooled < self._pooled_max:
+            self._pooled += 1
+            return self._backlog.popleft()
+        if seated < WORKER_FLOOR:
+            self._receiving += 1
+            return _BUS
+        return None
 
-    def _expand_batch(self, batch) -> None:
-        """Hand a batch's calls to their executors, one chaos pre-dispatch
-        point per carried call. ``batch.pooled`` work goes to the bounded
-        worker pool under one queue lock; everything else gets a thread
-        per call — functions may block in ``await_call``, so a chained
-        callee must never wait for a worker its own caller occupies."""
+    def _work(self) -> None:
+        """A worker's life: take, run, and sleep when there is nothing."""
+        job, expired = None, False
+        with self._cv:
+            self._idle -= 1
+        try:
+            while True:
+                with self._cv:
+                    if job is not None and job[2]:
+                        self._pooled -= 1
+                    while (job := self._take()) is None:
+                        if expired or self._stopped:
+                            return
+                        self._idle += 1
+                        expired = not self._cv.wait(WORKER_IDLE_S)
+                        self._idle -= 1
+                expired = False
+                while job is _BUS:
+                    job = self._receive()
+                if job is not None and self.alive:
+                    self._execute_safely(job[0], job[1])
+        finally:
+            with self._cv:
+                self._workers.remove(threading.current_thread())
+                self.metrics.workers.set(len(self._workers))
+
+    def _receive(self):
+        """Take one message off the bus, refill the seat if it was the
+        last, hand what the message carries to siblings, and return this
+        worker's next job."""
+        message = self.cluster.bus.receive(self.host)
+        stop = isinstance(message, Shutdown)
+        with self._cv:
+            self._receiving -= 1
+            if stop:
+                self._stopped = True
+                self._cv.notify_all()
+            elif not (self._receiving or self._stopped):
+                self._summon()
+            seated = self._receiving
+        if stop and seated:  # one Shutdown per host: pass it along the seats
+            self.cluster.bus.send(self.host, message)
+        if stop or not self.alive:
+            return None
+        work = self._expand_batch(message)
+        if len(work) == 1 and not message.pooled:
+            return work[0]  # the warm path: nothing to hand off
+        with self._cv:
+            if message.pooled:
+                # ``_take`` keeps FIFO and the limit; a batch of one needs
+                # no helper when this worker can run it itself.
+                self._backlog.extend(work)
+                if len(self._backlog) > 1:
+                    self._summon()
+                return self._take()
+            for item in work[1:]:
+                self._handoff.append(item)
+                self._summon()
+        return work[0] if work else None
+
+    def _expand_batch(self, batch) -> list:
+        """The batch as ``(record, message, pooled)`` items: one chaos
+        pre-dispatch point per carried call, one registry hold."""
         traces = batch.traces or (None,) * len(batch.items)
         accepted: list = []
         for (call_id, attempt), trace in zip(batch.items, traces):
-            message = ExecuteCall(
-                call_id, attempt, shared=batch.shared, trace=trace
-            )
+            message = ExecuteCall(call_id, attempt, batch.shared, trace)
             try:
                 self._chaos_point("pre-dispatch", message)
             except HostCrashed:
-                # Died mid-expansion: this item and the rest of the batch
-                # are lost with the host; the monitor re-queues them. The
-                # already-accepted prefix still ships below, exactly as if
-                # each item had been enqueued before the crash point.
+                # Died mid-expansion: this item and the rest are lost (the
+                # monitor re-queues them); the accepted prefix still ships.
                 break
-            if batch.shared:
-                self.shared_received += 1
             accepted.append(message)
-        work = list(zip(
-            self.cluster.calls.get_many([m.call_id for m in accepted]),
-            accepted,
-        ))
-        if batch.pooled:
-            if work:
-                self._ensure_pool().put_many(work)
-            return
-        for record, message in work:
-            threading.Thread(
-                target=self._execute_safely,
-                args=(record, message),
-                daemon=True,
-                name=f"call-{record.call_id}-{record.function}",
-            ).start()
-
-    def _ensure_pool(self):
-        with self._pool_lock:
-            if self._pool_queue is None:
-                self._pool_queue = _HostQueue()
-                n = max(2, self.capacity)
-                for i in range(n):
-                    thread = threading.Thread(
-                        target=self._pool_loop,
-                        daemon=True,
-                        name=f"pool-{self.host}-{i}",
-                    )
-                    thread.start()
-                    self._pool_threads.append(thread)
-            return self._pool_queue
-
-    def _pool_loop(self) -> None:
-        while True:
-            item = self._pool_queue.get()
-            if item is None:
-                return
-            if not self.alive:
-                # Lost with the host, exactly like an undrained bus
-                # message: the attempt stays SENT under a dead epoch and
-                # the monitor re-queues it elsewhere.
-                continue
-            record, message = item
-            self._execute_safely(record, message)
-
-    def _stop_pool(self) -> None:
-        with self._pool_lock:
-            if self._pool_queue is None:
-                return
-            for _ in self._pool_threads:
-                self._pool_queue.put(None)
+        records = self.cluster.calls.get_many([m.call_id for m in accepted])
+        return [(r, m, batch.pooled) for r, m in zip(records, accepted)]
 
     def pool_backlog(self) -> int:
         """Batch items accepted from the bus but not yet executing."""
-        with self._pool_lock:
-            queue = self._pool_queue
-        return queue.qsize() if queue is not None else 0
+        return len(self._handoff) + len(self._backlog)
 
     def _chaos_point(self, phase: str, message) -> None:
         """Give the chaos engine (if any) a chance to kill this host."""
@@ -330,13 +373,10 @@ class FaasmRuntimeInstance:
             calls.complete_attempt(record.call_id, attempt, 1, str(exc).encode())
 
     def _execute_traced(self, record, message) -> None:
-        """Execute under the trace context carried by the bus message.
-
-        Executor threads start with an empty ambient context, so the
-        sender's context is re-activated here — the receive-side half of
-        cross-host propagation. Without a carried context (tracing off,
-        or the trace was unsampled at its root) this is a plain execute.
-        """
+        """Execute under the trace context carried by the bus message:
+        workers have no ambient context, so the sender's is re-activated
+        here — the receive-side half of cross-host propagation. Without one
+        (tracing off, or unsampled at its root) this is a plain execute."""
         wire = message.trace
         if wire is None:
             self.execute(record, message)
@@ -358,21 +398,18 @@ class FaasmRuntimeInstance:
                 sp.set_attr("cold_start", record.cold_start)
 
     def join_dispatcher(self, timeout: float = 5.0) -> None:
-        if self._dispatcher is not None:
-            self._dispatcher.join(timeout)
-            self._dispatcher = None
-        with self._pool_lock:
-            threads, self._pool_threads = self._pool_threads, []
-        for thread in threads:
-            thread.join(timeout)
+        """Join every worker; ``timeout`` bounds the whole wait (a worker
+        still inside a guest is left to finish on its own)."""
+        deadline = time.monotonic() + timeout
+        for worker in list(self._workers):
+            worker.join(max(0.0, deadline - time.monotonic()))
 
     # ------------------------------------------------------------------
     # Liveness (host-failure injection and recovery)
     # ------------------------------------------------------------------
     def kill(self) -> None:
-        """The host dies: it stops executing, its in-flight completions are
-        lost, its liveness epoch ends, and the cluster evicts it from the
-        warm sets. Idempotent per life."""
+        """The host dies: its in-flight completions are lost, its liveness
+        epoch ends, the cluster evicts it from the warm sets. Idempotent."""
         with self._mutex:
             if not self.alive:
                 return
@@ -391,16 +428,13 @@ class FaasmRuntimeInstance:
             self._warm.clear()
             self._executing = 0
             self.alive = True
-        # The page cache died with the host's memory: restores on this new
-        # life re-pull (residency ads were withdrawn by on_host_death).
+        # The page cache died too (on_host_death withdrew its residency ads).
         self.snapshots.clear()
-        if self._dispatcher is None or not self._dispatcher.is_alive():
-            self._dispatcher = None
-            self.start_dispatcher()
+        self.start_dispatcher()
         logger.info("host %s restarted (epoch %d)", self.host, self.epoch)
 
     # ------------------------------------------------------------------
-    # Capacity
+    # Capacity and execution
     # ------------------------------------------------------------------
     def free_capacity(self) -> int:
         with self._mutex:
@@ -411,14 +445,12 @@ class FaasmRuntimeInstance:
         with self._mutex:
             return self._executing
 
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
     def execute(self, record: CallRecord, message) -> None:
-        """Execute attempt ``message.attempt`` of a call on this host (runs
-        on the caller's thread, which has already claimed the attempt)."""
+        """Execute attempt ``message.attempt`` of a call on this host, on
+        the calling worker (which has already claimed the attempt)."""
         definition = self.cluster.registry.get(record.function)
         with self._mutex:
+            epoch = self.epoch
             self._executing += 1
         try:
             if isinstance(definition, PythonFunctionDefinition):
@@ -427,12 +459,13 @@ class FaasmRuntimeInstance:
                 self._execute_wasm(record, definition, message)
         finally:
             with self._mutex:
-                self._executing -= 1
+                # The count belongs to a life, not to a guest that outlives it.
+                if self.epoch == epoch:
+                    self._executing -= 1
 
     def _complete(self, record: CallRecord, message, code: int, output: bytes) -> None:
         """Write the call's completion — unless this host died meanwhile
-        (a dead host's completions are lost, like the paper's crashed
-        worker never answering the message bus)."""
+        (like the paper's crashed worker never answering the bus)."""
         if self.alive:
             self.cluster.calls.complete_attempt(
                 record.call_id, message.attempt, code, output
@@ -470,8 +503,7 @@ class FaasmRuntimeInstance:
             self._release_faaslet(definition.name, faaslet)
 
     def _tap_profiler(self, faaslet: Faaslet, function: str) -> None:
-        """Attach the continuous profiler's tap (when one is enabled) so
-        the Faaslet's guest calls feed the per-function flamegraph."""
+        """Feed the continuous profiler (when enabled) this Faaslet's calls."""
         profiler = self.cluster.telemetry.profiler
         if profiler is not None:
             profiler.attach(faaslet.instance, function)
@@ -486,22 +518,24 @@ class FaasmRuntimeInstance:
                 faaslet = pool.pop()
                 self._tap_profiler(faaslet, definition.name)
                 return faaslet, False
-        # Cold start: restore from the Proto-Faaslet when one exists. The
-        # snapshot client pulls (only) the pages this host is missing and
-        # materialises a proto aliasing the host PageStore.
+        # Cold start: restore from the Proto-Faaslet when one exists (the
+        # snapshot client pulls only the pages this host is missing).
         with span("faaslet.acquire", function=definition.name) as sp:
             start = time.perf_counter()
             proto = self.snapshots.get_proto(definition)
-            if proto is not None:
-                sp.set_attr("mode", "proto-restore")
-                faaslet = proto.restore(self.env)
-            else:
-                sp.set_attr("mode", "cold-boot")
-                faaslet = Faaslet(definition, self.env)
+            sp.set_attr("mode", "proto-restore" if proto is not None else "cold-boot")
+            faaslet = self._new_faaslet(definition, proto)
             self.metrics.record_cold_start(time.perf_counter() - start)
+        return faaslet, True
+
+    def _new_faaslet(self, definition: FunctionDefinition, proto) -> Faaslet:
+        faaslet = (
+            proto.restore(self.env) if proto is not None
+            else Faaslet(definition, self.env)
+        )
         self.cgroup.add_member(faaslet.name)
         self._tap_profiler(faaslet, definition.name)
-        return faaslet, True
+        return faaslet
 
     def _release_faaslet(self, function: str, faaslet: Faaslet) -> None:
         self.cgroup.charge(faaslet.name, faaslet.instance.instructions_executed)
@@ -514,9 +548,8 @@ class FaasmRuntimeInstance:
     # Pre-warming (scale-up ahead of traffic)
     # ------------------------------------------------------------------
     def pre_warm(self, function: str, count: int = 1) -> int:
-        """Provision ``count`` warm Faaslets for ``function`` before any
-        traffic arrives, registering this host in the shared warm set.
-        Returns the number actually added."""
+        """Provision ``count`` warm Faaslets for ``function`` ahead of
+        traffic and join the shared warm set; returns the number added."""
         definition = self.cluster.registry.get(function)
         if isinstance(definition, PythonFunctionDefinition):
             return 0  # Python guests have no per-instance isolation unit
@@ -525,12 +558,7 @@ class FaasmRuntimeInstance:
         for _ in range(count):
             # Always create fresh instances (acquire would just recycle the
             # pool's existing idle Faaslet).
-            if proto is not None:
-                faaslet = proto.restore(self.env)
-            else:
-                faaslet = Faaslet(definition, self.env)
-            self.cgroup.add_member(faaslet.name)
-            self._tap_profiler(faaslet, function)
+            faaslet = self._new_faaslet(definition, proto)
             with self._mutex:
                 self._warm.setdefault(function, []).append(faaslet)
             added += 1
@@ -542,13 +570,11 @@ class FaasmRuntimeInstance:
     # Pool reclamation (scale-to-zero)
     # ------------------------------------------------------------------
     def reclaim_idle(self, keep_per_function: int = 0) -> int:
-        """Tear down idle warm Faaslets beyond ``keep_per_function``.
-
-        The autoscaler's scale-down path: reclaimed Faaslets release their
-        memory and cgroup membership, and a function whose local pool drops
-        to zero is withdrawn from the shared warm set so other schedulers
-        stop sharing work here (§5.1). Returns the number reclaimed.
-        """
+        """Tear down idle warm Faaslets beyond ``keep_per_function`` (the
+        autoscaler's scale-down path): they release memory and cgroup
+        membership, and a function whose local pool drops to zero leaves
+        the shared warm set so other schedulers stop sharing work here
+        (§5.1). Returns the number reclaimed."""
         reclaimed = 0
         with self._mutex:
             for function, pool in list(self._warm.items()):

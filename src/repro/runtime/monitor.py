@@ -52,7 +52,7 @@ class RetryPolicy:
     jitter: float = 0.2
     #: Extra time a SENT attempt is granted past ``attempt_timeout`` while
     #: its target host is alive but *backlogged* (non-empty bus queue or
-    #: executor pool). Under the ingestion plane, deep queues are the
+    #: worker backlog). Under the ingestion plane, deep queues are the
     #: normal open-loop condition, not evidence of loss — without this
     #: grace a 10⁵-call burst would trip a retry storm of calls that are
     #: merely waiting their turn. A genuinely dropped message still times

@@ -230,7 +230,7 @@ def test_idempotency_key_dedupes_concurrent_dispatch(make_cluster):
 
 def test_drain_reports_stragglers(make_cluster):
     cluster = make_cluster(n_hosts=1)
-    cluster.register_python("sleepy", lambda ctx: time.sleep(5.0) or 0)
+    cluster.register_python("sleepy", lambda ctx: time.sleep(1.0) or 0)
     call_id = cluster.dispatch("sleepy")
     with pytest.raises(DrainTimeout) as excinfo:
         cluster.drain(timeout=0.2)

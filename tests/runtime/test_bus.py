@@ -96,7 +96,7 @@ class TestClusterOverBus:
         cluster = FaasmCluster(n_hosts=2)
         cluster.shutdown()
         for instance in cluster.instances:
-            assert instance._dispatcher is None
+            assert instance._workers == []
 
     def test_drain_waits_for_inflight_calls(self):
         cluster = FaasmCluster(n_hosts=1)

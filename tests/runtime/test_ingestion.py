@@ -211,8 +211,8 @@ def test_submit_tenant_backpressure_defers():
 
 
 def test_chained_calls_still_work_under_ingestion():
-    """Pool workers must never deadlock on chained calls: chains re-enter
-    through the per-call path, not the pool."""
+    """Workers running pooled parents must never deadlock on chained calls:
+    a chained call is unpooled, so it never waits for an occupied worker."""
 
     def parent(ctx):
         cid = ctx.chain("child", b"7")

@@ -4,8 +4,8 @@ An external ``dispatch``, a guest's chained call, the monitor's
 ``redispatch`` and the ingestion plane's ``submit`` all go through
 ``FaasmCluster._place_and_send``: what reaches the bus is always an
 ``ExecuteBatch``, and every resulting call record carries at least one
-attempt. Which executor runs a call is chosen by the batch's ``pooled``
-field, never by the kind of message.
+attempt. Whether a call may grow the receiving host's worker set is the
+batch's ``pooled`` field, never the kind of message.
 """
 
 import pytest
@@ -96,11 +96,11 @@ def test_every_entry_point_puts_only_batches_on_the_wire(cluster):
     assert [m.pooled for m in seen if m.function == "child"] == [False] * 3
 
 
-def test_retried_chained_call_gets_its_own_thread():
-    """Fan-out deeper than the pool: both pool workers of a one-host,
-    capacity-2 cluster block in ``await_call`` on children whose first
-    delivery is lost. The retried children must not queue for the pool
-    their parents occupy, or nothing ever finishes."""
+def test_retried_chained_call_gets_its_own_worker():
+    """Fan-out deeper than the pooled limit: the workers running pooled
+    parents on a one-host, capacity-2 cluster block in ``await_call`` on
+    children whose first delivery is lost. The retried children must not
+    queue for the workers their parents occupy, or nothing ever finishes."""
     cluster = FaasmCluster(n_hosts=1, capacity=2, retry_policy=FAST)
     try:
         cluster.register_python("parent", _parent)
