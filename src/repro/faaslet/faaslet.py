@@ -13,7 +13,12 @@ A Faaslet bundles, per Fig. 1:
 
 Faaslets are created cold from a :class:`FunctionDefinition` (validated,
 pre-code-generated at upload time) or warm from a Proto-Faaslet snapshot
-(:mod:`repro.faaslet.snapshot`).
+(:mod:`repro.faaslet.snapshot`). Either way instantiation *links* against
+the static host-interface table (:mod:`repro.host.interface`): one binding
+per import the module declares, made once in the Faaslet's life and reused
+by ``reset()`` and ``dlopen()``. Whoever discards a Faaslet calls
+:meth:`Faaslet.close`, which returns its memory without waiting for the
+cycle collector.
 """
 
 from __future__ import annotations
@@ -38,7 +43,9 @@ logger = logging.getLogger(__name__)
 
 
 def _host_imports(faaslet):
-    """Deferred import: repro.host depends on repro.faaslet, so the edge
+    """The Faaslet's lazily linked view of the static Tab. 2 table.
+
+    Deferred import: repro.host depends on repro.faaslet, so the edge
     back to the host interface is resolved lazily to avoid an import cycle."""
     from repro.host.interface import build_host_imports
 
@@ -139,7 +146,10 @@ class Faaslet:
         self.tier = tier
 
         module = definition.module
-        imports = _host_imports(self)
+        #: The host interface as this Faaslet links against it: made once
+        #: here, reused by reset() and dlopen(), so an import is bound to
+        #: this Faaslet at most once in its life.
+        self._imports = imports = _host_imports(self)
         if proto is not None:
             self.instance = proto.make_instance(imports, fuel=fuel, tier=tier)
             if profile:
@@ -301,10 +311,9 @@ class Faaslet:
         function" (§3.2).
         """
         module = self.env.load_module(path, filesystem=self.filesystem)
-        imports = _host_imports(self)
         lib = Instance(
             module,
-            imports,
+            self._imports,
             memory=self.instance.memory,
             validated=True,
             apply_data=True,
@@ -338,9 +347,10 @@ class Faaslet:
         """
         if self.proto is None:
             raise RuntimeError(f"{self.name} has no Proto-Faaslet to reset from")
-        imports = _host_imports(self)
         fuel = self.instance.fuel
-        self.instance = self.proto.make_instance(imports, fuel=fuel, tier=self.tier)
+        self.instance = self.proto.make_instance(
+            self._imports, fuel=fuel, tier=self.tier
+        )
         self._brk = self.instance.memory.size_bytes
         self._state_mappings.clear()
         self._dl_handles.clear()
@@ -348,6 +358,22 @@ class Faaslet:
         self._thread_runtime = None
         self.input_data = b""
         self.output_data = b""
+
+    def close(self) -> None:
+        """Tear the Faaslet down: drop the instance (its materialised
+        pages), the linked imports, dlopen handles and the thread runtime.
+
+        ``faaslet → instance → funcs → bound host function → faaslet`` is a
+        reference cycle (and so is instance ↔ thread runtime), so merely
+        forgetting a Faaslet leaves its memory to the cycle collector;
+        ``close()`` breaks the cycles and frees it now. Idempotent. Only for
+        an idle Faaslet — never one a guest is still running in."""
+        instance, self.instance = self.instance, None
+        if instance is not None:
+            instance._thread_runtime = None
+        self._imports = None
+        self._dl_handles.clear()
+        self._thread_runtime = None
 
     # ------------------------------------------------------------------
     # Accounting

@@ -19,6 +19,7 @@ from repro.faaslet.netns import NetworkNamespace
 from repro.state.api import StateAPI
 from repro.state.kv import GlobalStateStore, StateClient
 from repro.state.local import LocalTier
+from repro.telemetry import MetricsRegistry
 from repro.wasm.module import Module
 
 from .filesystem import GlobalObjectStore, VirtualFilesystem
@@ -34,6 +35,9 @@ class FaasletEnvironment(ABC):
     state: StateAPI
     filesystem: VirtualFilesystem
     netns: NetworkNamespace
+    #: Where the host interface counts what it swallows
+    #: (``errors.swallowed{site=}``); a cluster supplies its own registry.
+    metrics: MetricsRegistry
 
     def filesystem_for(self, user: str) -> VirtualFilesystem:
         """The per-user filesystem view (Tab. 2: "per-user virtual
@@ -107,6 +111,7 @@ class StandaloneEnvironment(FaasletEnvironment):
         self.state = StateAPI(LocalTier(host, StateClient(self.global_state)))
         self.filesystem = VirtualFilesystem(self.object_store, user)
         self.netns = NetworkNamespace(f"ns-{host}")
+        self.metrics = MetricsRegistry()
         self.functions: dict[str, "callable"] = {}
         self._outputs: dict[int, bytes] = {}
         self._codes: dict[int, int] = {}

@@ -425,6 +425,9 @@ class FaasmRuntimeInstance:
         with self._mutex:
             if self.alive:
                 return
+            for pool in self._warm.values():
+                for faaslet in pool:
+                    faaslet.close()
             self._warm.clear()
             self._executing = 0
             self.alive = True
@@ -581,6 +584,7 @@ class FaasmRuntimeInstance:
                 while len(pool) > keep_per_function:
                     faaslet = pool.pop()
                     self.cgroup.remove_member(faaslet.name)
+                    faaslet.close()
                     reclaimed += 1
                 if not pool:
                     del self._warm[function]

@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 
 from repro.state.kv import (
@@ -71,13 +72,23 @@ class SchedulingDecision:
         return self.reason in _COLD_REASONS
 
 
-class _CacheEntry:
-    __slots__ = ("epoch", "expires", "value")
+#: The two kinds of advisory record as ``(parse, default, dump)`` between
+#: stored bytes (a sorted JSON list of warm hosts; a key-sorted JSON object
+#: ``host -> coverage``) and the cached snapshot, which is never mutated:
+#: every change builds a new one, so all readers may share it.
+_WARM = (
+    lambda raw: frozenset(json.loads(raw.decode())),
+    frozenset(),
+    lambda hosts: json.dumps(sorted(hosts)).encode(),
+)
+_RESIDENT = (
+    lambda raw: {h: float(c) for h, c in json.loads(raw.decode()).items()},
+    {},
+    lambda entries: json.dumps(entries, sort_keys=True).encode(),
+)
 
-    def __init__(self, epoch: int, expires: float, value):
-        self.epoch = epoch
-        self.expires = expires
-        self.value = value
+
+_CacheEntry = namedtuple("_CacheEntry", "epoch expires value raw")
 
 
 class WarmSetRegistry:
@@ -90,12 +101,12 @@ class WarmSetRegistry:
     dispatch path down with the state tier.
 
     Reads are served from a per-key **epoch/TTL cache** of the parsed
-    snapshot: a mutation through this registry bumps the key's epoch
-    (invalidating the cached parse), and entries also expire after
+    snapshot: a mutation through this registry bumps the key's epoch and
+    **writes through** (caches the snapshot it computed at the new epoch, so
+    the next placement pass hits), and entries also expire after
     ``cache_ttl`` seconds as a backstop against writers the epoch cannot
-    observe. The cache is what takes the global-tier round trip and the
-    JSON parse off the per-dispatch hot path; hits/misses are counted in
-    ``sched.cache_hits`` / ``sched.cache_misses``.
+    observe. The cache takes the global-tier round trip and the JSON parse
+    off the dispatch hot path (``sched.cache_hits`` / ``sched.cache_misses``).
     """
 
     def __init__(
@@ -119,20 +130,56 @@ class WarmSetRegistry:
     # ------------------------------------------------------------------
     # Epoch/TTL snapshot cache
     # ------------------------------------------------------------------
-    def _invalidate(self, key: str) -> None:
+    def _install(self, key: str, value=None, raw=None) -> None:
         """A mutation went through this registry: bump the key's epoch so
-        every cached parse of it is dead."""
+        every cached parse of it is dead and, when the store took it, cache
+        the new snapshot (``value``, stored as ``raw``) at the new epoch."""
         with self._cache_lock:
-            self._epochs[key] = self._epochs.get(key, 0) + 1
+            epoch = self._epochs[key] = self._epochs.get(key, 0) + 1
+            if value is not None:
+                expires = time.monotonic() + self.cache_ttl
+                self._cache[key] = _CacheEntry(epoch, expires, value, raw)
 
-    def _cached_read(self, key: str, parse, default):
-        """The memoised read-through: parsed snapshot of ``key``, from
-        cache when its epoch still matches and the TTL has not lapsed."""
-        now = time.monotonic()
+    def _live_entry(self, key: str, now: float) -> tuple[_CacheEntry | None, int]:
+        """``key``'s cached entry when its epoch still matches and the TTL
+        has not lapsed at ``now`` (else None), and the key's current epoch."""
         with self._cache_lock:
             entry = self._cache.get(key)
             epoch = self._epochs.get(key, 0)
-        if entry is not None and entry.epoch == epoch and now < entry.expires:
+        live = entry is not None and entry.epoch == epoch and now < entry.expires
+        return (entry if live else None), epoch
+
+    def _mutate(self, key: str, codec, change) -> None:
+        """The one write path: apply ``change`` to ``key``'s parsed snapshot
+        atomically in the store and write the result through to the cache
+        *from inside the update*, while the key's stripe is held, so cache
+        installs happen in store order. A ``change`` the live cached snapshot
+        already satisfies is no store trip; a dark tier caches nothing."""
+        parse, default, dump = codec
+        entry, _epoch = self._live_entry(key, time.monotonic())
+        if entry is not None and change(entry.value) == entry.value:
+            return
+
+        def update(old: bytes | None) -> bytes:
+            # Stored bytes the cached snapshot stands for need no second parse.
+            known = entry is not None and old == entry.raw
+            value = change(entry.value if known else parse(old) if old else default)
+            raw = dump(value)
+            self._install(key, value, raw)
+            return raw
+
+        try:
+            self.store.atomic_update(key, update)
+        except StateUnavailableError:
+            self._install(key)
+
+    def _cached_read(self, key: str, codec):
+        """The memoised read-through: parsed snapshot of ``key``, from
+        cache when its epoch still matches and the TTL has not lapsed."""
+        parse, default, _dump = codec
+        now = time.monotonic()
+        entry, epoch = self._live_entry(key, now)
+        if entry is not None:
             self._cache_hits.inc()
             return entry.value
         self._cache_misses.inc()
@@ -140,7 +187,7 @@ class WarmSetRegistry:
             raw, _version = self.store.get_value_versioned(key)
             value = parse(raw)
         except StateKeyError:
-            value = default
+            raw, value = None, default
         except StateUnavailableError:
             # Degrade without caching: the tier is dark, answer "empty"
             # now but re-probe as soon as it is back.
@@ -149,7 +196,7 @@ class WarmSetRegistry:
             # Tagged with the epoch read *before* the store round trip: a
             # concurrent mutation at worst wastes this entry, never lets
             # a stale parse outlive its epoch.
-            self._cache[key] = _CacheEntry(epoch, now + self.cache_ttl, value)
+            self._cache[key] = _CacheEntry(epoch, now + self.cache_ttl, value, raw)
         return value
 
     def cache_info(self) -> dict:
@@ -166,38 +213,13 @@ class WarmSetRegistry:
     # Warm sets
     # ------------------------------------------------------------------
     def warm_hosts(self, function: str) -> set[str]:
-        cached = self._cached_read(
-            self._key(function),
-            lambda raw: frozenset(json.loads(raw.decode())),
-            frozenset(),
-        )
-        return set(cached)
+        return set(self._cached_read(self._key(function), _WARM))
 
     def add(self, function: str, host: str) -> None:
-        def update(old: bytes | None) -> bytes:
-            hosts = set(json.loads(old.decode())) if old else set()
-            hosts.add(host)
-            return json.dumps(sorted(hosts)).encode()
-
-        try:
-            self.store.atomic_update(self._key(function), update)
-        except StateUnavailableError:
-            pass
-        finally:
-            self._invalidate(self._key(function))
+        self._mutate(self._key(function), _WARM, lambda hosts: hosts | {host})
 
     def remove(self, function: str, host: str) -> None:
-        def update(old: bytes | None) -> bytes:
-            hosts = set(json.loads(old.decode())) if old else set()
-            hosts.discard(host)
-            return json.dumps(sorted(hosts)).encode()
-
-        try:
-            self.store.atomic_update(self._key(function), update)
-        except StateUnavailableError:
-            pass
-        finally:
-            self._invalidate(self._key(function))
+        self._mutate(self._key(function), _WARM, lambda hosts: hosts - {host})
 
     def functions(self) -> list[str]:
         """Every function that currently has a warm set."""
@@ -216,43 +238,17 @@ class WarmSetRegistry:
     def resident_hosts(self, function: str) -> dict[str, float]:
         """Hosts whose PageStore (partially) covers ``function``'s current
         snapshot, mapped to their advertised coverage fraction."""
-        cached = self._cached_read(
-            self._resident_key(function),
-            lambda raw: tuple(
-                (h, float(c)) for h, c in json.loads(raw.decode()).items()
-            ),
-            (),
-        )
-        return dict(cached)
+        return dict(self._cached_read(self._resident_key(function), _RESIDENT))
 
     def advertise_residency(self, function: str, host: str, coverage: float) -> None:
         """A host just materialised (or refreshed) ``function``'s snapshot:
         record what fraction of the manifest's pages it holds."""
-
-        def update(old: bytes | None) -> bytes:
-            entries = json.loads(old.decode()) if old else {}
-            entries[host] = round(float(coverage), 4)
-            return json.dumps(entries, sort_keys=True).encode()
-
-        try:
-            self.store.atomic_update(self._resident_key(function), update)
-        except StateUnavailableError:
-            pass
-        finally:
-            self._invalidate(self._resident_key(function))
+        key, mine = self._resident_key(function), {host: round(float(coverage), 4)}
+        self._mutate(key, _RESIDENT, lambda entries: {**entries, **mine})
 
     def withdraw_residency(self, function: str, host: str) -> None:
-        def update(old: bytes | None) -> bytes:
-            entries = json.loads(old.decode()) if old else {}
-            entries.pop(host, None)
-            return json.dumps(entries, sort_keys=True).encode()
-
-        try:
-            self.store.atomic_update(self._resident_key(function), update)
-        except StateUnavailableError:
-            pass
-        finally:
-            self._invalidate(self._resident_key(function))
+        key = self._resident_key(function)
+        self._mutate(key, _RESIDENT, lambda old: {h: old[h] for h in old if h != host})
 
     def resident_functions(self) -> list[str]:
         return [

@@ -267,9 +267,12 @@ class Instance:
         # a superblock fuses), whatever the tier.
         self.op_counts: Counter | None = Counter() if profile else None
         self.pair_counts: Counter | None = Counter() if profile else None
+        # The plain function, called with ``self``: a bound method stored on
+        # the instance would make every instance a reference cycle, freed
+        # (memory pages and all) only when the cycle collector runs.
         self._execute = (
-            self._exec if profile or self.tier == "interp"
-            else self._exec_compiled
+            Instance._exec if profile or self.tier == "interp"
+            else Instance._exec_compiled
         )
 
     # ------------------------------------------------------------------
@@ -365,7 +368,7 @@ class Instance:
         fn = self.funcs[index]
         if isinstance(fn, HostFunc):
             return self._call_host(fn, args)
-        return self._execute(fn, args, depth)
+        return self._execute(self, fn, args, depth)
 
     def _call_profiled(self, prof, index: int, args: list, depth: int) -> list:
         """:meth:`_call` with the continuous-profiler tap around it; the
@@ -375,7 +378,7 @@ class Instance:
             fn = self.funcs[index]
             if isinstance(fn, HostFunc):
                 return self._call_host(fn, args)
-            return self._execute(fn, args, depth)
+            return self._execute(self, fn, args, depth)
         finally:
             prof.exit()
 

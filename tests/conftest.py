@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import time
 
 from repro.faaslet import HostSnapshotCache, SnapshotManifest, SnapshotRepository
 
@@ -20,6 +21,14 @@ def stored_floor(result_name: str, default: float, key: str = "smoke_floor") -> 
             if key in row:
                 return float(row[key])
     return default
+
+
+def wait_for(condition, timeout: float = 10.0) -> None:
+    """Poll until ``condition()`` holds; fail the test after ``timeout`` s."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
 
 
 class _WireRepository(SnapshotRepository):

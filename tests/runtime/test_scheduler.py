@@ -1,9 +1,15 @@
 """Shared-state scheduler tests (§5.1) and warm-set registry behaviour."""
 
 import json
+import sys
+import threading
+import time
+import zlib
 
 import pytest
 
+from repro.chaos import ChaosEngine, ChaosPlan, StripeOutage
+from repro.chaos.state import ChaosStateStore
 from repro.runtime.scheduler import LocalScheduler, SchedulingDecision, WarmSetRegistry
 from repro.state.kv import GlobalStateStore
 
@@ -265,3 +271,86 @@ class TestEviction:
             "h4", warm_sets, capacity_fn=lambda: 2, peer_capacity_fn=lambda h: 5
         )
         assert blind.schedule("fn").reason == "shared"
+
+
+class TestWriteThroughCache:
+    """A mutation installs the snapshot it computed, at the bumped epoch, in
+    store order — the next placement pass hits instead of re-reading."""
+
+    KEY = "faasm/sched/warm/fn"
+
+    def test_mutations_write_through_and_noops_take_no_store_trip(self, store, warm_sets):
+        trips = {"update": 0, "read": 0}
+        update, read = store.atomic_update, store.get_value_versioned
+
+        def counting_update(key, fn):
+            trips["update"] += 1
+            return update(key, fn)
+
+        def counting_read(key):
+            trips["read"] += 1
+            return read(key)
+
+        store.atomic_update, store.get_value_versioned = counting_update, counting_read
+        warm_sets.add("fn", "h1")
+        warm_sets.add("fn", "h1")  # already there
+        warm_sets.remove("fn", "h2")  # never was
+        warm_sets.advertise_residency("fn", "h1", 1.0)
+        warm_sets.advertise_residency("fn", "h1", 1.0)
+        warm_sets.withdraw_residency("fn", "h2")
+        assert warm_sets.warm_hosts("fn") == {"h1"}
+        assert warm_sets.resident_hosts("fn") == {"h1": 1.0}
+        warm_sets.remove("fn", "h1")
+        assert warm_sets.warm_hosts("fn") == set()
+        assert trips == {"update": 3, "read": 0}
+        assert warm_sets.cache_info()["misses"] == 0
+        assert json.loads(store.get_value(self.KEY)) == []
+
+    def test_racing_add_and_remove_leave_cache_equal_to_store(self, store, warm_sets):
+        """Two threads add and remove their own host under one key, so
+        every mutation is a store trip racing the other thread's; whenever
+        both are done, what ``warm_hosts`` serves (always from the cache:
+        no read ever misses) is what the store holds."""
+        rounds, mismatches = 2000, []
+
+        def check():
+            stored = set(json.loads(store.get_value(self.KEY)))
+            cached = warm_sets.warm_hosts("fn")
+            if cached != stored:
+                mismatches.append((cached, stored))
+
+        barrier = threading.Barrier(2, action=check)
+
+        def racer(host):
+            for round_ in range(rounds):
+                warm_sets.add("fn", host)
+                warm_sets.remove("fn", host)
+                if round_ % 2:
+                    warm_sets.add("fn", host)
+                barrier.wait(timeout=30)
+
+        threads = [threading.Thread(target=racer, args=(host,)) for host in ("h1", "h2")]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+        assert warm_sets.cache_info()["misses"] == 0
+
+    def test_outage_during_add_caches_nothing(self):
+        stripe = zlib.crc32(self.KEY.encode()) % 16
+        engine = ChaosEngine(ChaosPlan(seed=1, stripe_outages=(StripeOutage(stripe, 1, 1),)))
+        warm_sets = WarmSetRegistry(ChaosStateStore(engine))
+        warm_sets.add("fn", "h1")  # op 0 lands and is written through
+        assert warm_sets.cache_info()["entries"] == 1
+        warm_sets.add("fn", "h2")  # op 1: the stripe is dark, the write is dropped
+        entry, _epoch = warm_sets._live_entry(self.KEY, time.monotonic())
+        assert entry is None  # the old snapshot is dead, nothing took its place
+        assert warm_sets.warm_hosts("fn") == {"h1"}  # op 2: re-read from the store
+        assert warm_sets.cache_info()["misses"] == 1

@@ -15,6 +15,7 @@ from repro.runtime import instance as instance_module
 from repro.runtime.bus import ExecuteBatch
 from repro.runtime.ingest import IngestionConfig
 from repro.runtime.instance import WORKER_FLOOR
+from tests.conftest import wait_for as _wait_for
 
 FAST = RetryPolicy(
     attempt_timeout=0.1, base_delay=0.01, max_delay=0.05, backlog_grace=0.0
@@ -37,11 +38,26 @@ def _born(cluster) -> int:
     return sum(i.metrics.workers_born.value for i in cluster.instances)
 
 
-def _wait_for(condition, timeout=10.0):
-    deadline = time.monotonic() + timeout
-    while not condition():
-        assert time.monotonic() < deadline, "condition never held"
-        time.sleep(0.005)
+def _grow_workers(cluster, guests=3):
+    """Bring every host's standing set to ``guests + 1`` workers, whatever
+    the machine's load: that many guests block at once on each host, and
+    the worker that takes the last seat's message must start another
+    (invariant (i)). A back-to-back caller alone gets there by luck — its
+    next message can find the previous worker between ``_complete`` and
+    ``_take`` and nobody asleep, and that birth is legitimate, but it is
+    warm-up, not a thread per call."""
+    gate, held = threading.Event(), []
+    for instance in cluster.instances:
+        name = f"hold-{instance.host}"
+        cluster.register_python(name, lambda ctx: int(not gate.wait(30)))
+        for _ in range(guests):
+            held.append(cluster.dispatch(name, b"", origin=instance.host))
+    try:
+        _wait_for(lambda: all(i.executing() == guests for i in cluster.instances))
+    finally:
+        gate.set()
+    assert [cluster.calls.wait(call_id, 30) for call_id in held] == [0] * len(held)
+    assert all(len(i._workers) > guests for i in cluster.instances)
 
 
 @pytest.fixture
@@ -58,7 +74,8 @@ def starts(monkeypatch):
 
 
 @pytest.mark.parametrize("shape", ["python", "wasm", "chained"])
-def test_warm_calls_start_no_thread(shape, starts):
+def test_warm_calls_start_no_thread(shape, starts, monkeypatch):
+    monkeypatch.setattr(instance_module, "WORKER_IDLE_S", 60.0)  # none retires
     cluster = FaasmCluster(n_hosts=2)
     try:
         if shape == "wasm":
@@ -75,6 +92,7 @@ def test_warm_calls_start_no_thread(shape, starts):
             expected = (0, b"ok:x")
         for _ in range(3):
             assert cluster.invoke("fn", b"x") == expected
+        _grow_workers(cluster)
         del starts[:]
         born = _born(cluster)
         for _ in range(200):
