@@ -112,6 +112,9 @@ class SoakReport:
     crashes_fired: int
     duration_s: float
     digest: str
+    #: Errors the cluster's watchdog loops caught and survived
+    #: (``errors.swallowed``, every site).
+    swallowed: int
     log_lines: list[str] = field(default_factory=list)
 
     @property
@@ -131,6 +134,7 @@ class SoakReport:
             "crashes_fired": self.crashes_fired,
             "duration_s": round(self.duration_s, 3),
             "digest": self.digest,
+            "swallowed": self.swallowed,
             "ok": self.ok,
         }
 
@@ -214,6 +218,7 @@ def run_soak(
             crashes_fired=engine.crashes_fired(),
             duration_s=time.monotonic() - start,
             digest=engine.log.digest(),
+            swallowed=int(cluster.telemetry.metrics.aggregate("errors.swallowed")),
             log_lines=engine.log.canonical_lines(),
         )
     finally:

@@ -479,7 +479,8 @@ def cmd_chaos(args) -> int:
     else:
         d = report.to_dict()
         for key in ("seed", "calls", "completed", "guest_failed",
-                    "call_failed", "retries", "crashes_fired", "duration_s"):
+                    "call_failed", "retries", "crashes_fired", "swallowed",
+                    "duration_s"):
             print(f"{key:<16}{d[key]}")
         print(f"{'digest':<16}{report.digest}")
         if report.stranded:

@@ -18,12 +18,7 @@ Compose a cluster, upload functions, invoke them::
 """
 
 from .bus import ExecuteBatch, MessageBus, Shutdown
-from .calls import (
-    AttemptRecord,
-    CallRecord,
-    CallStatus,
-    InvocationRegistry,
-)
+from .calls import CallRecord, CallStatus, InvocationRegistry
 from .cluster import DrainTimeout, FaasmCluster
 from .instance import (
     DEFAULT_CAPACITY,
@@ -37,7 +32,6 @@ from .registry import FunctionRegistry, PythonFunctionDefinition
 from .scheduler import LocalScheduler, SchedulingDecision, WarmSetRegistry
 
 __all__ = [
-    "AttemptRecord",
     "CallRecord",
     "CallStatus",
     "DEFAULT_CAPACITY",

@@ -105,8 +105,11 @@ class Autoscaler:
         while not self._stop.wait(self.policy.interval):
             try:
                 self.tick()
-            except Exception:  # pragma: no cover — the loop must survive
+            except Exception:  # the loop must survive, but not silently
                 logger.exception("autoscaler tick failed")
+                self.cluster.telemetry.metrics.counter(
+                    "errors.swallowed", site="autoscale.tick"
+                ).inc()
 
     # ------------------------------------------------------------------
     def backlog(self) -> int:

@@ -5,25 +5,21 @@ the value returned by ``chain_call`` and accepted by ``await_call`` /
 ``get_call_output`` (Tab. 2). The registry is the in-process stand-in for
 the coordination the paper does over its message bus and global state.
 
-There is one call lifecycle: every placement of a call on a host is an
-:class:`AttemptRecord`, and the registry arbitrates an *attempt-claim
-protocol* so that duplicate deliveries (a lossy/duplicating bus) and stale
-retries (a host presumed dead that is merely slow) cannot double-execute a
-call:
-
-* :meth:`InvocationRegistry.new_attempts` records a round of placements
-  (host + the host's liveness epoch at send time);
-* :meth:`InvocationRegistry.begin_attempt` is the executor's atomic claim —
-  it succeeds at most once per attempt, and never while another attempt
-  is running or after the call reached a terminal state;
-* :meth:`InvocationRegistry.complete_attempt` applies a completion only if
-  that attempt still owns the call (a crashed host's zombie thread cannot
-  complete a call that has been re-queued elsewhere);
-* :meth:`InvocationRegistry.mark_attempt_lost` /
-  :meth:`InvocationRegistry.attempt_failed` park an attempt for the
-  monitor's retry loop;
-* :meth:`InvocationRegistry.fail_call` is the terminal ``CALL_FAILED``
-  state: retries exhausted, with the per-attempt failure chain preserved.
+A call has one state machine, and its record *is* its current attempt: each
+placement on a host bumps :attr:`CallRecord.attempt`, restamps the host, its
+liveness epoch and the dispatch time, and one :class:`CallStatus` says where
+that attempt stands. Every transition — place
+(:meth:`~InvocationRegistry.new_attempts`), claim
+(:meth:`~InvocationRegistry.begin_attempt`), complete
+(:meth:`~InvocationRegistry.complete_attempt`), park for the monitor's retry
+loop (:meth:`~InvocationRegistry.mark_attempt_lost`) — names an attempt
+number and acts, under the record's lock, only if it is the current one. And
+only the current attempt can be live: a call is re-placed only once PARKED,
+so a number is written off before it is superseded. Duplicate deliveries
+and stale retries are thus rejected, and a zombie executor on a dead host
+can neither complete nor relabel a call re-queued elsewhere.
+:meth:`~InvocationRegistry.fail_call` is the terminal ``CALL_FAILED``
+state, carrying the failure chain its parked attempts appended.
 
 Calls may carry an **idempotency key**: re-dispatching with a key the
 registry has already seen returns the original record instead of creating
@@ -36,14 +32,25 @@ import enum
 import itertools
 import threading
 import time
-from dataclasses import dataclass, field
 
 
 class CallStatus(enum.Enum):
-    """Lifecycle states of a function invocation."""
+    """The one state of a call, its current attempt's included::
 
-    PENDING = "pending"
-    RUNNING = "running"
+        PENDING -> SENT -> RUNNING -> SUCCEEDED | FAILED
+                     |        |
+                     +--------+--> PARKED --(retry)--> SENT
+                                     |
+                                     +--(budget spent)--> CALL_FAILED
+    """
+
+    PENDING = "pending"  # created, never placed
+    SENT = "sent"  # the current attempt is on the bus, unclaimed
+    RUNNING = "running"  # ... claimed by an executor
+    #: Written off (lost delivery, dead host, transient infrastructure
+    #: error): the reason ends the failure chain, the monitor retries at
+    #: ``retry_at``.
+    PARKED = "parked"
     SUCCEEDED = "succeeded"
     FAILED = "failed"
     #: Terminal infrastructure failure: every attempt was lost (dropped
@@ -53,14 +60,9 @@ class CallStatus(enum.Enum):
     CALL_FAILED = "call-failed"
 
 
-#: Attempt lifecycle: ``sent`` (on the bus) -> ``running`` (claimed by an
-#: executor) -> ``done``, or parked as ``lost`` (timeout / host death) or
-#: ``failed`` (transient infrastructure error) for the retry loop.
-ATTEMPT_SENT = "sent"
-ATTEMPT_RUNNING = "running"
-ATTEMPT_DONE = "done"
-ATTEMPT_LOST = "lost"
-ATTEMPT_FAILED = "failed"
+#: Statuses a call may be placed from, and statuses of a live attempt.
+_PLACEABLE = frozenset((CallStatus.PENDING, CallStatus.PARKED))
+_LIVE = frozenset((CallStatus.SENT, CallStatus.RUNNING))
 
 
 #: Shared allocator guard for :class:`CompletionFlag`'s lazy event. Only
@@ -107,47 +109,45 @@ class CompletionFlag:
         return event.wait(timeout)
 
 
-@dataclass
-class AttemptRecord:
-    """One dispatch of a call to a host."""
-
-    number: int
-    host: str
-    #: The target host's liveness epoch at dispatch time; if the host's
-    #: epoch has advanced, everything this attempt did died with it.
-    epoch: int
-    dispatched_at: float
-    state: str = ATTEMPT_SENT
-    started_at: float = 0.0
-    finished_at: float = 0.0
-    #: Why the attempt ended up lost/failed (feeds the failure chain).
-    reason: str = ""
-    #: Monotonic time before which the monitor must not retry (backoff).
-    retry_at: float = 0.0
-
-
-@dataclass
 class CallRecord:
-    call_id: int
-    function: str
-    input_data: bytes
-    status: CallStatus = CallStatus.PENDING
-    return_code: int | None = None
-    output_data: bytes = b""
-    host: str | None = None
-    cold_start: bool = False
-    submitted_at: float = 0.0
-    started_at: float = 0.0
-    finished_at: float = 0.0
-    idempotency_key: str | None = None
-    attempts: list[AttemptRecord] = field(default_factory=list)
-    #: Per-attempt failure reasons, newest last (set on CALL_FAILED).
-    failure_chain: list[str] = field(default_factory=list)
-    done: CompletionFlag = field(default_factory=CompletionFlag, repr=False)
-    #: Guards this record's attempt list and state transitions. Per-record
-    #: so N hosts completing N different calls never serialise on one
-    #: registry-wide lock (the ingestion plane's de-locked hot path).
-    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    """One call and its current attempt. Records are retained for the
+    registry's lifetime, so the record is slotted: no per-record dict."""
+
+    __slots__ = (
+        "call_id", "function", "input_data", "idempotency_key", "status",
+        "return_code", "output_data", "cold_start", "submitted_at",
+        "started_at", "finished_at", "failure_chain", "done", "lock",
+        "attempt", "host", "epoch", "dispatched_at", "retry_at",
+    )
+
+    def __init__(self, call_id: int, function: str, input_data: bytes,
+                 submitted_at: float = 0.0, idempotency_key: str | None = None):
+        self.call_id = call_id
+        self.function = function
+        self.input_data = input_data
+        self.idempotency_key = idempotency_key
+        self.status = CallStatus.PENDING
+        self.return_code: int | None = None
+        self.output_data = b""
+        self.cold_start = False  # the executor had to cold-start a Faaslet
+        self.submitted_at = submitted_at
+        self.started_at = 0.0
+        self.finished_at = 0.0
+        #: One reason per parked attempt, oldest first.
+        self.failure_chain: tuple[str, ...] = ()
+        self.done = CompletionFlag()
+        #: Guards the transitions. Per-record so N hosts completing N calls
+        #: never serialise on one registry-wide lock.
+        self.lock = threading.Lock()
+        #: The current attempt: its number (-1 until placed), target host,
+        #: that host's liveness epoch at dispatch (once the epoch advances,
+        #: everything the attempt did died with it), dispatch time, and —
+        #: once PARKED — the time before which it must not be retried.
+        self.attempt = -1
+        self.host: str | None = None
+        self.epoch = 0
+        self.dispatched_at = 0.0
+        self.retry_at = 0.0
 
     @property
     def latency(self) -> float:
@@ -157,11 +157,7 @@ class CallRecord:
     @property
     def retries(self) -> int:
         """Dispatches beyond the first."""
-        return max(0, len(self.attempts) - 1)
-
-    @property
-    def last_attempt(self) -> AttemptRecord | None:
-        return self.attempts[-1] if self.attempts else None
+        return max(0, self.attempt)
 
 
 class InvocationRegistry:
@@ -170,6 +166,10 @@ class InvocationRegistry:
     def __init__(self) -> None:
         self._calls: dict[int, CallRecord] = {}
         self._by_key: dict[str, int] = {}
+        #: Placed calls not yet seen finished: what the monitor watches and
+        #: what ``FaasmCluster.drain`` waits for. Pruned by
+        #: :meth:`open_calls`, so a completion takes no registry-wide lock.
+        self._open: dict[int, CallRecord] = {}
         self._ids = itertools.count(1)
         self._mutex = threading.Lock()
 
@@ -178,21 +178,15 @@ class InvocationRegistry:
         (record,) = self.create_many(function, [input_data])
         return record
 
-    def create_many(
-        self, function: str, inputs: list[bytes]
-    ) -> list["CallRecord"]:
+    def create_many(self, function: str, inputs: list[bytes]) -> list[CallRecord]:
         """Create one record per input with a single registry lock hold.
 
         Records are built outside the mutex: holding it through a thousand
         allocations would serialise against every concurrent completion."""
         now = time.monotonic()
         records = [
-            CallRecord(
-                next(self._ids),
-                function,
-                data if type(data) is bytes else bytes(data),
-                submitted_at=now,
-            )
+            CallRecord(next(self._ids), function,
+                       data if type(data) is bytes else bytes(data), now)
             for data in inputs
         ]
         calls = self._calls
@@ -216,8 +210,7 @@ class InvocationRegistry:
                 return self._calls[existing], False
             record = CallRecord(
                 next(self._ids), function, bytes(input_data),
-                submitted_at=time.monotonic(),
-                idempotency_key=idempotency_key,
+                time.monotonic(), idempotency_key,
             )
             self._calls[record.call_id] = record
             self._by_key[idempotency_key] = record.call_id
@@ -239,151 +232,123 @@ class InvocationRegistry:
         except KeyError as exc:
             raise KeyError(f"unknown call id {exc.args[0]}") from None
 
+    def open_calls(self) -> list[CallRecord]:
+        """The placed calls not yet finished, in placement order; calls
+        found finished leave the open set here (the monitor's scan)."""
+        with self._mutex:
+            self._open = {
+                call_id: record for call_id, record in self._open.items()
+                if not record.done.is_set()
+            }
+            return list(self._open.values())
+
     # ------------------------------------------------------------------
     # Attempt protocol
     # ------------------------------------------------------------------
-    def new_attempt(self, call_id: int, host: str, epoch: int) -> AttemptRecord:
-        """Record a dispatch of ``call_id`` to ``host``: the one-element
-        form of :meth:`new_attempts`."""
+    def new_attempt(self, call_id: int, host: str, epoch: int) -> int:
+        """Place ``call_id`` on ``host``: the one-element form of
+        :meth:`new_attempts`. Returns the attempt number."""
         return self.new_attempts([(self.get(call_id), host, epoch)])[0]
 
-    def new_attempts(
-        self, specs: list[tuple["CallRecord", str, int]]
-    ) -> list[AttemptRecord]:
-        """Record a placement round: one attempt per ``(record, host,
-        epoch)`` spec, all stamped with one clock read. Returns the
-        attempt records in spec order.
-        """
+    def new_attempts(self, specs: list[tuple[CallRecord, str, int]]) -> list[int]:
+        """Place a round of calls: a new current attempt per ``(record,
+        host, epoch)``, one clock read, one registry hold to open them.
+        Returns the attempt numbers. Raises on a call that is live or
+        finished — a call is re-placed only once written off."""
         now = time.monotonic()
-        out: list[AttemptRecord] = []
+        numbers: list[int] = []
         for record, host, epoch in specs:
             with record.lock:
-                attempt = AttemptRecord(
-                    number=len(record.attempts),
-                    host=host,
-                    epoch=epoch,
-                    dispatched_at=now,
-                )
-                record.attempts.append(attempt)
-            out.append(attempt)
-        return out
+                if record.status not in _PLACEABLE:
+                    raise RuntimeError(f"call {record.call_id} is "
+                                       f"{record.status.value}, not placeable")
+                record.attempt = number = record.attempt + 1
+                record.host = host
+                record.epoch = epoch
+                record.dispatched_at = now
+                record.status = CallStatus.SENT
+            numbers.append(number)
+        with self._mutex:
+            opened = self._open
+            for record, _host, _epoch in specs:
+                opened[record.call_id] = record
+        return numbers
 
     def begin_attempt(self, call_id: int, number: int, host: str) -> bool:
         """Atomically claim the call for execution of attempt ``number``.
-
-        Returns False — and the executor must drop the delivery — when the
-        call already finished, the attempt was already begun (a duplicate
-        delivery), the attempt was already written off as lost, or another
-        attempt currently owns the call.
-        """
+        False — drop the delivery — unless it is the current attempt, still
+        unclaimed: duplicates, stale retries, written-off attempts and
+        finished calls are all rejected."""
         record = self.get(call_id)
         with record.lock:
-            if record.done.is_set():
+            if number != record.attempt or record.status is not CallStatus.SENT:
                 return False
-            if number < 0 or number >= len(record.attempts):
-                return False
-            attempt = record.attempts[number]
-            if attempt.state != ATTEMPT_SENT:
-                return False
-            if any(a.state == ATTEMPT_RUNNING for a in record.attempts):
-                return False
-            attempt.state = ATTEMPT_RUNNING
-            attempt.started_at = time.monotonic()
+            record.host = host
+            record.started_at = time.monotonic()
+            record.status = CallStatus.RUNNING
         return True
 
     def complete_attempt(
         self, call_id: int, number: int, return_code: int, output: bytes
     ) -> bool:
         """Apply attempt ``number``'s completion if it still owns the call.
-
-        A crashed host's attempts are marked lost before the call is
-        re-queued; a zombie executor thread on that host completing late is
-        rejected here, which is what makes retried execution safe.
-        """
+        A crashed host's attempts are parked before the call is re-queued,
+        so its zombie executor completing late is rejected here — which is
+        what makes retried execution safe."""
         record = self.get(call_id)
         with record.lock:
-            if record.done.is_set():
+            if number != record.attempt or record.status not in _LIVE:
                 return False
-            if number < 0 or number >= len(record.attempts):
-                return False
-            attempt = record.attempts[number]
-            if attempt.state not in (ATTEMPT_RUNNING, ATTEMPT_SENT):
-                return False
-            attempt.state = ATTEMPT_DONE
-            attempt.finished_at = time.monotonic()
             self._finish(record, return_code, output)
         return True
 
-    def mark_attempt_lost(self, call_id: int, number: int, reason: str) -> bool:
-        """Write an in-flight attempt off (timeout or host death); the call
-        returns to PENDING for the monitor to re-queue."""
-        return self._park(call_id, number, ATTEMPT_LOST, reason)
+    def mark_attempt_lost(self, call_id: int, number: int, reason: str,
+                          retry_at: float = 0.0) -> bool:
+        """Park live attempt ``number`` for the monitor to re-queue once
+        ``retry_at`` has passed: written off by the monitor (timeout or
+        host death) or, as :meth:`attempt_failed`, given up by its
+        executor on a transient infrastructure error (e.g. the state tier
+        was unavailable). ``reason`` joins the failure chain."""
+        record = self.get(call_id)
+        with record.lock:
+            if number != record.attempt or record.status not in _LIVE:
+                return False
+            record.failure_chain += (reason,)
+            record.retry_at = retry_at
+            # Last, so the monitor's lock-free read of PARKED sees the rest.
+            record.status = CallStatus.PARKED
+        return True
 
-    def attempt_failed(self, call_id: int, number: int, reason: str) -> bool:
-        """An executor hit a transient infrastructure error (e.g. the state
-        tier was unavailable); park the attempt for a backed-off retry."""
-        return self._park(call_id, number, ATTEMPT_FAILED, reason)
+    attempt_failed = mark_attempt_lost
 
-    def _park(self, call_id: int, number: int, state: str, reason: str) -> bool:
+    def fail_call(self, call_id: int, reason: str | None = None) -> bool:
+        """Terminal CALL_FAILED, the retry budget spent. ``reason`` (if any)
+        ends the failure chain, kept on the record and in the output."""
         record = self.get(call_id)
         with record.lock:
             if record.done.is_set():
                 return False
-            if number < 0 or number >= len(record.attempts):
-                return False
-            attempt = record.attempts[number]
-            if attempt.state not in (ATTEMPT_SENT, ATTEMPT_RUNNING):
-                return False
-            attempt.state = state
-            attempt.reason = reason
-            attempt.finished_at = time.monotonic()
-            record.status = CallStatus.PENDING
+            if reason is not None:
+                record.failure_chain += (reason,)
+            output = "CallFailed: " + "; ".join(record.failure_chain)
+            self._finish(record, 1, output.encode(), CallStatus.CALL_FAILED)
         return True
-
-    def fail_call(self, call_id: int, chain: list[str] | None = None) -> bool:
-        """Terminal CALL_FAILED: the retry budget is exhausted. The failure
-        chain (one reason per attempt) is preserved on the record and in
-        the call output."""
-        record = self.get(call_id)
-        with record.lock:
-            if record.done.is_set():
-                return False
-            chain = list(chain) if chain is not None else [
-                a.reason for a in record.attempts if a.reason
-            ]
-            record.failure_chain = chain
-            record.return_code = 1
-            record.output_data = ("CallFailed: " + "; ".join(chain)).encode()
-            record.finished_at = time.monotonic()
-            record.status = CallStatus.CALL_FAILED
-            record.done.set()
-        return True
-
-    def mark_running(self, call_id: int, host: str, cold_start: bool) -> None:
-        """The claiming executor has its Faaslet: record where the call
-        runs and whether it had to cold-start."""
-        record = self.get(call_id)
-        record.status = CallStatus.RUNNING
-        record.host = host
-        record.cold_start = cold_start
-        record.started_at = time.monotonic()
 
     def complete(self, call_id: int, return_code: int, output: bytes) -> bool:
-        """Finish a call on behalf of its latest attempt
+        """Finish a call on behalf of its current attempt
         (:meth:`complete_attempt` for callers that do not track attempt
         numbers); first completion wins, duplicates are no-ops."""
-        return self.complete_attempt(
-            call_id, len(self.get(call_id).attempts) - 1, return_code, output
-        )
+        number = self.get(call_id).attempt
+        return self.complete_attempt(call_id, number, return_code, output)
 
-    def _finish(self, record: CallRecord, return_code: int, output: bytes) -> None:
+    @staticmethod
+    def _finish(record, return_code: int, output: bytes, status=None) -> None:
         """Terminal-state write; caller holds the record's lock."""
         record.return_code = return_code
         record.output_data = bytes(output)
         record.finished_at = time.monotonic()
-        record.status = (
-            CallStatus.SUCCEEDED if return_code == 0 else CallStatus.FAILED
-        )
+        record.status = status or (CallStatus.FAILED if return_code
+                                   else CallStatus.SUCCEEDED)
         record.done.set()
 
     def wait(self, call_id: int, timeout: float | None = None) -> int:

@@ -15,7 +15,8 @@ and runs it. External calls are spread round-robin over the local
 schedulers, as Knative's default endpoint spreads requests; chained calls
 enter at their originating host's.
 
-Every placement is an attempt record: the :class:`~repro.runtime.monitor.
+Every placement is a new current attempt of the call's one record, and the
+registry keeps the set of open calls: the :class:`~repro.runtime.monitor.
 InvocationMonitor` re-queues attempts whose host died (liveness epoch) or
 whose message was lost (timeout) with exponential backoff, dead hosts are
 evicted from the warm sets so schedulers stop routing to them, and a call
@@ -125,10 +126,6 @@ class FaasmCluster:
         #: A reactive :class:`~repro.runtime.autoscale.Autoscaler`, when
         #: the caller attached one (``Autoscaler(cluster, ...)``).
         self.autoscaler = None
-        #: Every placed call that is not yet known finished: what the
-        #: monitor watches and what :meth:`drain` waits for.
-        self._inflight: dict[int, CallRecord] = {}
-        self._inflight_lock = threading.Lock()
         self.monitor = InvocationMonitor(self, self.retry)
         self.monitor.start()
 
@@ -231,7 +228,7 @@ class FaasmCluster:
         """The one road onto the bus: place ``records`` (all of
         ``function``) from ``instance``'s scheduler and send them.
 
-        One scheduling pass, one registry hold for the attempt records,
+        One scheduling pass, one registry hold to open the new attempts,
         one :class:`ExecuteBatch` per target host. Each call gets its own
         ``span_name`` span — the root of a new trace for an external
         call, a child of the caller's ambient context for a chained one
@@ -254,16 +251,13 @@ class FaasmCluster:
                 stack.enter_context(sp)
             decisions = instance.scheduler.schedule_batch(function, len(records))
             hosts = self._by_host
-            attempts = self.calls.new_attempts([
+            numbers = self.calls.new_attempts([
                 (record, decision.host, hosts[decision.host].epoch)
                 for record, decision in zip(records, decisions)
             ])
-            with self._inflight_lock:
-                for record in records:
-                    self._inflight[record.call_id] = record
             by_host: dict[str, list[int]] = {}
-            for index, attempt in enumerate(attempts):
-                by_host.setdefault(attempt.host, []).append(index)
+            for index, decision in enumerate(decisions):
+                by_host.setdefault(decision.host, []).append(index)
             for sp, decision in zip(spans, decisions):
                 sp.set_attr("decision", decision.reason)
                 sp.set_attr("target", decision.host)
@@ -274,7 +268,7 @@ class FaasmCluster:
                 batch = ExecuteBatch(
                     function,
                     tuple([
-                        (records[i].call_id, attempts[i].number)
+                        (records[i].call_id, numbers[i])
                         for i in indices
                     ]),
                     origin=instance.host,
@@ -335,13 +329,10 @@ class FaasmCluster:
         try:
             instance = self._entry_instance(None)
         except RuntimeError:
-            chain = [a.reason for a in record.attempts if a.reason]
-            chain.append("no live hosts to retry on")
-            self.calls.fail_call(record.call_id, chain)
+            self.calls.fail_call(record.call_id, "no live hosts to retry on")
             self.telemetry.metrics.counter("call.failed").inc()
-            self.forget_inflight(record.call_id)
             return
-        attrs = {"attempt": len(record.attempts)}
+        attrs = {"attempt": record.attempt + 1}
         if reason:
             attrs["reason"] = reason
         if self.chaos is not None:
@@ -466,17 +457,6 @@ class FaasmCluster:
         )
 
     # ------------------------------------------------------------------
-    # In-flight tracking (for the invocation monitor)
-    # ------------------------------------------------------------------
-    def inflight_records(self) -> list[CallRecord]:
-        with self._inflight_lock:
-            return list(self._inflight.values())
-
-    def forget_inflight(self, call_id: int) -> None:
-        with self._inflight_lock:
-            self._inflight.pop(call_id, None)
-
-    # ------------------------------------------------------------------
     # Cluster-wide accounting
     # ------------------------------------------------------------------
     def total_network_bytes(self) -> int:
@@ -597,7 +577,7 @@ class FaasmCluster:
         is raised, so a stuck call is never mistaken for a clean drain."""
         deadline = time.monotonic() + timeout
         stragglers = []
-        for record in self.inflight_records():
+        for record in self.calls.open_calls():
             remaining = deadline - time.monotonic()
             if not record.done.wait(max(0.0, remaining)):
                 stragglers.append(record.call_id)

@@ -366,7 +366,8 @@ class FaasmRuntimeInstance:
                 "call %s hit unavailable state tier: %s", record.call_id, exc
             )
             calls.attempt_failed(
-                record.call_id, attempt, f"state unavailable: {exc}"
+                record.call_id, attempt, f"state unavailable: {exc}",
+                self.cluster.monitor.retry_time(attempt),
             )
         except Exception as exc:  # never kill the host on a bad call
             logger.exception("call %s crashed the executor", record.call_id)
@@ -475,7 +476,6 @@ class FaasmRuntimeInstance:
             )
 
     def _execute_python(self, record: CallRecord, definition, message) -> None:
-        self.cluster.calls.mark_running(record.call_id, self.host, cold_start=False)
         self.metrics.record_call()
         self._chaos_point("mid-guest", message)
         ctx = PythonCallContext(self.env, record.input_data)
@@ -494,8 +494,7 @@ class FaasmRuntimeInstance:
     def _execute_wasm(
         self, record: CallRecord, definition: FunctionDefinition, message
     ) -> None:
-        faaslet, cold = self._acquire_faaslet(definition)
-        self.cluster.calls.mark_running(record.call_id, self.host, cold_start=cold)
+        faaslet, record.cold_start = self._acquire_faaslet(definition)
         self.metrics.record_call()
         try:
             self._chaos_point("mid-guest", message)

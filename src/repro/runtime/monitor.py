@@ -2,18 +2,22 @@
 
 The paper's design (Fig. 5) assumes hosts and the message bus fail
 independently of the callers that submitted work. This module is the
-cluster's recovery loop: a daemon thread that watches every in-flight
-call's latest :class:`~repro.runtime.calls.AttemptRecord` and
+cluster's recovery loop: a daemon thread that scans the registry's open
+calls (:meth:`~repro.runtime.calls.InvocationRegistry.open_calls`) and,
+through the registry's transitions on each call's current attempt,
 
-* writes an attempt off immediately when its target host died (the host's
+* parks the attempt at once when its target host died (the host's
   liveness epoch advanced past the one recorded at dispatch) — the
   re-queue path for a crashed host's in-flight calls;
-* writes an attempt off when it exceeds the per-attempt timeout (a dropped
-  or endlessly delayed delivery);
-* re-dispatches written-off attempts with capped exponential backoff and
-  jitter, up to :attr:`RetryPolicy.max_attempts`;
-* declares the terminal ``CALL_FAILED`` state — with the per-attempt
-  failure chain — once the budget is spent.
+* parks it with a backoff when it stays undelivered past the per-attempt
+  timeout (a dropped or endlessly delayed delivery);
+* re-dispatches a parked call once its ``retry_at`` has passed — capped
+  exponential backoff with jitter, up to :attr:`RetryPolicy.max_attempts`;
+* declares the terminal ``CALL_FAILED`` state — with the failure chain the
+  parked attempts built — once the budget is spent.
+
+A scan that raises is logged and counted in
+``errors.swallowed{site="monitor.scan"}``; the loop carries on.
 
 Every cluster runs one: there is no unmonitored way to place a call. The
 monitor never executes anything itself; re-dispatch goes back through the
@@ -30,7 +34,7 @@ import threading
 import time
 from dataclasses import dataclass
 
-from .calls import ATTEMPT_FAILED, ATTEMPT_LOST, ATTEMPT_RUNNING, ATTEMPT_SENT
+from .calls import CallStatus
 
 logger = logging.getLogger(__name__)
 
@@ -101,39 +105,42 @@ class InvocationMonitor:
         while not self._stop.wait(self.interval):
             try:
                 self.scan()
-            except Exception:  # pragma: no cover - the watchdog must survive
+            except Exception:  # the watchdog must survive, but not silently
                 logger.exception("invocation monitor scan failed")
+                self.cluster.telemetry.metrics.counter(
+                    "errors.swallowed", site="monitor.scan"
+                ).inc()
 
     def scan(self, now: float | None = None) -> None:
-        """One pass over the in-flight calls (callable directly in tests)."""
+        """One pass over the open calls (callable directly in tests)."""
         now = time.monotonic() if now is None else now
-        for record in self.cluster.inflight_records():
-            if record.done.is_set():
-                self.cluster.forget_inflight(record.call_id)
-                continue
-            attempt = record.last_attempt
-            if attempt is None:
-                continue
-            if attempt.state in (ATTEMPT_SENT, ATTEMPT_RUNNING):
-                self._check_liveness(record, attempt, now)
-            elif attempt.state in (ATTEMPT_LOST, ATTEMPT_FAILED):
-                self._maybe_retry(record, attempt, now)
+        for record in self.cluster.calls.open_calls():
+            status = record.status
+            if status is CallStatus.SENT or status is CallStatus.RUNNING:
+                self._check_liveness(record, now)
+            elif status is CallStatus.PARKED and now >= record.retry_at:
+                self._retry(record)
+
+    def retry_time(self, number: int, now: float | None = None) -> float:
+        """When a retry of attempt ``number``, parked at ``now``, may fire."""
+        now = time.monotonic() if now is None else now
+        return now + self.policy.backoff(number, self.rng)
 
     # ------------------------------------------------------------------
-    def _check_liveness(self, record, attempt, now: float) -> None:
-        alive, epoch = self.cluster.host_liveness(attempt.host)
-        if not alive or epoch != attempt.epoch:
-            reason = f"host {attempt.host} died (attempt {attempt.number})"
+    def _check_liveness(self, record, now: float) -> None:
+        number, host = record.attempt, record.host
+        alive, epoch = self.cluster.host_liveness(host)
+        if not alive or epoch != record.epoch:
+            reason = f"host {host} died (attempt {number})"
+            # Host death is detected, not suspected: re-queue at once.
             if self.cluster.calls.mark_attempt_lost(
-                record.call_id, attempt.number, reason
+                record.call_id, number, reason, now
             ):
-                # Host death is detected, not suspected: re-queue at once.
-                attempt.retry_at = now
                 logger.warning("call %s: %s; re-queueing", record.call_id, reason)
         elif (
-            attempt.state == ATTEMPT_SENT
-            and now - attempt.dispatched_at > self.policy.attempt_timeout
-            and not self._backlog_grace_holds(attempt, now)
+            record.status is CallStatus.SENT
+            and now - record.dispatched_at > self.policy.attempt_timeout
+            and not self._backlog_grace_holds(record, now)
         ):
             # The timeout detects *lost deliveries* only: an attempt still
             # SENT this long means its message was dropped (or delayed
@@ -141,50 +148,40 @@ class InvocationMonitor:
             # host is alive and working — a long-running guest is not a
             # lost call, and retrying it would double-execute; host death
             # is what writes a RUNNING attempt off, via the epoch above.
-            reason = (
-                f"attempt {attempt.number} on {attempt.host} timed out "
-                f"after {self.policy.attempt_timeout}s"
+            self.cluster.calls.mark_attempt_lost(
+                record.call_id, number,
+                f"attempt {number} on {host} timed out "
+                f"after {self.policy.attempt_timeout}s",
+                self.retry_time(number, now),
             )
-            if self.cluster.calls.mark_attempt_lost(
-                record.call_id, attempt.number, reason
-            ):
-                attempt.retry_at = now + self.policy.backoff(
-                    attempt.number, self.rng
-                )
 
-    def _backlog_grace_holds(self, attempt, now: float) -> bool:
+    def _backlog_grace_holds(self, record, now: float) -> bool:
         """Whether a SENT attempt is excused from the delivery timeout:
         its live target is visibly backlogged (the message is plausibly
         still queued, not lost) and the grace budget is unspent."""
-        if now - attempt.dispatched_at > (
+        if now - record.dispatched_at > (
             self.policy.attempt_timeout + self.policy.backlog_grace
         ):
             return False
         try:
-            if self.cluster.bus.pending(attempt.host) > 0:
+            if self.cluster.bus.pending(record.host) > 0:
                 return True
-            instance = self.cluster.instance_for(attempt.host)
+            instance = self.cluster.instance_for(record.host)
         except KeyError:
             return False
         return instance.pool_backlog() > 0
 
-    def _maybe_retry(self, record, attempt, now: float) -> None:
-        if attempt.retry_at == 0.0:
-            # Parked by an executor (attempt_failed); schedule the backoff.
-            attempt.retry_at = now + self.policy.backoff(attempt.number, self.rng)
+    def _retry(self, record) -> None:
+        """Re-dispatch a parked call whose backoff has passed, or fail it
+        once its budget is spent."""
+        if record.attempt + 1 < self.policy.max_attempts:
+            self.cluster.redispatch(record, reason=record.failure_chain[-1])
             return
-        if now < attempt.retry_at:
-            return
-        if len(record.attempts) >= self.policy.max_attempts:
-            chain = [a.reason for a in record.attempts if a.reason]
-            self.cluster.calls.fail_call(record.call_id, chain)
-            self.cluster.telemetry.metrics.counter("call.failed").inc()
-            self.cluster.forget_inflight(record.call_id)
-            logger.error(
-                "call %s failed after %d attempts: %s",
-                record.call_id,
-                len(record.attempts),
-                "; ".join(chain),
-            )
-            return
-        self.cluster.redispatch(record, reason=attempt.reason)
+        self.cluster.calls.fail_call(record.call_id)
+        self.cluster.telemetry.metrics.counter("call.failed").inc()
+        logger.error(
+            "call %s failed after %d attempts: %s",
+            record.call_id,
+            record.attempt + 1,
+            "; ".join(record.failure_chain),
+        )

@@ -16,13 +16,36 @@ from collections import Counter
 import pytest
 
 from repro.chaos import ChaosPlan, CrashSpec, StripeOutage
-from repro.runtime import CallStatus, DrainTimeout, FaasmCluster, RetryPolicy
+from repro.runtime import (
+    CallStatus,
+    DrainTimeout,
+    FaasmCluster,
+    FaasmRuntimeInstance,
+    RetryPolicy,
+)
+from repro.runtime.autoscale import Autoscaler, AutoscalePolicy
 from repro.state.kv import StateUnavailableError
 
 #: Fast-converging policy for single-fault tests.
 FAST = RetryPolicy(
     max_attempts=4, attempt_timeout=0.25, base_delay=0.01, max_delay=0.05
 )
+
+#: Backoff and timeout long enough that nothing is retried unless a test
+#: scans for it.
+PATIENT = RetryPolicy(
+    max_attempts=4, attempt_timeout=60.0, base_delay=60.0, max_delay=60.0
+)
+
+HELLO_SRC = """
+extern void write_call_output(int buf, int len);
+export int main() {
+    int[] msg = new int[2];
+    storeb(ptr(msg), 104); storeb(ptr(msg) + 1, 105);
+    write_call_output(ptr(msg), 2);
+    return 0;
+}
+"""
 
 
 def _wait(cluster, call_id, timeout=10.0) -> int:
@@ -58,8 +81,7 @@ def test_dropped_message_is_retried_to_completion(make_cluster):
     record = cluster.calls.get(call_id)
     assert record.status is CallStatus.SUCCEEDED
     assert record.retries >= 1
-    assert record.attempts[0].state == "lost"
-    assert "timed out" in record.attempts[0].reason
+    assert "timed out" in record.failure_chain[0]
     assert cluster.telemetry.metrics.counter("bus.dropped").value == 1
     assert cluster.telemetry.metrics.counter("call.retries").value >= 1
 
@@ -143,7 +165,7 @@ def test_retry_budget_exhaustion_is_terminal_call_failed(make_cluster):
     assert _wait(cluster, call_id, timeout=15.0) == 1
     record = cluster.calls.get(call_id)
     assert record.status is CallStatus.CALL_FAILED
-    assert len(record.attempts) == FAST.max_attempts
+    assert record.retries + 1 == FAST.max_attempts
     assert len(record.failure_chain) == FAST.max_attempts
     assert all("state unavailable" in r for r in record.failure_chain)
     assert cluster.calls.output(call_id).startswith(b"CallFailed: ")
@@ -238,3 +260,94 @@ def test_drain_reports_stragglers(make_cluster):
     assert str(call_id) in str(excinfo.value)
     # Non-raising mode returns them instead.
     assert cluster.drain(timeout=0.05, raise_on_stragglers=False) == [call_id]
+
+
+def test_zombie_cannot_relabel_a_parked_call(make_cluster, monkeypatch):
+    """A host dies while its executor is cold-starting a call and the
+    monitor parks the call. The zombie executor, released afterwards, must
+    leave the record parked — not RUNNING on the dead host — and the retry
+    then completes the call once, on a live host."""
+    cluster = make_cluster(n_hosts=2, retry_policy=PATIENT)
+    cluster.monitor.stop()  # every scan below is driven by hand
+    cluster.upload("hello", HELLO_SRC)
+    entered, resume, finished = (threading.Event() for _ in range(3))
+    stalled: list = []
+    acquire = FaasmRuntimeInstance._acquire_faaslet
+    release = FaasmRuntimeInstance._release_faaslet
+
+    def stalling_acquire(self, definition):
+        if not stalled:
+            stalled.append(self)
+            entered.set()
+            resume.wait(10.0)
+        return acquire(self, definition)
+
+    def noting_release(self, function, faaslet):
+        release(self, function, faaslet)
+        if self is stalled[0]:
+            finished.set()
+
+    monkeypatch.setattr(FaasmRuntimeInstance, "_acquire_faaslet", stalling_acquire)
+    monkeypatch.setattr(FaasmRuntimeInstance, "_release_faaslet", noting_release)
+    call_id = cluster.dispatch("hello")
+    assert entered.wait(10.0)
+    (zombie,) = stalled
+    zombie.kill()
+    cluster.monitor.scan()  # the host died: the attempt is written off
+    resume.set()
+    assert finished.wait(10.0)
+    record = cluster.calls.get(call_id)
+    assert record.status is not CallStatus.RUNNING
+    assert record.status is CallStatus.PARKED
+    assert not record.done.is_set()
+    cluster.monitor.scan()  # host death is re-queued without backoff
+    assert _wait(cluster, call_id) == 0
+    assert cluster.calls.output(call_id) == b"hi"
+    assert record.retries == 1
+    assert record.host != zombie.host
+
+
+def test_monitor_scan_error_is_counted_and_survived(make_cluster, monkeypatch):
+    cluster = make_cluster(n_hosts=1)
+    scans: list = []
+    scan = cluster.monitor.scan
+
+    def failing_once(now=None):
+        scans.append(now)
+        if len(scans) == 1:
+            raise RuntimeError("injected scan failure")
+        scan(now)
+
+    monkeypatch.setattr(cluster.monitor, "scan", failing_once)
+    deadline = time.monotonic() + 10.0
+    while len(scans) < 3 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert len(scans) >= 3  # the loop kept scanning after the failure
+    swallowed = cluster.telemetry.metrics.counter(
+        "errors.swallowed", site="monitor.scan"
+    )
+    assert swallowed.value == 1
+
+
+def test_autoscaler_tick_error_is_counted_and_survived(make_cluster, monkeypatch):
+    cluster = make_cluster(n_hosts=1)
+    scaler = Autoscaler(cluster, AutoscalePolicy(interval=0.01))
+    ticks: list = []
+    tick = scaler.tick
+
+    def failing_once(now=None):
+        ticks.append(now)
+        if len(ticks) == 1:
+            raise RuntimeError("injected tick failure")
+        return tick(now)
+
+    monkeypatch.setattr(scaler, "tick", failing_once)
+    scaler.start()
+    deadline = time.monotonic() + 10.0
+    while len(ticks) < 3 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert len(ticks) >= 3
+    swallowed = cluster.telemetry.metrics.counter(
+        "errors.swallowed", site="autoscale.tick"
+    )
+    assert swallowed.value == 1

@@ -34,6 +34,7 @@ def test_soak_no_call_is_stranded_and_log_replays():
     assert any(line.startswith("crash ") for line in first.log_lines)
     assert any(line.startswith("outage-armed ") for line in first.log_lines)
     assert first.digest == GOLDEN_DIGEST
+    assert first.swallowed == 0
 
     # Determinism: a second run from the same seed reproduces the fault
     # log byte for byte — through the ingestion plane as well, so both
@@ -42,6 +43,7 @@ def test_soak_no_call_is_stranded_and_log_replays():
     assert second.ok
     assert second.log_lines == first.log_lines
     assert second.digest == GOLDEN_DIGEST
+    assert second.swallowed == 0
 
 
 def test_soak_different_seed_different_faults():

@@ -1,8 +1,12 @@
 """Call registry and Python-guest context tests."""
 
+import gc
+import os
 import pickle
+import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,9 +20,9 @@ class TestCallRegistry:
         reg = InvocationRegistry()
         record = reg.create("fn", b"input")
         assert record.status is CallStatus.PENDING
-        attempt = reg.new_attempt(record.call_id, "h1", epoch=0)
-        assert reg.begin_attempt(record.call_id, attempt.number, "h1")
-        reg.mark_running(record.call_id, "h1", cold_start=True)
+        number = reg.new_attempt(record.call_id, "h1", epoch=0)
+        assert reg.begin_attempt(record.call_id, number, "h1")
+        record.cold_start = True  # the executor had to cold-start
         assert record.status is CallStatus.RUNNING
         assert record.cold_start
         assert reg.complete(record.call_id, 0, b"out")
@@ -64,6 +68,72 @@ class TestCallRegistry:
         reg = InvocationRegistry()
         with pytest.raises(KeyError):
             reg.get(999)
+
+    def test_record_is_slotted_and_small(self):
+        """Every record is retained, so its size is a budget: one slotted
+        record with the current attempt as fields. Creating, placing,
+        claiming and completing a 64-B echo allocates at most 600 B per
+        call (a list of attempt records cost ~890 B)."""
+        reg = InvocationRegistry()
+        assert not hasattr(reg.create("fn", b""), "__dict__")
+        n = 10_000
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            records = reg.create_many("echo", [os.urandom(64) for _ in range(n)])
+            numbers = reg.new_attempts([(r, "h0", 0) for r in records])
+            for record, number in zip(records, numbers):
+                assert reg.begin_attempt(record.call_id, number, "h0")
+                assert reg.complete_attempt(
+                    record.call_id, number, 0, record.input_data
+                )
+            del numbers
+            gc.collect()
+            per_call = (tracemalloc.get_traced_memory()[0] - before) / n
+        finally:
+            tracemalloc.stop()
+        assert per_call <= 600, f"{per_call:.0f} B per call"
+
+    def test_open_calls_lose_no_placement_to_a_concurrent_scan(self):
+        """Placement rounds racing the monitor's pruning scan: every placed
+        call that has not finished stays open, every finished one leaves."""
+        reg = InvocationRegistry()
+        stop = threading.Event()
+        placed: list = []
+
+        def scanner():
+            while not stop.is_set():
+                reg.open_calls()
+                time.sleep(0)  # let a placer take the mutex
+
+        def placer():
+            for _ in range(200):
+                records = reg.create_many("fn", [b""] * 4)
+                numbers = reg.new_attempts([(r, "h0", 0) for r in records])
+                assert reg.complete_attempt(records[0].call_id, numbers[0], 0, b"")
+                placed.extend(records)
+
+        placers = [threading.Thread(target=placer) for _ in range(4)]
+        scan = threading.Thread(target=scanner)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            scan.start()
+            for thread in placers:
+                thread.start()
+            for thread in placers:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+        finally:
+            stop.set()
+            scan.join(timeout=10.0)
+            sys.setswitchinterval(interval)
+        assert not scan.is_alive()
+        open_ids = {record.call_id for record in reg.open_calls()}
+        assert len(placed) == 4 * 200 * 4
+        assert open_ids == {r.call_id for r in placed if not r.done.is_set()}
+        assert len(open_ids) == 4 * 200 * 3
 
     def test_ids_are_unique_and_monotonic(self):
         reg = InvocationRegistry()

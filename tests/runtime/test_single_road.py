@@ -86,7 +86,7 @@ def test_every_entry_point_puts_only_batches_on_the_wire(cluster):
     assert len(records) == 4  # two parents, two children
     for record in records:
         assert record.status is CallStatus.SUCCEEDED
-        assert len(record.attempts) >= 1
+        assert record.attempt >= 0  # placed at least once
     (retried,) = lost_once
     assert cluster.calls.get(retried).retries == 1
     # Only ingested work asks for the pool; direct, chained and retried

@@ -102,12 +102,22 @@ TestTwoTier = TwoTierMachine.TestCase
 # interleavings of dispatch, duplicate delivery, crashes and retries.
 # ---------------------------------------------------------------------------
 
-from repro.runtime.calls import (  # noqa: E402
-    ATTEMPT_DONE,
-    ATTEMPT_RUNNING,
-    CallStatus,
-    InvocationRegistry,
-)
+from dataclasses import dataclass, field  # noqa: E402
+
+from repro.runtime.calls import CallStatus, InvocationRegistry  # noqa: E402
+
+LIVE = (CallStatus.SENT, CallStatus.RUNNING)
+TERMINAL = (CallStatus.SUCCEEDED, CallStatus.FAILED, CallStatus.CALL_FAILED)
+
+
+@dataclass
+class CallModel:
+    """What one call's record must read: the machine's reference model."""
+
+    attempt: int = -1
+    status: CallStatus = CallStatus.PENDING
+    chain: list[str] = field(default_factory=list)
+    completions: int = 0
 
 
 class RetryIdempotencyMachine(RuleBasedStateMachine):
@@ -115,11 +125,14 @@ class RetryIdempotencyMachine(RuleBasedStateMachine):
 
     Rules model the events the chaos plane injects — duplicate deliveries
     (begin the same attempt twice), host crashes (an attempt marked lost
-    mid-run), timeouts (a sent attempt written off) and retries (a fresh
-    attempt after a loss) — and the invariants state the exactly-once
-    contract: each attempt is begun at most once, at most one attempt runs
-    at a time, each call completes at most once, and a completed call's
-    idempotent state write is observably applied exactly once.
+    mid-run), timeouts (a sent attempt written off), retries (a fresh
+    attempt after a loss), late completions and exhausted budgets — on the
+    current attempt *and on stale attempt numbers*. Every transition's
+    answer is checked against a per-call reference model, and the
+    invariants state the exactly-once contract: each attempt is begun at
+    most once, each call completes at most once, the record reads exactly
+    what the model says (attempt, status, failure chain), and a completed
+    call's idempotent state write is observably applied exactly once.
     """
 
     calls = Bundle("calls")
@@ -128,6 +141,7 @@ class RetryIdempotencyMachine(RuleBasedStateMachine):
         super().__init__()
         self.registry = InvocationRegistry()
         self.store = GlobalStateStore()
+        self.model: dict[int, CallModel] = {}
         #: Successful begin_attempt claims per (call_id, attempt number).
         self.begun: dict[tuple[int, int], int] = {}
         #: Guest executions per call (each successful claim runs the guest).
@@ -138,12 +152,49 @@ class RetryIdempotencyMachine(RuleBasedStateMachine):
         self.store.set_value(f"out/{call_id}", f"result-{call_id}".encode())
         self.executions[call_id] = self.executions.get(call_id, 0) + 1
 
+    def _pick(self, call_id: int, pick: int) -> int | None:
+        """An attempt number of the call: the current one or a stale one."""
+        record = self.registry.get(call_id)
+        if record.attempt < 0:
+            return None
+        return pick % (record.attempt + 1)
+
+    def _owns(self, call_id: int, number: int) -> bool:
+        """Whether the model says attempt ``number`` is current and live."""
+        model = self.model[call_id]
+        return number == model.attempt and model.status in LIVE
+
+    def _claim(self, call_id: int, number: int) -> bool:
+        model = self.model[call_id]
+        expected = number == model.attempt and model.status is CallStatus.SENT
+        claimed = self.registry.begin_attempt(call_id, number, "h0")
+        assert claimed == expected, (call_id, number, model)
+        if claimed:
+            self.begun[(call_id, number)] = self.begun.get((call_id, number), 0) + 1
+            model.status = CallStatus.RUNNING
+        return claimed
+
+    def _completed(self, call_id: int, status: CallStatus) -> None:
+        model = self.model[call_id]
+        model.completions += 1
+        model.status = status
+
+    def _park(self, call_id: int, number: int, reason: str) -> None:
+        expected = self._owns(call_id, number)
+        parked = self.registry.mark_attempt_lost(call_id, number, reason)
+        assert parked == expected, (call_id, number, self.model[call_id])
+        if parked:
+            self.model[call_id].status = CallStatus.PARKED
+            self.model[call_id].chain.append(reason)
+
     @rule(target=calls, key=st.integers(0, 4))
     def submit(self, key):
         record, created = self.registry.create_or_get(
             "fn", b"", idempotency_key=f"job-{key}"
         )
-        if not created:
+        if created:
+            self.model[record.call_id] = CallModel()
+        else:
             # The same idempotency key always maps to the same call.
             assert record.idempotency_key == f"job-{key}"
         return record.call_id
@@ -151,89 +202,113 @@ class RetryIdempotencyMachine(RuleBasedStateMachine):
     @rule(call_id=calls)
     def dispatch_attempt(self, call_id):
         """The cluster (or the monitor retrying) sends a fresh attempt —
-        only ever after the previous one was written off."""
-        record = self.registry.get(call_id)
-        if record.done.is_set() or len(record.attempts) >= 6:
+        refused unless the call is unplaced or its attempt written off."""
+        model = self.model[call_id]
+        if model.attempt >= 5:
             return
-        last = record.last_attempt
-        if last is not None and last.state in (ATTEMPT_RUNNING, "sent"):
+        if model.status not in (CallStatus.PENDING, CallStatus.PARKED):
+            with pytest.raises(RuntimeError):
+                self.registry.new_attempt(call_id, "h0", 0)
             return
-        self.registry.new_attempt(call_id, "h0", 0)
+        assert self.registry.new_attempt(call_id, "h0", 0) == model.attempt + 1
+        model.attempt += 1
+        model.status = CallStatus.SENT
 
     @rule(call_id=calls, pick=st.integers(0, 5))
     def deliver_and_complete(self, call_id, pick):
         """An executor receives a delivery, claims it, runs the guest and
         completes — the healthy path."""
-        record = self.registry.get(call_id)
-        if not record.attempts:
-            return
-        number = pick % len(record.attempts)
-        if self.registry.begin_attempt(call_id, number, "h0"):
-            self.begun[(call_id, number)] = self.begun.get((call_id, number), 0) + 1
+        number = self._pick(call_id, pick)
+        if number is not None and self._claim(call_id, number):
             self._apply_guest(call_id)
             assert self.registry.complete_attempt(call_id, number, 0, b"ok")
+            self._completed(call_id, CallStatus.SUCCEEDED)
 
     @rule(call_id=calls, pick=st.integers(0, 5))
     def duplicate_delivery(self, call_id, pick):
         """A duplicated ExecuteCall: the second claim of an already-begun
         attempt must always be rejected."""
-        record = self.registry.get(call_id)
-        if not record.attempts:
+        number = self._pick(call_id, pick)
+        if number is None:
             return
-        number = pick % len(record.attempts)
-        first = self.registry.begin_attempt(call_id, number, "h0")
-        second = self.registry.begin_attempt(call_id, number, "h0")
-        assert not second
+        first = self._claim(call_id, number)
+        assert not self.registry.begin_attempt(call_id, number, "h0")
         if first:
-            self.begun[(call_id, number)] = self.begun.get((call_id, number), 0) + 1
             self._apply_guest(call_id)
             assert self.registry.complete_attempt(call_id, number, 0, b"ok")
+            self._completed(call_id, CallStatus.SUCCEEDED)
 
     @rule(call_id=calls, pick=st.integers(0, 5))
     def crash_mid_run(self, call_id, pick):
         """The executor's host dies after the guest ran but before the
         completion was written (the pre-complete crash phase)."""
-        record = self.registry.get(call_id)
-        if not record.attempts:
-            return
-        number = pick % len(record.attempts)
-        if self.registry.begin_attempt(call_id, number, "h0"):
-            self.begun[(call_id, number)] = self.begun.get((call_id, number), 0) + 1
+        number = self._pick(call_id, pick)
+        if number is not None and self._claim(call_id, number):
             self._apply_guest(call_id)
-            assert self.registry.mark_attempt_lost(call_id, number, "host died")
+            self._park(call_id, number, "host died")
             # The zombie completion from the dead host must be rejected.
             assert not self.registry.complete_attempt(call_id, number, 0, b"zombie")
 
     @rule(call_id=calls, pick=st.integers(0, 5))
     def lose_sent_attempt(self, call_id, pick):
-        """A dropped message: the monitor writes the sent attempt off."""
-        record = self.registry.get(call_id)
-        if not record.attempts:
+        """A dropped message: the monitor writes the attempt off."""
+        number = self._pick(call_id, pick)
+        if number is not None:
+            self._park(call_id, number, "timed out")
+
+    @rule(call_id=calls)
+    def retry_after_timeout(self, call_id):
+        """The monitor's retry: the live attempt times out and the call is
+        placed again — leaving a stale number for later deliveries."""
+        model = self.model[call_id]
+        if model.status in LIVE and model.attempt < 5:
+            self._park(call_id, model.attempt, "timed out")
+            self.dispatch_attempt(call_id)
+
+    @rule(call_id=calls, pick=st.integers(0, 5))
+    def late_completion(self, call_id, pick):
+        """A completion arriving for any attempt number, current or stale."""
+        number = self._pick(call_id, pick)
+        if number is None:
             return
-        number = pick % len(record.attempts)
-        self.registry.mark_attempt_lost(call_id, number, "timed out")
+        expected = self._owns(call_id, number)
+        assert self.registry.complete_attempt(call_id, number, 1, b"late") == expected
+        if expected:
+            self._completed(call_id, CallStatus.FAILED)
+
+    @rule(call_id=calls)
+    def exhaust_budget(self, call_id):
+        """The monitor gives up on a parked call: CALL_FAILED, carrying the
+        chain of every parked attempt's reason."""
+        model = self.model[call_id]
+        if model.status is not CallStatus.PARKED and model.status not in TERMINAL:
+            return
+        failed = self.registry.fail_call(call_id)
+        assert failed == (model.status is CallStatus.PARKED)
+        if failed:
+            self._completed(call_id, CallStatus.CALL_FAILED)
+            expected = "CallFailed: " + "; ".join(model.chain)
+            assert self.registry.output(call_id) == expected.encode()
 
     @invariant()
     def each_attempt_begun_at_most_once(self):
         assert all(count == 1 for count in self.begun.values())
 
     @invariant()
-    def at_most_one_attempt_running(self):
-        for record in self.registry.all_records():
-            running = [a for a in record.attempts if a.state == ATTEMPT_RUNNING]
-            assert len(running) <= 1, record.call_id
+    def record_is_its_model(self):
+        for call_id, model in self.model.items():
+            record = self.registry.get(call_id)
+            assert record.attempt == model.attempt, call_id
+            assert record.status is model.status, (call_id, record.status)
+            assert list(record.failure_chain) == model.chain, call_id
+            assert record.retries == max(0, model.attempt)
 
     @invariant()
     def at_most_one_completion(self):
-        for record in self.registry.all_records():
-            done = [a for a in record.attempts if a.state == ATTEMPT_DONE]
-            assert len(done) <= 1, record.call_id
-            if record.done.is_set():
-                assert record.status in (
-                    CallStatus.SUCCEEDED,
-                    CallStatus.FAILED,
-                    CallStatus.CALL_FAILED,
-                )
+        for call_id, model in self.model.items():
+            assert model.completions <= 1, call_id
+            record = self.registry.get(call_id)
+            assert record.done.is_set() == (model.status in TERMINAL)
 
     @invariant()
     def idempotent_write_applied_exactly_once(self):
