@@ -7,17 +7,19 @@ Two experiments, both layered on the Fig. 8/9 workloads:
   v128 lane ops. Both versions run on the compiled tier and are timed
   for real (wall-clock); the i32x4 kernels (4 lanes per dispatch) must
   clear the floor on at least two kernels. The floor is a ratio *to the
-  scalar loop*, and the compiled tier inlines scalar arithmetic and
-  memory access while every v128 op is still a call into ``simd.py``:
-  against the closure-threaded tier the scalar loops got 3.2x faster and
-  the v128 loops 1.6x, so the ratio fell from 3.2-3.6x to 1.5-1.7x.
-  f64x2 kernels carry only 2 lanes per op, now lose to the scalar loop
-  (the ``vec_*_f`` intrinsics are a pessimisation until v128 accesses are
-  inlined too), and are reported for completeness. Because that ratio
-  changed meaning, the strength of the old guard moved to one that did
-  not: each v128 kernel on the compiled tier against the same kernel on
-  the interpreter (``simd_vs_interp``; 3.3x on the closure-threaded tier,
-  5x now), which a de-optimised v128 lowering fails.
+  scalar loop*, and the compiled tier inlines scalar arithmetic, every
+  single-page access (v128 included) and, for a counted ``for`` loop like
+  the scalar one, hoists the page checks out of the loop, while each v128
+  lane op is still a call into ``simd.py`` and the intrinsics' pointer-
+  stepped loops are not that counted shape: against the closure-threaded
+  tier the ratio fell from 3.2-3.6x to 1.1-1.9x. f64x2 kernels carry only
+  2 lanes per op, so one ``struct`` round trip per op still loses to two
+  inline float operations (0.6-0.7x of the scalar loop); they are reported
+  for completeness. Because that ratio changed meaning, the strength of
+  the old guard moved to one that did not: each v128 kernel on the
+  compiled tier against the same kernel on the interpreter
+  (``simd_vs_interp``; 3.3x on the closure-threaded tier, 5.5-8.4x now),
+  which a de-optimised v128 lowering fails.
 
 * **Guest threads** — the Fig. 8 distributed matmul's *inner block*
   (one leaf multiplication of the divide-and-conquer) parallelised

@@ -30,44 +30,57 @@ Lowering rules
   reference interpreter. Values that are live across a control edge sit in
   ``s<height>`` (stack heights are static after validation).
 
-* **Fuel is charged once per superblock.** A superblock is a maximal
-  straight-line flat range ending at a control transfer, a call,
-  ``memory.atomic.wait32`` or a join. Its prologue adds its instruction
-  count to ``ex`` and compares against ``lim`` (fuel at the last sync, or
-  :data:`UNMETERED`); both live in Python locals and are written back to
-  the instance only where the interpreter writes them back: calls,
-  ``wait32``, fuel exhaustion and normal exit. A trap drops them, exactly
-  as the interpreter drops its own local counters. When the remaining
+* **Fuel is charged once per superblock** (a maximal straight-line flat
+  range ending at a control transfer, a call, ``memory.atomic.wait32`` or a
+  join): ``ex += <count>``, tested against ``lim`` (fuel at the last sync,
+  or :data:`UNMETERED`). Both are Python locals written back to the
+  instance only where the interpreter writes its own: calls, ``wait32``,
+  exhaustion, exit; a trap drops them as it drops the interpreter's. When
   fuel cannot cover the superblock, its ``else`` arm spills locals and
-  stack to lists, runs *that superblock only* through the interpreter's
-  per-instruction loop (:meth:`Instance._run_metered`), reloads and carries
-  on in compiled code — so ``OutOfFuel`` fires at the same instruction with
-  the same partial effects, and a refuel hook (guest-thread preemption)
-  resumes compiled code. The superblock's final control instruction is
-  charged by that arm but evaluated by the code both arms share.
+  stack, runs *that superblock only* through the interpreter loop
+  (:meth:`Instance._run_metered`), reloads and carries on — so ``OutOfFuel``
+  fires at the same instruction with the same effects, and a refuel hook
+  (guest-thread preemption) resumes compiled code. The arm charges the
+  superblock's closing control instruction; the shared code evaluates it.
 
-* **The single-page memory fast path is inline**: bounds, page-straddle
-  and (for stores) ``Page.writable`` tests sit in the generated code; any
-  miss calls the typed :class:`~repro.wasm.memory.LinearMemory` access the
-  interpreter uses, which handles COW, dirty-tracking ``notify`` and the
-  trap. ``npg`` caches ``len(pages)``; pages are never removed, so a stale
-  value only sends an access down that path.
+* **The single-page memory fast path is inline** (v128 included): bounds,
+  page-straddle and (stores) ``Page.writable`` tests sit in the generated
+  code; a miss calls the typed :class:`~repro.wasm.memory.LinearMemory`
+  access the interpreter uses (COW, dirty-tracking ``notify``, the trap).
+  ``npg`` caches ``len(pages)``; pages are never removed, so a stale value
+  only sends an access down that path.
 
-CPython compiles at most 20 statically nested loops and ~100 indentation
-levels; a function that would exceed either runs on the reference
-interpreter instead (counted in ``wasm.compile_fallbacks``).
+* **An innermost counted loop checks its range once per entry.** For the
+  ``for`` shape (counter ``iv`` stepped last by ``+c``, exit test ``iv < n``
+  or ``<=``, no call, grow, atomic, v128 access or inner loop, addresses
+  ``B + S*iv`` over locals the loop never writes) a guard ``_h`` checks one
+  iteration, ``z + c < 2**31`` for the last value ``z``, each access's page
+  and in-page offset at ``iv`` and ``z``, and stored-to pages ``writable``.
+  On a hit the loop's first statement runs whole iterations on views bound
+  once, with plain-int counters and each store behind its page's
+  ``writable`` test, while ``ex + <loop length> <= lim``: the metered arm,
+  where another guest thread can run, is never inside. Any failed test
+  clears ``_h`` and today's code carries on. SFI holds because a miss is
+  today's code and :mod:`repro.wasm.verify` (trusted, like the validator)
+  checks every function before it compiles; what it refuses, or what
+  passes CPython's 20 nested loops or ~100 indentation levels, runs on the
+  interpreter (``wasm.compile_fallbacks{cause="unverified"|"too-deep"}``).
 """
 
 from __future__ import annotations
 
+import ast
+import gc
 import math
 
+from .codecache import GLOBAL_CODE_CACHE
 from .errors import CallStackExhausted, UnreachableExecuted
 from .futex import atomic_notify, atomic_wait32
 from .instructions import (
     ATOMIC_CMPXCHG_OPS,
     ATOMIC_RMW_OPS,
     CONST_OPS,
+    INSTR_SIGS,
     LOAD_OPS,
     STORE_OPS,
 )
@@ -76,6 +89,7 @@ from .ops import BINOPS, UNOPS
 from .simd import SIMD_EXTRACT_OPS, SIMD_REPLACE_OPS
 from .types import PAGE_SIZE
 from .values import default_value
+from .verify import Unverified, verify
 
 #: ``lim`` of an instance running without a fuel budget (tested by identity).
 UNMETERED = 1 << 62
@@ -313,7 +327,89 @@ def _analyse(code):
             joins.add(pc)
         if op != "loop" or pc - 1 not in merged:
             joins.add(end + 1)
-    return targeted, merged, joins
+    return targeted, merged, joins, end_of
+
+
+#: Exit compares of a counted loop, ``iv <op> bound``, as Python operators.
+_EXIT = {"i32.lt_s": "<", "i32.lt_u": "<", "i32.le_s": "<=", "i32.le_u": "<="}
+_UNHOISTABLE = frozenset("call call_indirect memory.grow loop br br_if br_table return "
+                         "unreachable v128.load v128.store".split())
+_ARITY = dict.fromkeys(CONST_OPS, (0, 1)) | {"local.set": (1, 0), "local.tee": (1, 1),
+                                             "global.get": (0, 1), "global.set": (1, 0),
+                                             "drop": (1, 0), "select": (3, 1)}
+
+
+def _ring(op: str, a, b):
+    """``a op b`` over polynomials ({sorted local indices: coefficient}) for
+    the i32 ring operators, which commute with reduction mod 2**32."""
+    if a is None or b is None or op == "i32.shl" and b.keys() - {()}:
+        return None
+    if op == "i32.shl":
+        op, b = "i32.mul", {(): 1 << (b.get((), 0) & 31)}
+    out: dict = {}
+    for m, k in ([(tuple(sorted(x + y)), i * j) for x, i in a.items() for y, j in b.items()]
+                 if op == "i32.mul" else [*a.items(), *((m, k if op == "i32.add" else -k)
+                                                        for m, k in b.items())]):
+        out[m] = out.get(m, 0) + k
+    out = {m: k for m, k in out.items() if k}
+    return out if len(out) <= 8 else None
+
+
+def _pexpr(p) -> str:
+    """A polynomial as Python source over the canonical locals."""
+    return " + ".join(" * ".join([*(f"L{i}" for i in m), *([str(k)] if k != 1 or not m else [])])
+                      for m, k in sorted(p.items())) or "0"
+
+
+def _counted(code, lo, end):
+    """``(iv, step, compare pc, bound, {access pc: (alpha, beta)})`` for the
+    loop at ``lo`` ending at ``end`` if it is an innermost counted loop
+    (module doc), an access's address plus offset being ``alpha + beta*iv``."""
+    tail = code[end - 5:end]
+    if [t[0] for t in tail] != ["local.get", "i32.const", "i32.add", "local.set", "br"]:
+        return None
+    iv, step = tail[0][1], tail[1][1]
+    written = {ins[1] for ins in code[lo:end - 5] if ins[0] in ("local.set", "local.tee")}
+    if tail[3][1] != iv or tail[4][1] or not 0 < step < 2**31 or iv in written:
+        return None
+    stack, frames, acc, bound, cmp_pc, pc = [], [], {}, None, None, lo + 1
+    while pc < end - 5:
+        ins = code[pc]
+        op = ins[0]
+        if bound is None and op in _EXIT and code[pc + 1:pc + 3] == [("i32.eqz",), ("br_if", 1)] \
+                and not frames and stack[:1] == [{(iv,): 1}] and len(stack) == 2 \
+                and stack[1] is not None and all(iv not in m for m in stack[1]):
+            bound, cmp_pc, stack, pc = stack[1], pc, [], pc + 3  # the exit test
+            continue
+        if op in _UNHOISTABLE or "atomic" in op:
+            return None
+        if op in LOAD_OPS or op in STORE_OPS:
+            p = stack[-1 if op in LOAD_OPS else -2]
+            if bound is None or p is None or any(m.count(iv) > 1 for m in p):
+                return None
+            beta = {tuple(i for i in m if i != iv): k for m, k in p.items() if iv in m}
+            alpha = {m: k for m, k in p.items() if iv not in m}
+            acc[pc] = (_ring("i32.add", alpha, {(): ins[1]}), beta)
+        if op == "local.get":
+            stack.append(None if ins[1] in written else {(ins[1],): 1})
+        elif op == "i32.const":
+            stack.append({(): ins[1]} if ins[1] else {})
+        elif op in ("i32.add", "i32.sub", "i32.mul", "i32.shl"):
+            stack[-2:] = [_ring(op, *stack[-2:])]
+        elif op in ("block", "if"):  # values crossing a label become unknown
+            del stack[len(stack) - (op == "if"):]
+            nparams, nres = (ins[3], ins[2]) if op == "block" else (ins[4], ins[3])
+            frames.append((len(stack) - nparams, nparams, nres))
+            stack[frames[-1][0]:] = [None] * nparams
+        elif op in ("else", "end"):
+            base, nparams, nres = frames[-1] if op == "else" else frames.pop()
+            stack[base:] = [None] * (nparams if op == "else" else nres)
+        else:
+            n_in, n_out = _ARITY.get(op) or map(len, INSTR_SIGS[op])
+            del stack[len(stack) - n_in:]
+            stack += [None] * n_out
+        pc += 1
+    return None if bound is None or stack or frames else (iv, step, cmp_pc, bound, acc)
 
 
 class _Lowering:
@@ -323,7 +419,11 @@ class _Lowering:
         self.fn = fn
         self.module = module
         self.code = fn.code
-        self.targeted, self.merged, self.joins = _analyse(fn.code)
+        self.targeted, self.merged, self.joins, end_of = _analyse(fn.code)
+        #: Counted loops (loop pc → plan, pc past it) and the one being hoisted.
+        self.loops = {pc + 1: (plan, end_of[pc] + 1) for pc in self.merged
+                      if (plan := _counted(fn.code, pc + 1, end_of[pc] - 1))}
+        self.hoist, self.hoisted = None, {}
         self.n_locals = fn.n_locals
         self.ns: dict = {}
         self._bound: dict[int, str] = {}
@@ -349,8 +449,7 @@ class _Lowering:
         self.uses_pages = any(op in INLINE_LOADS or op in INLINE_STORES for op in ops)
         self.uses_glb = bool(ops & {"global.get", "global.set"})
         self.uses_mem = self.uses_pages or any(
-            op in ("v128.load", "v128.store") or "atomic" in op
-            or op.startswith("memory.") for op in ops
+            "atomic" in op or op.startswith("memory.") for op in ops
         )
 
     # -- emission helpers ------------------------------------------------
@@ -466,6 +565,9 @@ class _Lowering:
         slow += [f"{v.expr} = _S[{i}]" for i, v in enumerate(self.sym)
                  if v.atom and v.temp >= self.sb_temp0]
         self.emit(f"ex += {cost}")
+        if self.hoist:  # the iteration's fuel was checked as a whole
+            self.lines.extend("    " * self.ind + line for line in body)
+            return
         if body:
             self.emit("if ex <= lim:")
             self.lines.extend("    " * (self.ind + 1) + l for l in body)
@@ -604,7 +706,12 @@ class _Lowering:
 
     # -- the walk --------------------------------------------------------
     def run(self) -> str:
-        for pc, ins in enumerate(self.code):
+        self.walk(0, len(self.code))
+        return self.assemble()
+
+    def walk(self, start: int, stop: int) -> None:
+        for pc in range(start, stop):
+            ins = self.code[pc]
             op = ins[0]
             if not self.live:
                 # Stack-polymorphic dead code: skip to the ``end``/``else``
@@ -625,7 +732,10 @@ class _Lowering:
                 self.end(pc)
                 continue
             if self.body is None:
-                if pc in self.targeted and op != "if" and pc not in self.merged:
+                if pc in self.loops:
+                    if not self.hoist:  # the guarded walk is inside its loop already
+                        self.version(pc, *self.loops[pc])
+                elif pc in self.targeted and op != "if" and pc not in self.merged:
                     if op == "loop" and ins[2]:
                         base = len(self.sym) - ins[2]
                         self.carry(base, ins[2])
@@ -633,7 +743,48 @@ class _Lowering:
                     self.open_while()
                 self.open_sb(pc)
             self.lower(pc, ins)
-        return self.assemble()
+
+    def version(self, pc: int, plan, stop: int) -> None:
+        """Open the counted loop at ``pc`` behind its guard, its guarded
+        iteration first (module doc); the walk then lowers today's iteration."""
+        (iv, step, cmp_pc, bound, acc), cmp = plan, self.code[plan[2]][0]
+        L, sym, n, z, h = f"L{iv}", _EXIT[cmp], f"_n{pc}", f"_z{pc}", f"_h{pc}"
+        conds, pages, self.hoisted = [f"{L} {sym} {n}", f"{z} + {step} < {_S32}"], {}, {}
+        for q, (alpha, beta) in sorted(acc.items()):  # one page per affine family:
+            g = pages.setdefault((frozenset(m for m in alpha if m), frozenset(beta.items())), q)
+            coef = str(beta.get((), 0)) if beta.keys() <= {()} else f"_m{g}"
+            at = {v: f" + {v} * {coef}" if beta else "" for v in (L, z)}
+            if g == q:
+                if coef == f"_m{g}":
+                    self.emit(f"{coef} = {_pexpr(beta)}")
+                self.emit(f"_p{g} = ({_pexpr(alpha)}{at[L]}) >> 16")
+                conds.append(f"0 <= _p{g} < npg")
+            op, off = self.code[q][:2]
+            self.emit(f"_b{q} = {_pexpr(alpha)} - (_p{g} << 16)")
+            lim = PAGE_SIZE - (LOAD_OPS.get(op) or STORE_OPS[op])[1]
+            conds += [f"{off} <= _b{q}{at[v]} <= {lim}" for v in (L, z)]
+            if op in STORE_OPS:
+                conds.append(f"pages[_p{g}].writable")
+            self.hoisted[q] = (f"_v{g}, _b{q}{at[L]}", f"_P{g}.writable",
+                               f"(_p{g} << 16) + _b{q}{at[L]}")
+        e = f"({_pexpr(bound)}) & {_M32}"
+        self.emit(f"{n} = {_signed(e, _S32) if cmp.endswith('_s') else e}")
+        self.emit(f"{z} = {L} + ({n}{' - 1' * (sym == '<')} - {L}) // {step} * {step}")
+        self.emit(f"{h} = {' and '.join(dict.fromkeys(conds))}")
+        if pages:
+            self.emit(f"if {h}:")
+        for g in pages.values():
+            self.emit(f"    _P{g} = pages[_p{g}]")
+            self.emit(f"    _v{g} = _P{g}.view")
+        self.open_while()
+        self.emit(f"if {h} and ex + {stop - 2 - pc} <= lim:")  # no instruction runs twice
+        self.indent()
+        saved = list(self.sym), list(self.ctrl), self.ntemp
+        self.hoist = (iv, cmp_pc, _cmp(L, n, sym), h)
+        self.walk(pc, stop - 2)
+        self.hoist, (self.sym, self.ctrl, self.ntemp), self.live = None, saved, True
+        self.dedent()
+        self.emit(f"{h} = 0")  # this entry of the loop stays general from here
 
     def assemble(self) -> str:
         fn = self.fn
@@ -712,7 +863,8 @@ class _Lowering:
         if op == "local.get":
             sym.append(_Val(f"L{ins[1]}", frozenset((ins[1],))))
         elif op == "local.set":
-            v = self.pop()
+            # The guarded copy's counter stays below 2**31: no mask owed.
+            v = sym.pop() if self.hoist and ins[1] == self.hoist[0] else self.pop()
             self.spill_local(ins[1])
             self.emit(f"L{ins[1]} = {v.expr}")
         elif op == "local.tee":
@@ -739,6 +891,8 @@ class _Lowering:
             else:
                 wraps = None
             self.push(_INLINE_BINOPS[op](a.expr, b.expr), a, b, wraps=wraps)
+        elif self.hoist and pc == self.hoist[1]:  # ``iv < n`` on plain ints
+            sym[-2:] = [_Val(self.hoist[2], frozenset((self.hoist[0],)))]
         elif op in BINOPS:
             b = self.pop()
             a = self.pop()
@@ -761,26 +915,33 @@ class _Lowering:
         elif op in INLINE_LOADS:
             unpack, fix = INLINE_LOADS[op]
             ty, size, signed = LOAD_OPS[op]
+            if self.hoist and pc in self.hoisted:  # the guard bounded it
+                sym.pop()
+                self.push_now(f"{self.bind(unpack)}({self.hoisted[pc][0]})[0]{fix}")
+                return
             hit, address = self.page_access(op, ins, size)
-            miss = (f"mem.load_float({address}, {size})" if ty.is_float else
+            miss = (f"mem.load_v128({address})" if size == 16 else
+                    f"mem.load_float({address}, {size})" if ty.is_float else
                     f"mem.load_int({address}, {size}, {signed}){fix}")
             self.push_now(f"{self.bind(unpack)}(pages[_p].view, _o)[0]{fix} "
                           f"if {hit} else {miss}")
-        elif op == "v128.load":
-            self.push_now(f"mem.load_v128({self.addr(self.pop(), ins[1])})")
         elif op in INLINE_STORES:
             pack, fix = INLINE_STORES[op]
             ty, size = STORE_OPS[op]
             v = self.as_atom(self.pop())
-            hit, address = self.page_access(op, ins, size)
-            self.emit(f"if {hit} and pages[_p].writable:")
-            self.emit(f"    {self.bind(pack)}(pages[_p].view, _o, {v.expr}{fix})")
+            if self.hoist and pc in self.hoisted:  # the guard bounded it
+                sym.pop()
+                place, writable, address = self.hoisted[pc]
+            else:
+                hit, address = self.page_access(op, ins, size)
+                place, writable = "pages[_p].view, _o", f"{hit} and pages[_p].writable"
+            self.emit(f"if {writable}:")
+            self.emit(f"    {self.bind(pack)}({place}, {v.expr}{fix})")
             self.emit("else:")
-            self.emit(f"    mem.store_{'float' if ty.is_float else 'int'}"
-                      f"({address}, {v.expr}, {size})")
-        elif op == "v128.store":
-            v = self.pop()
-            self.emit(f"mem.store_v128({self.addr(self.pop(), ins[1])}, {v.expr})")
+            kind = "v128" if size == 16 else "float" if ty.is_float else "int"
+            self.emit(f"    mem.store_{kind}({address}, {v.expr}{f', {size}' * (size < 16)})")
+            if self.hoist and pc in self.hoisted:  # then leave the guarded iteration
+                self.emit(f"    {self.hoist[-1]} = 0")
         elif op in SIMD_EXTRACT_OPS:
             a = self.pop()
             self.push(f"{self.bind(SIMD_EXTRACT_OPS[op])}({a.expr}, {ins[1]})", a)
@@ -928,17 +1089,23 @@ class _Lowering:
 
 def lower_function(fn, module):
     """Compile one flat function to its Python form, a callable
-    ``f(inst, depth, *args) -> list`` of results; None when the function
-    nests deeper than CPython can compile."""
-    lowering = _Lowering(fn, module)
+    ``f(inst, depth, *args) -> list`` of results; None (and counted) when
+    the function nests deeper than CPython can compile or its code fails
+    :func:`~repro.wasm.verify.verify`."""
+    collecting = gc.isenabled()
+    gc.disable()  # lowering, parsing and checking allocate a lot and no cycles
     try:
-        source = lowering.run()
-    except _TooDeep:
+        lowering = _Lowering(fn, module)
+        tree = ast.parse(lowering.run())
+        ns = dict(lowering.ns, _code=fn.code, _UNMETERED=UNMETERED,
+                  _CallStackExhausted=CallStackExhausted, _Unreachable=UnreachableExecuted)
+        verify(tree, ns)
+        exec(compile(tree, f"<compiled:{fn.name}>", "exec"), ns)
+        return ns["f"]
+    except (_TooDeep, Unverified) as refusal:
+        cause = "too-deep" if isinstance(refusal, _TooDeep) else "unverified"
+        GLOBAL_CODE_CACHE.metrics.counter("wasm.compile_fallbacks", cause=cause).inc()
         return None
-    ns = lowering.ns
-    ns.update(
-        _code=fn.code, _UNMETERED=UNMETERED,
-        _CallStackExhausted=CallStackExhausted, _Unreachable=UnreachableExecuted,
-    )
-    exec(compile(source, f"<compiled:{fn.name}>", "exec"), ns)
-    return ns["f"]
+    finally:
+        if collecting:
+            gc.enable()

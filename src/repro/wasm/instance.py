@@ -412,9 +412,8 @@ class Instance:
         if run is None:
             run = lower_function(fn, self.module)
             if run is None:
-                # Nested deeper than CPython compiles: the oracle runs it.
-                GLOBAL_CODE_CACHE.metrics.counter("wasm.compile_fallbacks").inc()
-
+                # Too deep for CPython, or refused by the verifier (counted
+                # there): the oracle runs it.
                 def run(inst, depth, *args):
                     return inst._exec(fn, list(args), depth)
 

@@ -74,6 +74,7 @@ _I32 = struct.Struct("<i")
 _U64 = struct.Struct("<Q")
 _F32 = struct.Struct("<f")
 _F64 = struct.Struct("<d")
+_V128 = struct.Struct("16s")
 
 
 @dataclass(slots=True)
@@ -361,9 +362,8 @@ class LinearMemory:
             self.write(addr, st.pack(value))
 
     # ------------------------------------------------------------------
-    # v128 access (both tiers; scalar accesses are inlined by the compiled
-    # tier from INLINE_LOADS/INLINE_STORES and take the typed path above
-    # on a miss)
+    # v128 access (the interpreter, and the compiled tier's miss path from
+    # INLINE_LOADS/INLINE_STORES)
     # ------------------------------------------------------------------
     def load_v128(self, addr: int) -> bytes:
         if addr >= 0:
@@ -445,16 +445,17 @@ class LinearMemory:
         )
 
 
-#: op mnemonic -> (struct (un)packer, canonicalising suffix): the scalar
-#: accesses the compiled tier inlines when they fall inside one page,
-#: testing bounds, page straddle and (stores) ``Page.writable`` itself. On
-#: a miss it calls ``load_int``/``load_float``/``store_int``/``store_float``
-#: (COW fault, dirty-tracking ``notify``, the trap), so this table is the
-#: only other statement of the single-page case. An atomic load or store
-#: is the plain access behind an alignment test (``_check_aligned``). v128
-#: and the read-modify-write atomics are absent: they always go through
-#: their accessors.
+#: op mnemonic -> (struct (un)packer, canonicalising suffix): the accesses
+#: the compiled tier inlines when they fall inside one page, testing
+#: bounds, page straddle and (stores) ``Page.writable`` itself. On a miss
+#: it calls the typed accessor of the same width above (COW fault,
+#: dirty-tracking ``notify``, the trap), so this table is the only other
+#: statement of the single-page case. An atomic load or store is the plain
+#: access behind an alignment test (``_check_aligned``). The
+#: read-modify-write atomics are absent: they always go through their
+#: accessors.
 INLINE_LOADS = {
+    "v128.load": (_V128.unpack_from, ""),
     "i32.load": (_U32.unpack_from, ""),
     "i64.load": (_U64.unpack_from, ""),
     "f32.load": (_F32.unpack_from, ""),
@@ -470,6 +471,7 @@ INLINE_LOADS = {
 }
 
 INLINE_STORES = {
+    "v128.store": (_V128.pack_into, ""),
     "i32.store": (_U32.pack_into, ""),
     "i64.store": (_U64.pack_into, ""),
     "f32.store": (_F32.pack_into, ""),

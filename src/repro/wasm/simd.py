@@ -106,13 +106,15 @@ def _s_i32x4_mul(a: bytes, b: bytes) -> bytes:
 def _s_i32x4_min_s(a: bytes, b: bytes) -> bytes:
     a0, a1, a2, a3 = _I32X4_S.unpack(a)
     b0, b1, b2, b3 = _I32X4_S.unpack(b)
-    return _I32X4_S.pack(min(a0, b0), min(a1, b1), min(a2, b2), min(a3, b3))
+    return _I32X4_S.pack(a0 if a0 < b0 else b0, a1 if a1 < b1 else b1,
+                         a2 if a2 < b2 else b2, a3 if a3 < b3 else b3)
 
 
 def _s_i32x4_max_s(a: bytes, b: bytes) -> bytes:
     a0, a1, a2, a3 = _I32X4_S.unpack(a)
     b0, b1, b2, b3 = _I32X4_S.unpack(b)
-    return _I32X4_S.pack(max(a0, b0), max(a1, b1), max(a2, b2), max(a3, b3))
+    return _I32X4_S.pack(a0 if a0 > b0 else b0, a1 if a1 > b1 else b1,
+                         a2 if a2 > b2 else b2, a3 if a3 > b3 else b3)
 
 
 def _s_f64x2_add(a: bytes, b: bytes) -> bytes:

@@ -41,7 +41,7 @@ def test_colocated_workers_share_one_dataset_replica():
     setup_wasm_sgd(cluster, X, y)
     # Enough work per call that the four dispatches overlap and the pool
     # grows past one Faaslet (sized for the compiled tier's guest speed).
-    run_wasm_sgd(cluster, n, 8, n_workers=4, epochs=3, lr=0.02)
+    run_wasm_sgd(cluster, n, 8, n_workers=4, epochs=8, lr=0.02)
     meter = cluster.instances[0].state_client.meter
     x_bytes = n * 8 * 8
     # Received: X once, y once, w once — NOT multiplied by the 4 workers.

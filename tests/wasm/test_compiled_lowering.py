@@ -332,7 +332,7 @@ def _loop_nest(depth):
 
 
 def test_loop_nest_beyond_cpython_limit_falls_back_counted():
-    counter = GLOBAL_CODE_CACHE.metrics.counter("wasm.compile_fallbacks")
+    counter = GLOBAL_CODE_CACHE.metrics.counter("wasm.compile_fallbacks", cause="too-deep")
     src = _loop_nest(25)
     module = parse_module(src)
     assert lower_function(compile_module(module)[0], module) is None

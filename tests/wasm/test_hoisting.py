@@ -1,0 +1,239 @@
+"""Hoisted loop checks: the guarded iteration against the interpreter.
+
+An innermost counted loop runs whole iterations on page views bound once,
+behind an entry guard (``repro.wasm.compiled`` module doc). Hoisting is
+where SFI could break, so each way it could go wrong has a regression test
+here, and each test is also run against a seeded mutant of the lowering --
+compiled without the verifier, which would otherwise refuse it -- to show
+the test catches that mutant:
+
+* a guest thread preempted inside a guarded loop while another thread
+  copies a copy-on-write page the loop reads (mutant: the loop keeps taking
+  guarded iterations after the metered arm ran);
+* a counted loop storing into a mapped, write-protected state page
+  (mutant: stores hoisted without any ``writable`` test);
+* a loop whose last iteration is out of bounds (mutant: the guard omits the
+  upper end at the last iteration).
+"""
+
+import re
+import struct
+
+import pytest
+
+from repro.faaslet import Faaslet, FunctionDefinition
+from repro.faaslet.threads import GuestThreadRuntime
+from repro.host import StandaloneEnvironment
+from repro.minilang import build
+from repro.wasm import (
+    FuncType,
+    HostFunc,
+    I32,
+    LinearMemory,
+    Trap,
+    compile_module,
+    instantiate,
+    parse_module,
+    validate_module,
+)
+from repro.wasm import compiled
+from repro.wasm.types import PAGE_SIZE
+
+
+def _mutate(monkeypatch, pattern, repl):
+    """Make every later lowering apply ``re.sub(pattern, repl)`` to its
+    source and skip the verifier; returns the list of substitution counts."""
+    counts, run = [], compiled._Lowering.run
+
+    def mutated(self):
+        source, n = re.subn(pattern, repl, run(self), flags=re.M)
+        counts.append(n)
+        return source
+
+    monkeypatch.setattr(compiled._Lowering, "run", mutated)
+    monkeypatch.setattr(compiled, "verify", lambda tree, ns: None)
+    return counts
+
+
+def _guarded(module):
+    """The generated source of every function of ``module``."""
+    return "".join(compiled._Lowering(fn, module).run() for fn in compile_module(module))
+
+
+# ----------------------------------------------------------------------
+# Preemption: the metered arm is the only place another thread runs
+# ----------------------------------------------------------------------
+
+_THREADS = """
+(module
+  (import "env" "thread_spawn" (func $spawn (param i32 i32) (result i32)))
+  (import "env" "thread_join" (func $join (param i32) (result i32)))
+  (memory 2)
+  (table 2 funcref)
+  (elem (i32.const 0) $reader $writer)
+  (func $reader (param $arg i32)
+    (local $r i32) (local $i i32) (local $sum i32)
+    (block $done
+      (loop $round
+        (br_if $done (i32.ge_u (local.get $r) (i32.const 12)))
+        (local.set $i (i32.const 0))
+        (block
+          (loop
+            (br_if 1 (i32.eqz (i32.lt_s (local.get $i) (i32.const 64))))
+            (local.set $sum (i32.add (local.get $sum)
+                                     (i32.load (i32.shl (local.get $i) (i32.const 2)))))
+            (local.set $i (i32.add (local.get $i) (i32.const 1)))
+            (br 0)))
+        (local.set $r (i32.add (local.get $r) (i32.const 1)))
+        (br $round)))
+    (i32.store (i32.const 65536) (local.get $sum)))
+  (func $writer (param $arg i32)
+    (local $i i32)
+    (block
+      (loop
+        (br_if 1 (i32.eqz (i32.lt_s (local.get $i) (i32.const 64))))
+        (i32.store (i32.shl (local.get $i) (i32.const 2)) (i32.const 1))
+        (local.set $i (i32.add (local.get $i) (i32.const 1)))
+        (br 0))))
+  (func (export "run") (result i32)
+    (local $a i32) (local $b i32)
+    (local.set $a (call $spawn (i32.const 0) (i32.const 0)))
+    (local.set $b (call $spawn (i32.const 1) (i32.const 0)))
+    (drop (call $join (local.get $a)))
+    (drop (call $join (local.get $b)))
+    (i32.load (i32.const 65536))))
+"""
+
+
+def _threaded(tier):
+    """Reader and writer threads over a copy-on-write page 0, with quanta
+    short enough that the reader is preempted inside its counted loop."""
+    module = parse_module(_THREADS)
+    validate_module(module)
+    frozen = [memoryview(bytes(PAGE_SIZE)) for _ in range(2)]
+    runtime = {}
+    spawn = HostFunc("env", "thread_spawn", FuncType((I32, I32), (I32,)),
+                     lambda elem, arg: runtime["rt"].spawn(elem, arg))
+    join = HostFunc("env", "thread_join", FuncType((I32,), (I32,)),
+                    lambda tid: runtime["rt"].join(tid))
+    inst = instantiate(module, [spawn, join], validated=True, tier=tier, fuel=10**7,
+                       memory=LinearMemory.from_frozen_pages(frozen, module.memory),
+                       apply_data=False, precompiled=compile_module(module))
+    runtime["rt"] = GuestThreadRuntime(inst, period_fuel=700)
+    return inst.invoke("run"), inst.memory.cow_faults, inst.instructions_executed
+
+
+@pytest.mark.parametrize("lowering", ["hoisted", "mutant"])
+def test_preempted_reader_sees_the_copied_page(monkeypatch, lowering):
+    assert "_h" in _guarded(parse_module(_THREADS))  # the reader's loop is hoisted
+    interp = _threaded("interp")
+    assert 0 < interp[0] < 12 * 64 and interp[1] == 2  # ones read only after the copy
+    if lowering == "mutant":  # guarded iterations go on once the loop left them
+        counts = _mutate(monkeypatch, r"^\s+_h\d+ = 0\n", "")
+        assert _threaded("compiled") != interp and sum(counts)
+    else:
+        assert _threaded("compiled") == interp
+
+
+# ----------------------------------------------------------------------
+# A write-protected state page: every store keeps its writable test
+# ----------------------------------------------------------------------
+
+_STATE = """
+extern int get_state(int kptr, int klen, int size);
+extern void push_state(int kptr, int klen);
+export int main() {
+    int[] key = new int[2];
+    storeb(ptr(key), 104);
+    int addr = get_state(ptr(key), 1, 65536);
+    float[] vals = farr(addr);
+    for (int i = 0; i < 64; i = i + 1) { vals[i] = (float) i + 0.25; }
+    push_state(ptr(key), 1);
+    return 0;
+}
+"""
+
+
+def _pushed(tier):
+    module = build(_STATE)
+    validate_module(module)
+    env = StandaloneEnvironment()
+    definition = FunctionDefinition("hoist-state", module, compile_module(module))
+    assert Faaslet(definition, env, tier=tier).call()[0] == 0
+    return bytes(env.global_state.get_value("h")[:512])
+
+
+@pytest.mark.parametrize("lowering", ["hoisted", "mutant"])
+def test_store_to_protected_state_page_notifies_and_pushes(monkeypatch, lowering):
+    assert "_h" in _guarded(build(_STATE))
+    expected = b"".join(struct.pack("<d", i + 0.25) for i in range(64))
+    assert _pushed("interp") == expected
+    if lowering == "mutant":  # no writable test at the guard or at the store
+        counts = _mutate(monkeypatch, r" and pages\[_p\d+\]\.writable|_P\d+\.writable",
+                         lambda m: "" if m[0].startswith(" and") else "True")
+        assert _pushed("compiled") != expected and sum(counts)
+    else:
+        assert _pushed("compiled") == expected
+
+
+# ----------------------------------------------------------------------
+# The last iteration out of bounds: the guard checks it, and misses
+# ----------------------------------------------------------------------
+
+_PAST_END = """
+(module
+  (memory 1)
+  (func (export "run") (param $n i32) (result i32)
+    (local $i i32)
+    (block
+      (loop
+        (br_if 1 (i32.eqz (i32.lt_s (local.get $i) (local.get $n))))
+        (i32.store (i32.add (i32.const 65000) (i32.shl (local.get $i) (i32.const 2)))
+                   (local.get $i))
+        (local.set $i (i32.add (local.get $i) (i32.const 1)))
+        (br 0)))
+    (local.get $i)))
+"""
+
+
+def _past_end(tier, n):
+    module = parse_module(_PAST_END)
+    inst = instantiate(module, tier=tier, fuel=10**6, precompiled=compile_module(module))
+    try:
+        outcome = ("ok", inst.invoke("run", n))
+    except Exception as error:  # a Trap, or a mutant's failure outside the trap types
+        outcome = ("raised", type(error).__name__)
+    return outcome, inst.memory.read(0, PAGE_SIZE), inst.fuel, inst.instructions_executed
+
+
+@pytest.mark.parametrize("lowering", ["hoisted", "mutant"])
+def test_last_iteration_out_of_bounds_traps_at_the_same_instruction(monkeypatch, lowering):
+    assert _past_end("compiled", 100) == _past_end("interp", 100)  # in bounds: hoisted
+    interp = _past_end("interp", 200)
+    assert interp[0] == ("raised", "OutOfBoundsMemoryAccess")
+    assert interp[1][65000:65536] == b"".join(i.to_bytes(4, "little") for i in range(134))
+    if lowering == "mutant":  # the guard checks the last iteration's lower end only
+        counts = _mutate(monkeypatch, r"(_b\d+ \+ _z\d+ \* \d+) <= \d+", r"\1")
+        assert _past_end("compiled", 200) != interp and sum(counts)
+    else:
+        assert _past_end("compiled", 200) == interp
+
+
+@pytest.mark.parametrize("n", [9, 200])
+def test_every_fuel_limit_matches_through_a_guarded_loop(n):
+    """The whole-iteration fuel test hands each iteration that might run out
+    to today's code: at every limit, guard hit (9) or miss (200), the tiers
+    agree on outcome, fuel, count and memory."""
+    module = parse_module(_PAST_END.replace("(local $i i32)",
+                                            "(local $i i32) (local.set $i (i32.const 5))"))
+    for fuel in range(0, 60):
+        per_tier = []
+        for tier in ("interp", "compiled"):
+            inst = instantiate(module, tier=tier, fuel=fuel, precompiled=compile_module(module))
+            try:
+                outcome = inst.invoke("run", n)
+            except Trap as trap:
+                outcome = type(trap).__name__
+            per_tier.append((outcome, inst.fuel, inst.instructions_executed,
+                             inst.memory.read(65000, 536)))
+        assert per_tier[0] == per_tier[1]

@@ -28,6 +28,7 @@ from repro.wasm import (
     instantiate,
     validate_module,
 )
+from repro.wasm.codecache import GLOBAL_CODE_CACHE
 
 # ----------------------------------------------------------------------
 # Random-program generator (superset of the soundness-fuzz pool: adds the
@@ -181,7 +182,13 @@ _T_BIN = ["i32.add", "i32.sub", "i32.mul", "i32.and", "i32.or", "i32.xor",
 
 
 _T_KINDS = (["push", "bin", "nest", "br_if"] * 4 + ["un", "set", "tee", "drop",
-            "select", "mem", "global", "call", "grow", "br", "br_table", "return"])
+            "select", "mem", "global", "call", "grow", "br", "br_table", "return",
+            "mloop", "mloop"])
+_IV, _BOUND = 6, 7  # a memory loop's counter and bound locals
+#: Access bases of a memory loop, by where its range lies: inside page 0,
+#: across into a grown page 1, or past the end of memory.
+_M_BASES = {"inside": [0, 16, 1024, 4096], "straddle": [65000, 65520],
+            "past": [65000, 65520, 131000]}
 
 
 class _Typed:
@@ -207,6 +214,64 @@ class _Typed:
             Instr("i32.add"), Instr("local.tee", (_COUNTER,)),
             Instr("i32.const", (_BACK_EDGES,)), Instr("i32.le_u"),
         ]
+
+    def address(self, shift, layout):
+        """``base + (iv << shift)``, the base a constant or an unwritten
+        local: affine in the counter, as the guarded copy needs."""
+        base = [Instr("i32.const", (self.pick(_M_BASES[layout]),))]
+        if self.int(0, 3) == 0:
+            base += [Instr("local.get", (0,)), Instr("i32.const", (8,)),
+                     Instr("i32.mul"), Instr("i32.add")]
+        return base + [Instr("local.get", (_IV,)), Instr("i32.const", (shift,)),
+                       Instr("i32.shl"), Instr("i32.add")]
+
+    def memory_loop(self):
+        """A counted loop in the shape ``for`` compiles to, loading and
+        storing i32/f64 at addresses affine in the counter. The draws span
+        ranges inside a page, across pages and past memory, counters near
+        2**31, and bodies the guarded copy must refuse: ``memory.grow``, a
+        call, or a store to the loop's own bound."""
+        cmp = self.pick(["i32.lt_s", "i32.le_s", "i32.lt_u", "i32.le_u"])
+        if cmp.endswith("_u") and self.int(0, 3) == 0:
+            start, bound = 2**31 - 4, 2**31 + 2
+        else:
+            start = self.pick([0, 1, 5] + ([2**32 - 3] if cmp.endswith("_s") else []))
+            bound = self.pick([0, 1, 3, 17, 40])
+        step = self.pick([1, 1, 2, 3])
+        layout = self.pick(["inside"] * 3 + ["straddle", "past"])
+        limit = self.pick([[Instr("i32.const", (bound,))], [Instr("local.get", (_BOUND,))],
+                           [Instr("local.get", (_BOUND,)), Instr("i32.const", (1,)),
+                            Instr("i32.add")]])
+        body = []
+        for _ in range(self.int(1, 3)):
+            body += self.pick([
+                [Instr("local.get", (2,)), *self.address(2, layout),
+                 Instr("i32.load", (self.pick([0, 0, 8] + [65528] * (layout == "past")),)),
+                 Instr("i32.add"), Instr("local.set", (2,))],
+                [*self.address(2, layout), Instr("local.get", (_IV,)),
+                 Instr("i32.store", (self.pick([0, 0, 4]),))],
+                [*self.address(3, layout), *self.address(3, layout), Instr("f64.load", (8,)),
+                 Instr("f64.store", (0,))],
+                [*self.address(3, layout), Instr("local.get", (_IV,)),
+                 Instr("f64.convert_i32_s"), Instr("f64.store", (self.pick([0, 16]),))],
+            ])
+        grow = [Instr("i32.const", (1,)), Instr("memory.grow"), Instr("drop")]
+        if self.int(0, 4) == 0:
+            body += self.pick([
+                grow,
+                [Instr("local.get", (_IV,)), Instr("call", (0,)), Instr("drop")],
+                [Instr("local.get", (_BOUND,)), Instr("i32.const", (1,)),
+                 Instr("i32.sub"), Instr("local.set", (_BOUND,))],
+            ])
+        head = [Instr("local.get", (_IV,)), *limit, Instr(cmp), Instr("i32.eqz"),
+                Instr("br_if", (1,))]
+        tail = [Instr("local.get", (_IV,)), Instr("i32.const", (step,)), Instr("i32.add"),
+                Instr("local.set", (_IV,)), Instr("br", (0,))]
+        return [*grow * (layout == "straddle"),  # page 1 exists to straddle into
+                Instr("i32.const", (bound,)), Instr("local.set", (_BOUND,)),
+                Instr("i32.const", (start,)), Instr("local.set", (_IV,)),
+                Instr("block", (BlockType(), [
+                    Instr("loop", (BlockType(), head + body + tail))]))]
 
     def seq(self, h, want, labels, depth):
         """Instructions taking a stack of ``h`` i32s to ``want`` of them.
@@ -269,6 +334,8 @@ class _Typed:
             elif kind == "grow":
                 out += [Instr("i32.const", (self.int(0, 1),)), Instr("memory.grow")]
                 h += 1
+            elif kind == "mloop":
+                out += self.memory_loop()
             elif kind == "nest" and depth < 4:
                 nparams, nres = self.int(0, min(h, 2)), self.pick([0, 1, 1, 2])
                 if forced and h >= 2:
@@ -353,7 +420,7 @@ def _build_typed_module(body, results):
         [Instr("local.get", (0,)), Instr("i32.const", (3,)), Instr("i32.mul")],
     )
     builder.add_function(
-        "fuzz", FuncType((I32,) * _PARAMS, results), [I32] * 4, body, export=True
+        "fuzz", FuncType((I32,) * _PARAMS, results), [I32] * 6, body, export=True
     )
     builder.add_table(2)
     builder.add_element(0, [helper])
@@ -368,6 +435,9 @@ def test_typed_programs_observationally_equal(program):
     module = _build_typed_module(*program)
     _assert_tiers_agree(module, fuel=50_000)
     _assert_tiers_agree(module, fuel=None)  # back-edges are budgeted
+    # ... and the compiled tier did compile them: every function verified.
+    assert GLOBAL_CODE_CACHE.metrics.counter(
+        "wasm.compile_fallbacks", cause="unverified").value == 0
 
 
 @given(_typed_programs())
