@@ -31,7 +31,6 @@ from types import MethodType
 
 from repro.faaslet.netns import NetworkPolicyError
 from repro.state.kv import StateKeyError
-from repro.telemetry import span
 from repro.wasm import FuncType, HostFunc, Trap
 from repro.wasm.types import I32, I64
 from repro.wasm.values import to_signed32
@@ -171,16 +170,6 @@ def _get_call_output(faaslet, call_id, ptr, length):
 def _key(faaslet, ptr, length) -> str:
     return _read_str(faaslet, ptr, length)
 
-def _access(key: str, mode: str, start: int, end: int) -> None:
-    """Record a byte-range touch for the trace miner's access
-    profiles. Tracing off: one ContextVar read (span() is a no-op);
-    mapped-region accesses after the first map never come through
-    here, so this rides the per-call host-interface rate."""
-    sp = span("state.access", key=key, mode=mode)
-    if sp.recording:
-        with sp:
-            sp.set_attr("ranges", [(start, end)])
-
 @_export("get_state", (I32, I32, I32), (I32,))
 def _get_state(faaslet, kptr, klen, size):
     """Map the state value's shared region into this Faaslet's memory
@@ -190,7 +179,6 @@ def _get_state(faaslet, kptr, klen, size):
         base = faaslet.map_state_region(key, size or None)
     except StateKeyError:
         return -1
-    _access(key, "read", 0, size or faaslet.env.state.tier.replica(key).value_size)
     return base
 
 @_export("get_state_offset", (I32, I32, I32, I32), (I32,))
@@ -201,7 +189,6 @@ def _get_state_offset(faaslet, kptr, klen, offset, length):
         base = faaslet.map_state_region(key, None, pull=False)
     except StateKeyError:
         return -1
-    _access(key, "read", offset, offset + length)
     return base + offset
 
 @_export("set_state", (I32, I32, I32, I32), ())
@@ -212,7 +199,6 @@ def _set_state(faaslet, kptr, klen, vptr, vlen):
     faaslet.env.state.set_state_from_memory(
         key, faaslet.instance.memory, vptr, vlen, size=vlen
     )
-    _access(key, "write", 0, vlen)
 
 @_export("set_state_offset", (I32, I32, I32, I32, I32), ())
 def _set_state_offset(faaslet, kptr, klen, vptr, vlen, offset):
@@ -220,7 +206,6 @@ def _set_state_offset(faaslet, kptr, klen, vptr, vlen, offset):
     faaslet.env.state.set_state_from_memory(
         key, faaslet.instance.memory, vptr, vlen, offset=offset
     )
-    _access(key, "write", offset, offset + vlen)
 
 @_export("push_state", (I32, I32), ())
 def _push_state(faaslet, kptr, klen):

@@ -370,7 +370,6 @@ class LocalTier:
                     rep.synced.set(s, e, version)
                 sp.set_attr("bytes", moved)
                 sp.set_attr("round_trips", 2 if whole else 1)
-                sp.set_attr("ranges", wanted)
         except BaseException:
             rep.restore_dirty(mine)
             raise
@@ -400,7 +399,6 @@ class LocalTier:
                 rep.synced.set(start, end, version)
                 sp.set_attr("bytes", moved)
                 sp.set_attr("round_trips", 1)
-                sp.set_attr("ranges", spans)
                 return True
             cause = "overflow" if gsize == size else "resized"
         with self._stats_mutex:
@@ -449,7 +447,6 @@ class LocalTier:
                 rep.pushed(spans, new_version)
                 sp.set_attr("bytes", sum(e - s for s, e in spans))
                 sp.set_attr("round_trips", 1)
-                sp.set_attr("ranges", list(spans))
         except BaseException:
             rep.restore_dirty(drained)
             raise

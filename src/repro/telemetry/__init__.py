@@ -16,7 +16,7 @@ measurement substrate every layer reports into:
 * :mod:`repro.telemetry.profiler` — the continuous guest profiler and
   its collapsed-stack / speedscope flamegraph exporters;
 * :mod:`repro.telemetry.slo` — rolling-window SLO monitors with burn
-  rates and baseline regression flags;
+  rates and multi-window alerts;
 * :mod:`repro.telemetry.openmetrics` — OpenMetrics text exposition and
   the message-bus scrape endpoint;
 * :mod:`repro.telemetry.export` — JSON-lines, Chrome trace-event, and
@@ -37,7 +37,7 @@ from . import export
 from .metrics import Counter, Gauge, MetricsRegistry
 from .profiler import ContinuousProfiler
 from .profiles import AccessProfile, ProfileStore, TraceMiner
-from .slo import SLO, SLORegistry, check_regression
+from .slo import SLO, SLORegistry
 from .stats import percentile, summarize
 from .streaming import StreamingHistogram
 from .trace import (
@@ -55,15 +55,15 @@ from .trace import (
 class Telemetry:
     """One deployment's telemetry: a tracer plus a metrics registry.
 
-    With ``record_span_metrics`` every finished span also lands in a
-    ``span.<name>`` histogram (labelled by host), so phase latency
-    distributions are queryable without walking the span list.
+    Every finished span also lands in a ``span.<name>`` histogram
+    (labelled by host), so phase latency distributions are queryable
+    without walking the span list.
 
     ``mine_profiles=True`` attaches a :class:`TraceMiner` to the same
     span-finish callback — per-function access profiles accumulate
     online. ``guest_profiler=True`` creates a :class:`ContinuousProfiler`
-    the runtime taps into every Faaslet it spawns. ``slos=True`` (or an
-    :class:`SLORegistry`) tracks every function's ``call.invoke``
+    the runtime taps into every Faaslet it spawns. ``slos=True`` keeps an
+    :class:`SLORegistry` that tracks every function's ``call.invoke``
     latency against its objective. All three require ``enabled=True`` to
     see anything: they consume sampled spans.
     """
@@ -72,12 +72,10 @@ class Telemetry:
         self,
         enabled: bool = False,
         sample_rate: float = 1.0,
-        record_span_metrics: bool = True,
-        max_spans: int = 100_000,
         mine_profiles: bool = False,
         guest_profiler: bool = False,
         profiler_interval: int = 64,
-        slos: "SLORegistry | bool" = False,
+        slos: bool = False,
     ):
         self.metrics = MetricsRegistry()
         self.profiles: TraceMiner | None = (
@@ -88,28 +86,17 @@ class Telemetry:
             if guest_profiler
             else None
         )
-        if slos is True:
-            self.slos: SLORegistry | None = SLORegistry()
-        else:
-            self.slos = slos or None
-        self._record_span_metrics = record_span_metrics
-        need_callback = (
-            record_span_metrics
-            or self.profiles is not None
-            or self.slos is not None
-        )
+        self.slos: SLORegistry | None = SLORegistry() if slos else None
         self.tracer = Tracer(
             enabled=enabled,
             sample_rate=sample_rate,
-            max_spans=max_spans,
-            on_finish=self._observe_span if need_callback else None,
+            on_finish=self._observe_span,
         )
 
     def _observe_span(self, finished: Span) -> None:
-        if self._record_span_metrics:
-            self.metrics.histogram(
-                "span." + finished.name, host=finished.host or ""
-            ).observe(finished.duration)
+        self.metrics.histogram(
+            "span." + finished.name, host=finished.host or ""
+        ).observe(finished.duration)
         if finished.name == "call.invoke":
             function = finished.attrs.get("function", "?")
             self.metrics.histogram(
@@ -160,7 +147,6 @@ __all__ = [
     "TraceContext",
     "TraceMiner",
     "Tracer",
-    "check_regression",
     "context_from_wire",
     "current_context",
     "export",

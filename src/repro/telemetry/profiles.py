@@ -1,12 +1,13 @@
 """The online trace miner: finished spans -> per-function access profiles.
 
 Traces record *what one invocation did*; the experiments need *what a
-function habitually does*: which state keys it touches and at which byte
-ranges, how many snapshot pages a restore ships, how much fuel it burns,
-what it chains into, where its latency goes. A :class:`TraceMiner` folds
-every finished span — hooked on :class:`~repro.telemetry.trace.Tracer`'s
-``on_finish`` callback, so mining is online and needs no post-hoc span walk
-— into one :class:`AccessProfile` per function.
+function habitually does*: which state keys it pulls and pushes and how
+many bytes and round trips that costs, how many snapshot pages a restore
+ships, how much fuel it burns, what it chains into, where its latency
+goes. A :class:`TraceMiner` folds every finished span — hooked on
+:class:`~repro.telemetry.trace.Tracer`'s ``on_finish`` callback, so mining
+is online and needs no post-hoc span walk — into one
+:class:`AccessProfile` per function.
 
 Folding is driven by ``call.invoke`` spans: children always finish
 before their parents (the span context manager guarantees it), so when
@@ -35,82 +36,8 @@ from .streaming import StreamingHistogram
 #: Span buffer bound: traces older than the newest ``_MAX_TRACES`` are
 #: dropped wholesale (an unclaimed dispatch/pre-warm span must not leak).
 _MAX_TRACES = 4096
-#: Per-profile bound on distinct byte ranges tracked per state key.
-_MAX_RANGES = 128
 #: Growth factor for profile-embedded histograms.
 _HIST_GROWTH = 1.08
-
-
-class RangeCounter:
-    """Byte-range hit counts for one state key, bounded in size.
-
-    Ranges are kept exactly as observed (the access pattern — chunk
-    boundaries included — is the signal); when the table is full, the
-    coldest range is evicted to admit a new one.
-    """
-
-    def __init__(self, max_ranges: int = _MAX_RANGES):
-        self.max_ranges = max_ranges
-        self._ranges: dict[tuple[int, int], int] = {}
-
-    def add(self, start: int, end: int, hits: int = 1) -> None:
-        key = (int(start), int(end))
-        current = self._ranges.get(key)
-        if current is not None:
-            self._ranges[key] = current + hits
-            return
-        if len(self._ranges) >= self.max_ranges:
-            coldest = min(
-                self._ranges.items(), key=lambda kv: (kv[1], kv[0])
-            )[0]
-            if self._ranges[coldest] > hits:
-                # The newcomer is colder than everything resident:
-                # admitting it would evict a hotter range (and a stream
-                # of one-hit ranges could flush the whole table).
-                return
-            del self._ranges[coldest]
-        self._ranges[key] = hits
-
-    def hot(self, top: int | None = None) -> list[tuple[int, int, int]]:
-        """(start, end, hits) sorted by hits descending, hottest first."""
-        ranked = sorted(
-            ((s, e, n) for (s, e), n in self._ranges.items()),
-            key=lambda r: (-r[2], r[0], r[1]),
-        )
-        return ranked if top is None else ranked[:top]
-
-    def total_hits(self) -> int:
-        return sum(self._ranges.values())
-
-    def coverage(self) -> int:
-        """Bytes covered by at least one tracked range (overlaps merged)."""
-        total = 0
-        cursor = None
-        for s, e in sorted(self._ranges):
-            if cursor is None or s > cursor:
-                total += e - s
-                cursor = e
-            elif e > cursor:
-                total += e - cursor
-                cursor = e
-        return total
-
-    def merge(self, other: "RangeCounter") -> None:
-        for (s, e), n in other._ranges.items():
-            self.add(s, e, n)
-
-    def __len__(self) -> int:
-        return len(self._ranges)
-
-    def to_dict(self) -> list[list[int]]:
-        return [[s, e, n] for s, e, n in self.hot()]
-
-    @classmethod
-    def from_dict(cls, data, max_ranges: int = _MAX_RANGES) -> "RangeCounter":
-        counter = cls(max_ranges)
-        for s, e, n in data:
-            counter.add(s, e, n)
-        return counter
 
 
 class KeyProfile:
@@ -122,8 +49,6 @@ class KeyProfile:
         self.bytes_pulled = 0
         self.bytes_pushed = 0
         self.round_trips = 0
-        self.reads = RangeCounter()
-        self.writes = RangeCounter()
 
     def to_dict(self) -> dict:
         return {
@@ -132,8 +57,6 @@ class KeyProfile:
             "bytes_pulled": self.bytes_pulled,
             "bytes_pushed": self.bytes_pushed,
             "round_trips": self.round_trips,
-            "reads": self.reads.to_dict(),
-            "writes": self.writes.to_dict(),
         }
 
     @classmethod
@@ -144,15 +67,13 @@ class KeyProfile:
         kp.bytes_pulled = data["bytes_pulled"]
         kp.bytes_pushed = data["bytes_pushed"]
         kp.round_trips = data["round_trips"]
-        kp.reads = RangeCounter.from_dict(data["reads"])
-        kp.writes = RangeCounter.from_dict(data["writes"])
         return kp
 
 
 class AccessProfile:
     """Everything mined about one function, across all its invocations."""
 
-    SCHEMA = "repro-profile/1"
+    SCHEMA = "repro-profile/2"
 
     def __init__(self, function: str):
         self.function = function
@@ -235,13 +156,6 @@ class AccessProfile:
         profile.chains = dict(data["chains"])
         profile.hosts = dict(data["hosts"])
         return profile
-
-
-def _span_ranges(span) -> list[tuple[int, int]]:
-    ranges = span.attrs.get("ranges")
-    if not ranges:
-        return []
-    return [(int(s), int(e)) for s, e in ranges]
 
 
 class TraceMiner:
@@ -334,22 +248,11 @@ class TraceMiner:
                 kp.pulls += 1
                 kp.bytes_pulled += sp.attrs.get("bytes", 0)
                 kp.round_trips += sp.attrs.get("round_trips", 0)
-                for s, e in _span_ranges(sp):
-                    kp.reads.add(s, e)
             elif sp.name == "state.push":
                 kp = profile.key_profile(sp.attrs.get("key", "?"))
                 kp.pushes += 1
                 kp.bytes_pushed += sp.attrs.get("bytes", 0)
                 kp.round_trips += sp.attrs.get("round_trips", 0)
-                for s, e in _span_ranges(sp):
-                    kp.writes.add(s, e)
-            elif sp.name == "state.access":
-                kp = profile.key_profile(sp.attrs.get("key", "?"))
-                counter = (
-                    kp.writes if sp.attrs.get("mode") == "write" else kp.reads
-                )
-                for s, e in _span_ranges(sp):
-                    counter.add(s, e)
             elif sp.name == "snapshot.pull":
                 outcome = sp.attrs.get("outcome")
                 snap = profile.snapshot

@@ -1,4 +1,4 @@
-"""Rolling-window SLO monitors: burn rates, alerts, regression flags.
+"""Rolling-window SLO monitors: burn rates and alerts.
 
 An :class:`SLO` states the objective ("99% of calls complete under the
 latency threshold, measured over a rolling window"); an
@@ -10,12 +10,6 @@ budget exactly over the window, burn 14.4 exhausts a 30-day budget in
 two days (the classic fast-burn page threshold). Alerts fire when both
 the long window and a short recent window burn hot, the standard
 multi-window rule that keeps one latency spike from paging.
-
-:func:`check_regression` compares a live profile's latency distribution
-against the function's **stored baseline profile** (the trace miner's
-persisted artifact): p99 above ``tolerance ×`` baseline p99 flags a
-regression — the guard the benchmarks' smoke floors apply to wall-clock
-throughput, generalised to every deployed function.
 """
 
 from __future__ import annotations
@@ -170,30 +164,3 @@ class SLORegistry:
     def report(self) -> dict[str, dict]:
         return {fn: self.monitor(fn).status() for fn in self.functions()}
 
-
-def check_regression(
-    profile, baseline, tolerance: float = 1.25
-) -> dict | None:
-    """Flag a latency regression of ``profile`` vs a stored ``baseline``
-    :class:`~repro.telemetry.profiles.AccessProfile`.
-
-    Returns a description dict when the live p99 exceeds ``tolerance ×``
-    the baseline p99 (both from the profiles' streaming histograms, so
-    neither side is recency-biased), or None when within tolerance or
-    either side has too few calls to judge.
-    """
-    if profile is None or baseline is None:
-        return None
-    if profile.latency.count < 5 or baseline.latency.count < 5:
-        return None
-    current = profile.latency.percentile(99)
-    reference = baseline.latency.percentile(99)
-    if reference <= 0.0 or current <= tolerance * reference:
-        return None
-    return {
-        "function": profile.function,
-        "p99_s": current,
-        "baseline_p99_s": reference,
-        "ratio": current / reference,
-        "tolerance": tolerance,
-    }

@@ -202,13 +202,17 @@ class _UnsampledSpan:
         return (self._ctx.trace_id, self._ctx.span_id, False, time.perf_counter())
 
 
+#: Finished spans a tracer keeps; later ones only count as dropped.
+MAX_SPANS = 100_000
+
+
 class Tracer:
     """Collects spans for one deployment (a cluster, or the CLI process).
 
     ``enabled=False`` (the default) short-circuits every entry point to
     the no-op singleton. ``sample_rate`` is the per-trace head-sampling
     probability, decided at the root and inherited everywhere else.
-    ``max_spans`` bounds memory; spans beyond it are counted in
+    :data:`MAX_SPANS` bounds memory; spans beyond it are counted in
     :attr:`dropped` instead of stored.
     """
 
@@ -216,17 +220,14 @@ class Tracer:
         self,
         enabled: bool = False,
         sample_rate: float = 1.0,
-        max_spans: int = 100_000,
         on_finish: Callable[[Span], None] | None = None,
-        seed: int | None = None,
     ):
         self.enabled = enabled
         self.sample_rate = sample_rate
-        self.max_spans = max_spans
         self.dropped = 0
         self._spans: list[Span] = []
         self._lock = threading.Lock()
-        self._random = random.Random(seed)
+        self._random = random.Random()
         self._on_finish = on_finish
 
     # ------------------------------------------------------------------
@@ -281,7 +282,7 @@ class Tracer:
     # ------------------------------------------------------------------
     def _finish(self, span: Span) -> None:
         with self._lock:
-            if len(self._spans) < self.max_spans:
+            if len(self._spans) < MAX_SPANS:
                 self._spans.append(span)
             else:
                 self.dropped += 1

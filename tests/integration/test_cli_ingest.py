@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 
@@ -49,3 +51,27 @@ def test_ingest_named_tenant_weights(capsys):
     assert set(doc["tenants"]) == {"gold", "bronze"}
     assert doc["tenants"]["gold"]["weight"] == 3.0
     assert doc["tenants"]["bronze"]["fair_share"] == 0.25
+
+
+def test_ingest_bare_tenant_name_weighs_one(capsys):
+    assert main([
+        "ingest", "--trace", "poisson", "--tenants", "gold",
+        "--rate", "200", "--duration", "0.2", "--hosts", "2", "--json",
+    ]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc["tenants"]) == {"gold"}
+    assert doc["tenants"]["gold"]["weight"] == 1.0
+    assert doc["tenants"]["gold"]["fair_share"] == 1.0
+
+
+@pytest.mark.parametrize("spec", ["gold:-1,free:1", "gold:0", "gold:nan", "gold:x"])
+def test_ingest_refuses_non_positive_or_non_finite_weights(spec, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([
+            "ingest", "--tenants", spec,
+            "--rate", "200", "--duration", "0.2", "--json",
+        ])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--tenants" in err and "weight" in err
+    assert "Traceback" not in err

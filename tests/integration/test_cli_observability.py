@@ -14,7 +14,6 @@ def test_profiles_prints_mined_state_and_snapshot_data(capsys):
     assert "persisted content-addressed" in out
     for fn in ("pipeline", "stage", "kernel"):
         assert f"== {fn} ==" in out
-    assert "hot write ranges:" in out
     assert "grid:" in out
     assert "snapshot:" in out and "payload" in out
     assert "chains: stage" in out
@@ -25,7 +24,7 @@ def test_profiles_single_function_and_json(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert set(doc) == {"stage"}
     profile = doc["stage"]
-    assert profile["schema"] == "repro-profile/1"
+    assert profile["schema"] == "repro-profile/2"
     assert profile["calls"] > 0
     assert "grid" in profile["state"]
 

@@ -13,7 +13,7 @@ import pytest
 from repro.host.filesystem import GlobalObjectStore
 from repro.runtime import FaasmCluster
 from repro.telemetry import AccessProfile, ProfileStore, Telemetry
-from repro.telemetry.profiles import RangeCounter, TraceMiner
+from repro.telemetry.profiles import TraceMiner
 
 KERNEL_SRC = """
 global int ready = 0;
@@ -80,17 +80,8 @@ class TestMinedProfiles:
         kp = stage.state["grid"]
         assert kp.pushes == 12
         assert kp.bytes_pushed == 12 * CHUNK
-        # Every chunk boundary the stages touched shows up as a write
-        # range; remote placement makes at least some pulls real.
-        writes = {(s, e) for s, e, _ in kp.writes.hot()}
-        assert writes == {(i * CHUNK, (i + 1) * CHUNK) for i in range(4)}
+        # Remote placement makes at least some pulls real.
         assert kp.pulls > 0
-        assert kp.reads.total_hits() > 0
-        # The producer saw the full-value write range.
-        pipeline = mined_cluster.profiles.profile("pipeline")
-        assert (0, GRID) in {
-            (s, e) for s, e, _ in pipeline.state["grid"].writes.hot()
-        }
 
     def test_chain_fanout_and_phases(self, mined_cluster):
         _drive(mined_cluster)
@@ -178,91 +169,3 @@ class TestMinerMechanics:
             miner.fold(span)
         assert len(miner._buffer) <= 5
         assert miner.spans_evicted > 0
-
-    def test_range_counter_evicts_coldest(self):
-        counter = RangeCounter(max_ranges=2)
-        counter.add(0, 10, hits=5)
-        counter.add(10, 20, hits=1)
-        counter.add(20, 30)  # evicts the coldest, (10, 20)
-        assert counter.hot() == [(0, 10, 5), (20, 30, 1)]
-        assert len(counter) == 2
-
-    def test_range_counter_never_evicts_hotter_for_colder(self):
-        """A stream of one-hit ranges must not flush hot residents."""
-        counter = RangeCounter(max_ranges=2)
-        counter.add(0, 10, hits=5)
-        counter.add(10, 20, hits=3)
-        for i in range(50):
-            counter.add(100 + i, 101 + i)  # all colder than both residents
-        assert counter.hot() == [(0, 10, 5), (10, 20, 3)]
-
-
-# ---------------------------------------------------------------------------
-# Property tests: RangeCounter merge/coverage
-# ---------------------------------------------------------------------------
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-#: Small (start, end, hits) triples: overlapping and identical spans are
-#: likely, so merge exercises both the sum path and distinct-key inserts.
-_span = st.tuples(
-    st.integers(min_value=0, max_value=8),
-    st.integers(min_value=1, max_value=8),
-    st.integers(min_value=1, max_value=5),
-).map(lambda t: (t[0], t[0] + t[1], t[2]))
-_spans = st.lists(_span, max_size=12)
-
-
-def _counter(spans, max_ranges=1024):
-    counter = RangeCounter(max_ranges=max_ranges)
-    for s, e, n in spans:
-        counter.add(s, e, n)
-    return counter
-
-
-class TestRangeCounterProperties:
-    @given(_spans, _spans)
-    @settings(max_examples=200, deadline=None)
-    def test_merge_commutes_under_capacity(self, a_spans, b_spans):
-        """With no eviction pressure, a.merge(b) and b.merge(a) hold the
-        same (range -> hits) table: identical spans sum, overlapping but
-        distinct spans stay distinct entries."""
-        ab = _counter(a_spans)
-        ab.merge(_counter(b_spans))
-        ba = _counter(b_spans)
-        ba.merge(_counter(a_spans))
-        assert ab.hot() == ba.hot()
-        assert ab.total_hits() == ba.total_hits()
-
-    @given(_spans, _spans)
-    @settings(max_examples=200, deadline=None)
-    def test_merge_is_monotone_under_capacity(self, a_spans, b_spans):
-        """Merging can only add information: coverage and total hits never
-        drop below either input's (again absent eviction, which is lossy
-        by design)."""
-        a = _counter(a_spans)
-        b = _counter(b_spans)
-        merged = _counter(a_spans)
-        merged.merge(b)
-        assert merged.coverage() >= max(a.coverage(), b.coverage())
-        assert merged.total_hits() == a.total_hits() + b.total_hits()
-
-    @given(_spans)
-    @settings(max_examples=200, deadline=None)
-    def test_coverage_merges_overlaps(self, spans):
-        """Coverage counts each byte once regardless of how many tracked
-        ranges overlap it, and never exceeds the bounding extent."""
-        counter = _counter(spans)
-        covered = set()
-        for s, e, _ in spans:
-            covered.update(range(s, e))
-        assert counter.coverage() == len(covered)
-
-    @given(_spans)
-    @settings(max_examples=100, deadline=None)
-    def test_serialisation_round_trip(self, spans):
-        counter = _counter(spans)
-        clone = RangeCounter.from_dict(counter.to_dict())
-        assert clone.hot() == counter.hot()
-

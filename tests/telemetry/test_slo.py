@@ -1,9 +1,8 @@
-"""SLO monitors under a fake clock: burn rates, alerts, regressions."""
+"""SLO monitors under a fake clock: burn rates and alerts."""
 
 from __future__ import annotations
 
-from repro.telemetry import SLO, SLORegistry, check_regression
-from repro.telemetry.profiles import AccessProfile
+from repro.telemetry import SLO, SLORegistry
 from repro.telemetry.slo import FAST_BURN, SLOMonitor
 
 
@@ -91,34 +90,3 @@ def test_registry_tracks_per_function_objectives():
     assert report["lenient"]["good"] == 1
     assert report["strict"]["objective"] == 0.999
 
-
-def _profile_with_latencies(function, latencies):
-    profile = AccessProfile(function)
-    for v in latencies:
-        profile.latency.observe(v)
-        profile.calls += 1
-    return profile
-
-
-def test_regression_flagged_against_stored_baseline():
-    baseline = _profile_with_latencies("fn", [0.010] * 20)
-    live = _profile_with_latencies("fn", [0.100] * 20)
-    flag = check_regression(live, baseline, tolerance=1.25)
-    assert flag is not None
-    assert flag["function"] == "fn"
-    assert flag["ratio"] > 5.0
-    assert flag["p99_s"] > flag["baseline_p99_s"]
-
-
-def test_no_regression_within_tolerance():
-    baseline = _profile_with_latencies("fn", [0.010] * 20)
-    live = _profile_with_latencies("fn", [0.011] * 20)
-    assert check_regression(live, baseline, tolerance=1.25) is None
-
-
-def test_regression_needs_enough_calls_each_side():
-    baseline = _profile_with_latencies("fn", [0.010] * 3)  # too few
-    live = _profile_with_latencies("fn", [1.0] * 20)
-    assert check_regression(live, baseline) is None
-    assert check_regression(None, baseline) is None
-    assert check_regression(live, None) is None
