@@ -743,6 +743,9 @@ class DemandInterleaving(stateful.RuleBasedStateMachine):
     def remote_write(self, offset, length, value):
         start, end = self._span(offset, length)
         self.store.set_range(KEY, start, bytes([value]) * (end - start))
+        # A write that starts past the global end zero-fills the gap.
+        for i in range(self.gsize, start):
+            self.history[i].add(0)
         self.gsize = max(self.gsize, end)
         for i in range(start, end):
             self.history[i].add(value)
@@ -810,6 +813,18 @@ DemandInterleaving.TestCase.settings = settings(
     max_examples=60, stateful_step_count=30, deadline=None
 )
 TestDemandInterleaving = DemandInterleaving.TestCase
+
+
+def test_remote_write_past_the_global_end_reads_back_its_zero_gap():
+    """A push truncates the global value to one byte; a remote write at
+    byte 2 grows it and zero-fills byte 1, and a chunk pull of byte 1
+    reads that zero, a value the global tier really held."""
+    state = DemandInterleaving()
+    state.guest_write(length=1, offset=0, value=1)
+    state.push()
+    state.remote_write(length=1, offset=2, value=1)
+    state.guest_read(length=1, offset=1)
+    assert state.store.get_value(KEY) == b"\x01\x00\x01"
 
 
 CHUNK = 4 * 1024
