@@ -5,10 +5,51 @@ from __future__ import annotations
 import json
 import pathlib
 import time
+import weakref
+
+import pytest
 
 from repro.faaslet import HostSnapshotCache, SnapshotManifest, SnapshotRepository
+from repro.runtime import FaasmCluster
 
 _RESULTS_DIR = pathlib.Path(__file__).parents[1] / "benchmarks" / "results"
+
+
+#: Every cluster built while the suite runs.
+_clusters: "weakref.WeakSet[FaasmCluster]" = weakref.WeakSet()
+_cluster_init = FaasmCluster.__init__
+
+
+def _tracked_init(self, *args, **kwargs):
+    _cluster_init(self, *args, **kwargs)
+    _clusters.add(self)
+
+
+FaasmCluster.__init__ = _tracked_init
+
+
+def _shut_down_new_clusters():
+    before = set(_clusters)
+    yield
+    for cluster in list(_clusters):
+        if cluster not in before:
+            cluster.shutdown()
+
+
+@pytest.fixture(autouse=True)
+def _shut_down_test_clusters():
+    """Shut down the clusters a test built and left running. A cluster's
+    invocation monitor wakes every 20 ms and its bus seats never retire,
+    so without this every later test, the timed ones included, shares
+    the interpreter with the threads of all the clusters before it."""
+    yield from _shut_down_new_clusters()
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _shut_down_module_clusters():
+    """The same for clusters a module-scoped fixture built, once the
+    module is done with them."""
+    yield from _shut_down_new_clusters()
 
 
 def stored_floor(result_name: str, default: float, key: str = "smoke_floor") -> float:
