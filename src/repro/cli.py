@@ -189,15 +189,15 @@ def _emit(payload: str, path: str | None, what: str) -> None:
 # The one guest runner: run / profile / trace / metrics
 # ---------------------------------------------------------------------------
 
-def _run_guest(args, out=None):
+def _run_guest(args, out=None, traced=True):
     """Load ``args.file`` as a FunctionDefinition, open the ``cli.run``
-    trace, build the Faaslet and invoke the guest the way the flags ask:
-    ``--arg`` calls the entry with integers, otherwise ``--input`` is the
-    call input. The result, guest output and exit code go to ``out``
-    (default stderr). With ``args.profile`` the guest runs on the counting
-    interpreter and its opcode families are folded into the metrics as
-    ``simd.ops`` / ``atomic.ops``. Returns ``(faaslet, telemetry, exit
-    code, seconds in the guest)``."""
+    trace (recorded only if ``traced``), build the Faaslet and invoke the
+    guest the way the flags ask: ``--arg`` calls the entry with integers,
+    otherwise ``--input`` is the call input. The result, guest output and
+    exit code go to ``out`` (default stderr). With ``args.profile`` the
+    guest runs on the counting interpreter and its opcode families are
+    folded into the metrics as ``simd.ops`` / ``atomic.ops``. Returns
+    ``(faaslet, telemetry, exit code, seconds in the guest)``."""
     from repro.faaslet import Faaslet, FunctionDefinition
     from repro.host import StandaloneEnvironment
     from repro.telemetry import Telemetry
@@ -210,9 +210,9 @@ def _run_guest(args, out=None):
         compiled=compiled if compiled is not None else compile_module(module),
         entry=args.entry or meta.get("entry", "main"),
     )
-    # Tracing is on for every command: the spans feed --export, trace and
-    # the metrics dump, and cost noise next to a CLI run.
-    telemetry = Telemetry(enabled=True)
+    # The spans feed --export, trace and the metrics dump; ``run`` reads
+    # none, so it times the guest untraced.
+    telemetry = Telemetry(enabled=traced)
     out = out or sys.stderr
     with telemetry.tracer.trace("cli.run", host="local", file=args.file):
         faaslet = Faaslet(
@@ -242,7 +242,7 @@ def _run_guest(args, out=None):
 
 def cmd_run(args) -> int:
     """``repro run``: execute a guest in a Faaslet."""
-    faaslet, _, code, elapsed = _run_guest(args, out=sys.stdout)
+    faaslet, _, code, elapsed = _run_guest(args, out=sys.stdout, traced=False)
     print(
         f"[{elapsed * 1e3:.2f} ms, "
         f"{faaslet.instance.instructions_executed:,} guest instructions]",
@@ -610,7 +610,7 @@ def _function_view(profiles: dict, slos: dict, digests: dict | None = None):
     section per function with the rest of its profile."""
     table = _Table((
         "function", "calls", "p50ms", "p95ms", "p99ms",
-        "compliance", "burn", "slo", "hosts",
+        "objective", "compliance", "burn", "slo", "hosts",
     ))
     sections = []
     for fn, p in sorted(profiles.items()):
@@ -619,8 +619,9 @@ def _function_view(profiles: dict, slos: dict, digests: dict | None = None):
             f"`{fn}`", p.calls,
             *(f"{p.latency.percentile(q) * 1e3:.2f}" if p.latency.count else "-"
               for q in (50, 95, 99)),
-            *((f"{slo['compliance']:.2%}", f"{slo['burn_rate']:.2f}",
-               "FIRE" if slo["alerting"] else "ok") if slo else ("-",) * 3),
+            *((f"{slo['objective']:.2%}", f"{slo['compliance']:.2%}",
+               f"{slo['burn_rate']:.2f}", "FIRE" if slo["alerting"] else "ok")
+              if slo else ("-",) * 4),
             " ".join(f"{host}:{n}" for host, n in sorted(p.hosts.items())),
         ))
         faults = ", ".join(f"{c} x{n}" for c, n in sorted(p.fault_causes.items()))

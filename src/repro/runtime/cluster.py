@@ -438,11 +438,6 @@ class FaasmCluster:
         self.telemetry.metrics.counter("host.scaled_down").inc()
         return True
 
-    def live_epochs(self) -> dict[str, int]:
-        """Each live host's liveness epoch: the snapshot one monitor scan
-        checks its in-flight attempts against."""
-        return {i.host: i.epoch for i in self.instances if i.alive}
-
     def host_liveness(self, host: str) -> tuple[bool, int]:
         """(alive, epoch) for the invocation monitor's death detection."""
         instance = self._by_host.get(host)

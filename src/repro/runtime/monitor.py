@@ -112,25 +112,11 @@ class InvocationMonitor:
                 ).inc()
 
     def scan(self, now: float | None = None) -> None:
-        """One pass over the open calls (callable directly in tests).
-
-        A live attempt whose host is up in the epoch it was dispatched in,
-        and that is claimed or still inside its delivery timeout, needs
-        nothing. That test runs inline against one snapshot of the live
-        hosts' epochs, so a burst of healthy in-flight calls costs a few
-        attribute reads each; every other live attempt takes the full
-        check, which reads liveness afresh."""
+        """One pass over the open calls (callable directly in tests)."""
         now = time.monotonic() if now is None else now
-        epochs = self.cluster.live_epochs()
-        fresh_since = now - self.policy.attempt_timeout
         for record in self.cluster.calls.open_calls():
             status = record.status
             if status is CallStatus.SENT or status is CallStatus.RUNNING:
-                if epochs.get(record.host, -1) == record.epoch and (
-                    status is CallStatus.RUNNING
-                    or record.dispatched_at >= fresh_since
-                ):
-                    continue
                 self._check_liveness(record, now)
             elif status is CallStatus.PARKED and now >= record.retry_at:
                 self._retry(record)

@@ -37,10 +37,15 @@ def test_reclaim_keeps_requested_floor():
         }
         """,
     )
-    ids = [cluster.dispatch("fn") for _ in range(6)]
-    for cid in ids:
-        cluster.calls.wait(cid, 30)
     instance = cluster.instances[0]
+    # Whether one burst overlaps depends on the machine's load, so burst
+    # again until one has left a second Faaslet in the pool.
+    for _ in range(10):
+        ids = [cluster.dispatch("fn") for _ in range(6)]
+        for cid in ids:
+            cluster.calls.wait(cid, 30)
+        if instance.warm_count("fn") >= 2:
+            break
     assert instance.warm_count("fn") >= 2
     instance.reclaim_idle(keep_per_function=1)
     assert instance.warm_count("fn") == 1
