@@ -1,10 +1,12 @@
 """Open-loop ingestion throughput: batched front door vs per-call dispatch.
 
 The ingestion plane (ISSUE 10) exists to absorb million-call open-loop
-arrival streams: callers enqueue and leave, and the plane amortises every
-per-call cost — record creation, admission, placement, bus traffic —
-across batches. This harness quantifies that against the per-call
-baseline, where each call walks the same road (``dispatch`` → one
+arrival streams: it amortises every per-call cost — record creation,
+admission, placement, bus traffic — across batches. It has no thread of
+its own: a submitter places the backlog it finds, so each bulk
+``submit_many`` chunk is queued whole and then placed as ``BATCH_SIZE``
+batches before the call returns. This harness quantifies that against the
+per-call baseline, where each call walks the same road (``dispatch`` → one
 scheduling pass → attempt record → ``bus.send``) as a batch of one.
 
 Both sides run the same host-native echo guest on a default cluster, the
@@ -89,7 +91,6 @@ def measure_batched(calls: int) -> dict:
                 batch_size=BATCH_SIZE, default_queue_limit=calls + 16
             )
         )
-        plane.start()
         payloads = [b"x"] * SUBMIT_CHUNK
         start = time.perf_counter()
         submitted = 0

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.sim.cluster import SimCluster, SimHost
+from repro.sim.cluster import OutOfMemory, SimCluster, SimHost
 from repro.sim.engine import Resource
 from repro.sim.platform import SimCall, SimPlatform
 from repro.sim.workload import Chain, LoadExternal, SimFunction, StateRead, StateWrite
@@ -106,7 +106,7 @@ class KnativeSimPlatform(SimPlatform):
         memory = self.container_overhead + call.function.working_set
         try:
             host.allocate(memory)
-        except Exception:
+        except OutOfMemory:
             self._ingress.release()  # placement failed: free the slot
             raise
         container = SimContainer(host, call.function.name, memory, busy=True)

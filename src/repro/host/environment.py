@@ -132,6 +132,7 @@ class StandaloneEnvironment(FaasletEnvironment):
             self._outputs[call_id] = bytes(output) if output is not None else b""
             self._codes[call_id] = 0
         except Exception:
+            self.metrics.counter("errors.swallowed", site="standalone.chain").inc()
             self._outputs[call_id] = b""
             self._codes[call_id] = 1
         return call_id

@@ -292,7 +292,6 @@ class FaasmCluster:
                 self._ingest = IngestionPlane(
                     self, config if config is not None else IngestionConfig()
                 )
-                self._ingest.start()
             elif config is not None:
                 raise RuntimeError("ingestion plane already configured")
             return self._ingest
@@ -303,9 +302,10 @@ class FaasmCluster:
         input_data: bytes = b"",
         tenant: str = "default",
     ) -> tuple[int | None, str]:
-        """The async front door: admit (or defer/shed) a call without
-        blocking on placement. Returns ``(call_id, "admitted")`` on
-        admission, ``(None, "deferred"|"shed")`` on backpressure."""
+        """The open-loop front door: admit (or defer/shed) a call, then
+        place the admission backlog unless someone else is (ingest.py).
+        Returns ``(call_id, "admitted")`` on admission, ``(None,
+        "deferred"|"shed")`` on backpressure."""
         return self.ingestion().submit(function, input_data, tenant=tenant)
 
     def submit_many(
@@ -577,7 +577,9 @@ class FaasmCluster:
         is raised, so a stuck call is never mistaken for a clean drain."""
         deadline = time.monotonic() + timeout
         stragglers = []
-        for record in self.calls.open_calls():
+        # Newest first: once the call placed last is done, the rest are
+        # likely found done instead of each waking this thread.
+        for record in reversed(self.calls.open_calls()):
             remaining = deadline - time.monotonic()
             if not record.done.wait(max(0.0, remaining)):
                 stragglers.append(record.call_id)
@@ -593,9 +595,6 @@ class FaasmCluster:
         """Stop every host's workers and the monitor (idempotent)."""
         if self.autoscaler is not None:
             self.autoscaler.stop()
-        with self._ingest_lock:
-            if self._ingest is not None:
-                self._ingest.stop()
         self.monitor.stop()
         with self._metrics_endpoint_lock:
             if self._metrics_endpoint is not None:

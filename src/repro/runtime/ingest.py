@@ -1,35 +1,46 @@
 """The open-loop ingestion plane (DESIGN.md §11).
 
-:meth:`FaasmCluster.dispatch` places its call — warm-set read, attempt
-record, bus send — on the caller's thread, a batch of one. That is the
-right shape for chained calls and tests, but at "millions of users"
-arrival rates the submitter must never block on placement, one hot tenant
-must not starve the rest, and the per-call bookkeeping (a global-tier
-round trip, a registry lock, a bus lock, a thread spawn) has to amortise
-over batches. This module queues calls in front of the same road so that
-it carries many at a time:
+:meth:`FaasmCluster.dispatch` places its call on the caller's thread, a
+batch of one. At "millions of users" arrival rates one hot tenant must not
+starve the rest, and the per-call bookkeeping (a registry lock, a bus lock,
+a scheduling pass) has to amortise over batches. This module queues calls
+in front of the same road so that it can carry many at a time:
 
 * :class:`AdmissionController` — bounded per-tenant FIFO queues under a
   **stride-scheduling weighted-fair queue**: each tenant carries a *pass*
   value that advances by ``served / weight`` whenever it is served, and
-  the dispatcher always serves the backlogged tenant with the smallest
-  pass, one batch at a time. The classic stride argument bounds unfairness
-  at one service quantum: a continuously-backlogged tenant's share never
-  exceeds ``weight_i / Σweights`` of total service by more than one batch
-  (the property the hypothesis suite checks). A tenant re-entering the
-  backlog has its pass caught up to the current virtual time, so idling
-  earns no credit. A full queue sheds or defers per the tenant's policy —
+  every pick serves the backlogged tenant with the smallest pass, one
+  batch at a time. The classic stride argument bounds unfairness at one
+  service quantum: a continuously-backlogged tenant's share never exceeds
+  ``weight_i / Σweights`` of total service by more than one batch (the
+  property the hypothesis suite checks). A tenant re-entering the backlog
+  has its pass caught up to the current virtual time, so idling earns no
+  credit. A full queue sheds or defers per the tenant's policy —
   *deferred* is backpressure (resubmit later), *shed* is a drop; neither
-  creates a call record, so no admitted call is ever stranded.
+  creates a call record.
 
-* :class:`IngestionPlane` — the async front door plus the batch
-  dispatcher thread: admitted calls are grouped per function, handed to
+* :class:`IngestionPlane` — the front door, with no thread of its own.
+  Admission is *flat-combining*: whoever holds the serving lock places
+  every batch admission holds — WFQ's pick, whoever's it is — until the
+  backlog is empty, each grouped per function, handed to
   :meth:`FaasmCluster.dispatch_batch` (one scheduling pass, one registry
   hold, one :class:`~repro.runtime.bus.ExecuteBatch` per target host) and
-  flushed with one :meth:`MessageBus.send_many` per host per round; the
-  receiving hosts run them on the workers they already have. It is the same
+  flushed with one :meth:`MessageBus.send_many` per host. It is the same
   road every other call takes, so tracing, exactly-once semantics and the
-  chaos-fault surface are unchanged — only the per-call overhead is gone.
+  chaos-fault surface are unchanged.
+
+Who serves: a submitter, once it has admitted its calls — unless the bus
+still holds a message no worker has taken, because the worker that takes
+one serves first (:meth:`IngestionPlane.serve`). So a paced ``submit``
+places its own call, a batch of one, and pays for that placement; a burst,
+whose submitter keeps the GIL from the workers, queues behind the message
+in flight and travels in batches. No dispatcher thread, no polling.
+
+**No admitted call strands.** A submitter that leaves its calls queued
+either saw a message on the bus, whose taker serves after taking it, or
+lost the lock to a holder, and every holder re-checks the backlog after
+letting go. ``drain`` waits for the lock (a batch taken but not yet placed
+lands first), then serves.
 """
 
 from __future__ import annotations
@@ -73,8 +84,6 @@ class IngestionConfig:
     default_weight: float = 1.0
     default_queue_limit: int = 10_000
     default_on_full: str = "defer"
-    #: Dispatcher wait granularity when the backlog is empty.
-    idle_wait_s: float = 0.02
 
 
 class _TenantState:
@@ -89,25 +98,16 @@ class _TenantState:
 
 class AdmissionController:
     """Bounded per-tenant queues under stride-scheduled weighted fairness.
-
-    Thread-safe; the condition variable doubles as the dispatcher's wake
-    signal, so an offer on an idle plane wakes the batch dispatcher
-    immediately instead of waiting out its idle poll.
-    """
+    Thread-safe: one lock guards every queue and pass."""
 
     def __init__(self, config: IngestionConfig, metrics=None):
         self.config = config
         self._metrics = metrics
         self._tenants: dict[str, _TenantState] = {}
-        self._cv = threading.Condition(threading.Lock())
+        self._lock = threading.Lock()
         #: WFQ virtual time: the pass of the last tenant served, which
         #: re-backlogged tenants catch up to (idling earns no credit).
         self._vtime = 0.0
-        #: Size of the batch the last :meth:`next_batch` handed out, until
-        #: the next call asks for more: calls that are in neither a queue
-        #: nor (yet) on the bus, which :meth:`IngestionPlane.drain` must
-        #: not mistake for an empty plane.
-        self.in_service = 0
         for spec in config.tenants:
             self._tenants[spec.name] = _TenantState(spec)
 
@@ -146,7 +146,7 @@ class AdmissionController:
         shed/deferred submission creates no call record (nothing to
         strand). Returns ``(admitted_items, n_rejected,
         rejection_outcome)``."""
-        with self._cv:
+        with self._lock:
             state = self._state(tenant)
             room = max(0, state.spec.queue_limit - len(state.queue))
             take = min(room, count)
@@ -169,27 +169,13 @@ class AdmissionController:
                     self._metrics.counter(
                         "ingest." + outcome, tenant=tenant
                     ).inc(rejected)
-            if items:
-                self._cv.notify()
             return items, rejected, outcome
 
-    def next_batch(
-        self, max_items: int, timeout: float | None = None
-    ) -> tuple[str | None, list]:
+    def next_batch(self, max_items: int) -> tuple[str | None, list]:
         """Serve up to ``max_items`` from the minimum-pass backlogged
-        tenant (blocking up to ``timeout`` for backlog); the tenant's pass
-        advances by ``served / weight``. Returns ``(tenant, items)`` or
-        ``(None, [])`` on timeout."""
-        with self._cv:
-            self.in_service = 0
-            if timeout is not None:
-                deadline = time.monotonic() + timeout
-                while not any(s.queue for s in self._tenants.values()):
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0 or not self._cv.wait(remaining):
-                        if not any(s.queue for s in self._tenants.values()):
-                            return None, []
-                        break
+        tenant; the tenant's pass advances by ``served / weight``. Returns
+        ``(tenant, items)``, or ``(None, [])`` when nothing is queued."""
+        with self._lock:
             backlogged = [
                 (state.pass_value, name, state)
                 for name, state in self._tenants.items()
@@ -204,17 +190,16 @@ class AdmissionController:
                 items.append(state.queue.popleft())
             state.pass_value += len(items) / max(state.spec.weight, 1e-9)
             state.served += len(items)
-            self.in_service = len(items)
         return name, items
 
     def backlog(self) -> int:
-        with self._cv:
+        with self._lock:
             return sum(len(s.queue) for s in self._tenants.values())
 
     def stats(self) -> dict:
         """Per-tenant queue depth / served counts (counters live in the
         metrics registry under ``ingest.*{tenant=}``)."""
-        with self._cv:
+        with self._lock:
             return {
                 name: {
                     "queued": len(state.queue),
@@ -236,7 +221,7 @@ class _AdmittedItem:
 
 
 class IngestionPlane:
-    """The async front door and batch dispatcher for one cluster."""
+    """One cluster's front door: admission and its placement (module doc)."""
 
     def __init__(self, cluster, config: IngestionConfig | None = None):
         self.cluster = cluster
@@ -244,30 +229,12 @@ class IngestionPlane:
         self.admission = AdmissionController(
             self.config, metrics=cluster.telemetry.metrics
         )
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
+        #: Held by whoever is placing admitted batches.
+        self._serving = threading.Lock()
         #: Recently-admitted records, for sojourn percentiles.
         self._recent: deque = deque(maxlen=65536)
         self._admit_times: deque = deque(maxlen=16384)
         self._recent_lock = threading.Lock()
-
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        if self._thread is not None:
-            return
-        self._thread = threading.Thread(
-            target=self._dispatch_loop, daemon=True, name="ingest-dispatch"
-        )
-        self._thread.start()
-
-    def stop(self, timeout: float = 2.0) -> None:
-        self._stop.set()
-        # Wake the dispatcher out of its admission wait.
-        with self.admission._cv:
-            self.admission._cv.notify_all()
-        if self._thread is not None:
-            self._thread.join(timeout)
-            self._thread = None
 
     # ------------------------------------------------------------------
     def submit(
@@ -276,10 +243,9 @@ class IngestionPlane:
         input_data: bytes = b"",
         tenant: str = "default",
     ) -> tuple[int | None, str]:
-        """Admit a call without blocking on placement (the one-element
-        form of :meth:`submit_many`); the batch dispatcher places it
-        later. ``(call_id, "admitted")``, or ``(None, "deferred"|"shed")``
-        under backpressure."""
+        """Admit a call, then serve (the one-element form of
+        :meth:`submit_many`). ``(call_id, "admitted")``, or ``(None,
+        "deferred"|"shed")`` under backpressure."""
         return self.submit_many(function, [input_data], tenant)[0]
 
     def submit_many(
@@ -289,9 +255,10 @@ class IngestionPlane:
         tenant: str = "default",
     ) -> list[tuple[int | None, str]]:
         """Bulk :meth:`submit`: one registry lock for all the call
-        records, one admission lock for the whole batch — the open-loop
-        generator's fast path. Returns one ``(call_id, outcome)`` per
-        input; on a full queue the tail is rejected (deferred/shed)."""
+        records, one admission lock for the whole batch, then
+        :meth:`serve` unless a worker is about to (module doc). Returns one
+        ``(call_id, outcome)`` per input; on a full queue the tail is
+        rejected (deferred/shed)."""
         if not self.cluster.registry.exists(function):
             raise KeyError(f"unknown function {function!r}")
         inputs = list(inputs)
@@ -315,6 +282,8 @@ class IngestionPlane:
                 self._admit_times.extend(
                     item.enqueued_at for item in items
                 )
+            if not self.cluster.bus.total_pending():
+                self.serve()
         results = [
             (item.record.call_id, "admitted") for item in items
         ]
@@ -322,22 +291,19 @@ class IngestionPlane:
         return results
 
     # ------------------------------------------------------------------
-    def _dispatch_loop(self) -> None:
-        while not self._stop.is_set():
-            tenant, items = self.admission.next_batch(
-                self.config.batch_size, timeout=self.config.idle_wait_s
-            )
-            if not items:
-                continue
-            self._dispatch_items(items)
-        # Final sweep so a stop() racing late submissions strands nothing.
-        while True:
-            tenant, items = self.admission.next_batch(
-                self.config.batch_size, timeout=None
-            )
-            if not items:
-                break
-            self._dispatch_items(items)
+    def serve(self, blocking: bool = False) -> None:
+        """Place the admission backlog, WFQ's pick first, if this thread
+        gets the serving lock (waiting for it when ``blocking``); the
+        re-check after letting go keeps a call offered meanwhile placed."""
+        while self.admission.backlog() and self._serving.acquire(blocking):
+            try:
+                while True:
+                    _, items = self.admission.next_batch(self.config.batch_size)
+                    if not items:
+                        break
+                    self._dispatch_items(items)
+            finally:
+                self._serving.release()
 
     def _dispatch_items(self, items: list) -> None:
         """One dispatch round: group a served batch by function, place
@@ -360,21 +326,13 @@ class IngestionPlane:
 
     # ------------------------------------------------------------------
     def drain(self, timeout: float = 60.0) -> None:
-        """Wait for the admission backlog, the bus, and the hosts' backlogs
-        to go empty, then for every dispatched call to finish (via
+        """Place what admission still holds — after any batch a submitter
+        is placing — then wait for every placed call to finish (via
         :meth:`FaasmCluster.drain`, which raises on stragglers)."""
         deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if (
-                self.admission.backlog() == 0
-                and self.admission.in_service == 0
-                and self.cluster.bus.total_pending() == 0
-                and all(
-                    i.pool_backlog() == 0 for i in self.cluster.instances
-                )
-            ):
-                break
-            time.sleep(0.005)
+        with self._serving:
+            pass
+        self.serve(blocking=True)
         self.cluster.drain(timeout=max(0.1, deadline - time.monotonic()))
 
     def sojourn_percentiles(self) -> dict:

@@ -305,6 +305,8 @@ class FaasmRuntimeInstance:
             seated = self._receiving
         if stop and seated:  # one Shutdown per host: pass it along the seats
             self.cluster.bus.send(self.host, message)
+        if not stop and self.cluster._ingest is not None:
+            self.cluster._ingest.serve()  # a message's taker serves first
         if stop or not self.alive:
             return None
         work = self._expand_batch(message)
@@ -371,6 +373,9 @@ class FaasmRuntimeInstance:
             )
         except Exception as exc:  # never kill the host on a bad call
             logger.exception("call %s crashed the executor", record.call_id)
+            self.cluster.telemetry.metrics.counter(
+                "errors.swallowed", site="instance.execute"
+            ).inc()
             calls.complete_attempt(record.call_id, attempt, 1, str(exc).encode())
 
     def _execute_traced(self, record, message) -> None:

@@ -30,6 +30,7 @@ def test_ingestion_soak_10k_calls_exactly_once_and_deterministic():
         SEED, calls=calls, hosts=4, plan=plan, timeout=180.0, ingest=True
     )
     assert first.ok, f"stranded calls: {first.stranded}"
+    assert first.swallowed == 0
     assert (
         first.completed + first.guest_failed + first.call_failed == calls
     )
@@ -40,6 +41,7 @@ def test_ingestion_soak_10k_calls_exactly_once_and_deterministic():
         SEED, calls=calls, hosts=4, plan=plan, timeout=180.0, ingest=True
     )
     assert second.ok
+    assert second.swallowed == 0
     assert second.log_lines == first.log_lines
     assert second.digest == first.digest
 
@@ -56,5 +58,6 @@ def test_ingestion_soak_matches_per_call_fault_log():
         SEED, calls=300, hosts=4, plan=plan, timeout=60.0, ingest=False
     )
     assert batched.ok and per_call.ok
+    assert batched.swallowed == per_call.swallowed == 0
     assert batched.digest == per_call.digest
     assert batched.log_lines == per_call.log_lines

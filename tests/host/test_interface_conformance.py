@@ -350,3 +350,14 @@ def test_guarded_entries_return_minus_one_and_count(caplog):
         _host(faaslet, "chain_call")(1 << 30, 4, 0, 0)
     assert _host(faaslet, "open")(*_put(faaslet, 64, b"absent.txt"), 0) == -1
     assert env.metrics.aggregate("errors.swallowed") == 7
+
+
+def test_standalone_chain_counts_a_raising_function():
+    """The standalone environment reports a chained function that raised
+    as exit code 1, and counts it."""
+    env = StandaloneEnvironment()
+    env.register_function("boom", lambda data: 1 // 0)
+    call_id = env.chain_call("boom", b"")
+    assert env.await_call(call_id) == 1
+    assert env.get_call_output(call_id) == b""
+    assert _swallowed(env, "standalone.chain") == 1

@@ -125,6 +125,22 @@ class TestClusterOverBus:
         cluster.register_python("good", lambda ctx: ctx.write_output(b"y"))
         assert cluster.invoke("good") == (0, b"y")
 
+    def test_executor_crash_is_counted(self):
+        """A bug outside the guest fails the call and is counted, not
+        swallowed silently."""
+        cluster = FaasmCluster(n_hosts=1)
+        cluster.register_python("good", lambda ctx: ctx.write_output(b"y"))
+
+        def crash(record, message):
+            raise RuntimeError("synthetic executor bug")
+
+        cluster.instances[0].execute = crash
+        assert cluster.invoke("good")[0] == 1
+        swallowed = cluster.telemetry.metrics.counter(
+            "errors.swallowed", site="instance.execute"
+        )
+        assert swallowed.value == 1
+
 
 class TestEndpointStrictness:
     """A typo'd or deregistered host must surface as KeyError, never as a

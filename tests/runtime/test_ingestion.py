@@ -8,6 +8,7 @@ global-tier round-trip elimination, and the reactive autoscaler.
 """
 
 import itertools
+import sys
 import threading
 import time
 
@@ -25,6 +26,7 @@ from repro.runtime.ingest import (
 from repro.runtime.monitor import RetryPolicy
 from repro.runtime.scheduler import LocalScheduler, WarmSetRegistry
 from repro.state.kv import GlobalStateStore
+from tests.conftest import wait_for
 
 
 def _echo(ctx):
@@ -82,7 +84,7 @@ def test_wfq_never_exceeds_weight_share_by_more_than_one_batch(
         for tenant_index in itertools.islice(extras, 2):
             if tenant_index < len(names):
                 admission.offer(names[tenant_index], object)
-        name, items = admission.next_batch(batch, timeout=None)
+        name, items = admission.next_batch(batch)
         assert name is not None and items
         served[name] += len(items)
         total += len(items)
@@ -103,7 +105,7 @@ def test_admission_defers_then_admits_again():
     assert admission.offer("a", object)[0] == "admitted"
     outcome, item = admission.offer("a", object)
     assert outcome == "deferred" and item is None
-    admission.next_batch(1, timeout=None)
+    admission.next_batch(1)
     assert admission.offer("a", object)[0] == "admitted"
 
 
@@ -134,13 +136,13 @@ def test_idle_tenant_earns_no_credit():
     for _ in range(400):
         admission.offer("busy", object)
     for _ in range(50):
-        admission.next_batch(4, timeout=None)
+        admission.next_batch(4)
     # The lurker arrives late; it must not monopolise service to "repay"
     # its idle time — with equal weights, service alternates.
     for _ in range(400):
         admission.offer("lurker", object)
     first_eight = [
-        admission.next_batch(4, timeout=None)[0] for _ in range(8)
+        admission.next_batch(4)[0] for _ in range(8)
     ]
     assert first_eight.count("lurker") <= 5
 
@@ -160,24 +162,22 @@ def test_unknown_tenant_uses_defaults():
 
 
 def test_batched_ingestion_end_to_end():
+    """One bulk ``submit_many`` queues all its calls before placing any,
+    so they travel as batches."""
     cluster = FaasmCluster(n_hosts=2)
     try:
         cluster.register_python("echo", _echo)
         plane = cluster.ingestion(IngestionConfig(batch_size=16))
-        ids = []
-        for i in range(200):
-            call_id, outcome = cluster.submit("echo", str(i).encode())
-            assert outcome == "admitted"
-            ids.append(call_id)
+        inputs = [str(i).encode() for i in range(200)]
+        results = cluster.submit_many("echo", inputs)
+        assert [outcome for _, outcome in results] == ["admitted"] * 200
         plane.drain(timeout=30.0)
-        for i, call_id in enumerate(ids):
+        for data, (call_id, _) in zip(inputs, results):
             record = cluster.calls.get(call_id)
             assert record.status is CallStatus.SUCCEEDED
-            assert record.output_data == b"ok:" + str(i).encode()
-        # The calls genuinely travelled as batches, not one-by-one.
-        assert cluster.bus.stats.batches > 0
-        assert cluster.bus.stats.batched_calls == 200
-        assert cluster.bus.stats.batched_calls > cluster.bus.stats.batches
+            assert record.output_data == b"ok:" + data
+        stats = cluster.bus.stats
+        assert stats.batched_calls == 200 > stats.batches
     finally:
         cluster.shutdown()
 
@@ -191,22 +191,156 @@ def test_submit_unknown_function_raises():
         cluster.shutdown()
 
 
-def test_submit_tenant_backpressure_defers():
-    from repro.runtime.ingest import IngestionPlane
+def _hold(target, attr, thread_name, when=lambda result: True):
+    """Replace ``target.attr`` so that the thread named ``thread_name``
+    stops in it (after the real call, once ``when(result)``) until
+    ``release`` is set; ``held`` is set when it stops."""
+    held, release = threading.Event(), threading.Event()
+    real = getattr(target, attr)
 
+    def gated(*args, **kwargs):
+        result = real(*args, **kwargs)
+        if threading.current_thread().name == thread_name and when(result):
+            held.set()
+            release.wait(10.0)
+        return result
+
+    setattr(target, attr, gated)
+    return held, release
+
+
+def _submit_in_thread(cluster, name, *args, **kwargs):
+    """Run ``cluster.submit`` on a thread called ``name``; returns the
+    thread and a list its result lands in."""
+    result = []
+    thread = threading.Thread(
+        target=lambda: result.append(cluster.submit(*args, **kwargs)),
+        name=name,
+    )
+    thread.start()
+    return thread, result
+
+
+def test_submit_tenant_backpressure_defers():
+    """While one submitter is placing, the bounded queue fills and the
+    next offer hits backpressure deterministically."""
     cluster = FaasmCluster(n_hosts=1)
     try:
         cluster.register_python("echo", _echo)
-        # A plane whose dispatcher never runs: the bounded queue fills
-        # and the second offer hits backpressure deterministically.
-        plane = IngestionPlane(
-            cluster,
-            IngestionConfig(tenants=(TenantSpec("tiny", queue_limit=1),)),
+        plane = cluster.ingestion(
+            IngestionConfig(tenants=(TenantSpec("tiny", queue_limit=1),))
         )
-        assert plane.submit("echo", b"a", tenant="tiny")[1] == "admitted"
-        call_id, outcome = plane.submit("echo", b"b", tenant="tiny")
-        assert outcome == "deferred" and call_id is None
+        held, release = _hold(cluster, "dispatch_batch", "submitter-a")
+        thread, first = _submit_in_thread(
+            cluster, "submitter-a", "echo", b"a", tenant="tiny"
+        )
+        assert held.wait(5.0)
+        call_b, outcome = cluster.submit("echo", b"b", tenant="tiny")
+        assert outcome == "admitted"
+        assert cluster.submit("echo", b"c", tenant="tiny") == (None, "deferred")
+        release.set()
+        thread.join(10.0)
+        plane.drain(timeout=10.0)
+        for call_id in (first[0][0], call_b):
+            assert cluster.calls.get(call_id).status is CallStatus.SUCCEEDED
     finally:
+        cluster.shutdown()
+
+
+@pytest.mark.parametrize("held_in", ["dispatch_batch", "last_pick"])
+def test_no_admitted_call_strands(held_in):
+    """Submitter B offers while submitter A holds the serving lock, and
+    returns with its call still queued; A places it once released —
+    within its loop (held in ``dispatch_batch``) or by the backlog
+    re-check after letting go of the lock (held after the empty pick that
+    ended its loop). Nobody calls ``drain``."""
+    cluster = FaasmCluster(n_hosts=1)
+    try:
+        cluster.register_python("echo", _echo)
+        plane = cluster.ingestion()
+        if held_in == "dispatch_batch":
+            held, release = _hold(cluster, "dispatch_batch", "submitter-a")
+        else:
+            held, release = _hold(
+                plane.admission, "next_batch", "submitter-a",
+                when=lambda result: not result[1],
+            )
+        thread, first = _submit_in_thread(cluster, "submitter-a", "echo", b"a")
+        assert held.wait(5.0)
+        # B must find the bus empty, or it would leave its call to the
+        # worker that takes A's message.
+        wait_for(lambda: not cluster.bus.total_pending())
+        call_b, outcome = cluster.submit("echo", b"b")
+        assert outcome == "admitted"
+        record = cluster.calls.get(call_b)
+        assert record.status is CallStatus.PENDING
+        assert plane.admission.backlog() == 1
+        release.set()
+        assert record.done.wait(10.0), "B's call stranded in admission"
+        assert record.status is CallStatus.SUCCEEDED
+        thread.join(10.0)
+        assert cluster.calls.get(first[0][0]).done.wait(10.0)
+    finally:
+        cluster.shutdown()
+
+
+def test_a_burst_of_submits_travels_in_batches():
+    """A submitter that keeps the GIL leaves its calls behind the message
+    still on the bus, and the worker that takes it places them as
+    batches; every call finishes without a ``drain``."""
+    cluster = FaasmCluster(n_hosts=2)
+    interval = sys.getswitchinterval()
+    try:
+        cluster.register_python("echo", _echo)
+        cluster.ingestion(IngestionConfig(batch_size=64))
+        sys.setswitchinterval(1.0)  # no worker runs until the loop ends
+        ids = [cluster.submit("echo", b"%d" % i)[0] for i in range(200)]
+        sys.setswitchinterval(interval)
+        for record in cluster.calls.get_many(ids):
+            assert record.done.wait(10.0), f"call {record.call_id} stranded"
+            assert record.status is CallStatus.SUCCEEDED
+        stats = cluster.bus.stats
+        # The first call alone, then 199 in batches of at most 64 (one
+        # message per target host each).
+        assert stats.batched_calls == 200
+        assert stats.batches <= 1 + 4 * 2
+    finally:
+        sys.setswitchinterval(interval)
+        cluster.shutdown()
+
+
+def test_no_admitted_call_strands_under_contention():
+    """Six submitters racing for the serving lock with the GIL switching
+    as often as it can: every admitted call finishes, and none waits for
+    a ``drain`` to be placed."""
+    cluster = FaasmCluster(n_hosts=2)
+    interval = sys.getswitchinterval()
+    try:
+        cluster.register_python("echo", _echo)
+        plane = cluster.ingestion(IngestionConfig(batch_size=4))
+        ids: list = []
+
+        def submitter():
+            for i in range(200):
+                call_id, outcome = cluster.submit("echo", b"%d" % i)
+                assert outcome == "admitted"
+                ids.append(call_id)
+
+        sys.setswitchinterval(1e-6)
+        threads = [
+            threading.Thread(target=submitter) for _ in range(6)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60.0)
+        assert len(ids) == 1200
+        for record in cluster.calls.get_many(ids):
+            assert record.done.wait(30.0), f"call {record.call_id} stranded"
+            assert record.status is CallStatus.SUCCEEDED
+        assert plane.admission.backlog() == 0
+    finally:
+        sys.setswitchinterval(interval)
         cluster.shutdown()
 
 
@@ -298,25 +432,19 @@ def test_submit_leaving_its_entry_host_is_one_shared_batch():
 
 
 def test_drain_waits_for_a_batch_between_queue_and_bus():
-    """A batch the dispatcher has taken from admission but not yet placed
+    """A batch a submitter has taken from admission but not yet placed
     is in neither queue; ``drain`` must still wait for it."""
     cluster = FaasmCluster(n_hosts=1)
     try:
         cluster.register_python("echo", _echo)
-        taken, release = threading.Event(), threading.Event()
-        dispatch_batch = cluster.dispatch_batch
-
-        def gated(*args, **kwargs):
-            taken.set()
-            release.wait(10.0)
-            return dispatch_batch(*args, **kwargs)
-
-        cluster.dispatch_batch = gated
         plane = cluster.ingestion()
-        call_id, _ = cluster.submit("echo", b"x")
-        assert taken.wait(5.0)
+        held, release = _hold(cluster, "dispatch_batch", "submitter")
+        thread, result = _submit_in_thread(cluster, "submitter", "echo", b"x")
+        assert held.wait(5.0)
         threading.Timer(0.2, release.set).start()
         plane.drain(timeout=10.0)
+        thread.join(10.0)
+        call_id, _ = result[0]
         assert cluster.calls.get(call_id).status is CallStatus.SUCCEEDED
     finally:
         cluster.shutdown()

@@ -24,7 +24,8 @@ from tests.conftest import stored_floor
 #: Used when the results file is missing (fresh checkout, no bench run).
 #: Deliberately loose: even a slow machine batches thousands of echo
 #: calls per second, while a broken hot path (a re-introduced global
-#: lock, a stalled dispatcher) collapses well below it.
+#: lock, a submitter that waits for a batch instead of placing it)
+#: collapses well below it.
 _DEFAULT_FLOOR = 2_000.0
 
 _CALLS = 4_000
@@ -44,7 +45,6 @@ def test_batched_ingestion_throughput_floor():
         plane = cluster.ingestion(
             IngestionConfig(batch_size=128, default_queue_limit=_CALLS + 16)
         )
-        plane.start()
         # Warm the pools and code paths before timing.
         cluster.submit_many("echo", [b"w"] * 256)
         plane.drain(timeout=30.0)
