@@ -39,8 +39,10 @@ _KEY_ATTR = "_codecache_key"
 #: reused for a module that now compiles differently — the analogue of a
 #: machine-code version tag in an on-disk object cache. "2" added the
 #: vector ISA (v128), shared-memory atomics and the guest-thread ops; "3"
-#: replaced closure-threaded blocks with whole-function compiled code.
-ISA_VERSION = "repro-isa-3"
+#: replaced closure-threaded blocks with whole-function compiled code;
+#: "4" checks an innermost counted loop's range once per entry (its guard),
+#: and runs a guarded iteration that is one superblock as one ``for`` pass.
+ISA_VERSION = "repro-isa-4"
 
 
 def module_key(module: Module) -> str:

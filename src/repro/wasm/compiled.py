@@ -56,11 +56,17 @@ Lowering rules
   ``B + S*iv`` over locals the loop never writes) a guard ``_h`` checks one
   iteration, ``z + c < 2**31`` for the last value ``z``, each access's page
   and in-page offset at ``iv`` and ``z``, and stored-to pages ``writable``.
-  On a hit the loop's first statement runs whole iterations on views bound
-  once, with plain-int counters and each store behind its page's
-  ``writable`` test, while ``ex + <loop length> <= lim``: the metered arm,
-  where another guest thread can run, is never inside. Any failed test
-  clears ``_h`` and today's code carries on. SFI holds because a miss is
+  On a hit, when an iteration is one superblock, the loop's first statement
+  is one pass ``for iv in range(iv, min(iv + (lim - ex) // K * c, z + 1),
+  c)`` over the body alone: only the iterations fuel pays for (``K`` per
+  iteration, charged after the pass), on views bound once, f64/i32/i64
+  accesses as items of a typed ``view.cast`` view (little-endian hosts;
+  base and stride aligned by the guard), each store behind its page's
+  ``writable`` test. A body with an ``if`` instead runs whole iterations,
+  its exit test and step on plain ints, while ``ex + K <= lim``. Either way
+  the metered arm, where another guest thread can run, is never inside; a
+  store's miss clears ``_h`` and leaves after that iteration, and today's
+  code carries on with the exit test and the rest. SFI holds because a miss is
   today's code and :mod:`repro.wasm.verify` (trusted, like the validator)
   checks every function before it compiles; what it refuses, or what
   passes CPython's 20 nested loops or ~100 indentation levels, runs on the
@@ -72,6 +78,8 @@ from __future__ import annotations
 import ast
 import gc
 import math
+import struct
+import sys
 
 from .codecache import GLOBAL_CODE_CACHE
 from .errors import CallStackExhausted, UnreachableExecuted
@@ -334,6 +342,12 @@ def _analyse(code):
 _EXIT = {"i32.lt_s": "<", "i32.lt_u": "<", "i32.le_s": "<=", "i32.le_u": "<="}
 _UNHOISTABLE = frozenset("call call_indirect memory.grow loop br br_if br_table return "
                          "unreachable v128.load v128.store".split())
+#: What an exit test may run before its compare for the loop to take a pass.
+_PURE = frozenset("local.get i32.const i32.add i32.sub i32.mul i32.shl".split())
+#: Accesses a pass makes through a typed view (``memoryview.cast``) of a page:
+#: whole little-endian f64/i32/i64 items, on a host whose native ones are those.
+_TYPED = {f"{t}.{a}": c for t, c in zip(["f64", "i32", "i64"], "dIQ") for a in ["load", "store"]
+          } if sys.byteorder == "little" and [struct.calcsize(c) for c in "dIQ"] == [8, 4, 8] else {}
 _ARITY = dict.fromkeys(CONST_OPS, (0, 1)) | {"local.set": (1, 0), "local.tee": (1, 1),
                                              "global.get": (0, 1), "global.set": (1, 0),
                                              "drop": (1, 0), "select": (3, 1)}
@@ -564,10 +578,12 @@ class _Lowering:
         slow += [f"L{i} = _L[{i}]" for i in sorted(self.sb_written)]
         slow += [f"{v.expr} = _S[{i}]" for i, v in enumerate(self.sym)
                  if v.atom and v.temp >= self.sb_temp0]
-        self.emit(f"ex += {cost}")
-        if self.hoist:  # the iteration's fuel was checked as a whole
+        if self.hoist:  # the iteration's fuel was checked (a pass: is charged) whole
+            if not self.hoist[-1]:
+                self.emit(f"ex += {cost}")
             self.lines.extend("    " * self.ind + line for line in body)
             return
+        self.emit(f"ex += {cost}")
         if body:
             self.emit("if ex <= lim:")
             self.lines.extend("    " * (self.ind + 1) + l for l in body)
@@ -745,11 +761,17 @@ class _Lowering:
             self.lower(pc, ins)
 
     def version(self, pc: int, plan, stop: int) -> None:
-        """Open the counted loop at ``pc`` behind its guard, its guarded
-        iteration first (module doc); the walk then lowers today's iteration."""
+        """Open the counted loop at ``pc`` behind its guard, its pass (or, for
+        a body with an ``if``, its guarded iteration) first (module doc); the
+        walk then lowers today's iteration."""
         (iv, step, cmp_pc, bound, acc), cmp = plan, self.code[plan[2]][0]
         L, sym, n, z, h = f"L{iv}", _EXIT[cmp], f"_n{pc}", f"_z{pc}", f"_h{pc}"
-        conds, pages, self.hoisted = [f"{L} {sym} {n}", f"{z} + {step} < {_S32}"], {}, {}
+        conds, pages, casts, self.hoisted = [f"{L} {sym} {n}", f"{z} + {step} < {_S32}"], {}, {}, {}
+        items = []  # per typed access, its base and (symbolic) stride in items: ``_e``, ``_f``
+        # One superblock an iteration, after an exit test that only compares:
+        # the loop runs as one ``for`` pass.
+        one = all(self.code[k][0] in _PURE for k in range(pc + 1, cmp_pc)) and all(
+            self.code[k][0] != "if" for k in range(cmp_pc + 3, stop - 7))
         for q, (alpha, beta) in sorted(acc.items()):  # one page per affine family:
             g = pages.setdefault((frozenset(m for m in alpha if m), frozenset(beta.items())), q)
             coef = str(beta.get((), 0)) if beta.keys() <= {()} else f"_m{g}"
@@ -761,12 +783,20 @@ class _Lowering:
                 conds.append(f"0 <= _p{g} < npg")
             op, off = self.code[q][:2]
             self.emit(f"_b{q} = {_pexpr(alpha)} - (_p{g} << 16)")
-            lim = PAGE_SIZE - (LOAD_OPS.get(op) or STORE_OPS[op])[1]
-            conds += [f"{off} <= _b{q}{at[v]} <= {lim}" for v in (L, z)]
+            size = (LOAD_OPS.get(op) or STORE_OPS[op])[1]
+            conds += [f"{off} <= _b{q}{at[v]} <= {PAGE_SIZE - size}" for v in (L, z)]
             if op in STORE_OPS:
                 conds.append(f"pages[_p{g}].writable")
+            fmt, k, typed = one and _TYPED.get(op), size.bit_length() - 1, None
+            if fmt and (coef[0] == "_" or not int(coef) % size):  # whole items of a view
+                conds += [f"not {x} & {size - 1}" for x in (f"_b{q}", coef) if x[0] == "_"]
+                casts[f"_c{g}{fmt}"] = g
+                items += [f"_e{q} = _b{q} >> {k}"] + [f"_f{q} = {coef} >> {k}"] * (coef[0] == "_")
+                t = f"_f{q}" if coef[0] == "_" else str(int(coef) >> k)
+                t = "" if not beta else f" + {L}" if t == "1" else f" + {L} * {t}"
+                typed = f"_c{g}{fmt}[_e{q}{t}]"
             self.hoisted[q] = (f"_v{g}, _b{q}{at[L]}", f"_P{g}.writable",
-                               f"(_p{g} << 16) + _b{q}{at[L]}")
+                               f"(_p{g} << 16) + _b{q}{at[L]}", typed)
         e = f"({_pexpr(bound)}) & {_M32}"
         self.emit(f"{n} = {_signed(e, _S32) if cmp.endswith('_s') else e}")
         self.emit(f"{z} = {L} + ({n}{' - 1' * (sym == '<')} - {L}) // {step} * {step}")
@@ -776,12 +806,33 @@ class _Lowering:
         for g in pages.values():
             self.emit(f"    _P{g} = pages[_p{g}]")
             self.emit(f"    _v{g} = _P{g}.view")
+            for view in (c for c, of in casts.items() if of == g):
+                self.emit(f"    {view} = _v{g}.cast({view[-1]!r})")
+        for line in items:
+            self.emit(f"    {line}")
         self.open_while()
-        self.emit(f"if {h} and ex + {stop - 2 - pc} <= lim:")  # no instruction runs twice
+        cost = stop - 2 - pc  # one iteration: no instruction runs twice
+        self.emit(f"if {h} and ex + {cost} <= lim:")
         self.indent()
         saved = list(self.sym), list(self.ctrl), self.ntemp
-        self.hoist = (iv, cmp_pc, _cmp(L, n, sym), h)
-        self.walk(pc, stop - 2)
+        self.hoist = (iv, cmp_pc, _cmp(L, n, sym), h, one)
+        if one:  # the iterations fuel can pay for, capped at z; charged after
+            self.emit(f"_s{pc} = {L}")
+            self.emit(f"for {L} in range({L}, min({L} + (lim - ex) // {cost}"
+                      f"{f' * {step}' * (step > 1)}, {z} + 1), {step}):")
+            self.indent()
+            self.walk(cmp_pc + 3, stop - 7)
+            if self.body is not None:
+                self.close_sb()
+            if any(self.code[q][0] in STORE_OPS for q in self.hoisted):
+                self.emit(f"if not {h}:")  # a store missed: leave after this iteration
+                self.emit("    break")
+            self.dedent()
+            done = f"{L} - _s{pc} + 1" if step == 1 else f"({L} - _s{pc}) // {step} + 1"
+            self.emit(f"ex += ({done}) * {cost}")
+            self.emit(f"{L} = ({L} + {step})")
+        else:
+            self.walk(pc, stop - 2)
         self.hoist, (self.sym, self.ctrl, self.ntemp), self.live = None, saved, True
         self.dedent()
         self.emit(f"{h} = 0")  # this entry of the loop stays general from here
@@ -917,7 +968,8 @@ class _Lowering:
             ty, size, signed = LOAD_OPS[op]
             if self.hoist and pc in self.hoisted:  # the guard bounded it
                 sym.pop()
-                self.push_now(f"{self.bind(unpack)}({self.hoisted[pc][0]})[0]{fix}")
+                typed = self.hoisted[pc][3]
+                self.push_now(typed or f"{self.bind(unpack)}({self.hoisted[pc][0]})[0]{fix}")
                 return
             hit, address = self.page_access(op, ins, size)
             miss = (f"mem.load_v128({address})" if size == 16 else
@@ -931,17 +983,18 @@ class _Lowering:
             v = self.as_atom(self.pop())
             if self.hoist and pc in self.hoisted:  # the guard bounded it
                 sym.pop()
-                place, writable, address = self.hoisted[pc]
+                place, writable, address, typed = self.hoisted[pc]
             else:
                 hit, address = self.page_access(op, ins, size)
-                place, writable = "pages[_p].view, _o", f"{hit} and pages[_p].writable"
+                place, writable, typed = "pages[_p].view, _o", f"{hit} and pages[_p].writable", None
             self.emit(f"if {writable}:")
-            self.emit(f"    {self.bind(pack)}({place}, {v.expr}{fix})")
+            self.emit(f"    {typed} = {v.expr}" if typed else
+                      f"    {self.bind(pack)}({place}, {v.expr}{fix})")
             self.emit("else:")
             kind = "v128" if size == 16 else "float" if ty.is_float else "int"
             self.emit(f"    mem.store_{kind}({address}, {v.expr}{f', {size}' * (size < 16)})")
             if self.hoist and pc in self.hoisted:  # then leave the guarded iteration
-                self.emit(f"    {self.hoist[-1]} = 0")
+                self.emit(f"    {self.hoist[3]} = 0")
         elif op in SIMD_EXTRACT_OPS:
             a = self.pop()
             self.push(f"{self.bind(SIMD_EXTRACT_OPS[op])}({a.expr}, {ins[1]})", a)

@@ -4,13 +4,16 @@ SFI confines guest accesses to linear memory (§3.1) and trusts the code
 generator that makes that cheap (§3.4): here :mod:`repro.wasm.compiled`,
 whose output :func:`verify` checks in one walk before it is compiled. Every
 page view goes to a ``struct`` (un)pack under its bounds test, or to one a
-guarded iteration's entry guard covered. DESIGN.md §2.1 states the rules.
+guarded iteration's entry guard covered; a typed view is subscripted only
+inside a pass capped at the guard's last iteration, at an item the guard
+aligned and bounded. DESIGN.md §2.1 states the rules.
 """
 
 from __future__ import annotations
 
 import ast
 import re
+import struct
 
 from .futex import atomic_notify, atomic_wait32
 from .memory import INLINE_LOADS, INLINE_STORES
@@ -18,16 +21,18 @@ from .ops import BINOPS, UNOPS
 from .simd import SIMD_EXTRACT_OPS, SIMD_REPLACE_OPS
 from .types import PAGE_SIZE, FuncType
 
-#: Builtins generated code may read.
-BUILTINS = frozenset(["float", "abs", "len"])
+#: Builtins generated code may read (``range`` and ``min`` only as a pass's range).
+BUILTINS = frozenset(["float", "abs", "len", "range", "min"])
 _PRELUDE = frozenset(["_code", "_UNMETERED", "_CallStackExhausted", "_Unreachable"])
 _FIXED = {"pages": "mem.pages", "mem": "inst.memory", "npg": "len(pages)", "inst": "inst"}
 _WATCHED = frozenset(["_a", "_p", "_o", *_FIXED])
 #: A guarded iteration's invariants, views and page objects: fixed inside it.
-_FROZEN = re.compile(r"_[nzpbmvP]\d+")
+_FROZEN = re.compile(r"_[nzpbmvPef]\d+|_c\d+[dIQ]")
+#: A pass's typed page view: the page's ``view.cast(<its last letter>)``.
+_CAST = re.compile(r"_c\d+([dIQ])")
 #: An address known >= 0: a local, temp, slot, constant or mask (plus a constant).
 _NONNEG = re.compile(r"(?:L|_t|s)?\d+|\(.* & \d+\)|\((?:(?:L|_t|s)?\d+|\(.* & \d+\)) \+ \d+\)")
-_LOCAL = re.compile(r"(?:L|_t|s|_[nzpbmvPh])\d+|_x")
+_LOCAL = re.compile(r"(?:L|_t|s|_[nzpbmvPhef])\d+|_c\d+[dIQ]|_x")
 _TYPED = re.compile(r"mem\.(load|store)_(int|float)|float|abs|len")
 _SYM = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.FloorDiv: "//", ast.LShift: "<<",
         ast.RShift: ">>", ast.BitAnd: "&", ast.Lt: "<", ast.LtE: "<=", ast.USub: "-",
@@ -81,9 +86,11 @@ def verify(tree: ast.Module, ns: dict) -> None:
     c = _Checker(ns)
     stores = c.block(fn.body, [], {})
     known = stores | {a.arg for a in fn.args.args} | BUILTINS | _PRELUDE
-    for name in c.loads | stores:  # every name but the (un)pack of an access
+    if (stores | ns.keys()) & BUILTINS:
+        _fail(fn, "a builtin is shadowed")
+    for name in c.loads | stores:  # every name but the (un)pack or typed view of an access
         obj = ns.get(name, ns) if name[:2] == "_k" else None
-        if name[:2] == "__" or _KIND.get(id(obj), "?")[0] in "ls" or name not in known and (
+        if name[:2] == "__" or _KIND.get(id(obj), "?")[0] in "ls" or _CAST.fullmatch(name) or name not in known and (
                 not _LOCAL.fullmatch(name) and id(obj) not in _KIND  # else at worst a NameError
                 and not isinstance(obj, (bytes, float, tuple, FuncType))):
             _fail(fn, f"name {name!r} is a dunder, unbound, or an (un)pack outside an access")
@@ -104,7 +111,12 @@ class _Checker:
                 names = []
                 for x in s.targets if t is ast.Assign else (s.target,):
                     for n in x.elts if type(x) is ast.Tuple else (x,):
-                        names.append(n.id) if type(n) is ast.Name else self.expr(n, tests, env)
+                        if type(n) is ast.Name:
+                            names.append(n.id)
+                        elif type(n) is ast.Subscript:  # only a typed view's item
+                            self.typed(n, {c for x in tests for c in _conj(x)}, True)
+                        else:
+                            self.expr(n, tests, env)
                 assigned.update(names)
                 self.expr(s.value, tests, env)
                 if any(n in _WATCHED or n[:2] == "_h" or g and (
@@ -128,6 +140,9 @@ class _Checker:
                 for name in inner:
                     env.pop(name, None)
                 tests = [] if inner & _WATCHED else tests
+            elif t is ast.For and g and body is g["top"]:
+                assigned |= self.pass_(s, tests, env)
+                tests = []
             elif t not in (ast.Break, ast.Continue, ast.Pass):
                 _fail(s, f"{t.__name__} statement")
         return assigned
@@ -143,7 +158,7 @@ class _Checker:
                 _fail(s, f"{t!r} assigned {value}")
             if g and t == g["iv"] and not (
                     simple and value == f"({t} + {g['step']})" and body is g["top"]
-                    and [_src(x) for x in body[i:]] == ["<Continue>"]):
+                    and [_src(x) for x in body[i:]] in (["<Continue>"], [])):
                 _fail(s, "counter written other than by its step, last")
         if simple and names[0] == "_a":
             env["_a"] = [_NONNEG.fullmatch(value)]
@@ -154,7 +169,9 @@ class _Checker:
     def expr(self, n, tests, env) -> None:
         t = type(n)
         kids = _KIDS.get(t)
-        if kids:
+        if t is ast.Subscript and _CAST.fullmatch(_src(n.value)):
+            self.typed(n, {c for x in tests for c in _conj(x)}, False)
+        elif kids:
             for k in kids(n):
                 if type(k) is ast.Name:
                     self.loads.add(k.id)
@@ -179,7 +196,7 @@ class _Checker:
                 self.expr(n.func, tests, env)
             self.expr(ast.Tuple(args), tests, env)
         elif t is ast.Attribute:
-            if n.attr[:2] == "__" or n.attr == "view":
+            if n.attr[:2] == "__" or n.attr in ("view", "cast"):
                 _fail(n, f"attribute {n.attr!r} outside an access or a binding")
             self.expr(n.value, tests, env)
         elif t is ast.NamedExpr and n.target.id == "_x":
@@ -212,25 +229,31 @@ class _Checker:
                 f"({iv} + (({span} // {step}) * {step}))":
             _fail(s, "guard does not stop at the last iteration")
         self.guards.add(h)
-        g = dict(iv=iv, z=z, step=step, at="", box={},
+        g = dict(iv=iv, z=z, step=step, at="", box={}, aligned={},
                  exit=[f"(not ({iv} {op} {n}))", "<Break>"])
         for c in conj[2:]:  # ``c <= e <= k``: e's value known to lie in [c, k]
             if m := re.fullmatch(r"\(\d+ <= (.+) <= (\d+)\)", c):
                 g["box"][m[1]] = min(int(m[2]), g["box"].get(m[1], PAGE_SIZE))
+            elif m := re.fullmatch(r"\(not \((_[bm]\d+) & (\d+)\)\)", c):  # a multiple of k+1
+                g["aligned"][m[1]] = g["aligned"].get(m[1], 0) | int(m[2])
         rest = body[i + 1:i + 3] + [s, s]
         bind = rest[0] if type(rest[0]) is ast.If else ast.If(ast.Name(h), [], [])
         loop = rest[1] if bind is rest[0] else rest[0]
         first, clear = (getattr(loop, "body", []) + [s, s])[:2]
         if [type(x) for x in (bind, loop, first)] != [ast.If, ast.While, ast.If] or \
                 [_src(bind.test), _src(loop.test), _conj(first.test)[0]] != [h, "True", h] or \
-                bind.orelse or loop.orelse or first.orelse or type(first.body[-1]) is not \
-                ast.Continue or _src(getattr(clear, "targets", [s])[0]) != h:
+                bind.orelse or loop.orelse or first.orelse or \
+                _src(getattr(clear, "targets", [s])[0]) != h:
             _fail(s, "guard is not followed by its views and a loop opening with its iteration")
         binds = " ".join(f"{_src(b.targets[0])} = {_src(b.value)};" if type(b) is ast.Assign
                          else "?" for b in bind.body)
-        found = re.findall(r"(_P\d+) = pages\[(_p\d+)\]; (_v\d+) = \1\.view;", binds)
-        g["views"] = {view: obj for obj, page, view in found if f"(0 <= {page} < npg)" in conj}
-        if len(g["views"]) * 2 != len(bind.body):
+        found = re.findall(r"(_P\d+) = pages\[(_p\d+)\]; (_v\d+) = \1\.view;((?: _c\d+[dIQ] = "
+                           r"\3\.cast\('[dIQ]'\);)*)", binds)
+        g["views"] = {view: obj for obj, page, view, _ in found if f"(0 <= {page} < npg)" in conj}
+        g["typed"] = {c: (g["views"][view], struct.calcsize(f)) for _, _, view, casts in found
+                      if view in g["views"] for c, f in re.findall(r"(_c\d+(\w)) = \S+\('\2'\)", casts)}
+        g["items"] = dict(re.findall(r"(_[ef]\d+) = (\(_[bm]\d+ >> \d\));", binds))
+        if len(g["views"]) * 2 + len(g["typed"]) + len(g["items"]) != len(bind.body):
             _fail(bind, "guarded iteration binds something other than views of checked pages")
         self.g, g["top"] = g, first.body
         assigned = self.block([first], [], {})
@@ -246,3 +269,38 @@ class _Checker:
         ends = (at, f"({m[1]} + ({g['z']} * {m[2]}))" if m and m[1] else at)
         if not m or max(g["box"].get(x, PAGE_SIZE) for x in ends) > PAGE_SIZE - size:
             _fail(call, "guard did not test this access at the first and last iteration")
+
+    def pass_(self, s, tests, env) -> set:
+        """``for iv in range(iv, min(<fuel>, z + 1), c)``: the tested iteration,
+        repeated for counter values from the guard's ``iv`` up to ``z``."""
+        g, it = self.g, s.iter
+        cap = it.args[1] if type(it) is ast.Call and len(it.args) == 3 else None
+        if _src(s.target) != g["iv"] or s.orelse or type(cap) is not ast.Call or it.keywords \
+                or cap.keywords or [_src(it.func), *map(_src, it.args[::2]), _src(cap.func),
+                                    len(cap.args)] != ["range", g["iv"], g["step"], "min", 2] \
+                or _src(cap.args[1]) != f"({g['z']} + 1)":
+            _fail(s, "pass is not capped at the guard's last iteration")
+        self.expr(cap.args[0], tests, env)
+        g["at"] = "tested"
+        inner = self.block(s.body, [], {})
+        g["at"] = ""
+        return inner
+
+    def typed(self, n, facts, store) -> None:
+        """``c[(B >> k) + iv * (S >> k)]`` in a pass: ``B + iv * S`` boxed at
+        ``iv`` and ``z``, ``B`` and ``S`` aligned to the view's items."""
+        g = self.g or {}
+        at = re.sub(r"_[ef]\d+", lambda x: g.get("items", {}).get(x[0], "?"), _src(n.slice))
+        obj, size = g.get("typed", {}).get(_src(n.value), ("", 0))
+        if not obj or g["at"] != "tested" or store and f"{obj}.writable" not in facts:
+            _fail(n, "typed access outside the tested pass or its writable test")
+        k, iv, mask = size.bit_length() - 1, g["iv"], size - 1
+        m = re.fullmatch(rf"\(\((_b\d+) >> {k}\) \+ (?:{iv}|\({iv} \* (\d+|\(-\d+\)|\((_m\d+) >> {k}\))\))\)"
+                         rf"|\((_b\d+) >> {k}\)", at)
+        b, sym = (m[1] or m[4], m[3]) if m else ("", "")
+        stride = int(m[2].strip("()")) * size if m and m[2] and not sym else size
+        stride = sym or (f"({stride})" if stride < 0 else str(stride))
+        ends = [f"({b} + ({v} * {stride}))" if m and m[1] else b for v in (iv, g["z"])]
+        if not m or any(g["aligned"].get(x, 0) & mask != mask for x in (b, sym) if x) or \
+                max(g["box"].get(x, PAGE_SIZE) for x in ends) > PAGE_SIZE - size:
+            _fail(n, "guard did not test this access aligned at the first and last iteration")

@@ -32,7 +32,7 @@ def test_reclaim_keeps_requested_floor():
         """
         export int main() {
             int acc = 0;
-            for (int i = 0; i < 60000; i = i + 1) { acc = acc + i; }
+            for (int i = 0; i < 150000; i = i + 1) { acc = acc + i; }
             return 0;
         }
         """,

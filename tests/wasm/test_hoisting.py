@@ -1,11 +1,12 @@
-"""Hoisted loop checks: the guarded iteration against the interpreter.
+"""Hoisted loop checks: the pass against the interpreter.
 
 An innermost counted loop runs whole iterations on page views bound once,
-behind an entry guard (``repro.wasm.compiled`` module doc). Hoisting is
-where SFI could break, so each way it could go wrong has a regression test
-here, and each test is also run against a seeded mutant of the lowering --
-compiled without the verifier, which would otherwise refuse it -- to show
-the test catches that mutant:
+behind an entry guard; one whose iteration is one superblock runs them as
+one ``for`` pass (``repro.wasm.compiled`` module doc). Each loop below takes
+the pass. Hoisting is where SFI could break, so each way it could go wrong
+has a regression test here, and each test is also run against a seeded
+mutant of the lowering -- compiled without the verifier, which would
+otherwise refuse it -- to show the test catches that mutant:
 
 * a guest thread preempted inside a guarded loop while another thread
   copies a copy-on-write page the loop reads (mutant: the loop keeps taking
@@ -14,6 +15,10 @@ the test catches that mutant:
   (mutant: stores hoisted without any ``writable`` test);
 * a loop whose last iteration is out of bounds (mutant: the guard omits the
   upper end at the last iteration).
+
+The Polybench kernels the end-to-end benchmark runs are pinned to the
+interpreter through passes that fuel cuts short, with typed page views and
+with the ``unpack_from`` form a big-endian host would get.
 """
 
 import re
@@ -21,6 +26,7 @@ import struct
 
 import pytest
 
+from repro.apps.kernels import KERNELS
 from repro.faaslet import Faaslet, FunctionDefinition
 from repro.faaslet.threads import GuestThreadRuntime
 from repro.host import StandaloneEnvironment
@@ -30,6 +36,7 @@ from repro.wasm import (
     HostFunc,
     I32,
     LinearMemory,
+    OutOfFuel,
     Trap,
     compile_module,
     instantiate,
@@ -58,6 +65,11 @@ def _mutate(monkeypatch, pattern, repl):
 def _guarded(module):
     """The generated source of every function of ``module``."""
     return "".join(compiled._Lowering(fn, module).run() for fn in compile_module(module))
+
+
+def _passes(module):
+    """How many loops of ``module`` run as a pass."""
+    return len(re.findall(r"^ +for L\d+ in range\(", _guarded(module), re.M))
 
 
 # ----------------------------------------------------------------------
@@ -125,7 +137,7 @@ def _threaded(tier):
 
 @pytest.mark.parametrize("lowering", ["hoisted", "mutant"])
 def test_preempted_reader_sees_the_copied_page(monkeypatch, lowering):
-    assert "_h" in _guarded(parse_module(_THREADS))  # the reader's loop is hoisted
+    assert _passes(parse_module(_THREADS)) == 2  # the reader's and the writer's loops
     interp = _threaded("interp")
     assert 0 < interp[0] < 12 * 64 and interp[1] == 2  # ones read only after the copy
     if lowering == "mutant":  # guarded iterations go on once the loop left them
@@ -165,7 +177,7 @@ def _pushed(tier):
 
 @pytest.mark.parametrize("lowering", ["hoisted", "mutant"])
 def test_store_to_protected_state_page_notifies_and_pushes(monkeypatch, lowering):
-    assert "_h" in _guarded(build(_STATE))
+    assert _passes(build(_STATE)) >= 1 and ".cast('d')" in _guarded(build(_STATE))
     expected = b"".join(struct.pack("<d", i + 0.25) for i in range(64))
     assert _pushed("interp") == expected
     if lowering == "mutant":  # no writable test at the guard or at the store
@@ -208,6 +220,7 @@ def _past_end(tier, n):
 
 @pytest.mark.parametrize("lowering", ["hoisted", "mutant"])
 def test_last_iteration_out_of_bounds_traps_at_the_same_instruction(monkeypatch, lowering):
+    assert _passes(parse_module(_PAST_END)) == 1
     assert _past_end("compiled", 100) == _past_end("interp", 100)  # in bounds: hoisted
     interp = _past_end("interp", 200)
     assert interp[0] == ("raised", "OutOfBoundsMemoryAccess")
@@ -237,3 +250,42 @@ def test_every_fuel_limit_matches_through_a_guarded_loop(n):
             per_tier.append((outcome, inst.fuel, inst.instructions_executed,
                              inst.memory.read(65000, 536)))
         assert per_tier[0] == per_tier[1]
+
+
+# ----------------------------------------------------------------------
+# The benchmark's kernels: unmetered, and cut short inside a pass
+# ----------------------------------------------------------------------
+
+_KERNELS = [("jacobi-1d", 48), ("atax", 48), ("2mm", 14)]
+
+
+def _kernel(name, n, tier, fuel):
+    module = build(KERNELS[name].source)
+    inst = instantiate(module, tier=tier, fuel=fuel, precompiled=compile_module(module))
+    try:
+        outcome = inst.invoke("kernel", n)
+    except OutOfFuel:
+        outcome = "OutOfFuel"
+    return outcome, inst.instructions_executed, inst.fuel
+
+
+@pytest.mark.parametrize("name, n", _KERNELS)
+def test_kernels_match_through_passes_cut_by_fuel(name, n):
+    """Unmetered, and at a third, a half and two thirds of the run: each of
+    those limits runs out in a loop whose pass fuel had cut short."""
+    whole = _kernel(name, n, "interp", None)
+    assert _kernel(name, n, "compiled", None) == whole and _passes(build(KERNELS[name].source)) >= 3
+    for fuel in (whole[1] // 3, whole[1] // 2, 2 * whole[1] // 3):
+        cut = _kernel(name, n, "interp", fuel)
+        assert cut[0] == "OutOfFuel" and _kernel(name, n, "compiled", fuel) == cut
+
+
+def test_struct_form_on_a_big_endian_host(monkeypatch):
+    """Without native little-endian items the pass keeps ``unpack_from``
+    and ``pack_into``, with the same results."""
+    typed = {name: _kernel(name, n, "compiled", None) for name, n in _KERNELS}
+    monkeypatch.setattr(compiled, "_TYPED", {})
+    for name, n in _KERNELS:
+        source = _guarded(build(KERNELS[name].source))
+        assert ".cast(" not in source and re.search(r"_k\d+\(_v\d+, _b\d+", source)
+        assert _kernel(name, n, "compiled", None) == typed[name]

@@ -217,8 +217,13 @@ class _Typed:
 
     def address(self, shift, layout):
         """``base + (iv << shift)``, the base a constant or an unwritten
-        local: affine in the counter, as the guarded copy needs."""
-        base = [Instr("i32.const", (self.pick(_M_BASES[layout]),))]
+        local: affine in the counter, as the guard needs. One draw in five
+        moves the base, or narrows the stride, off the access width: the
+        pass must read that access through ``unpack_from`` or not run."""
+        skew = self.pick([0] * 4 + [1, 2, 6]) if self.int(0, 4) == 0 else 0
+        if skew == 0 and self.int(0, 4) == 0:
+            shift = self.int(0, shift - 1)
+        base = [Instr("i32.const", (self.pick(_M_BASES[layout]) + skew,))]
         if self.int(0, 3) == 0:
             base += [Instr("local.get", (0,)), Instr("i32.const", (8,)),
                      Instr("i32.mul"), Instr("i32.add")]
@@ -229,7 +234,7 @@ class _Typed:
         """A counted loop in the shape ``for`` compiles to, loading and
         storing i32/f64 at addresses affine in the counter. The draws span
         ranges inside a page, across pages and past memory, counters near
-        2**31, and bodies the guarded copy must refuse: ``memory.grow``, a
+        2**31, and bodies the lowering must not hoist: ``memory.grow``, a
         call, or a store to the loop's own bound."""
         cmp = self.pick(["i32.lt_s", "i32.le_s", "i32.lt_u", "i32.le_u"])
         if cmp.endswith("_u") and self.int(0, 3) == 0:
@@ -255,6 +260,10 @@ class _Typed:
                 [*self.address(3, layout), Instr("local.get", (_IV,)),
                  Instr("f64.convert_i32_s"), Instr("f64.store", (self.pick([0, 16]),))],
             ])
+        if self.int(0, 4) == 0:  # ``7 % (iv - k)``: traps in the middle of a pass
+            body += [Instr("i32.const", (7,)), Instr("local.get", (_IV,)),
+                     Instr("i32.const", ((start + step * self.int(1, 3)) % 2**32,)), Instr("i32.sub"),
+                     Instr("i32.rem_s"), Instr("drop")]
         grow = [Instr("i32.const", (1,)), Instr("memory.grow"), Instr("drop")]
         if self.int(0, 4) == 0:
             body += self.pick([
@@ -267,6 +276,13 @@ class _Typed:
                 Instr("br_if", (1,))]
         tail = [Instr("local.get", (_IV,)), Instr("i32.const", (step,)), Instr("i32.add"),
                 Instr("local.set", (_IV,)), Instr("br", (0,))]
+        # As a function's whole body: instructions before ``loop``, per
+        # iteration, and how many iterations the exit test admits.
+        last = (bound + (len(limit) == 3)) % 2**32
+        signed = (lambda x: x - 2**32 * (x >= 2**31)) if cmp.endswith("_s") else (lambda x: x)
+        runs = lambda x: signed(x) <= signed(last) if "le" in cmp else signed(x) < signed(last)
+        r = next(k for k in range(60) if not runs((start + k * step) % 2**32) or k == 59)
+        self.shape = (5 + 3 * (layout == "straddle"), 1 + len(head + body + tail), r)
         return [*grow * (layout == "straddle"),  # page 1 exists to straddle into
                 Instr("i32.const", (bound,)), Instr("local.set", (_BOUND,)),
                 Instr("i32.const", (start,)), Instr("local.set", (_IV,)),
@@ -447,6 +463,25 @@ def test_typed_programs_fuel_sweep(program):
     n = _observe(module, "interp", None)["executed"]
     for fuel in sorted({0, 1, 2, 3, n // 3, n // 2, max(n - 1, 0), n, n + 1}):
         _assert_tiers_agree(module, fuel)
+
+
+@st.composite
+def _loops(draw):
+    typed = _Typed(draw, 0)
+    return typed.memory_loop(), typed.shape
+
+
+@given(_loops())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_fuel_limits_inside_a_pass(program):
+    """A pass runs the ``q`` of its ``r`` iterations that fuel pays for:
+    limits that make ``q`` 1, ``r - 1`` and ``r`` (and one instruction
+    either side) leave both tiers in the same state."""
+    body, (before, per, r) = program
+    module = _build_typed_module(body, ())
+    for q in {1, r - 1, r}:
+        for fuel in range(before + q * per - 1, before + q * per + 2):
+            _assert_tiers_agree(module, max(fuel, 0))
 
 
 @pytest.mark.parametrize("name", sorted(KERNELS))

@@ -62,7 +62,7 @@ def _guest_sources(*paths):
 def test_corpus_verifies_with_no_fallback():
     fallbacks = GLOBAL_CODE_CACHE.metrics.counter("wasm.compile_fallbacks", cause="unverified")
     guards = sum(_verified(build(k.source)) for k in KERNELS.values())
-    assert guards >= 40  # most innermost Polybench loops take the guarded copy
+    assert guards >= 40  # most innermost Polybench loops are guarded (most run as a pass)
     _verified(build(INTERPRETER_SRC))
     examples = _guest_sources(*sorted((_ROOT / "examples").glob("*.py")))
     programs = _guest_sources(*sorted((_ROOT / "tests" / "minilang").glob("*.py")))
@@ -94,8 +94,8 @@ _UNSAFE = {  # name: (pattern, replacement, what the verifier says)
     # z one step short: the guard never looks at the last iteration.
     "guard-skips-last-iteration": (r"(_z\d+ = L\d+ \+ \(_n\d+) - 1 - ", r"\1 - 2 - ",
                                    "last iteration"),
-    # The access strides 16 bytes where the guard checked 8.
-    "hoisted-form-differs-from-guard": (r"(\(_v\d+, _b\d+ \+ L\d+ \* )8\)", r"\g<1>16)",
+    # The access reads one item past the offset the guard checked.
+    "hoisted-form-differs-from-guard": (r"(_c\d+d\[_e\d+ \+ L\d+)\]", r"\1 + 1]",
                                         "did not test this access"),
     # A call inside the guarded iteration could run other guest code.
     "call-in-guarded-loop": (r"^( +)((L\d+) = \(\3 \+ 1\))$",
@@ -103,10 +103,10 @@ _UNSAFE = {  # name: (pattern, replacement, what the verifier says)
     # Builtins and the instance's class are out of reach.
     "reachable-import": (r"^(def f\(.*\):)$", r"\1\n    __import__('os')", "dunder"),
     "reachable-class": (r"^(def f\(.*\):)$", r"\1\n    _c = inst.__class__", "__class__"),
-    # A hoisted load copied above its exit test runs with iv one past the end.
+    # A hoisted load copied above its pass runs at a counter the pass never tested.
     "hoisted-before-exit-test": (
         r"(?s)(if _h\d+ and ex \+ \d+ <= lim:\n)( +)((?:(?!if _h\d).)*?)"
-        r"(_t\d+ = _k\d+\(_v\d+, [^\n]*\n)", r"\1\2\4\2\3\4", "outside the tested"),
+        r"(_t\d+ = _c\d+d\[[^\n]*\n)", r"\1\2\4\2\3\4", "outside the tested"),
     # A view of a page the guard never bounded.
     "view-of-unchecked-page": (r"_P(\d+) = pages\[_p\1\]", r"_P\1 = pages[_p\1 + 1]",
                                "checked pages"),
@@ -115,6 +115,24 @@ _UNSAFE = {  # name: (pattern, replacement, what the verifier says)
                                 "counter written"),
     # Re-arming the guard inside the loop would re-enter with stale views.
     "guard-re-armed": (r"^( +)(_h\d+) = 0$", r"\1\2 = 1", "assigned 1"),
+    # A pass without its cap at z runs as far as fuel lasts.
+    "pass-without-cap": (r"min\(([^,\n]+), _z\d+ \+ 1\)", r"\1", "capped"),
+    # A pass whose range ends one step late runs one iteration past z.
+    "pass-past-last": (r"(range\(.*, _z\d+ \+ )1\)", r"\g<1>2)", "capped"),
+    # A typed index whose base the guard never aligned reads the wrong item.
+    "typed-index-unaligned": (r" and not _b\d+ & 7", "", "aligned"),
+    # A typed store that skips Page.writable would write a protected page.
+    "typed-store-outside-writable": (r"^( +)if _P(\d+)\.writable:(\n +_c\2d\[)", r"\1if True:\3",
+                                     "writable test"),
+    # A typed view of a page the guard never bounded.
+    "typed-view-of-unchecked-page": (r"(_c(\d+)d) = _v\2\.cast", r"\1 = pages[_p\2 + 1].view.cast",
+                                     "checked pages"),
+    # The typed access strides two items where the guard checked one.
+    "typed-stride-wider": (r"(_c\d+d\[_e\d+ \+ )(L\d+)\]", r"\1\2 * 2]",
+                           "did not test this access"),
+    # Only the ``for`` steps the counter inside a pass.
+    "counter-written-in-pass": (r"^( +)(for (L\d+) in range\(.*:)$", r"\1\2\n\1    \3 = (\3 + 1)",
+                                "counter written"),
     # A raw view subscript bypasses every bounds test.
     "raw-view-read": (r"^(def f\(.*\):)$", r"\1\n    _t99 = inst.memory.pages[0].view[0]",
                       "'view'"),
