@@ -359,6 +359,19 @@ class Faaslet:
         self.input_data = b""
         self.output_data = b""
 
+    @property
+    def worn(self) -> bool:
+        """Whether the guest has grown its memory through half the headroom
+        its Proto-Faaslet left below the cap. A heap that never frees
+        (minilang's bump allocator) reaches the cap after enough warm calls,
+        and every call after that traps; reset then gives back the snapshot,
+        as a restore onto a fresh Faaslet would."""
+        memory = self.instance.memory
+        if self.proto is None or memory is None:
+            return False
+        start = len(self.proto.frozen_pages)
+        return memory.size_pages - start > (self.definition.max_pages - start) // 2
+
     def close(self) -> None:
         """Tear the Faaslet down: drop the instance (its materialised
         pages), the linked imports, dlopen handles and the thread runtime.

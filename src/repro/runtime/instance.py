@@ -546,7 +546,7 @@ class FaasmRuntimeInstance:
 
     def _release_faaslet(self, function: str, faaslet: Faaslet) -> None:
         self.cgroup.charge(faaslet.name, faaslet.instance.instructions_executed)
-        if self.reset_between_calls and faaslet.proto is not None:
+        if (self.reset_between_calls and faaslet.proto is not None) or faaslet.worn:
             faaslet.reset()
         with self._mutex:
             self._warm.setdefault(function, []).append(faaslet)

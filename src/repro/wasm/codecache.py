@@ -41,8 +41,9 @@ _KEY_ATTR = "_codecache_key"
 #: vector ISA (v128), shared-memory atomics and the guest-thread ops; "3"
 #: replaced closure-threaded blocks with whole-function compiled code;
 #: "4" checks an innermost counted loop's range once per entry (its guard),
-#: and runs a guarded iteration that is one superblock as one ``for`` pass.
-ISA_VERSION = "repro-isa-4"
+#: and runs a guarded iteration that is one superblock as one ``for`` pass;
+#: "5" divides with the Python operator where its result is the wasm one.
+ISA_VERSION = "repro-isa-5"
 
 
 def module_key(module: Module) -> str:

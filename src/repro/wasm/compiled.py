@@ -27,8 +27,11 @@ Lowering rules
   consumers; anything that can trap or touch shared state (loads, stores,
   div/rem, float→int truncation, globals, ``memory.*``) is materialised
   eagerly, in flat-code order, so effects and trap points are those of the
-  reference interpreter. Values that are live across a control edge sit in
-  ``s<height>`` (stack heights are static after validation).
+  reference interpreter. Division is the Python operator where that is the
+  wasm result (signed: ``a < 2**(n-1)`` and ``0 < b < 2**(n-1)``; unsigned
+  and f64: ``b`` nonzero) and the ``BINOPS`` function, with its trap, else.
+  Values that are live across a control edge sit in ``s<height>`` (stack
+  heights are static after validation).
 
 * **Fuel is charged once per superblock** (a maximal straight-line flat
   range ending at a control transfer, a call, ``memory.atomic.wait32`` or a
@@ -213,8 +216,7 @@ for _name, _sym in (("eq", "=="), ("ne", "!="), ("lt", "<"), ("gt", ">"),
     _INLINE_BINOPS[f"f64.{_name}"] = _INLINE_BINOPS[f"f32.{_name}"]
 for _name, _sym in (("add", "+"), ("sub", "-"), ("mul", "*")):
     # f64 arithmetic is raw IEEE double — exactly Python float arithmetic.
-    # f32 needs the to_f32 rounding call, so it is not inlined; f64.div
-    # has zero-divisor special cases, ditto.
+    # f32 needs the to_f32 rounding call, so it is not inlined.
     _INLINE_BINOPS[f"f64.{_name}"] = (
         lambda a, b, _sym=_sym: f"({a} {_sym} {b})"
     )
@@ -236,14 +238,16 @@ _INLINE_UNOPS: dict = {
     "f64.promote_f32": lambda a: f"({a})",
 }
 
-#: Operators that can trap; their results are materialised eagerly so the
-#: trap fires in flat-code order relative to stores and other effects.
-_TRAPPING_OPS = frozenset(
-    [f"{t}.{o}" for t in ("i32", "i64")
-     for o in ("div_s", "div_u", "rem_s", "rem_u")]
-    + [f"{t}.trunc_f{s}_{g}" for t in ("i32", "i64")
-       for s in (32, 64) for g in ("s", "u")]
-)
+#: Unary operators that can trap; their results are materialised eagerly so
+#: the trap fires in flat-code order relative to stores and other effects.
+_TRAPPING_OPS = frozenset(f"{t}.trunc_f{s}_{g}" for t in ("i32", "i64")
+                          for s in (32, 64) for g in ("s", "u"))
+
+#: op → (Python operator, signed bias or ""): the operator is the wasm result
+#: when the divisor is nonzero and, for a signed op, both operands are below
+#: the bias; otherwise the BINOPS function runs (traps; f64.div by ±0.0).
+_DIVISION = {f"{t}.{o}{g}": (pyop, bias if g == "_s" else "") for t, bias in (("i32", _S32), ("i64", _S64))
+             for o, pyop in (("div", "//"), ("rem", "%")) for g in ("_s", "_u")} | {"f64.div": ("/", "")}
 
 
 class _TooDeep(Exception):
@@ -944,14 +948,17 @@ class _Lowering:
             self.push(_INLINE_BINOPS[op](a.expr, b.expr), a, b, wraps=wraps)
         elif self.hoist and pc == self.hoist[1]:  # ``iv < n`` on plain ints
             sym[-2:] = [_Val(self.hoist[2], frozenset((self.hoist[0],)))]
+        elif op in _DIVISION:  # both operands are named twice
+            pyop, bias = _DIVISION[op]
+            y, x = self.as_atom(self.pop()).expr, self.as_atom(self.pop()).expr
+            test = f"{x} < {bias} and 0 < {y} < {bias}" if bias else y
+            self.push_now(f"({x} {pyop} {y} if {test} else {self.bind(BINOPS[op])}({x}, {y}))")
         elif op in BINOPS:
             b = self.pop()
             a = self.pop()
             tpl = _INLINE_BINOPS.get(op)
             if tpl is not None:
                 self.push(tpl(a.expr, b.expr), a, b)
-            elif op in _TRAPPING_OPS:
-                self.push_now(f"{self.bind(BINOPS[op])}({a.expr}, {b.expr})")
             else:
                 self.push(f"{self.bind(BINOPS[op])}({a.expr}, {b.expr})", a, b)
         elif op in UNOPS:

@@ -306,16 +306,6 @@ class LinearMemory:
         """Set ``size`` bytes starting at ``addr`` to ``value``."""
         self.write(addr, bytes([value & 0xFF]) * size)
 
-    def read_cstring(self, addr: int, max_len: int = 1 << 20) -> bytes:
-        """Read a NUL-terminated byte string (for host-interface paths)."""
-        out = bytearray()
-        while len(out) < max_len:
-            b = self.read(addr + len(out), 1)
-            if b == b"\x00":
-                return bytes(out)
-            out += b
-        raise OutOfBoundsMemoryAccess(addr, max_len, self.size_bytes)
-
     # ------------------------------------------------------------------
     # Typed access (used by the interpreter's load/store ops)
     # ------------------------------------------------------------------

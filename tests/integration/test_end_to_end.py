@@ -127,6 +127,22 @@ def test_reset_between_calls_isolates_tenants():
     assert outputs == [b"1", b"1", b"1"]
 
 
+def test_a_worn_warm_faaslet_is_reset_before_its_heap_reaches_the_cap():
+    """minilang's heap never frees, so every warm call grows memory by a
+    page here; past half the headroom below the cap the Faaslet is reset on
+    release, so no call runs out of memory."""
+    leaky_src = """
+    export int main() {
+        float[] scratch = new float[8192];
+        scratch[0] = 1.0;
+        return 0;
+    }
+    """
+    cluster = FaasmCluster(n_hosts=1)
+    cluster.upload("leaky", leaky_src, max_pages=8)
+    assert [cluster.invoke("leaky")[0] for _ in range(24)] == [0] * 24
+
+
 def test_upload_stores_disassembly():
     cluster = FaasmCluster(n_hosts=1)
     cluster.upload("fn", "export int main() { return 0; }")

@@ -9,6 +9,10 @@ memory, globals, remaining fuel and ``instructions_executed`` must all
 match, including on every early-exit path a fuel limit can produce.
 """
 
+import math
+import struct
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,15 +24,20 @@ from repro.wasm import (
     FuncType,
     HostFunc,
     I32,
+    I64,
     Instr,
     ModuleBuilder,
     OutOfFuel,
     Trap,
     ValidationError,
+    compile_module,
     instantiate,
+    ops,
     validate_module,
+    values,
 )
 from repro.wasm.codecache import GLOBAL_CODE_CACHE
+from repro.wasm.compiled import _Lowering
 
 # ----------------------------------------------------------------------
 # Random-program generator (superset of the soundness-fuzz pool: adds the
@@ -178,7 +187,8 @@ _PARAMS, _COUNTER = 2, 5  # locals 0-1 params, 2-4 scratch, 5 back-edge budget
 _BACK_EDGES = 6
 _T_BIN = ["i32.add", "i32.sub", "i32.mul", "i32.and", "i32.or", "i32.xor",
           "i32.shl", "i32.shr_u", "i32.shr_s", "i32.lt_s", "i32.lt_u",
-          "i32.ge_s", "i32.eq", "i32.ne", "i32.div_u", "i32.rem_s"]
+          "i32.ge_s", "i32.eq", "i32.ne", "i32.div_s", "i32.div_u", "i32.rem_s",
+          "i32.rem_u"]
 
 
 _T_KINDS = (["push", "bin", "nest", "br_if"] * 4 + ["un", "set", "tee", "drop",
@@ -260,10 +270,14 @@ class _Typed:
                 [*self.address(3, layout), Instr("local.get", (_IV,)),
                  Instr("f64.convert_i32_s"), Instr("f64.store", (self.pick([0, 16]),))],
             ])
-        if self.int(0, 4) == 0:  # ``7 % (iv - k)``: traps in the middle of a pass
-            body += [Instr("i32.const", (7,)), Instr("local.get", (_IV,)),
-                     Instr("i32.const", ((start + step * self.int(1, 3)) % 2**32,)), Instr("i32.sub"),
-                     Instr("i32.rem_s"), Instr("drop")]
+        if self.int(0, 4) == 0:
+            # ``x op (iv - k)``, x 7 or INT_MIN: the divisor is 0 or -1 in the
+            # middle of a pass, where the division takes its fallback arm.
+            k = start + step * self.int(1, 3) + self.int(0, 1)
+            body += [Instr("i32.const", (self.pick([7, 2**31]),)), Instr("local.get", (_IV,)),
+                     Instr("i32.const", (k % 2**32,)), Instr("i32.sub"),
+                     Instr(self.pick(["i32.rem_s", "i32.div_s", "i32.rem_u", "i32.div_u"])),
+                     Instr("drop")]
         grow = [Instr("i32.const", (1,)), Instr("memory.grow"), Instr("drop")]
         if self.int(0, 4) == 0:
             body += self.pick([
@@ -482,6 +496,111 @@ def test_fuel_limits_inside_a_pass(program):
     for q in {1, r - 1, r}:
         for fuel in range(before + q * per - 1, before + q * per + 2):
             _assert_tiers_agree(module, max(fuel, 0))
+
+
+# ----------------------------------------------------------------------
+# Division corner table. Integer div/rem and f64.div lower to the Python
+# operator behind a test and otherwise call the BINOPS function, which
+# traps (or, for f64.div, handles a zero divisor). Every pair of boundary
+# operands goes through both tiers: straight-line, against a constant
+# divisor, and inside a counted loop that runs as a ``for`` pass.
+# ----------------------------------------------------------------------
+
+_DIVISIONS = [f"{t}.{o}" for t in ("i32", "i64")
+              for o in ("div_s", "div_u", "rem_s", "rem_u")] + ["f64.div"]
+_F_CORNERS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308, 1e-308]
+
+
+def _corners(op):
+    """0, ±1, ±2, 7, INT_MIN, INT_MIN+1, INT_MAX and UINT_MAX, canonical."""
+    if op == "f64.div":
+        return _F_CORNERS
+    m = 2 ** (32 if op[:3] == "i32" else 64)
+    return sorted({x % m for x in (0, 1, -1, 2, -2, 7, -m // 2, -m // 2 + 1, m // 2 - 1, m - 1)})
+
+
+def _division_module(op):
+    """``line(a, b)``, ``loop(a, b, n)`` (``a op b`` n times in a counted
+    loop) and ``by<k>(a)`` (``a op`` the k-th corner, a constant)."""
+    t = {"i32": I32, "i64": I64, "f64": F64}[op[:3]]
+    const = f"{op[:3]}.const"
+    builder = ModuleBuilder()
+    args = [Instr("local.get", (0,)), Instr("local.get", (1,))]
+    builder.add_function("line", FuncType((t, t), (t,)), [], [*args, Instr(op)], export=True)
+    iv, r = 3, 4
+    builder.add_function("loop", FuncType((t, t, I32), (t,)), [I32, t], [
+        Instr("block", (BlockType(), [Instr("loop", (BlockType(), [
+            Instr("local.get", (iv,)), Instr("local.get", (2,)), Instr("i32.lt_s"),
+            Instr("i32.eqz"), Instr("br_if", (1,)),
+            *args, Instr(op), Instr("local.set", (r,)),
+            Instr("local.get", (iv,)), Instr("i32.const", (1,)), Instr("i32.add"),
+            Instr("local.set", (iv,)), Instr("br", (0,)),
+        ]))])),
+        Instr("local.get", (r,)),
+    ], export=True)
+    for k, b in enumerate(_corners(op)):
+        builder.add_function(f"by{k}", FuncType((t,), (t,)), [],
+                             [Instr("local.get", (0,)), Instr(const, (b,)), Instr(op)], export=True)
+    module = builder.build()
+    validate_module(module)
+    return module
+
+
+def _division(module, tier, entry, *args):
+    inst = instantiate(module, validated=True, fuel=10_000, tier=tier)
+    try:
+        r = inst.invoke(entry, *args)
+        outcome = ("ok", struct.pack("<d", r) if isinstance(r, float) else r)
+    except Trap as trap:
+        outcome = ("trap", type(trap).__name__)
+    return outcome, inst.fuel, inst.instructions_executed
+
+
+@pytest.mark.parametrize("op", _DIVISIONS)
+def test_division_corner_table(op):
+    module = _division_module(op)
+    # The loop is an innermost counted loop in one superblock: a pass.
+    assert "for L3 in range(" in _Lowering(compile_module(module)[1], module).run()
+    corners = _corners(op)
+    calls = [(e, a, b, *x) for a in corners for b in corners
+             for e, x in (("line", ()), ("loop", (3,)))]
+    calls += [(f"by{k}", a) for a in corners for k in range(len(corners))]
+    traps = set()
+    for call in calls:
+        interp = _division(module, "interp", *call)
+        assert _division(module, "compiled", *call) == interp, call
+        traps.add(interp[0][1] if interp[0][0] == "trap" else None)
+    expected = {"div_s": {"IntegerDivideByZero", "IntegerOverflow"}, "div": set()}.get(
+        op[4:], {"IntegerDivideByZero"})
+    assert traps - {None} == expected
+
+
+def test_kernels_never_leave_the_division_fast_path(monkeypatch):
+    """No Polybench kernel reaches a division helper on the compiled tier,
+    at its default size or at the ``poly-exec`` workload's."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("div_s", "div_u", "rem_s", "rem_u"):
+        monkeypatch.setattr(values, name, counting(name, getattr(values, name)))
+    monkeypatch.setattr(ops, "_fdiv", counting("_fdiv", ops._fdiv))
+    instantiate(build(KERNELS["atax"].source), tier="interp").invoke("kernel", 4)
+    assert calls["rem_s"] and calls["_fdiv"]  # the wrappers are the ones called
+    calls.clear()
+    workload = {"jacobi-1d": 48, "atax": 48, "2mm": 14}  # its checksums are bit-exact
+    for name in sorted(KERNELS):
+        kernel = KERNELS[name]
+        module = build(kernel.source)
+        for n in {kernel.default_n, workload.get(name, kernel.default_n)}:
+            result = instantiate(module, tier="compiled").invoke("kernel", n)
+            assert result == pytest.approx(kernel.native(n), rel=1e-12, abs=1e-12), name
+            assert workload.get(name) != n or result == kernel.native(n), name
+    assert not calls
 
 
 @pytest.mark.parametrize("name", sorted(KERNELS))
