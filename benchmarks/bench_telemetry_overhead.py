@@ -67,10 +67,7 @@ def test_telemetry_overhead():
         ("sampled-0.1", Telemetry(enabled=True, sample_rate=0.1)),
         (
             "mined+profiled",
-            Telemetry(
-                enabled=True, sample_rate=1.0, mine_profiles=True,
-                guest_profiler=True, slos=True,
-            ),
+            Telemetry(enabled=True, sample_rate=1.0, per_function=True),
         ),
     ]
     rows = []

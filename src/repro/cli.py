@@ -578,10 +578,7 @@ def _observability_cluster(hosts: int):
     from repro.runtime import FaasmCluster
     from repro.telemetry import Telemetry
 
-    telemetry = Telemetry(
-        enabled=True, mine_profiles=True, guest_profiler=True,
-        slos=True, profiler_interval=16,
-    )
+    telemetry = Telemetry(enabled=True, per_function=True)
     cluster = FaasmCluster(n_hosts=hosts, telemetry=telemetry)
     cluster.register_python("pipeline", _pipeline_fn)
     cluster.register_python("stage", _stage_fn)
@@ -688,14 +685,12 @@ def cmd_profiles(args) -> int:
                 {fn: p.to_dict() for fn, p in loaded.items()}, indent=2
             ))
         else:
-            miner = cluster.profiles
             table, sections = _function_view(
                 loaded, cluster.telemetry.slos.report(), digests
             )
             print(_render([
                 f"{len(digests)} profile(s) persisted content-addressed"
-                f" ({miner.spans_mined} spans folded,"
-                f" {miner.buffered_spans()} still buffered)",
+                f" ({cluster.profiles.spans_mined} spans folded)",
                 table,
                 *sections,
             ]), end="")
@@ -982,8 +977,7 @@ def main(argv: list[str] | None = None) -> int:
                        help="invoke entry with integer args instead of call I/O")
     tiered = argparse.ArgumentParser(add_help=False, parents=[guest])
     tiered.add_argument("--tier", choices=TIERS,
-                        help="execution tier (default: compiled, or "
-                             "$REPRO_WASM_TIER)")
+                        help="execution tier (default: compiled)")
     # ... and the cluster commands a cluster size, a JSON switch, and the
     # observability ones a number of demo rounds.
     cluster = argparse.ArgumentParser(add_help=False)

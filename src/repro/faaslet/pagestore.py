@@ -373,10 +373,6 @@ class HostSnapshotCache:
             self.store.clear()
 
     # ------------------------------------------------------------------
-    def cached_functions(self) -> list[str]:
-        with self._lock:
-            return sorted(self._protos)
-
     def stats(self) -> dict:
         out = self.store.stats()
         with self._lock:

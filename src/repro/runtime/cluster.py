@@ -37,6 +37,7 @@ from contextlib import ExitStack, nullcontext
 from repro.host.filesystem import GlobalObjectStore
 from repro.state.kv import GlobalStateStore
 from repro.telemetry import ProfileStore, Telemetry, export as telemetry_export
+from repro.telemetry.openmetrics import render_openmetrics
 
 from .bus import ExecuteBatch, MessageBus, Shutdown
 from .calls import CallRecord, InvocationRegistry
@@ -101,8 +102,6 @@ class FaasmCluster:
         #: Content-addressed persistence for mined access profiles
         #: (``profiles/<fn>/<digest>.json`` in the object store).
         self.profile_store = ProfileStore(self.object_store)
-        self._metrics_endpoint = None
-        self._metrics_endpoint_lock = threading.Lock()
         self.registry = FunctionRegistry(
             self.object_store, metrics=self.telemetry.metrics
         )
@@ -512,11 +511,11 @@ class FaasmCluster:
         return snapshot
 
     # ------------------------------------------------------------------
-    # Access profiles (trace miner) and the OpenMetrics endpoint
+    # Access profiles (trace miner) and the OpenMetrics scrape
     # ------------------------------------------------------------------
     @property
     def profiles(self):
-        """The trace miner (``Telemetry(mine_profiles=True)``), or None."""
+        """The trace miner (``Telemetry(per_function=True)``), or None."""
         return self.telemetry.profiles
 
     def persist_profiles(self) -> dict[str, str]:
@@ -535,22 +534,9 @@ class FaasmCluster:
         round-trip path ``repro profiles`` reads)."""
         return self.profile_store.load(function, digest)
 
-    def metrics_endpoint(self):
-        """The OpenMetrics scrape endpoint on the bus (created on first
-        use; shut down with the cluster)."""
-        from repro.telemetry.openmetrics import MetricsEndpoint
-
-        with self._metrics_endpoint_lock:
-            if self._metrics_endpoint is None:
-                self._metrics_endpoint = MetricsEndpoint(
-                    self.bus, self.telemetry.metrics
-                )
-            return self._metrics_endpoint
-
-    def scrape_metrics(self, timeout: float = 5.0) -> str:
-        """One OpenMetrics exposition, fetched over the message bus the
-        way a Prometheus scrape would arrive."""
-        return self.metrics_endpoint().scrape(timeout=timeout)
+    def scrape_metrics(self) -> str:
+        """One OpenMetrics exposition of the cluster's registry."""
+        return render_openmetrics(self.telemetry.metrics)
 
     def trace_spans(self):
         """All spans recorded by this cluster's tracer."""
@@ -596,10 +582,6 @@ class FaasmCluster:
         if self.autoscaler is not None:
             self.autoscaler.stop()
         self.monitor.stop()
-        with self._metrics_endpoint_lock:
-            if self._metrics_endpoint is not None:
-                self._metrics_endpoint.shutdown()
-                self._metrics_endpoint = None
         for instance in self.instances:
             try:
                 self.bus.send(instance.host, Shutdown())

@@ -45,6 +45,7 @@ lands first), then serves.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import deque
@@ -70,6 +71,15 @@ class TenantSpec:
     #: "defer" (backpressure — the caller may resubmit) or "shed" (drop).
     on_full: str = "defer"
 
+    def __post_init__(self):
+        where = f"tenant {self.name!r}:"
+        if not (math.isfinite(self.weight) and self.weight > 0):
+            raise ValueError(f"{where} weight {self.weight!r} is not finite and > 0")
+        if self.queue_limit < 0:
+            raise ValueError(f"{where} queue_limit {self.queue_limit} is negative")
+        if self.on_full not in ("defer", "shed"):
+            raise ValueError(f"{where} on_full {self.on_full!r} is not defer/shed")
+
 
 @dataclass(frozen=True)
 class IngestionConfig:
@@ -84,6 +94,11 @@ class IngestionConfig:
     default_weight: float = 1.0
     default_queue_limit: int = 10_000
     default_on_full: str = "defer"
+
+    def __post_init__(self):
+        # Refuse bad defaults now, not at an unknown tenant's first offer.
+        TenantSpec("<default>", self.default_weight, self.default_queue_limit,
+                   self.default_on_full)
 
 
 class _TenantState:
@@ -188,7 +203,7 @@ class AdmissionController:
             items = []
             while state.queue and len(items) < max_items:
                 items.append(state.queue.popleft())
-            state.pass_value += len(items) / max(state.spec.weight, 1e-9)
+            state.pass_value += len(items) / state.spec.weight
             state.served += len(items)
         return name, items
 

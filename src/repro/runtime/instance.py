@@ -388,7 +388,8 @@ class FaasmRuntimeInstance:
             self.execute(record, message)
             return
         tracer = self.cluster.telemetry.tracer
-        with tracer.activate(context_from_wire(wire), host=self.host):
+        ctx = context_from_wire(wire)
+        with tracer.activate(ctx, self.host, record.function):
             with span(
                 "call.invoke",
                 call_id=record.call_id,

@@ -140,10 +140,6 @@ class SimCluster:
         ]
         return cls(env, hosts, network, kvs)
 
-    @property
-    def kvs_host(self) -> SimHost | None:
-        return self.kvs_hosts[0] if self.kvs_hosts else None
-
     def _kvs_for(self, key: str | None) -> SimHost | None:
         if not self.kvs_hosts:
             return None

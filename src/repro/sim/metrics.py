@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 # (re-exported here because `sim.metrics.percentile` is the historic import
 # path).
 from repro.telemetry.stats import percentile
-from repro.telemetry.streaming import StreamingHistogram
 
 GB = 1e9
 
@@ -25,7 +24,6 @@ __all__ = [
     "BillableMemory",
     "ExperimentMetrics",
     "LatencyRecorder",
-    "StreamingLatencyRecorder",
     "TransferTotals",
     "percentile",
 ]
@@ -61,35 +59,6 @@ class LatencyRecorder:
             (ordered[min(n - 1, math.ceil(i * n / points) - 1)], i / points)
             for i in range(1, points + 1)
         ]
-
-
-class StreamingLatencyRecorder:
-    """Drop-in :class:`LatencyRecorder` at O(1) memory.
-
-    Backed by a log-bucketed :class:`StreamingHistogram`, so million-call
-    simulated soaks get unbiased long-run p50/p99 without retaining every
-    sample (percentiles carry the histogram's ~3.9% bucket error; no
-    ``samples`` list, no ``cdf``).
-    """
-
-    def __init__(self) -> None:
-        self.hist = StreamingHistogram()
-
-    def record(self, latency: float) -> None:
-        self.hist.observe(latency)
-
-    @property
-    def count(self) -> int:
-        return self.hist.count
-
-    def median(self) -> float:
-        return self.hist.percentile(50)
-
-    def p(self, pct: float) -> float:
-        return self.hist.percentile(pct)
-
-    def mean(self) -> float:
-        return self.hist.mean()
 
 
 @dataclass

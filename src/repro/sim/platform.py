@@ -68,19 +68,6 @@ class SimPlatform(ABC):
     def invoke_many(self, function: SimFunction, args: list) -> list[CallHandle]:
         return [self.invoke(function, arg) for arg in args]
 
-    def wait_all(self, handles: list[CallHandle]):
-        """Process generator: wait for every handle."""
-        yield all_of(self.env, [h.process for h in handles])
-
-    def run_to_completion(self, handles: list[CallHandle]) -> float:
-        """Drive the simulation until all handles finish; returns makespan."""
-        start = self.env.now
-        self.env.run()
-        for handle in handles:
-            if not handle.process.processed:
-                raise RuntimeError(f"call to {handle.function} never finished")
-        return self.env.now - start
-
     # ------------------------------------------------------------------
     # Call skeleton
     # ------------------------------------------------------------------

@@ -17,15 +17,14 @@ measurement substrate every layer reports into:
   its collapsed-stack / speedscope flamegraph exporters;
 * :mod:`repro.telemetry.slo` — rolling-window SLO monitors with burn
   rates and multi-window alerts;
-* :mod:`repro.telemetry.openmetrics` — OpenMetrics text exposition and
-  the message-bus scrape endpoint;
+* :mod:`repro.telemetry.openmetrics` — OpenMetrics text exposition;
 * :mod:`repro.telemetry.export` — JSON-lines, Chrome trace-event, and
   text exporters, plus the unified spans+metrics+dispatch artifact;
 * :mod:`repro.telemetry.stats` — the shared percentile implementation.
 
-A :class:`Telemetry` bundles one tracer and one registry — and,
-opted in, the trace miner, guest profiler and SLO registry, all fed from
-the tracer's span-finish callback; each
+A :class:`Telemetry` bundles one tracer and one registry — and, with
+``per_function=True``, the trace miner, guest profiler and SLO registry,
+fed from the tracer's span-finish callback; each
 :class:`~repro.runtime.cluster.FaasmCluster` owns one (disabled by
 default — the off path is a single context-variable read per
 instrumentation site).
@@ -59,34 +58,28 @@ class Telemetry:
     (labelled by host), so phase latency distributions are queryable
     without walking the span list.
 
-    ``mine_profiles=True`` attaches a :class:`TraceMiner` to the same
-    span-finish callback — per-function access profiles accumulate
-    online. ``guest_profiler=True`` creates a :class:`ContinuousProfiler`
-    the runtime taps into every Faaslet it spawns. ``slos=True`` keeps an
-    :class:`SLORegistry` that tracks every function's ``call.invoke``
-    latency against its objective. All three require ``enabled=True`` to
-    see anything: they consume sampled spans.
+    ``per_function=True`` turns on the per-function plane: a
+    :class:`TraceMiner` folding every finished span into access profiles,
+    an :class:`SLORegistry` tracking every function's ``call.invoke``
+    latency against its objective, and a :class:`ContinuousProfiler` the
+    runtime taps into every Faaslet it spawns. The miner and the SLOs
+    consume sampled spans, so they need ``enabled=True`` to see anything.
     """
 
     def __init__(
         self,
         enabled: bool = False,
         sample_rate: float = 1.0,
-        mine_profiles: bool = False,
-        guest_profiler: bool = False,
-        profiler_interval: int = 64,
-        slos: bool = False,
+        per_function: bool = False,
     ):
         self.metrics = MetricsRegistry()
-        self.profiles: TraceMiner | None = (
-            TraceMiner() if mine_profiles else None
-        )
-        self.profiler: ContinuousProfiler | None = (
-            ContinuousProfiler(interval=profiler_interval)
-            if guest_profiler
-            else None
-        )
-        self.slos: SLORegistry | None = SLORegistry() if slos else None
+        self.profiles: TraceMiner | None = None
+        self.profiler: ContinuousProfiler | None = None
+        self.slos: SLORegistry | None = None
+        if per_function:
+            self.profiles = TraceMiner(self.metrics)
+            self.profiler = ContinuousProfiler()
+            self.slos = SLORegistry()
         self.tracer = Tracer(
             enabled=enabled,
             sample_rate=sample_rate,
@@ -125,9 +118,6 @@ class Telemetry:
 
     def spans(self) -> list[Span]:
         return self.tracer.finished_spans()
-
-    def clear_spans(self) -> None:
-        self.tracer.clear()
 
 
 __all__ = [

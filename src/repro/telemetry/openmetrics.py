@@ -1,4 +1,4 @@
-"""OpenMetrics text exposition + the sim-bus scrape endpoint.
+"""OpenMetrics text exposition.
 
 :func:`render_openmetrics` serialises a
 :class:`~repro.telemetry.metrics.MetricsRegistry` in the OpenMetrics
@@ -7,21 +7,13 @@ counters as ``_total`` samples, gauges verbatim, and histograms as real
 histogram types with cumulative ``le`` buckets plus ``_count``/``_sum`` —
 every registered series appears.
 
-:class:`MetricsEndpoint` is the scrape surface: it registers a
-``metrics`` endpoint on the cluster's
-:class:`~repro.runtime.bus.MessageBus` and answers every
-:class:`ScrapeRequest` with a :class:`ScrapeResponse` carrying the
-exposition text — a Prometheus scrape, modulo HTTP. Scrapers register a
-reply queue, send a request, and block on the response (see
-``FaasmCluster.scrape_metrics``).
+``FaasmCluster.scrape_metrics`` is the scrape: it renders the cluster's
+registry, which is what a Prometheus scrape would read, modulo HTTP.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
-import threading
-from dataclasses import dataclass
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 _LABEL_RE = re.compile(r"[^a-zA-Z0-9_]")
@@ -119,77 +111,3 @@ def render_openmetrics(registry) -> str:
                 )
     lines.append("# EOF")
     return "\n".join(lines) + "\n"
-
-
-# ----------------------------------------------------------------------
-# Bus endpoint
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ScrapeRequest:
-    """Ask the metrics endpoint for an exposition; answered to
-    ``reply_to``'s bus queue."""
-
-    reply_to: str
-
-
-@dataclass(frozen=True)
-class ScrapeResponse:
-    """The exposition text for one scrape."""
-
-    body: str
-
-
-class MetricsEndpoint:
-    """The cluster's scrape target, living on the message bus."""
-
-    HOST = "metrics"
-
-    def __init__(self, bus, registry):
-        self.bus = bus
-        self.registry = registry
-        self._scrape_ids = itertools.count()
-        self.bus.register(self.HOST)
-        self._thread = threading.Thread(
-            target=self._serve, daemon=True, name="metrics-endpoint"
-        )
-        self._thread.start()
-
-    def _serve(self) -> None:
-        from repro.runtime.bus import Shutdown
-
-        while True:
-            message = self.bus.receive(self.HOST)
-            if message is None or isinstance(message, Shutdown):
-                return
-            if isinstance(message, ScrapeRequest):
-                body = render_openmetrics(self.registry)
-                try:
-                    self.bus.send(message.reply_to, ScrapeResponse(body))
-                except KeyError:
-                    pass  # scraper went away before the answer
-
-    def scrape(self, timeout: float = 5.0) -> str:
-        """One full scrape round trip over the bus."""
-        reply_to = f"scrape-{next(self._scrape_ids)}"
-        self.bus.register(reply_to)
-        try:
-            self.bus.send(self.HOST, ScrapeRequest(reply_to=reply_to))
-            response = self.bus.receive(reply_to, timeout=timeout)
-        finally:
-            self.bus.deregister(reply_to)
-        if not isinstance(response, ScrapeResponse):
-            raise TimeoutError("metrics scrape timed out")
-        return response.body
-
-    def shutdown(self, timeout: float = 2.0) -> None:
-        from repro.runtime.bus import Shutdown
-
-        try:
-            self.bus.send(self.HOST, Shutdown())
-        except KeyError:
-            return
-        self._thread.join(timeout)
-        try:
-            self.bus.deregister(self.HOST)
-        except KeyError:
-            pass

@@ -31,7 +31,7 @@ import threading
 SPEEDSCOPE_SCHEMA = "https://www.speedscope.app/file-format-schema.json"
 
 #: Default sampling period, in guest function calls.
-DEFAULT_INTERVAL = 64
+DEFAULT_INTERVAL = 16
 
 
 class FunctionProfile:

@@ -5,18 +5,19 @@ function habitually does*: which state keys it pulls and pushes and how
 many bytes and round trips that costs, how many snapshot pages a restore
 ships, how much fuel it burns, what it chains into, where its latency
 goes. A :class:`TraceMiner` folds every finished span — hooked on
-:class:`~repro.telemetry.trace.Tracer`'s ``on_finish`` callback, so mining
-is online and needs no post-hoc span walk — into one
-:class:`AccessProfile` per function.
+:class:`~repro.telemetry.trace.Tracer`'s ``on_finish`` callback — into one
+:class:`AccessProfile` per function, as the span ends.
 
-Folding is driven by ``call.invoke`` spans: children always finish
-before their parents (the span context manager guarantees it), so when
-an invoke span finishes, every span of that invocation is already
-buffered. The miner walks the buffered spans' parent chains to claim the
-invoke's descendants, attributes them to the invoked function, and drops
-them from the buffer. Spans that never fall under an invoke (external
-``call.dispatch`` roots, pre-warm ``snapshot.pull``\\ s) age out of the
-bounded buffer.
+A span is attributed when it is opened: the worker running a call
+activates the call's trace context together with its function
+(:meth:`~repro.telemetry.trace.Tracer.activate`), and every span opened
+under it carries that function as its owner. A chained callee's spans are
+the callee's, because its worker activates the callee. ``call.invoke``
+counts a call; every other owned span adds a phase and its state, snapshot,
+fuel or fan-out figures. Spans opened outside any call (external
+``call.dispatch`` roots, their ``schedule`` span, pre-warm
+``snapshot.pull``\\ s) have no owner and are not folded; ``call.retry``
+folds by its ``function`` attribute. Nothing is buffered.
 
 Profiles persist **content-addressed** in the cluster's
 :class:`~repro.host.filesystem.GlobalObjectStore` via
@@ -32,13 +33,6 @@ import threading
 from urllib.parse import quote, unquote
 
 from .streaming import StreamingHistogram
-
-#: Span buffer bound: traces older than the newest ``_MAX_TRACES`` are
-#: dropped wholesale (an unclaimed dispatch/pre-warm span must not leak).
-_MAX_TRACES = 4096
-#: Growth factor for profile-embedded histograms.
-_HIST_GROWTH = 1.08
-
 
 class KeyProfile:
     """What one function does to one state key."""
@@ -83,9 +77,9 @@ class AccessProfile:
         self.retries = 0
         #: retry/fault cause -> count (chaos attribution, satellite 1).
         self.fault_causes: dict[str, int] = {}
-        self.latency = StreamingHistogram(_HIST_GROWTH)
-        self.fuel = StreamingHistogram(_HIST_GROWTH)
-        #: phase name -> [count, total seconds] over descendant spans.
+        self.latency = StreamingHistogram()
+        self.fuel = StreamingHistogram()
+        #: phase name -> [count, total seconds] over the calls' spans.
         self.phases: dict[str, list] = {}
         #: state key -> KeyProfile.
         self.state: dict[str, KeyProfile] = {}
@@ -159,127 +153,92 @@ class AccessProfile:
 
 
 class TraceMiner:
-    """Folds finished spans into per-function :class:`AccessProfile`\\ s."""
+    """Folds finished spans into per-function :class:`AccessProfile`\\ s.
 
-    def __init__(self, max_traces: int = _MAX_TRACES):
+    A live profile's ``latency`` and ``fuel`` are the registry's
+    ``function.latency`` / ``function.fuel`` series for that function
+    (``Telemetry`` observes them before the span reaches :meth:`fold`), so
+    each distribution is kept once."""
+
+    def __init__(self, metrics):
         self._lock = threading.Lock()
-        self.max_traces = max_traces
-        #: trace id -> {span id -> Span} for not-yet-claimed spans.
-        self._buffer: dict[str, dict[str, object]] = {}
+        self._metrics = metrics
         self._profiles: dict[str, AccessProfile] = {}
         #: Spans folded into a profile (observability of the miner itself).
         self.spans_mined = 0
-        #: Spans dropped by the trace-buffer bound without being claimed.
-        self.spans_evicted = 0
 
     # ------------------------------------------------------------------
     # Span intake (Tracer on_finish)
     # ------------------------------------------------------------------
     def fold(self, span) -> None:
         """Consume one finished span (called on the finishing thread)."""
+        name, attrs = span.name, span.attrs
+        function = span.function
+        if name == "call.retry":
+            # Placed from outside the call, a retry names its function.
+            function = attrs.get("function", "?")
+        if function is None:
+            return  # opened outside any call: a dispatch root, a pre-warm
         with self._lock:
-            trace = self._buffer.get(span.trace_id)
-            if trace is None:
-                trace = self._buffer[span.trace_id] = {}
-                if len(self._buffer) > self.max_traces:
-                    # Evict the oldest trace wholesale (dict preserves
-                    # insertion order); its spans were never claimed.
-                    oldest = next(iter(self._buffer))
-                    self.spans_evicted += len(self._buffer.pop(oldest))
-            trace[span.span_id] = span
-            if span.name == "call.invoke":
-                self._fold_invocation(span, trace)
-            elif span.name == "call.retry":
-                self._fold_retry(span)
-
-    def _descendants(self, invoke, trace: dict) -> list:
-        """Buffered spans whose parent chain reaches ``invoke``."""
-        out = []
-        for sp in trace.values():
-            if sp is invoke:
-                continue
-            cursor = sp
-            for _ in range(64):  # parent chains are shallow; stay bounded
-                parent = trace.get(cursor.parent_id)
-                if parent is None:
-                    break
-                if parent is invoke:
-                    out.append(sp)
-                    break
-                cursor = parent
-        return out
-
-    # ------------------------------------------------------------------
-    # Folding
-    # ------------------------------------------------------------------
-    def _fold_invocation(self, invoke, trace: dict) -> None:
-        function = invoke.attrs.get("function", "?")
-        profile = self._profiles.get(function)
-        if profile is None:
-            profile = self._profiles[function] = AccessProfile(function)
-
-        profile.calls += 1
-        profile.latency.observe(invoke.duration)
-        if invoke.attrs.get("cold_start"):
-            profile.cold_starts += 1
-        if invoke.attrs.get("return_code", 0) not in (0, None):
-            profile.errors += 1
-        if invoke.host:
-            profile.hosts[invoke.host] = profile.hosts.get(invoke.host, 0) + 1
-        queue_wait = invoke.attrs.get("queue_wait_s")
-        if queue_wait is not None:
-            profile.add_phase("queue.wait", queue_wait)
-
-        descendants = self._descendants(invoke, trace)
-        for sp in descendants:
-            del trace[sp.span_id]
-            # An inner chained call's own invoke was folded (and charged
-            # to the callee) when it finished; here it only marks time the
-            # outer function spent awaiting, already visible in call.await.
-            if sp.name != "call.invoke":
-                profile.add_phase(sp.name, sp.duration)
+            profile = self._profiles.get(function)
+            if profile is None:
+                profile = self._profiles[function] = AccessProfile(function)
             self.spans_mined += 1
-            if sp.name == "guest.exec":
-                fuel = sp.attrs.get("fuel_consumed")
-                if fuel is not None:
-                    profile.fuel.observe(fuel)
-            elif sp.name == "state.pull":
-                kp = profile.key_profile(sp.attrs.get("key", "?"))
-                kp.pulls += 1
-                kp.bytes_pulled += sp.attrs.get("bytes", 0)
-                kp.round_trips += sp.attrs.get("round_trips", 0)
-            elif sp.name == "state.push":
-                kp = profile.key_profile(sp.attrs.get("key", "?"))
-                kp.pushes += 1
-                kp.bytes_pushed += sp.attrs.get("bytes", 0)
-                kp.round_trips += sp.attrs.get("round_trips", 0)
-            elif sp.name == "snapshot.pull":
-                outcome = sp.attrs.get("outcome")
-                snap = profile.snapshot
-                if outcome == "cached":
-                    snap["cached"] += 1
-                elif outcome == "pulled":
-                    snap["restores"] += 1
-                    snap["payload_pages"] += sp.attrs.get("payload_pages", 0)
-                    snap["missing_pages"] += sp.attrs.get("missing_pages", 0)
-                    snap["bytes_shipped"] += sp.attrs.get("bytes_shipped", 0)
-            elif sp.name == "call.dispatch":
-                callee = sp.attrs.get("function", "?")
-                profile.chains[callee] = profile.chains.get(callee, 0) + 1
-        self.spans_mined += 1
-        # The invoke span itself stays buffered: an outer invocation (this
-        # was a chained call) still claims it as an await marker. Ambient
-        # leftovers age out with the trace.
+            if name == "call.retry":
+                profile.retries += 1
+                cause = attrs.get("fault") or attrs.get("reason")
+                if cause:
+                    causes = profile.fault_causes
+                    causes[cause] = causes.get(cause, 0) + 1
+            elif name == "call.invoke":
+                if not profile.calls:
+                    profile.latency = self._metrics.histogram(
+                        "function.latency", function=function
+                    )
+                profile.calls += 1
+                if attrs.get("cold_start"):
+                    profile.cold_starts += 1
+                if attrs.get("return_code", 0) not in (0, None):
+                    profile.errors += 1
+                if span.host:
+                    profile.hosts[span.host] = profile.hosts.get(span.host, 0) + 1
+                queue_wait = attrs.get("queue_wait_s")
+                if queue_wait is not None:
+                    profile.add_phase("queue.wait", queue_wait)
+            else:
+                self._fold_phase(profile, span)
 
-    def _fold_retry(self, retry) -> None:
-        function = retry.attrs.get("function", "?")
-        profile = self._profiles.get(function)
-        if profile is None:
-            profile = self._profiles[function] = AccessProfile(function)
-        profile.retries += 1
-        cause = retry.attrs.get("fault") or retry.attrs.get("reason")
-        if cause:
-            profile.fault_causes[cause] = profile.fault_causes.get(cause, 0) + 1
+    def _fold_phase(self, profile: AccessProfile, sp) -> None:
+        profile.add_phase(sp.name, sp.duration)
+        attrs = sp.attrs
+        if sp.name == "guest.exec":
+            if attrs.get("fuel_consumed") is not None and not profile.fuel.count:
+                profile.fuel = self._metrics.histogram(
+                    "function.fuel", function=profile.function
+                )
+        elif sp.name == "state.pull":
+            kp = profile.key_profile(attrs.get("key", "?"))
+            kp.pulls += 1
+            kp.bytes_pulled += attrs.get("bytes", 0)
+            kp.round_trips += attrs.get("round_trips", 0)
+        elif sp.name == "state.push":
+            kp = profile.key_profile(attrs.get("key", "?"))
+            kp.pushes += 1
+            kp.bytes_pushed += attrs.get("bytes", 0)
+            kp.round_trips += attrs.get("round_trips", 0)
+        elif sp.name == "snapshot.pull":
+            outcome = attrs.get("outcome")
+            snap = profile.snapshot
+            if outcome == "cached":
+                snap["cached"] += 1
+            elif outcome == "pulled":
+                snap["restores"] += 1
+                snap["payload_pages"] += attrs.get("payload_pages", 0)
+                snap["missing_pages"] += attrs.get("missing_pages", 0)
+                snap["bytes_shipped"] += attrs.get("bytes_shipped", 0)
+        elif sp.name == "call.dispatch":
+            callee = attrs.get("function", "?")
+            profile.chains[callee] = profile.chains.get(callee, 0) + 1
 
     # ------------------------------------------------------------------
     # Read side
@@ -295,10 +254,6 @@ class TraceMiner:
     def profiles(self) -> dict[str, AccessProfile]:
         with self._lock:
             return dict(self._profiles)
-
-    def buffered_spans(self) -> int:
-        with self._lock:
-            return sum(len(t) for t in self._buffer.values())
 
 
 class ProfileStore:

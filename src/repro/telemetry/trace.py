@@ -66,7 +66,11 @@ def context_from_wire(wire: Wire) -> TraceContext:
 
 @dataclass
 class Span:
-    """One finished, timed interval of a trace."""
+    """One finished, timed interval of a trace.
+
+    ``function`` is the function whose call the opening thread was running
+    (see :meth:`Tracer.activate`); it attributes the span for the trace
+    miner and is not exported."""
 
     name: str
     trace_id: str
@@ -77,6 +81,7 @@ class Span:
     end: float = 0.0
     attrs: dict = field(default_factory=dict)
     thread: int = field(default_factory=threading.get_ident)
+    function: str | None = None
 
     @property
     def duration(self) -> float:
@@ -97,7 +102,8 @@ class Span:
         }
 
 
-#: (tracer, context, host) of the innermost active span on this thread.
+#: (tracer, context, host, owning function) of the innermost active span
+#: on this thread.
 _ACTIVE: ContextVar[tuple | None] = ContextVar("repro_trace_active", default=None)
 
 
@@ -148,6 +154,7 @@ class SpanHandle:
                 self._tracer,
                 TraceContext(self.span.trace_id, self.span.span_id, True),
                 self.span.host,
+                self.span.function,
             )
         )
         return self
@@ -186,7 +193,7 @@ class _UnsampledSpan:
         self._token = None
 
     def __enter__(self) -> "_UnsampledSpan":
-        self._token = _ACTIVE.set((self._tracer, self._ctx, self._host))
+        self._token = _ACTIVE.set((self._tracer, self._ctx, self._host, None))
         return self
 
     def __exit__(self, *exc) -> bool:
@@ -241,14 +248,14 @@ class Tracer:
             return NOOP_SPAN
         state = _ACTIVE.get()
         if state is not None:
-            tracer, ctx, active_host = state
-            return tracer._span(name, ctx, host or active_host, attrs)
+            tracer, ctx, active_host, function = state
+            return tracer._span(name, ctx, host or active_host, attrs, function)
         ctx = TraceContext(_new_id(), None, self._random.random() < self.sample_rate)
         if not ctx.sampled:
             return _UnsampledSpan(self, ctx, host)
-        return self._span(name, ctx, host, attrs)
+        return self._span(name, ctx, host, attrs, None)
 
-    def _span(self, name: str, ctx: TraceContext, host, attrs: dict):
+    def _span(self, name: str, ctx: TraceContext, host, attrs: dict, function):
         if not ctx.sampled:
             return NOOP_SPAN
         return SpanHandle(
@@ -261,17 +268,25 @@ class Tracer:
                 host=host,
                 start=time.perf_counter(),
                 attrs=dict(attrs),
+                function=function,
             ),
         )
 
     @contextmanager
-    def activate(self, ctx: TraceContext | None, host: str | None = None):
+    def activate(
+        self,
+        ctx: TraceContext | None,
+        host: str | None = None,
+        function: str | None = None,
+    ):
         """Install a (possibly remote) context as this thread's ambient
-        parent — the receive-side half of cross-host propagation."""
+        parent — the receive-side half of cross-host propagation.
+        ``function`` is the call this thread now runs: every span opened
+        under it is stamped as that function's."""
         if ctx is None or not self.enabled:
             yield
             return
-        token = _ACTIVE.set((self, ctx, host))
+        token = _ACTIVE.set((self, ctx, host, function))
         try:
             yield
         finally:
@@ -314,7 +329,7 @@ def span(name: str, **attrs):
     state = _ACTIVE.get()
     if state is None:
         return NOOP_SPAN
-    tracer, ctx, host = state
+    tracer, ctx, host, function = state
     if not ctx.sampled:
         return NOOP_SPAN
-    return tracer._span(name, ctx, host, attrs)
+    return tracer._span(name, ctx, host, attrs, function)

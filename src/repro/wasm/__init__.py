@@ -38,7 +38,7 @@ from .errors import (
     ValidationError,
     WasmError,
 )
-from .instance import TIERS, HostFunc, Instance, default_tier, instantiate
+from .instance import TIERS, HostFunc, Instance, instantiate
 from .instructions import BlockType, Instr, instr
 from .memory import LinearMemory, Page
 from .module import (
@@ -118,7 +118,6 @@ __all__ = [
     "canon_v128",
     "compile_function",
     "compile_module",
-    "default_tier",
     "f64x2",
     "f64x2_lanes",
     "i32x4",

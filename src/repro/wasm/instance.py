@@ -9,7 +9,6 @@ call depth and — for CPU accounting by the cgroup layer — fuel metering.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
@@ -62,12 +61,6 @@ TIERS = ("compiled", "interp")
 #: Sequentially-consistent accesses that additionally require alignment.
 _ATOMIC_LOADS = frozenset({"i32.atomic.load", "i64.atomic.load"})
 _ATOMIC_STORES = frozenset({"i32.atomic.store", "i64.atomic.store"})
-
-
-def default_tier() -> str:
-    """Session default tier (``compiled``); override with
-    ``REPRO_WASM_TIER=interp``."""
-    return os.environ.get("REPRO_WASM_TIER", "compiled")
 
 
 @dataclass
@@ -259,7 +252,7 @@ class Instance:
 
     def _select_tier(self, tier: str | None, profile: bool) -> None:
         """Pick the guest-function executor once, at construction."""
-        self.tier = tier if tier is not None else default_tier()
+        self.tier = tier if tier is not None else "compiled"
         if self.tier not in TIERS:
             raise ValueError(f"unknown execution tier {self.tier!r}")
         # Opt-in per-opcode dispatch profiling. Profiling runs on the

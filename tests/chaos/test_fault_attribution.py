@@ -18,7 +18,7 @@ def dropped_cluster():
     plan = ChaosPlan(seed=1, drop_rate=1.0)  # every first dispatch is lost
     cluster = FaasmCluster(
         n_hosts=2, chaos=plan, retry_policy=FAST,
-        telemetry=Telemetry(enabled=True, mine_profiles=True),
+        telemetry=Telemetry(enabled=True, per_function=True),
     )
     cluster.register_python(
         "echo", lambda ctx: ctx.write_output(b"echo:" + ctx.input())

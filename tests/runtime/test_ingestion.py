@@ -156,6 +156,29 @@ def test_unknown_tenant_uses_defaults():
     assert stats["walk-in"]["queue_limit"] == 7
 
 
+@pytest.mark.parametrize("bad", [
+    {"on_full": "drop"},
+    {"weight": 0.0},
+    {"weight": float("nan")},
+    {"queue_limit": -1},
+], ids=["on_full-drop", "weight-zero", "weight-nan", "queue_limit-negative"])
+def test_tenant_spec_refuses_a_bad_contract(bad):
+    with pytest.raises(ValueError):
+        TenantSpec("t", **bad)
+
+
+@pytest.mark.parametrize("bad", [
+    {"default_on_full": "drop"},
+    {"default_weight": 0.0},
+    {"default_weight": float("nan")},
+    {"default_queue_limit": -1},
+], ids=["on_full-drop", "weight-zero", "weight-nan", "queue_limit-negative"])
+def test_ingestion_config_refuses_bad_defaults_when_built(bad):
+    # Refused at construction, before any unknown tenant offers a call.
+    with pytest.raises(ValueError):
+        IngestionConfig(**bad)
+
+
 # ---------------------------------------------------------------------------
 # Batched dispatch end-to-end
 # ---------------------------------------------------------------------------

@@ -1,18 +1,13 @@
-"""OpenMetrics exposition: format, completeness, and the bus endpoint."""
+"""OpenMetrics exposition: format, completeness, and the cluster scrape."""
 
 from __future__ import annotations
 
 import re
-
-import pytest
+import threading
 
 from repro.runtime import FaasmCluster
 from repro.telemetry import MetricsRegistry, Telemetry
-from repro.telemetry.openmetrics import (
-    MetricsEndpoint,
-    render_openmetrics,
-    sanitize_name,
-)
+from repro.telemetry.openmetrics import render_openmetrics, sanitize_name
 
 #: A sample line: name{labels} value  (labels optional).
 _SAMPLE_RE = re.compile(
@@ -96,7 +91,7 @@ def test_span_histogram_exposes_le_buckets():
     assert "summary" not in body and "quantile=" not in body
 
 
-def test_bus_endpoint_round_trip():
+def test_cluster_scrape_covers_the_registry():
     cluster = FaasmCluster(n_hosts=1, telemetry=Telemetry(enabled=True))
     try:
         cluster.register_python(
@@ -108,20 +103,21 @@ def test_bus_endpoint_round_trip():
         # The scrape covers the real cluster registry, end to end.
         for name, labels, _metric in cluster.telemetry.metrics.items():
             assert sanitize_name(name) in body
-        # The endpoint is cached and survives repeated scrapes.
+        # Repeated scrapes keep working.
         assert cluster.scrape_metrics().endswith("# EOF\n")
     finally:
         cluster.shutdown()
 
 
-def test_endpoint_shutdown_is_clean():
-    cluster = FaasmCluster(n_hosts=1)
+def test_scrape_starts_no_thread_and_no_bus_endpoint():
+    cluster = FaasmCluster(n_hosts=2)
     try:
-        endpoint = cluster.metrics_endpoint()
-        assert isinstance(endpoint, MetricsEndpoint)
-        assert cluster.metrics_endpoint() is endpoint
+        hosts = sorted(cluster.bus.hosts())
+        threads = {t.ident for t in threading.enumerate()}
+        body = cluster.scrape_metrics()
+        assert body == render_openmetrics(cluster.telemetry.metrics)
+        assert {t.ident for t in threading.enumerate()} <= threads
+        assert sorted(cluster.bus.hosts()) == hosts == ["host-0", "host-1"]
+        assert cluster.bus.total_pending() == 0
     finally:
         cluster.shutdown()
-    # Post-shutdown the endpoint thread is gone and a scrape fails fast.
-    with pytest.raises((KeyError, TimeoutError)):
-        endpoint.scrape(timeout=0.2)

@@ -8,12 +8,13 @@ the content-addressed object store unchanged.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.host.filesystem import GlobalObjectStore
 from repro.runtime import FaasmCluster
-from repro.telemetry import AccessProfile, ProfileStore, Telemetry
-from repro.telemetry.profiles import TraceMiner
+from repro.telemetry import AccessProfile, ProfileStore, Telemetry, TraceContext
 
 KERNEL_SRC = """
 global int ready = 0;
@@ -48,7 +49,7 @@ def _stage(ctx):
 
 @pytest.fixture
 def mined_cluster():
-    telemetry = Telemetry(enabled=True, mine_profiles=True)
+    telemetry = Telemetry(enabled=True, per_function=True)
     cluster = FaasmCluster(n_hosts=2, telemetry=telemetry)
     cluster.register_python("pipeline", _pipeline)
     cluster.register_python("stage", _stage)
@@ -71,7 +72,21 @@ class TestMinedProfiles:
         miner = mined_cluster.profiles
         assert miner.functions() == ["kernel", "pipeline", "stage"]
         assert miner.spans_mined > 0
-        assert miner.spans_evicted == 0
+
+    def test_miner_holds_no_span(self, mined_cluster):
+        _drive(mined_cluster)
+        miner = mined_cluster.profiles
+        # Every span is folded as it finishes: the only collection the
+        # miner keeps is one profile per function, nothing per trace.
+        containers = {
+            name for name, value in vars(miner).items()
+            if isinstance(value, (dict, list, set, tuple))
+        }
+        assert containers == {"_profiles"}
+        assert len(miner.profiles()) == 3
+        assert all(
+            isinstance(p, AccessProfile) for p in miner.profiles().values()
+        )
 
     def test_state_key_and_byte_range_profiles(self, mined_cluster):
         _drive(mined_cluster)
@@ -144,7 +159,7 @@ class TestProfileStore:
 
 class TestMinerMechanics:
     def test_retry_span_folds_cause(self):
-        telemetry = Telemetry(enabled=True, mine_profiles=True)
+        telemetry = Telemetry(enabled=True, per_function=True)
         with telemetry.tracer.trace(
             "call.retry", host="h", function="flaky", attempt=1
         ) as sp:
@@ -158,14 +173,68 @@ class TestMinerMechanics:
         assert profile.retries == 2
         assert profile.fault_causes == {"drop": 1, "attempt timed out": 1}
 
-    def test_trace_eviction_is_bounded(self):
-        miner = TraceMiner(max_traces=4)
-        telemetry = Telemetry(enabled=True)
-        for i in range(10):
-            # Orphan spans that never fold under an invoke.
-            with telemetry.tracer.trace("call.dispatch", host="h", function=f"f{i}"):
+    def test_long_call_keeps_its_state_under_a_flood(self):
+        # A call that is still running while more than 4 096 other calls
+        # finish must keep every span it opened: its state push is folded
+        # when the push ends, not when the call does.
+        telemetry = Telemetry(enabled=True, per_function=True)
+        cluster = FaasmCluster(n_hosts=2, telemetry=telemetry)
+        release = threading.Event()
+
+        def slow(ctx):
+            ctx.state.get_state("k", CHUNK)
+            ctx.state.push_state("k")
+            release.wait(60)
+            ctx.write_output(b"ok")
+
+        try:
+            cluster.register_python("slow", slow)
+            cluster.register_python("noop", lambda ctx: ctx.write_output(b"ok"))
+            slow_id = cluster.dispatch("slow")
+            flood = [cluster.dispatch("noop") for _ in range(4200)]
+            for call_id in flood:
+                assert cluster.calls.wait(call_id, 60) == 0
+            release.set()
+            assert cluster.calls.wait(slow_id, 60) == 0
+            cluster.drain()
+            profile = cluster.profiles.profile("slow")
+            assert profile.calls == 1
+            kp = profile.state["k"]
+            assert (kp.pushes, kp.bytes_pushed) == (1, CHUNK)
+            assert profile.phases["state.push"][0] == 1
+            assert cluster.profiles.profile("noop").calls == 4200
+        finally:
+            release.set()
+            cluster.shutdown()
+
+    def test_spans_outside_a_call_are_not_folded(self):
+        telemetry = Telemetry(enabled=True, per_function=True)
+        with telemetry.tracer.trace("call.dispatch", host="h", function="f"):
+            with telemetry.tracer.trace("schedule"):
                 pass
-        for span in telemetry.spans():
-            miner.fold(span)
-        assert len(miner._buffer) <= 5
-        assert miner.spans_evicted > 0
+        assert telemetry.profiles.profiles() == {}
+        assert telemetry.profiles.spans_mined == 0
+
+    def test_fuel_series_only_for_functions_that_burn_fuel(self):
+        telemetry = Telemetry(enabled=True, per_function=True)
+        tracer = telemetry.tracer
+        for function, fuel in (("wasm", 120), ("py", None)):
+            with tracer.activate(
+                TraceContext("t" + function, None), "h", function=function
+            ):
+                with tracer.trace("call.invoke", function=function):
+                    with tracer.trace("guest.exec", function=function) as sp:
+                        if fuel is not None:
+                            sp.set_attr("fuel_consumed", fuel)
+        metrics, miner = telemetry.metrics, telemetry.profiles
+        assert set(metrics.series("function.fuel")) == {
+            "function.fuel{function=wasm}"
+        }
+        # The live profile's distributions are the registry's series.
+        assert miner.profile("wasm").fuel is metrics.histogram(
+            "function.fuel", function="wasm"
+        )
+        assert miner.profile("py").latency is metrics.histogram(
+            "function.latency", function="py"
+        )
+        assert miner.profile("py").fuel.count == 0
