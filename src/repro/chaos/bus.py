@@ -87,9 +87,8 @@ class ChaosMessageBus(MessageBus):
             self._flush_held(host)
 
     def send_many(self, host: str, messages) -> None:
-        """Route every message of a batched send through the fault logic;
-        chaos mode trades the single-lock fast path for faithful
-        per-delivery fault decisions."""
+        """Route every message of a batched send through the fault logic,
+        so each delivery gets its own fault decision."""
         for message in messages:
             self.send(host, message)
 

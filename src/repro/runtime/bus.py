@@ -11,11 +11,12 @@ wakes one of them.
 One message shape carries work: :class:`ExecuteBatch` — the calls of one
 function that one scheduling pass placed on one host, a single chained
 call or a few hundred admitted ones. The cluster sends it with
-:meth:`MessageBus.send`; the ingestion dispatcher flushes each host's
-batches with :meth:`MessageBus.send_many` under a **single** lock
-acquisition (at high arrival rates the per-message lock/notify tax is most
-of the dispatch hot path). The receiving worker expands a batch into one
-:class:`ExecuteCall` per carried call.
+:meth:`MessageBus.send`; the ingestion plane flushes each host's batches
+with :meth:`MessageBus.send_many`. A host's queue is a
+:class:`queue.SimpleQueue`: a put and a get are each one C call that takes
+no Python-level lock or condition, so the hop between a sender and a
+blocked worker costs one lock hand-off (DESIGN.md §11). The receiving
+worker expands a batch into one :class:`ExecuteCall` per carried call.
 
 Delivery counters live in a :class:`~repro.telemetry.metrics.MetricsRegistry`
 (``BusStats`` is a view over them), every carried call can bring its
@@ -27,8 +28,8 @@ host's spans attach to the sender's trace, and queue depths are exported as
 
 from __future__ import annotations
 
+import queue
 import threading
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -99,6 +100,12 @@ class BusStats:
         self._shared = metrics.counter("bus.messages_shared")
         self._batches = metrics.counter("bus.batches_sent")
         self._batched_calls = metrics.counter("bus.batched_calls")
+        #: ``bus.shared_calls{host=}`` — what the receiving instance reads
+        #: as ``shared_received`` — bound once per host by :meth:`bind`.
+        self._shared_calls: dict = {}
+
+    def bind(self, host: str) -> None:
+        self._shared_calls[host] = self._metrics.counter("bus.shared_calls", host=host)
 
     @property
     def sent(self) -> int:
@@ -124,54 +131,17 @@ class BusStats:
             self._batched_calls.inc(n)
             if message.shared:
                 self._shared.inc()
-                # What the receiving instance reads as ``shared_received``.
-                self._metrics.counter("bus.shared_calls", host=host).inc(n)
+                self._shared_calls[host].inc(n)
 
     def __repr__(self) -> str:  # keeps the old dataclass-ish repr
         return f"BusStats(sent={self.sent}, shared={self.shared})"
-
-
-class _HostQueue:
-    """One host's FIFO: a deque under a condition variable.
-
-    :meth:`put_many` appends a whole batch and wakes a consumer per item
-    under **one** acquisition (``queue.Queue`` would take one per ``put``).
-    """
-
-    __slots__ = ("_items", "_cv")
-
-    def __init__(self) -> None:
-        self._items: deque = deque()
-        self._cv = threading.Condition(threading.Lock())
-
-    def put(self, item) -> None:
-        with self._cv:
-            self._items.append(item)
-            self._cv.notify()
-
-    def put_many(self, items) -> None:
-        with self._cv:
-            self._items.extend(items)
-            self._cv.notify(len(items))
-
-    def get(self, timeout: float | None = None):
-        """Blocking pop; returns None on timeout."""
-        with self._cv:
-            while not self._items:
-                if not self._cv.wait(timeout):
-                    return None
-            return self._items.popleft()
-
-    def qsize(self) -> int:
-        with self._cv:
-            return len(self._items)
 
 
 class MessageBus:
     """Per-host FIFO queues with simple delivery accounting."""
 
     def __init__(self, metrics: MetricsRegistry | None = None) -> None:
-        self._queues: dict[str, _HostQueue] = {}
+        self._queues: dict[str, queue.SimpleQueue] = {}
         self._mutex = threading.Lock()
         # `is None`, not truthiness: an empty registry has len() == 0.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -181,7 +151,8 @@ class MessageBus:
         with self._mutex:
             if host in self._queues:
                 raise ValueError(f"host {host!r} already registered")
-            self._queues[host] = _HostQueue()
+            self._queues[host] = queue.SimpleQueue()
+            self.stats.bind(host)
 
     def deregister(self, host: str) -> None:
         """Remove a host's queue and its undelivered messages; later
@@ -191,7 +162,7 @@ class MessageBus:
                 raise KeyError(f"unknown bus endpoint {host!r}")
             del self._queues[host]
 
-    def _queue_for(self, host: str) -> _HostQueue:
+    def _queue_for(self, host: str) -> queue.SimpleQueue:
         # Deliberately *never* auto-creates a queue: a typo'd or
         # deregistered host name must surface as KeyError, not as a
         # silently-buffered message no dispatcher will ever drain.
@@ -206,19 +177,23 @@ class MessageBus:
         self.stats.record(host, message)
 
     def send_many(self, host: str, messages) -> None:
-        """Enqueue a batch for ``host`` under ONE queue-lock acquisition:
-        an ingestion round that produced several messages for one host
-        (an :class:`ExecuteBatch` per function) pays for one."""
+        """Enqueue several messages for ``host`` in order (an ingestion
+        round's :class:`ExecuteBatch` per function): one endpoint lookup,
+        then a C-level put per message, each waking one blocked receiver."""
         messages = list(messages)
         if not messages:
             return
-        self._queue_for(host).put_many(messages)
+        put = self._queue_for(host).put
         for message in messages:
+            put(message)
             self.stats.record(host, message)
 
     def receive(self, host: str, timeout: float | None = None):
         """Blocking receive; returns None on timeout."""
-        return self._queue_for(host).get(timeout=timeout)
+        try:
+            return self._queue_for(host).get(timeout=timeout)
+        except queue.Empty:
+            return None
 
     def pending(self, host: str) -> int:
         return self._queue_for(host).qsize()

@@ -65,48 +65,58 @@ _PLACEABLE = frozenset((CallStatus.PENDING, CallStatus.PARKED))
 _LIVE = frozenset((CallStatus.SENT, CallStatus.RUNNING))
 
 
-#: Shared allocator guard for :class:`CompletionFlag`'s lazy event. Only
-#: the *first* waiter on an unfinished call ever takes it, so it cannot
-#: become a hot lock the way a per-record ``threading.Event`` is a hot
-#: allocation (an Event is a Condition plus a Lock — ~3 µs per record,
-#: which at 10⁵ queued calls is a third of a second of pure setup).
-_FLAG_ALLOC_LOCK = threading.Lock()
+#: Guards :class:`CompletionFlag`'s latch slot and its waiter count. Only
+#: threads that block on an unfinished call take it — ``set()`` never does,
+#: so a completion costs no process-wide lock however many calls finish.
+_LATCH_LOCK = threading.Lock()
 
 
 class CompletionFlag:
-    """Drop-in for the ``wait``/``set``/``is_set`` subset of
-    :class:`threading.Event`, allocating the real event only when a
-    thread actually blocks. Most calls in a bulk ingestion run are
-    awaited via ``drain`` polling, never via ``done.wait``, so the
-    common case is a plain boolean."""
+    """The ``wait``/``set``/``is_set`` subset of an ``Event`` as a latch
+    on one raw lock, made only when a thread blocks (most calls are never
+    waited for: for them the flag is a plain boolean).
 
-    __slots__ = ("_flag", "_event")
+    The first waiter allocates the lock already held; ``set()`` releases
+    it, and each waiter acquires and then releases it, so every waiter
+    wakes in turn. ``set()`` and the last waiter out drop the latch: a
+    finished record keeps no lock."""
+
+    __slots__ = ("_flag", "_latch")
 
     def __init__(self) -> None:
         self._flag = False
-        self._event: threading.Event | None = None
+        #: ``[lock, threads inside wait()]`` while one blocks, else None.
+        self._latch: list | None = None
 
     def is_set(self) -> bool:
         return self._flag
 
     def set(self) -> None:
         self._flag = True
-        event = self._event
-        if event is not None:
-            event.set()
+        latch = self._latch
+        if latch is not None:
+            self._latch = None
+            latch[0].release()
 
     def wait(self, timeout: float | None = None) -> bool:
         if self._flag:
             return True
-        with _FLAG_ALLOC_LOCK:
-            if self._event is None:
-                self._event = threading.Event()
-            event = self._event
-        # Re-check after publishing the event: a setter that missed it
-        # has already flipped the flag, and one that sees it will set it.
-        if self._flag:
-            return True
-        return event.wait(timeout)
+        with _LATCH_LOCK:
+            latch = self._latch
+            if latch is None:
+                latch = self._latch = [threading.Lock(), 0]
+                latch[0].acquire()
+            latch[1] += 1
+        # Re-check after publishing the latch: a setter that missed it has
+        # already flipped the flag, and one that sees it will release it.
+        lock, wait_s = latch[0], -1 if timeout is None else max(timeout, 0.0)
+        if not self._flag and lock.acquire(True, wait_s):
+            lock.release()  # pass the wake-up on to the next waiter
+        with _LATCH_LOCK:
+            latch[1] -= 1
+            if self._flag and not latch[1] and self._latch is latch:
+                self._latch = None
+        return self._flag
 
 
 class CallRecord:

@@ -176,12 +176,13 @@ class FaasmRuntimeInstance:
         self._mutex = threading.Lock()
         self._executing = 0
         self.metrics = InstanceMetrics(cluster.telemetry.metrics, host=host)
-        #: The worker set (below), guarded by ``_cv``, which idle workers
-        #: beyond the bus seats also sleep on. ``_handoff`` / ``_backlog``
+        #: The worker set (below), guarded by ``_lock``; idle workers beyond
+        #: the bus seats sleep on it through ``_cv``. ``_handoff`` / ``_backlog``
         #: hold what was accepted and is not yet executing, as ``(record,
         #: message, pooled)``: unpooled calls handed to a sibling, pooled
         #: ones waiting (``_pooled`` of them execute now).
-        self._cv = threading.Condition(threading.Lock())
+        self._lock = threading.Lock()
+        self._cv = threading.Condition(self._lock)
         self._workers: list[threading.Thread] = []
         self._idle = 0  # asleep on _cv, or woken / born and not yet run
         self._receiving = 0  # in, or heading for, bus.receive
@@ -223,13 +224,13 @@ class FaasmRuntimeInstance:
     # ------------------------------------------------------------------
     def start_dispatcher(self) -> None:
         """Put a first worker on the bus; the rest are born on demand."""
-        with self._cv:
+        with self._lock:
             if not self._workers:
                 self._stopped = False
                 self._summon()
 
     def _summon(self) -> None:
-        """Under ``_cv``, after adding work that must not wait for a busy
+        """Under ``_lock``, after adding work that must not wait for a busy
         worker (an empty last seat, a handed-off call, a pooled batch
         below the limit): wake a worker for it or, when every idle one is
         spoken for, start one — the only place a host starts a thread."""
@@ -248,7 +249,7 @@ class FaasmRuntimeInstance:
         worker.start()
 
     def _take(self):
-        """Under ``_cv``: what a free worker does next — a handed-off
+        """Under ``_lock``: what a free worker does next — a handed-off
         call, a bus seat (``_BUS``), a pooled item — or None. The first
         seat comes before the backlog, the backlog before the others."""
         if self._handoff:
@@ -266,11 +267,11 @@ class FaasmRuntimeInstance:
     def _work(self) -> None:
         """A worker's life: take, run, and sleep when there is nothing."""
         job, expired = None, False
-        with self._cv:
+        with self._lock:
             self._idle -= 1
         try:
             while True:
-                with self._cv:
+                with self._lock:
                     if job is not None and job[2]:
                         self._pooled -= 1
                     while (job := self._take()) is None:
@@ -285,7 +286,7 @@ class FaasmRuntimeInstance:
                 if job is not None and self.alive:
                     self._execute_safely(job[0], job[1])
         finally:
-            with self._cv:
+            with self._lock:
                 self._workers.remove(threading.current_thread())
                 self.metrics.workers.set(len(self._workers))
 
@@ -295,7 +296,7 @@ class FaasmRuntimeInstance:
         worker's next job."""
         message = self.cluster.bus.receive(self.host)
         stop = isinstance(message, Shutdown)
-        with self._cv:
+        with self._lock:
             self._receiving -= 1
             if stop:
                 self._stopped = True
@@ -312,7 +313,7 @@ class FaasmRuntimeInstance:
         work = self._expand_batch(message)
         if len(work) == 1 and not message.pooled:
             return work[0]  # the warm path: nothing to hand off
-        with self._cv:
+        with self._lock:
             if message.pooled:
                 # ``_take`` keeps FIFO and the limit; a batch of one needs
                 # no helper when this worker can run it itself.

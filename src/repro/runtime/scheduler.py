@@ -88,7 +88,8 @@ _RESIDENT = (
 )
 
 
-_CacheEntry = namedtuple("_CacheEntry", "epoch expires value raw")
+#: ``ranks``: per entry host, :meth:`WarmSetRegistry.ranked`'s tuple at this epoch.
+_CacheEntry = namedtuple("_CacheEntry", "epoch expires value raw ranks")
 
 
 class WarmSetRegistry:
@@ -138,14 +139,15 @@ class WarmSetRegistry:
             epoch = self._epochs[key] = self._epochs.get(key, 0) + 1
             if value is not None:
                 expires = time.monotonic() + self.cache_ttl
-                self._cache[key] = _CacheEntry(epoch, expires, value, raw)
+                self._cache[key] = _CacheEntry(epoch, expires, value, raw, {})
 
     def _live_entry(self, key: str, now: float) -> tuple[_CacheEntry | None, int]:
         """``key``'s cached entry when its epoch still matches and the TTL
-        has not lapsed at ``now`` (else None), and the key's current epoch."""
-        with self._cache_lock:
-            entry = self._cache.get(key)
-            epoch = self._epochs.get(key, 0)
+        has not lapsed at ``now`` (else None), and the key's current epoch.
+        Lock-free: a mutation writes the epoch before the entry, and this
+        reads them the other way round, so a race turns a hit into a miss."""
+        entry = self._cache.get(key)
+        epoch = self._epochs.get(key, 0)
         live = entry is not None and entry.epoch == epoch and now < entry.expires
         return (entry if live else None), epoch
 
@@ -173,15 +175,16 @@ class WarmSetRegistry:
         except StateUnavailableError:
             self._install(key)
 
-    def _cached_read(self, key: str, codec):
-        """The memoised read-through: parsed snapshot of ``key``, from
-        cache when its epoch still matches and the TTL has not lapsed."""
+    def _cached_read(self, key: str, codec) -> _CacheEntry:
+        """The memoised read-through: the cache entry holding the parsed
+        snapshot of ``key``, when its epoch still matches and the TTL has
+        not lapsed, else a fresh one read from the store."""
         parse, default, _dump = codec
         now = time.monotonic()
         entry, epoch = self._live_entry(key, now)
         if entry is not None:
             self._cache_hits.inc()
-            return entry.value
+            return entry
         self._cache_misses.inc()
         try:
             raw, _version = self.store.get_value_versioned(key)
@@ -191,13 +194,13 @@ class WarmSetRegistry:
         except StateUnavailableError:
             # Degrade without caching: the tier is dark, answer "empty"
             # now but re-probe as soon as it is back.
-            return default
+            return _CacheEntry(epoch, now, default, None, {})
         with self._cache_lock:
             # Tagged with the epoch read *before* the store round trip: a
             # concurrent mutation at worst wastes this entry, never lets
             # a stale parse outlive its epoch.
-            self._cache[key] = _CacheEntry(epoch, now + self.cache_ttl, value, raw)
-        return value
+            entry = self._cache[key] = _CacheEntry(epoch, now + self.cache_ttl, value, raw, {})
+        return entry
 
     def cache_info(self) -> dict:
         """Hit/miss counters and entry count (tests, ``repro ingest``)."""
@@ -213,7 +216,19 @@ class WarmSetRegistry:
     # Warm sets
     # ------------------------------------------------------------------
     def warm_hosts(self, function: str) -> set[str]:
-        return set(self._cached_read(self._key(function), _WARM))
+        return set(self._cached_read(self._key(function), _WARM).value)
+
+    def ranked(self, function: str, host: str) -> tuple[str, ...]:
+        """``function``'s warm hosts as ``host``'s placement pass ranks
+        them: ``host`` first when warm, then its peers by name. Built once
+        per entry host per cache epoch, so a warm pass neither copies nor
+        sorts."""
+        entry = self._cached_read(self._key(function), _WARM)
+        ranked = entry.ranks.get(host)
+        if ranked is None:
+            first = (host,) if host in entry.value else ()
+            ranked = entry.ranks[host] = first + tuple(sorted(entry.value - {host}))
+        return ranked
 
     def add(self, function: str, host: str) -> None:
         self._mutate(self._key(function), _WARM, lambda hosts: hosts | {host})
@@ -238,7 +253,7 @@ class WarmSetRegistry:
     def resident_hosts(self, function: str) -> dict[str, float]:
         """Hosts whose PageStore (partially) covers ``function``'s current
         snapshot, mapped to their advertised coverage fraction."""
-        return dict(self._cached_read(self._resident_key(function), _RESIDENT))
+        return dict(self._cached_read(self._resident_key(function), _RESIDENT).value)
 
     def advertise_residency(self, function: str, host: str, coverage: float) -> None:
         """A host just materialised (or refreshed) ``function``'s snapshot:
@@ -357,10 +372,7 @@ class LocalScheduler:
         with span("schedule", function=function) as sp:
             me, live = self.host, self._live
             # Candidate lists put the entry host first, then peers by name.
-            warm = sorted(filter(live, self.warm_sets.warm_hosts(function)))
-            if me in warm:
-                warm.remove(me)
-                warm.insert(0, me)
+            warm = self.warm_sets.ranked(function, me)
             free: dict[str, int] = {}
             starting: set[str] = set()
             decisions: list[SchedulingDecision] = []
@@ -386,7 +398,8 @@ class LocalScheduler:
                     free[host] = free.get(host, 0) - n
 
             for host in warm:
-                place(host, "warm-local", "shared", room(host))
+                if len(decisions) < count and live(host):
+                    place(host, "warm-local", "shared", room(host))
             if len(decisions) < count:
                 resident_to = self._resident_candidate(function, room)
                 if resident_to is not None:
@@ -395,6 +408,7 @@ class LocalScheduler:
                 peers = [me] + [h for h in self._peers() if h != me and live(h)]
                 for host in peers:
                     place(host, "cold-local", "cold-spread", room(host))
+                warm = [host for host in warm if live(host)]
                 queue_on, on_self, on_peer = (
                     (warm, "warm-local", "shared") if warm
                     else (peers, "cold-local", "cold-spread")

@@ -1,11 +1,14 @@
 """Message-bus tests (Fig. 5 sharing queue)."""
 
 import threading
+import time
 
 import pytest
 
 from repro.runtime import FaasmCluster
 from repro.runtime.bus import ExecuteBatch, MessageBus, Shutdown
+from repro.runtime.instance import WORKER_FLOOR
+from tests.conftest import wait_for
 
 
 def _work(call_id, function="fn", **kwargs):
@@ -184,3 +187,112 @@ class TestEndpointStrictness:
         bus.deregister("h1")
         bus.register("h1")  # a fresh, empty queue
         assert bus.pending("h1") == 0
+
+
+class TestHostQueue:
+    """A host's queue is a C-level FIFO: order per host, one receiver woken
+    per message, ``None`` on timeout, depths, and ``Shutdown`` passed on."""
+
+    @staticmethod
+    def _receivers(bus, host, n, timeout=5.0):
+        """``n`` threads each receiving until ``Shutdown`` (or a timeout);
+        returns the threads and their per-thread call-id lists."""
+        got = [[] for _ in range(n)]
+
+        def receive(mine):
+            while isinstance(message := bus.receive(host, timeout), ExecuteBatch):
+                mine.append(message.items[0][0])
+
+        threads = [threading.Thread(target=receive, args=(mine,)) for mine in got]
+        for thread in threads:
+            thread.start()
+        return threads, got
+
+    def test_fifo_per_host_with_two_blocked_receivers(self):
+        bus = MessageBus()
+        bus.register("h1")
+        bus.register("h2")
+        receivers = {h: self._receivers(bus, h, 2) for h in ("h1", "h2")}
+        for i in range(200):
+            bus.send("h1", _work(i))
+            bus.send("h2", _work(1000 + i))
+        for host, (threads, _got) in receivers.items():
+            bus.send_many(host, [Shutdown(), Shutdown()])
+            for thread in threads:
+                thread.join(5)
+        for host, base in (("h1", 0), ("h2", 1000)):
+            threads, got = receivers[host]
+            assert not any(thread.is_alive() for thread in threads)
+            for mine in got:
+                assert mine == sorted(mine)  # each receiver sees FIFO order
+            assert sorted(got[0] + got[1]) == list(range(base, base + 200))
+
+    def test_send_many_wakes_up_to_k_receivers(self):
+        bus = MessageBus()
+        bus.register("h1")
+        got = []
+
+        def receive_one():
+            got.append(bus.receive("h1", timeout=5))
+
+        threads = [threading.Thread(target=receive_one) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        time.sleep(0.05)  # let all four block
+        bus.send_many("h1", [_work(i) for i in range(3)])
+        # Three messages wake three receivers; the fourth stays blocked.
+        wait_for(lambda: sum(thread.is_alive() for thread in threads) == 1)
+        assert sorted(m.items[0][0] for m in got) == [0, 1, 2]
+        bus.send("h1", Shutdown())
+        for thread in threads:
+            thread.join(5)
+        assert isinstance(got[-1], Shutdown)
+
+    def test_receive_timeout_returns_none_after_the_timeout(self):
+        bus = MessageBus()
+        bus.register("h1")
+        assert bus.receive("h1", timeout=0) is None
+        start = time.monotonic()
+        assert bus.receive("h1", timeout=0.05) is None
+        assert time.monotonic() - start >= 0.04
+        bus.send("h1", _work(7))
+        assert bus.receive("h1", timeout=0).items == ((7, 0),)
+
+    def test_pending_and_total_pending(self):
+        bus = MessageBus()
+        bus.register("h1")
+        bus.register("h2")
+        bus.send("h1", _work(1))
+        bus.send_many("h1", [_work(2), _work(3)])
+        bus.send_many("h2", [_work(4), _work(5)])
+        bus.send_many("h2", [])
+        assert (bus.pending("h1"), bus.pending("h2"), bus.total_pending()) == (3, 2, 5)
+        bus.receive("h1", timeout=1)
+        assert (bus.pending("h1"), bus.total_pending()) == (2, 4)
+        assert bus.update_queue_gauges() == {"h1": 2, "h2": 2}
+        while bus.receive("h2", timeout=0) is not None:
+            pass
+        assert (bus.pending("h2"), bus.total_pending()) == (0, 2)
+
+    def test_shared_calls_count_per_receiving_host(self):
+        bus = MessageBus()
+        bus.register("h1")
+        bus.register("h2")
+        bus.send("h1", ExecuteBatch("a", ((1, 0), (2, 0)), shared=True))
+        bus.send_many("h2", [_work(3, shared=True), _work(4)])
+        counted = [bus.metrics.counter("bus.shared_calls", host=h).value for h in ("h1", "h2")]
+        assert counted == [2, 1]
+
+    def test_shutdown_is_passed_along_the_seats(self):
+        """One ``Shutdown`` reaches every bus seat: the worker that takes
+        it re-sends it while a seat is still occupied."""
+        cluster = FaasmCluster(n_hosts=1)
+        cluster.register_python("f", lambda ctx: ctx.write_output(b"ok"))
+        assert cluster.invoke("f") == (0, b"ok")
+        instance = cluster.instances[0]
+        wait_for(lambda: instance._receiving == WORKER_FLOOR)
+        sent = cluster.bus.stats.sent
+        cluster.shutdown()
+        assert instance._workers == []
+        assert cluster.bus.pending(instance.host) == 0
+        assert cluster.bus.stats.sent - sent == WORKER_FLOOR
