@@ -16,9 +16,11 @@ pre-code-generated at upload time) or warm from a Proto-Faaslet snapshot
 (:mod:`repro.faaslet.snapshot`). Either way instantiation *links* against
 the static host-interface table (:mod:`repro.host.interface`): one binding
 per import the module declares, made once in the Faaslet's life and reused
-by ``reset()`` and ``dlopen()``. Whoever discards a Faaslet calls
-:meth:`Faaslet.close`, which returns its memory without waiting for the
-cycle collector.
+by ``dlopen()``. A Faaslet restored from a Proto-Faaslet is put back to it
+in place by :meth:`Faaslet.reset` before every warm call, so no call sees
+what the one before it left (§5.2). Whoever discards a Faaslet calls
+:meth:`Faaslet.close`, which unmaps its shared regions and returns its
+memory without waiting for the cycle collector.
 """
 
 from __future__ import annotations
@@ -129,26 +131,22 @@ class Faaslet:
         self.input_data: bytes = b""
         self.output_data: bytes = b""
 
-        #: key -> guest base address of the mapped shared region.
-        self._state_mappings: dict[str, int] = {}
+        #: key -> (guest base address, region) of each mapped shared region.
+        self._state_mappings: dict[str, tuple[int, "SharedRegion"]] = {}
         #: dlopen handles -> dynamically linked instances.
         self._dl_handles: dict[int, Instance] = {}
         self._next_dl_handle = 1
         #: Guest-thread runtime (created lazily on the first thread_spawn).
         self._thread_runtime: "GuestThreadRuntime | None" = None
-        #: Proto-Faaslet this Faaslet restores from on reset() (set when
-        #: spawned from a snapshot).
+        #: The Proto-Faaslet reset() returns to (None after a cold boot).
         self.proto = proto
-        #: Number of calls served by this (warm) Faaslet.
-        self.calls_served = 0
-        #: Execution tier pinned at spawn (None = session default); reset()
-        #: restores onto the same tier.
-        self.tier = tier
+        #: Instructions the last call executed (what its cgroup is charged).
+        self.fuel_consumed = 0
 
         module = definition.module
         #: The host interface as this Faaslet links against it: made once
-        #: here, reused by reset() and dlopen(), so an import is bound to
-        #: this Faaslet at most once in its life.
+        #: here, reused by dlopen(), so an import is bound to this Faaslet
+        #: at most once in its life.
         self._imports = imports = _host_imports(self)
         if proto is not None:
             self.instance = proto.make_instance(imports, fuel=fuel, tier=tier)
@@ -191,15 +189,11 @@ class Faaslet:
             except Trap as trap:
                 logger.debug("%s trapped: %s", self.name, trap)
                 sp.set_attr("trapped", True)
-                sp.set_attr(
-                    "fuel_consumed", self.instance.instructions_executed - before
-                )
                 return 1, self.output_data
-            sp.set_attr(
-                "fuel_consumed", self.instance.instructions_executed - before
-            )
+            finally:
+                self.fuel_consumed = self.instance.instructions_executed - before
+                sp.set_attr("fuel_consumed", self.fuel_consumed)
         code = int(result) if isinstance(result, int) else 0
-        self.calls_served += 1
         return code, self.output_data
 
     def invoke_export(self, name: str, *args):
@@ -250,9 +244,9 @@ class Faaslet:
     def map_state_region(self, key: str, size: int | None, pull: bool = True) -> int:
         """Map the local-tier replica of ``key`` into linear memory and
         return the guest address of the value's first byte."""
-        base = self._state_mappings.get(key)
-        if base is not None:
-            return base
+        mapped = self._state_mappings.get(key)
+        if mapped is not None:
+            return mapped[0]
         tier = self.env.state.tier
         if size is not None and not tier.client.exists(key) and not tier.has_replica(key):
             replica = tier.create(key, size)
@@ -261,8 +255,14 @@ class Faaslet:
         else:
             replica = tier.replica(key, size)
         base = replica.region.map_into(self.instance.memory)
-        self._state_mappings[key] = base
+        self._state_mappings[key] = base, replica.region
         return base
+
+    def _unmap_state(self) -> None:
+        """Unmap every shared region, so a region counts live mappings only."""
+        for base, region in self._state_mappings.values():
+            region.unmap_from(self.instance.memory, base)
+        self._state_mappings.clear()
 
     @property
     def mapped_state_keys(self) -> list[str]:
@@ -339,52 +339,43 @@ class Faaslet:
     # Reset (multi-tenant reuse, §5.2)
     # ------------------------------------------------------------------
     def reset(self) -> None:
-        """Restore execution state from this Faaslet's Proto-Faaslet.
-
-        Guarantees that nothing from the previous call survives — memory,
-        globals and table come back from the snapshot, so the Faaslet can
-        safely serve a different tenant's next call.
-        """
-        if self.proto is None:
+        """Put the Faaslet back to its Proto-Faaslet, in place, so nothing
+        of the last call reaches the next, maybe another tenant's (§5.2;
+        the warm pool runs this before every warm call). Memory aliases
+        the frozen pages again (grown and privatised pages go), globals and
+        table take their snapshot values; the break, thread runtime, dlopen
+        handles and state mappings go. The instance, its linked imports,
+        fuel and counters stay, and no restore is counted."""
+        proto, instance = self.proto, self.instance
+        if proto is None:
             raise RuntimeError(f"{self.name} has no Proto-Faaslet to reset from")
-        fuel = self.instance.fuel
-        self.instance = self.proto.make_instance(
-            self._imports, fuel=fuel, tier=self.tier
-        )
-        self._brk = self.instance.memory.size_bytes
-        self._state_mappings.clear()
+        self._unmap_state()
+        if instance.memory is not None:
+            instance.memory.alias_frozen(proto.frozen_pages)
+        for g, (_, _, value) in zip(instance.globals, proto.globals_snapshot):
+            g.value = value
+        table = proto.table_snapshot
+        instance.table = None if table is None else list(table)
+        instance._thread_runtime = self._thread_runtime = None
+        self._brk = proto.size_bytes
         self._dl_handles.clear()
-        # The old runtime is bound to the discarded instance.
-        self._thread_runtime = None
-        self.input_data = b""
-        self.output_data = b""
-
-    @property
-    def worn(self) -> bool:
-        """Whether the guest has grown its memory through half the headroom
-        its Proto-Faaslet left below the cap. A heap that never frees
-        (minilang's bump allocator) reaches the cap after enough warm calls,
-        and every call after that traps; reset then gives back the snapshot,
-        as a restore onto a fresh Faaslet would."""
-        memory = self.instance.memory
-        if self.proto is None or memory is None:
-            return False
-        start = len(self.proto.frozen_pages)
-        return memory.size_pages - start > (self.definition.max_pages - start) // 2
+        self.input_data = self.output_data = b""
+        self.fuel_consumed = 0
 
     def close(self) -> None:
-        """Tear the Faaslet down: drop the instance (its materialised
-        pages), the linked imports, dlopen handles and the thread runtime.
+        """Tear the Faaslet down: unmap its shared regions, drop the
+        instance (its pages), the linked imports, dlopen handles and the
+        thread runtime.
 
         ``faaslet → instance → funcs → bound host function → faaslet`` is a
         reference cycle (and so is instance ↔ thread runtime), so merely
         forgetting a Faaslet leaves its memory to the cycle collector;
         ``close()`` breaks the cycles and frees it now. Idempotent. Only for
         an idle Faaslet — never one a guest is still running in."""
-        instance, self.instance = self.instance, None
-        if instance is not None:
-            instance._thread_runtime = None
-        self._imports = None
+        if self.instance is not None:
+            self._unmap_state()
+            self.instance._thread_runtime = None
+        self.instance = self._imports = None
         self._dl_handles.clear()
         self._thread_runtime = None
 

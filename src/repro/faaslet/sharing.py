@@ -95,6 +95,15 @@ class SharedRegion:
             self.mapping_count += 1
             return base
 
+    def unmap_from(self, memory: LinearMemory, base: int) -> None:
+        """Undo the :meth:`map_into` that returned ``base`` (its mapper's
+        reset or close): it stops counting, its pages stop being re-protected."""
+        first = base // PAGE_SIZE
+        mine = {id(page) for page in memory.pages[first : first + self.n_pages]}
+        with self._lock:
+            self.mapping_count -= 1
+            self._mapped_pages = [p for p in self._mapped_pages if id(p) not in mine]
+
     # ------------------------------------------------------------------
     # Host-side access (used by the state tier).
     # ------------------------------------------------------------------

@@ -70,7 +70,6 @@ class FaasmCluster:
         self,
         n_hosts: int = 2,
         capacity: int = DEFAULT_CAPACITY,
-        reset_between_calls: bool = False,
         telemetry: Telemetry | None = None,
         retry_policy: RetryPolicy | None = None,
         chaos=None,
@@ -113,7 +112,6 @@ class FaasmCluster:
         self.endpoints: dict = {}
         self.retry = retry_policy if retry_policy is not None else RetryPolicy()
         self._capacity = capacity
-        self._reset_between_calls = reset_between_calls
         self._host_seq = itertools.count(n_hosts)
         self.instances = [self._boot(f"host-{i}") for i in range(n_hosts)]
         self._by_host = {instance.host: instance for instance in self.instances}
@@ -130,10 +128,7 @@ class FaasmCluster:
 
     def _boot(self, host: str) -> FaasmRuntimeInstance:
         """A new host: its instance, its bus endpoint, its first worker."""
-        instance = FaasmRuntimeInstance(
-            host, self, capacity=self._capacity,
-            reset_between_calls=self._reset_between_calls,
-        )
+        instance = FaasmRuntimeInstance(host, self, capacity=self._capacity)
         self.bus.register(host)
         instance.start_dispatcher()
         return instance

@@ -1,10 +1,10 @@
 """A FAASM runtime instance: one per host (§5, Fig. 5).
 
-Each instance owns a pool of Faaslets (warm ones are reused across calls),
-a local scheduler, the host's local state tier, a metered connection to the
-global tier and the standing workers that run its calls. Calls arrive from
-the front door or from other instances (work sharing); chained calls re-enter
-the cluster through the instance's environment.
+Each instance owns a pool of Faaslets (a warm one is reset to its
+Proto-Faaslet and reused), a local scheduler, the host's local state tier, a
+metered connection to the global tier and the standing workers that run its
+calls. Calls arrive from the front door or from other instances (work
+sharing); chained calls re-enter the cluster through its environment.
 """
 
 from __future__ import annotations
@@ -134,12 +134,10 @@ class FaasmRuntimeInstance:
         host: str,
         cluster,
         capacity: int = DEFAULT_CAPACITY,
-        reset_between_calls: bool = False,
     ):
         self.host = host
         self.cluster = cluster
         self.capacity = capacity
-        self.reset_between_calls = reset_between_calls
 
         meter = TransferMeter(cluster.telemetry.metrics, host=host)
         self.state_client = StateClient(cluster.global_state, meter)
@@ -520,13 +518,15 @@ class FaasmRuntimeInstance:
     def _acquire_faaslet(self, definition: FunctionDefinition) -> tuple[Faaslet, bool]:
         with self._mutex:
             pool = self._warm.get(definition.name)
-            if pool:
-                self.metrics.record_warm_hit()
-                with span("faaslet.acquire", function=definition.name) as sp:
-                    sp.set_attr("mode", "warm")
-                faaslet = pool.pop()
-                self._tap_profiler(faaslet, definition.name)
-                return faaslet, False
+            faaslet = pool.pop() if pool else None
+        if faaslet is not None:
+            # Reset here, not on release: a Faaslet reclaimed first never pays.
+            self.metrics.record_warm_hit()
+            with span("faaslet.acquire", function=definition.name) as sp:
+                sp.set_attr("mode", "warm")
+                faaslet.reset()
+            self._tap_profiler(faaslet, definition.name)
+            return faaslet, False
         # Cold start: restore from the Proto-Faaslet when one exists (the
         # snapshot client pulls only the pages this host is missing).
         with span("faaslet.acquire", function=definition.name) as sp:
@@ -547,9 +547,11 @@ class FaasmRuntimeInstance:
         return faaslet
 
     def _release_faaslet(self, function: str, faaslet: Faaslet) -> None:
-        self.cgroup.charge(faaslet.name, faaslet.instance.instructions_executed)
-        if (self.reset_between_calls and faaslet.proto is not None) or faaslet.worn:
-            faaslet.reset()
+        self.cgroup.charge(faaslet.name, faaslet.fuel_consumed)
+        if faaslet.proto is None:  # nothing to reset it from: one call only
+            self.cgroup.remove_member(faaslet.name)
+            faaslet.close()
+            return
         with self._mutex:
             self._warm.setdefault(function, []).append(faaslet)
 
@@ -563,6 +565,8 @@ class FaasmRuntimeInstance:
         if isinstance(definition, PythonFunctionDefinition):
             return 0  # Python guests have no per-instance isolation unit
         proto = self.snapshots.get_proto(definition)
+        if proto is None:
+            return 0  # a Faaslet without a snapshot is never pooled
         added = 0
         for _ in range(count):
             # Always create fresh instances (acquire would just recycle the

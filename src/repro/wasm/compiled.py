@@ -50,8 +50,8 @@ Lowering rules
   page-straddle and (stores) ``Page.writable`` tests sit in the generated
   code; a miss calls the typed :class:`~repro.wasm.memory.LinearMemory`
   access the interpreter uses (COW, dirty-tracking ``notify``, the trap).
-  ``npg`` caches ``len(pages)``; pages are never removed, so a stale value
-  only sends an access down that path.
+  ``npg`` caches ``len(pages)``; pages are removed only between calls (a
+  Faaslet's reset), so a stale value only sends an access down that path.
 
 * **An innermost counted loop checks its range once per entry.** For the
   ``for`` shape (counter ``iv`` stepped last by ``+c``, exit test ``iv < n``

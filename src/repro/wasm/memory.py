@@ -204,27 +204,25 @@ class LinearMemory:
         return views
 
     def freeze_with_digests(self) -> tuple[list[memoryview], list[str]]:
-        """Freeze every private page and return ``(views, digests)``.
-
-        The snapshot data plane's capture entry point: digests are computed
-        here, at freeze time, while the pages are known-quiescent, so the
-        manifest's content addresses are stable for the snapshot's lifetime
-        (frozen pages are copy-on-write — writers materialise a private
-        copy, never mutate the frozen bytes).
-        """
+        """Freeze every private page and return ``(views, digests)``: the
+        capture entry point. Digests are taken here, while the pages are
+        quiescent, so the manifest's content addresses hold for the
+        snapshot's life (a writer copies a frozen page, never mutates it)."""
         views = self.freeze_pages()
         return views, [page_digest(v) for v in views]
 
     @classmethod
-    def from_frozen_pages(
-        cls, views: list[memoryview], memtype: MemoryType
-    ) -> "LinearMemory":
+    def from_frozen_pages(cls, views: list[memoryview], memtype: MemoryType) -> "LinearMemory":
         """Build a memory whose pages alias ``views`` copy-on-write."""
         mem = cls.__new__(cls)
-        mem.memtype = memtype
-        mem.pages = [Page(v, writable=False, shared=False) for v in views]
-        mem.cow_faults = 0
+        mem.memtype, mem.cow_faults = memtype, 0
+        mem.alias_frozen(views)
         return mem
+
+    def alias_frozen(self, views: list[memoryview]) -> None:
+        """Make ``views``, copy-on-write, the whole page table: grown and
+        privatised pages are dropped (a restore, or a Faaslet's reset)."""
+        self.pages = [Page(v, writable=False, shared=False) for v in views]
 
     def _materialise(self, page_idx: int) -> Page:
         """Handle a write to a protected page (a "page fault").

@@ -1,11 +1,14 @@
 """Fully-sandboxed HOGWILD SGD tests (Listing 1 in wasm)."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from repro.apps.wasm_sgd import (
     W_KEY,
     X_KEY,
+    Y_KEY,
     make_linear_dataset,
     run_wasm_sgd,
     setup_wasm_sgd,
@@ -50,6 +53,33 @@ def test_colocated_workers_share_one_dataset_replica():
     replica = cluster.instances[0].local_tier.replica(X_KEY)
     # At least two Faaslets ran concurrently, each mapping the SAME region.
     assert replica.region.mapping_count >= 2
+
+
+def test_warm_calls_leave_one_mapping_per_pooled_faaslet():
+    """Each warm call unmaps what the call before it mapped and a reclaimed
+    Faaslet unmaps what it held, so a region's mappings are bounded by the
+    pool, not by the number of calls — with workers racing at a short
+    switch interval too."""
+    X, y, _ = make_linear_dataset(n=60, d=4)
+    cluster = FaasmCluster(n_hosts=1, capacity=8)
+    setup_wasm_sgd(cluster, X, y)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(6):
+            run_wasm_sgd(cluster, 60, 4, n_workers=3, epochs=1, lr=0.05)
+    finally:
+        sys.setswitchinterval(interval)
+    instance = cluster.instances[0]
+    pooled = instance.warm_count("wsgd_worker")
+    assert instance.metrics.cold_starts == pooled
+    assert instance.metrics.warm_hits == 18 - pooled
+    regions = [instance.local_tier.replica(k).region for k in (X_KEY, Y_KEY, W_KEY)]
+    for region in regions:
+        assert 1 <= region.mapping_count <= pooled
+        assert len(region._mapped_pages) <= pooled * region.n_pages
+    instance.reclaim_idle()
+    assert [(r.mapping_count, r._mapped_pages) for r in regions] == [(0, [])] * 3
 
 
 def test_weights_pushed_to_global_tier():

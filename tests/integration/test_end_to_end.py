@@ -101,8 +101,8 @@ def test_wasm_guest_shares_state_with_python_guest():
 
 
 def test_reset_between_calls_isolates_tenants():
-    """With reset_between_calls, warm Faaslets leak nothing across calls
-    (§5.2 multi-tenant reuse)."""
+    """Warm Faaslets leak nothing across calls: every warm call starts from
+    the Proto-Faaslet (§5.2 multi-tenant reuse)."""
     counter_src = """
     global int count = 0;
     extern void write_call_output(int buf, int len);
@@ -114,17 +114,11 @@ def test_reset_between_calls_isolates_tenants():
         return 0;
     }
     """
-    # Without reset: the warm Faaslet accumulates state across calls.
-    dirty = FaasmCluster(n_hosts=1, reset_between_calls=False)
-    dirty.upload("counter", counter_src)
-    outputs = [dirty.invoke("counter")[1] for _ in range(3)]
-    assert outputs == [b"1", b"2", b"3"]
-
-    # With reset: every call sees pristine snapshot state.
-    clean = FaasmCluster(n_hosts=1, reset_between_calls=True)
-    clean.upload("counter", counter_src)
-    outputs = [clean.invoke("counter")[1] for _ in range(3)]
+    cluster = FaasmCluster(n_hosts=1)
+    cluster.upload("counter", counter_src)
+    outputs = [cluster.invoke("counter")[1] for _ in range(3)]
     assert outputs == [b"1", b"1", b"1"]
+    assert cluster.instances[0].metrics.warm_hits == 2
 
 
 def test_a_worn_warm_faaslet_is_reset_before_its_heap_reaches_the_cap():
