@@ -87,7 +87,10 @@ def test_fig10_measured_creation_rates(benchmark):
          "paper_ceiling": "~3/s"},
     ]
     report("fig10_measured", "Fig. 10: measured creation rates", rows)
-    # Orders of magnitude: both mechanisms beat Docker's ~3/s by >100x,
-    # and proto restores are at least as fast as full instantiation.
-    assert faaslet_rate > 300
+    # Orders of magnitude: real Faaslets outpace the modelled Docker
+    # ceiling by at least the paper's knee ratio (~600/s over ~3/s), and
+    # proto restores are at least as fast as full instantiation.
+    docker_ceiling = docker_churn_model().saturation_rate
+    knee_ratio = faaslet_churn_model().saturation_rate / docker_ceiling
+    assert faaslet_rate / docker_ceiling >= knee_ratio
     assert proto_rate >= faaslet_rate * 0.8

@@ -29,15 +29,13 @@ Two experiments, both layered on the Fig. 8/9 workloads:
   each scheduler rotation advances the virtual clock by the maximum
   fuel any runnable thread consumed (i.e. what k cores would do).
 
-Results land in ``benchmarks/results/simd_threads.json``; the
-``smoke_floor`` keys there are read back by the tier-1 guard in
-``tests/minilang/test_simd_threads_smoke.py`` (run it alone with
-``python benchmarks/bench_simd_threads.py --smoke``).
+Results land in ``benchmarks/results/simd_threads.json``. The fast
+tier-1 proxy, ``tests/minilang/test_simd_threads_smoke.py``, holds its
+own floors.
 """
 
 from __future__ import annotations
 
-import pathlib
 import time
 
 import pytest
@@ -59,12 +57,6 @@ SIMD_VS_INTERP_FLOOR = 3.8
 
 #: Virtual-time floor for parallel_for with 4 guest threads (Fig. 8 block).
 THREADS_FLOOR = 2.0
-
-#: Conservative floors enforced by the tier-1 smoke guard (the SIMD smoke
-#: kernel measures 1.4-1.7x over its scalar loop, 5.4x over the interpreter).
-SIMD_SMOKE_FLOOR = 1.15
-SIMD_VS_INTERP_SMOKE_FLOOR = 4.0
-THREADS_SMOKE_FLOOR = 1.8
 
 SIMD_SRC = """
 export int scalar_add_i(int n, int reps) {
@@ -286,9 +278,6 @@ def test_simd_kernels_wallclock(benchmark):
             "kernel": "floors",
             "simd_floor": SIMD_FLOOR,
             "simd_vs_interp_floor": SIMD_VS_INTERP_FLOOR,
-            "smoke_floor": SIMD_SMOKE_FLOOR,
-            "simd_vs_interp_smoke_floor": SIMD_VS_INTERP_SMOKE_FLOOR,
-            "threads_smoke_floor": THREADS_SMOKE_FLOOR,
         }
     )
     report("simd_threads", "Vector ISA: scalar vs v128 kernels (wall-clock)", rows)
@@ -361,24 +350,4 @@ def test_parallel_for_fig8_block(benchmark):
 
 
 if __name__ == "__main__":  # pragma: no cover
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="run only the fast SIMD/threads regression guard (the tier-1 "
-        "smoke marker) instead of the full benchmark",
-    )
-    opts = parser.parse_args()
-    if opts.smoke:
-        guard = (
-            pathlib.Path(__file__).parents[1]
-            / "tests"
-            / "minilang"
-            / "test_simd_threads_smoke.py"
-        )
-        target = ["-m", "smoke", str(guard)]
-    else:
-        target = [__file__]
-    raise SystemExit(pytest.main(["-x", "-q", "-s", *target]))
+    raise SystemExit(pytest.main(["-x", "-q", "-s", __file__]))

@@ -18,6 +18,9 @@ from repro.host import StandaloneEnvironment
 from repro.minilang import build
 from repro.wasm import OutOfBoundsMemoryAccess
 
+#: Tab. 1's cited container initialisation time.
+CONTAINER_INIT_MS = 100.0
+
 
 def test_table1_isolation_matrix(benchmark):
     env = StandaloneEnvironment()
@@ -60,7 +63,8 @@ def test_table1_isolation_matrix(benchmark):
 
     rows = [
         {"approach": "Containers", "mem_safety": "yes", "res_isolation": "yes",
-         "state_sharing": "no", "init": "~100 ms", "footprint": "MBs"},
+         "state_sharing": "no", "init": f"~{CONTAINER_INIT_MS:.0f} ms",
+         "footprint": "MBs"},
         {"approach": "VMs", "mem_safety": "yes", "res_isolation": "yes",
          "state_sharing": "no", "init": "~100 ms", "footprint": "MBs"},
         {"approach": "Unikernel", "mem_safety": "yes", "res_isolation": "yes",
@@ -77,6 +81,7 @@ def test_table1_isolation_matrix(benchmark):
     report("table1_isolation", "Tab. 1: isolation approaches", rows)
 
     assert memory_safety and resource_isolation and state_sharing
-    # Faaslet non-functionals sit in the unikernel/SFI gap as in Tab. 1.
-    assert init_ms < 10.0
+    # Faaslet non-functionals sit in the unikernel/SFI gap as in Tab. 1:
+    # an order of magnitude below the containers' cited init, or better.
+    assert CONTAINER_INIT_MS / init_ms >= 10
     assert footprint_kb < 1024

@@ -33,6 +33,9 @@ from repro.minilang import build
 
 HOST_RAM = 16 * 1024**3
 
+#: Tab. 3's container-over-Faaslet cold-start ratio: 2.8 s / 5.2 ms.
+PAPER_INIT_RATIO = CONTAINER_INIT_S / 5.2e-3
+
 NOOP_SRC = "export int main() { return 0; }"
 
 #: An init-heavy guest: builds interpreter-like tables at startup, the
@@ -117,7 +120,9 @@ def test_table3_noop_cold_start(benchmark):
     ]
     report("table3_coldstart", "Tab. 3: Faaslets vs container cold starts", rows)
     # Shape assertions: orders of magnitude must match the paper.
-    assert faaslet_init < 0.05, "Faaslet cold start should be milliseconds"
+    assert CONTAINER_INIT_S / faaslet_init >= PAPER_INIT_RATIO, (
+        "Faaslet cold start must beat the container's by Tab. 3's ratio"
+    )
     # Both paths link against the static host-interface table, so what is
     # timed is the boot and the restore themselves. For a NO-OP function a
     # boot allocates one page where a restore aliases it: restore wins, but

@@ -431,9 +431,8 @@ class FaasmRuntimeInstance:
         with self._mutex:
             if self.alive:
                 return
-            for pool in self._warm.values():
-                for faaslet in pool:
-                    faaslet.close()
+            for faaslet in (f for pool in self._warm.values() for f in pool):
+                self._discard(faaslet)
             self._warm.clear()
             self._executing = 0
             self.alive = True
@@ -549,11 +548,14 @@ class FaasmRuntimeInstance:
     def _release_faaslet(self, function: str, faaslet: Faaslet) -> None:
         self.cgroup.charge(faaslet.name, faaslet.fuel_consumed)
         if faaslet.proto is None:  # nothing to reset it from: one call only
-            self.cgroup.remove_member(faaslet.name)
-            faaslet.close()
+            self._discard(faaslet)
             return
         with self._mutex:
             self._warm.setdefault(function, []).append(faaslet)
+
+    def _discard(self, faaslet: Faaslet) -> None:
+        self.cgroup.remove_member(faaslet.name)
+        faaslet.close()
 
     # ------------------------------------------------------------------
     # Pre-warming (scale-up ahead of traffic)
@@ -592,9 +594,7 @@ class FaasmRuntimeInstance:
         with self._mutex:
             for function, pool in list(self._warm.items()):
                 while len(pool) > keep_per_function:
-                    faaslet = pool.pop()
-                    self.cgroup.remove_member(faaslet.name)
-                    faaslet.close()
+                    self._discard(pool.pop())
                     reclaimed += 1
                 if not pool:
                     del self._warm[function]

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-import pathlib
 import time
 import weakref
 
@@ -11,8 +9,6 @@ import pytest
 
 from repro.faaslet import HostSnapshotCache, SnapshotManifest, SnapshotRepository
 from repro.runtime import FaasmCluster
-
-_RESULTS_DIR = pathlib.Path(__file__).parents[1] / "benchmarks" / "results"
 
 
 #: Every cluster built while the suite runs.
@@ -50,18 +46,6 @@ def _shut_down_module_clusters():
     """The same for clusters a module-scoped fixture built, once the
     module is done with them."""
     yield from _shut_down_new_clusters()
-
-
-def stored_floor(result_name: str, default: float, key: str = "smoke_floor") -> float:
-    """The perf floor a benchmark stored in ``benchmarks/results/
-    <result_name>.json`` (the first row carrying ``key``), or ``default``
-    when the file or the row is missing (fresh checkout, no bench run)."""
-    path = _RESULTS_DIR / f"{result_name}.json"
-    if path.exists():
-        for row in json.loads(path.read_text()):
-            if key in row:
-                return float(row[key])
-    return default
 
 
 def wait_for(condition, timeout: float = 10.0) -> None:

@@ -1,19 +1,14 @@
-"""Tier-1 regression guard for the content-addressed snapshot plane.
+"""Tier-1 guard for the content-addressed snapshot plane, in exact counts.
 
-The full benchmark (``benchmarks/bench_snapshot_distribution.py``)
-measures delta pulls on 64-page snapshots; this smoke test is its fast
-tier-1 proxy: a one-page version bump on a 16-page snapshot must still
-ship at least the bytes-saved floor stored in
-``benchmarks/results/snapshot_distribution.json`` fewer bytes than
-shipping every non-zero page, and a fully-resident restore must ship nothing in
-exactly one metadata round trip. Both metrics are deterministic byte/trip
-counts, not timings, so the guard is machine-independent — it catches
-regressions that silently fall back to full-snapshot transfers (lost
-digests, a PageStore that stopped deduplicating, a pull that re-ships
-resident pages).
-
-Run just this guard with ``python benchmarks/bench_snapshot_distribution.py
---smoke`` or ``pytest -m smoke``.
+A one-page version bump on a 16-page snapshot must ship exactly that
+page, 16x fewer bytes than shipping every non-zero page, in two round
+trips; a fully-resident restore must ship nothing in exactly one metadata
+round trip; and a second function that shares pages with a resident one
+must ship only its own. Every metric is a byte, page or trip count, not a
+timing, so the guard is machine-independent — it catches regressions
+that silently fall back to full-snapshot transfers (lost digests, a
+PageStore that stopped deduplicating, a pull that re-ships resident
+pages).
 """
 
 import struct
@@ -28,68 +23,78 @@ from repro.faaslet import (
 )
 from repro.minilang import build
 from repro.wasm.types import PAGE_SIZE
-from tests.conftest import stored_floor
-
-#: Used when the results file is missing (fresh checkout, no bench run).
-_DEFAULT_FLOOR = 10.0
 
 _N_PAGES = 16
 
 
-def _pages(seed_of_page):
+def _pages(seed_of_page, n=_N_PAGES):
     out = []
-    for i in range(_N_PAGES):
+    for i in range(n):
         page = bytearray(PAGE_SIZE)
         struct.pack_into("<II", page, 0, seed_of_page(i), i)
         out.append(memoryview(bytes(page)))
     return out
 
 
+def _definition(name):
+    return FunctionDefinition.build(name, build("export int main() { return 0; }"))
+
+
+def _proto(defn, pages):
+    return ProtoFaaslet(defn, pages, [("i32", True, 0)], None)
+
+
 @pytest.mark.smoke
 def test_delta_pull_bytes_saved_floor():
-    """A 1/16-page version bump must ship ≥floor× fewer bytes than the
-    monolithic transfer, and an identical republish must ship nothing."""
-    defn = FunctionDefinition.build(
-        "smoke-snap", build("export int main() { return 0; }")
-    )
+    """A 1/16-page version bump ships exactly the changed page, 1/16 of
+    the monolithic transfer, and an identical republish ships nothing."""
+    defn = _definition("smoke-snap")
     repo = SnapshotRepository()
     cache = HostSnapshotCache("smoke-host", repo)
 
-    repo.publish(
-        "smoke-snap",
-        ProtoFaaslet(defn, _pages(lambda i: 1), [("i32", True, 0)], None),
-    )
+    repo.publish("smoke-snap", _proto(defn, _pages(lambda i: 1)))
     assert cache.get_proto(defn).version == 1
 
-    v2 = ProtoFaaslet(
-        defn, _pages(lambda i: 2 if i == 0 else 1), [("i32", True, 0)], None
-    )
-    # The monolithic transfer: every non-zero page, whatever the host holds.
+    v2 = _proto(defn, _pages(lambda i: 2 if i == 0 else 1))
+    # The monolithic transfer ships every non-zero page, whatever the host
+    # holds: all 16, against the delta's one.
     manifest = v2.manifest()
-    full_bytes = (manifest.n_pages - manifest.zero_pages) * PAGE_SIZE
+    assert manifest.n_pages - manifest.zero_pages == _N_PAGES
     repo.publish("smoke-snap", v2)
     before = cache.stats()
     assert cache.get_proto(defn).version == 2
-    shipped = cache.stats()["bytes_shipped"] - before["bytes_shipped"]
-
-    # Semantics first: the guard is meaningless if the pull is wrong.
-    assert shipped == PAGE_SIZE, "delta must be exactly the changed page"
-    ratio = full_bytes / shipped
-    floor = stored_floor("snapshot_distribution", _DEFAULT_FLOOR)
-    assert ratio >= floor, (
-        f"delta pull saved only {ratio:.1f}x bytes, below the stored "
-        f"floor {floor}x ({shipped} of {full_bytes} bytes shipped)"
-    )
+    after = cache.stats()
+    assert after["bytes_shipped"] - before["bytes_shipped"] == PAGE_SIZE
+    # Metadata, then one batched page pull.
+    assert after["round_trips"] - before["round_trips"] == 2
 
     # Fully-resident restore: zero pages, exactly one metadata round trip.
-    repo.publish(
-        "smoke-snap",
-        ProtoFaaslet(
-            defn, _pages(lambda i: 2 if i == 0 else 1), [("i32", True, 0)], None
-        ),
-    )
+    v3 = _proto(defn, _pages(lambda i: 2 if i == 0 else 1))
+    repo.publish("smoke-snap", v3)
     before = cache.stats()
     assert cache.get_proto(defn).version == 3
     after = cache.stats()
     assert after["bytes_shipped"] == before["bytes_shipped"]
+    assert after["pages_shipped"] == before["pages_shipped"]
     assert after["round_trips"] == before["round_trips"] + 1
+
+
+@pytest.mark.smoke
+def test_cross_function_dedup_ships_only_exclusive_pages():
+    """Two functions sharing 48 of 64 pages: pulling the second ships its
+    16 exclusive pages, the 48 shared ones are PageStore dedup hits, and
+    the host holds each shared page once."""
+    repo = SnapshotRepository()
+    cache = HostSnapshotCache("smoke-host", repo)
+    defn_a, defn_b = _definition("snap-a"), _definition("snap-b")
+    shared = _pages(lambda i: 7, n=48)
+    repo.publish("snap-a", _proto(defn_a, shared + _pages(lambda i: 100)))
+    repo.publish("snap-b", _proto(defn_b, shared + _pages(lambda i: 200)))
+
+    cache.get_proto(defn_a)
+    before = cache.stats()
+    cache.get_proto(defn_b)
+    after = cache.stats()
+    assert after["bytes_shipped"] - before["bytes_shipped"] == 16 * PAGE_SIZE
+    assert after["pull_dedup_hits"] - before["pull_dedup_hits"] == 48
+    assert after["resident_pages"] == 48 + 16 + 16

@@ -1,23 +1,21 @@
 """Tier-1 regression guard for the vector ISA and guest threads.
 
-The full benchmark (``benchmarks/bench_simd_threads.py``) measures the
-scalar-vs-v128 kernels and the Fig. 8 fork-join block at real problem
-sizes; this smoke test is its fast tier-1 proxy. It checks three floors
-stored in ``benchmarks/results/simd_threads.json``:
+``benchmarks/bench_simd_threads.py`` measures the scalar-vs-v128 kernels
+and the Fig. 8 fork-join block at real problem sizes; this is its fast
+tier-1 proxy, and every floor it checks is held here:
 
 * the v128 ``vec_min_i`` kernel must stay faster than its scalar loop
-  (``smoke_floor``, wall-clock, relative — insensitive to host speed).
-  The compiled tier sped scalar loops up twice as much as v128 loops, so
-  this ratio is thin (1.15x, measures 1.4-1.7x) and guards only the sign;
+  (:data:`SIMD_FLOOR`, a same-run wall-clock ratio, insensitive to host
+  speed). The compiled tier sped scalar loops up twice as much as v128
+  loops, so this ratio is thin (1.15x, measures 1.4-1.7x) and guards only
+  the sign;
 * the same v128 kernel on the compiled tier must stay well ahead of
-  itself on the interpreter (``simd_vs_interp_smoke_floor``, 4x, measures
+  itself on the interpreter (:data:`SIMD_VS_INTERP_FLOOR`, 4x, measures
   5.4x; the closure-threaded tier measured 3.3x) — the guard that a
   de-optimised v128 lowering trips;
-* ``parallel_for`` with 4 guest threads must keep its virtual-time
-  modeled speedup (``threads_smoke_floor``, deterministic).
-
-Run just this guard with ``python benchmarks/bench_simd_threads.py
---smoke`` or ``pytest -m smoke``.
+* ``parallel_for`` with 4 guest threads over 400 equal iterations must
+  model exactly a 4x speedup: serial fuel is four times the virtual-time
+  fuel, an exact count.
 """
 
 import time
@@ -28,14 +26,11 @@ from repro.faaslet import Faaslet, FunctionDefinition
 from repro.host import StandaloneEnvironment
 from repro.minilang import build
 from repro.wasm import instantiate
-from tests.conftest import stored_floor
 
-#: Used when the results file is missing (fresh checkout, no bench run).
-_DEFAULT_FLOORS = {
-    "smoke_floor": 1.15,
-    "simd_vs_interp_smoke_floor": 4.0,
-    "threads_smoke_floor": 1.8,
-}
+#: v128 kernel over its scalar loop, same run.
+SIMD_FLOOR = 1.15
+#: v128 kernel on the compiled tier over the interpreter, same run.
+SIMD_VS_INTERP_FLOOR = 4.0
 
 _SIMD_SRC = """
 export int scalar_min(int n, int reps) {
@@ -78,13 +73,6 @@ export int main(int n) {
 """
 
 
-def _stored_floors() -> dict[str, float]:
-    return {
-        key: stored_floor("simd_threads", default, key)
-        for key, default in _DEFAULT_FLOORS.items()
-    }
-
-
 @pytest.mark.smoke
 def test_simd_kernel_speedup_floor():
     module = build(_SIMD_SRC)
@@ -106,17 +94,16 @@ def test_simd_kernel_speedup_floor():
     t_interp, r_interp = best(oracle, "simd_min")
     # The guard is meaningless if results diverge.
     assert r_simd == r_scalar == r_interp
-    floors = _stored_floors()
     speedup = t_scalar / t_simd
-    assert speedup >= floors["smoke_floor"], (
-        f"v128 min kernel speedup {speedup:.2f}x fell below the stored "
-        f"floor {floors['smoke_floor']}x (scalar {t_scalar * 1e3:.1f} ms, "
+    assert speedup >= SIMD_FLOOR, (
+        f"v128 min kernel speedup {speedup:.2f}x fell below the "
+        f"floor {SIMD_FLOOR}x (scalar {t_scalar * 1e3:.1f} ms, "
         f"simd {t_simd * 1e3:.1f} ms)"
     )
     over_interp = t_interp / t_simd
-    assert over_interp >= floors["simd_vs_interp_smoke_floor"], (
+    assert over_interp >= SIMD_VS_INTERP_FLOOR, (
         f"v128 min kernel is {over_interp:.2f}x the interpreter, below the "
-        f"stored floor {floors['simd_vs_interp_smoke_floor']}x (interp "
+        f"floor {SIMD_VS_INTERP_FLOOR}x (interp "
         f"{t_interp * 1e3:.1f} ms, compiled {t_simd * 1e3:.1f} ms)"
     )
 
@@ -128,10 +115,9 @@ def test_parallel_for_modeled_speedup_floor():
         StandaloneEnvironment(),
     )
     faaslet.invoke_export("main", 400)
-    floor = _stored_floors()["threads_smoke_floor"]
     stats = faaslet.thread_runtime.stats()
     assert stats["threads_spawned"] == 4
-    assert stats["modeled_speedup"] >= floor, (
-        f"4-thread modeled speedup {stats['modeled_speedup']:.2f}x fell "
-        f"below the stored floor {floor}x ({stats})"
-    )
+    # 100 equal iterations per thread: the four threads burn equal fuel
+    # side by side, so the virtual clock runs exactly a quarter of it.
+    assert stats["total_fuel"] == 4 * stats["virtual_fuel"], stats
+    assert stats["modeled_speedup"] == 4.0

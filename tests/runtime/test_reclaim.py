@@ -119,8 +119,12 @@ def test_reclaimed_faaslets_are_freed_without_the_cycle_collector():
             call_and_track()
             assert instance.reclaim_idle() == 1
         call_and_track()
+        dead = {f.name for f in instance._warm["fn"]}
         instance.kill()
         instance.restart()  # the dead life's idle Faaslets go the same way
+        # ... and leave the host's cgroup, or the period stays split
+        # among members that will never run again.
+        assert not dead & instance.cgroup.usage().keys()
         assert len(refs) == 42
         # The worker that ran a call may still be unwinding its frame.
         wait_for(lambda: not any(ref() is not None for ref in refs), timeout=5.0)

@@ -30,6 +30,7 @@ def invoke_on_every_host(cluster, name):
 
 def test_cross_host_restore_is_metered(cluster):
     cluster.upload("warmed", INIT_SRC, init="init")
+    manifest = cluster.registry.proto("warmed").manifest()
     invoke_on_every_host(cluster, "warmed")
     stats = cluster.snapshot_stats()
     assert stats["repository"]["resident_pages"] > 0
@@ -37,8 +38,10 @@ def test_cross_host_restore_is_metered(cluster):
     assert pulled, stats
     for host_stats in pulled:
         # Delta protocol: pages arrive in whole-page units over at most
-        # two round trips per restore (metadata + one batched page pull).
+        # two round trips per restore (metadata + one batched page pull),
+        # and a cold host ships each non-zero page once, no more.
         assert host_stats["bytes_shipped"] == host_stats["pages_shipped"] * 65536
+        assert host_stats["pages_shipped"] == manifest.n_pages - manifest.zero_pages
         assert host_stats["round_trips"] >= 2
         assert host_stats["snapshots_cached"] == 1
         assert host_stats["resident_pages"] > 0

@@ -1,31 +1,23 @@
-"""Tier-1 regression guard for the delta-sync state plane.
+"""Tier-1 guard for the delta-sync state plane, in exact byte counts.
 
-The full benchmark (``benchmarks/bench_state_plane.py``) measures the
-data plane at 1 MiB scale; this smoke test is its fast tier-1 proxy: a
-sparse-update push on a smaller value must still save at least the
-bytes-saved floor stored in ``benchmarks/results/state_plane.json``. The
-metric is a deterministic byte count (meter accounting), not a timing, so
-the guard is machine-independent — it catches regressions that silently
-fall back to full-value pushes (lost dirty tracking, a listener that
-stopped firing, spans not clipped).
-
-Run just this guard with ``python benchmarks/bench_state_plane.py
---smoke`` or ``pytest -m smoke``.
+A sparse-update push must ship exactly the dirty bytes in one round trip,
+and a chunked pull must fill every gap of a replica in one round trip
+that carries exactly the missing bytes. Both are meter counts, not
+timings, so a fallback to full-value pushes (lost dirty tracking, a
+listener that stopped firing, spans not clipped) or to one RPC per gap
+changes a number and fails here on any machine.
 """
 
 
 import pytest
 
 from repro.state import GlobalStateStore, LocalTier, StateClient
-from tests.conftest import stored_floor
-
-#: Used when the results file is missing (fresh checkout, no bench run).
-_DEFAULT_FLOOR = 10.0
 
 
 @pytest.mark.smoke
 def test_sparse_push_bytes_saved_floor():
-    """A ≤1% sparse update must push ≥floor× fewer bytes than a full push."""
+    """A 0.78 % sparse update pushes its 1 KiB of dirty bytes and no more:
+    128x fewer than the 128 KiB full push."""
     size = 128 * 1024
     store = GlobalStateStore()
     store.set_value("v", b"\x00" * size)
@@ -41,14 +33,31 @@ def test_sparse_push_bytes_saved_floor():
     meter.reset()
     tier.push("v")
 
-    # Semantics first: the guard is meaningless if the push is wrong.
     value = store.get_value("v")
+    for i in range(n_writes):
+        assert value[i * step : i * step + span] == b"\x7f" * span
     assert value.count(0x7F) == n_writes * span
     assert meter.round_trips == 1, "dirty spans must batch into one trip"
+    assert meter.sent_bytes == n_writes * span
 
-    ratio = size / meter.sent_bytes
-    floor = stored_floor("state_plane", _DEFAULT_FLOOR)
-    assert ratio >= floor, (
-        f"sparse push saved only {ratio:.1f}x bytes, below the stored "
-        f"floor {floor}x ({meter.sent_bytes} of {size} bytes shipped)"
-    )
+
+@pytest.mark.smoke
+def test_chunked_pull_fills_every_gap_in_one_trip():
+    """A replica of a 1 MiB value with 32 missing gaps back-fills them in
+    ONE round trip that carries exactly the missing half."""
+    size = 1024 * 1024
+    store = GlobalStateStore()
+    store.set_value("v", bytes(i % 251 for i in range(size)))
+    tier = LocalTier("smoke", StateClient(store))
+
+    n_gaps = 32
+    step = size // (n_gaps * 2)
+    for i in range(n_gaps):  # alternate stripes: 32 holes between them
+        tier.pull_chunk("v", (2 * i) * step, step)
+
+    meter = tier.client.meter
+    meter.reset()
+    tier.pull_chunk("v", 0, size)
+    assert tier.read_local("v", 0, size) == store.get_value("v")
+    assert meter.round_trips == 1
+    assert meter.received_bytes == size // 2

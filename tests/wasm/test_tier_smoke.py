@@ -1,17 +1,13 @@
 """Tier-1 regression guard for the compiled execution tier.
 
-The full tiered benchmark (``benchmarks/bench_vm_throughput.py``) measures
-Polybench at real problem sizes; this smoke test is its fast tier-1 proxy:
-it measures the compiled tier's speedup over the reference interpreter on
-one loop-dense kernel and fails if it drops below the floor stored in
-``benchmarks/results/vm_throughput_tiered.json``. The floor is *relative*
-(compiled vs interp on the same machine, same run), so the guard is
-insensitive to host speed but catches regressions that de-optimise the
-compiled tier — a botched lowering rule, superblocks falling into their
-metered arm, interpreter fallbacks, lost code-cache sharing.
-
-Run just this guard with ``python benchmarks/bench_vm_throughput.py
---smoke`` or ``pytest -m smoke``.
+It measures the compiled tier's speedup over the reference interpreter
+on one loop-dense kernel and fails below :data:`SPEEDUP_FLOOR`. The
+floor is *relative* (compiled vs interp on the same machine, same run),
+so the guard is insensitive to host speed but catches regressions that
+de-optimise the compiled tier — a botched lowering rule, superblocks
+falling into their metered arm, interpreter fallbacks, lost code-cache
+sharing. The floor was set at under half of the 13x the kernel measured
+when it was introduced; with loop checks hoisted it measures 50-100x.
 """
 
 import time
@@ -20,10 +16,9 @@ import pytest
 
 from repro.minilang import build
 from repro.wasm import instantiate
-from tests.conftest import stored_floor
 
-#: Used when the results file is missing (fresh checkout, no bench run).
-_DEFAULT_FLOOR = 2.0
+#: Compiled over interpreted, same kernel, same run.
+SPEEDUP_FLOOR = 6.0
 
 _KERNEL_SRC = """
 export float kernel(int n) {
@@ -63,9 +58,8 @@ def test_compiled_tier_speedup_floor():
     assert r_compiled == r_interp
     assert instrs_c == instrs_i
     speedup = t_interp / t_compiled
-    floor = stored_floor("vm_throughput_tiered", _DEFAULT_FLOOR)
-    assert speedup >= floor, (
-        f"compiled tier speedup {speedup:.2f}x fell below the stored "
-        f"floor {floor}x (interp {t_interp * 1e3:.1f} ms, "
+    assert speedup >= SPEEDUP_FLOOR, (
+        f"compiled tier speedup {speedup:.2f}x fell below the "
+        f"floor {SPEEDUP_FLOOR}x (interp {t_interp * 1e3:.1f} ms, "
         f"compiled {t_compiled * 1e3:.1f} ms, {instrs_i:,} instructions)"
     )
