@@ -258,8 +258,9 @@ class Faaslet:
         self._state_mappings[key] = base, replica.region
         return base
 
-    def _unmap_state(self) -> None:
-        """Unmap every shared region, so a region counts live mappings only."""
+    def unmap_state(self) -> None:
+        """Unmap every shared region, so a region counts live mappings only
+        (the pool runs this on release: an idle Faaslet holds none)."""
         for base, region in self._state_mappings.values():
             region.unmap_from(self.instance.memory, base)
         self._state_mappings.clear()
@@ -349,7 +350,7 @@ class Faaslet:
         proto, instance = self.proto, self.instance
         if proto is None:
             raise RuntimeError(f"{self.name} has no Proto-Faaslet to reset from")
-        self._unmap_state()
+        self.unmap_state()
         if instance.memory is not None:
             instance.memory.alias_frozen(proto.frozen_pages)
         for g, (_, _, value) in zip(instance.globals, proto.globals_snapshot):
@@ -373,7 +374,7 @@ class Faaslet:
         ``close()`` breaks the cycles and frees it now. Idempotent. Only for
         an idle Faaslet — never one a guest is still running in."""
         if self.instance is not None:
-            self._unmap_state()
+            self.unmap_state()
             self.instance._thread_runtime = None
         self.instance = self._imports = None
         self._dl_handles.clear()

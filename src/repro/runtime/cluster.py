@@ -230,8 +230,7 @@ class FaasmCluster:
         rides the batch, so the receiving worker's spans become its
         children across hosts. The scheduling pass runs inside those spans
         (for a batch of many, under the last). Returns the decisions, in
-        record order.
-        """
+        record order."""
         tracer, attrs = self.telemetry.tracer, span_attrs or {}
         spans = [
             tracer.trace(

@@ -550,6 +550,7 @@ class FaasmRuntimeInstance:
         if faaslet.proto is None:  # nothing to reset it from: one call only
             self._discard(faaslet)
             return
+        faaslet.unmap_state()  # so an idle Faaslet pins no region's size
         with self._mutex:
             self._warm.setdefault(function, []).append(faaslet)
 

@@ -170,20 +170,14 @@ class DistributedCounter(DistributedObject):
             return 0
 
     def value(self) -> int:
-        """The merged global value: the sum of every host's slot."""
-        prefix = f"{self.key}:host:"
-        total = 0
-        for key in self.api.tier.client.store.keys():
-            if key.startswith(prefix):
-                total += self._SLOT.unpack(self.api.tier.client.pull(key))[0]
-        # Include unpushed local contribution exactly once.
-        local_key = self._slot_key()
-        if not self.api.tier.client.exists(local_key):
-            total += self.local_value()
-        else:
-            pushed = self._SLOT.unpack(self.api.tier.client.pull(local_key))[0]
-            total += self.local_value() - pushed
-        return total
+        """The merged global value: every other host's pushed slot, plus
+        this host's, pushed or not."""
+        prefix, mine, client = f"{self.key}:host:", self._slot_key(), self.api.tier.client
+        others = sum(
+            self._SLOT.unpack(client.pull(key))[0]
+            for key in client.store.keys() if key.startswith(prefix) and key != mine
+        )
+        return others + self.local_value()
 
 
 class VectorAsync(DistributedObject):
@@ -194,13 +188,11 @@ class VectorAsync(DistributedObject):
     refreshes it — the eventual-consistency pattern ``weights`` uses in
     Listing 1.
 
-    Pushes are **delta pushes**: the vector keeps a shadow copy of the
-    replica as of the last sync and, at push time, diffs the live array
-    against it byte-exactly (Faasm's dirty-byte comparison against the
-    original snapshot). Only the changed element ranges are marked dirty
-    and flushed — a sparse SGD update of a few weights moves a few dozen
-    bytes, not the whole vector — and arbitrary in-place numpy writes
-    through :attr:`array` are captured without any write hooks.
+    Pushes are **delta pushes**: at push time the live array is diffed
+    against a shadow copy of the last sync (Faasm's dirty-byte comparison
+    against the original snapshot), and only the changed element ranges
+    are marked dirty — a sparse SGD update moves a few dozen bytes, and
+    in-place numpy writes through :attr:`array` need no write hooks.
     """
 
     #: Changed elements closer than this merge into one flushed span (the
@@ -242,16 +234,10 @@ class VectorAsync(DistributedObject):
         changed = np.flatnonzero(self._array != self._shadow)
         if changed.size == 0:
             return []
-        spans: list[tuple[int, int]] = []
-        start = prev = int(changed[0])
-        for idx in changed[1:]:
-            idx = int(idx)
-            if idx - prev > self._COALESCE_GAP:
-                spans.append((start, prev + 1))
-                start = idx
-            prev = idx
-        spans.append((start, prev + 1))
-        return spans
+        cut = np.flatnonzero(np.diff(changed) > self._COALESCE_GAP)
+        starts = [int(changed[0]), *changed[cut + 1].tolist()]
+        ends = [*(changed[cut] + 1).tolist(), int(changed[-1]) + 1]
+        return list(zip(starts, ends))
 
     def push(self) -> None:
         """Flush elements modified since the last sync (delta push)."""
@@ -336,14 +322,14 @@ class SparseMatrixReadOnly(DistributedObject):
 
         csc = csc_matrix(matrix, dtype=np.float64)
         rows, cols = csc.shape
-        api.set_state(f"{key}:meta", cls._META.pack(rows, cols, csc.nnz))
-        api.push_state(f"{key}:meta")
-        api.set_state(f"{key}:indptr", csc.indptr.astype(np.int64).tobytes())
-        api.push_state(f"{key}:indptr")
-        api.set_state(f"{key}:indices", csc.indices.astype(np.int32).tobytes())
-        api.push_state(f"{key}:indices")
-        api.set_state(f"{key}:data", csc.data.astype(np.float64).tobytes())
-        api.push_state(f"{key}:data")
+        for part, value in (
+            ("meta", cls._META.pack(rows, cols, csc.nnz)),
+            ("indptr", csc.indptr.astype(np.int64).tobytes()),
+            ("indices", csc.indices.astype(np.int32).tobytes()),
+            ("data", csc.data.astype(np.float64).tobytes()),
+        ):
+            api.set_state(f"{key}:{part}", value)
+            api.push_state(f"{key}:{part}")
         return cls(api, key)
 
     def columns(self, start: int, end: int):

@@ -15,12 +15,9 @@ unit a chaos plan takes down, and :meth:`GlobalStateStore.reshard` changes
 how many there are (the §7 "autoscaling storage" direction of Anna, Tuba and
 Pocket) without touching a value.
 
-Data movement is **batched and zero-copy** where it matters: a gap list of
-byte ranges moves in one :meth:`StateClient.pull_ranges` /
-:meth:`StateClient.push_ranges` call (one metered round trip), and the
-``*_into`` variants copy directly between the store's backing bytearray and
-a caller-supplied ``memoryview`` (a shared region), with no intermediate
-``bytes`` objects.
+Data movement is **batched and zero-copy**: a list of byte ranges moves in
+one metered round trip, copied straight between the store's bytearray and
+the caller's ``memoryview`` of a shared region.
 
 Every byte moved through a :class:`StateClient` is charged to that client's
 :class:`TransferMeter`, which is how the experiments of Figs. 6b and 8b
@@ -49,11 +46,9 @@ class StateKeyError(KeyError):
 class StateUnavailableError(RuntimeError):
     """A transient availability failure of the global tier.
 
-    Raised when (part of) the store cannot serve an operation right now —
-    in this reproduction, when a chaos plan has taken one of the store's
-    lock stripes down (the analogue of a Redis shard being partitioned
-    away). Callers are expected to retry: :class:`StateClient` retries a
-    bounded number of times with a small backoff, and the runtime treats
+    Raised while a chaos plan has taken one of the store's stripes down
+    (a Redis shard partitioned away). :class:`StateClient` retries a
+    bounded number of times with a small backoff; the runtime treats
     exhaustion as an attempt failure that the invocation monitor re-queues.
     """
 
@@ -62,13 +57,10 @@ class TransferMeter:
     """Counts bytes and round trips exchanged with the global tier.
 
     A thin view over metrics-registry counters (``state.bytes_sent`` /
-    ``state.bytes_received`` / ``state.round_trips``): a host's runtime
-    instance passes the cluster registry and a ``host=`` label so the
-    same numbers are visible per host and cluster-aggregated, while the
-    historic attribute API (``meter.sent_bytes`` …) keeps working.
-    Counters are internally locked — dispatcher threads on one host share
-    a meter, and an unsynchronised ``+=`` would drop counts and corrupt
-    the Fig. 6b/8b accounting.
+    ``state.bytes_received`` / ``state.round_trips``), labelled ``host=``
+    by a host's runtime instance, so the numbers show per host and
+    cluster-aggregated. The counters are locked: one host's threads share
+    a meter, and a dropped count would corrupt the Fig. 6b/8b accounting.
     """
 
     def __init__(self, metrics: MetricsRegistry | None = None, **labels) -> None:
@@ -163,12 +155,11 @@ class GlobalStateStore:
     """Thread-safe authoritative store for all state keys in a cluster.
 
     Per-key operations take only the key's *stripe* lock, so concurrent
-    accesses to different keys do not serialise behind one mutex (the
-    multi-key throughput measured by ``bench_state_plane.py``). Values,
+    accesses to different keys do not serialise behind one mutex. Values,
     versions, write logs and distributed locks live in store-wide dicts;
     a stripe owns none of them, which is why :meth:`reshard` moves nothing.
-    Whole-store snapshots (``keys``/``total_bytes``) read the dict
-    atomically under the GIL without stopping writers.
+    ``keys`` reads the dict atomically under the GIL without stopping
+    writers.
     """
 
     def __init__(self, n_stripes: int = DEFAULT_STRIPES) -> None:
@@ -232,14 +223,9 @@ class GlobalStateStore:
             return bytes(value)
 
     def get_value_versioned(self, key: str) -> tuple[bytes, int]:
-        """``(value, write version)`` captured under one stripe-lock hold.
-
-        The scheduler's warm-set/residency cache revalidates with this:
-        a cached snapshot tagged with the version it was parsed at can be
-        reused for free while :meth:`version` still matches — the write
-        version doubles as the warm set's *epoch*, bumped by every
-        mutation through :meth:`atomic_update`.
-        """
+        """``(value, write version)`` captured under one stripe-lock hold:
+        the scheduler's warm-set cache keeps a snapshot for as long as
+        :meth:`version`, the warm set's *epoch*, still matches."""
         with self._stripe(key):
             value = self._values.get(key)
             if value is None:
@@ -258,14 +244,9 @@ class GlobalStateStore:
     def get_ranges_into(
         self, key: str, dests: list[tuple[int, memoryview]]
     ) -> int:
-        """Copy several ranges of ``key`` straight into caller views.
-
-        ``dests`` is a list of ``(offset, view)`` pairs; each view receives
-        ``value[offset : offset+len(view)]`` with no intermediate ``bytes``
-        copy. Returns the total bytes copied. This is the batched, zero-copy
-        read path pulls into shared regions use (one round trip for a whole
-        gap list).
-        """
+        """Copy ``value[offset : offset+len(view)]`` into each ``(offset,
+        view)`` of ``dests``, with no intermediate ``bytes``; returns the
+        bytes copied."""
         return self.get_ranges_into_versioned(key, dests)[0]
 
     def get_ranges_into_versioned(
@@ -317,8 +298,11 @@ class GlobalStateStore:
             behind = version - since
             if not 0 <= behind <= len(log) or len(view) != size:
                 return None, version, size
-            newer = list(log)[len(log) - behind:]
-            spans = _merge(chain.from_iterable((*newer, extra)))
+            if behind == 1 and not extra:
+                spans = log[-1]  # one write's spans: merged when logged
+            else:
+                newer = list(log)[len(log) - behind:]
+                spans = _merge(chain.from_iterable((*newer, extra)))
             if length != size:  # the whole value needs no clipping
                 end = offset + length
                 spans = [
@@ -337,10 +321,11 @@ class GlobalStateStore:
             value = self._values.get(key)
             if value is None:
                 raise StateKeyError(key)
-            size = len(value)
-            self._apply_range(value, offset, data)
-            resized = len(value) != size
-            self._bump(key, None if resized else [(offset, offset + len(data))])
+            size, end = len(value), offset + len(data)
+            if end > size:
+                value.extend(bytes(end - size))
+            value[offset:end] = data
+            self._bump(key, None if len(value) != size else [(offset, end)])
 
     def set_ranges(
         self,
@@ -369,24 +354,35 @@ class GlobalStateStore:
         stripe-lock hold, so the pusher's knowledge is exact: the global
         value at the returned version is *precisely* its pre-image at
         ``version - 1`` with these ranges applied. A batch that leaves the
-        value's size as it was is logged for :meth:`get_since`."""
+        value's size as it was is logged for :meth:`get_since`, merged."""
         with self._stripe(key):
             value = self._values.get(key)
             if value is None:
                 value = self._values[key] = bytearray()
             size = len(value)
-            total = 0
-            spans = []
-            for offset, data in parts:
-                self._apply_range(value, offset, data)
-                total += len(data)
-                spans.append((offset, offset + len(data)))
+            top = max((offset + len(data) for offset, data in parts), default=0)
+            if top > size:
+                value.extend(bytes(top - size))
+            total, spans, merged = 0, [], True
+            # A bytearray slice store copies its source twice; a view's once.
+            with memoryview(value) as target:
+                for offset, data in parts:
+                    end = offset + len(data)
+                    target[offset:end] = data
+                    total += end - offset
+                    if spans and offset <= spans[-1][1]:
+                        merged = False  # out of order, touching or overlapping
+                    spans.append((offset, end))
             if truncate_to is not None:
                 if truncate_to < len(value):
                     del value[truncate_to:]
                 elif truncate_to > len(value):
                     value.extend(b"\x00" * (truncate_to - len(value)))
-            return total, self._bump(key, spans if len(value) == size else None)
+            if len(value) != size:
+                spans = None
+            elif not merged:
+                spans = _merge(spans)
+            return total, self._bump(key, spans)
 
     def append(self, key: str, data: bytes) -> None:
         """Append ``data`` to ``key`` (created empty if missing)."""
@@ -425,10 +421,6 @@ class GlobalStateStore:
         """All keys, sorted (an atomic snapshot)."""
         return sorted(self._values)
 
-    def total_bytes(self) -> int:
-        """Bytes stored across all keys."""
-        return sum(len(v) for v in list(self._values.values()))
-
     # ------------------------------------------------------------------
     # Partitions: load accounting and resharding
     # ------------------------------------------------------------------
@@ -464,13 +456,6 @@ class GlobalStateStore:
         self._stripes = [_Stripe() for _ in range(n_stripes)]
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _apply_range(value: bytearray, offset: int, data) -> None:
-        end = offset + len(data)
-        if end > len(value):
-            value.extend(b"\x00" * (end - len(value)))
-        value[offset:end] = data
-
     @staticmethod
     def _check_range(key: str, value: bytearray, offset: int, length: int) -> None:
         if offset < 0 or length < 0 or offset + length > len(value):
@@ -539,17 +524,6 @@ class StateClient:
         self.meter.record_received(len(value))
         return value
 
-    def pull_ranges(
-        self, key: str, ranges: list[tuple[int, int]]
-    ) -> list[bytes]:
-        """Fetch several ``(offset, length)`` ranges in ONE round trip."""
-        out = [
-            self._retry(self.store.get_range, key, offset, length)
-            for offset, length in ranges
-        ]
-        self.meter.record_received(sum(len(b) for b in out))
-        return out
-
     def pull_ranges_into_versioned(
         self, key: str, dests: list[tuple[int, memoryview]]
     ) -> tuple[int, int, int]:
@@ -571,49 +545,39 @@ class StateClient:
         since: int,
         view: memoryview,
         extra: list[tuple[int, int]] = (),
-    ) -> tuple[list[tuple[int, int]] | None, int, int]:
-        """:meth:`GlobalStateStore.get_since` in ONE round trip. The reply
-        is charged as the bytes copied plus a descriptor per span; a reply
-        of ``None`` (the bytes themselves are needed) carries no payload."""
+    ) -> tuple[int | None, int, int]:
+        """:meth:`GlobalStateStore.get_since` in ONE round trip: ``(bytes
+        copied, version, size)``. The reply is charged as the bytes copied
+        plus a descriptor per span; a reply of ``None`` (the bytes
+        themselves are needed) carries no payload."""
         spans, version, size = self._retry(
             self.store.get_since, key, offset, length, since, view, extra
         )
-        self.meter.record_received(
-            sum(e - s + SPAN_DESCRIPTOR_BYTES for s, e in spans or ())
-        )
-        return spans, version, size
+        if spans is None:
+            self.meter.record_received(0)
+            return None, version, size
+        moved = sum(e - s for s, e in spans)
+        self.meter.record_received(moved + SPAN_DESCRIPTOR_BYTES * len(spans))
+        return moved, version, size
 
     def push(self, key: str, value: bytes) -> None:
         """Replace the whole value; one round trip."""
         self.meter.record_sent(len(value))
         self._retry(self.store.set_value, key, value)
 
-    def push_ranges(
-        self,
-        key: str,
-        parts: list[tuple[int, bytes | bytearray | memoryview]],
-        truncate_to: int | None = None,
-    ) -> None:
-        """Write several ``(offset, data)`` ranges — a delta push's dirty
-        spans — in ONE round trip; ``truncate_to`` forces the value's final
-        length (size changes travel with the same trip)."""
-        self.meter.record_sent(sum(len(d) for _, d in parts))
-        self._retry(self.store.set_ranges, key, parts, truncate_to)
-
     def push_ranges_versioned(
         self,
         key: str,
         parts: list[tuple[int, bytes | bytearray | memoryview]],
         truncate_to: int | None = None,
-    ) -> int:
-        """:meth:`push_ranges`, returning the write version this push
-        produced — the pusher's replica is synced at it when it follows
-        directly on the version the replica was synced at before."""
+    ) -> tuple[int, int]:
+        """Write several ``(offset, data)`` ranges — a delta push's dirty
+        spans — in ONE round trip; ``truncate_to`` forces the value's final
+        length (size changes travel with the same trip). Returns ``(payload
+        bytes, write version)``: the pusher's replica is synced at the
+        version when it follows directly on the one it was synced at."""
         self.meter.record_sent(sum(len(d) for _, d in parts))
-        _, version = self._retry(
-            self.store.set_ranges_versioned, key, parts, truncate_to
-        )
-        return version
+        return self._retry(self.store.set_ranges_versioned, key, parts, truncate_to)
 
     def append(self, key: str, data: bytes) -> None:
         """Append to the value; one round trip."""
@@ -627,10 +591,6 @@ class StateClient:
     def exists(self, key: str) -> bool:
         """Whether the key exists in the global tier."""
         return self.store.exists(key)
-
-    def version(self, key: str) -> int:
-        """Current write version (metadata query, not charged)."""
-        return self.store.version(key)
 
     def delete(self, key: str) -> None:
         """Remove the key from the global tier."""

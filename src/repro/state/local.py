@@ -7,18 +7,19 @@ directly into their linear memories — there is no separate storage service
 value ``C``) track which byte ranges have been pulled so only the required
 subsets are replicated.
 
-**Delta sync.** Every replica additionally tracks the byte ranges written
-since the last push in a *dirty* :class:`_IntervalSet`, fed by three
-sources: host-side ``write_local`` calls, guest stores into mapped shared
-pages (page-granular, via the write-protect fault hook in
-:mod:`repro.wasm.memory`), and DDO write paths. ``push`` flushes only the
-dirty spans — batched into one round trip — instead of shipping the whole
-value, the Python analogue of Faasm's dirty-page flush. Pulls likewise
-batch all missing gaps into a single ranged round trip and copy straight
-into the region's backing through a ``memoryview`` (no intermediate
-``bytes``), and a *forced* pull of bytes already present — the whole value
-or one chunk — is a delta too: it asks the store for the spans written
-inside the range since the version the range was last synced at
+**Delta sync.** A replica keeps the exact byte spans written since the
+last push. A host write (``write_local``), a guest store into a mapped page
+(the first after each push, via the write-protect fault hook in
+:mod:`repro.wasm.memory`) and a DDO write path each *append* one ``(start,
+end)`` mark to a log; a drain sorts and merges the log into the *dirty*
+:class:`_IntervalSet` once, and ``push`` ships the merged spans in one
+round trip — the Python analogue of Faasm's dirty-page flush. Marks are
+byte spans, not a page bitmap: a page is 64 KiB, and a few unaligned 4 KiB
+writes would ship as whole pages. A read or write inside the present value
+is one replica lookup and one replica lock. Pulls batch all missing gaps
+into one ranged round trip straight into the region, and a *forced* pull
+of bytes already present is a delta too: it asks the store for the spans
+written inside the range since the version the range was last synced at
 (``Replica.synced``, DESIGN.md §10).
 """
 
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 from repro.faaslet.sharing import SharedRegion
 from repro.telemetry import span
 
-from .kv import StateClient
+from .kv import StateClient, _merge
 from .rwlock import RWLock
 
 
@@ -138,11 +139,10 @@ class Replica:
     ``value_size`` is the value's logical length; the backing region may be
     larger (page-aligned, or left over from a previously larger value).
     ``synced`` maps every byte range materialised locally (pulled or
-    written) to the global write version it is *synced at*; ``dirty``
-    tracks ranges written since the last push, so flushes move only
-    modified bytes. ``synced_size`` is the logical size the global tier was
-    last known to hold — when it differs from ``value_size`` the next push
-    also carries the size change.
+    written) to the global write version it is *synced at*; ``dirty`` holds
+    the spans written since the last push. ``synced_size`` is the logical
+    size the global tier was last known to hold — when it differs from
+    ``value_size`` the next push also carries the size change.
     """
 
     key: str
@@ -154,19 +154,21 @@ class Replica:
     #: the store for. ``None``: present, but synced at no known version (a
     #: local write, a zero fill). A byte no range covers is not present.
     synced: _RangeMap = field(default_factory=_RangeMap)
-    dirty: _IntervalSet = field(default_factory=_IntervalSet)
     value_size: int = 0
     synced_size: int | None = None
-    #: Guards ``dirty``: marks arrive from guest write faults on executor
-    #: threads that do not hold the replica lock.
-    _dirty_mutex: threading.Lock = field(default_factory=threading.Lock)
+    #: The dirty set as of the last fold, and the ``(start, end)`` marks
+    #: logged since, in arrival order. Both are guarded by ``_dirty_mutex``:
+    #: marks arrive from guest write faults on executor threads that do not
+    #: hold the replica lock.
+    _dirty: _IntervalSet = field(default_factory=_IntervalSet, repr=False)
+    _marks: list = field(default_factory=list, repr=False)
+    _dirty_mutex: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def __post_init__(self) -> None:
         if self.value_size == 0:
             self.value_size = self.region.size
-        # Host writes through region.write() and guest stores into mapped
-        # pages both land here, keeping the dirty set exact without the
-        # writer knowing about replicas.
+        # Writes through region.write() and guest stores into mapped pages
+        # mark here without the writer knowing about replicas.
         self.region.add_write_listener(self.mark_dirty)
 
     @property
@@ -175,9 +177,27 @@ class Replica:
 
     # ------------------------------------------------------------------
     def mark_dirty(self, start: int, end: int) -> None:
-        """Record that [start, end) was modified locally (thread-safe)."""
+        """Record that [start, end) was modified locally (thread-safe): one
+        append to the mark log, which the next drain folds in."""
+        if start < end:
+            self._dirty_mutex.acquire()  # by hand: a ``with`` costs twice as much
+            self._marks.append((start, end))
+            self._dirty_mutex.release()
+
+    @property
+    def dirty(self) -> _IntervalSet:
+        """The dirty set, the mark log folded in."""
         with self._dirty_mutex:
-            self.dirty.add(start, end)
+            return self._fold()
+
+    def _fold(self) -> _IntervalSet:
+        """Sort and merge the mark log into the dirty set, however many
+        marks arrived, in one pass (``_dirty_mutex`` held)."""
+        if self._marks:
+            merged = _merge(self._marks + self._dirty.spans)
+            self._dirty._spans = [(s, e, True) for s, e in merged]
+            self._marks = []
+        return self._dirty
 
     def take_dirty(self, start: int, end: int) -> list[tuple[int, int]]:
         """Atomically drain the dirty marks inside [start, end) for a transfer.
@@ -186,18 +206,27 @@ class Replica:
         its end describes no byte of it), then re-arms page-granular guest
         tracking: a write racing the transfer re-faults, re-marks itself
         and lands in the next flush (HOGWILD-tolerated, §4.1) instead of
-        being erased.
+        being erased. A drain around every mark (each push's, when no ranged
+        drain left marks behind) takes the merged log as it is.
         """
+        limit = min(end, self.value_size)
         with self._dirty_mutex:
-            spans = self.dirty.intersect(start, min(end, self.value_size))
-            self.dirty.remove(start, end)
+            spans = _merge(self._marks)
+            if not self._dirty._spans and (
+                not spans or start <= spans[0][0] and spans[-1][1] <= limit
+            ):
+                self._marks = []
+            else:
+                dirty = self._fold()
+                spans = dirty.intersect(start, limit)
+                dirty.remove(start, end)
         self.region.reprotect_mappings()
         return spans
 
     def restore_dirty(self, spans: list[tuple[int, int]]) -> None:
         """Put back spans a failed transfer drained with :meth:`take_dirty`."""
-        for start, end in spans:
-            self.mark_dirty(start, end)
+        with self._dirty_mutex:
+            self._marks += spans
 
     def pushed(self, spans: list[tuple[int, int]], new_version: int) -> None:
         """A push of ``spans`` produced ``new_version`` (replica write lock
@@ -240,7 +269,11 @@ class LocalTier:
     # ------------------------------------------------------------------
     def replica(self, key: str, size: int | None = None) -> Replica:
         """Get or create the replica for ``key`` (sized from the global tier
-        when ``size`` is not given)."""
+        when ``size`` is not given). A replica that exists and is big enough
+        is one dict lookup: the tier mutex guards only create and grow."""
+        rep = self._replicas.get(key)
+        if rep is not None and (size is None or size <= rep.value_size):
+            return rep
         with self._mutex:
             rep = self._replicas.get(key)
             if rep is not None:
@@ -276,16 +309,14 @@ class LocalTier:
         return rep
 
     def has_replica(self, key: str) -> bool:
-        with self._mutex:
-            return key in self._replicas
+        return key in self._replicas  # one atomic lookup, like replica()'s
 
     def drop(self, key: str) -> None:
         with self._mutex:
             self._replicas.pop(key, None)
 
     def keys(self) -> list[str]:
-        with self._mutex:
-            return sorted(self._replicas)
+        return sorted(self._replicas)  # copied in C: atomic under the GIL
 
     def memory_bytes(self) -> int:
         """Bytes of local-tier shared memory on this host (for billable
@@ -326,9 +357,13 @@ class LocalTier:
             # still fails the store's range check, as it always did.
             rep = self.replica(key, size=end)
         if not force:
-            with rep.lock.read_locked():
+            lock = rep.lock
+            lock.acquire_read()
+            try:
                 if rep.synced.covers(offset, end):
                     return rep
+            finally:
+                lock.release_read()
         with rep.lock.write_locked():
             self._sync(rep, offset, end, force, whole=False)
         return rep
@@ -386,12 +421,11 @@ class LocalTier:
         elif None in versions:
             cause = "unknown-version"
         else:
-            spans, version, gsize = self.client.pull_since(
+            moved, version, gsize = self.client.pull_since(
                 rep.key, start, end - start, min(versions, default=0),
                 rep.region.view(0, size), mine,
             )
-            if spans is not None:
-                moved = sum(e - s for s, e in spans)
+            if moved is not None:
                 with self._stats_mutex:
                     self.delta_pulls += 1
                     self.bytes_saved += end - start - moved
@@ -418,10 +452,8 @@ class LocalTier:
         with rep.lock.write_locked():
             spans = rep.take_dirty(0, rep.region.size)
             if spans or rep.synced_size != rep.value_size:
-                # The trip always carries the local logical size: a push makes
-                # the global value's length match the replica's, so shrinks and
-                # grows propagate with the same round trip (no extra RPC, no
-                # extra payload bytes).
+                # The trip always carries the logical size, so shrinks and
+                # grows travel with it (no extra RPC, no extra payload).
                 self._flush(rep, spans, spans, rep.value_size)
                 rep.synced_size = rep.value_size
 
@@ -429,6 +461,7 @@ class LocalTier:
         """Push one explicit byte range (Tab. 2 ``push_state_offset``)."""
         rep = self.replica(key)
         end = offset + length
+        rep.region.view(offset, length)  # IndexError outside the region
         with rep.lock.write_locked():
             drained = rep.take_dirty(offset, end)
             self._flush(rep, [(offset, end)], drained, None, chunk=True)
@@ -440,12 +473,12 @@ class LocalTier:
         that fails puts the marks back."""
         try:
             with span("state.push", key=rep.key, host=self.host, **attrs) as sp:
-                parts = [(s, rep.region.view(s, e - s)) for s, e in spans]
-                new_version = self.client.push_ranges_versioned(
-                    rep.key, parts, truncate_to=truncate_to
+                buffer = rep.region.buffer  # the spans lie inside it
+                moved, new_version = self.client.push_ranges_versioned(
+                    rep.key, [(s, buffer[s:e]) for s, e in spans], truncate_to
                 )
                 rep.pushed(spans, new_version)
-                sp.set_attr("bytes", sum(e - s for s, e in spans))
+                sp.set_attr("bytes", moved)
                 sp.set_attr("round_trips", 1)
         except BaseException:
             rep.restore_dirty(drained)
@@ -464,14 +497,10 @@ class LocalTier:
 
         With an explicit ``size`` the value's logical length becomes exactly
         ``size`` (a full replacement may *shrink* the value); without one the
-        value grows as needed. The written range is marked dirty (via the
-        region's write listener), so the next push flushes exactly it.
+        value grows as needed. The written range is marked dirty, so the
+        next push flushes exactly it.
         """
-        rep = self.replica(key, size=size if size is not None else offset + len(data))
-        with rep.lock.write_locked():
-            self._prepare_write(rep, offset, len(data), size)
-            rep.region.write(data, offset)
-        return rep
+        return self._write(key, offset, offset + len(data), size, data)
 
     def write_local_from_memory(
         self, key: str, memory, addr: int, length: int,
@@ -479,13 +508,25 @@ class LocalTier:
     ) -> Replica:
         """Like :meth:`write_local`, but the data comes straight out of a
         guest :class:`~repro.wasm.memory.LinearMemory`: pages copy directly
-        into the region's view with no intermediate ``bytes`` (the
-        zero-copy ``set_state`` syscall path)."""
-        rep = self.replica(key, size=size if size is not None else offset + length)
-        with rep.lock.write_locked():
-            self._prepare_write(rep, offset, length, size)
-            memory.read_into(addr, rep.region.view(offset, length))
-            rep.mark_dirty(offset, offset + length)
+        into the region with no intermediate ``bytes`` (the zero-copy
+        ``set_state`` syscall path)."""
+        return self._write(key, offset, offset + length, size, memory, addr)
+
+    def _write(self, key: str, offset: int, end: int, size, source, addr=None) -> Replica:
+        """The one local write: a replica lookup, its write lock, the copy
+        of ``source`` (bytes, or with ``addr`` guest memory) and one mark."""
+        rep = self.replica(key, size=end if size is None else size)
+        lock = rep.lock
+        lock.acquire_write()
+        try:
+            self._prepare_write(rep, offset, end, size)
+            if addr is None:
+                rep.region.buffer[offset:end] = source
+            else:
+                source.read_into(addr, rep.region.buffer[offset:end])
+            rep.mark_dirty(offset, end)
+        finally:
+            lock.release_write()
         return rep
 
     def pull_stats(self) -> dict:
@@ -498,16 +539,25 @@ class LocalTier:
             }
 
     @staticmethod
-    def _prepare_write(rep: Replica, offset: int, length: int, size: int | None) -> None:
-        """Shared sizing/zero-fill/presence bookkeeping before a local write
-        (the replica write lock must be held)."""
-        if offset + length > rep.region.size:
-            rep.region.resize(offset + length)
+    def _prepare_write(rep: Replica, offset: int, end: int, size: int | None) -> None:
+        """Sizing, zero fill and presence bookkeeping before a local write of
+        [offset, end) (replica write lock held). A write inside the present
+        value that keeps its size needs none of it."""
+        if (
+            (size is None or size == rep.value_size)
+            and 0 <= offset <= end <= rep.value_size
+            and rep.synced.covers(offset, end)
+        ):
+            return
+        if offset < 0 or end < offset:
+            raise IndexError(f"write [{offset}, {end}) outside {rep.key!r}")
+        if end > rep.region.size:
+            rep.region.resize(end)
         if offset > rep.value_size:
             # Writing past the logical end: the gap reads as zeros.
             rep.region.write(b"\x00" * (offset - rep.value_size), rep.value_size)
             rep.synced.set(rep.value_size, offset, None)
-        new_size = max(rep.value_size if size is None else size, offset + length)
+        new_size = max(rep.value_size if size is None else size, end)
         if new_size < rep.value_size:
             # Shrinking truncates: stale tail bytes must never resurface
             # if the value later regrows — what was present past the new
@@ -516,7 +566,6 @@ class LocalTier:
             for s, e, _ in [r for r in rep.synced._spans if r[1] > new_size]:
                 rep.synced.set(max(s, new_size), e, None)
         rep.value_size = new_size
-        if not rep.synced.covers(offset, offset + length):
-            # What no pull had brought is now present, synced at no version.
-            for gap in rep.synced.missing(offset, offset + length):
-                rep.synced.set(*gap, None)
+        # What no pull had brought is now present, synced at no version.
+        for gap in rep.synced.missing(offset, end):
+            rep.synced.set(*gap, None)

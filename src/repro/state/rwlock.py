@@ -5,9 +5,9 @@ Used for both local-tier replica locks and global-tier per-key locks
 Writer-preferring: once a writer is waiting, new readers queue behind it,
 bounding writer starvation under read-heavy workloads like shared matrices.
 
-An uncontended acquire or release is one hold of a plain mutex: the
-condition variable is waited on, and notified, only when somebody has to
-wait.
+An uncontended acquire or release is one hold of a plain mutex, taken and
+dropped by hand: the condition variable is waited on, and notified, only
+when somebody has to wait.
 """
 
 from __future__ import annotations
@@ -46,59 +46,64 @@ class RWLock:
         self._write_held = _Held(self.acquire_write, self.release_write)
 
     # -- write side --------------------------------------------------------
+    # By hand, not ``with``: that costs twice as much, and nothing between
+    # the acquire and the release can raise on the uncontended path.
     def acquire_write(self, timeout: float | None = None) -> bool:
-        with self._mutex:
-            if not self._writer and self._readers == 0:
+        self._mutex.acquire()
+        if not self._writer and self._readers == 0:
+            self._writer = True
+            self._mutex.release()
+            return True
+        self._writers_waiting += 1
+        try:
+            ok = self._cond.wait_for(
+                lambda: not self._writer and self._readers == 0, timeout
+            )
+            if ok:
                 self._writer = True
-                return True
-            self._writers_waiting += 1
-            try:
-                ok = self._cond.wait_for(
-                    lambda: not self._writer and self._readers == 0, timeout
-                )
-                if not ok:
-                    return False
-                self._writer = True
-                return True
-            finally:
-                self._writers_waiting -= 1
+            return ok
+        finally:
+            self._writers_waiting -= 1
+            self._mutex.release()
 
     def release_write(self) -> None:
-        with self._mutex:
-            if not self._writer:
-                raise RuntimeError("release_write without a held write lock")
-            self._writer = False
-            if self._writers_waiting or self._readers_waiting:
-                self._cond.notify_all()
+        if not self._writer:  # only the holder clears it
+            raise RuntimeError("release_write without a held write lock")
+        self._mutex.acquire()
+        self._writer = False
+        if self._writers_waiting or self._readers_waiting:
+            self._cond.notify_all()
+        self._mutex.release()
 
     # -- read side ----------------------------------------------------------
     def acquire_read(self, timeout: float | None = None) -> bool:
-        with self._mutex:
-            if not self._writer and self._writers_waiting == 0:
-                self._readers += 1
-                return True
-            self._readers_waiting += 1
-            try:
-                ok = self._cond.wait_for(
-                    lambda: not self._writer and self._writers_waiting == 0,
-                    timeout,
-                )
-            finally:
-                self._readers_waiting -= 1
-            if not ok:
-                return False
+        self._mutex.acquire()
+        if not self._writer and self._writers_waiting == 0:
             self._readers += 1
+            self._mutex.release()
             return True
+        self._readers_waiting += 1
+        try:
+            ok = self._cond.wait_for(
+                lambda: not self._writer and self._writers_waiting == 0,
+                timeout,
+            )
+            if ok:
+                self._readers += 1
+            return ok
+        finally:
+            self._readers_waiting -= 1
+            self._mutex.release()
 
     def release_read(self) -> None:
-        with self._mutex:
-            if self._readers <= 0:
-                raise RuntimeError("release_read without a held read lock")
-            self._readers -= 1
-            if self._readers == 0 and (
-                self._writers_waiting or self._readers_waiting
-            ):
-                self._cond.notify_all()
+        self._mutex.acquire()
+        if self._readers <= 0:
+            self._mutex.release()
+            raise RuntimeError("release_read without a held read lock")
+        self._readers -= 1
+        if self._readers == 0 and (self._writers_waiting or self._readers_waiting):
+            self._cond.notify_all()
+        self._mutex.release()
 
     # -- context managers --------------------------------------------------
     def read_locked(self) -> _Held:

@@ -126,8 +126,26 @@ def test_a_region_grows_past_its_pages_once_its_mappers_are_reclaimed():
     assert cluster.invoke("mapper")[0] == 0
     instance = cluster.instances[0]
     region = instance.local_tier.replica("k").region
-    assert region.mapping_count == 1  # the warm call unmapped the first
+    assert region.mapping_count == 0  # each release unmapped its call's
     assert instance.reclaim_idle() == 1
     assert region.mapping_count == 0
     instance.local_tier.replica("k", size=2 * PAGE_SIZE)
     assert region.n_pages == 2
+
+
+def test_a_region_grows_while_its_last_mapper_idles_in_the_pool():
+    """A pooled Faaslet holds no mapping: its release unmapped what its
+    call mapped, so the region can reallocate without a reclaim."""
+    cluster = FaasmCluster(n_hosts=1)
+    cluster.global_state.set_value("k", bytes(16))
+    cluster.upload(
+        "mapper",
+        with_stdlib('export int main() { get_state("k", slen("k"), 16); return 0; }'),
+    )
+    assert cluster.invoke("mapper")[0] == 0
+    instance = cluster.instances[0]
+    assert instance.warm_count("mapper") == 1
+    region = instance.local_tier.replica("k").region
+    instance.local_tier.replica("k", size=2 * PAGE_SIZE)
+    assert region.n_pages == 2 and region.size == 2 * PAGE_SIZE
+    assert cluster.invoke("mapper")[0] == 0  # the warm call maps the grown region

@@ -5,8 +5,8 @@ and the Fig. 8 fork-join block at real problem sizes; this is its fast
 tier-1 proxy, and every floor it checks is held here:
 
 * the v128 ``vec_min_i`` kernel must stay faster than its scalar loop
-  (:data:`SIMD_FLOOR`, a same-run wall-clock ratio, insensitive to host
-  speed). The compiled tier sped scalar loops up twice as much as v128
+  (:data:`SIMD_FLOOR`, a same-run wall-clock ratio of the best of 9
+  alternating rounds each, insensitive to host speed). The compiled tier sped scalar loops up twice as much as v128
   loops, so this ratio is thin (1.15x, measures 1.4-1.7x) and guards only
   the sign;
 * the same v128 kernel on the compiled tier must stay well ahead of
@@ -81,17 +81,17 @@ def test_simd_kernel_speedup_floor():
     n, reps = 256, 12
     inst.invoke("simd_min", 8, 1)  # warm-up: lazy compilation, vec library
 
-    def best(inst, name):
-        times = []
-        for _ in range(3):
-            start = time.perf_counter()
-            result = inst.invoke(name, n, reps)
-            times.append(time.perf_counter() - start)
-        return min(times), result
+    def timed(inst, name):
+        start = time.perf_counter()
+        result = inst.invoke(name, n, reps)
+        return time.perf_counter() - start, result
 
-    t_scalar, r_scalar = best(inst, "scalar_min")
-    t_simd, r_simd = best(inst, "simd_min")
-    t_interp, r_interp = best(oracle, "simd_min")
+    # Scalar and v128 alternate, best of 9 each, so a slow phase of the
+    # machine slows both sides rather than one.
+    rounds = [(timed(inst, "scalar_min"), timed(inst, "simd_min")) for _ in range(9)]
+    t_scalar, r_scalar = min(scalar for scalar, _ in rounds)
+    t_simd, r_simd = min(simd for _, simd in rounds)
+    t_interp, r_interp = min(timed(oracle, "simd_min") for _ in range(3))
     # The guard is meaningless if results diverge.
     assert r_simd == r_scalar == r_interp
     speedup = t_scalar / t_simd
