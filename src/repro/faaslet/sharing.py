@@ -113,7 +113,7 @@ class SharedRegion:
 
     def write(self, data: bytes | bytearray | memoryview, offset: int = 0) -> None:
         self._check(offset, len(data))
-        self.backing[offset : offset + len(data)] = data
+        self.buffer[offset : offset + len(data)] = data  # one copy, not two
         self._notify_write(offset, offset + len(data))
 
     def view(self, offset: int = 0, length: int | None = None) -> memoryview:

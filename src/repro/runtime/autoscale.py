@@ -1,22 +1,17 @@
 """Reactive autoscaling against queue depth (DESIGN.md §11).
 
 A background loop sizes the cluster to its backlog: when the undispatched
-work per live host (bus queues + worker backlogs + the ingestion
-plane's admission backlog) exceeds the policy's high-water mark, hosts are
-added — dead hosts are revived first, then fresh ones — and when the
-cluster has been fully idle for a grace period, the highest-numbered live
-host is gracefully retired through PR 4's liveness/eviction plane
-(:meth:`FaasmCluster.retire_host`: drain, evict from the warm sets, then
-end the liveness epoch so any raced straggler is re-queued, never
-stranded).
+work per live host (bus queues, worker backlogs, the admission backlog)
+exceeds the policy's high-water mark, hosts are added — dead ones revived
+first — and once the cluster has been idle for a grace period, the
+highest-numbered live host is retired gracefully
+(:meth:`FaasmCluster.retire_host`: drain, evict, end the liveness epoch so
+a raced straggler is re-queued, never stranded).
 
-Scale-up cadence is priced with the Fig. 10 **churn model**: bringing up a
-host means cold-starting its Faaslet trees, so after growing by ``k``
-hosts the loop holds off further growth for the time the configured
-isolation mechanism needs to absorb that churn (`docker` ≈ seconds,
-`faaslet` ≈ milliseconds, `proto` ≈ sub-millisecond). A Docker-priced
-cluster therefore scales in cautious, widely-spaced steps while a
-Proto-Faaslet one tracks bursts nearly instantaneously — Fig. 10's point,
+Scale-up cadence is priced with the Fig. 10 **churn model**: after growing
+by ``k`` hosts the loop holds off for the time the configured isolation
+mechanism needs to cold-start that many Faaslet trees (`docker` ≈ seconds,
+`faaslet` ≈ milliseconds, `proto` ≈ sub-millisecond) — Fig. 10's point,
 recast as control-loop damping.
 """
 

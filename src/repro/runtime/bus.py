@@ -1,29 +1,19 @@
 """The message bus (Fig. 1/Fig. 5).
 
-Runtime instances communicate through per-host queues: the bus carries
-function-execution requests (including work shared between hosts by the
-scheduler, Fig. 5's "sharing queue") and shutdown signals. Each instance
-keeps one elastic set of standing workers on its queue and the worker that
-takes a message off it runs it (DESIGN.md §11), so a queue may have several
-receivers blocked in :meth:`MessageBus.receive`; every message enqueued
-wakes one of them.
+Runtime instances communicate through per-host queues carrying work
+(including work shared between hosts, Fig. 5's "sharing queue") and
+shutdown signals. Each host's standing workers block in
+:meth:`MessageBus.receive`; every message enqueued wakes one of them.
 
-One message shape carries work: :class:`ExecuteBatch` — the calls of one
-function that one scheduling pass placed on one host, a single chained
-call or a few hundred admitted ones. The cluster sends it with
-:meth:`MessageBus.send`; the ingestion plane flushes each host's batches
-with :meth:`MessageBus.send_many`. A host's queue is a
-:class:`queue.SimpleQueue`: a put and a get are each one C call that takes
-no Python-level lock or condition, so the hop between a sender and a
-blocked worker costs one lock hand-off (DESIGN.md §11). The receiving
-worker expands a batch into one :class:`ExecuteCall` per carried call.
-
-Delivery counters live in a :class:`~repro.telemetry.metrics.MetricsRegistry`
-(``BusStats`` is a view over them), every carried call can bring its
-**trace context** (:data:`repro.telemetry.trace.Wire`) so the receiving
-host's spans attach to the sender's trace, and queue depths are exported as
-``bus.queue_depth{host=}`` gauges — lazily, by
-:meth:`MessageBus.update_queue_gauges`, keeping the hot path gauge-free.
+One message shape carries work: :class:`ExecuteBatch`, the calls of one
+function one scheduling pass placed on one host. The cluster sends it with
+:meth:`MessageBus.send`, the ingestion plane with
+:meth:`MessageBus.send_many`. A host's queue is a
+:class:`queue.SimpleQueue`: a put and a get are each one C call, so the hop
+to a blocked worker costs one lock hand-off (DESIGN.md §11). Delivery
+counters are metrics-registry series behind one lock (``BusStats``), every
+carried call may bring its trace context, and queue depths are exported as
+``bus.queue_depth{host=}`` gauges only when asked.
 """
 
 from __future__ import annotations
@@ -34,18 +24,17 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from repro.telemetry import MetricsRegistry
+from repro.telemetry.metrics import share_lock
 
 
 class ExecuteBatch(NamedTuple):
     """Run a batch of placement-decided calls of one function.
 
     The one work message (DESIGN.md §11): ``items`` is a tuple of
-    ``(call_id, attempt_number)`` pairs, all for ``function``, all placed
-    on the receiving host by one scheduling pass. Every item runs the full
-    attempt-claim protocol, so batching changes how many lock acquisitions
-    the calls cost, never their exactly-once semantics; chaos faults are
-    decided per item (identity-hashed on the call id), so a call is
-    dropped/duplicated/delayed identically however it was grouped.
+    ``(call_id, attempt_number)`` pairs, all for ``function``, placed on
+    the receiving host by one scheduling pass. Every item runs the full
+    attempt-claim protocol, and chaos faults are decided per item, so
+    grouping never changes a call's exactly-once semantics or its faults.
     """
 
     function: str
@@ -100,12 +89,20 @@ class BusStats:
         self._shared = metrics.counter("bus.messages_shared")
         self._batches = metrics.counter("bus.batches_sent")
         self._batched_calls = metrics.counter("bus.batched_calls")
+        #: One lock over every bus counter, so :meth:`record` counts a
+        #: message with one acquire.
+        self._lock = share_lock(
+            threading.Lock(), self._sent, self._shared, self._batches,
+            self._batched_calls,
+        )
         #: ``bus.shared_calls{host=}`` — what the receiving instance reads
         #: as ``shared_received`` — bound once per host by :meth:`bind`.
         self._shared_calls: dict = {}
 
     def bind(self, host: str) -> None:
-        self._shared_calls[host] = self._metrics.counter("bus.shared_calls", host=host)
+        counter = self._metrics.counter("bus.shared_calls", host=host)
+        share_lock(self._lock, counter)
+        self._shared_calls[host] = counter
 
     @property
     def sent(self) -> int:
@@ -124,14 +121,17 @@ class BusStats:
         return self._batched_calls.value
 
     def record(self, host: str, message) -> None:
-        self._sent.inc()
+        shared = self._shared_calls[host]  # a KeyError before the lock
+        self._lock.acquire()
+        self._sent._value += 1
         if isinstance(message, ExecuteBatch):
             n = len(message.items)
-            self._batches.inc()
-            self._batched_calls.inc(n)
+            self._batches._value += 1
+            self._batched_calls._value += n
             if message.shared:
-                self._shared.inc()
-                self._shared_calls[host].inc(n)
+                self._shared._value += 1
+                shared._value += n
+        self._lock.release()
 
     def __repr__(self) -> str:  # keeps the old dataclass-ish repr
         return f"BusStats(sent={self.sent}, shared={self.shared})"
@@ -163,17 +163,16 @@ class MessageBus:
             del self._queues[host]
 
     def _queue_for(self, host: str) -> queue.SimpleQueue:
-        # Deliberately *never* auto-creates a queue: a typo'd or
-        # deregistered host name must surface as KeyError, not as a
-        # silently-buffered message no dispatcher will ever drain.
-        with self._mutex:
-            q = self._queues.get(host)
+        # Never auto-creates a queue: a typo'd or deregistered host must
+        # surface as KeyError. Lock-free: ``_mutex`` orders the writers.
+        q = self._queues.get(host)
         if q is None:
             raise KeyError(f"unknown bus endpoint {host!r}")
         return q
 
     def send(self, host: str, message) -> None:
-        self._queue_for(host).put(message)
+        # A queue is always truthy: the lookup falls back to the raise.
+        (self._queues.get(host) or self._queue_for(host)).put(message)
         self.stats.record(host, message)
 
     def send_many(self, host: str, messages) -> None:
@@ -191,7 +190,9 @@ class MessageBus:
     def receive(self, host: str, timeout: float | None = None):
         """Blocking receive; returns None on timeout."""
         try:
-            return self._queue_for(host).get(timeout=timeout)
+            return (self._queues.get(host) or self._queue_for(host)).get(
+                timeout=timeout
+            )
         except queue.Empty:
             return None
 
@@ -200,9 +201,8 @@ class MessageBus:
 
     def total_pending(self) -> int:
         """Undelivered messages across every host queue (a snapshot)."""
-        with self._mutex:
-            queues = list(self._queues.values())
-        return sum(q.qsize() for q in queues)
+        # Lock-free like ``_queue_for``: a submitter asks on every submit.
+        return sum([q.qsize() for q in list(self._queues.values())])
 
     def update_queue_gauges(self) -> dict[str, int]:
         """Refresh the ``bus.queue_depth{host=}`` gauges and return the

@@ -6,24 +6,15 @@ the value returned by ``chain_call`` and accepted by ``await_call`` /
 the coordination the paper does over its message bus and global state.
 
 A call has one state machine, and its record *is* its current attempt: each
-placement on a host bumps :attr:`CallRecord.attempt`, restamps the host, its
-liveness epoch and the dispatch time, and one :class:`CallStatus` says where
-that attempt stands. Every transition — place
-(:meth:`~InvocationRegistry.new_attempts`), claim
-(:meth:`~InvocationRegistry.begin_attempt`), complete
-(:meth:`~InvocationRegistry.complete_attempt`), park for the monitor's retry
-loop (:meth:`~InvocationRegistry.mark_attempt_lost`) — names an attempt
-number and acts, under the record's lock, only if it is the current one. And
-only the current attempt can be live: a call is re-placed only once PARKED,
-so a number is written off before it is superseded. Duplicate deliveries
-and stale retries are thus rejected, and a zombie executor on a dead host
-can neither complete nor relabel a call re-queued elsewhere.
-:meth:`~InvocationRegistry.fail_call` is the terminal ``CALL_FAILED``
-state, carrying the failure chain its parked attempts appended.
-
-Calls may carry an **idempotency key**: re-dispatching with a key the
-registry has already seen returns the original record instead of creating
-a second invocation.
+placement bumps :attr:`CallRecord.attempt` and restamps host, liveness
+epoch and dispatch time; one :class:`CallStatus` says where the attempt
+stands. Every transition (place, claim, complete, park for the monitor's
+retry) names an attempt number and acts, under the record's lock, only if
+it is the current one, and a call is re-placed only once PARKED. Duplicate
+deliveries and stale retries are thus rejected, and a zombie executor on a
+dead host can neither complete nor relabel a call re-queued elsewhere.
+:meth:`~InvocationRegistry.fail_call` is the terminal ``CALL_FAILED``.
+A repeated **idempotency key** returns the original record.
 """
 
 from __future__ import annotations
@@ -32,6 +23,7 @@ import enum
 import itertools
 import threading
 import time
+from operator import attrgetter, itemgetter
 
 
 class CallStatus(enum.Enum):
@@ -60,9 +52,9 @@ class CallStatus(enum.Enum):
     CALL_FAILED = "call-failed"
 
 
-#: Statuses a call may be placed from, and statuses of a live attempt.
-_PLACEABLE = frozenset((CallStatus.PENDING, CallStatus.PARKED))
-_LIVE = frozenset((CallStatus.SENT, CallStatus.RUNNING))
+_CALL_ID, _RECORD = attrgetter("call_id"), itemgetter(0)
+#: Statuses of a live attempt: a tuple, whose ``in`` matches by identity.
+_LIVE = (CallStatus.SENT, CallStatus.RUNNING)
 
 
 #: Guards :class:`CompletionFlag`'s latch slot and its waiter count. Only
@@ -126,7 +118,7 @@ class CallRecord:
     __slots__ = (
         "call_id", "function", "input_data", "idempotency_key", "status",
         "return_code", "output_data", "cold_start", "submitted_at",
-        "started_at", "finished_at", "failure_chain", "done", "lock",
+        "finished_at", "failure_chain", "done", "lock",
         "attempt", "host", "epoch", "dispatched_at", "retry_at",
     )
 
@@ -141,7 +133,6 @@ class CallRecord:
         self.output_data = b""
         self.cold_start = False  # the executor had to cold-start a Faaslet
         self.submitted_at = submitted_at
-        self.started_at = 0.0
         self.finished_at = 0.0
         #: One reason per parked attempt, oldest first.
         self.failure_chain: tuple[str, ...] = ()
@@ -184,9 +175,8 @@ class InvocationRegistry:
         self._mutex = threading.Lock()
 
     def create(self, function: str, input_data: bytes) -> CallRecord:
-        """One record: the one-element form of :meth:`create_many`."""
-        (record,) = self.create_many(function, [input_data])
-        return record
+        """One record, with no idempotency key."""
+        return self.create_or_get(function, input_data, None)[0]
 
     def create_many(self, function: str, inputs: list[bytes]) -> list[CallRecord]:
         """Create one record per input with a single registry lock hold.
@@ -199,10 +189,8 @@ class InvocationRegistry:
                        data if type(data) is bytes else bytes(data), now)
             for data in inputs
         ]
-        calls = self._calls
-        with self._mutex:
-            for record in records:
-                calls[record.call_id] = record
+        with self._mutex:  # held for one C-level update
+            self._calls.update(zip(map(_CALL_ID, records), records))
         return records
 
     def create_or_get(
@@ -211,7 +199,10 @@ class InvocationRegistry:
         """Create a call, or return the existing one for the idempotency
         key; the flag says whether a new record was created."""
         if idempotency_key is None:
-            return self.create(function, input_data), True
+            record = CallRecord(next(self._ids), function, bytes(input_data), time.monotonic())
+            with self._mutex:
+                self._calls[record.call_id] = record
+            return record, True
         # Look-up, key reservation and registration share one hold, so
         # concurrent dispatches of one key agree on a single record.
         with self._mutex:
@@ -238,7 +229,7 @@ class InvocationRegistry:
         """Fetch several records at once (batch expansion); lock-free
         like :meth:`get`."""
         try:
-            return [self._calls[call_id] for call_id in call_ids]
+            return list(map(self._calls.__getitem__, call_ids))
         except KeyError as exc:
             raise KeyError(f"unknown call id {exc.args[0]}") from None
 
@@ -246,11 +237,15 @@ class InvocationRegistry:
         """The placed calls not yet finished, in placement order; calls
         found finished leave the open set here (the monitor's scan)."""
         with self._mutex:
-            self._open = {
-                call_id: record for call_id, record in self._open.items()
-                if not record.done.is_set()
-            }
-            return list(self._open.values())
+            records = list(self._open.values())
+        # Sorted outside ``_mutex``, which placements and creations need.
+        live = [record for record in records if not record.done._flag]
+        if len(live) < len(records):
+            with self._mutex:
+                for record in records:
+                    if record.done._flag:
+                        self._open.pop(record.call_id, None)
+        return live
 
     # ------------------------------------------------------------------
     # Attempt protocol
@@ -269,7 +264,9 @@ class InvocationRegistry:
         numbers: list[int] = []
         for record, host, epoch in specs:
             with record.lock:
-                if record.status not in _PLACEABLE:
+                # A tuple, not a set: ``in`` matches by identity, with no
+                # ``Enum.__hash__`` calls.
+                if record.status not in (CallStatus.PENDING, CallStatus.PARKED):
                     raise RuntimeError(f"call {record.call_id} is "
                                        f"{record.status.value}, not placeable")
                 record.attempt = number = record.attempt + 1
@@ -278,10 +275,9 @@ class InvocationRegistry:
                 record.dispatched_at = now
                 record.status = CallStatus.SENT
             numbers.append(number)
-        with self._mutex:
-            opened = self._open
-            for record, _host, _epoch in specs:
-                opened[record.call_id] = record
+        records = list(map(_RECORD, specs))
+        with self._mutex:  # held for one C-level update
+            self._open.update(zip(map(_CALL_ID, records), records))
         return numbers
 
     def begin_attempt(self, call_id: int, number: int, host: str) -> bool:
@@ -289,12 +285,11 @@ class InvocationRegistry:
         False — drop the delivery — unless it is the current attempt, still
         unclaimed: duplicates, stale retries, written-off attempts and
         finished calls are all rejected."""
-        record = self.get(call_id)
+        record = self._calls[call_id]  # records are never removed
         with record.lock:
             if number != record.attempt or record.status is not CallStatus.SENT:
                 return False
             record.host = host
-            record.started_at = time.monotonic()
             record.status = CallStatus.RUNNING
         return True
 
@@ -305,7 +300,7 @@ class InvocationRegistry:
         A crashed host's attempts are parked before the call is re-queued,
         so its zombie executor completing late is rejected here — which is
         what makes retried execution safe."""
-        record = self.get(call_id)
+        record = self._calls[call_id]
         with record.lock:
             if number != record.attempt or record.status not in _LIVE:
                 return False
@@ -319,7 +314,7 @@ class InvocationRegistry:
         host death) or, as :meth:`attempt_failed`, given up by its
         executor on a transient infrastructure error (e.g. the state tier
         was unavailable). ``reason`` joins the failure chain."""
-        record = self.get(call_id)
+        record = self._calls[call_id]
         with record.lock:
             if number != record.attempt or record.status not in _LIVE:
                 return False
@@ -363,14 +358,14 @@ class InvocationRegistry:
 
     def wait(self, call_id: int, timeout: float | None = None) -> int:
         """Block until the call finishes; returns its exit code."""
-        record = self.get(call_id)
+        record = self._calls[call_id]
         if not record.done.wait(timeout):
             raise TimeoutError(f"call {call_id} did not finish in {timeout}s")
         assert record.return_code is not None
         return record.return_code
 
     def output(self, call_id: int) -> bytes:
-        record = self.get(call_id)
+        record = self._calls[call_id]
         if not record.done.is_set():
             raise RuntimeError(f"call {call_id} has not finished")
         return record.output_data

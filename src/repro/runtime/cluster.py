@@ -7,23 +7,18 @@ set of per-host runtime instances.
 **There is one way in.** An external ``dispatch``, a guest's chained
 call, the monitor's ``redispatch`` and the ingestion plane's
 ``dispatch_batch`` all hand their call records to
-:meth:`FaasmCluster._place_and_send`, which runs one scheduling pass at
-the entry host's local scheduler, records one attempt per call, and puts
-one :class:`~repro.runtime.bus.ExecuteBatch` per target host on the bus,
-trace contexts included; one of that host's standing workers takes it off
-and runs it. External calls are spread round-robin over the local
-schedulers, as Knative's default endpoint spreads requests; chained calls
-enter at their originating host's.
+:meth:`FaasmCluster._place_and_send`: one scheduling pass at the entry
+host's local scheduler, one attempt per call, one
+:class:`~repro.runtime.bus.ExecuteBatch` per target host, trace contexts
+included. External calls are spread round-robin over the local schedulers,
+as Knative's default endpoint spreads requests; chained calls enter at
+their originating host's.
 
-Every placement is a new current attempt of the call's one record, and the
-registry keeps the set of open calls: the :class:`~repro.runtime.monitor.
-InvocationMonitor` re-queues attempts whose host died (liveness epoch) or
-whose message was lost (timeout) with exponential backoff, dead hosts are
-evicted from the warm sets so schedulers stop routing to them, and a call
-whose retry budget is spent reaches the terminal ``CALL_FAILED`` state
-carrying its failure chain. A :class:`~repro.chaos.plan.ChaosPlan` (or
-prebuilt engine) passed as ``chaos=`` wraps the bus and the global state
-store in the deterministic fault-injection layer this plane is tested with.
+The :class:`~repro.runtime.monitor.InvocationMonitor` re-queues attempts
+whose host died or whose message was lost, with backoff, up to the
+terminal ``CALL_FAILED``. A :class:`~repro.chaos.plan.ChaosPlan` passed as
+``chaos=`` wraps the bus and the global state store in the deterministic
+fault-injection layer this plane is tested with.
 """
 
 from __future__ import annotations
@@ -32,7 +27,8 @@ import itertools
 import logging
 import threading
 import time
-from contextlib import ExitStack, nullcontext
+from contextlib import ExitStack
+from operator import attrgetter
 
 from repro.host.filesystem import GlobalObjectStore
 from repro.state.kv import GlobalStateStore
@@ -48,6 +44,9 @@ from .registry import FunctionRegistry
 from .scheduler import SchedulingDecision, WarmSetRegistry
 
 logger = logging.getLogger(__name__)
+
+
+_HOST, _CALL_ID, _EPOCH = attrgetter("host"), attrgetter("call_id"), attrgetter("epoch")
 
 
 class DrainTimeout(TimeoutError):
@@ -116,6 +115,10 @@ class FaasmCluster:
         self.instances = [self._boot(f"host-{i}") for i in range(n_hosts)]
         self._by_host = {instance.host: instance for instance in self.instances}
         self._rr = itertools.count()
+        #: The hosts external calls enter through, round-robin (see
+        #: :meth:`membership_changed`).
+        self._entries: tuple[FaasmRuntimeInstance, ...] = ()
+        self.membership_changed()
         #: The ingestion plane (admission control + batched dispatch),
         #: created lazily by :meth:`ingestion` / :meth:`submit`.
         self._ingest: IngestionPlane | None = None
@@ -202,12 +205,20 @@ class FaasmCluster:
             instance = self._by_host.get(origin)
             if instance is not None and instance.alive:
                 return instance
-        live = [i for i in self.instances if i.alive and not i.draining]
-        if not live:
-            live = [i for i in self.instances if i.alive]
-        if not live:
+        entries = self._entries
+        if not entries:
             raise RuntimeError("no live hosts in the cluster")
-        return live[next(self._rr) % len(live)]
+        instance = entries[next(self._rr) % len(entries)]
+        if not instance.alive:  # died since the tuple was read
+            self.membership_changed()
+            return self._entry_instance(None)
+        return instance
+
+    def membership_changed(self) -> None:
+        """Re-read the hosts external calls enter through (live and not
+        draining, else live): called wherever ``alive`` or ``draining`` moves."""
+        live = tuple(i for i in self.instances if i.alive and not i.draining)
+        self._entries = live or tuple(i for i in self.instances if i.alive)
 
     def _place_and_send(
         self,
@@ -222,58 +233,61 @@ class FaasmCluster:
         """The one road onto the bus: place ``records`` (all of
         ``function``) from ``instance``'s scheduler and send them.
 
-        One scheduling pass, one registry hold to open the new attempts,
-        one :class:`ExecuteBatch` per target host. Each call gets its own
-        ``span_name`` span — the root of a new trace for an external
-        call, a child of the caller's ambient context for a chained one
-        (the guest's worker still has it active) — whose wire context
-        rides the batch, so the receiving worker's spans become its
-        children across hosts. The scheduling pass runs inside those spans
-        (for a batch of many, under the last). Returns the decisions, in
-        record order."""
-        tracer, attrs = self.telemetry.tracer, span_attrs or {}
+        With tracing on, each call gets its own ``span_name`` span — a new
+        trace's root for an external call, a child of the caller's context
+        for a chained one — whose wire context rides the batch, and the
+        scheduling pass runs inside them. Returns the decisions, in record
+        order."""
+        tracer = self.telemetry.tracer
+        if not tracer.enabled:
+            return self._send_placed(function, records, instance, (), pooled, collect)
+        attrs = span_attrs or {}
         spans = [
             tracer.trace(
                 span_name, host=instance.host, function=function,
                 call_id=record.call_id, **attrs,
             )
             for record in records
-        ] if tracer.enabled else ()
-        with ExitStack() if spans else nullcontext() as stack:
+        ]
+        with ExitStack() as stack:
             for sp in spans:
                 stack.enter_context(sp)
-            decisions = instance.scheduler.schedule_batch(function, len(records))
-            hosts = self._by_host
-            numbers = self.calls.new_attempts([
-                (record, decision.host, hosts[decision.host].epoch)
-                for record, decision in zip(records, decisions)
-            ])
-            by_host: dict[str, list[int]] = {}
-            for index, decision in enumerate(decisions):
-                by_host.setdefault(decision.host, []).append(index)
+            decisions = self._send_placed(
+                function, records, instance, spans, pooled, collect
+            )
             for sp, decision in zip(spans, decisions):
                 sp.set_attr("decision", decision.reason)
                 sp.set_attr("target", decision.host)
-            for host, indices in by_host.items():
-                # Work that left this host for a peer — via the warm set,
-                # a page-resident placement or a cold spread.
-                shared = host != instance.host
-                batch = ExecuteBatch(
-                    function,
-                    tuple([
-                        (records[i].call_id, numbers[i])
-                        for i in indices
-                    ]),
-                    origin=instance.host,
-                    shared=shared,
-                    traces=tuple([spans[i].wire() for i in indices])
-                    if spans else None,
-                    pooled=pooled,
-                )
-                if collect is not None:
-                    collect.setdefault(host, []).append(batch)
-                else:
-                    self.bus.send(host, batch)
+        return decisions
+
+    def _send_placed(self, function, records, instance, spans, pooled, collect):
+        """:meth:`_place_and_send` under its spans (one per record, or
+        none): place, open the attempts, send one batch per target host."""
+        decisions = instance.scheduler.schedule_batch(function, len(records))
+        targets = list(map(_HOST, decisions))
+        # Target host -> its liveness epoch, in first-placed order.
+        epochs = dict(zip(targets, map(_EPOCH, map(self._by_host.__getitem__, targets))))
+        numbers = self.calls.new_attempts(
+            list(zip(records, targets, map(epochs.__getitem__, targets)))
+        )
+        items = list(zip(map(_CALL_ID, records), numbers))
+        wires = [sp.wire() for sp in spans] if spans else None
+        origin = instance.host
+        for host in epochs:
+            mine, traces = items, wires
+            if len(epochs) > 1:
+                picked = [i for i, target in enumerate(targets) if target == host]
+                mine, traces = [items[i] for i in picked], wires and [wires[i] for i in picked]
+            # ``shared``: the work left the entry host. Positional: a
+            # namedtuple built by keyword costs twice as much.
+            batch = ExecuteBatch(
+                function, tuple(mine), origin, host != origin,
+                traces and tuple(traces), pooled,
+            )
+            if collect is not None:
+                collect.setdefault(host, []).append(batch)
+            else:
+                self.bus.send(host, batch)
         return decisions
 
     def ingestion(self, config: IngestionConfig | None = None) -> IngestionPlane:
@@ -355,7 +369,9 @@ class FaasmCluster:
         return instance
 
     def peer_capacity(self, host: str) -> int:
-        instance = self.instance_for(host)
+        instance = self._by_host.get(host)
+        if instance is None:
+            raise KeyError(f"unknown host {host!r}")
         return instance.free_capacity() if instance.alive else 0
 
     def placement_ok(self, host: str) -> bool:
@@ -397,6 +413,7 @@ class FaasmCluster:
             self._by_host = {**self._by_host, host: instance}
             added.append(host)
         if added:
+            self.membership_changed()
             self.telemetry.metrics.counter("host.scaled_up").inc(len(added))
         return added
 
@@ -416,6 +433,7 @@ class FaasmCluster:
         if len(live) <= 1 or instance not in live:
             return False
         instance.draining = True
+        self.membership_changed()
         self.warm_sets.evict_host(host)
         instance.reclaim_idle(0)
         deadline = time.monotonic() + timeout
@@ -441,6 +459,7 @@ class FaasmCluster:
     def on_host_death(self, instance: FaasmRuntimeInstance) -> None:
         """A host died: evict it from every warm set so schedulers stop
         routing there; its in-flight calls are re-queued by the monitor."""
+        self.membership_changed()
         evicted = self.warm_sets.evict_host(instance.host)
         self.telemetry.metrics.counter("host.evicted").inc()
         logger.warning(

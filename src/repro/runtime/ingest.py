@@ -2,45 +2,25 @@
 
 :meth:`FaasmCluster.dispatch` places its call on the caller's thread, a
 batch of one. At "millions of users" arrival rates one hot tenant must not
-starve the rest, and the per-call bookkeeping (a registry lock, a bus lock,
-a scheduling pass) has to amortise over batches. This module queues calls
-in front of the same road so that it can carry many at a time:
+starve the rest, and the per-call bookkeeping has to amortise over batches,
+so this module queues calls in front of the same road:
 
 * :class:`AdmissionController` — bounded per-tenant FIFO queues under a
-  **stride-scheduling weighted-fair queue**: each tenant carries a *pass*
-  value that advances by ``served / weight`` whenever it is served, and
-  every pick serves the backlogged tenant with the smallest pass, one
-  batch at a time. The classic stride argument bounds unfairness at one
-  service quantum: a continuously-backlogged tenant's share never exceeds
-  ``weight_i / Σweights`` of total service by more than one batch (the
-  property the hypothesis suite checks). A tenant re-entering the backlog
-  has its pass caught up to the current virtual time, so idling earns no
-  credit. A full queue sheds or defers per the tenant's policy —
-  *deferred* is backpressure (resubmit later), *shed* is a drop; neither
-  creates a call record.
+  **stride-scheduling weighted-fair queue**: a tenant's *pass* advances by
+  ``served / weight`` per service, every pick serves the backlogged tenant
+  with the smallest pass, one batch at a time, so a backlogged tenant never
+  exceeds its weight share by more than one batch. A tenant re-entering the
+  backlog catches up to virtual time (idling earns no credit). A full queue
+  sheds or defers per the tenant's policy; neither creates a call record.
 
 * :class:`IngestionPlane` — the front door, with no thread of its own.
-  Admission is *flat-combining*: whoever holds the serving lock places
-  every batch admission holds — WFQ's pick, whoever's it is — until the
-  backlog is empty, each grouped per function, handed to
-  :meth:`FaasmCluster.dispatch_batch` (one scheduling pass, one registry
-  hold, one :class:`~repro.runtime.bus.ExecuteBatch` per target host) and
-  flushed with one :meth:`MessageBus.send_many` per host. It is the same
-  road every other call takes, so tracing, exactly-once semantics and the
-  chaos-fault surface are unchanged.
-
-Who serves: a submitter, once it has admitted its calls — unless the bus
-still holds a message no worker has taken, because the worker that takes
-one serves first (:meth:`IngestionPlane.serve`). So a paced ``submit``
-places its own call, a batch of one, and pays for that placement; a burst,
-whose submitter keeps the GIL from the workers, queues behind the message
-in flight and travels in batches. No dispatcher thread, no polling.
-
-**No admitted call strands.** A submitter that leaves its calls queued
-either saw a message on the bus, whose taker serves after taking it, or
-lost the lock to a holder, and every holder re-checks the backlog after
-letting go. ``drain`` waits for the lock (a batch taken but not yet placed
-lands first), then serves.
+  Admission is *flat-combining*: whoever holds the serving lock places every
+  batch admission holds, grouped per function, through
+  :meth:`FaasmCluster.dispatch_batch` and one
+  :meth:`MessageBus.send_many` per host. A submitter serves once it has
+  admitted, unless the bus holds a message whose taker will serve first.
+  **No admitted call strands**: every lock holder re-checks the backlog
+  after letting go, and ``drain`` waits for the lock, then serves.
 """
 
 from __future__ import annotations
@@ -49,7 +29,11 @@ import math
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
+from operator import itemgetter
+from typing import NamedTuple
 
 from repro.telemetry.stats import percentile
 
@@ -200,16 +184,16 @@ class AdmissionController:
                 return None, []
             _, name, state = min(backlogged)
             self._vtime = state.pass_value
-            items = []
-            while state.queue and len(items) < max_items:
-                items.append(state.queue.popleft())
+            take = state.queue.popleft
+            items = [take() for _ in range(min(max_items, len(state.queue)))]
             state.pass_value += len(items) / state.spec.weight
             state.served += len(items)
         return name, items
 
     def backlog(self) -> int:
-        with self._lock:
-            return sum(len(s.queue) for s in self._tenants.values())
+        # Lock-free: ``serve`` asks on every message a worker takes, and
+        # must not queue behind a submitter building records under ``_lock``.
+        return sum([len(state.queue) for state in list(self._tenants.values())])
 
     def stats(self) -> dict:
         """Per-tenant queue depth / served counts (counters live in the
@@ -227,12 +211,16 @@ class AdmissionController:
             }
 
 
-@dataclass
-class _AdmittedItem:
+class _AdmittedItem(NamedTuple):
     function: str
     record: object
     tenant: str = "default"
-    enqueued_at: float = field(default=0.0)
+    enqueued_at: float = 0.0
+
+
+#: ``_AdmittedItem`` from a 4-tuple without a Python-level ``__new__``.
+_admitted = partial(tuple.__new__, _AdmittedItem)
+_FUNCTION, _RECORD = itemgetter(0), itemgetter(1)
 
 
 class IngestionPlane:
@@ -280,28 +268,22 @@ class IngestionPlane:
 
         def make_items(take: int):
             now = time.monotonic()
-            records = self.cluster.calls.create_many(
-                function, inputs[:take]
-            )
-            return [
-                _AdmittedItem(function, record, tenant, enqueued_at=now)
-                for record in records
-            ]
+            records = self.cluster.calls.create_many(function, inputs[:take])
+            return list(map(_admitted, zip(
+                repeat(function), records, repeat(tenant), repeat(now)
+            )))
 
         items, rejected, outcome = self.admission.offer_many(
             tenant, len(inputs), make_items
         )
+        records = list(map(_RECORD, items))
         if items:
             with self._recent_lock:
-                self._recent.extend(item.record for item in items)
-                self._admit_times.extend(
-                    item.enqueued_at for item in items
-                )
+                self._recent.extend(records)
+                self._admit_times.extend(repeat(items[0].enqueued_at, len(items)))
             if not self.cluster.bus.total_pending():
                 self.serve()
-        results = [
-            (item.record.call_id, "admitted") for item in items
-        ]
+        results = [(record.call_id, "admitted") for record in records]
         results.extend([(None, outcome)] * rejected)
         return results
 
@@ -324,9 +306,13 @@ class IngestionPlane:
         """One dispatch round: group a served batch by function, place
         each group with one batched scheduling decision, flush each target
         host's messages with one ``send_many``."""
-        groups: dict[str, list] = {}
-        for item in items:
-            groups.setdefault(item.function, []).append(item.record)
+        functions = dict.fromkeys(map(_FUNCTION, items))
+        if len(functions) == 1:  # the usual round: one function
+            groups = {items[0].function: list(map(_RECORD, items))}
+        else:
+            groups = {function: [] for function in functions}
+            for item in items:
+                groups[item.function].append(item.record)
         pending: dict[str, list] = {}
         for function, records in groups.items():
             self.cluster.dispatch_batch(function, records, collect=pending)

@@ -13,6 +13,9 @@ import logging
 import threading
 import time
 from collections import deque
+from functools import partial
+from itertools import repeat
+from operator import itemgetter
 
 from repro.faaslet import (
     CpuCgroup,
@@ -45,6 +48,9 @@ WORKER_FLOOR = 2
 #: A worker above the floor retires after this long with nothing to do.
 WORKER_IDLE_S = 1.0
 _BUS = object()  # ``_take``'s answer for "go and hold a bus seat"
+_CALL_ID = itemgetter(0)  # of an ``ExecuteBatch`` item
+#: ``ExecuteCall`` from a 4-tuple without a Python-level ``__new__``.
+_call = partial(tuple.__new__, ExecuteCall)
 
 
 class HostCrashed(RuntimeError):
@@ -89,19 +95,16 @@ class InstanceMetrics:
         self._cold = metrics.counter("instance.cold_starts", host=host)
         self._warm = metrics.counter("instance.warm_hits", host=host)
         self._init = metrics.histogram("instance.init_time", host=host)
+        #: Count an executed call / a warm hit: the counters' own ``inc``.
+        self.record_call = self._calls.inc
+        self.record_warm_hit = self._warm.inc
         #: Threads ever started / alive now (they never move per call).
         self.workers_born = metrics.counter("instance.workers_born", host=host)
         self.workers = metrics.gauge("instance.workers", host=host)
 
-    def record_call(self) -> None:
-        self._calls.inc()
-
     def record_cold_start(self, init_time: float) -> None:
         self._cold.inc()
         self._init.observe(init_time)
-
-    def record_warm_hit(self) -> None:
-        self._warm.inc()
 
     @property
     def calls_executed(self) -> int:
@@ -270,9 +273,17 @@ class FaasmRuntimeInstance:
         try:
             while True:
                 with self._lock:
-                    if job is not None and job[2]:
+                    if job is None or not job[2]:
+                        job = None
+                    elif self._backlog and not self._handoff and (
+                        self._receiving or self._stopped
+                    ):
+                        # ``_take``'s pick, run in the slot this worker holds.
+                        job = self._backlog.popleft()
+                    else:
                         self._pooled -= 1
-                    while (job := self._take()) is None:
+                        job = None
+                    while job is None and (job := self._take()) is None:
                         if expired or self._stopped:
                             return
                         self._idle += 1
@@ -326,29 +337,26 @@ class FaasmRuntimeInstance:
 
     def _expand_batch(self, batch) -> list:
         """The batch as ``(record, message, pooled)`` items: one chaos
-        pre-dispatch point per carried call, one registry hold."""
-        traces = batch.traces or (None,) * len(batch.items)
+        pre-dispatch point per carried call, one registry read."""
+        chaos, shared, pooled, items = self.chaos, batch.shared, batch.pooled, batch.items
+        records = self.cluster.calls.get_many(map(_CALL_ID, items))
         accepted: list = []
-        for (call_id, attempt), trace in zip(batch.items, traces):
-            message = ExecuteCall(call_id, attempt, batch.shared, trace)
-            try:
-                self._chaos_point("pre-dispatch", message)
-            except HostCrashed:
-                # Died mid-expansion: this item and the rest are lost (the
-                # monitor re-queues them); the accepted prefix still ships.
-                break
-            accepted.append(message)
-        records = self.cluster.calls.get_many([m.call_id for m in accepted])
-        return [(r, m, batch.pooled) for r, m in zip(records, accepted)]
+        for record, (call_id, attempt), trace in zip(
+            records, items, batch.traces or repeat(None)
+        ):
+            if chaos is not None:
+                try:
+                    chaos.on_phase(self, "pre-dispatch", call_id, attempt)
+                except HostCrashed:
+                    # Died mid-expansion: the rest are lost (the monitor
+                    # re-queues them); the accepted prefix still ships.
+                    break
+            accepted.append((record, _call((call_id, attempt, shared, trace)), pooled))
+        return accepted
 
     def pool_backlog(self) -> int:
         """Batch items accepted from the bus but not yet executing."""
         return len(self._handoff) + len(self._backlog)
-
-    def _chaos_point(self, phase: str, message) -> None:
-        """Give the chaos engine (if any) a chance to kill this host."""
-        if self.chaos is not None:
-            self.chaos.on_phase(self, phase, message.call_id, message.attempt)
 
     def _execute_safely(self, record, message) -> None:
         calls, attempt = self.cluster.calls, message.attempt
@@ -357,7 +365,10 @@ class FaasmRuntimeInstance:
             # finished elsewhere — drop it without executing.
             return
         try:
-            self._execute_traced(record, message)
+            if message.trace is None:
+                self.execute(record, message)
+            else:
+                self._execute_traced(record, message)
         except HostCrashed:
             # Injected host failure: the executor dies with the host; the
             # monitor detects the death and re-queues the call.
@@ -380,12 +391,8 @@ class FaasmRuntimeInstance:
     def _execute_traced(self, record, message) -> None:
         """Execute under the trace context carried by the bus message:
         workers have no ambient context, so the sender's is re-activated
-        here — the receive-side half of cross-host propagation. Without one
-        (tracing off, or unsampled at its root) this is a plain execute."""
+        here — the receive-side half of cross-host propagation."""
         wire = message.trace
-        if wire is None:
-            self.execute(record, message)
-            return
         tracer = self.cluster.telemetry.tracer
         ctx = context_from_wire(wire)
         with tracer.activate(ctx, self.host, record.function):
@@ -436,6 +443,7 @@ class FaasmRuntimeInstance:
             self._warm.clear()
             self._executing = 0
             self.alive = True
+        self.cluster.membership_changed()
         # The page cache died too (on_host_death withdrew its residency ads).
         self.snapshots.clear()
         self.start_dispatcher()
@@ -444,14 +452,13 @@ class FaasmRuntimeInstance:
     # ------------------------------------------------------------------
     # Capacity and execution
     # ------------------------------------------------------------------
+    # Lock-free: one int read is atomic, and every placement pass asks.
     def free_capacity(self) -> int:
-        with self._mutex:
-            return max(0, self.capacity - self._executing)
+        return max(0, self.capacity - self._executing)
 
     def executing(self) -> int:
         """Calls currently running on this host."""
-        with self._mutex:
-            return self._executing
+        return self._executing
 
     def execute(self, record: CallRecord, message) -> None:
         """Execute attempt ``message.attempt`` of a call on this host, on
@@ -481,29 +488,39 @@ class FaasmRuntimeInstance:
 
     def _execute_python(self, record: CallRecord, definition, message) -> None:
         self.metrics.record_call()
-        self._chaos_point("mid-guest", message)
+        chaos = self.chaos
+        if chaos is not None:
+            chaos.on_phase(self, "mid-guest", record.call_id, message.attempt)
         ctx = PythonCallContext(self.env, record.input_data)
         try:
-            with span("guest.exec", function=record.function, runtime="python"):
+            if message.trace is None:  # no trace context on this worker
                 result = definition.fn(ctx)
+            else:
+                with span("guest.exec", function=record.function, runtime="python"):
+                    result = definition.fn(ctx)
             code = int(result) if isinstance(result, int) else 0
-            self._chaos_point("pre-complete", message)
-            self._complete(record, message, code, ctx.output)
+            if chaos is not None:
+                chaos.on_phase(self, "pre-complete", record.call_id, message.attempt)
+            output = ctx.output
         except (HostCrashed, StateUnavailableError):
             raise  # infrastructure failures are the retry plane's business
         except Exception as exc:  # guest failure must not kill the host
             logger.exception("python guest %s failed", record.function)
-            self._complete(record, message, 1, str(exc).encode())
+            code, output = 1, str(exc).encode()
+        self._complete(record, message, code, output)
 
     def _execute_wasm(
         self, record: CallRecord, definition: FunctionDefinition, message
     ) -> None:
         faaslet, record.cold_start = self._acquire_faaslet(definition)
         self.metrics.record_call()
+        chaos = self.chaos
         try:
-            self._chaos_point("mid-guest", message)
+            if chaos is not None:
+                chaos.on_phase(self, "mid-guest", record.call_id, message.attempt)
             code, output = faaslet.call(record.input_data)
-            self._chaos_point("pre-complete", message)
+            if chaos is not None:
+                chaos.on_phase(self, "pre-complete", record.call_id, message.attempt)
             self._complete(record, message, code, output)
         finally:
             self._release_faaslet(definition.name, faaslet)

@@ -3,27 +3,16 @@
 The paper's design (Fig. 5) assumes hosts and the message bus fail
 independently of the callers that submitted work. This module is the
 cluster's recovery loop: a daemon thread that scans the registry's open
-calls (:meth:`~repro.runtime.calls.InvocationRegistry.open_calls`) and,
-through the registry's transitions on each call's current attempt,
-
-* parks the attempt at once when its target host died (the host's
-  liveness epoch advanced past the one recorded at dispatch) — the
-  re-queue path for a crashed host's in-flight calls;
-* parks it with a backoff when it stays undelivered past the per-attempt
-  timeout (a dropped or endlessly delayed delivery);
-* re-dispatches a parked call once its ``retry_at`` has passed — capped
-  exponential backoff with jitter, up to :attr:`RetryPolicy.max_attempts`;
-* declares the terminal ``CALL_FAILED`` state — with the failure chain the
-  parked attempts built — once the budget is spent.
-
-A scan that raises is logged and counted in
+calls and, through the registry's transitions on each call's current
+attempt, parks it at once when its host died (the liveness epoch moved on),
+parks it with a backoff when it stays undelivered past the per-attempt
+timeout, re-dispatches a parked call once its ``retry_at`` has passed
+(capped exponential backoff with jitter, up to
+:attr:`RetryPolicy.max_attempts`) and declares the terminal ``CALL_FAILED``
+once the budget is spent. A scan that raises is counted in
 ``errors.swallowed{site="monitor.scan"}``; the loop carries on.
-
-Every cluster runs one: there is no unmonitored way to place a call. The
-monitor never executes anything itself; re-dispatch goes back through the
-cluster's one place-and-send road (under a ``call.retry`` span, counted in
-the ``call.retries`` metric), so retried calls are placed with current
-warm-set and liveness information.
+Re-dispatch goes back through the cluster's one place-and-send road, under
+a ``call.retry`` span, with current warm-set and liveness information.
 """
 
 from __future__ import annotations

@@ -1,31 +1,18 @@
 """Distributed shared-state scheduling (§5.1) with snapshot locality.
 
 FAASM's local schedulers cooperate through the global state tier, in the
-style of Omega: the set of warm hosts for each function lives under a state
-key, and every scheduler may read and atomically update it while making a
-placement decision. An incoming call is executed locally when the receiving
-host is warm and has capacity, shared with another warm host when one
-exists, and otherwise cold-started — preferring a *page-resident* host
-(one whose PageStore already covers the function's snapshot manifest, so
-the restore ships no or few pages) over a genuinely cold one. Placement
-quality is therefore warm > mostly-resident > cold, which is what keeps
-Fig. 10 churn migration cost at O(delta) instead of O(snapshot size).
+style of Omega: each function's warm hosts live under a state key that
+every scheduler reads and atomically updates while placing. A call runs
+locally when the entry host is warm and has capacity, on another warm host
+when one exists, and otherwise cold-starts — preferring a *page-resident*
+host (its PageStore already covers the snapshot manifest, so the restore
+ships few pages) over a genuinely cold one. Warm sets and residency
+advertisements are advisory: a stale entry costs bytes, never correctness.
 
-Residency advertisements live next to the warm sets in the global tier and
-are, like them, advisory: stale or missing entries only cost transfer
-bytes, never correctness.
-
-**The dispatch hot path is de-locked** (DESIGN.md §11): parsed warm-set
-and residency snapshots are memoised per function behind an epoch + TTL
-cache, so back-to-back dispatches of the same function cost zero
-global-tier reads — the registry bumps a per-key epoch on every mutation
-it performs (every mutation in this in-process deployment goes through the
-shared registry), and the TTL bounds staleness against writers the epoch
-cannot see. A stale snapshot is at worst a slightly worse *advisory*
-placement, never a correctness issue. :meth:`LocalScheduler.schedule_batch`
-is the one placement rule: it amortises one snapshot read and one capacity
-survey over however many calls the cluster places at once (one for a
-dispatched or chained call, a batch for the ingestion plane).
+Reads are memoised per function behind an epoch + TTL cache (DESIGN.md
+§11), so back-to-back placements cost zero global-tier reads.
+:meth:`LocalScheduler.schedule_batch` is the one placement rule, for one
+call or a batch.
 """
 
 from __future__ import annotations
@@ -42,6 +29,7 @@ from repro.state.kv import (
     StateUnavailableError,
 )
 from repro.telemetry import MetricsRegistry, span
+from repro.telemetry.trace import trace_active
 
 _WARM_PREFIX = "faasm/sched/warm/"
 _RESIDENT_PREFIX = "faasm/sched/resident/"
@@ -223,7 +211,7 @@ class WarmSetRegistry:
         them: ``host`` first when warm, then its peers by name. Built once
         per entry host per cache epoch, so a warm pass neither copies nor
         sorts."""
-        entry = self._cached_read(self._key(function), _WARM)
+        entry = self._cached_read(_WARM_PREFIX + function, _WARM)
         ranked = entry.ranks.get(host)
         if ranked is None:
             first = (host,) if host in entry.value else ()
@@ -369,10 +357,19 @@ class LocalScheduler:
         """
         if count <= 0:
             return []
+        me, live = self.host, self._live
+        # Candidate lists put the entry host first, then peers by name.
+        warm = self.warm_sets.ranked(function, me)
+        if count == 1 and trace_active() is None:
+            # One call outside a trace: rule 1 straight off the ranked tuple.
+            for host in warm:
+                if live(host) and (
+                    self._capacity() if host == me else self._peer_capacity(host)
+                ) > 0:
+                    reason = "warm-local" if host == me else "shared"
+                    self.decisions[reason] += 1
+                    return [SchedulingDecision(host, reason)]
         with span("schedule", function=function) as sp:
-            me, live = self.host, self._live
-            # Candidate lists put the entry host first, then peers by name.
-            warm = self.warm_sets.ranked(function, me)
             free: dict[str, int] = {}
             starting: set[str] = set()
             decisions: list[SchedulingDecision] = []

@@ -324,7 +324,7 @@ class GlobalStateStore:
             size, end = len(value), offset + len(data)
             if end > size:
                 value.extend(bytes(end - size))
-            value[offset:end] = data
+            memoryview(value)[offset:end] = data  # one copy, not a slice's two
             self._bump(key, None if len(value) != size else [(offset, end)])
 
     def set_ranges(

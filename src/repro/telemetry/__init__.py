@@ -112,10 +112,6 @@ class Telemetry:
             self.profiles.fold(finished)
 
     # ------------------------------------------------------------------
-    @property
-    def enabled(self) -> bool:
-        return self.tracer.enabled
-
     def spans(self) -> list[Span]:
         return self.tracer.finished_spans()
 

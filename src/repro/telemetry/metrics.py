@@ -22,10 +22,6 @@ import threading
 from .streaming import StreamingHistogram
 
 
-def _label_key(labels: dict) -> tuple:
-    return tuple(sorted(labels.items()))
-
-
 def _series_name(name: str, label_key: tuple) -> str:
     if not label_key:
         return name
@@ -33,19 +29,24 @@ def _series_name(name: str, label_key: tuple) -> str:
     return f"{name}{{{inner}}}"
 
 
-class Counter:
-    """Monotonic (reset-able) count."""
+def share_lock(lock: threading.Lock, *metrics) -> threading.Lock:
+    """Guard ``metrics`` with ``lock`` and return it: an owner that updates
+    several at once takes it once and adds to each ``_value`` under it,
+    and their own ``inc``/``set``/``reset`` serialise with that."""
+    for metric in metrics:
+        metric._lock = lock
+    return lock
+
+
+class _Scalar:
+    """A number behind a lock: what counters and gauges share."""
 
     __slots__ = ("_lock", "_value")
-    kind = "counter"
+    zero: int | float = 0
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._value = 0
-
-    def inc(self, n: int | float = 1) -> None:
-        with self._lock:
-            self._value += n
+        self._value = self.zero
 
     @property
     def value(self) -> int | float:
@@ -53,40 +54,41 @@ class Counter:
 
     def reset(self) -> None:
         with self._lock:
-            self._value = 0
+            self._value = self.zero
 
     def snapshot(self):
         return self._value
 
 
-class Gauge:
+class Counter(_Scalar):
+    """Monotonic (reset-able) count."""
+
+    __slots__ = ()
+    kind = "counter"
+
+    def inc(self, n: int | float = 1) -> None:
+        # Acquired by hand: half the cost of ``with`` on a per-call path.
+        self._lock.acquire()
+        self._value += n
+        self._lock.release()
+
+
+class Gauge(_Scalar):
     """Last-set value (pool sizes, capacities, memory footprints)."""
 
-    __slots__ = ("_lock", "_value")
+    __slots__ = ()
     kind = "gauge"
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._value = 0.0
+    zero = 0.0
 
     def set(self, value: float) -> None:
-        with self._lock:
-            self._value = value
+        self._lock.acquire()
+        self._value = value
+        self._lock.release()
 
     def add(self, delta: float) -> None:
-        with self._lock:
-            self._value += delta
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def reset(self) -> None:
-        with self._lock:
-            self._value = 0.0
-
-    def snapshot(self):
-        return self._value
+        self._lock.acquire()
+        self._value += delta
+        self._lock.release()
 
 
 class MetricsRegistry:
@@ -98,7 +100,7 @@ class MetricsRegistry:
 
     # ------------------------------------------------------------------
     def _get(self, cls, name: str, labels: dict):
-        key = (name, _label_key(labels))
+        key = (name, tuple(sorted(labels.items())))
         with self._lock:
             metric = self._metrics.get(key)
             if metric is None:

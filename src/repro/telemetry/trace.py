@@ -107,6 +107,11 @@ class Span:
 _ACTIVE: ContextVar[tuple | None] = ContextVar("repro_trace_active", default=None)
 
 
+#: This thread's active span state, None when no trace is active: a C-level
+#: call, which a hot path tests before paying for :func:`span`.
+trace_active = _ACTIVE.get
+
+
 def current_context() -> TraceContext | None:
     """The active trace context on this thread, if any."""
     state = _ACTIVE.get()
@@ -312,10 +317,6 @@ class Tracer:
         with self._lock:
             self._spans.clear()
             self.dropped = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._spans)
 
 
 def span(name: str, **attrs):
