@@ -167,9 +167,9 @@ class InvocationRegistry:
     def __init__(self) -> None:
         self._calls: dict[int, CallRecord] = {}
         self._by_key: dict[str, int] = {}
-        #: Placed calls not yet seen finished: what the monitor watches and
-        #: what ``FaasmCluster.drain`` waits for. Pruned by
-        #: :meth:`open_calls`, so a completion takes no registry-wide lock.
+        #: Placed calls not yet finished: what the monitor watches and
+        #: what ``FaasmCluster.drain`` waits for. A call leaves it as it
+        #: finishes, with one lock-free (GIL-atomic) pop.
         self._open: dict[int, CallRecord] = {}
         self._ids = itertools.count(1)
         self._mutex = threading.Lock()
@@ -234,18 +234,10 @@ class InvocationRegistry:
             raise KeyError(f"unknown call id {exc.args[0]}") from None
 
     def open_calls(self) -> list[CallRecord]:
-        """The placed calls not yet finished, in placement order; calls
-        found finished leave the open set here (the monitor's scan)."""
+        """The placed calls not yet finished, in placement order (the
+        monitor's scan and ``drain`` read them)."""
         with self._mutex:
-            records = list(self._open.values())
-        # Sorted outside ``_mutex``, which placements and creations need.
-        live = [record for record in records if not record.done._flag]
-        if len(live) < len(records):
-            with self._mutex:
-                for record in records:
-                    if record.done._flag:
-                        self._open.pop(record.call_id, None)
-        return live
+            return list(self._open.values())
 
     # ------------------------------------------------------------------
     # Attempt protocol
@@ -346,8 +338,7 @@ class InvocationRegistry:
         number = self.get(call_id).attempt
         return self.complete_attempt(call_id, number, return_code, output)
 
-    @staticmethod
-    def _finish(record, return_code: int, output: bytes, status=None) -> None:
+    def _finish(self, record, return_code: int, output: bytes, status=None) -> None:
         """Terminal-state write; caller holds the record's lock."""
         record.return_code = return_code
         record.output_data = bytes(output)
@@ -355,6 +346,7 @@ class InvocationRegistry:
         record.status = status or (CallStatus.FAILED if return_code
                                    else CallStatus.SUCCEEDED)
         record.done.set()
+        self._open.pop(record.call_id, None)
 
     def wait(self, call_id: int, timeout: float | None = None) -> int:
         """Block until the call finishes; returns its exit code."""

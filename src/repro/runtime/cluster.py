@@ -14,11 +14,13 @@ included. External calls are spread round-robin over the local schedulers,
 as Knative's default endpoint spreads requests; chained calls enter at
 their originating host's.
 
-The :class:`~repro.runtime.monitor.InvocationMonitor` re-queues attempts
-whose host died or whose message was lost, with backoff, up to the
-terminal ``CALL_FAILED``. A :class:`~repro.chaos.plan.ChaosPlan` passed as
-``chaos=`` wraps the bus and the global state store in the deterministic
-fault-injection layer this plane is tested with.
+The :class:`~repro.runtime.monitor.InvocationMonitor` is the cluster's
+one timer thread, asleep until a deadline is due: its scan re-queues
+attempts whose host died or whose message was lost, with backoff, up to
+the terminal ``CALL_FAILED``, and an attached autoscaler ticks on it. A
+:class:`~repro.chaos.plan.ChaosPlan` passed as ``chaos=`` wraps the bus
+and the global state store in the deterministic fault-injection layer
+this plane is tested with.
 """
 
 from __future__ import annotations
@@ -123,9 +125,6 @@ class FaasmCluster:
         #: created lazily by :meth:`ingestion` / :meth:`submit`.
         self._ingest: IngestionPlane | None = None
         self._ingest_lock = threading.Lock()
-        #: A reactive :class:`~repro.runtime.autoscale.Autoscaler`, when
-        #: the caller attached one (``Autoscaler(cluster, ...)``).
-        self.autoscaler = None
         self.monitor = InvocationMonitor(self, self.retry)
         self.monitor.start()
 
@@ -369,6 +368,7 @@ class FaasmCluster:
         return instance
 
     def peer_capacity(self, host: str) -> int:
+        # On the placement road: one lookup, no ``instance_for`` call.
         instance = self._by_host.get(host)
         if instance is None:
             raise KeyError(f"unknown host {host!r}")
@@ -384,9 +384,7 @@ class FaasmCluster:
     def live_hosts(self) -> list[str]:
         """Hosts new work may be placed on (the batch scheduler's spread
         universe)."""
-        return [
-            i.host for i in self.instances if i.alive and not i.draining
-        ]
+        return [i.host for i in self.instances if i.alive and not i.draining]
 
     # ------------------------------------------------------------------
     # Elasticity (the autoscaler's grow/shrink primitives)
@@ -397,11 +395,8 @@ class FaasmCluster:
         new hosts get fresh names. Returns the hosts brought up."""
         added: list[str] = []
         for _ in range(count):
-            dead = next(
-                (i for i in self.instances if not i.alive), None
-            )
+            dead = next((i for i in self.instances if not i.alive), None)
             if dead is not None:
-                dead.draining = False
                 dead.restart()
                 added.append(dead.host)
                 continue
@@ -418,35 +413,33 @@ class FaasmCluster:
         return added
 
     def retire_host(self, host: str, timeout: float = 10.0) -> bool:
-        """Shrink: gracefully retire ``host``. The host stops receiving
-        new placements (``draining``), is evicted from the warm sets, and
-        once its queue and workers are idle it is taken down through the
+        """Shrink: :meth:`begin_retire`, wait (up to ``timeout``) for every
+        call placed on ``host`` to finish, then take it down through the
         death path — so any straggler the drain raced is re-queued by the
         monitor, never stranded. Returns False when the host is not
-        retirable (unknown, already down, or the last live host)."""
-        instance = self._by_host.get(host)
-        if instance is None or not instance.alive:
+        retirable (unknown, already down, draining, or the last live
+        host)."""
+        if not self.begin_retire(host):
             return False
-        live = [
-            i for i in self.instances if i.alive and not i.draining
-        ]
-        if len(live) <= 1 or instance not in live:
+        deadline = time.monotonic() + timeout
+        for record in self.calls.open_calls():
+            if record.host == host:
+                record.done.wait(deadline - time.monotonic())
+        self._by_host[host].kill()
+        self.telemetry.metrics.counter("host.scaled_down").inc()
+        return True
+
+    def begin_retire(self, host: str) -> bool:
+        """Stop placing on ``host``, evict it from the warm sets and
+        reclaim its idle Faaslets; whoever called this kills it later."""
+        live = self.live_hosts()
+        if len(live) <= 1 or host not in live:
             return False
+        instance = self._by_host[host]
         instance.draining = True
         self.membership_changed()
         self.warm_sets.evict_host(host)
         instance.reclaim_idle(0)
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline and (
-            self.bus.pending(host)
-            or instance.pool_backlog()
-            or instance.executing()
-        ):
-            time.sleep(0.005)
-        # kill() ends the liveness epoch: anything the drain wait raced
-        # is written off by the monitor and re-queued elsewhere.
-        instance.kill()
-        self.telemetry.metrics.counter("host.scaled_down").inc()
         return True
 
     def host_liveness(self, host: str) -> tuple[bool, int]:
@@ -458,15 +451,14 @@ class FaasmCluster:
 
     def on_host_death(self, instance: FaasmRuntimeInstance) -> None:
         """A host died: evict it from every warm set so schedulers stop
-        routing there; its in-flight calls are re-queued by the monitor."""
+        routing there, and have the monitor scan now, which re-queues its
+        in-flight calls."""
         self.membership_changed()
         evicted = self.warm_sets.evict_host(instance.host)
         self.telemetry.metrics.counter("host.evicted").inc()
-        logger.warning(
-            "host %s declared dead; evicted from %d warm sets",
-            instance.host,
-            evicted,
-        )
+        logger.warning("host %s declared dead; evicted from %d warm sets",
+                       instance.host, evicted)
+        self.monitor.request_scan(time.monotonic())
 
     # ------------------------------------------------------------------
     # Cluster-wide accounting
@@ -579,8 +571,7 @@ class FaasmCluster:
         # Newest first: once the call placed last is done, the rest are
         # likely found done instead of each waking this thread.
         for record in reversed(self.calls.open_calls()):
-            remaining = deadline - time.monotonic()
-            if not record.done.wait(max(0.0, remaining)):
+            if not record.done.wait(deadline - time.monotonic()):
                 stragglers.append(record.call_id)
         if stragglers and raise_on_stragglers:
             raise DrainTimeout(
@@ -591,9 +582,8 @@ class FaasmCluster:
         return stragglers
 
     def shutdown(self) -> None:
-        """Stop every host's workers and the monitor (idempotent)."""
-        if self.autoscaler is not None:
-            self.autoscaler.stop()
+        """Stop every host's workers and the timer thread, with an
+        attached autoscaler's ticks (idempotent)."""
         self.monitor.stop()
         for instance in self.instances:
             try:

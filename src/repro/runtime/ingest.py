@@ -113,15 +113,11 @@ class AdmissionController:
     def _state(self, tenant: str) -> _TenantState:
         state = self._tenants.get(tenant)
         if state is None:
-            state = _TenantState(
-                TenantSpec(
-                    tenant,
-                    weight=self.config.default_weight,
-                    queue_limit=self.config.default_queue_limit,
-                    on_full=self.config.default_on_full,
-                )
-            )
-            self._tenants[tenant] = state
+            config = self.config
+            state = self._tenants[tenant] = _TenantState(TenantSpec(
+                tenant, config.default_weight, config.default_queue_limit,
+                config.default_on_full,
+            ))
         return state
 
     def offer(self, tenant: str, make_item) -> tuple[str, object | None]:
@@ -129,9 +125,7 @@ class AdmissionController:
         :meth:`offer_many`. ``make_item()`` is called only on admission.
         Returns ``(outcome, item)`` with outcome one of "admitted",
         "deferred", "shed"."""
-        items, _, outcome = self.offer_many(
-            tenant, 1, lambda take: [make_item()]
-        )
+        items, _, outcome = self.offer_many(tenant, 1, lambda take: [make_item()])
         return ("admitted", items[0]) if items else (outcome, None)
 
     def offer_many(
@@ -150,9 +144,7 @@ class AdmissionController:
             room = max(0, state.spec.queue_limit - len(state.queue))
             take = min(room, count)
             rejected = count - take
-            outcome = (
-                "shed" if state.spec.on_full == "shed" else "deferred"
-            )
+            outcome = "shed" if state.spec.on_full == "shed" else "deferred"
             items = make_items(take) if take else []
             if items and not state.queue:
                 # Re-entering the backlog: catch the pass up to virtual
@@ -161,13 +153,9 @@ class AdmissionController:
             state.queue.extend(items)
             if self._metrics is not None:
                 if take:
-                    self._metrics.counter(
-                        "ingest.admitted", tenant=tenant
-                    ).inc(take)
+                    self._metrics.counter("ingest.admitted", tenant=tenant).inc(take)
                 if rejected:
-                    self._metrics.counter(
-                        "ingest." + outcome, tenant=tenant
-                    ).inc(rejected)
+                    self._metrics.counter("ingest." + outcome, tenant=tenant).inc(rejected)
             return items, rejected, outcome
 
     def next_batch(self, max_items: int) -> tuple[str | None, list]:

@@ -122,22 +122,11 @@ class InstanceMetrics:
     def init_time_total(self) -> float:
         return self._init.sum
 
-    @property
-    def cold_ratio(self) -> float:
-        if not self.calls_executed:
-            return 0.0
-        return self.cold_starts / self.calls_executed
-
 
 class FaasmRuntimeInstance:
     """One host's runtime: Faaslet pool + local scheduler + state tiers."""
 
-    def __init__(
-        self,
-        host: str,
-        cluster,
-        capacity: int = DEFAULT_CAPACITY,
-    ):
+    def __init__(self, host: str, cluster, capacity: int = DEFAULT_CAPACITY):
         self.host = host
         self.cluster = cluster
         self.capacity = capacity
@@ -219,7 +208,7 @@ class FaasmRuntimeInstance:
     # (ii) pooled items run on at most max(2, capacity) workers at once, a
     # pooled batch summons at most one, and ``pool_backlog()`` is what was
     # accepted and is not yet executing; (iii) a dead host consumes nothing
-    # (what it meets is dropped, the attempt left SENT); (iv) a worker idle
+    # (it drops what it meets and asks the monitor to scan); (iv) a worker idle
     # for WORKER_IDLE_S retires (the seats keep the floor), ``Shutdown``
     # stops them all, ``restart()`` restores them.
     # ------------------------------------------------------------------
@@ -317,7 +306,10 @@ class FaasmRuntimeInstance:
             self.cluster.bus.send(self.host, message)
         if not stop and self.cluster._ingest is not None:
             self.cluster._ingest.serve()  # a message's taker serves first
-        if stop or not self.alive:
+        if stop:
+            return None
+        if not self.alive:  # placed as the host died: the scan re-queues it
+            self.cluster.monitor.request_scan(time.monotonic())
             return None
         work = self._expand_batch(message)
         if len(work) == 1 and not message.pooled:
@@ -374,13 +366,11 @@ class FaasmRuntimeInstance:
             # monitor detects the death and re-queues the call.
             pass
         except StateUnavailableError as exc:
-            logger.warning(
-                "call %s hit unavailable state tier: %s", record.call_id, exc
-            )
-            calls.attempt_failed(
-                record.call_id, attempt, f"state unavailable: {exc}",
-                self.cluster.monitor.retry_time(attempt),
-            )
+            logger.warning("call %s hit unavailable state tier: %s", record.call_id, exc)
+            monitor = self.cluster.monitor
+            retry_at = monitor.retry_time(attempt)
+            calls.attempt_failed(record.call_id, attempt, f"state unavailable: {exc}", retry_at)
+            monitor.request_scan(retry_at)  # the scan that retries it
         except Exception as exc:  # never kill the host on a bad call
             logger.exception("call %s crashed the executor", record.call_id)
             self.cluster.telemetry.metrics.counter(
@@ -396,12 +386,8 @@ class FaasmRuntimeInstance:
         tracer = self.cluster.telemetry.tracer
         ctx = context_from_wire(wire)
         with tracer.activate(ctx, self.host, record.function):
-            with span(
-                "call.invoke",
-                call_id=record.call_id,
-                function=record.function,
-                shared=bool(message.shared),
-            ) as sp:
+            with span("call.invoke", call_id=record.call_id,
+                      function=record.function, shared=bool(message.shared)) as sp:
                 sp.set_attr("queue_wait_s", time.perf_counter() - wire[3])
                 if message.attempt > 0:
                     sp.set_attr("attempt", message.attempt)
@@ -442,6 +428,7 @@ class FaasmRuntimeInstance:
                 self._discard(faaslet)
             self._warm.clear()
             self._executing = 0
+            self.draining = False
             self.alive = True
         self.cluster.membership_changed()
         # The page cache died too (on_host_death withdrew its residency ads).
@@ -482,9 +469,7 @@ class FaasmRuntimeInstance:
         """Write the call's completion — unless this host died meanwhile
         (like the paper's crashed worker never answering the bus)."""
         if self.alive:
-            self.cluster.calls.complete_attempt(
-                record.call_id, message.attempt, code, output
-            )
+            self.cluster.calls.complete_attempt(record.call_id, message.attempt, code, output)
 
     def _execute_python(self, record: CallRecord, definition, message) -> None:
         self.metrics.record_call()
@@ -587,17 +572,15 @@ class FaasmRuntimeInstance:
         proto = self.snapshots.get_proto(definition)
         if proto is None:
             return 0  # a Faaslet without a snapshot is never pooled
-        added = 0
         for _ in range(count):
             # Always create fresh instances (acquire would just recycle the
             # pool's existing idle Faaslet).
             faaslet = self._new_faaslet(definition, proto)
             with self._mutex:
                 self._warm.setdefault(function, []).append(faaslet)
-            added += 1
-        if added:
+        if count > 0:
             self.cluster.warm_sets.add(function, self.host)
-        return added
+        return max(0, count)
 
     # ------------------------------------------------------------------
     # Pool reclamation (scale-to-zero)

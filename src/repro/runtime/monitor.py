@@ -1,27 +1,36 @@
-"""The invocation monitor: timeouts, host-death detection, re-dispatch.
+"""The invocation monitor: the cluster's one timer and its recovery scan.
 
 The paper's design (Fig. 5) assumes hosts and the message bus fail
-independently of the callers that submitted work. This module is the
-cluster's recovery loop: a daemon thread that scans the registry's open
-calls and, through the registry's transitions on each call's current
+independently of the callers that submitted work. One daemon thread sleeps
+until the earliest entry of a ``(when, seq, callback)`` heap is due — with
+no timeout while the heap is empty — and runs the recovery scan and an
+attached autoscaler's tick (DESIGN.md §6). The scan walks the registry's
+open calls and, through the registry's transitions on each call's current
 attempt, parks it at once when its host died (the liveness epoch moved on),
 parks it with a backoff when it stays undelivered past the per-attempt
 timeout, re-dispatches a parked call once its ``retry_at`` has passed
 (capped exponential backoff with jitter, up to
 :attr:`RetryPolicy.max_attempts`) and declares the terminal ``CALL_FAILED``
-once the budget is spent. A scan that raises is counted in
-``errors.swallowed{site="monitor.scan"}``; the loop carries on.
-Re-dispatch goes back through the cluster's one place-and-send road, under
-a ``call.retry`` span, with current warm-set and liveness information.
+once the budget is spent. It then re-arms itself at the next deadline it
+saw, one ``attempt_timeout`` on at the latest, so a call placed after it
+needs no entry of its own; a host death, a dead host dropping a message and
+an executor parking its attempt ask for a scan. An entry that raises is
+counted in ``errors.swallowed{site="monitor.timer"}``; the thread carries
+on. Re-dispatch goes back through the cluster's one place-and-send road,
+under a ``call.retry`` span, with current warm-set and liveness data.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import logging
+import math
 import random
 import threading
 import time
 from dataclasses import dataclass
+from functools import partial
 
 from .calls import CallStatus
 
@@ -48,8 +57,10 @@ class RetryPolicy:
     #: worker backlog). Under the ingestion plane, deep queues are the
     #: normal open-loop condition, not evidence of loss — without this
     #: grace a 10⁵-call burst would trip a retry storm of calls that are
-    #: merely waiting their turn. A genuinely dropped message still times
-    #: out once the backlog clears (or after the grace, whichever first).
+    #: merely waiting their turn. An excused attempt is checked again once
+    #: per ``attempt_timeout`` while its host stays backlogged, so a
+    #: genuinely dropped message times out within one ``attempt_timeout``
+    #: of the backlog clearing, or once the grace is spent.
     backlog_grace: float = 30.0
 
     def backoff(self, attempt_number: int, rng: random.Random) -> float:
@@ -58,57 +69,103 @@ class RetryPolicy:
 
 
 class InvocationMonitor:
-    """Background watchdog over a cluster's in-flight calls."""
+    """The cluster's one timer, and the recovery scan it runs on time."""
 
-    def __init__(
-        self,
-        cluster,
-        policy: RetryPolicy,
-        interval: float = 0.02,
-        rng: random.Random | None = None,
-    ):
+    def __init__(self, cluster, policy: RetryPolicy, rng: random.Random | None = None):
         self.cluster = cluster
         self.policy = policy
-        self.interval = interval
         self.rng = rng or random.Random()
-        self._stop = threading.Event()
+        self._heap: list = []  # (when, seq, callback), earliest first
+        self._seq = itertools.count()
+        self._cv = threading.Condition(threading.Lock())
         self._thread: threading.Thread | None = None
+        self._scan_at = math.inf  # the live scan entry's; others are dropped
 
     # ------------------------------------------------------------------
     def start(self) -> None:
         if self._thread is not None:
             return
+        self.request_scan(time.monotonic() + self.policy.attempt_timeout)
         self._thread = threading.Thread(
-            target=self._loop, daemon=True, name="invocation-monitor"
+            target=self._run, daemon=True, name="invocation-monitor"
         )
         self._thread.start()
 
     def stop(self, timeout: float = 2.0) -> None:
-        self._stop.set()
         if self._thread is not None:
+            self.call_at(-math.inf, None)  # ends the thread once popped
             self._thread.join(timeout)
             self._thread = None
 
-    # ------------------------------------------------------------------
-    def _loop(self) -> None:
-        while not self._stop.wait(self.interval):
-            try:
-                self.scan()
-            except Exception:  # the watchdog must survive, but not silently
-                logger.exception("invocation monitor scan failed")
-                self.cluster.telemetry.metrics.counter(
-                    "errors.swallowed", site="monitor.scan"
-                ).inc()
+    def call_at(self, when: float, callback) -> None:
+        """Run ``callback()`` on the timer thread at ``time.monotonic()``
+        ``when``; the thread wakes only if this entry is the earliest."""
+        with self._cv:
+            entry = (when, next(self._seq), callback)
+            heapq.heappush(self._heap, entry)
+            if self._heap[0] is entry:
+                self._cv.notify()
+
+    def request_scan(self, when: float) -> None:
+        """Scan at ``when``, unless a scan is armed no later."""
+        with self._cv:
+            if when >= self._scan_at:
+                return
+            self._scan_at = when
+        self.call_at(when, partial(self._scan_due, when))
+
+    def _scan_due(self, when: float) -> None:
+        with self._cv:
+            if when != self._scan_at:
+                return  # superseded
+            self._scan_at = math.inf
+        self.scan()
+
+    def _run(self) -> None:
+        """Pop every entry due, then run them: one pushed meanwhile waits
+        for the next round."""
+        heap, cv, clock = self._heap, self._cv, time.monotonic
+        while True:
+            with cv:
+                while not heap or heap[0][0] > clock():
+                    cv.wait(heap[0][0] - clock() if heap else None)
+                now, due = clock(), []
+                while heap and heap[0][0] <= now:
+                    due.append(heapq.heappop(heap)[2])
+            for callback in due:
+                if callback is None:
+                    return
+                try:
+                    callback()
+                except Exception:  # the timer must survive, but not silently
+                    logger.exception("timer entry %r failed", callback)
+                    self.cluster.telemetry.metrics.counter(
+                        "errors.swallowed", site="monitor.timer"
+                    ).inc()
 
     def scan(self, now: float | None = None) -> None:
-        """One pass over the open calls (callable directly in tests)."""
+        """One pass over the open calls (callable directly in tests); it
+        re-arms at the earliest delivery deadline or retry it leaves, or
+        ``attempt_timeout`` on, never at or before ``now``."""
         now = time.monotonic() if now is None else now
-        for record in self.cluster.calls.open_calls():
-            status = record.status
-            if status is CallStatus.SENT or status is CallStatus.RUNNING:
-                self._check_liveness(record, now)
-            elif status is CallStatus.PARKED and now >= record.retry_at:
-                self._retry(record)
+        timeout = self.policy.attempt_timeout
+        due = now + timeout
+        try:
+            for record in self.cluster.calls.open_calls():
+                status = record.status
+                if status is CallStatus.SENT or status is CallStatus.RUNNING:
+                    self._check_liveness(record, now)
+                elif status is CallStatus.PARKED and now >= record.retry_at:
+                    self._retry(record)
+                # Re-arm: a call parked by this pass for its dead host has
+                # ``retry_at == now``, and an overdue SENT attempt was
+                # excused by the backlog grace (``now + timeout`` covers it).
+                if record.status is CallStatus.PARKED:
+                    due = min(due, max(record.retry_at, math.nextafter(now, due)))
+                elif record.status is CallStatus.SENT and record.dispatched_at + timeout > now:
+                    due = min(due, record.dispatched_at + timeout)
+        finally:
+            self.request_scan(due)
 
     def retry_time(self, number: int, now: float | None = None) -> float:
         """When a retry of attempt ``number``, parked at ``now``, may fire."""

@@ -39,9 +39,6 @@ class PythonFunctionDefinition:
     name: str
     fn: Callable
     user: str = "default"
-    #: Approximate initialisation cost the paper attributes to starting a
-    #: dynamic-language runtime; used by snapshotting metrics only.
-    runtime_init: Callable | None = None
 
 
 class FunctionRegistry:
@@ -217,10 +214,6 @@ class FunctionRegistry:
 
     def exists(self, name: str) -> bool:
         return name in self._functions
-
-    def names(self) -> list[str]:
-        with self._mutex:
-            return sorted(self._functions)
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -113,9 +113,6 @@ class WarmSetRegistry:
         self._epochs: dict[str, int] = {}
         self._cache_lock = threading.Lock()
 
-    def _key(self, function: str) -> str:
-        return _WARM_PREFIX + function
-
     # ------------------------------------------------------------------
     # Epoch/TTL snapshot cache
     # ------------------------------------------------------------------
@@ -204,7 +201,7 @@ class WarmSetRegistry:
     # Warm sets
     # ------------------------------------------------------------------
     def warm_hosts(self, function: str) -> set[str]:
-        return set(self._cached_read(self._key(function), _WARM).value)
+        return set(self._cached_read(_WARM_PREFIX + function, _WARM).value)
 
     def ranked(self, function: str, host: str) -> tuple[str, ...]:
         """``function``'s warm hosts as ``host``'s placement pass ranks
@@ -219,46 +216,36 @@ class WarmSetRegistry:
         return ranked
 
     def add(self, function: str, host: str) -> None:
-        self._mutate(self._key(function), _WARM, lambda hosts: hosts | {host})
+        self._mutate(_WARM_PREFIX + function, _WARM, lambda hosts: hosts | {host})
 
     def remove(self, function: str, host: str) -> None:
-        self._mutate(self._key(function), _WARM, lambda hosts: hosts - {host})
+        self._mutate(_WARM_PREFIX + function, _WARM, lambda hosts: hosts - {host})
 
-    def functions(self) -> list[str]:
-        """Every function that currently has a warm set."""
-        return [
-            key[len(_WARM_PREFIX):]
-            for key in self.store.keys()
-            if key.startswith(_WARM_PREFIX)
-        ]
+    def functions(self, prefix: str = _WARM_PREFIX) -> list[str]:
+        """Every function that currently has a warm set (or, under
+        ``_RESIDENT_PREFIX``, a residency map)."""
+        return [key[len(prefix):] for key in self.store.keys() if key.startswith(prefix)]
 
     # ------------------------------------------------------------------
     # Snapshot residency advertisements (locality-aware placement)
     # ------------------------------------------------------------------
-    def _resident_key(self, function: str) -> str:
-        return _RESIDENT_PREFIX + function
-
     def resident_hosts(self, function: str) -> dict[str, float]:
         """Hosts whose PageStore (partially) covers ``function``'s current
         snapshot, mapped to their advertised coverage fraction."""
-        return dict(self._cached_read(self._resident_key(function), _RESIDENT).value)
+        return dict(self._cached_read(_RESIDENT_PREFIX + function, _RESIDENT).value)
 
     def advertise_residency(self, function: str, host: str, coverage: float) -> None:
         """A host just materialised (or refreshed) ``function``'s snapshot:
         record what fraction of the manifest's pages it holds."""
-        key, mine = self._resident_key(function), {host: round(float(coverage), 4)}
+        key, mine = _RESIDENT_PREFIX + function, {host: round(float(coverage), 4)}
         self._mutate(key, _RESIDENT, lambda entries: {**entries, **mine})
 
     def withdraw_residency(self, function: str, host: str) -> None:
-        key = self._resident_key(function)
-        self._mutate(key, _RESIDENT, lambda old: {h: old[h] for h in old if h != host})
+        self._mutate(_RESIDENT_PREFIX + function, _RESIDENT,
+                     lambda old: {h: old[h] for h in old if h != host})
 
     def resident_functions(self) -> list[str]:
-        return [
-            key[len(_RESIDENT_PREFIX):]
-            for key in self.store.keys()
-            if key.startswith(_RESIDENT_PREFIX)
-        ]
+        return self.functions(_RESIDENT_PREFIX)
 
     def evict_host(self, host: str) -> int:
         """Drop ``host`` from every function's warm set and residency map
@@ -300,13 +287,9 @@ class LocalScheduler:
         self._live = live_fn if live_fn is not None else (lambda host: True)
         self._peers = peers_fn if peers_fn is not None else (lambda: [host])
         #: Decision counters for tests/benchmarks.
-        self.decisions: dict[str, int] = {
-            "warm-local": 0,
-            "shared": 0,
-            "resident": 0,
-            "cold-local": 0,
-            "cold-spread": 0,
-        }
+        self.decisions: dict[str, int] = dict.fromkeys(
+            ("warm-local", "shared", "resident", "cold-local", "cold-spread"), 0
+        )
 
     def _resident_candidate(self, function: str, room) -> str | None:
         """The best live page-resident host with a free slot (per the

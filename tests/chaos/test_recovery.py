@@ -25,6 +25,7 @@ from repro.runtime import (
 )
 from repro.runtime.autoscale import Autoscaler, AutoscalePolicy
 from repro.state.kv import StateUnavailableError
+from tests.conftest import wait_for
 
 #: Fast-converging policy for single-fault tests.
 FAST = RetryPolicy(
@@ -307,30 +308,54 @@ def test_zombie_cannot_relabel_a_parked_call(make_cluster, monkeypatch):
     assert record.host != zombie.host
 
 
-def test_monitor_scan_error_is_counted_and_survived(make_cluster, monkeypatch):
+def test_timer_entry_error_is_counted_and_survived(make_cluster):
+    """The cluster's one timer thread survives a pushed callback that
+    raises, counting it once: the next due entry still runs."""
     cluster = make_cluster(n_hosts=1)
-    scans: list = []
-    scan = cluster.monitor.scan
+    monitor = cluster.monitor
+    swallowed = cluster.telemetry.metrics.counter(
+        "errors.swallowed", site="monitor.timer"
+    )
+    ran = threading.Event()
 
-    def failing_once(now=None):
-        scans.append(now)
+    def failing():
+        raise RuntimeError("injected timer failure")
+
+    now = time.monotonic()
+    monitor.call_at(now, failing)
+    monitor.call_at(now + 0.01, ran.set)
+    assert ran.wait(10.0)
+    assert swallowed.value == 1
+
+
+def test_monitor_scan_error_is_counted_and_survived(make_cluster, monkeypatch):
+    """A scan that raises is counted once on the timer and still re-arms."""
+    cluster = make_cluster(n_hosts=1)
+    swallowed = cluster.telemetry.metrics.counter(
+        "errors.swallowed", site="monitor.timer"
+    )
+    scans: list = []
+    open_calls = cluster.calls.open_calls
+
+    def failing_once():
+        scans.append(time.monotonic())
         if len(scans) == 1:
             raise RuntimeError("injected scan failure")
-        scan(now)
+        return open_calls()
 
-    monkeypatch.setattr(cluster.monitor, "scan", failing_once)
-    deadline = time.monotonic() + 10.0
-    while len(scans) < 3 and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert len(scans) >= 3  # the loop kept scanning after the failure
-    swallowed = cluster.telemetry.metrics.counter(
-        "errors.swallowed", site="monitor.scan"
-    )
+    monkeypatch.setattr(cluster.calls, "open_calls", failing_once)
+    cluster.monitor.request_scan(time.monotonic())
+    wait_for(lambda: len(scans) >= 2)  # re-armed by the failed scan
     assert swallowed.value == 1
 
 
 def test_autoscaler_tick_error_is_counted_and_survived(make_cluster, monkeypatch):
+    """A tick that raises is counted once on the timer; the autoscaler
+    keeps ticking."""
     cluster = make_cluster(n_hosts=1)
+    swallowed = cluster.telemetry.metrics.counter(
+        "errors.swallowed", site="monitor.timer"
+    )
     scaler = Autoscaler(cluster, AutoscalePolicy(interval=0.01))
     ticks: list = []
     tick = scaler.tick
@@ -343,11 +368,5 @@ def test_autoscaler_tick_error_is_counted_and_survived(make_cluster, monkeypatch
 
     monkeypatch.setattr(scaler, "tick", failing_once)
     scaler.start()
-    deadline = time.monotonic() + 10.0
-    while len(ticks) < 3 and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert len(ticks) >= 3
-    swallowed = cluster.telemetry.metrics.counter(
-        "errors.swallowed", site="autoscale.tick"
-    )
+    wait_for(lambda: len(ticks) >= 3)
     assert swallowed.value == 1

@@ -35,9 +35,9 @@ def _shut_down_new_clusters():
 @pytest.fixture(autouse=True)
 def _shut_down_test_clusters():
     """Shut down the clusters a test built and left running. A cluster's
-    invocation monitor wakes every 20 ms and its bus seats never retire,
-    so without this every later test, the timed ones included, shares
-    the interpreter with the threads of all the clusters before it."""
+    timer thread and its bus seats never retire, so without this every
+    later test, the timed ones included, shares the interpreter with the
+    threads of all the clusters before it."""
     yield from _shut_down_new_clusters()
 
 
