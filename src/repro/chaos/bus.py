@@ -7,11 +7,11 @@ network-backed bus exhibits, as decided by a :class:`ChaosEngine`:
   attempt timeout is what recovers it);
 * **duplicate** — the message is enqueued twice (the registry's
   attempt-claim protocol must suppress the second execution);
-* **delay** — the message is enqueued after a seed-derived delay on a
-  timer thread;
+* **delay** — the message is enqueued after a seed-derived delay, by an
+  entry on the cluster's one :class:`~repro.runtime.monitor.Timer`;
 * **reorder** — the message is held back and enqueued *after* the next
-  message sent to the same host (with a timer fallback so a held message
-  on a quiet host is not held forever).
+  message sent to the same host (with a flush on the same timer so a held
+  message on a quiet host is not held forever).
 
 Faults are decided per *carried call* of an
 :class:`~repro.runtime.bus.ExecuteBatch`, identity-hashed on the call id,
@@ -23,8 +23,11 @@ scrapes) is never faulted — chaos ends when the cluster does.
 from __future__ import annotations
 
 import threading
+import time
+from functools import partial
 
 from repro.runtime.bus import ExecuteBatch, MessageBus
+from repro.runtime.monitor import Timer
 from repro.telemetry import MetricsRegistry
 
 from .engine import ChaosEngine
@@ -39,11 +42,13 @@ class ChaosMessageBus(MessageBus):
 
     def __init__(
         self,
+        timer: Timer,
         metrics: MetricsRegistry | None = None,
         engine: ChaosEngine | None = None,
     ):
         super().__init__(metrics)
         self.engine = engine
+        self._timer = timer
         self._held: dict[str, list] = {}
         self._held_mutex = threading.Lock()
 
@@ -72,13 +77,15 @@ class ChaosMessageBus(MessageBus):
                 clean.append(index)
                 self._send_safely(host, single)
             elif kind == "delay":
-                self._later(delay_s, self._send_safely, host, single)
+                deliver = partial(self._send_safely, host, single)
+                self._timer.call_at(time.monotonic() + delay_s, deliver)
             else:
                 # reorder: hold until the next send to this host overtakes
-                # it (or the flush timer gives up waiting for one).
+                # it (or the flush entry gives up waiting for one).
                 with self._held_mutex:
                     self._held.setdefault(host, []).append(single)
-                self._later(_REORDER_FLUSH_S, self._flush_held, host)
+                flush = partial(self._flush_held, host)
+                self._timer.call_at(time.monotonic() + _REORDER_FLUSH_S, flush)
         if len(clean) == len(message.items):
             self._send_with_flush(host, message)
         elif clean:
@@ -92,16 +99,9 @@ class ChaosMessageBus(MessageBus):
         for message in messages:
             self.send(host, message)
 
-    @staticmethod
-    def _later(delay_s: float, fn, *args) -> None:
-        timer = threading.Timer(delay_s, fn, args=args)
-        timer.daemon = True
-        timer.start()
-
     def _send_safely(self, host: str, message) -> None:
-        """Off-path delivery (timer threads, duplicate echoes) that
-        tolerates the host deregistering while the message was in
-        flight."""
+        """Off-path delivery (timer entries, duplicate echoes), dropped if
+        the host deregistered while the message was in flight."""
         try:
             super().send(host, message)
         except KeyError:

@@ -1,7 +1,7 @@
 """Reactive autoscaling against queue depth (DESIGN.md §11).
 
-A periodic entry on the cluster's timer (the invocation monitor's thread;
-the autoscaler has none of its own) sizes the cluster to its backlog: when
+A periodic entry on the cluster's one timer (``FaasmCluster.timer``; the
+autoscaler has no thread of its own) sizes the cluster to its backlog: when
 the undispatched work per live host (bus queues, worker backlogs, the
 admission backlog) exceeds the policy's high-water mark, hosts are added —
 dead ones revived first — and once the cluster has been idle for a grace
@@ -97,7 +97,7 @@ class Autoscaler:
         self._ticking = None  # a pending tick of this run finds it gone
 
     def _tick_after(self, ticking) -> None:
-        self.cluster.monitor.call_at(
+        self.cluster.timer.call_at(
             time.monotonic() + self.policy.interval,
             partial(self._tick_due, ticking),
         )

@@ -14,13 +14,13 @@ included. External calls are spread round-robin over the local schedulers,
 as Knative's default endpoint spreads requests; chained calls enter at
 their originating host's.
 
-The :class:`~repro.runtime.monitor.InvocationMonitor` is the cluster's
-one timer thread, asleep until a deadline is due: its scan re-queues
-attempts whose host died or whose message was lost, with backoff, up to
-the terminal ``CALL_FAILED``, and an attached autoscaler ticks on it. A
-:class:`~repro.chaos.plan.ChaosPlan` passed as ``chaos=`` wraps the bus
-and the global state store in the deterministic fault-injection layer
-this plane is tested with.
+On the cluster's one :class:`~repro.runtime.monitor.Timer` thread, asleep
+until a deadline is due, the monitor's scan re-queues attempts whose host
+died or whose message was lost, with backoff, up to the terminal
+``CALL_FAILED``; an autoscaler's tick and a chaos bus's delayed deliveries
+run on it too. A :class:`~repro.chaos.plan.ChaosPlan` passed as ``chaos=``
+wraps the bus and the global state store in the deterministic
+fault-injection layer this plane is tested with.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .bus import ExecuteBatch, MessageBus, Shutdown
 from .calls import CallRecord, InvocationRegistry
 from .ingest import IngestionConfig, IngestionPlane
 from .instance import DEFAULT_CAPACITY, FaasmRuntimeInstance
-from .monitor import InvocationMonitor, RetryPolicy
+from .monitor import InvocationMonitor, RetryPolicy, Timer
 from .registry import FunctionRegistry
 from .scheduler import SchedulingDecision, WarmSetRegistry
 
@@ -79,6 +79,8 @@ class FaasmCluster:
         #: default (the tracing-off path is a no-op fast path); pass
         #: ``Telemetry(enabled=True, sample_rate=...)`` to record traces.
         self.telemetry = telemetry or Telemetry()
+        #: The one timer thread: scans, ticks and chaos deliveries run on it.
+        self.timer = Timer(self.telemetry.metrics)
         #: Deterministic fault injection: a ChaosPlan/ChaosEngine, or None.
         self.chaos = None
         if chaos is not None:
@@ -93,7 +95,7 @@ class FaasmCluster:
             )
             self.global_state = ChaosStateStore(self.chaos)
             self.bus = ChaosMessageBus(
-                metrics=self.telemetry.metrics, engine=self.chaos
+                self.timer, metrics=self.telemetry.metrics, engine=self.chaos
             )
         else:
             self.global_state = GlobalStateStore()
@@ -126,7 +128,8 @@ class FaasmCluster:
         self._ingest: IngestionPlane | None = None
         self._ingest_lock = threading.Lock()
         self.monitor = InvocationMonitor(self, self.retry)
-        self.monitor.start()
+        self.monitor.request_scan(time.monotonic() + self.retry.attempt_timeout)
+        self.timer.start()
 
     def _boot(self, host: str) -> FaasmRuntimeInstance:
         """A new host: its instance, its bus endpoint, its first worker."""
@@ -236,7 +239,9 @@ class FaasmCluster:
         trace's root for an external call, a child of the caller's context
         for a chained one — whose wire context rides the batch, and the
         scheduling pass runs inside them. Returns the decisions, in record
-        order."""
+        order. Unpooled, ``records`` is one call, run by its receiving worker."""
+        if not pooled and len(records) > 1:
+            raise ValueError(f"an unpooled batch carries one call, not {len(records)}")
         tracer = self.telemetry.tracer
         if not tracer.enabled:
             return self._send_placed(function, records, instance, (), pooled, collect)
@@ -584,7 +589,7 @@ class FaasmCluster:
     def shutdown(self) -> None:
         """Stop every host's workers and the timer thread, with an
         attached autoscaler's ticks (idempotent)."""
-        self.monitor.stop()
+        self.timer.stop()
         for instance in self.instances:
             try:
                 self.bus.send(instance.host, Shutdown())

@@ -167,17 +167,16 @@ class FaasmRuntimeInstance:
         self._executing = 0
         self.metrics = InstanceMetrics(cluster.telemetry.metrics, host=host)
         #: The worker set (below), guarded by ``_lock``; idle workers beyond
-        #: the bus seats sleep on it through ``_cv``. ``_handoff`` / ``_backlog``
-        #: hold what was accepted and is not yet executing, as ``(record,
-        #: message, pooled)``: unpooled calls handed to a sibling, pooled
-        #: ones waiting (``_pooled`` of them execute now).
+        #: the bus seats sleep on it through ``_cv``. ``_backlog`` holds the
+        #: pooled items accepted and not yet executing, as ``(record,
+        #: message, pooled)`` (``_pooled`` of them execute now).
         self._lock = threading.Lock()
         self._cv = threading.Condition(self._lock)
         self._workers: list[threading.Thread] = []
         self._idle = 0  # asleep on _cv, or woken / born and not yet run
         self._receiving = 0  # in, or heading for, bus.receive
         self._stopped = False
-        self._handoff, self._backlog = deque(), deque()
+        self._backlog = deque()
         self._pooled, self._pooled_max = 0, max(2, capacity)
         #: Graceful retirement: a draining host finishes its in-flight
         #: work but receives no new placements (the autoscaler's shrink
@@ -204,7 +203,8 @@ class FaasmRuntimeInstance:
     # the WORKER_FLOOR bus seats (blocked in ``bus.receive``), the rest
     # sleep on ``_cv``, and the worker that takes a batch off the bus runs
     # it. Four invariants (DESIGN.md §11): (i) an unpooled call never waits
-    # for a worker another call occupies — ``_summon`` wakes or starts one;
+    # for a worker another call occupies — its batch carries one call, run
+    # by the worker that took it, and ``_summon`` refills an empty last seat;
     # (ii) pooled items run on at most max(2, capacity) workers at once, a
     # pooled batch summons at most one, and ``pool_backlog()`` is what was
     # accepted and is not yet executing; (iii) a dead host consumes nothing
@@ -221,11 +221,11 @@ class FaasmRuntimeInstance:
 
     def _summon(self) -> None:
         """Under ``_lock``, after adding work that must not wait for a busy
-        worker (an empty last seat, a handed-off call, a pooled batch
-        below the limit): wake a worker for it or, when every idle one is
-        spoken for, start one — the only place a host starts a thread."""
+        worker (an empty last seat, a pooled batch below the limit): wake a
+        worker for it or, when every idle one is spoken for, start one —
+        the only place a host starts a thread."""
         pooled = min(len(self._backlog), self._pooled_max - self._pooled)
-        if self._idle >= len(self._handoff) + (not self._receiving) + pooled:
+        if self._idle >= (not self._receiving) + pooled:
             self._cv.notify()
             return
         self.metrics.workers_born.inc()
@@ -239,11 +239,9 @@ class FaasmRuntimeInstance:
         worker.start()
 
     def _take(self):
-        """Under ``_lock``: what a free worker does next — a handed-off
-        call, a bus seat (``_BUS``), a pooled item — or None. The first
-        seat comes before the backlog, the backlog before the others."""
-        if self._handoff:
-            return self._handoff.popleft()
+        """Under ``_lock``: what a free worker does next — a bus seat
+        (``_BUS``) or a pooled item — or None. The first seat comes before
+        the backlog, the backlog before the others."""
         # A stopped host's seats all read as taken.
         seated = WORKER_FLOOR if self._stopped else self._receiving
         if seated and self._backlog and self._pooled < self._pooled_max:
@@ -264,9 +262,7 @@ class FaasmRuntimeInstance:
                 with self._lock:
                     if job is None or not job[2]:
                         job = None
-                    elif self._backlog and not self._handoff and (
-                        self._receiving or self._stopped
-                    ):
+                    elif self._backlog and (self._receiving or self._stopped):
                         # ``_take``'s pick, run in the slot this worker holds.
                         job = self._backlog.popleft()
                     else:
@@ -290,8 +286,8 @@ class FaasmRuntimeInstance:
 
     def _receive(self):
         """Take one message off the bus, refill the seat if it was the
-        last, hand what the message carries to siblings, and return this
-        worker's next job."""
+        last, queue a pooled batch's items, and return this worker's next
+        job."""
         message = self.cluster.bus.receive(self.host)
         stop = isinstance(message, Shutdown)
         with self._lock:
@@ -312,20 +308,15 @@ class FaasmRuntimeInstance:
             self.cluster.monitor.request_scan(time.monotonic())
             return None
         work = self._expand_batch(message)
-        if len(work) == 1 and not message.pooled:
-            return work[0]  # the warm path: nothing to hand off
+        if not message.pooled:  # one call (``_place_and_send``): the warm path
+            return work[0] if work else None
         with self._lock:
-            if message.pooled:
-                # ``_take`` keeps FIFO and the limit; a batch of one needs
-                # no helper when this worker can run it itself.
-                self._backlog.extend(work)
-                if len(self._backlog) > 1:
-                    self._summon()
-                return self._take()
-            for item in work[1:]:
-                self._handoff.append(item)
+            # ``_take`` keeps FIFO and the limit; a batch of one needs no
+            # helper when this worker can run it itself.
+            self._backlog.extend(work)
+            if len(self._backlog) > 1:
                 self._summon()
-        return work[0] if work else None
+            return self._take()
 
     def _expand_batch(self, batch) -> list:
         """The batch as ``(record, message, pooled)`` items: one chaos
@@ -348,7 +339,7 @@ class FaasmRuntimeInstance:
 
     def pool_backlog(self) -> int:
         """Batch items accepted from the bus but not yet executing."""
-        return len(self._handoff) + len(self._backlog)
+        return len(self._backlog)
 
     def _execute_safely(self, record, message) -> None:
         calls, attempt = self.cluster.calls, message.attempt
@@ -506,9 +497,10 @@ class FaasmRuntimeInstance:
             code, output = faaslet.call(record.input_data)
             if chaos is not None:
                 chaos.on_phase(self, "pre-complete", record.call_id, message.attempt)
-            self._complete(record, message, code, output)
         finally:
             self._release_faaslet(definition.name, faaslet)
+        # Pooled before the caller wakes; ``output`` is immutable bytes.
+        self._complete(record, message, code, output)
 
     def _tap_profiler(self, faaslet: Faaslet, function: str) -> None:
         """Feed the continuous profiler (when enabled) this Faaslet's calls."""

@@ -1,23 +1,24 @@
-"""The invocation monitor: the cluster's one timer and its recovery scan.
+"""The cluster's one timer, and the invocation monitor's recovery scan.
 
 The paper's design (Fig. 5) assumes hosts and the message bus fail
-independently of the callers that submitted work. One daemon thread sleeps
-until the earliest entry of a ``(when, seq, callback)`` heap is due — with
-no timeout while the heap is empty — and runs the recovery scan and an
-attached autoscaler's tick (DESIGN.md §6). The scan walks the registry's
-open calls and, through the registry's transitions on each call's current
-attempt, parks it at once when its host died (the liveness epoch moved on),
-parks it with a backoff when it stays undelivered past the per-attempt
-timeout, re-dispatches a parked call once its ``retry_at`` has passed
-(capped exponential backoff with jitter, up to
-:attr:`RetryPolicy.max_attempts`) and declares the terminal ``CALL_FAILED``
-once the budget is spent. It then re-arms itself at the next deadline it
-saw, one ``attempt_timeout`` on at the latest, so a call placed after it
-needs no entry of its own; a host death, a dead host dropping a message and
-an executor parking its attempt ask for a scan. An entry that raises is
-counted in ``errors.swallowed{site="monitor.timer"}``; the thread carries
-on. Re-dispatch goes back through the cluster's one place-and-send road,
-under a ``call.retry`` span, with current warm-set and liveness data.
+independently of the callers that submitted work. One :class:`Timer`
+thread sleeps until the earliest entry of a ``(when, seq, callback)`` heap
+is due — with no timeout while the heap is empty — and runs the recovery
+scan, an attached autoscaler's tick and a chaos bus's delayed deliveries
+(DESIGN.md §6). The scan walks the registry's open calls and, through the
+registry's transitions on each call's current attempt, parks it at once
+when its host died (the liveness epoch moved on), parks it with a backoff
+when it stays undelivered past the per-attempt timeout, re-dispatches a
+parked call once its ``retry_at`` has passed (capped exponential backoff
+with jitter, up to :attr:`RetryPolicy.max_attempts`) and declares the
+terminal ``CALL_FAILED`` once the budget is spent. It then re-arms itself
+at the next deadline it saw, one ``attempt_timeout`` on at the latest, so
+a call placed after it needs no entry of its own; a host death, a dead host
+dropping a message and an executor parking its attempt ask for a scan. An
+entry that raises is counted in ``errors.swallowed{site="monitor.timer"}``;
+the thread carries on. Re-dispatch goes back through the cluster's one
+place-and-send road, under a ``call.retry`` span, with current warm-set and
+liveness data.
 """
 
 from __future__ import annotations
@@ -68,28 +69,23 @@ class RetryPolicy:
         return delay * (1.0 + self.jitter * rng.random())
 
 
-class InvocationMonitor:
-    """The cluster's one timer, and the recovery scan it runs on time."""
+class Timer:
+    """The cluster's one timer thread: ``callback()`` entries run at their
+    ``time.monotonic()`` deadline, in deadline order. No entry may block."""
 
-    def __init__(self, cluster, policy: RetryPolicy, rng: random.Random | None = None):
-        self.cluster = cluster
-        self.policy = policy
-        self.rng = rng or random.Random()
+    def __init__(self, metrics):
+        self.metrics = metrics
         self._heap: list = []  # (when, seq, callback), earliest first
         self._seq = itertools.count()
         self._cv = threading.Condition(threading.Lock())
         self._thread: threading.Thread | None = None
-        self._scan_at = math.inf  # the live scan entry's; others are dropped
 
-    # ------------------------------------------------------------------
     def start(self) -> None:
-        if self._thread is not None:
-            return
-        self.request_scan(time.monotonic() + self.policy.attempt_timeout)
-        self._thread = threading.Thread(
-            target=self._run, daemon=True, name="invocation-monitor"
-        )
-        self._thread.start()
+        if self._thread is None:
+            self._thread = threading.Thread(
+                target=self._run, daemon=True, name="invocation-monitor"
+            )
+            self._thread.start()
 
     def stop(self, timeout: float = 2.0) -> None:
         if self._thread is not None:
@@ -105,21 +101,6 @@ class InvocationMonitor:
             heapq.heappush(self._heap, entry)
             if self._heap[0] is entry:
                 self._cv.notify()
-
-    def request_scan(self, when: float) -> None:
-        """Scan at ``when``, unless a scan is armed no later."""
-        with self._cv:
-            if when >= self._scan_at:
-                return
-            self._scan_at = when
-        self.call_at(when, partial(self._scan_due, when))
-
-    def _scan_due(self, when: float) -> None:
-        with self._cv:
-            if when != self._scan_at:
-                return  # superseded
-            self._scan_at = math.inf
-        self.scan()
 
     def _run(self) -> None:
         """Pop every entry due, then run them: one pushed meanwhile waits
@@ -139,9 +120,36 @@ class InvocationMonitor:
                     callback()
                 except Exception:  # the timer must survive, but not silently
                     logger.exception("timer entry %r failed", callback)
-                    self.cluster.telemetry.metrics.counter(
+                    self.metrics.counter(
                         "errors.swallowed", site="monitor.timer"
                     ).inc()
+
+
+class InvocationMonitor:
+    """The recovery scan, run on the cluster's timer when a deadline is due."""
+
+    def __init__(self, cluster, policy: RetryPolicy, rng: random.Random | None = None):
+        self.cluster = cluster
+        self.policy = policy
+        self.rng = rng or random.Random()
+        self._lock = threading.Lock()
+        self._scan_at = math.inf  # the live scan entry's; others are dropped
+
+    # ------------------------------------------------------------------
+    def request_scan(self, when: float) -> None:
+        """Scan at ``when``, unless a scan is armed no later."""
+        with self._lock:
+            if when >= self._scan_at:
+                return
+            self._scan_at = when
+        self.cluster.timer.call_at(when, partial(self._scan_due, when))
+
+    def _scan_due(self, when: float) -> None:
+        with self._lock:
+            if when != self._scan_at:
+                return  # superseded
+            self._scan_at = math.inf
+        self.scan()
 
     def scan(self, now: float | None = None) -> None:
         """One pass over the open calls (callable directly in tests); it

@@ -9,8 +9,9 @@ host (its PageStore already covers the snapshot manifest, so the restore
 ships few pages) over a genuinely cold one. Warm sets and residency
 advertisements are advisory: a stale entry costs bytes, never correctness.
 
-Reads are memoised per function behind an epoch + TTL cache (DESIGN.md
-§11), so back-to-back placements cost zero global-tier reads.
+Reads are memoised per function behind a per-key epoch (DESIGN.md §11):
+every write goes through the registry and bumps it, so back-to-back
+placements cost zero global-tier reads.
 :meth:`LocalScheduler.schedule_batch` is the one placement rule, for one
 call or a batch.
 """
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import json
 import threading
-import time
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -33,14 +33,6 @@ from repro.telemetry.trace import trace_active
 
 _WARM_PREFIX = "faasm/sched/warm/"
 _RESIDENT_PREFIX = "faasm/sched/resident/"
-
-#: How long a cached warm-set/residency snapshot may serve reads without
-#: revalidation. The per-key epoch catches every mutation made through
-#: the shared registry instantly; the TTL only bounds staleness against
-#: out-of-band writers (tests poking the store, a future multi-process
-#: deployment), so it can be generous.
-DEFAULT_CACHE_TTL = 0.5
-
 
 #: Placements that start a new Faaslet on the target (restore or boot).
 _COLD_REASONS = frozenset({"cold-local", "resident", "cold-spread"})
@@ -77,7 +69,7 @@ _RESIDENT = (
 
 
 #: ``ranks``: per entry host, :meth:`WarmSetRegistry.ranked`'s tuple at this epoch.
-_CacheEntry = namedtuple("_CacheEntry", "epoch expires value raw ranks")
+_CacheEntry = namedtuple("_CacheEntry", "epoch value raw ranks")
 
 
 class WarmSetRegistry:
@@ -89,23 +81,21 @@ class WarmSetRegistry:
     — the set self-heals on the next cold start — instead of taking the
     dispatch path down with the state tier.
 
-    Reads are served from a per-key **epoch/TTL cache** of the parsed
-    snapshot: a mutation through this registry bumps the key's epoch and
-    **writes through** (caches the snapshot it computed at the new epoch, so
-    the next placement pass hits), and entries also expire after
-    ``cache_ttl`` seconds as a backstop against writers the epoch cannot
-    observe. The cache takes the global-tier round trip and the JSON parse
-    off the dispatch hot path (``sched.cache_hits`` / ``sched.cache_misses``).
+    Reads are served from a per-key **epoch cache** of the parsed snapshot:
+    every write to ``faasm/sched/*`` goes through :meth:`_mutate`, which
+    bumps the key's epoch and **writes through** (caches the snapshot it
+    computed at the new epoch, so the next placement pass hits). The epoch
+    is the only invalidation. The cache takes the global-tier round trip and
+    the JSON parse off the dispatch hot path (``sched.cache_hits`` /
+    ``sched.cache_misses``).
     """
 
     def __init__(
         self,
         store: GlobalStateStore,
-        cache_ttl: float = DEFAULT_CACHE_TTL,
         metrics: MetricsRegistry | None = None,
     ):
         self.store = store
-        self.cache_ttl = cache_ttl
         metrics = metrics if metrics is not None else MetricsRegistry()
         self._cache_hits = metrics.counter("sched.cache_hits")
         self._cache_misses = metrics.counter("sched.cache_misses")
@@ -114,7 +104,7 @@ class WarmSetRegistry:
         self._cache_lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    # Epoch/TTL snapshot cache
+    # Epoch snapshot cache
     # ------------------------------------------------------------------
     def _install(self, key: str, value=None, raw=None) -> None:
         """A mutation went through this registry: bump the key's epoch so
@@ -123,18 +113,16 @@ class WarmSetRegistry:
         with self._cache_lock:
             epoch = self._epochs[key] = self._epochs.get(key, 0) + 1
             if value is not None:
-                expires = time.monotonic() + self.cache_ttl
-                self._cache[key] = _CacheEntry(epoch, expires, value, raw, {})
+                self._cache[key] = _CacheEntry(epoch, value, raw, {})
 
-    def _live_entry(self, key: str, now: float) -> tuple[_CacheEntry | None, int]:
-        """``key``'s cached entry when its epoch still matches and the TTL
-        has not lapsed at ``now`` (else None), and the key's current epoch.
-        Lock-free: a mutation writes the epoch before the entry, and this
-        reads them the other way round, so a race turns a hit into a miss."""
+    def _live_entry(self, key: str) -> tuple[_CacheEntry | None, int]:
+        """``key``'s cached entry when its epoch still matches (else None),
+        and the key's current epoch. Lock-free: a mutation writes the epoch
+        before the entry, and this reads them the other way round, so a
+        race turns a hit into a miss."""
         entry = self._cache.get(key)
         epoch = self._epochs.get(key, 0)
-        live = entry is not None and entry.epoch == epoch and now < entry.expires
-        return (entry if live else None), epoch
+        return (entry if entry is not None and entry.epoch == epoch else None), epoch
 
     def _mutate(self, key: str, codec, change) -> None:
         """The one write path: apply ``change`` to ``key``'s parsed snapshot
@@ -143,7 +131,7 @@ class WarmSetRegistry:
         installs happen in store order. A ``change`` the live cached snapshot
         already satisfies is no store trip; a dark tier caches nothing."""
         parse, default, dump = codec
-        entry, _epoch = self._live_entry(key, time.monotonic())
+        entry, _epoch = self._live_entry(key)
         if entry is not None and change(entry.value) == entry.value:
             return
 
@@ -162,11 +150,10 @@ class WarmSetRegistry:
 
     def _cached_read(self, key: str, codec) -> _CacheEntry:
         """The memoised read-through: the cache entry holding the parsed
-        snapshot of ``key``, when its epoch still matches and the TTL has
-        not lapsed, else a fresh one read from the store."""
+        snapshot of ``key``, when its epoch still matches, else a fresh one
+        read from the store."""
         parse, default, _dump = codec
-        now = time.monotonic()
-        entry, epoch = self._live_entry(key, now)
+        entry, epoch = self._live_entry(key)
         if entry is not None:
             self._cache_hits.inc()
             return entry
@@ -179,12 +166,12 @@ class WarmSetRegistry:
         except StateUnavailableError:
             # Degrade without caching: the tier is dark, answer "empty"
             # now but re-probe as soon as it is back.
-            return _CacheEntry(epoch, now, default, None, {})
+            return _CacheEntry(epoch, default, None, {})
         with self._cache_lock:
             # Tagged with the epoch read *before* the store round trip: a
             # concurrent mutation at worst wastes this entry, never lets
             # a stale parse outlive its epoch.
-            entry = self._cache[key] = _CacheEntry(epoch, now + self.cache_ttl, value, raw, {})
+            entry = self._cache[key] = _CacheEntry(epoch, value, raw, {})
         return entry
 
     def cache_info(self) -> dict:

@@ -9,11 +9,11 @@ Concurrency: keys are spread over **stripes** by ``crc32(key) % n`` (per-key
 striping instead of one store-wide mutex), so operations on different keys
 from different hosts' dispatcher threads proceed in parallel — the Python
 analogue of Redis's per-connection pipelining plus the paper's observation
-that the global tier must not serialise independent keys. A stripe is also
-the store's partition: it counts the operations routed to it, it is the
-unit a chaos plan takes down, and :meth:`GlobalStateStore.reshard` changes
-how many there are (the §7 "autoscaling storage" direction of Anna, Tuba and
-Pocket) without touching a value.
+that the global tier must not serialise independent keys. A stripe is a
+plain lock and also the store's partition: it is the unit a chaos plan
+takes down, and :meth:`GlobalStateStore.reshard` changes how many there are
+(the §7 "autoscaling storage" direction of Anna, Tuba and Pocket) without
+touching a value.
 
 Data movement is **batched and zero-copy**: a list of byte ranges moves in
 one metered round trip, copied straight between the store's bytearray and
@@ -132,25 +132,6 @@ def _merge(spans) -> list[tuple[int, int]]:
     return out
 
 
-class _Stripe:
-    """One partition of the key space: the lock its keys' operations
-    serialise on, and how many operations it has served (counted under
-    that lock, so the hot path takes no second one)."""
-
-    __slots__ = ("lock", "ops")
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.ops = 0
-
-    def __enter__(self) -> None:
-        self.lock.acquire()
-        self.ops += 1
-
-    def __exit__(self, *exc) -> None:
-        self.lock.release()
-
-
 class GlobalStateStore:
     """Thread-safe authoritative store for all state keys in a cluster.
 
@@ -186,7 +167,7 @@ class GlobalStateStore:
         """The index of the stripe ``key`` belongs to."""
         return zlib.crc32(key.encode()) % len(self._stripes)
 
-    def _stripe(self, key: str) -> _Stripe:
+    def _stripe(self, key: str) -> threading.Lock:
         return self._stripes[self.stripe_of(key)]
 
     def _bump(self, key: str, spans=None) -> int:
@@ -424,11 +405,6 @@ class GlobalStateStore:
     # ------------------------------------------------------------------
     # Partitions: load accounting and resharding
     # ------------------------------------------------------------------
-    @property
-    def stripe_ops(self) -> list[int]:
-        """Operations served by each stripe since the last reshard."""
-        return [stripe.ops for stripe in self._stripes]
-
     def stripe_sizes(self) -> list[int]:
         """Bytes stored per stripe."""
         sizes = [0] * len(self._stripes)
@@ -445,15 +421,15 @@ class GlobalStateStore:
     def reshard(self, n_stripes: int) -> None:
         """Partition the key space over ``n_stripes`` fresh stripes.
 
-        Stop-the-world: concurrent operations must be quiesced by the
-        caller (the runtime reshards between scheduling epochs) — one
-        still waiting on an old stripe's lock would no longer exclude its
-        key's new stripe. Only the stripe list changes: every value,
-        write version, write log and distributed lock stays where it is.
+        Stop-the-world: the caller must quiesce concurrent operations (the
+        runtime never reshards a live store) — one still waiting on an old
+        stripe's lock would no longer exclude its key's new stripe. Only
+        the stripe list changes: every value, write version, write log and
+        distributed lock stays where it is.
         """
         if n_stripes < 1:
             raise ValueError("need at least one stripe")
-        self._stripes = [_Stripe() for _ in range(n_stripes)]
+        self._stripes = [threading.Lock() for _ in range(n_stripes)]
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -114,18 +114,6 @@ class ModuleCodeCache:
         with self._lock:
             return self._entries.setdefault(key, compiled)
 
-    def seed(self, module: Module, compiled: list[CompiledFunction]) -> None:
-        """Insert already-compiled functions (object-store load, upload).
-
-        The existing entry wins on collision so instances that already
-        share one function list keep sharing it.
-        """
-        key = module_key(module)
-        with self._lock:
-            if key not in self._entries:
-                self._entries[key] = compiled
-                self._seeded.inc()
-
     def seed_with_key(
         self, module: Module, key: str, compiled: list[CompiledFunction]
     ) -> list[CompiledFunction]:

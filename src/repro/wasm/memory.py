@@ -89,10 +89,10 @@ class Page:
 
     A shared page may additionally be *write-protected* for dirty tracking
     (``writable`` False with ``notify`` set): the first store after each
-    protection cycle takes the slow path, invokes ``notify`` — which marks
-    the page's byte range dirty in the owning region — and un-protects the
-    page, the software analogue of Faasm's ``mprotect``-based dirty-page
-    tracking. Subsequent stores run at full speed until the next
+    protection cycle takes the slow path: it un-protects the page, lands,
+    and only then invokes ``notify``, which marks the page's byte range
+    dirty in the owning region — the software analogue of Faasm's
+    ``mprotect``-based dirty-page tracking. Subsequent stores run at full speed until the next
     re-protection (state push).
     """
 
@@ -224,25 +224,25 @@ class LinearMemory:
         privatised pages are dropped (a restore, or a Faaslet's reset)."""
         self.pages = [Page(v, writable=False, shared=False) for v in views]
 
-    def _materialise(self, page_idx: int) -> Page:
-        """Handle a write to a protected page (a "page fault").
+    def _fault_store(self, page_idx: int, offset: int, data) -> None:
+        """Store ``data`` at ``offset`` of a protected page (a "page fault").
 
-        COW pages are copied before the write. Write-protected *shared*
-        pages are never copied: the fault marks the page dirty in its
-        region (via ``notify``) and lifts the protection, after which
-        stores hit the shared backing directly until re-protection.
+        COW pages are copied before the store. Write-protected *shared*
+        pages are never copied: the fault lifts the protection, after which
+        stores hit the shared backing directly until re-protection, and
+        marks the page dirty in its region (via ``notify``) only once the
+        store has landed, so a drain that takes the mark copies the store.
         """
         page = self.pages[page_idx]
         if page.shared:
             page.writable = True
-            if page.notify is not None:
-                page.notify()
-            return page
-        fresh = memoryview(bytearray(page.view))
-        page = Page(fresh, writable=True, shared=False)
-        self.pages[page_idx] = page
-        self.cow_faults += 1
-        return page
+        else:
+            page = Page(memoryview(bytearray(page.view)), writable=True, shared=False)
+            self.pages[page_idx] = page
+            self.cow_faults += 1
+        page.view[offset : offset + len(data)] = data
+        if page.notify is not None:
+            page.notify()
 
     # ------------------------------------------------------------------
     # Raw byte access
@@ -292,10 +292,11 @@ class LinearMemory:
         pos = 0
         while pos < size:
             page = self.pages[page_idx]
-            if not page.writable:
-                page = self._materialise(page_idx)
             take = min(PAGE_SIZE - offset, size - pos)
-            page.view[offset : offset + take] = data[pos : pos + take]
+            if page.writable:
+                page.view[offset : offset + take] = data[pos : pos + take]
+            else:
+                self._fault_store(page_idx, offset, data[pos : pos + take])
             pos += take
             page_idx += 1
             offset = 0
@@ -323,9 +324,10 @@ class LinearMemory:
         data = (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
         if offset + size <= PAGE_SIZE:
             page = self.pages[page_idx]
-            if not page.writable:
-                page = self._materialise(page_idx)
-            page.view[offset : offset + size] = data
+            if page.writable:
+                page.view[offset : offset + size] = data
+            else:
+                self._fault_store(page_idx, offset, data)
         else:
             self.write(addr, data)
 
@@ -343,9 +345,10 @@ class LinearMemory:
         page_idx, offset = divmod(addr, PAGE_SIZE)
         if offset + size <= PAGE_SIZE:
             page = self.pages[page_idx]
-            if not page.writable:
-                page = self._materialise(page_idx)
-            st.pack_into(page.view, offset, value)
+            if page.writable:
+                st.pack_into(page.view, offset, value)
+            else:
+                self._fault_store(page_idx, offset, st.pack(value))
         else:
             self.write(addr, st.pack(value))
 

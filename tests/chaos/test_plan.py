@@ -10,7 +10,9 @@ from repro.chaos import ChaosEngine, ChaosEventLog, ChaosPlan, CrashSpec, Stripe
 from repro.chaos.bus import ChaosMessageBus
 from repro.chaos.engine import _hash01
 from repro.runtime.bus import Shutdown
+from repro.runtime.monitor import Timer
 from repro.state.kv import StateUnavailableError
+from repro.telemetry import MetricsRegistry
 
 
 def test_hash01_is_pure_and_uniform_ish():
@@ -44,10 +46,15 @@ def test_bus_action_never_faults_retries_or_unmanaged_traffic():
     # the first dispatch is faulted:
     assert engine.bus_action(5, 0) == ("drop", 0.0)
     # and what is not work at all (Shutdown) passes the chaos bus untouched:
-    bus = ChaosMessageBus(engine=engine)
-    bus.register("h")
-    bus.send("h", Shutdown())
-    assert isinstance(bus.receive("h", timeout=1), Shutdown)
+    timer = Timer(MetricsRegistry())
+    timer.start()
+    try:
+        bus = ChaosMessageBus(timer, engine=engine)
+        bus.register("h")
+        bus.send("h", Shutdown())
+        assert isinstance(bus.receive("h", timeout=1), Shutdown)
+    finally:
+        timer.stop()
 
 
 def test_canonical_log_excludes_host_and_time_and_sorts():
@@ -150,23 +157,28 @@ def test_crash_spec_fires_exactly_once():
 
 
 def test_delayed_delivery_to_a_deregistered_host_is_dropped_quietly():
-    """A delayed fault fires on a timer thread; the host deregistering in
+    """A delayed fault fires as a timer entry; the host deregistering in
     the meantime must not surface there as an uncaught ``KeyError``."""
     import time
 
     from repro.runtime.bus import ExecuteBatch
 
     engine = ChaosEngine(ChaosPlan(seed=3, delay_rate=1.0, max_delay_ms=20.0))
-    bus = ChaosMessageBus(engine=engine)
+    metrics = MetricsRegistry()
+    timer = Timer(metrics)
+    timer.start()
+    bus = ChaosMessageBus(timer, engine=engine)
     bus.register("h")
     uncaught = []
     previous, threading.excepthook = threading.excepthook, uncaught.append
     try:
         bus.send("h", ExecuteBatch("f", ((1, 0), (2, 0))))
-        assert bus.pending("h") == 0  # both items are in flight on timers
+        assert bus.pending("h") == 0  # both items are in flight on the timer
         bus.deregister("h")
         time.sleep(0.1)
     finally:
         threading.excepthook = previous
+        timer.stop()
     assert uncaught == []
+    assert metrics.counter("errors.swallowed", site="monitor.timer").value == 0
     assert [e.kind for e in engine.log.events()] == ["delay", "delay"]

@@ -269,7 +269,7 @@ def test_zombie_cannot_relabel_a_parked_call(make_cluster, monkeypatch):
     leave the record parked — not RUNNING on the dead host — and the retry
     then completes the call once, on a live host."""
     cluster = make_cluster(n_hosts=2, retry_policy=PATIENT)
-    cluster.monitor.stop()  # every scan below is driven by hand
+    cluster.timer.stop()  # every scan below is driven by hand
     cluster.upload("hello", HELLO_SRC)
     entered, resume, finished = (threading.Event() for _ in range(3))
     stalled: list = []
@@ -312,7 +312,7 @@ def test_timer_entry_error_is_counted_and_survived(make_cluster):
     """The cluster's one timer thread survives a pushed callback that
     raises, counting it once: the next due entry still runs."""
     cluster = make_cluster(n_hosts=1)
-    monitor = cluster.monitor
+    timer = cluster.timer
     swallowed = cluster.telemetry.metrics.counter(
         "errors.swallowed", site="monitor.timer"
     )
@@ -322,8 +322,8 @@ def test_timer_entry_error_is_counted_and_survived(make_cluster):
         raise RuntimeError("injected timer failure")
 
     now = time.monotonic()
-    monitor.call_at(now, failing)
-    monitor.call_at(now + 0.01, ran.set)
+    timer.call_at(now, failing)
+    timer.call_at(now + 0.01, ran.set)
     assert ran.wait(10.0)
     assert swallowed.value == 1
 

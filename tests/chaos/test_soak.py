@@ -4,6 +4,8 @@ byte-identical canonical fault log across same-seed runs."""
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.chaos import build_plan, run_soak
@@ -44,6 +46,23 @@ def test_soak_no_call_is_stranded_and_log_replays():
     assert second.log_lines == first.log_lines
     assert second.digest == GOLDEN_DIGEST
     assert second.swallowed == 0
+
+
+def test_soak_starts_no_timer_thread(monkeypatch):
+    """Delayed and reordered deliveries are entries on the cluster's one
+    timer: the default soak, plain and ingested, starts no
+    ``threading.Timer`` and keeps its digest."""
+    started = []
+    start = threading.Timer.start
+    monkeypatch.setattr(
+        threading.Timer, "start", lambda timer: (started.append(timer), start(timer))[1]
+    )
+    for ingest in (False, True):
+        report = run_soak(SEED, ingest=ingest)
+        assert report.ok, f"stranded calls: {report.stranded}"
+        assert report.digest == GOLDEN_DIGEST
+        assert report.swallowed == 0
+    assert started == []
 
 
 def test_soak_different_seed_different_faults():

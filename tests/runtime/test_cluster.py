@@ -178,3 +178,16 @@ def test_network_meter_counts_state_traffic(cluster):
     cluster.register_python("pusher", pusher)
     cluster.invoke("pusher")
     assert cluster.total_network_bytes() >= 10_000
+
+
+def test_an_unpooled_send_carries_one_call(cluster, monkeypatch):
+    """A receiving worker runs an unpooled batch itself, so the one road
+    refuses to build one of several calls; nothing reaches the bus."""
+    cluster.register_python("echo", lambda ctx: 0)
+    records = [cluster.calls.create("echo", b"") for _ in range(2)]
+    sent = []
+    monkeypatch.setattr(cluster.bus, "send", lambda host, message: sent.append(message))
+    with pytest.raises(ValueError, match="one call"):
+        cluster._place_and_send("echo", records, cluster.instances[0])
+    assert sent == []
+    assert [record.status for record in records] == [CallStatus.PENDING] * 2

@@ -85,7 +85,7 @@ def test_racing_pushes_each_run_once_and_never_early():
         base = time.monotonic()
         for i in range(200):
             when = base + ((seed * 7919 + i * 104729) % 50) / 1000
-            cluster.monitor.call_at(when, lambda when=when: entry(when))
+            cluster.timer.call_at(when, lambda when=when: entry(when))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

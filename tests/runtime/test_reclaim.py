@@ -1,9 +1,11 @@
 """Warm-pool reclamation (scale-to-zero) tests."""
 
 import gc
+import time
 import weakref
 
 from repro.runtime import FaasmCluster
+from repro.runtime.instance import FaasmRuntimeInstance
 from tests.conftest import wait_for
 
 SRC = "export int main() { return 0; }"
@@ -21,6 +23,22 @@ def test_reclaim_frees_pool_and_warm_set():
     assert reclaimed == 1
     assert instance.warm_count("fn") == 0
     assert cluster.warm_sets.warm_hosts("fn") == set()
+
+
+def test_the_faaslet_is_pooled_before_its_call_completes(monkeypatch):
+    """A caller woken by the call's completion finds the Faaslet back in
+    the pool, however long returning it takes."""
+    release = FaasmRuntimeInstance._release_faaslet
+
+    def slow_release(self, function, faaslet):
+        time.sleep(0.05)
+        release(self, function, faaslet)
+
+    monkeypatch.setattr(FaasmRuntimeInstance, "_release_faaslet", slow_release)
+    cluster = FaasmCluster(n_hosts=1)
+    cluster.upload("fn", SRC)
+    assert cluster.invoke("fn")[0] == 0
+    assert cluster.instances[0].warm_count("fn") == 1
 
 
 def test_reclaim_keeps_requested_floor():

@@ -343,6 +343,22 @@ class TestWriteThroughCache:
         assert mismatches == []
         assert warm_sets.cache_info()["misses"] == 0
 
+    def test_a_fill_serves_ranked_with_no_read_however_much_later(
+        self, store, warm_sets, monkeypatch
+    ):
+        """The epoch is the only invalidation: a filled entry keeps serving
+        however long nothing writes the key."""
+        warm_sets.add("fn", "h1")
+        reader = WarmSetRegistry(store)
+        assert reader.ranked("fn", "h0") == ("h1",)  # the fill: one read
+        reads, read = [], store.get_value_versioned
+        store.get_value_versioned = lambda key: (reads.append(key), read(key))[1]
+        clock = time.monotonic
+        monkeypatch.setattr(time, "monotonic", lambda: clock() + 10.0)
+        assert reader.ranked("fn", "h0") == ("h1",)
+        assert reads == []
+        assert reader.cache_info()["misses"] == 1
+
     def test_outage_during_add_caches_nothing(self):
         stripe = zlib.crc32(self.KEY.encode()) % 16
         engine = ChaosEngine(ChaosPlan(seed=1, stripe_outages=(StripeOutage(stripe, 1, 1),)))
@@ -350,7 +366,7 @@ class TestWriteThroughCache:
         warm_sets.add("fn", "h1")  # op 0 lands and is written through
         assert warm_sets.cache_info()["entries"] == 1
         warm_sets.add("fn", "h2")  # op 1: the stripe is dark, the write is dropped
-        entry, _epoch = warm_sets._live_entry(self.KEY, time.monotonic())
+        entry, _epoch = warm_sets._live_entry(self.KEY)
         assert entry is None  # the old snapshot is dead, nothing took its place
         assert warm_sets.warm_hosts("fn") == {"h1"}  # op 2: re-read from the store
         assert warm_sets.cache_info()["misses"] == 1

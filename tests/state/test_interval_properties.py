@@ -335,7 +335,6 @@ def _race_guest_stores_against_pushes(pages: int, writers: int) -> bool:
         base = replica.region.map_into(memory)
         for page in range(first, pages, writers):
             memory.store_int(base + page * PAGE_SIZE, page + 1, 8)
-            memory.store_int(base + page * PAGE_SIZE, page + 1, 8)
 
     threads = [threading.Thread(target=write, args=(w,)) for w in range(writers)]
     for thread in threads:
@@ -352,11 +351,9 @@ def test_guest_stores_racing_pushes_all_reach_the_global_tier():
     """Guest stores into a mapped replica, on three threads, race pushes
     at a 1 µs switch interval: every word written reaches the global tier.
 
-    Each page takes one word from one thread, so a fault mark that a drain
-    loses leaves that word behind for good. The word is stored twice: the
-    first store's mark can reach a drain whose copy runs before the bytes
-    land, and the second, which faults on the page the drain re-protected,
-    marks it again. A drain that drops a mark arriving while it merges the
+    Each page takes one word, stored once, from one thread, so a fault mark
+    that a drain loses, or takes before the word lands, leaves that word
+    behind for good. A drain that drops a mark arriving while it merges the
     log loses a word in about one race in eight on a 2-vCPU VM, hence the
     100 races."""
     interval = sys.getswitchinterval()
@@ -366,3 +363,30 @@ def test_guest_stores_racing_pushes_all_reach_the_global_tier():
     finally:
         sys.setswitchinterval(interval)
     assert lost == []
+
+
+def test_a_faulting_store_lands_before_its_dirty_mark():
+    """A drain that takes a fault's mark copies the stored word: the first
+    mark pushes the key before the listener returns, as a push on another
+    thread might, and nothing marks the page again afterwards."""
+    store = GlobalStateStore()
+    store.set_value("k", bytes(PAGE_SIZE))
+    tier = LocalTier("host", StateClient(store))
+    replica = tier.pull("k")
+    memory = LinearMemory(MemoryType(Limits(1, 2)))
+    base = replica.region.map_into(memory)
+    listeners = replica.region._write_listeners
+    (mark,) = listeners
+    pushed = []
+
+    def mark_then_push(start: int, end: int) -> None:
+        mark(start, end)
+        if not pushed:
+            pushed.append(start)
+            tier.push("k")
+
+    listeners[0] = mark_then_push
+    memory.store_int(base + 8, 0x5EED, 8)
+    tier.push("k")
+    assert pushed == [0]
+    assert int.from_bytes(store.get_range("k", 8, 8), "little") == 0x5EED

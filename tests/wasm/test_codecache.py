@@ -62,8 +62,9 @@ def test_seed_existing_entry_wins():
     c1 = cache.get_or_compile(m1)
     from repro.wasm import compile_module
 
-    cache.seed(parse_module(_WAT), compile_module(parse_module(_WAT)))
-    assert cache.lookup(m1) is c1  # first entry kept
+    m2 = parse_module(_WAT)
+    kept = cache.seed_with_key(m2, module_key(m1), compile_module(m2))
+    assert kept is c1 and cache.lookup(m1) is c1  # first entry kept
     assert cache.stats()["seeded"] == 0
 
 
