@@ -11,14 +11,16 @@ A Faaslet bundles, per Fig. 1:
 * a **WASI-capability filesystem** and the message-bus/chaining context,
   reached through the host interface (Tab. 2).
 
-Faaslets are created cold from a :class:`FunctionDefinition` (validated,
-pre-code-generated at upload time) or warm from a Proto-Faaslet snapshot
-(:mod:`repro.faaslet.snapshot`). Either way instantiation *links* against
-the static host-interface table (:mod:`repro.host.interface`): one binding
-per import the module declares, made once in the Faaslet's life and reused
-by ``dlopen()``. A Faaslet restored from a Proto-Faaslet is put back to it
-in place by :meth:`Faaslet.reset` before every warm call, so no call sees
-what the one before it left (§5.2). Whoever discards a Faaslet calls
+The runtime restores every Faaslet from a Proto-Faaslet snapshot
+(:mod:`repro.faaslet.snapshot`); one built straight from a
+:class:`FunctionDefinition` (validated, pre-code-generated at upload time)
+serves the capture of that snapshot and standalone tools. Either way
+instantiation *links* against the static host-interface table
+(:mod:`repro.host.interface`): one binding per import the module declares,
+made once in the Faaslet's life and reused by ``dlopen()``. A Faaslet
+restored from a Proto-Faaslet is put back to it in place by
+:meth:`Faaslet.reset` before every warm call, so no call sees what the one
+before it left (§5.2). Whoever discards a Faaslet calls
 :meth:`Faaslet.close`, which unmaps its shared regions and returns its
 memory without waiting for the cycle collector.
 """
@@ -138,7 +140,8 @@ class Faaslet:
         self._next_dl_handle = 1
         #: Guest-thread runtime (created lazily on the first thread_spawn).
         self._thread_runtime: "GuestThreadRuntime | None" = None
-        #: The Proto-Faaslet reset() returns to (None after a cold boot).
+        #: The Proto-Faaslet reset() returns to (None when built from the
+        #: definition: a capture or a standalone tool).
         self.proto = proto
         #: Instructions the last call executed (what its cgroup is charged).
         self.fuel_consumed = 0

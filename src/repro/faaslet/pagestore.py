@@ -14,7 +14,8 @@ size). This module makes it O(delta):
 
 * :class:`SnapshotRepository` — one per cluster (owned by the upload
   service / function registry): the authoritative page store plus the
-  per-function :class:`~repro.faaslet.snapshot.SnapshotManifest` chain.
+  per-function :class:`~repro.faaslet.snapshot.SnapshotManifest` chain,
+  each manifest kept with the definition it was captured from.
   Publishing a new snapshot version bumps the manifest and refcounts; the
   pages of the previous version that the new one still uses are shared,
   the rest are released.
@@ -42,18 +43,8 @@ from repro.telemetry import MetricsRegistry, span
 from repro.wasm.memory import ZERO_DIGEST, ZERO_PAGE
 from repro.wasm.types import PAGE_SIZE
 
-from .snapshot import ProtoFaaslet, SnapshotManifest
-
-
-def _unique_payload(digests) -> list[str]:
-    """Unique non-zero digests in first-appearance order."""
-    seen: set[str] = set()
-    out: list[str] = []
-    for digest in digests:
-        if digest != ZERO_DIGEST and digest not in seen:
-            seen.add(digest)
-            out.append(digest)
-    return out
+from .faaslet import FunctionDefinition
+from .snapshot import ProtoFaaslet, SnapshotManifest, _unique_payload
 
 
 class PageStore:
@@ -214,14 +205,14 @@ class SnapshotRepository:
     """The cluster-side snapshot home (upload service, §5.2).
 
     Holds the authoritative :class:`PageStore` and the current manifest of
-    every published function. Serves the two-step pull protocol:
-    :meth:`manifest` (metadata) and :meth:`pull_missing` (one batched page
-    round trip).
+    every published function, with the definition it was captured from.
+    Serves the two-step pull protocol: :meth:`published` (metadata) and
+    :meth:`pull_missing` (one batched page round trip).
     """
 
     def __init__(self, metrics: MetricsRegistry | None = None):
         self.store = PageStore(host="_repository", metrics=metrics)
-        self._manifests: dict[str, SnapshotManifest] = {}
+        self._published: dict[str, tuple[SnapshotManifest, FunctionDefinition]] = {}
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -235,26 +226,28 @@ class SnapshotRepository:
         """
         digests = proto.page_digests
         with self._lock:
-            previous = self._manifests.get(name)
-            version = previous.version + 1 if previous is not None else 1
+            previous = self._published.get(name)
+            version = previous[0].version + 1 if previous is not None else 1
             manifest = proto.manifest(version)
         for digest, page in zip(digests, proto.frozen_pages):
             self.store.insert(digest, page)
         self.store.retain(digests)
         with self._lock:
-            self._manifests[name] = manifest
+            self._published[name] = (manifest, proto.definition)
         if previous is not None:
-            self.store.release(previous.page_digests)
+            self.store.release(previous[0].page_digests)
         proto.version = version
         return manifest
 
     # ------------------------------------------------------------------
     # The pull protocol (each method = one round trip)
     # ------------------------------------------------------------------
-    def manifest(self, name: str) -> SnapshotManifest | None:
-        """Metadata round trip: the current manifest, or None."""
+    def published(self, name: str) -> tuple[SnapshotManifest, FunctionDefinition]:
+        """Metadata round trip: the current manifest and the definition it
+        was captured from, so no host pairs one upload's code with another
+        upload's pages. Raises ``KeyError`` for a function never published."""
         with self._lock:
-            return self._manifests.get(name)
+            return self._published[name]
 
     def pull_missing(self, digests) -> tuple[list[str], bytearray]:
         """Page round trip: one buffer holding every requested page.
@@ -272,11 +265,11 @@ class SnapshotRepository:
     # ------------------------------------------------------------------
     def functions(self) -> list[str]:
         with self._lock:
-            return sorted(self._manifests)
+            return sorted(self._published)
 
     def stats(self) -> dict:
         out = self.store.stats()
-        out["functions"] = len(self._manifests)
+        out["functions"] = len(self._published)
         return out
 
 
@@ -286,9 +279,10 @@ class HostSnapshotCache:
     ``get_proto`` is the cold-start path: it fetches the current manifest
     (one metadata round trip), pulls only the pages the host's PageStore
     is missing (at most one page round trip), and materialises a
-    Proto-Faaslet whose frozen pages alias the store. Repeat restores of
-    an unchanged version are served from the in-memory proto cache with
-    zero round trips; a version bump re-pulls only the delta.
+    Proto-Faaslet from the manifest's own definition, whose frozen pages
+    alias the store. Repeat restores of an unchanged version (one version,
+    one publish, one definition) are served from the in-memory proto cache
+    with no page round trip; a version bump re-pulls only the delta.
     """
 
     def __init__(
@@ -314,18 +308,15 @@ class HostSnapshotCache:
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    def get_proto(self, definition) -> ProtoFaaslet | None:
-        """The restore entry point for ``definition`` on this host."""
-        name = definition.name
+    def get_proto(self, name: str) -> ProtoFaaslet:
+        """The restore entry point for function ``name`` on this host.
+        Raises ``KeyError`` when ``name`` has no published Proto-Faaslet."""
         advertise = False
         with self._lock:
             cached = self._protos.get(name)
             with span("snapshot.pull", function=name, host=self.host) as sp:
-                manifest = self.repository.manifest(name)
+                manifest, definition = self.repository.published(name)
                 self._round_trips.inc()
-                if manifest is None:
-                    sp.set_attr("outcome", "no-snapshot")
-                    return None
                 if cached is not None and cached.version == manifest.version:
                     sp.set_attr("outcome", "cached")
                     return cached

@@ -12,7 +12,7 @@ container boot costs (Tab. 3, Fig. 10).
 Snapshots are OS-independent plain bytes, restorable on another host — the
 property that distinguishes Proto-Faaslets from single-machine snapshotting
 systems like SEUSS or Catalyzer. The one wire form is content-addressed: a
-:class:`SnapshotManifest` (ordered page digests + globals/table blobs,
+:class:`SnapshotManifest` (ordered page digests + globals and table,
 :meth:`~SnapshotManifest.to_bytes` / :meth:`~SnapshotManifest.from_bytes`)
 travels instead of the pages, and hosts pull only the 64 KiB pages their
 :class:`~repro.faaslet.pagestore.PageStore` is missing.
@@ -20,13 +20,13 @@ travels instead of the pages, and hosts pull only the 64 KiB pages their
 
 from __future__ import annotations
 
-import pickle
 import struct
 from dataclasses import dataclass
 
 from repro.telemetry import MetricsRegistry, span
 from repro.wasm.instance import GlobalInstance, Instance
 from repro.wasm.memory import ZERO_DIGEST, LinearMemory, page_digest
+from repro.wasm.objectfile import decode_value, encode_value
 from repro.wasm.types import PAGE_SIZE, Limits, MemoryType
 
 from .faaslet import Faaslet, FunctionDefinition
@@ -34,13 +34,22 @@ from .faaslet import Faaslet, FunctionDefinition
 #: Manifest wire header: magic, format version, function-name length,
 #: snapshot version, page count, globals blob len, table blob len. Followed
 #: by the name (utf-8), the ordered raw digests (16 bytes each), the blobs.
+#: Format 2 encodes the blobs with the object file's value encoder, which
+#: executes nothing on decode (format 1 pickled them).
 _MANIFEST_MAGIC = b"FMAN"
+_MANIFEST_FORMAT = 2
 _MANIFEST_HEADER = struct.Struct("<4sHHIIII")
 _DIGEST_RAW_LEN = 16
 
 #: Fallback registry for the ``snapshot.restores`` series of Proto-Faaslets
 #: created outside a cluster (benchmarks, standalone tools).
 _STANDALONE_METRICS = MetricsRegistry()
+
+
+def _unique_payload(digests) -> list[str]:
+    """Unique non-zero digests in first-appearance order: the pages that
+    actually have bytes behind them."""
+    return list(dict.fromkeys(d for d in digests if d != ZERO_DIGEST))
 
 
 class SnapshotError(RuntimeError):
@@ -54,16 +63,16 @@ class SnapshotManifest:
     The manifest is what the object store and the wire carry instead of the
     page bytes: an *ordered* digest per 64 KiB page (all-zero pages appear
     as :data:`~repro.wasm.memory.ZERO_DIGEST` and never have a payload),
-    plus the pickled globals and table snapshots, which are tiny. Restoring
-    a snapshot anywhere requires only the manifest and whichever payload
+    plus the globals and table snapshots, which are tiny. Restoring a
+    snapshot anywhere requires only the manifest and whichever payload
     pages the restoring host's PageStore lacks.
     """
 
     function: str
     version: int
     page_digests: tuple[str, ...]
-    globals_blob: bytes
-    table_blob: bytes
+    globals_snapshot: list
+    table_snapshot: list | None
 
     # ------------------------------------------------------------------
     @property
@@ -75,15 +84,8 @@ class SnapshotManifest:
         return len(self.page_digests) * PAGE_SIZE
 
     def payload_digests(self) -> list[str]:
-        """Unique non-zero digests, in first-appearance order — the pages
-        that actually have bytes behind them."""
-        seen: set[str] = set()
-        out: list[str] = []
-        for digest in self.page_digests:
-            if digest != ZERO_DIGEST and digest not in seen:
-                seen.add(digest)
-                out.append(digest)
-        return out
+        """The pages that have bytes behind them, in manifest order."""
+        return _unique_payload(self.page_digests)
 
     @property
     def zero_pages(self) -> int:
@@ -92,30 +94,28 @@ class SnapshotManifest:
     # ------------------------------------------------------------------
     def to_bytes(self) -> bytes:
         name = self.function.encode()
+        globals_blob = encode_value(self.globals_snapshot)
+        table_blob = encode_value(self.table_snapshot)
         header = _MANIFEST_HEADER.pack(
-            _MANIFEST_MAGIC,
-            1,
-            len(name),
-            self.version,
-            len(self.page_digests),
-            len(self.globals_blob),
-            len(self.table_blob),
+            _MANIFEST_MAGIC, _MANIFEST_FORMAT, len(name), self.version,
+            len(self.page_digests), len(globals_blob), len(table_blob),
         )
         digests = b"".join(bytes.fromhex(d) for d in self.page_digests)
-        return header + name + digests + self.globals_blob + self.table_blob
+        return header + name + digests + globals_blob + table_blob
 
     @classmethod
     def from_bytes(cls, data: "bytes | bytearray | memoryview") -> "SnapshotManifest":
         """Parse a manifest received from outside. Raises ``ValueError``
         when ``data`` lacks the ``FMAN`` header, names a format other than
-        1, or is shorter than its header says."""
+        2, is shorter than its header says, or carries a blob the value
+        encoder did not write (decoding one executes nothing)."""
         view = memoryview(data)
         if len(view) < _MANIFEST_HEADER.size:
             raise ValueError("not a snapshot manifest: no FMAN header")
         magic, fmt, name_len, version, n_pages, glen, tlen = (
             _MANIFEST_HEADER.unpack_from(view, 0)
         )
-        if magic != _MANIFEST_MAGIC or fmt != 1:
+        if magic != _MANIFEST_MAGIC or fmt != _MANIFEST_FORMAT:
             raise ValueError("not a snapshot manifest")
         expected = (
             _MANIFEST_HEADER.size + name_len + n_pages * _DIGEST_RAW_LEN
@@ -132,10 +132,10 @@ class SnapshotManifest:
         for _ in range(n_pages):
             digests.append(bytes(view[pos : pos + _DIGEST_RAW_LEN]).hex())
             pos += _DIGEST_RAW_LEN
-        globals_blob = bytes(view[pos : pos + glen])
+        globals_snapshot = decode_value(view[pos : pos + glen])
         pos += glen
-        table_blob = bytes(view[pos : pos + tlen])
-        return cls(name, version, tuple(digests), globals_blob, table_blob)
+        table_snapshot = decode_value(view[pos : pos + tlen])
+        return cls(name, version, tuple(digests), globals_snapshot, table_snapshot)
 
 
 class ProtoFaaslet:
@@ -302,8 +302,8 @@ class ProtoFaaslet:
             self.definition.name,
             version,
             tuple(self.page_digests),
-            pickle.dumps(self.globals_snapshot),
-            pickle.dumps(self.table_snapshot),
+            self.globals_snapshot,
+            self.table_snapshot,
         )
 
     @classmethod
@@ -324,8 +324,8 @@ class ProtoFaaslet:
         return cls(
             definition,
             pages,
-            pickle.loads(manifest.globals_blob),
-            pickle.loads(manifest.table_blob),
+            manifest.globals_snapshot,
+            manifest.table_snapshot,
             page_digests=list(manifest.page_digests),
             version=manifest.version,
             metrics=metrics,

@@ -512,7 +512,7 @@ class FaasmRuntimeInstance:
         with self._mutex:
             pool = self._warm.get(definition.name)
             faaslet = pool.pop() if pool else None
-        if faaslet is not None:
+        if faaslet is not None and faaslet.definition is definition:
             # Reset here, not on release: a Faaslet reclaimed first never pays.
             self.metrics.record_warm_hit()
             with span("faaslet.acquire", function=definition.name) as sp:
@@ -520,30 +520,36 @@ class FaasmRuntimeInstance:
                 faaslet.reset()
             self._tap_profiler(faaslet, definition.name)
             return faaslet, False
-        # Cold start: restore from the Proto-Faaslet when one exists (the
-        # snapshot client pulls only the pages this host is missing).
+        if faaslet is not None:  # pooled before a re-upload: its code is gone
+            self._discard(faaslet)
+            self._discard_stale(definition)
+        # Cold start: restore from the published Proto-Faaslet (the snapshot
+        # client pulls only the pages this host is missing).
         with span("faaslet.acquire", function=definition.name) as sp:
             start = time.perf_counter()
-            proto = self.snapshots.get_proto(definition)
-            sp.set_attr("mode", "proto-restore" if proto is not None else "cold-boot")
-            faaslet = self._new_faaslet(definition, proto)
+            sp.set_attr("mode", "proto-restore")
+            faaslet = self._new_faaslet(self.snapshots.get_proto(definition.name))
             self.metrics.record_cold_start(time.perf_counter() - start)
         return faaslet, True
 
-    def _new_faaslet(self, definition: FunctionDefinition, proto) -> Faaslet:
-        faaslet = (
-            proto.restore(self.env) if proto is not None
-            else Faaslet(definition, self.env)
-        )
+    def _new_faaslet(self, proto) -> Faaslet:
+        faaslet = proto.restore(self.env)
         self.cgroup.add_member(faaslet.name)
-        self._tap_profiler(faaslet, definition.name)
+        self._tap_profiler(faaslet, proto.definition.name)
         return faaslet
+
+    def _discard_stale(self, definition: FunctionDefinition) -> None:
+        """Close every Faaslet pooled for ``definition``'s function from
+        another upload of it: a re-upload superseded their code."""
+        with self._mutex:
+            pool = self._warm.get(definition.name, [])
+            stale = [f for f in pool if f.definition is not definition]
+            pool[:] = [f for f in pool if f.definition is definition]
+        for faaslet in stale:
+            self._discard(faaslet)
 
     def _release_faaslet(self, function: str, faaslet: Faaslet) -> None:
         self.cgroup.charge(faaslet.name, faaslet.fuel_consumed)
-        if faaslet.proto is None:  # nothing to reset it from: one call only
-            self._discard(faaslet)
-            return
         faaslet.unmap_state()  # so an idle Faaslet pins no region's size
         with self._mutex:
             self._warm.setdefault(function, []).append(faaslet)
@@ -561,13 +567,12 @@ class FaasmRuntimeInstance:
         definition = self.cluster.registry.get(function)
         if isinstance(definition, PythonFunctionDefinition):
             return 0  # Python guests have no per-instance isolation unit
-        proto = self.snapshots.get_proto(definition)
-        if proto is None:
-            return 0  # a Faaslet without a snapshot is never pooled
+        proto = self.snapshots.get_proto(function)
+        self._discard_stale(proto.definition)
         for _ in range(count):
             # Always create fresh instances (acquire would just recycle the
             # pool's existing idle Faaslet).
-            faaslet = self._new_faaslet(definition, proto)
+            faaslet = self._new_faaslet(proto)
             with self._mutex:
                 self._warm.setdefault(function, []).append(faaslet)
         if count > 0:

@@ -1,9 +1,13 @@
 """The upload service and function registry (§5.2).
 
-Uploading a function runs the trusted pipeline once: compile (for minilang
-sources), validate, generate object code, store the artifact in the shared
-object store, and — when initialisation code is specified — capture a
-Proto-Faaslet so every host can cold-start from the snapshot.
+Uploading a wasm function runs the trusted pipeline once: compile (for
+minilang sources), validate, generate object code, run the function's
+initialisation code and capture its Proto-Faaslet, publish the snapshot for
+every host to cold-start from, and store the artifacts in the shared object
+store. Only then is the function registered: a registered wasm function
+always has a published Proto-Faaslet, and an upload that raises at any step
+leaves the registry, the snapshot repository and the object store as they
+were — a re-upload whose ``init`` traps keeps the previous version serving.
 
 Besides wasm guests, the registry accepts *host-native Python functions*
 (:class:`PythonFunctionDefinition`). These stand in for the paper's
@@ -51,7 +55,6 @@ class FunctionRegistry:
     ):
         self.object_store = object_store or GlobalObjectStore()
         self._functions: dict[str, FunctionDefinition | PythonFunctionDefinition] = {}
-        self._protos: dict[str, ProtoFaaslet] = {}
         #: The content-addressed snapshot home every host delta-pulls from.
         self.snapshots = SnapshotRepository(metrics)
         self._mutex = threading.Lock()
@@ -66,7 +69,6 @@ class FunctionRegistry:
         *,
         lang: str = "minilang",
         init: str | None = None,
-        snapshot: bool = True,
         **definition_kwargs,
     ) -> FunctionDefinition:
         """Upload a wasm guest function.
@@ -75,11 +77,15 @@ class FunctionRegistry:
         module source (``lang="wat"``), or an already-built module. The
         untrusted compile step runs first; validation and code generation
         (the trusted steps of §3.4) happen inside
-        :meth:`FunctionDefinition.build`. With ``snapshot=True`` a
-        Proto-Faaslet is captured immediately — running ``init`` if given —
-        and stored for cluster-wide cold starts.
+        :meth:`FunctionDefinition.build`. Then :meth:`generate_proto`
+        runs ``init`` (if given) and publishes the Proto-Faaslet, the
+        artifacts land in the object store, and the function is registered
+        last, so calls see the new version only once it can cold-start.
         """
-        with span("function.upload", function=name, lang=lang) as sp:
+        from repro.wasm import print_module
+        from repro.wasm.objectfile import write_object
+
+        with span("function.upload", function=name, lang=lang):
             if isinstance(source, Module):
                 module = source
             elif lang == "minilang":
@@ -89,25 +95,13 @@ class FunctionRegistry:
             else:
                 raise ValueError(f"unknown language {lang!r}")
             definition = FunctionDefinition.build(name, module, **definition_kwargs)
-            sp.set_attr("snapshot", snapshot)
-        with self._mutex:
-            self._functions[name] = definition
-        if isinstance(source, str):
-            self.object_store.upload(f"functions/{name}.src", source.encode())
-        # Store the disassembly alongside: a readable record of exactly what
-        # was validated and deployed.
-        from repro.wasm import print_module
-
-        self.object_store.upload(
-            f"functions/{name}.wat", print_module(module).encode()
-        )
-        # And the object file — module + generated code — which any host can
-        # instantiate from without recompiling (§3.4/§5.2).
-        from repro.wasm.objectfile import write_object
-
-        self.object_store.upload(
-            f"functions/{name}.obj",
-            write_object(
+        # The disassembly is a readable record of exactly what was validated
+        # and deployed; the object file (module + generated code) is what
+        # any host can instantiate from without recompiling (§3.4/§5.2).
+        # Both are encoded before anything is published.
+        artifacts = {
+            f"functions/{name}.wat": print_module(module).encode(),
+            f"functions/{name}.obj": write_object(
                 definition.module,
                 definition.compiled,
                 meta={
@@ -116,9 +110,14 @@ class FunctionRegistry:
                     "user": definition.user,
                 },
             ),
-        )
-        if snapshot:
-            self.generate_proto(name, init=init)
+        }
+        if isinstance(source, str):
+            artifacts[f"functions/{name}.src"] = source.encode()
+        self.generate_proto(definition, init=init)
+        for path, data in artifacts.items():
+            self.object_store.upload(path, data)
+        with self._mutex:
+            self._functions[name] = definition
         return definition
 
     def register_python(
@@ -134,44 +133,37 @@ class FunctionRegistry:
     # Proto-Faaslets
     # ------------------------------------------------------------------
     def generate_proto(
-        self, name: str, init: "str | Callable | None" = None
-    ) -> ProtoFaaslet:
-        """Capture and publish the Proto-Faaslet for a wasm function.
+        self, definition: FunctionDefinition, init: "str | Callable | None" = None
+    ) -> None:
+        """Capture and publish the Proto-Faaslet of ``definition`` (called
+        by :meth:`upload` before it registers the function).
 
         The snapshot enters the content-addressed plane: its pages land in
         the cluster :class:`~repro.faaslet.pagestore.SnapshotRepository`
         (deduplicated against every other published snapshot, previous
         versions of this function included) and the object store gets the
-        *manifest* — ordered page digests plus globals/table blobs — not a
+        *manifest* — ordered page digests plus globals and table — not a
         monolithic page blob. Hosts restore by delta-pulling only the
         pages their local PageStore is missing.
         """
         from repro.host.environment import StandaloneEnvironment
 
-        definition = self.get(name)
-        if not isinstance(definition, FunctionDefinition):
-            raise TypeError(f"{name!r} is not a wasm function")
+        name = definition.name
         scratch_env = StandaloneEnvironment(
             object_store=self.object_store, host="upload-service"
         )
         with span("snapshot.capture", function=name) as sp:
             proto = ProtoFaaslet.capture(definition, scratch_env, init=init)
             sp.set_attr("pages", len(proto.frozen_pages))
-            with self._mutex:
-                self._protos[name] = proto
             manifest = self.snapshots.publish(name, proto)
             sp.set_attr("version", manifest.version)
         self.object_store.upload(f"protos/{name}.manifest", manifest.to_bytes())
-        return proto
-
-    def proto(self, name: str) -> ProtoFaaslet | None:
-        with self._mutex:
-            return self._protos.get(name)
 
     # ------------------------------------------------------------------
     def load_from_object_store(self, name: str) -> FunctionDefinition:
         """Reconstruct a deployed function from its stored object file —
-        the path a host that never saw the upload uses to cold-start."""
+        the path a host that never saw the upload uses to cold-start. It
+        registers nothing: only :meth:`upload` does."""
         from repro.wasm.objectfile import read_object
 
         data = self.object_store.get(f"functions/{name}.obj")
@@ -189,7 +181,7 @@ class FunctionRegistry:
 
         obj_key = "obj:" + hashlib.sha256(data).hexdigest()
         compiled = GLOBAL_CODE_CACHE.seed_with_key(module, obj_key, compiled)
-        definition = FunctionDefinition(
+        return FunctionDefinition(
             name,
             module,
             compiled,
@@ -197,9 +189,6 @@ class FunctionRegistry:
             max_pages=meta.get("max_pages", 1024),
             user=meta.get("user", "default"),
         )
-        with self._mutex:
-            self._functions.setdefault(name, definition)
-        return definition
 
     # ------------------------------------------------------------------
     def get(self, name: str) -> FunctionDefinition | PythonFunctionDefinition:

@@ -63,7 +63,7 @@ _T_BOOL_FALSE = 12
 _U32 = struct.Struct("<I")
 _F64 = struct.Struct("<d")
 
-_VALTYPE_CODES = {ValType.I32: 0, ValType.I64: 1, ValType.F32: 2, ValType.F64: 3}
+_VALTYPE_CODES = {vt: code for code, vt in enumerate(ValType)}  # i32 = 0 … v128 = 4
 _VALTYPE_FROM = {v: k for k, v in _VALTYPE_CODES.items()}
 
 
@@ -95,25 +95,16 @@ def _enc(value, out: bytearray) -> None:
         out.append(_T_BYTES)
         out += _U32.pack(len(value))
         out += bytes(value)
-    elif isinstance(value, list):
-        out.append(_T_LIST)
-        out += _U32.pack(len(value))
-        for item in value:
-            _enc(item, out)
-    elif isinstance(value, tuple):
-        out.append(_T_TUPLE)
+    elif isinstance(value, (list, tuple)):
+        out.append(_T_LIST if isinstance(value, list) else _T_TUPLE)
         out += _U32.pack(len(value))
         for item in value:
             _enc(item, out)
     elif isinstance(value, ValType):
         out.append(_T_VALTYPE)
         out.append(_VALTYPE_CODES[value])
-    elif isinstance(value, FuncType):
-        out.append(_T_FUNCTYPE)
-        _enc(list(value.params), out)
-        _enc(list(value.results), out)
-    elif isinstance(value, BlockType):
-        out.append(_T_BLOCKTYPE)
+    elif isinstance(value, (FuncType, BlockType)):
+        out.append(_T_FUNCTYPE if isinstance(value, FuncType) else _T_BLOCKTYPE)
         _enc(list(value.params), out)
         _enc(list(value.results), out)
     else:
@@ -147,8 +138,7 @@ class _Reader:
         if tag == _T_BOOL_FALSE:
             return False
         if tag in (_T_INT, _T_NEGINT):
-            n = self.u8()
-            value = int.from_bytes(self.take(n), "little")
+            value = int.from_bytes(self.take(self.u8()), "little")
             return -value if tag == _T_NEGINT else value
         if tag == _T_FLOAT:
             return _F64.unpack(self.take(8))[0]
@@ -156,21 +146,33 @@ class _Reader:
             return self.take(self.u32()).decode("utf-8")
         if tag == _T_BYTES:
             return self.take(self.u32())
-        if tag == _T_LIST:
-            return [self.value() for _ in range(self.u32())]
-        if tag == _T_TUPLE:
-            return tuple(self.value() for _ in range(self.u32()))
-        if tag == _T_VALTYPE:
-            return _VALTYPE_FROM[self.u8()]
-        if tag == _T_FUNCTYPE:
-            params = self.value()
-            results = self.value()
-            return FuncType(tuple(params), tuple(results))
-        if tag == _T_BLOCKTYPE:
-            params = self.value()
-            results = self.value()
-            return BlockType(tuple(params), tuple(results))
-        raise ObjectFileError(f"unknown value tag {tag}")
+        if tag in (_T_LIST, _T_TUPLE):
+            items = [self.value() for _ in range(self.u32())]
+            return items if tag == _T_LIST else tuple(items)
+        if tag == _T_VALTYPE and (code := self.u8()) in _VALTYPE_FROM:
+            return _VALTYPE_FROM[code]
+        if tag in (_T_FUNCTYPE, _T_BLOCKTYPE):
+            kind = FuncType if tag == _T_FUNCTYPE else BlockType
+            return kind(tuple(self.value()), tuple(self.value()))
+        raise ObjectFileError(f"undecodable value (tag {tag})")
+
+
+def encode_value(value) -> bytes:
+    """``value`` in the encoding above: the one encoder for what the
+    shared store carries (object files and snapshot manifests)."""
+    out = bytearray()
+    _enc(value, out)
+    return bytes(out)
+
+
+def decode_value(data) -> object:
+    """The one value ``data`` encodes. Raises :class:`ObjectFileError` on
+    an unknown tag, a short buffer or trailing bytes; nothing executes."""
+    reader = _Reader(bytes(data))
+    value = reader.value()
+    if reader.pos != len(reader.data):
+        raise ObjectFileError("trailing bytes after the encoded value")
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -243,8 +245,7 @@ def write_object(module: Module, compiled: list[CompiledFunction],
     out += struct.pack("<H", VERSION)
 
     def section(tag: int, payload) -> None:
-        body = bytearray()
-        _enc(payload, body)
+        body = encode_value(payload)
         out.append(tag)
         out.extend(_U32.pack(len(body)))
         out.extend(body)
@@ -269,15 +270,14 @@ def read_object(data: bytes) -> tuple[Module, list[CompiledFunction], dict]:
     compiled: list[CompiledFunction] = []
     meta: dict = {}
     while reader.pos < len(data):
-        tag = reader.u8()
-        length = reader.u32()
-        body = _Reader(reader.take(length))
+        tag, length = reader.u8(), reader.u32()
+        body = decode_value(reader.take(length))
         if tag == _SEC_MODULE:
-            module = _restore_module(body.value())
+            module = _restore_module(body)
         elif tag == _SEC_CODE:
-            compiled = _restore_compiled(body.value())
+            compiled = _restore_compiled(body)
         elif tag == _SEC_META:
-            meta = dict(body.value())
+            meta = dict(body)
         else:
             raise ObjectFileError(f"unknown section tag {tag}")
     if module is None:

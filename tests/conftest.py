@@ -59,9 +59,9 @@ def wait_for(condition, timeout: float = 10.0) -> None:
 class _WireRepository(SnapshotRepository):
     """A repository whose manifests reach the host as bytes."""
 
-    def manifest(self, name):
-        manifest = super().manifest(name)
-        return manifest and SnapshotManifest.from_bytes(manifest.to_bytes())
+    def published(self, name):
+        manifest, definition = super().published(name)
+        return SnapshotManifest.from_bytes(manifest.to_bytes()), definition
 
 
 def ship_snapshot(definition, proto, host: str = "host-2"):
@@ -72,4 +72,4 @@ def ship_snapshot(definition, proto, host: str = "host-2"):
     repository = _WireRepository()
     repository.publish(definition.name, proto)
     cache = HostSnapshotCache(host, repository)
-    return cache.get_proto(definition), cache
+    return cache.get_proto(definition.name), cache

@@ -1,5 +1,8 @@
 """Faaslet lifecycle, host interface, shared regions and snapshots."""
 
+import pickle
+import struct
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,20 @@ from tests.conftest import ship_snapshot
 
 def define(source, name="fn", **kwargs):
     return FunctionDefinition.build(name, build(source), **kwargs)
+
+
+#: What a pickled manifest blob makes a reader run, if the reader unpickles.
+SIDE_EFFECTS = []
+
+
+def _side_effect(tag):
+    SIDE_EFFECTS.append(tag)
+    return []
+
+
+class _RunsOnLoad:
+    def __reduce__(self):
+        return _side_effect, ("ran",)
 
 
 ECHO_SRC = """
@@ -381,13 +398,33 @@ class TestProtoFaaslet:
             b"",
             b"FMA",
             b"PF02" + wire[4:],  # some other magic
-            wire[:4] + b"\x02" + wire[5:],  # a format this reader predates
+            wire[:4] + b"\x01" + wire[5:],  # the format that pickled its blobs
+            wire[:4] + b"\x03" + wire[5:],  # a format this reader predates
             wire[4:],  # headerless
             wire[:24],  # header only
             wire[:-1],  # one byte short of the table blob
         ):
             with pytest.raises(ValueError):
                 SnapshotManifest.from_bytes(bad)
+
+    def test_a_manifest_blob_that_would_run_code_is_refused(self):
+        """The globals blob comes from the shared store: a pickle carrying a
+        ``__reduce__`` side effect is refused, and the side effect never runs."""
+        definition = define(self.INIT_SRC, "portable")
+        proto = ProtoFaaslet.capture(definition, StandaloneEnvironment(), init="init")
+        wire = proto.manifest().to_bytes()
+        header = struct.Struct("<4sHHIIII")
+        magic, fmt, name_len, version, n_pages, glen, tlen = header.unpack_from(wire)
+        start = header.size + name_len + n_pages * 16
+        evil = pickle.dumps(_RunsOnLoad())
+        forged = (
+            header.pack(magic, fmt, name_len, version, n_pages, len(evil), tlen)
+            + wire[header.size : start] + evil + wire[start + glen :]
+        )
+        with pytest.raises(ValueError):
+            manifest = SnapshotManifest.from_bytes(forged)
+            ProtoFaaslet.from_manifest(definition, manifest, proto.frozen_pages)
+        assert SIDE_EFFECTS == []
 
     def test_snapshot_rejects_mapped_regions(self):
         env = StandaloneEnvironment()

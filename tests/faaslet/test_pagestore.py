@@ -1,7 +1,5 @@
 """Content-addressed snapshot plane: manifests, PageStore, delta pulls."""
 
-import pickle
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -70,16 +68,10 @@ def test_digest_is_content_addressed():
 @settings(max_examples=60, deadline=None)
 def test_manifest_round_trip(name, version, seeds, globals_snapshot, table):
     """Serialise/deserialise preserves digests (in order), zero-page
-    elision markers, and the globals/table blobs byte-for-byte."""
+    elision markers, and the globals and table snapshots."""
     pages = [make_page(s) for s in seeds]
     digests = tuple(page_digest(p) for p in pages)
-    manifest = SnapshotManifest(
-        name,
-        version,
-        digests,
-        pickle.dumps(globals_snapshot),
-        pickle.dumps(table),
-    )
+    manifest = SnapshotManifest(name, version, digests, globals_snapshot, table)
     restored = SnapshotManifest.from_bytes(manifest.to_bytes())
     assert restored == manifest
     # Digest stability: zero seeds are exactly the elided entries.
@@ -90,8 +82,8 @@ def test_manifest_round_trip(name, version, seeds, globals_snapshot, table):
     payload = restored.payload_digests()
     assert len(payload) == len(set(payload))
     assert ZERO_DIGEST not in payload
-    assert pickle.loads(restored.globals_blob) == globals_snapshot
-    assert pickle.loads(restored.table_blob) == table
+    assert restored.globals_snapshot == globals_snapshot
+    assert restored.table_snapshot == table
 
 
 # ----------------------------------------------------------------------
@@ -201,14 +193,14 @@ def test_delta_pull_ships_only_missing_pages(definition):
     cache = HostSnapshotCache("host-a", repo)
 
     repo.publish("delta-fn", capture(definition, 1))
-    proto_v1 = cache.get_proto(definition)
+    proto_v1 = cache.get_proto("delta-fn")
     assert proto_v1 is not None and proto_v1.version == 1
     first_bytes = cache.stats()["bytes_shipped"]
     assert first_bytes > 0
 
     # v2 differs in one data page (data[0] = 2) plus the globals blob.
     repo.publish("delta-fn", capture(definition, 2))
-    proto_v2 = cache.get_proto(definition)
+    proto_v2 = cache.get_proto("delta-fn")
     assert proto_v2.version == 2
     delta_bytes = cache.stats()["bytes_shipped"] - first_bytes
     assert 0 < delta_bytes < first_bytes / 2
@@ -220,14 +212,14 @@ def test_fully_resident_restore_is_one_metadata_round_trip(definition):
     repo = SnapshotRepository()
     cache = HostSnapshotCache("host-a", repo)
     repo.publish("delta-fn", capture(definition, 1))
-    cache.get_proto(definition)
+    cache.get_proto("delta-fn")
 
     before = cache.stats()
     # Republishing identical content bumps the version but shares every
     # page: the restore must ship zero pages in exactly one (metadata)
     # round trip.
     repo.publish("delta-fn", capture(definition, 1))
-    proto = cache.get_proto(definition)
+    proto = cache.get_proto("delta-fn")
     after = cache.stats()
     assert proto.version == 2
     assert after["bytes_shipped"] == before["bytes_shipped"]
@@ -239,8 +231,8 @@ def test_cached_version_needs_no_page_pull(definition):
     repo = SnapshotRepository()
     cache = HostSnapshotCache("host-a", repo)
     repo.publish("delta-fn", capture(definition, 1))
-    p1 = cache.get_proto(definition)
-    p2 = cache.get_proto(definition)
+    p1 = cache.get_proto("delta-fn")
+    p2 = cache.get_proto("delta-fn")
     assert p1 is p2  # unchanged version: served from the proto cache
     assert cache.stats()["round_trips"] == 3  # 2 pulls + 1 freshness check
 
@@ -262,7 +254,7 @@ def test_restore_across_hosts_via_manifest(definition):
     repo = SnapshotRepository()
     repo.publish("delta-fn", capture(definition, 7))
     cache = HostSnapshotCache("host-b", repo)
-    proto = cache.get_proto(definition)
+    proto = cache.get_proto("delta-fn")
     faaslet = proto.restore(StandaloneEnvironment(host="host-b"))
     code, _ = faaslet.call()
     assert code == 7
@@ -279,7 +271,7 @@ def test_residency_callback_fires(definition):
         "host-a", repo, on_residency=lambda fn, h, c: seen.append((fn, h, c))
     )
     repo.publish("delta-fn", capture(definition, 1))
-    cache.get_proto(definition)
+    cache.get_proto("delta-fn")
     assert seen == [("delta-fn", "host-a", 1.0)]
-    cache.get_proto(definition)  # cached: no re-advertisement
+    cache.get_proto("delta-fn")  # cached: no re-advertisement
     assert len(seen) == 1

@@ -81,17 +81,6 @@ def test_no_secret_reaches_the_next_warm_call_on_a_cluster():
     assert (metrics.cold_starts, metrics.warm_hits) == (1, 2)
 
 
-def test_a_faaslet_without_a_snapshot_is_never_pooled():
-    cluster = FaasmCluster(n_hosts=1)
-    cluster.upload("secret", SECRET_WAT, lang="wat", snapshot=False)
-    instance = cluster.instances[0]
-    assert instance.pre_warm("secret") == 0
-    assert cluster.invoke("secret", WRITE)[0] == 0
-    assert cluster.invoke("secret", SCAN)[0] == 0
-    assert instance.warm_count("secret") == 0
-    assert instance.metrics.cold_starts == 2
-
-
 def test_the_cgroup_is_charged_each_calls_own_instructions():
     cluster = FaasmCluster(n_hosts=1)
     cluster.upload(

@@ -53,7 +53,7 @@ def test_delta_pull_bytes_saved_floor():
     cache = HostSnapshotCache("smoke-host", repo)
 
     repo.publish("smoke-snap", _proto(defn, _pages(lambda i: 1)))
-    assert cache.get_proto(defn).version == 1
+    assert cache.get_proto("smoke-snap").version == 1
 
     v2 = _proto(defn, _pages(lambda i: 2 if i == 0 else 1))
     # The monolithic transfer ships every non-zero page, whatever the host
@@ -62,7 +62,7 @@ def test_delta_pull_bytes_saved_floor():
     assert manifest.n_pages - manifest.zero_pages == _N_PAGES
     repo.publish("smoke-snap", v2)
     before = cache.stats()
-    assert cache.get_proto(defn).version == 2
+    assert cache.get_proto("smoke-snap").version == 2
     after = cache.stats()
     assert after["bytes_shipped"] - before["bytes_shipped"] == PAGE_SIZE
     # Metadata, then one batched page pull.
@@ -72,7 +72,7 @@ def test_delta_pull_bytes_saved_floor():
     v3 = _proto(defn, _pages(lambda i: 2 if i == 0 else 1))
     repo.publish("smoke-snap", v3)
     before = cache.stats()
-    assert cache.get_proto(defn).version == 3
+    assert cache.get_proto("smoke-snap").version == 3
     after = cache.stats()
     assert after["bytes_shipped"] == before["bytes_shipped"]
     assert after["pages_shipped"] == before["pages_shipped"]
@@ -91,9 +91,9 @@ def test_cross_function_dedup_ships_only_exclusive_pages():
     repo.publish("snap-a", _proto(defn_a, shared + _pages(lambda i: 100)))
     repo.publish("snap-b", _proto(defn_b, shared + _pages(lambda i: 200)))
 
-    cache.get_proto(defn_a)
+    cache.get_proto("snap-a")
     before = cache.stats()
-    cache.get_proto(defn_b)
+    cache.get_proto("snap-b")
     after = cache.stats()
     assert after["bytes_shipped"] - before["bytes_shipped"] == 16 * PAGE_SIZE
     assert after["pull_dedup_hits"] - before["pull_dedup_hits"] == 48

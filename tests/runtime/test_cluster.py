@@ -156,7 +156,8 @@ def test_upload_stores_artifacts(cluster):
     )
     assert manifest.function == "hello"
     assert manifest.version == 1
-    assert manifest.n_pages == len(cluster.registry.proto("hello").frozen_pages)
+    proto = cluster.instances[0].snapshots.get_proto("hello")
+    assert manifest.n_pages == len(proto.frozen_pages)
 
 
 def test_concurrent_invocations(cluster):

@@ -30,7 +30,7 @@ def invoke_on_every_host(cluster, name):
 
 def test_cross_host_restore_is_metered(cluster):
     cluster.upload("warmed", INIT_SRC, init="init")
-    manifest = cluster.registry.proto("warmed").manifest()
+    manifest, _ = cluster.registry.snapshots.published("warmed")
     invoke_on_every_host(cluster, "warmed")
     stats = cluster.snapshot_stats()
     assert stats["repository"]["resident_pages"] > 0
@@ -91,8 +91,7 @@ def test_host_death_clears_page_cache_and_residency(cluster):
     # The new life starts with an empty page cache...
     assert victim.snapshots.stats()["resident_pages"] == 0
     # ...and the next restore on it re-pulls the pages.
-    proto = victim.snapshots.get_proto(cluster.registry.get("warmed"))
-    assert proto is not None
+    victim.snapshots.get_proto("warmed")
     assert victim.snapshots.stats()["bytes_shipped"] > shipped_before
     assert cluster.warm_sets.resident_hosts("warmed")[victim.host] == 1.0
 

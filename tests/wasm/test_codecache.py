@@ -112,7 +112,7 @@ def test_registry_object_store_loads_share_compiled(tmp_path):
         return s;
     }
     """
-    uploaded = reg.upload("cachedemo", src, snapshot=False, entry="kernel")
+    uploaded = reg.upload("cachedemo", src, entry="kernel")
     before = reg.code_cache_stats()
     d1 = reg.load_from_object_store("cachedemo")
     d2 = reg.load_from_object_store("cachedemo")
@@ -154,7 +154,7 @@ def test_each_function_is_lowered_once_per_process(monkeypatch):
     """One ``exec`` per distinct module, however instances of it come to
     be: upload, plain spawn, Proto-Faaslet restore, a re-upload of the same
     text, ``dlopen`` of the same text into another Faaslet."""
-    from repro.faaslet import Faaslet
+    from repro.faaslet import Faaslet, HostSnapshotCache
     from repro.host.environment import StandaloneEnvironment
     from repro.runtime.registry import FunctionRegistry
     from repro.wasm import instance as instance_module
@@ -180,7 +180,8 @@ def test_each_function_is_lowered_once_per_process(monkeypatch):
     env = StandaloneEnvironment(object_store=reg.object_store)
     expected = sum(i * 770077 for i in range(7))
     spawned = Faaslet(definition, env)
-    restored = [Faaslet(definition, env, proto=reg.proto("once")) for _ in range(3)]
+    proto = HostSnapshotCache("host", reg.snapshots).get_proto("once")
+    restored = [proto.restore(env) for _ in range(3)]
     again = Faaslet(reg.upload("once-more", src, entry="kernel"), env)
     for faaslet in (spawned, *restored, again):
         assert faaslet.invoke_export("kernel") == expected

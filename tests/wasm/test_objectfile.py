@@ -1,14 +1,22 @@
 """Object-file format tests: round-trip, cross-host loading, robustness."""
 
+import pickle
+
 import pytest
 
 from repro.apps.kernels import KERNELS
 from repro.faaslet import Faaslet, FunctionDefinition
 from repro.host import StandaloneEnvironment
 from repro.minilang import build
-from repro.wasm import instantiate
+from repro.wasm import ValType, instantiate, parse_module
 from repro.wasm.codegen import compile_module
-from repro.wasm.objectfile import ObjectFileError, read_object, write_object
+from repro.wasm.objectfile import (
+    ObjectFileError,
+    decode_value,
+    encode_value,
+    read_object,
+    write_object,
+)
 
 
 def roundtrip(module):
@@ -138,3 +146,34 @@ def test_meta_carries_definition_fields():
     definition = other.load_from_object_store("cfg")
     assert definition.max_pages == 32
     assert definition.user == "alice"
+
+
+def test_v128_locals_and_globals_round_trip():
+    module = parse_module(
+        """
+        (module
+          (global $g (mut v128) (v128.const 0x00000000000000090000000800000007))
+          (func (export "main") (result i32)
+            (local $v v128)
+            (local.set $v (i32x4.add (global.get $g) (global.get $g)))
+            (i32x4.extract_lane 2 (local.get $v))))
+        """
+    )
+    restored_module, compiled, _ = roundtrip(module)
+    assert restored_module.globals_[0].type.valtype is ValType.V128
+    assert restored_module.funcs[0].locals == [ValType.V128]
+    inst = instantiate(restored_module, validated=True, precompiled=compiled)
+    assert inst.invoke("main") == 18
+
+
+def test_value_encoder_round_trips_and_refuses_what_it_did_not_write():
+    value = [(ValType.V128, True, bytes(range(16))), (ValType.F64, False, -2.5), None]
+    assert decode_value(encode_value(value)) == value
+    for bad in (
+        pickle.dumps(value),  # not this encoder's: never unpickled
+        encode_value(value)[:-1],  # short
+        encode_value(value) + b"\x00",  # trailing bytes
+        bytes([8, 99]),  # a value type code no ValType has
+    ):
+        with pytest.raises(ObjectFileError):
+            decode_value(bad)
