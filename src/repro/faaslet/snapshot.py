@@ -27,7 +27,7 @@ from repro.telemetry import MetricsRegistry, span
 from repro.wasm.instance import GlobalInstance, Instance
 from repro.wasm.memory import ZERO_DIGEST, LinearMemory, page_digest
 from repro.wasm.objectfile import decode_value, encode_value
-from repro.wasm.types import PAGE_SIZE, Limits, MemoryType
+from repro.wasm.types import PAGE_SIZE, Limits, MemoryType, ValType
 
 from .faaslet import Faaslet, FunctionDefinition
 
@@ -107,8 +107,9 @@ class SnapshotManifest:
     def from_bytes(cls, data: "bytes | bytearray | memoryview") -> "SnapshotManifest":
         """Parse a manifest received from outside. Raises ``ValueError``
         when ``data`` lacks the ``FMAN`` header, names a format other than
-        2, is shorter than its header says, or carries a blob the value
-        encoder did not write (decoding one executes nothing)."""
+        2, is shorter than its header says, carries a blob the value encoder
+        did not write (decoding one executes nothing), or globals not
+        ``(ValType, bool, value)`` triples or a table not ``int | None``s."""
         view = memoryview(data)
         if len(view) < _MANIFEST_HEADER.size:
             raise ValueError("not a snapshot manifest: no FMAN header")
@@ -135,6 +136,11 @@ class SnapshotManifest:
         globals_snapshot = decode_value(view[pos : pos + glen])
         pos += glen
         table_snapshot = decode_value(view[pos : pos + tlen])
+        if type(globals_snapshot) is not list or type(table_snapshot) not in (list, type(None)) or not all(
+                type(g) is tuple and len(g) == 3 and type(g[0]) is ValType and type(g[1]) is bool
+                and type(g[2]) in (int, float, bytes) for g in globals_snapshot) or not all(
+                e is None or type(e) is int for e in table_snapshot or ()):
+            raise ValueError("snapshot manifest: globals or table of the wrong shape")
         return cls(name, version, tuple(digests), globals_snapshot, table_snapshot)
 
 

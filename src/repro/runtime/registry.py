@@ -82,7 +82,7 @@ class FunctionRegistry:
         artifacts land in the object store, and the function is registered
         last, so calls see the new version only once it can cold-start.
         """
-        from repro.wasm import print_module
+        from repro.wasm.codecache import module_text
         from repro.wasm.objectfile import write_object
 
         with span("function.upload", function=name, lang=lang):
@@ -100,7 +100,7 @@ class FunctionRegistry:
         # any host can instantiate from without recompiling (§3.4/§5.2).
         # Both are encoded before anything is published.
         artifacts = {
-            f"functions/{name}.wat": print_module(module).encode(),
+            f"functions/{name}.wat": module_text(module).encode(),
             f"functions/{name}.obj": write_object(
                 definition.module,
                 definition.compiled,

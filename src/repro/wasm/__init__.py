@@ -18,6 +18,8 @@ Typical use::
     assert inst.invoke("add", 2, 3) == 5
 """
 
+from types import ModuleType as _ModuleType
+
 from .codegen import CompiledFunction, compile_function, compile_module
 from .compiled import lower_function
 from .errors import (
@@ -70,63 +72,5 @@ from .types import (
 )
 from .validation import validate_module
 
-__all__ = [
-    "BlockType",
-    "CallStackExhausted",
-    "CompiledFunction",
-    "DataSegment",
-    "ElementSegment",
-    "Export",
-    "F32",
-    "F64",
-    "FuncType",
-    "Function",
-    "Global",
-    "GlobalType",
-    "HostFunc",
-    "I32",
-    "I64",
-    "ImportedFunc",
-    "IndirectCallTypeMismatch",
-    "Instance",
-    "Instr",
-    "IntegerDivideByZero",
-    "IntegerOverflow",
-    "InvalidConversion",
-    "LinearMemory",
-    "Limits",
-    "LinkError",
-    "MemoryType",
-    "Module",
-    "ModuleBuilder",
-    "OutOfBoundsMemoryAccess",
-    "OutOfBoundsTableAccess",
-    "OutOfFuel",
-    "PAGE_SIZE",
-    "Page",
-    "ParseError",
-    "TIERS",
-    "TableType",
-    "Trap",
-    "UnalignedAtomicAccess",
-    "UndefinedElement",
-    "UnreachableExecuted",
-    "V128",
-    "ValType",
-    "ValidationError",
-    "WasmError",
-    "canon_v128",
-    "compile_function",
-    "compile_module",
-    "f64x2",
-    "f64x2_lanes",
-    "i32x4",
-    "i32x4_lanes",
-    "instantiate",
-    "instr",
-    "lower_function",
-    "parse_module",
-    "print_module",
-    "v128_to_int",
-    "validate_module",
-]
+#: Every public name imported above, and nothing else.
+__all__ = sorted(n for n, v in globals().items() if n[0] != "_" and not isinstance(v, _ModuleType))

@@ -31,7 +31,7 @@ from repro.telemetry import MetricsRegistry, span
 from .codegen import CompiledFunction, compile_module
 from .module import Module
 
-_KEY_ATTR = "_codecache_key"
+_KEY_ATTR, _TEXT_ATTR = "_codecache_key", "_printed_text"
 
 #: ISA/tier revision folded into every structural cache key. Bump when the
 #: instruction set or the compiled-code shape changes (new opcode families,
@@ -42,8 +42,19 @@ _KEY_ATTR = "_codecache_key"
 #: replaced closure-threaded blocks with whole-function compiled code;
 #: "4" checks an innermost counted loop's range once per entry (its guard),
 #: and runs a guarded iteration that is one superblock as one ``for`` pass;
-#: "5" divides with the Python operator where its result is the wasm one.
-ISA_VERSION = "repro-isa-5"
+#: "5" divides with the Python operator where its result is the wasm one;
+#: "6" checks a 2-deep rectangular counted nest's range once per nest entry
+#: and runs each of its inner loops whole as a pass of its own.
+ISA_VERSION = "repro-isa-6"
+
+
+def module_text(module: Module) -> str:
+    """``module`` printed once (memoised): what the registry stores and :func:`module_key` hashes."""
+    if (text := getattr(module, _TEXT_ATTR, None)) is None:
+        from .printer import print_module
+
+        setattr(module, _TEXT_ATTR, text := print_module(module))
+    return text
 
 
 def module_key(module: Module) -> str:
@@ -54,10 +65,8 @@ def module_key(module: Module) -> str:
     """
     key = getattr(module, _KEY_ATTR, None)
     if key is None:
-        from .printer import print_module
-
         hasher = hashlib.sha256(ISA_VERSION.encode() + b"\x00")
-        hasher.update(print_module(module).encode())
+        hasher.update(module_text(module).encode())
         key = hasher.hexdigest()
         setattr(module, _KEY_ATTR, key)
     return key
@@ -68,8 +77,7 @@ class ModuleCodeCache:
 
     Hit/miss/seed counters live in a
     :class:`~repro.telemetry.metrics.MetricsRegistry` (the cache's own by
-    default); the historic ``hits``/``misses``/``seeded`` attributes are
-    views over those counters, so
+    default), and :meth:`stats` reads them, so
     :meth:`~repro.runtime.registry.FunctionRegistry.code_cache_stats`
     consumers and the churn benchmarks see the same numbers as a
     registry snapshot does.
@@ -83,18 +91,6 @@ class ModuleCodeCache:
         self._hits = self.metrics.counter("codecache.hits")
         self._misses = self.metrics.counter("codecache.misses")
         self._seeded = self.metrics.counter("codecache.seeded")
-
-    @property
-    def hits(self) -> int:
-        return self._hits.value
-
-    @property
-    def misses(self) -> int:
-        return self._misses.value
-
-    @property
-    def seeded(self) -> int:
-        return self._seeded.value
 
     def get_or_compile(self, module: Module) -> list[CompiledFunction]:
         """Return the cached compiled functions for ``module``, running
@@ -144,12 +140,8 @@ class ModuleCodeCache:
 
     def stats(self) -> dict[str, int]:
         with self._lock:
-            return {
-                "entries": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-                "seeded": self.seeded,
-            }
+            return {"entries": len(self._entries), "hits": self._hits.value,
+                    "misses": self._misses.value, "seeded": self._seeded.value}
 
     def clear(self) -> None:
         with self._lock:

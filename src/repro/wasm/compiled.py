@@ -53,27 +53,33 @@ Lowering rules
   ``npg`` caches ``len(pages)``; pages are removed only between calls (a
   Faaslet's reset), so a stale value only sends an access down that path.
 
-* **An innermost counted loop checks its range once per entry.** For the
-  ``for`` shape (counter ``iv`` stepped last by ``+c``, exit test ``iv < n``
-  or ``<=``, no call, grow, atomic, v128 access or inner loop, addresses
-  ``B + S*iv`` over locals the loop never writes) a guard ``_h`` checks one
-  iteration, ``z + c < 2**31`` for the last value ``z``, each access's page
-  and in-page offset at ``iv`` and ``z``, and stored-to pages ``writable``.
-  On a hit, when an iteration is one superblock, the loop's first statement
-  is one pass ``for iv in range(iv, min(iv + (lim - ex) // K * c, z + 1),
-  c)`` over the body alone: only the iterations fuel pays for (``K`` per
-  iteration, charged after the pass), on views bound once, f64/i32/i64
-  accesses as items of a typed ``view.cast`` view (little-endian hosts;
-  base and stride aligned by the guard), each store behind its page's
-  ``writable`` test. A body with an ``if`` instead runs whole iterations,
-  its exit test and step on plain ints, while ``ex + K <= lim``. Either way
-  the metered arm, where another guest thread can run, is never inside; a
-  store's miss clears ``_h`` and leaves after that iteration, and today's
-  code carries on with the exit test and the rest. SFI holds because a miss is
-  today's code and :mod:`repro.wasm.verify` (trusted, like the validator)
-  checks every function before it compiles; what it refuses, or what
-  passes CPython's 20 nested loops or ~100 indentation levels, runs on the
-  interpreter (``wasm.compile_fallbacks{cause="unverified"|"too-deep"}``).
+* **A counted loop checks its range once per entry.** For the ``for``
+  shape (counter ``iv`` stepped last by ``+c``, exit test ``iv < n`` or
+  ``<=``, no call, grow, atomic or v128 access, addresses ``B + S*iv`` over
+  locals the loop never writes) a guard ``_h`` checks one iteration,
+  ``z + c < 2**31`` for the last value ``z``, each access's page and
+  in-page offset at ``iv`` and ``z``, and stored-to pages ``writable``. On
+  a hit, when an iteration is one superblock, the loop's first statement is
+  one pass ``for iv in range(iv, min(iv + (lim - ex) // K * c, z + 1), c)``
+  over the body alone: only the iterations fuel pays for (``K`` each,
+  charged after the pass), on views bound once, f64/i32/i64 accesses as
+  items of a typed ``view.cast`` view (little-endian hosts; base and stride
+  aligned by the guard), each store behind its page's ``writable`` test. A
+  body with an ``if`` instead runs whole iterations, its exit test and step
+  on plain ints, while ``ex + K <= lim``. A 2-deep *nest* is the same plan
+  over a list of counters: an outer loop whose body is superblocks and inner
+  counted loops, each starting from a constant and bounded by locals the
+  nest never writes, every access affine in both counters. Its guard boxes
+  each access at every corner of the counters' ranges; its pass runs whole
+  outer iterations (``K`` adds each inner trip count times its cost), each
+  inner loop as its own ``for j in range(j0, z_j + 1, c_j)``. Either way the
+  metered arm, where another guest thread can run, is never inside; a
+  store's miss clears ``_h`` and leaves after that (outer) iteration, and
+  today's code, inner guards included, carries on. SFI holds because a miss
+  is today's code and :mod:`repro.wasm.verify` (trusted, like the
+  validator) checks every function before it compiles; what it refuses, or
+  what passes CPython's 20 nested loops or ~100 indentation levels, runs on
+  the interpreter (``wasm.compile_fallbacks{cause="unverified"|"too-deep"}``).
 """
 
 from __future__ import annotations
@@ -83,6 +89,8 @@ import gc
 import math
 import struct
 import sys
+from collections import namedtuple
+from itertools import product
 
 from .codecache import GLOBAL_CODE_CACHE
 from .errors import CallStackExhausted, UnreachableExecuted
@@ -352,6 +360,9 @@ _PURE = frozenset("local.get i32.const i32.add i32.sub i32.mul i32.shl".split())
 #: whole little-endian f64/i32/i64 items, on a host whose native ones are those.
 _TYPED = {f"{t}.{a}": c for t, c in zip(["f64", "i32", "i64"], "dIQ") for a in ["load", "store"]
           } if sys.byteorder == "little" and [struct.calcsize(c) for c in "dIQ"] == [8, 4, 8] else {}
+_SETS = ("local.set", "local.tee")
+#: One loop of a nest: counter, step, exit compare's pc, bound, inner start, pcs, one superblock?
+_Level = namedtuple("_Level", "iv step cmp bound start pc stop one")
 _ARITY = dict.fromkeys(CONST_OPS, (0, 1)) | {"local.set": (1, 0), "local.tee": (1, 1),
                                              "global.get": (0, 1), "global.set": (1, 0),
                                              "drop": (1, 0), "select": (3, 1)}
@@ -379,18 +390,26 @@ def _pexpr(p) -> str:
                       for m, k in sorted(p.items())) or "0"
 
 
-def _counted(code, lo, end):
-    """``(iv, step, compare pc, bound, {access pc: (alpha, beta)})`` for the
-    loop at ``lo`` ending at ``end`` if it is an innermost counted loop
-    (module doc), an access's address plus offset being ``alpha + beta*iv``."""
+def _split(p, iv):
+    """``(alpha, beta)`` with ``p = alpha + beta*iv``; None unless affine in ``iv``."""
+    if p is not None and all(m.count(iv) < 2 for m in p):
+        return ({m: k for m, k in p.items() if iv not in m},
+                {tuple(i for i in m if i != iv): k for m, k in p.items() if iv in m})
+
+
+def _counted(code, lo, end, inner):
+    """``(levels, {access pc: (alpha, {iv: beta})})`` for the loop at ``lo``
+    ending at ``end`` if it is a counted loop (module doc): its :class:`_Level`
+    and, for a nest, each inner loop's (planned in ``inner``), an access's
+    address plus offset being ``alpha + sum(beta*iv)``."""
     tail = code[end - 5:end]
     if [t[0] for t in tail] != ["local.get", "i32.const", "i32.add", "local.set", "br"]:
         return None
     iv, step = tail[0][1], tail[1][1]
-    written = {ins[1] for ins in code[lo:end - 5] if ins[0] in ("local.set", "local.tee")}
+    written = {ins[1] for ins in code[lo:end - 5] if ins[0] in _SETS}
     if tail[3][1] != iv or tail[4][1] or not 0 < step < 2**31 or iv in written:
         return None
-    stack, frames, acc, bound, cmp_pc, pc = [], [], {}, None, None, lo + 1
+    stack, frames, acc, bound, cmp_pc, pc, levels, consts = [], [], {}, None, None, lo + 1, [], {}
     while pc < end - 5:
         ins = code[pc]
         op = ins[0]
@@ -399,15 +418,32 @@ def _counted(code, lo, end):
                 and stack[1] is not None and all(iv not in m for m in stack[1]):
             bound, cmp_pc, stack, pc = stack[1], pc, [], pc + 3  # the exit test
             continue
+        if op == "block" and pc + 1 in inner and bound is not None and not stack:  # a nest
+            (lv, *deeper), sub = inner[pc + 1]
+            start, inside = consts.get(lv.iv), {i[1] for i in code[pc:lv.stop] if i[0] in _SETS}
+            if deeper or not lv.one or start is None or not 0 <= start < 2**31 or any(
+                    i in written or i == iv for m in lv.bound for i in m):
+                return None
+            for q, (alpha, betas) in sub.items():
+                split = _split(alpha, iv)
+                if not split or any(i in written or i == iv for b in (alpha, *betas.values())
+                                    for m in b for i in m if b is not alpha or i != iv):
+                    return None
+                acc[q] = (split[0], {v: b for v, b in ((iv, split[1]), *betas.items()) if b})
+            levels.append(lv._replace(start=start))
+            consts, pc = {x: c for x, c in consts.items() if x not in inside}, lv.stop
+            continue
         if op in _UNHOISTABLE or "atomic" in op:
             return None
         if op in LOAD_OPS or op in STORE_OPS:
-            p = stack[-1 if op in LOAD_OPS else -2]
-            if bound is None or p is None or any(m.count(iv) > 1 for m in p):
+            split = _split(stack[-1 if op in LOAD_OPS else -2], iv)
+            alpha = split and _ring("i32.add", split[0], {(): ins[1]})
+            if bound is None or alpha is None:
                 return None
-            beta = {tuple(i for i in m if i != iv): k for m, k in p.items() if iv in m}
-            alpha = {m: k for m, k in p.items() if iv not in m}
-            acc[pc] = (_ring("i32.add", alpha, {(): ins[1]}), beta)
+            acc[pc] = (alpha, {iv: split[1]} if split[1] else {})
+        if op in _SETS:  # the constants inner loops may start from
+            consts[ins[1]] = stack[-1].get((), 0) if op == "local.set" and stack[-1] is not None \
+                and stack[-1].keys() <= {()} else None
         if op == "local.get":
             stack.append(None if ins[1] in written else {(ins[1],): 1})
         elif op == "i32.const":
@@ -427,7 +463,11 @@ def _counted(code, lo, end):
             del stack[len(stack) - n_in:]
             stack += [None] * n_out
         pc += 1
-    return None if bound is None or stack or frames else (iv, step, cmp_pc, bound, acc)
+    one = bound is not None and all(code[k][0] in _PURE for k in range(lo + 1, cmp_pc)) and all(
+        code[k][0] != "if" for k in range(cmp_pc + 3, end - 5))
+    if bound is None or stack or frames or levels and not one:
+        return None
+    return [_Level(iv, step, cmp_pc, bound, None, lo, end + 2, one), *levels], acc
 
 
 class _Lowering:
@@ -438,11 +478,12 @@ class _Lowering:
         self.module = module
         self.code = fn.code
         self.targeted, self.merged, self.joins, end_of = _analyse(fn.code)
-        #: Counted loops (loop pc → plan, pc past it) and the one being hoisted.
-        self.loops = {pc + 1: (plan, end_of[pc] + 1) for pc in self.merged
-                      if (plan := _counted(fn.code, pc + 1, end_of[pc] - 1))}
+        #: Counted loops and nests (loop pc → plan), inner first, and the one being hoisted.
+        self.loops = {}
+        for pc in sorted(self.merged, reverse=True):
+            if plan := _counted(fn.code, pc + 1, end_of[pc] - 1, self.loops):
+                self.loops[pc + 1] = plan
         self.hoist, self.hoisted = None, {}
-        self.n_locals = fn.n_locals
         self.ns: dict = {}
         self._bound: dict[int, str] = {}
         self.lines: list[str] = []
@@ -573,15 +614,11 @@ class _Lowering:
         body, self.body = self.body, None
         cost = end - start
         term = 1 if self.code[end - 1][0] in _TERMINATORS else 0
-        slow = [
-            f"_S = [{', '.join(self.sb_entry)}]",
-            f"_L = [{', '.join(f'L{i}' for i in range(self.n_locals))}]",
-            f"lim, ex = inst._run_metered(_code, {start}, {end - term}, "
-            f"{term}, _S, _L, lim, ex - {cost})",
-        ]
+        used = sorted({ins[1] for ins in self.code[start:end] if ins[0] in ("local.get", *_SETS)})
+        slow = [f"_S = [{', '.join(self.sb_entry)}]", f"_L = {{{', '.join(f'{i}: L{i}' for i in used)}}}",
+                f"lim, ex = inst._run_metered(_code, {start}, {end - term}, {term}, _S, _L, lim, ex - {cost})"]
         slow += [f"L{i} = _L[{i}]" for i in sorted(self.sb_written)]
-        slow += [f"{v.expr} = _S[{i}]" for i, v in enumerate(self.sym)
-                 if v.atom and v.temp >= self.sb_temp0]
+        slow += [f"{v.expr} = _S[{i}]" for i, v in enumerate(self.sym) if v.atom and v.temp >= self.sb_temp0]
         if self.hoist:  # the iteration's fuel was checked (a pass: is charged) whole
             if not self.hoist[-1]:
                 self.emit(f"ex += {cost}")
@@ -754,7 +791,7 @@ class _Lowering:
             if self.body is None:
                 if pc in self.loops:
                     if not self.hoist:  # the guarded walk is inside its loop already
-                        self.version(pc, *self.loops[pc])
+                        self.version(pc, self.loops[pc])
                 elif pc in self.targeted and op != "if" and pc not in self.merged:
                     if op == "loop" and ins[2]:
                         base = len(self.sym) - ins[2]
@@ -764,82 +801,99 @@ class _Lowering:
                 self.open_sb(pc)
             self.lower(pc, ins)
 
-    def version(self, pc: int, plan, stop: int) -> None:
-        """Open the counted loop at ``pc`` behind its guard, its pass (or, for
-        a body with an ``if``, its guarded iteration) first (module doc); the
-        walk then lowers today's iteration."""
-        (iv, step, cmp_pc, bound, acc), cmp = plan, self.code[plan[2]][0]
-        L, sym, n, z, h = f"L{iv}", _EXIT[cmp], f"_n{pc}", f"_z{pc}", f"_h{pc}"
-        conds, pages, casts, self.hoisted = [f"{L} {sym} {n}", f"{z} + {step} < {_S32}"], {}, {}, {}
-        items = []  # per typed access, its base and (symbolic) stride in items: ``_e``, ``_f``
-        # One superblock an iteration, after an exit test that only compares:
-        # the loop runs as one ``for`` pass.
-        one = all(self.code[k][0] in _PURE for k in range(pc + 1, cmp_pc)) and all(
-            self.code[k][0] != "if" for k in range(cmp_pc + 3, stop - 7))
-        for q, (alpha, beta) in sorted(acc.items()):  # one page per affine family:
-            g = pages.setdefault((frozenset(m for m in alpha if m), frozenset(beta.items())), q)
-            coef = str(beta.get((), 0)) if beta.keys() <= {()} else f"_m{g}"
-            at = {v: f" + {v} * {coef}" if beta else "" for v in (L, z)}
-            if g == q:
-                if coef == f"_m{g}":
-                    self.emit(f"{coef} = {_pexpr(beta)}")
-                self.emit(f"_p{g} = ({_pexpr(alpha)}{at[L]}) >> 16")
-                conds.append(f"0 <= _p{g} < npg")
+    def version(self, pc: int, plan) -> None:
+        """Open the counted loop or nest at ``pc`` behind its guard, its pass (or,
+        for a body with an ``if``, its guarded iteration) first (module doc);
+        the walk then lowers today's iteration."""
+        (top, *inner), acc = plan
+        L, h, levels, cmp = f"L{top.iv}", f"_h{pc}", [top, *inner], self.code[top.cmp][0]
+        if len(self.pyloops) + len(inner) >= MAX_PY_LOOPS:  # the ``while`` and each ``for``
+            raise _TooDeep
+        conds, heads, ends, pages, casts, items, strides, self.hoisted = [], [], {}, {}, {}, [], {}, {}
+        for lv in levels:
+            n, z, s, op = f"_n{lv.pc}", f"_z{lv.pc}", L if lv is top else str(lv.start), self.code[lv.cmp][0]
+            e = f"({_pexpr(lv.bound)}) & {_M32}"
+            heads += [f"{n} = {_signed(e, _S32) if op.endswith('_s') else e}",
+                      f"{z} = {s} + ({n}{' - 1' * (_EXIT[op] == '<')} - {s}) // {lv.step} * {lv.step}"]
+            conds += [f"{s} {_EXIT[op]} {n}", f"{z} + {lv.step} < {_S32}"]
+            ends[f"L{lv.iv}"] = (s, z)
+        for q, (alpha, betas) in sorted(acc.items()):  # one page per affine family:
+            g = pages.setdefault((frozenset(m for m in alpha if m), frozenset(
+                (v, frozenset(b.items())) for v, b in betas.items())), q)
+            terms = []  # (counter, byte stride) of each counter the address moves with
+            for l, beta in enumerate(betas.get(lv.iv) for lv in levels):
+                if beta:
+                    c = str(beta[()]) if beta.keys() == {()} else strides.setdefault(_pexpr(beta), f"_m{q}{l}")
+                    if c == f"_m{q}{l}":
+                        self.emit(f"{c} = {_pexpr(beta)}")
+                    terms.append((f"L{levels[l].iv}", c))
+            at = lambda vals: "".join(f" + {v} * {c}" for v, (_, c) in zip(vals, terms) if v != "0")
             op, off = self.code[q][:2]
+            size, here = (LOAD_OPS.get(op) or STORE_OPS[op])[1], at([x for x, _ in terms])
+            if g == q:
+                self.emit(f"_p{g} = ({_pexpr(alpha)}{at([ends[x][0] for x, _ in terms])}) >> 16")
+                conds.append(f"0 <= _p{g} < npg")
             self.emit(f"_b{q} = {_pexpr(alpha)} - (_p{g} << 16)")
-            size = (LOAD_OPS.get(op) or STORE_OPS[op])[1]
-            conds += [f"{off} <= _b{q}{at[v]} <= {PAGE_SIZE - size}" for v in (L, z)]
-            if op in STORE_OPS:
-                conds.append(f"pages[_p{g}].writable")
-            fmt, k, typed = one and _TYPED.get(op), size.bit_length() - 1, None
-            if fmt and (coef[0] == "_" or not int(coef) % size):  # whole items of a view
-                conds += [f"not {x} & {size - 1}" for x in (f"_b{q}", coef) if x[0] == "_"]
-                casts[f"_c{g}{fmt}"] = g
-                items += [f"_e{q} = _b{q} >> {k}"] + [f"_f{q} = {coef} >> {k}"] * (coef[0] == "_")
-                t = f"_f{q}" if coef[0] == "_" else str(int(coef) >> k)
-                t = "" if not beta else f" + {L}" if t == "1" else f" + {L} * {t}"
-                typed = f"_c{g}{fmt}[_e{q}{t}]"
-            self.hoisted[q] = (f"_v{g}, _b{q}{at[L]}", f"_P{g}.writable",
-                               f"(_p{g} << 16) + _b{q}{at[L]}", typed)
-        e = f"({_pexpr(bound)}) & {_M32}"
-        self.emit(f"{n} = {_signed(e, _S32) if cmp.endswith('_s') else e}")
-        self.emit(f"{z} = {L} + ({n}{' - 1' * (sym == '<')} - {L}) // {step} * {step}")
-        self.emit(f"{h} = {' and '.join(dict.fromkeys(conds))}")
-        if pages:
-            self.emit(f"if {h}:")
-        for g in pages.values():
-            self.emit(f"    _P{g} = pages[_p{g}]")
-            self.emit(f"    _v{g} = _P{g}.view")
-            for view in (c for c, of in casts.items() if of == g):
-                self.emit(f"    {view} = _v{g}.cast({view[-1]!r})")
-        for line in items:
+            conds += [f"{off} <= _b{q}{at(c)} <= {PAGE_SIZE - size}" for c in product(*(ends[x] for x, _ in terms))]
+            conds += [f"pages[_p{g}].writable"] * (op in STORE_OPS)
+            fmt, k, typed = top.one and _TYPED.get(op), size.bit_length() - 1, None
+            if fmt and all(c[0] == "_" or not int(c) % size for _, c in terms):  # whole items of a view
+                conds += [f"not {x} & {size - 1}" for x in (f"_b{q}", *(c for _, c in terms)) if x[0] == "_"]
+                casts[f"_c{g}{fmt}"], typed, items = g, f"_c{g}{fmt}[_e{q}", items + [f"_e{q} = _b{q} >> {k}"]
+                for l, (x, c) in enumerate(terms):  # each stride in items: a constant, or ``_f = _m >> k``
+                    items += [f"_f{q}{l} = {c} >> {k}"] * (c[0] == "_")
+                    t = f"_f{q}{l}" if c[0] == "_" else str(int(c) >> k)
+                    typed += f" + {x}" if t == "1" else f" + {x} * {t}"
+                typed += "]"
+            self.hoisted[q] = (f"_v{g}, _b{q}{here}", f"_P{g}.writable", f"(_p{g} << 16) + _b{q}{here}", typed)
+        binds = [x for g in pages.values() for x in (f"_P{g} = pages[_p{g}]", f"_v{g} = _P{g}.view", *(
+            f"{c} = _v{g}.cast({c[-1]!r})" for c, of in casts.items() if of == g))] + items
+        for line in heads + [f"{h} = {' and '.join(dict.fromkeys(conds))}"] + [f"if {h}:"] * bool(pages):
+            self.emit(line)
+        for line in binds:
             self.emit(f"    {line}")
         self.open_while()
-        cost = stop - 2 - pc  # one iteration: no instruction runs twice
+        # One (outer) iteration: each inner loop's trip count times its cost and its last exit test.
+        cost = top.stop - 2 - pc + sum(lv.cmp + 1 - lv.pc for lv in inner)
+        cost = f"({cost}{''.join(f' + (_z{lv.pc} - {lv.start}) // {lv.step} * {lv.stop - 2 - lv.pc}' for lv in inner)})" \
+            if inner else cost
         self.emit(f"if {h} and ex + {cost} <= lim:")
         self.indent()
         saved = list(self.sym), list(self.ctrl), self.ntemp
-        self.hoist = (iv, cmp_pc, _cmp(L, n, sym), h, one)
-        if one:  # the iterations fuel can pay for, capped at z; charged after
+        self.hoist = (top.iv, top.cmp, _cmp(L, f"_n{pc}", _EXIT[cmp]), h, top.one)
+        if top.one:  # the iterations fuel can pay for, capped at z; charged after
             self.emit(f"_s{pc} = {L}")
             self.emit(f"for {L} in range({L}, min({L} + (lim - ex) // {cost}"
-                      f"{f' * {step}' * (step > 1)}, {z} + 1), {step}):")
+                      f"{f' * {top.step}' * (top.step > 1)}, _z{pc} + 1), {top.step}):")
             self.indent()
-            self.walk(cmp_pc + 3, stop - 7)
-            if self.body is not None:
-                self.close_sb()
+            at = top.cmp + 3
+            for lv in inner:  # each inner loop whole, its counter stepped past its z after it
+                self.segment(at, lv.pc - 1)
+                self.emit(f"for L{lv.iv} in range({lv.start}, _z{lv.pc} + 1, {lv.step}):")
+                self.indent()
+                self.segment(lv.cmp + 3, lv.stop - 7)
+                self.dedent()
+                self.emit(f"L{lv.iv} = (L{lv.iv} + {lv.step})")
+                at = lv.stop
+            self.segment(at, top.stop - 7)
             if any(self.code[q][0] in STORE_OPS for q in self.hoisted):
                 self.emit(f"if not {h}:")  # a store missed: leave after this iteration
                 self.emit("    break")
             self.dedent()
-            done = f"{L} - _s{pc} + 1" if step == 1 else f"({L} - _s{pc}) // {step} + 1"
+            done = f"{L} - _s{pc} + 1" if top.step == 1 else f"({L} - _s{pc}) // {top.step} + 1"
             self.emit(f"ex += ({done}) * {cost}")
-            self.emit(f"{L} = ({L} + {step})")
+            self.emit(f"{L} = ({L} + {top.step})")
         else:
-            self.walk(pc, stop - 2)
+            self.walk(pc, top.stop - 2)
         self.hoist, (self.sym, self.ctrl, self.ntemp), self.live = None, saved, True
         self.dedent()
         self.emit(f"{h} = 0")  # this entry of the loop stays general from here
+
+    def segment(self, start: int, stop: int) -> None:
+        """Lower straight-line code of a pass, closing its last superblock."""
+        self.walk(start, stop)
+        if self.body is not None:
+            self.close_sb()
 
     def assemble(self) -> str:
         fn = self.fn
@@ -1000,7 +1054,7 @@ class _Lowering:
             self.emit("else:")
             kind = "v128" if size == 16 else "float" if ty.is_float else "int"
             self.emit(f"    mem.store_{kind}({address}, {v.expr}{f', {size}' * (size < 16)})")
-            if self.hoist and pc in self.hoisted:  # then leave the guarded iteration
+            if self.hoist and pc in self.hoisted:  # then leave the pass after this iteration
                 self.emit(f"    {self.hoist[3]} = 0")
         elif op in SIMD_EXTRACT_OPS:
             a = self.pop()

@@ -95,11 +95,3 @@ class UnalignedAtomicAccess(Trap):
 class OutOfFuel(Trap):
     """The instance ran out of fuel (CPU metering, used by cgroup accounting)."""
 
-
-class MemoryGrowError(WasmError):
-    """``memory.grow`` beyond the configured maximum (reported as -1 to guest,
-    raised only by the embedder-facing API)."""
-
-
-class StackOverflowError(Trap):
-    """The operand stack exceeded its limit (defence in depth)."""

@@ -6,7 +6,10 @@ whose output :func:`verify` checks in one walk before it is compiled. Every
 page view goes to a ``struct`` (un)pack under its bounds test, or to one a
 guarded iteration's entry guard covered; a typed view is subscripted only
 inside a pass capped at the guard's last iteration, at an item the guard
-aligned and bounded. DESIGN.md §2.1 states the rules.
+aligned and bounded. A nest's guard is the same rule over a box of counters:
+an access is covered at every corner of the ranges its counters' passes
+hold them in, and an inner bound reads no counter or local the nest writes.
+DESIGN.md §2.1 states the rules.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import ast
 import re
 import struct
+from itertools import product
 
 from .futex import atomic_notify, atomic_wait32
 from .memory import INLINE_LOADS, INLINE_STORES
@@ -46,7 +50,7 @@ _KIDS = {ast.BinOp: lambda n: (n.left, n.right), ast.List: lambda n: n.elts,
          ast.Tuple: lambda n: n.elts, ast.Compare: lambda n: (n.left, *n.comparators),
          ast.Subscript: lambda n: (n.value, n.slice), ast.UnaryOp: lambda n: (n.operand,),
          ast.BoolOp: lambda n: n.values, ast.JoinedStr: lambda n: n.values,
-         ast.FormattedValue: lambda n: (n.value,)}
+         ast.FormattedValue: lambda n: (n.value,), ast.Dict: lambda n: (*n.keys, *n.values)}
 _TEXT = {ast.Name: lambda n: n.id, ast.Constant: lambda n: repr(n.value),
          ast.Attribute: lambda n: f"{_src(n.value)}.{n.attr}",
          ast.Subscript: lambda n: f"{_src(n.value)}[{_src(n.slice)}]",
@@ -70,6 +74,12 @@ def _src(n) -> str:
     names (or a call with keywords) renders unequal to every form."""
     text = _TEXT.get(type(n))
     return text(n) if text and not getattr(n, "keywords", None) else f"<{type(n).__name__}>"
+
+
+def _stmt(s) -> str:
+    """One plain assignment as text (anything else renders as ``?``)."""
+    single = type(s) is ast.Assign and len(s.targets) == 1
+    return f"{_src(s.targets[0])} = {_src(s.value)}" if single else "?"
 
 
 def _conj(test) -> list[str]:
@@ -114,13 +124,13 @@ class _Checker:
                         if type(n) is ast.Name:
                             names.append(n.id)
                         elif type(n) is ast.Subscript:  # only a typed view's item
-                            self.typed(n, {c for x in tests for c in _conj(x)}, True)
+                            self.covered(n, None, {c for x in tests for c in _conj(x)}, 0, True)
                         else:
                             self.expr(n, tests, env)
                 assigned.update(names)
                 self.expr(s.value, tests, env)
                 if any(n in _WATCHED or n[:2] == "_h" or g and (
-                        n == g["iv"] or _FROZEN.fullmatch(n)) for n in names):
+                        n == g["iv"] or n in g["in"] or _FROZEN.fullmatch(n)) for n in names):
                     if not g and type(s.value) is ast.BoolOp and re.fullmatch(r"_h\d+", names[0]):
                         taken, inner = self.guard(s, body, i - 1)
                         i, assigned, tests = i + taken, assigned | inner, []
@@ -133,15 +143,15 @@ class _Checker:
             elif t is ast.If or t is ast.While:
                 self.expr(s.test, tests, env)
                 if g and body is g["top"] and [_src(s.test), *map(_src, s.body)] == g["exit"]:
-                    g["at"] = "tested"  # the exit test: iv <= z from here on
+                    g["in"][g["iv"]] = (g["iv"], g["z"])  # the exit test: iv <= z from here on
                 inner = self.block(s.body, *(([], {}) if t is ast.While else (
                     tests + [s.test], env))) | self.block(s.orelse, tests, env)
                 assigned |= inner
                 for name in inner:
                     env.pop(name, None)
                 tests = [] if inner & _WATCHED else tests
-            elif t is ast.For and g and body is g["top"]:
-                assigned |= self.pass_(s, tests, env)
+            elif t is ast.For and g:
+                assigned |= self.pass_(s, tests, env, body is g["top"])
                 tests = []
             elif t not in (ast.Break, ast.Continue, ast.Pass):
                 _fail(s, f"{t.__name__} statement")
@@ -156,8 +166,8 @@ class _Checker:
             if t in _FIXED and not (simple and value == _FIXED[t]) or t[:2] == "_h" \
                     and not (simple and value == "0") or g and _FROZEN.fullmatch(t):
                 _fail(s, f"{t!r} assigned {value}")
-            if g and t == g["iv"] and not (
-                    simple and value == f"({t} + {g['step']})" and body is g["top"]
+            if g and (t == g["iv"] or t in g["in"]) and not (
+                    simple and value == f"({t} + {g['step']})" and body is g["top"] and t == g["iv"]
                     and [_src(x) for x in body[i:]] in (["<Continue>"], [])):
                 _fail(s, "counter written other than by its step, last")
         if simple and names[0] == "_a":
@@ -170,7 +180,7 @@ class _Checker:
         t = type(n)
         kids = _KIDS.get(t)
         if t is ast.Subscript and _CAST.fullmatch(_src(n.value)):
-            self.typed(n, {c for x in tests for c in _conj(x)}, False)
+            self.covered(n, None, {c for x in tests for c in _conj(x)}, 0, False)
         elif kids:
             for k in kids(n):
                 if type(k) is ast.Name:
@@ -207,7 +217,7 @@ class _Checker:
     def access(self, call, facts, env, kind, size) -> None:
         args, g = [_src(a) for a in call.args], self.g
         if g and args[0] in g["views"]:
-            return self.hoisted(call, facts, size, g["views"][args[0]] if kind == "store" else "")
+            return self.covered(call, args[1], facts, size, kind == "store" and g["views"][args[0]])
         split = env.get("_p")
         if args[:2] != ["pages[_p].view", "_o"] or split is None or split is not env.get("_o"):
             _fail(call, "access is not split from one address into _p and _o")
@@ -219,19 +229,22 @@ class _Checker:
     def guard(self, s, body, i) -> tuple:
         """Check the guard ``_h`` at ``body[i]`` with what it needs around it;
         returns how many statements past it that took, and what they assign."""
-        h, conj = s.targets[0].id, _conj(s.value)
-        head = re.fullmatch(r"\((L\d+) (<=?) (_n\d+)\) \(\((_z\d+) \+ (\d+)\) < 2147483648\)",
-                            " ".join(conj[:2]))
-        iv, op, n, z, step = head.groups() if head else ("",) * 5
-        span = f"(({n} - 1) - {iv})" if op == "<" else f"({n} - {iv})"  # z = iv + span//c*c
-        if not head or i < 2 or h in self.guards or [_src(getattr(x, "targets", [s])[0]) for x in
-                body[i - 2:i]] != [n, z] or _src(body[i - 1].value) != \
-                f"({iv} + (({span} // {step}) * {step}))":
+        h, conj, levels, want = s.targets[0].id, _conj(s.value), [], []
+        while head := re.fullmatch(r"\((L\d+|\d+) (<=?) (_n\d+)\) \(\((_z\d+) \+ (\d+)\) < 2147483648\)",
+                                   " ".join(conj[2 * len(levels):2 * len(levels) + 2])):
+            lo, op, n, z, step = head.groups()  # a counter's first value, its exit compare, n, z, step
+            span = f"(({n} - 1) - {lo})" if op == "<" else f"({n} - {lo})"  # z = lo + span//c*c
+            levels.append(head.groups())
+            want += [n, f"{z} = ({lo} + (({span} // {step}) * {step}))"]
+        pre = body[i - len(want):i] if len(want) <= i else []
+        if [lo[0] == "L" for lo, *_ in levels] != [True] + [False] * (len(levels) - 1) or h in self.guards \
+                or [_stmt(x).partition(" = ")[0] if k % 2 == 0 else _stmt(x) for k, x in enumerate(pre)] != want:
             _fail(s, "guard does not stop at the last iteration")
         self.guards.add(h)
-        g = dict(iv=iv, z=z, step=step, at="", box={}, aligned={},
-                 exit=[f"(not ({iv} {op} {n}))", "<Break>"])
-        for c in conj[2:]:  # ``c <= e <= k``: e's value known to lie in [c, k]
+        (iv, op, n, z, step), inner = levels[0], {z: (lo, c) for lo, _, _, z, c in levels[1:]}
+        g = dict(iv=iv, z=z, step=step, inner=inner, box={}, aligned={}, exit=[f"(not ({iv} {op} {n}))", "<Break>"])
+        g["in"] = {}  # the counters a pass or the exit test holds in range here: first and last value
+        for c in conj[len(want):]:  # ``c <= e <= k``: e's value known to lie in [c, k]
             if m := re.fullmatch(r"\(\d+ <= (.+) <= (\d+)\)", c):
                 g["box"][m[1]] = min(int(m[2]), g["box"].get(m[1], PAGE_SIZE))
             elif m := re.fullmatch(r"\(not \((_[bm]\d+) & (\d+)\)\)", c):  # a multiple of k+1
@@ -245,11 +258,11 @@ class _Checker:
                 bind.orelse or loop.orelse or first.orelse or \
                 _src(getattr(clear, "targets", [s])[0]) != h:
             _fail(s, "guard is not followed by its views and a loop opening with its iteration")
-        binds = " ".join(f"{_src(b.targets[0])} = {_src(b.value)};" if type(b) is ast.Assign
-                         else "?" for b in bind.body)
+        binds = " ".join(f"{_stmt(b)};" for b in bind.body)
         found = re.findall(r"(_P\d+) = pages\[(_p\d+)\]; (_v\d+) = \1\.view;((?: _c\d+[dIQ] = "
                            r"\3\.cast\('[dIQ]'\);)*)", binds)
         g["views"] = {view: obj for obj, page, view, _ in found if f"(0 <= {page} < npg)" in conj}
+        g["writable"] = {obj for obj, page, _, _ in found if f"pages[{page}].writable" in conj}
         g["typed"] = {c: (g["views"][view], struct.calcsize(f)) for _, _, view, casts in found
                       if view in g["views"] for c, f in re.findall(r"(_c\d+(\w)) = \S+\('\2'\)", casts)}
         g["items"] = dict(re.findall(r"(_[ef]\d+) = (\(_[bm]\d+ >> \d\));", binds))
@@ -258,49 +271,54 @@ class _Checker:
         self.g, g["top"] = g, first.body
         assigned = self.block([first], [], {})
         self.g = None
+        for x in pre[2::2]:  # an inner loop's bound holds for the whole nest
+            if {y.id for y in ast.walk(x.value) if type(y) is ast.Name} & (assigned | {iv}):
+                _fail(x, "inner bound reads a counter or a local the nest writes")
         return 1 + (bind is rest[0]), assigned | self.block(loop.body[1:], [], {})
 
-    def hoisted(self, call, facts, size, obj) -> None:
-        """``k(v, B + iv * S)`` in the tested iteration, boxed at ``iv`` and ``z``."""
-        g, at = self.g, _src(call.args[1])
-        if g["at"] != "tested" or obj and f"{obj}.writable" not in facts:
-            _fail(call, "hoisted access outside the tested iteration or its writable test")
-        m = re.fullmatch(rf"\((_b\d+) \+ \({g['iv']} \* (\d+|\(-\d+\)|_m\d+)\)\)|_b\d+", at)
-        ends = (at, f"({m[1]} + ({g['z']} * {m[2]}))" if m and m[1] else at)
-        if not m or max(g["box"].get(x, PAGE_SIZE) for x in ends) > PAGE_SIZE - size:
-            _fail(call, "guard did not test this access at the first and last iteration")
+    def covered(self, node, at, facts, size, obj) -> None:
+        """An access at ``at`` (its base plus ``(counter * stride)`` terms) where
+        a pass or the exit test holds each counter in range, boxed at every
+        corner of those ranges. A typed view's item (``at`` None, ``obj`` the
+        store flag) has its index read back from items to bytes, aligned."""
+        g, terms, typed = self.g or {"in": {}}, [], at is None
+        if typed:
+            view, size = g.get("typed", {}).get(_src(node.value), ("", 0))
+            at, obj = re.sub(r"_[ef]\d+", lambda x: g["items"].get(x[0], "?"), _src(node.slice)), obj and view
+        k = size.bit_length() - 1
+        while m := re.fullmatch(r"\((.+) \+ (?:(L\d+)|\((L\d+) \* (\d+|\(-\d+\)|_m\d+|\(_m\d+ >> \d\))\))\)", at):
+            at, terms = m[1], [(m[2] or m[3], m[4] or "1"), *terms]
+        if not g["in"] or typed and not view or any(c not in g["in"] for c, _ in terms) or obj and (
+                f"{obj}.writable" not in facts or obj not in g["writable"]):
+            _fail(node, "access outside the tested pass or its writable test")
+        base = re.fullmatch(rf"\((_b\d+) >> {k}\)" if typed else r"_b\d+", at)
+        strides = [s if not typed else re.sub(rf"^\((_m\d+) >> {k}\)$", r"\1", s) if "_" in s else
+                   str(x) if (x := int(s.strip("()")) * size) >= 0 else f"({x})" for _, s in terms]
+        corners = ["(" * sum(v != "0" for v in ends) + base[typed] + "".join(f" + ({v} * {s}))" for v, s in zip(
+            ends, strides) if v != "0") for ends in product(*(g["in"][c] for c, _ in terms))] if base else []
+        if not base or any(s[0] == "(" and "_" in s for s in strides) or typed and any(
+                g["aligned"].get(x, 0) & (size - 1) != size - 1 for x in (base[1], *strides) if x[0] == "_") \
+                or max(g["box"].get(x, PAGE_SIZE) for x in corners) > PAGE_SIZE - size:
+            _fail(node, "guard did not test this access aligned at every corner of its counters' range")
 
-    def pass_(self, s, tests, env) -> set:
-        """``for iv in range(iv, min(<fuel>, z + 1), c)``: the tested iteration,
-        repeated for counter values from the guard's ``iv`` up to ``z``."""
-        g, it = self.g, s.iter
-        cap = it.args[1] if type(it) is ast.Call and len(it.args) == 3 else None
-        if _src(s.target) != g["iv"] or s.orelse or type(cap) is not ast.Call or it.keywords \
-                or cap.keywords or [_src(it.func), *map(_src, it.args[::2]), _src(cap.func),
-                                    len(cap.args)] != ["range", g["iv"], g["step"], "min", 2] \
-                or _src(cap.args[1]) != f"({g['z']} + 1)":
+    def pass_(self, s, tests, env, top) -> set:
+        """``for iv in range(iv, min(<fuel>, z + 1), c)`` at the top, or an inner
+        loop's ``for j in range(<its first value>, z + 1, c)``: the counter's
+        values from the guard's first one up to its ``z``."""
+        g, it, iv = self.g, s.iter, _src(s.target)
+        args = it.args if type(it) is ast.Call and not it.keywords and len(it.args) == 3 else [s] * 3
+        cap = args[1]
+        fuel = cap.args[0] if top and type(cap) is ast.Call and not cap.keywords and len(cap.args) == 2 else None
+        z = g["z"] if top else _src(getattr(cap, "left", s))
+        lo, c = (iv, g["step"]) if top else g["inner"].get(z, ("?", "?"))
+        if s.orelse or not re.fullmatch(r"L\d+", iv) or iv in g["in"] or (iv == g["iv"]) != top \
+                or [_src(it.func) if args[0] is not s else "", *map(_src, args[::2]),
+                    _src(cap.args[1]) if fuel else _src(cap)] != ["range", lo, c, f"({z} + 1)"] \
+                or top and (not fuel or _src(cap.func) != "min"):
             _fail(s, "pass is not capped at the guard's last iteration")
-        self.expr(cap.args[0], tests, env)
-        g["at"] = "tested"
+        if fuel:
+            self.expr(fuel, tests, env)
+        g["in"][iv] = (lo, z)
         inner = self.block(s.body, [], {})
-        g["at"] = ""
+        del g["in"][iv]
         return inner
-
-    def typed(self, n, facts, store) -> None:
-        """``c[(B >> k) + iv * (S >> k)]`` in a pass: ``B + iv * S`` boxed at
-        ``iv`` and ``z``, ``B`` and ``S`` aligned to the view's items."""
-        g = self.g or {}
-        at = re.sub(r"_[ef]\d+", lambda x: g.get("items", {}).get(x[0], "?"), _src(n.slice))
-        obj, size = g.get("typed", {}).get(_src(n.value), ("", 0))
-        if not obj or g["at"] != "tested" or store and f"{obj}.writable" not in facts:
-            _fail(n, "typed access outside the tested pass or its writable test")
-        k, iv, mask = size.bit_length() - 1, g["iv"], size - 1
-        m = re.fullmatch(rf"\(\((_b\d+) >> {k}\) \+ (?:{iv}|\({iv} \* (\d+|\(-\d+\)|\((_m\d+) >> {k}\))\))\)"
-                         rf"|\((_b\d+) >> {k}\)", at)
-        b, sym = (m[1] or m[4], m[3]) if m else ("", "")
-        stride = int(m[2].strip("()")) * size if m and m[2] and not sym else size
-        stride = sym or (f"({stride})" if stride < 0 else str(stride))
-        ends = [f"({b} + ({v} * {stride}))" if m and m[1] else b for v in (iv, g["z"])]
-        if not m or any(g["aligned"].get(x, 0) & mask != mask for x in (b, sym) if x) or \
-                max(g["box"].get(x, PAGE_SIZE) for x in ends) > PAGE_SIZE - size:
-            _fail(n, "guard did not test this access aligned at the first and last iteration")

@@ -1,5 +1,6 @@
 """Faaslet lifecycle, host interface, shared regions and snapshots."""
 
+import dataclasses
 import pickle
 import struct
 
@@ -16,6 +17,7 @@ from repro.faaslet import (
 from repro.host import StandaloneEnvironment
 from repro.minilang import build
 from repro.state import VectorAsync
+from repro.wasm import ValType
 from tests.conftest import ship_snapshot
 
 
@@ -425,6 +427,26 @@ class TestProtoFaaslet:
             manifest = SnapshotManifest.from_bytes(forged)
             ProtoFaaslet.from_manifest(definition, manifest, proto.frozen_pages)
         assert SIDE_EFFECTS == []
+
+    @pytest.mark.parametrize("field, value", [
+        ("globals_snapshot", 5),
+        ("globals_snapshot", [("i32", False, 0)]),
+        ("globals_snapshot", [(ValType.I32, False)]),
+        ("globals_snapshot", [(ValType.I32, 1, 0)]),
+        ("globals_snapshot", [(ValType.I32, False, None)]),
+        ("table_snapshot", 5),
+        ("table_snapshot", [0, "x"]),
+    ])
+    def test_a_manifest_of_the_wrong_shape_is_refused_at_the_wire(self, field, value):
+        """Well-encoded globals or a table of the wrong shape are refused
+        when the manifest is parsed, not when a restore trips over them."""
+        definition = define(self.INIT_SRC, "portable")
+        proto = ProtoFaaslet.capture(definition, StandaloneEnvironment(), init="init")
+        manifest = proto.manifest()
+        assert SnapshotManifest.from_bytes(manifest.to_bytes()) == manifest
+        forged = dataclasses.replace(manifest, **{field: value}).to_bytes()
+        with pytest.raises(ValueError, match="wrong shape"):
+            SnapshotManifest.from_bytes(forged)
 
     def test_snapshot_rejects_mapped_regions(self):
         env = StandaloneEnvironment()

@@ -15,7 +15,7 @@ from repro.faaslet import (
 from repro.host import StandaloneEnvironment
 from repro.minilang import build
 from repro.wasm.memory import ZERO_DIGEST, ZERO_PAGE, page_digest
-from repro.wasm.types import PAGE_SIZE
+from repro.wasm.types import F32, F64, I32, I64, PAGE_SIZE
 
 
 def make_page(seed: int | None) -> memoryview:
@@ -55,7 +55,7 @@ def test_digest_is_content_addressed():
     ),
     globals_snapshot=st.lists(
         st.tuples(
-            st.sampled_from(["i32", "i64", "f32", "f64"]),
+            st.sampled_from([I32, I64, F32, F64]),
             st.booleans(),
             st.integers(-(2**31), 2**31 - 1),
         ),

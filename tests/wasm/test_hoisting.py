@@ -23,6 +23,8 @@ with the ``unpack_from`` form a big-endian host would get.
 
 import re
 import struct
+import sys
+import threading
 
 import pytest
 
@@ -31,6 +33,7 @@ from repro.faaslet import Faaslet, FunctionDefinition
 from repro.faaslet.threads import GuestThreadRuntime
 from repro.host import StandaloneEnvironment
 from repro.minilang import build
+from repro.state import GlobalStateStore, LocalTier, StateClient
 from repro.wasm import (
     FuncType,
     HostFunc,
@@ -117,10 +120,10 @@ _THREADS = """
 """
 
 
-def _threaded(tier):
+def _threaded(tier, source=_THREADS):
     """Reader and writer threads over a copy-on-write page 0, with quanta
     short enough that the reader is preempted inside its counted loop."""
-    module = parse_module(_THREADS)
+    module = parse_module(source)
     validate_module(module)
     frozen = [memoryview(bytes(PAGE_SIZE)) for _ in range(2)]
     runtime = {}
@@ -289,3 +292,200 @@ def test_struct_form_on_a_big_endian_host(monkeypatch):
         source = _guarded(build(KERNELS[name].source))
         assert ".cast(" not in source and re.search(r"_k\d+\(_v\d+, _b\d+", source)
         assert _kernel(name, n, "compiled", None) == typed[name]
+
+
+# ----------------------------------------------------------------------
+# Counted nests: one guard per nest entry, each inner loop a pass
+# ----------------------------------------------------------------------
+
+_NEST = """
+(module
+  (memory 1)
+  (func (export "run") (param $n i32) (param $m i32) (result i32)
+    (local $i i32) (local $j i32) (local $s i32)
+    (block
+      (loop
+        (br_if 1 (i32.eqz (i32.lt_s (local.get $i) (local.get $n))))
+        (local.set $j (i32.const 0))
+        (block
+          (loop
+            (br_if 1 (i32.eqz (i32.lt_s (local.get $j) (local.get $m))))
+            (i32.store (i32.add (i32.const 64000)
+                                (i32.add (i32.shl (local.get $i) (i32.const 6))
+                                         (i32.shl (local.get $j) (i32.const 2))))
+                       (i32.add (local.get $i) (i32.add (local.get $j) (i32.const 1))))
+            (local.set $s (i32.add (local.get $s)
+                                   (i32.load (i32.add (i32.const 64000)
+                                                      (i32.shl (local.get $j) (i32.const 2))))))
+            (local.set $j (i32.add (local.get $j) (i32.const 1)))
+            (br 0)))
+        (local.set $i (i32.add (local.get $i) (i32.const 1)))
+        (br 0)))
+    (local.get $s)))
+"""
+
+
+def _nest(tier, n, m, fuel=10**6, memory=None):
+    """Run ``_NEST``: rows of ``m`` words from 64000 on, one row per ``i``,
+    summing row 0 as it goes; the outcome, memory, fuel and count."""
+    module = parse_module(_NEST)
+    inst = instantiate(module, tier=tier, fuel=fuel, precompiled=compile_module(module),
+                       **({"memory": memory, "apply_data": False} if memory else {}))
+    try:
+        outcome = ("ok", inst.invoke("run", n, m))
+    except Trap as trap:
+        outcome = ("trap", type(trap).__name__)
+    return outcome, inst.memory.read(63000, PAGE_SIZE - 63000), inst.fuel, inst.instructions_executed
+
+
+def test_nest_takes_one_guard_and_an_inner_pass():
+    source = _guarded(parse_module(_NEST))
+    assert len(re.findall(r"^ +_h\d+ = (?!0$)", source, re.M)) == 2  # the nest's and the inner loop's
+    assert re.search(r"^ +for L3 in range\(0, _z\d+ \+ 1, 1\):", source, re.M)
+    assert _nest("compiled", 8, 16) == _nest("interp", 8, 16)
+
+
+def test_every_fuel_limit_matches_through_a_nest():
+    """Fuel that runs out at every instruction of a small nest: outcome,
+    memory, remaining fuel and count match the interpreter's at each, so
+    each of the nest's superblocks is one where fuel ends."""
+    whole = _nest("interp", 3, 4)
+    assert whole[0][0] == "ok"
+    for fuel in range(whole[3] + 2):
+        assert _nest("compiled", 3, 4, fuel) == _nest("interp", 3, 4, fuel), fuel
+
+
+def test_nest_out_of_bounds_at_its_last_corner_traps_at_the_same_instruction():
+    """Row 23 ends past the page: the guard fails at the (last, last) corner
+    and today's code traps where the interpreter does."""
+    interp = _nest("interp", 30, 16)
+    assert interp[0] == ("trap", "OutOfBoundsMemoryAccess")
+    assert _nest("compiled", 30, 16) == interp
+
+
+def test_first_store_into_a_copy_on_write_page_inside_a_nest():
+    """The nest's page is copy-on-write: its guard fails, today's code copies
+    the page at its first store, and the inner loops' own guards run passes
+    on the copy from the next row on."""
+    runs = {}
+    for tier in ("interp", "compiled"):
+        memory = LinearMemory.from_frozen_pages([memoryview(bytes(PAGE_SIZE))], parse_module(_NEST).memory)
+        runs[tier] = _nest(tier, 8, 16, memory=memory), memory.cow_faults
+    assert runs["compiled"] == runs["interp"] and runs["interp"][1] == 1
+
+
+def test_preempted_reader_resumes_compiled_code_mid_nest():
+    """The reader's rounds made a counted nest: preempted in today's code
+    after its pass ran out of fuel, it resumes compiled code and sees the
+    writer's copy of page 0 exactly as the interpreter does."""
+    nested = _THREADS.replace("(br_if $done (i32.ge_u (local.get $r) (i32.const 12)))",
+                              "(br_if $done (i32.eqz (i32.lt_s (local.get $r) (i32.const 12))))")
+    assert "in range(0, _z" in _guarded(parse_module(nested))
+    interp = _threaded("interp", nested)
+    assert 0 < interp[0] < 12 * 64 and interp[1] == 2
+    assert _threaded("compiled", nested) == interp
+
+
+def _pushed_nest(rounds):
+    """The (i, j) nest stores a 4 KiB block of a mapped state page per round,
+    on a guest thread, while this thread pushes the key in a loop; True when
+    the last push leaves the global value equal to the block."""
+    store = GlobalStateStore()
+    store.set_value("k", bytes(PAGE_SIZE))
+    tier = LocalTier("host", StateClient(store))
+    replica = tier.pull("k")
+    module = parse_module(_ROUNDS)
+    inst = instantiate(module, tier="compiled", precompiled=compile_module(module))
+    base, errors = replica.region.map_into(inst.memory), []
+
+    def run():
+        try:
+            inst.invoke("run", base, rounds)
+        except Trap as trap:  # reported below, where it fails the race
+            errors.append(trap)
+
+    guest = threading.Thread(target=run)
+    guest.start()
+    while guest.is_alive():
+        tier.push("k")
+    guest.join(timeout=30.0)
+    assert not guest.is_alive() and errors == []
+    tier.push("k")
+    block = b"".join(((rounds - 1) * 4096 + k + 1).to_bytes(8, "little") for k in range(512))
+    return bytes(store.get_value("k")[:4096]) == block == inst.memory.read(base, 4096)
+
+
+_ROUNDS = """
+(module
+  (memory 1 4)
+  (func (export "run") (param $base i32) (param $rounds i32)
+    (local $r i32) (local $i i32) (local $j i32)
+    (block $done
+      (loop $round
+        (br_if $done (i32.ge_u (local.get $r) (local.get $rounds)))
+        (i64.store (local.get $base) (i64.const 0))
+        (local.set $i (i32.const 0))
+        (block
+          (loop
+            (br_if 1 (i32.eqz (i32.lt_s (local.get $i) (i32.const 8))))
+            (local.set $j (i32.const 0))
+            (block
+              (loop
+                (br_if 1 (i32.eqz (i32.lt_s (local.get $j) (i32.const 64))))
+                (i64.store (i32.add (local.get $base)
+                                    (i32.add (i32.shl (local.get $i) (i32.const 9))
+                                             (i32.shl (local.get $j) (i32.const 3))))
+                           (i64.extend_i32_u
+                             (i32.add (i32.shl (local.get $r) (i32.const 12))
+                                      (i32.add (i32.shl (local.get $i) (i32.const 6))
+                                               (i32.add (local.get $j) (i32.const 1))))))
+                (local.set $j (i32.add (local.get $j) (i32.const 1)))
+                (br 0)))
+            (local.set $i (i32.add (local.get $i) (i32.const 1)))
+            (br 0)))
+        (local.set $r (i32.add (local.get $r) (i32.const 1)))
+        (br $round)))))
+"""
+
+
+def test_nest_storing_into_a_mapped_page_racing_pushes_ships_every_byte():
+    """Pushes re-protect the page while the nest's pass stores into it: each
+    store that misses takes the slow path (dirty mark) and binds the views
+    again, and the last push ships the whole block, at a 1 µs switch
+    interval over 20 races."""
+    assert "in range(0, _z" in _guarded(parse_module(_ROUNDS))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        lost = [r for r in range(20) if not _pushed_nest(40)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert lost == []
+
+
+_TRIANGLE = """
+export int tri(int n) {
+    int[] a = new int[n * n];
+    int s = 0;
+    for (int i = 0; i < n; i = i + 1) {
+        for (int j = i; j < n; j = j + 1) { a[i * n + j] = i + j; }
+    }
+    for (int i = 0; i < n * n; i = i + 1) { s = s + a[i] * (i + 1); }
+    return s;
+}
+"""
+
+
+@pytest.mark.parametrize("name", ["triangle", "lu", "cholesky"])
+def test_triangular_nests_are_not_taken_and_still_match(name):
+    """An inner loop that starts at the outer counter is no rectangle: the
+    outer loop is no nest, its inner loop keeps its own guard, and both tiers
+    agree."""
+    source, entry, n = (_TRIANGLE, "tri", 9) if name == "triangle" else (KERNELS[name].source, "kernel", 8)
+    module = build(source)
+    if name == "triangle":
+        fn = next(f for f in compile_module(module) if f.name == "tri")
+        assert all(len(plan[0]) == 1 for plan in compiled._Lowering(fn, module).loops.values())
+    runs = [(inst.invoke(entry, n), inst.instructions_executed, inst.fuel) for inst in (
+        instantiate(module, tier=tier, fuel=10**8) for tier in ("interp", "compiled"))]
+    assert runs[0] == runs[1]

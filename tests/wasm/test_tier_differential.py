@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.apps.kernels import KERNELS
 from repro.minilang import build
+from repro.minilang.codegen import HEAP_BASE
 from repro.wasm import (
     BlockType,
     F64,
@@ -26,6 +27,7 @@ from repro.wasm import (
     I32,
     I64,
     Instr,
+    PAGE_SIZE,
     ModuleBuilder,
     OutOfFuel,
     Trap,
@@ -616,6 +618,38 @@ def test_polybench_kernels_identical(name):
         result = inst.invoke("kernel", n)
         per_tier[tier] = (result, inst.instructions_executed, inst.fuel)
     assert per_tier["compiled"] == per_tier["interp"]
+
+
+#: The ``poly-exec`` workload's kernel sizes (the rest run at the size above).
+_POLY_EXEC = {"jacobi-1d": 48, "atax": 48, "2mm": 14}
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_polybench_kernels_identical_whole_cut_and_across_a_page(name):
+    """Every kernel at its ``poly-exec`` size, and again behind a pad that
+    leaves its first array one f64 before the first page boundary, so that
+    array straddles two pages: run whole, then cut by fuel at half the run,
+    both tiers agree on result or trap kind, instructions and fuel left."""
+    kernel = KERNELS[name]
+    n = _POLY_EXEC.get(name, max(4, kernel.default_n // 8))
+    pad = (PAGE_SIZE - HEAP_BASE) // 8 - 1
+    module = build(kernel.source + f"export float padded(int n) {{ float[] p = new float[{pad}]; "
+                                   "return kernel(n); }")
+    for entry in ("kernel", "padded"):
+        whole = None
+        for fuel in (50_000_000, "half"):
+            per_tier = {}
+            for tier in ("interp", "compiled"):
+                inst = instantiate(module, tier=tier, fuel=whole // 2 if whole else fuel)
+                try:
+                    outcome = inst.invoke(entry, n)
+                except Trap as trap:
+                    outcome = type(trap).__name__
+                per_tier[tier] = (outcome, inst.instructions_executed, inst.fuel, inst.memory.size_pages)
+            assert per_tier["compiled"] == per_tier["interp"], (entry, fuel)
+            whole = per_tier["interp"][1]
+            assert per_tier["interp"][0] == "OutOfFuel" if fuel == "half" else per_tier["interp"][3] == 1 + (
+                entry == "padded")
 
 
 def test_guest_interpreter_identical():

@@ -148,3 +148,45 @@ def test_verifier_refuses_seeded_unsafe_lowering(name):
     assert n == 1, "the mutation must apply"
     with pytest.raises(Unverified, match=re.escape(reason)):
         verify(ast.parse(mutated), ns)
+
+
+# ----------------------------------------------------------------------
+# Counted nests: one guard boxes every access over both counters
+# ----------------------------------------------------------------------
+
+#: A nest guard: the outer counter's head, then an inner one from a constant.
+_NEST_GUARD = r"^( +_h\d+ = L\d+ < _n\d+ and _z\d+ \+ \d+ < 2147483648 and \d+ < _n\d+.*?)"
+
+_UNSAFE_NEST = {  # name: (pattern, replacement, what the verifier says)
+    # The (last, last) corner goes: the far end of the box is never tested.
+    "nest-guard-omits-a-corner": (_NEST_GUARD + r" and \d+ <= _b\d+ \+ _z\d+ \* \S+ \+ _z\d+ \* \S+ <= \d+",
+                                  r"\1", "did not test this access"),
+    # A store's page is not tested writable when the nest is entered.
+    "nest-guard-omits-writable": (_NEST_GUARD + r" and pages\[_p\d+\]\.writable", r"\1", "writable test"),
+    # The inner loop's bound moves with the outer counter: a triangle.
+    "inner-bound-reads-outer-counter": (r"^( +_z\d+ = (L\d+) \+ .*\n +_n\d+ = \(_x if \(_x := \()L\d+\)",
+                                        r"\1\2)", "inner bound reads"),
+    # The outer counter written inside an inner pass walks off its box.
+    "outer-counter-written-in-nest": (r"(?s)(for (L\d+) in range\(\2, min\(.*?\n( +)for L\d+ in "
+                                      r"range\(\d+, _z\d+ \+ 1, \d+\):\n)", r"\1\3    \2 = (\2 + 1)\n",
+                                      "counter written"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNSAFE_NEST))
+def test_verifier_refuses_unsafe_nest_and_counts_the_fallback(monkeypatch, name):
+    """Each mutant of ``2mm``'s nests is refused, and the refusal is the
+    one counted fallback to the interpreter."""
+    module = build(KERNELS["2mm"].source)
+    (fn,) = [f for f in compile_module(module) if f.name == "kernel"]
+    source, ns = _lowered(module)["kernel"]
+    verify(ast.parse(source), ns)  # the real lowering passes
+    pattern, repl, reason = _UNSAFE_NEST[name]
+    mutated, n = re.subn(pattern, repl, source, count=1, flags=re.M)
+    assert n == 1, "the mutation must apply"
+    with pytest.raises(Unverified, match=re.escape(reason)):
+        verify(ast.parse(mutated), ns)
+    fallbacks = GLOBAL_CODE_CACHE.metrics.counter("wasm.compile_fallbacks", cause="unverified")
+    before = fallbacks.value
+    monkeypatch.setattr(_Lowering, "run", lambda self: mutated)
+    assert lower_function(fn, module) is None and fallbacks.value == before + 1
