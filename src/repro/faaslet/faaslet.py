@@ -345,11 +345,11 @@ class Faaslet:
     def reset(self) -> None:
         """Put the Faaslet back to its Proto-Faaslet, in place, so nothing
         of the last call reaches the next, maybe another tenant's (§5.2;
-        the warm pool runs this before every warm call). Memory aliases
-        the frozen pages again (grown and privatised pages go), globals and
-        table take their snapshot values; the break, thread runtime, dlopen
-        handles and state mappings go. The instance, its linked imports,
-        fuel and counters stay, and no restore is counted."""
+        the warm pool runs this before every warm call). Memory holds the
+        frozen pages (grown pages go; a privatised one gets the snapshot's
+        bytes back and stays writable), globals and table their snapshot
+        values; break, thread runtime, dlopen handles and state mappings
+        go. Instance, linked imports, fuel and counters stay; no restore."""
         proto, instance = self.proto, self.instance
         if proto is None:
             raise RuntimeError(f"{self.name} has no Proto-Faaslet to reset from")

@@ -44,8 +44,9 @@ _KEY_ATTR, _TEXT_ATTR = "_codecache_key", "_printed_text"
 #: and runs a guarded iteration that is one superblock as one ``for`` pass;
 #: "5" divides with the Python operator where its result is the wasm one;
 #: "6" checks a 2-deep rectangular counted nest's range once per nest entry
-#: and runs each of its inner loops whole as a pass of its own.
-ISA_VERSION = "repro-isa-6"
+#: and runs each of its inner loops whole as a pass of its own; "7" lowers a
+#: pass with its guard's facts (no dead mask, signed reading or trap test).
+ISA_VERSION = "repro-isa-7"
 
 
 def module_text(module: Module) -> str:

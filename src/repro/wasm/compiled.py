@@ -75,11 +75,22 @@ Lowering rules
   inner loop as its own ``for j in range(j0, z_j + 1, c_j)``. Either way the
   metered arm, where another guest thread can run, is never inside; a
   store's miss clears ``_h`` and leaves after that (outer) iteration, and
-  today's code, inner guards included, carries on. SFI holds because a miss
-  is today's code and :mod:`repro.wasm.verify` (trusted, like the
-  validator) checks every function before it compiles; what it refuses, or
-  what passes CPython's 20 nested loops or ~100 indentation levels, runs on
-  the interpreter (``wasm.compile_fallbacks{cause="unverified"|"too-deep"}``).
+  today's code, inner guards included, carries on.
+
+* **A pass lowers with what its guard proved.** In it each counter lies in
+  ``[start, z]`` within ``[0, 2**31)``. The guard gains, per invariant local
+  the body computes with, ``0 <= L < 2**31`` (``0 < L`` for a divisor) and,
+  per ``+``/``*`` expression over counters, such locals and constants, one
+  test at the box's upper corner (:meth:`_Lowering.proved`). A value so
+  bounded loses its mask and signed reading; a ``div``/``rem`` of one by a
+  proved local or constant, and an ``f64.div`` by ``float()`` of one, lose
+  their trap or zero test; pure expressions over invariant locals are
+  computed once, before the pass. A failing conjunct is a guard miss. SFI
+  holds because a miss is today's code and :mod:`repro.wasm.verify`
+  (trusted, like the validator) checks every function before it compiles;
+  what it refuses, or what passes CPython's 20 nested loops or ~100
+  indentation levels, runs on the interpreter
+  (``wasm.compile_fallbacks{cause="unverified"|"too-deep"}``).
 """
 
 from __future__ import annotations
@@ -237,10 +248,10 @@ _INLINE_UNOPS: dict = {
     "f32.abs": lambda a: f"abs({a})",
     "f64.abs": lambda a: f"abs({a})",
     "i32.wrap_i64": lambda a: f"({a} & {_M32})",
-    "i64.extend_i32_u": lambda a: f"({a} & {_M32})",
+    "i64.extend_i32_u": lambda a: a,  # operands are canonical (see _Val)
     "i64.extend_i32_s": lambda a: f"({_signed(a, _S32)} & {_M64})",
     "f64.convert_i32_s": lambda a: f"float({_signed(a, _S32)})",
-    "f64.convert_i32_u": lambda a: f"float({a} & {_M32})",
+    "f64.convert_i32_u": lambda a: f"float({a})",
     "f64.convert_i64_s": lambda a: f"float({_signed(a, _S64)})",
     "f64.convert_i64_u": lambda a: f"float({a} & {_M64})",
     "f64.promote_f32": lambda a: f"({a})",
@@ -256,6 +267,9 @@ _TRAPPING_OPS = frozenset(f"{t}.trunc_f{s}_{g}" for t in ("i32", "i64")
 #: the bias; otherwise the BINOPS function runs (traps; f64.div by ±0.0).
 _DIVISION = {f"{t}.{o}{g}": (pyop, bias if g == "_s" else "") for t, bias in (("i32", _S32), ("i64", _S64))
              for o, pyop in (("div", "//"), ("rem", "%")) for g in ("_s", "_u")} | {"f64.div": ("/", "")}
+#: i32 readings whose unsigned form is theirs for operands in [0, 2**31).
+_AS_UNSIGNED = {f"i32.{c}_s": f"i32.{c}_u" for c in ("lt", "gt", "le", "ge")} | {
+    f"{t}_i32_s": f"{t}_i32_u" for t in ("i64.extend", "f64.convert")}
 
 
 class _TooDeep(Exception):
@@ -273,22 +287,24 @@ class _Val:
     ``wraps`` is the mask still owed when the expression is only congruent
     to its value (see :data:`_WRAPPING`); every consumer but a ring
     operation takes its operands through :meth:`_Lowering.pop`, which
-    applies it.
+    applies it, so a popped i32 is canonical, in [0, 2**32). ``poly`` (a
+    polynomial over locals with non-negative coefficients, built by ``+``,
+    ``*`` and ``<<`` from locals and constants in [0, 2**31)) bounds an i32:
+    masked or not, its value lies in [0, ``poly`` at the values its locals
+    had when it was computed]. ``of`` is :func:`_exact` of the i32 an f64
+    was converted from.
     """
 
-    __slots__ = ("expr", "used", "temp", "atom", "wraps")
+    __slots__ = ("expr", "used", "temp", "atom", "wraps", "poly", "of")
 
-    def __init__(self, expr, used=frozenset(), temp=-1, atom=False, wraps=None):
-        self.expr = expr
-        self.used = used
-        self.temp = temp
-        self.atom = atom
-        self.wraps = wraps
+    def __init__(self, expr, used=frozenset(), temp=-1, atom=False, wraps=None, poly=None, of=None):
+        self.expr, self.used, self.temp, self.atom = expr, used, temp, atom
+        self.wraps, self.poly, self.of = wraps, poly, of
 
     def reduced(self) -> "_Val":
         if self.wraps is None:
             return self
-        return _Val(f"({self.expr} & {self.wraps})", self.used, self.temp)
+        return _Val(f"({self.expr} & {self.wraps})", self.used, self.temp, poly=self.poly)
 
 
 class _Frame:
@@ -300,15 +316,9 @@ class _Frame:
                  "py", "owns", "has_else", "end_live")
 
     def __init__(self, kind, base, nparams, nresults):
-        self.kind = kind
-        self.base = base
-        self.nparams = nparams
-        self.nresults = nresults
-        self.below = None
-        self.py = None
-        self.owns = False
-        self.has_else = False
-        self.end_live = False
+        self.kind, self.base, self.nparams, self.nresults = kind, base, nparams, nresults
+        self.below = self.py = None
+        self.owns = self.has_else = self.end_live = False
 
 
 def _analyse(code):
@@ -384,9 +394,14 @@ def _ring(op: str, a, b):
     return out if len(out) <= 8 else None
 
 
-def _pexpr(p) -> str:
-    """A polynomial as Python source over the canonical locals."""
-    return " + ".join(" * ".join([*(f"L{i}" for i in m), *([str(k)] if k != 1 or not m else [])])
+def _exact(v: _Val):
+    """``v.poly`` when ``v`` *is* a local or a constant (not only bounded by it)."""
+    return v.poly if v.expr.isdigit() or v.expr[0] == "L" and v.expr[1:].isdigit() else None
+
+
+def _pexpr(p, names={}) -> str:
+    """A polynomial as Python source over the canonical locals (or ``names``)."""
+    return " + ".join(" * ".join([*(names.get(i, f"L{i}") for i in m), *([str(k)] if k != 1 or not m else [])])
                       for m, k in sorted(p.items())) or "0"
 
 
@@ -474,9 +489,7 @@ class _Lowering:
     """Lower one function's flat code to Python source (see module doc)."""
 
     def __init__(self, fn, module):
-        self.fn = fn
-        self.module = module
-        self.code = fn.code
+        self.fn, self.module, self.code = fn, module, fn.code
         self.targeted, self.merged, self.joins, end_of = _analyse(fn.code)
         #: Counted loops and nests (loop pc → plan), inner first, and the one being hoisted.
         self.loops = {}
@@ -484,32 +497,26 @@ class _Lowering:
             if plan := _counted(fn.code, pc + 1, end_of[pc] - 1, self.loops):
                 self.loops[pc + 1] = plan
         self.hoist, self.hoisted = None, {}
-        self.ns: dict = {}
-        self._bound: dict[int, str] = {}
-        self.lines: list[str] = []
-        self.ind = 1
+        #: In a pass: the locals its nest writes (None elsewhere), each counter in range → its
+        #: last value, and its facts' needs: invariant locals (True: a divisor), corner tests
+        #: and the invariant expressions computed once, before it.
+        self.written, self.zs, self.need, self.corners, self.pre = None, {}, {}, {}, {}
+        self.ns, self._bound, self.lines, self.ind = {}, {}, [], 1  # _bound: id → name in ns
         self.sym: list[_Val] = []
-        self.ntemp = 0
-        self.ctrl: list[_Frame] = []
+        self.ntemp, self.ctrl = 0, []
         #: Open Python loops, innermost last: each the set of ``_br``
         #: codes that can leave it on the way to an outer loop.
         self.pyloops: list[set] = []
-        self.live = True
-        self.dead_depth = 0
-        #: Fast-arm lines of the open superblock (None: between two).
+        self.live, self.dead_depth, self.uses_br = True, 0, False
+        #: Fast-arm lines of the open superblock (None: between two), its pcs, first
+        #: temp, entry stack and the locals it writes.
         self.body: list[str] | None = None
-        self.sb = (0, 0)
-        self.sb_temp0 = 0
-        self.sb_entry: list[str] = []
-        self.sb_written: set[int] = set()
-        self.uses_br = False
+        self.sb, self.sb_temp0, self.sb_entry, self.sb_written = (0, 0), 0, [], set()
         #: What the prologue has to fetch from the instance.
         ops = {ins[0] for ins in fn.code}
         self.uses_pages = any(op in INLINE_LOADS or op in INLINE_STORES for op in ops)
         self.uses_glb = bool(ops & {"global.get", "global.set"})
-        self.uses_mem = self.uses_pages or any(
-            "atomic" in op or op.startswith("memory.") for op in ops
-        )
+        self.uses_mem = self.uses_pages or any("atomic" in op or op.startswith("memory.") for op in ops)
 
     # -- emission helpers ------------------------------------------------
     def bind(self, obj) -> str:
@@ -539,20 +546,50 @@ class _Lowering:
 
     def materialize(self, v: _Val) -> _Val:
         """Evaluate ``v`` now into a fresh temp (effects stay in order)."""
-        index = self.ntemp
-        self.ntemp += 1
-        self.emit(f"_t{index} = {v.reduced().expr}")
-        return _Val(f"_t{index}", temp=index, atom=True)
+        index, self.ntemp = self.ntemp, self.ntemp + 1
+        self.emit(f"_t{index} = {self.reduce(v).expr}")
+        return _Val(f"_t{index}", temp=index, atom=True, poly=v.poly, of=v.of)
 
     def pop(self) -> _Val:
         """Pop the top entry as its canonical wasm value."""
-        return self.sym.pop().reduced()
+        return self.reduce(self.sym.pop())
 
-    def push(self, expr: str, *operands: _Val, wraps=None) -> None:
+    def reduce(self, v: _Val) -> _Val:
+        """``v`` with its owed mask, unless a pass's facts put it in [0, 2**31)."""
+        return _Val(v.expr, v.used, v.temp, poly=v.poly) if v.wraps == _M32 and self.proved(v.poly) else v.reduced()
+
+    def proved(self, *polys, pos=False) -> bool:
+        """Whether the facts of the pass being lowered put every value bounded
+        by ``polys`` in [0, 2**31) and the one ``pos`` bounds in (0, 2**31) (a
+        positive constant, or an invariant local); records the guard conjuncts
+        that say so (module doc)."""
+        if self.written is None or pos is None or None in polys:
+            return False
+        need, tests = {}, []
+        if pos is not False and pos.keys() != {()}:  # else a positive constant
+            local = next(iter(pos)) if len(pos) == 1 and 1 in pos.values() else ()
+            if len(local) != 1 or local[0] in self.written:
+                return False
+            need[local[0]] = True
+        for p in polys:
+            free = {i for m in p for i in m if i not in self.zs}  # the invariant locals
+            if free & self.written or not p.keys() - {()} and p.get((), 0) >= 2**31:
+                return False
+            need |= {i: need.get(i, False) for i in free}
+            # One local alone needs no corner: a counter is in range, a local has its conjunct.
+            if p.keys() - {()} and not (len(p) == 1 and 1 in p.values() and len(next(iter(p))) == 1):
+                tests.append(f"{_pexpr(p, self.zs)} < {_S32}")
+        self.need |= {i: self.need.get(i, False) or d for i, d in need.items()}
+        self.corners.update(dict.fromkeys(tests))
+        return True
+
+    def push(self, expr: str, *operands: _Val, wraps=None, poly=None, of=None) -> None:
         used = frozenset().union(*(o.used for o in operands))
         temp = max((o.temp for o in operands), default=-1)
-        v = _Val(expr, used, temp, wraps=wraps)
-        self.sym.append(self.materialize(v) if len(expr) > _MAX_EXPR else v)
+        v = _Val(expr, used, temp, wraps=wraps, poly=poly, of=of)
+        if self.written is not None and temp < 0 and not used & self.written:  # invariant in the pass
+            v = _Val(self.pre.setdefault(expr, f"_i{len(self.pre)}"), atom=wraps is None, wraps=wraps, poly=poly, of=of)
+        self.sym.append(self.materialize(v) if len(v.expr) > _MAX_EXPR else v)
 
     def push_now(self, expr: str) -> None:
         self.sym.append(self.materialize(_Val(expr)))
@@ -610,7 +647,7 @@ class _Lowering:
         for i, v in enumerate(self.sym):
             if not v.atom and (i < keep or v.temp >= self.sb_temp0):
                 v = self.materialize(v)
-            self.sym[i] = v.reduced()
+            self.sym[i] = self.reduce(v)
         body, self.body = self.body, None
         cost = end - start
         term = 1 if self.code[end - 1][0] in _TERMINATORS else 0
@@ -848,7 +885,8 @@ class _Lowering:
             self.hoisted[q] = (f"_v{g}, _b{q}{here}", f"_P{g}.writable", f"(_p{g} << 16) + _b{q}{here}", typed)
         binds = [x for g in pages.values() for x in (f"_P{g} = pages[_p{g}]", f"_v{g} = _P{g}.view", *(
             f"{c} = _v{g}.cast({c[-1]!r})" for c, of in casts.items() if of == g))] + items
-        for line in heads + [f"{h} = {' and '.join(dict.fromkeys(conds))}"] + [f"if {h}:"] * bool(pages):
+        guard = len(self.lines) + len(heads), "    " * self.ind
+        for line in heads + [h] + [f"if {h}:"] * bool(pages):  # the guard, once the pass's facts are known
             self.emit(line)
         for line in binds:
             self.emit(f"    {line}")
@@ -859,9 +897,11 @@ class _Lowering:
             if inner else cost
         self.emit(f"if {h} and ex + {cost} <= lim:")
         self.indent()
-        saved = list(self.sym), list(self.ctrl), self.ntemp
+        saved, first = (list(self.sym), list(self.ctrl), self.ntemp), len(self.lines)
         self.hoist = (top.iv, top.cmp, _cmp(L, f"_n{pc}", _EXIT[cmp]), h, top.one)
+        self.zs, self.need, self.corners, self.pre = {top.iv: f"_z{pc}"}, {}, {}, {}
         if top.one:  # the iterations fuel can pay for, capped at z; charged after
+            self.written = {ins[1] for ins in self.code[pc:top.stop] if ins[0] in _SETS}  # facts on
             self.emit(f"_s{pc} = {L}")
             self.emit(f"for {L} in range({L}, min({L} + (lim - ex) // {cost}"
                       f"{f' * {top.step}' * (top.step > 1)}, _z{pc} + 1), {top.step}):")
@@ -871,7 +911,9 @@ class _Lowering:
                 self.segment(at, lv.pc - 1)
                 self.emit(f"for L{lv.iv} in range({lv.start}, _z{lv.pc} + 1, {lv.step}):")
                 self.indent()
+                self.zs[lv.iv] = f"_z{lv.pc}"
                 self.segment(lv.cmp + 3, lv.stop - 7)
+                del self.zs[lv.iv]
                 self.dedent()
                 self.emit(f"L{lv.iv} = (L{lv.iv} + {lv.step})")
                 at = lv.stop
@@ -885,7 +927,11 @@ class _Lowering:
             self.emit(f"{L} = ({L} + {top.step})")
         else:
             self.walk(pc, top.stop - 2)
-        self.hoist, (self.sym, self.ctrl, self.ntemp), self.live = None, saved, True
+        facts = [f"0 {'<' if d else '<='} L{i} < {_S32}" for i, d in self.need.items()] + [*self.corners]
+        k = 2 * len(levels)  # the facts' conjuncts follow the counters' own
+        self.lines[guard[0]] = f"{guard[1]}{h} = {' and '.join(dict.fromkeys(conds[:k] + facts + conds[k:]))}"
+        self.lines[first:first] = [f"{'    ' * self.ind}{n} = {e}" for e, n in self.pre.items()]
+        self.hoist, (self.sym, self.ctrl, self.ntemp), self.live, self.written = None, saved, True, None
         self.dedent()
         self.emit(f"{h} = 0")  # this entry of the loop stays general from here
 
@@ -969,8 +1015,10 @@ class _Lowering:
     def lower(self, pc: int, ins) -> None:
         op = ins[0]
         sym = self.sym
+        if op in _AS_UNSIGNED and self.proved(*(v.poly for v in sym[len(sym) - len(INSTR_SIGS[op][0]):])):
+            op = _AS_UNSIGNED[op]
         if op == "local.get":
-            sym.append(_Val(f"L{ins[1]}", frozenset((ins[1],))))
+            sym.append(_Val(f"L{ins[1]}", frozenset((ins[1],)), poly={(ins[1],): 1} if self.written is not None else None))
         elif op == "local.set":
             # The guarded copy's counter stays below 2**31: no mask owed.
             v = sym.pop() if self.hoist and ins[1] == self.hoist[0] else self.pop()
@@ -988,10 +1036,9 @@ class _Lowering:
                 text = self.bind(k)
             else:
                 text = repr(k) if repr(k)[0] != "-" else f"({k!r})"
-            sym.append(_Val(text, atom=True))
+            sym.append(_Val(text, atom=True, poly=({(): k} if k else {}) if op == "i32.const" and 0 <= k < 2**31 else None))
         elif op in _WRAPPING:
-            b = sym.pop()
-            a = sym.pop()
+            b, a = sym.pop(), sym.pop()
             kind = op[4:]
             if kind in ("add", "sub", "mul", "shl") or (
                 (a.wraps and b.wraps) if kind == "and" else (a.wraps or b.wraps)
@@ -999,17 +1046,22 @@ class _Lowering:
                 wraps = _WRAPPING[op]
             else:
                 wraps = None
-            self.push(_INLINE_BINOPS[op](a.expr, b.expr), a, b, wraps=wraps)
+            self.push(_INLINE_BINOPS[op](a.expr, b.expr), a, b, wraps=wraps,
+                      poly=_ring(op, a.poly, b.poly) if op in ("i32.add", "i32.mul", "i32.shl") else None)
         elif self.hoist and pc == self.hoist[1]:  # ``iv < n`` on plain ints
             sym[-2:] = [_Val(self.hoist[2], frozenset((self.hoist[0],)))]
+        elif op[:3] == "i32" and op in _DIVISION and self.proved(sym[-2].poly, pos=_exact(sym[-1])) or \
+                op == "f64.div" and self.proved(pos=sym[-1].of):  # it cannot trap
+            y, x = self.pop(), self.pop()
+            pyop = _DIVISION[op][0]
+            self.push(f"({x.expr} {pyop} {y.expr})", x, y, poly={"%": y.poly, "//": x.poly}.get(pyop))
         elif op in _DIVISION:  # both operands are named twice
             pyop, bias = _DIVISION[op]
             y, x = self.as_atom(self.pop()).expr, self.as_atom(self.pop()).expr
             test = f"{x} < {bias} and 0 < {y} < {bias}" if bias else y
             self.push_now(f"({x} {pyop} {y} if {test} else {self.bind(BINOPS[op])}({x}, {y}))")
         elif op in BINOPS:
-            b = self.pop()
-            a = self.pop()
+            b, a = self.pop(), self.pop()
             tpl = _INLINE_BINOPS.get(op)
             if tpl is not None:
                 self.push(tpl(a.expr, b.expr), a, b)
@@ -1019,7 +1071,7 @@ class _Lowering:
             a = self.pop()
             tpl = _INLINE_UNOPS.get(op)
             if tpl is not None:
-                self.push(tpl(a.expr), a)
+                self.push(tpl(a.expr), a, of=_exact(a) if op == "f64.convert_i32_u" else None)
             elif op in _TRAPPING_OPS:
                 self.push_now(f"{self.bind(UNOPS[op])}({a.expr})")
             else:
@@ -1060,34 +1112,23 @@ class _Lowering:
             a = self.pop()
             self.push(f"{self.bind(SIMD_EXTRACT_OPS[op])}({a.expr}, {ins[1]})", a)
         elif op in SIMD_REPLACE_OPS:
-            x = self.pop()
-            a = self.pop()
-            self.push(f"{self.bind(SIMD_REPLACE_OPS[op])}"
-                      f"({a.expr}, {x.expr}, {ins[1]})", a, x)
+            x, a = self.pop(), self.pop()
+            self.push(f"{self.bind(SIMD_REPLACE_OPS[op])}({a.expr}, {x.expr}, {ins[1]})", a, x)
         elif op in ATOMIC_RMW_OPS:
             _ty, size, kind = ATOMIC_RMW_OPS[op]
-            v = self.pop()
-            a = self.pop()
-            self.push_now(f"mem.atomic_rmw({self.addr(a, ins[1])}, {v.expr}, "
-                          f"{size}, {kind!r})")
+            v, a = self.pop(), self.pop()
+            self.push_now(f"mem.atomic_rmw({self.addr(a, ins[1])}, {v.expr}, {size}, {kind!r})")
         elif op in ATOMIC_CMPXCHG_OPS:
             _ty, size = ATOMIC_CMPXCHG_OPS[op]
-            r = self.pop()
-            e = self.pop()
-            a = self.pop()
-            self.push_now(f"mem.atomic_cmpxchg({self.addr(a, ins[1])}, "
-                          f"{e.expr}, {r.expr}, {size})")
+            r, e, a = self.pop(), self.pop(), self.pop()
+            self.push_now(f"mem.atomic_cmpxchg({self.addr(a, ins[1])}, {e.expr}, {r.expr}, {size})")
         elif op == "memory.atomic.notify":
-            c = self.pop()
-            a = self.pop()
-            self.push_now(f"{self.bind(atomic_notify)}"
-                          f"(inst, mem, {self.addr(a, ins[1])}, {c.expr})")
+            c, a = self.pop(), self.pop()
+            self.push_now(f"{self.bind(atomic_notify)}(inst, mem, {self.addr(a, ins[1])}, {c.expr})")
         elif op == "drop":
             self.pop()
         elif op == "select":
-            c = self.pop()
-            b = self.pop()
-            a = self.pop()
+            c, b, a = self.pop(), self.pop(), self.pop()
             self.push(f"({a.expr} if {_test(c.expr)} else {b.expr})", a, b, c)
         elif op == "global.get":
             self.push_now(f"G[{ins[1]}].value")
@@ -1192,8 +1233,7 @@ class _Lowering:
                            len(expected.results))
         elif op == "memory.atomic.wait32":
             self.close_sb(2)
-            e = self.pop()
-            a = self.pop()
+            e, a = self.pop(), self.pop()
             # Listed so it unpacks like a one-result call.
             self.emit_call(f"[{self.bind(atomic_wait32)}(inst, mem, "
                            f"{self.addr(a, ins[1])}, {e.expr})]", 1)

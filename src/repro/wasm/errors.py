@@ -40,13 +40,8 @@ class OutOfBoundsMemoryAccess(Trap):
     """A load or store fell outside the linear memory bounds."""
 
     def __init__(self, addr: int, size: int, mem_size: int):
-        self.addr = addr
-        self.size = size
-        self.mem_size = mem_size
-        super().__init__(
-            f"out of bounds memory access: [{addr}, {addr + size}) "
-            f"exceeds memory size {mem_size}"
-        )
+        self.addr, self.size, self.mem_size = addr, size, mem_size
+        super().__init__(f"out of bounds memory access: [{addr}, {addr + size}) exceeds memory size {mem_size}")
 
 
 class OutOfBoundsTableAccess(Trap):
@@ -85,11 +80,8 @@ class UnalignedAtomicAccess(Trap):
     """An atomic operation used an address not aligned to its access size."""
 
     def __init__(self, addr: int, size: int):
-        self.addr = addr
-        self.size = size
-        super().__init__(
-            f"unaligned atomic access: address {addr} not {size}-byte aligned"
-        )
+        self.addr, self.size = addr, size
+        super().__init__(f"unaligned atomic access: address {addr} not {size}-byte aligned")
 
 
 class OutOfFuel(Trap):

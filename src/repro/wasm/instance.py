@@ -167,11 +167,7 @@ class Instance:
         # code cache: repeated instantiations of structurally identical
         # modules (spawn churn, dlopen, re-parsed uploads) share one
         # function list, and with it the generated Python code.
-        self.funcs.extend(
-            precompiled
-            if precompiled is not None
-            else GLOBAL_CODE_CACHE.get_or_compile(module)
-        )
+        self.funcs.extend(precompiled if precompiled is not None else GLOBAL_CODE_CACHE.get_or_compile(module))
 
         if memory is not None:
             self.memory: LinearMemory | None = memory
@@ -234,19 +230,11 @@ class Instance:
         upload time), a copy-on-write memory and snapshotted globals/table.
         """
         inst = cls.__new__(cls)
-        inst.module = module
-        inst.call_depth_limit = call_depth_limit
-        inst._fuel = fuel
+        inst.module, inst.call_depth_limit, inst._fuel = module, call_depth_limit, fuel
         inst._select_tier(tier, profile)
-        inst.instructions_executed = 0
-        inst.metered_instructions = 0
-        inst._thread_runtime = None
-        inst._refuel_hook = None
-        inst._profiler = None
-        inst.funcs = funcs
-        inst.memory = memory
-        inst.globals = globals_
-        inst.table = table
+        inst.instructions_executed = inst.metered_instructions = 0
+        inst._thread_runtime = inst._refuel_hook = inst._profiler = None
+        inst.funcs, inst.memory, inst.globals, inst.table = funcs, memory, globals_, table
         inst._exports = module.export_map()
         return inst
 
@@ -263,10 +251,7 @@ class Instance:
         # The plain function, called with ``self``: a bound method stored on
         # the instance would make every instance a reference cycle, freed
         # (memory pages and all) only when the cycle collector runs.
-        self._execute = (
-            Instance._exec if profile or self.tier == "interp"
-            else Instance._exec_compiled
-        )
+        self._execute = Instance._exec if profile or self.tier == "interp" else Instance._exec_compiled
 
     # ------------------------------------------------------------------
     # Fuel (CPU metering)

@@ -58,13 +58,6 @@ def page_digest(view: "bytes | bytearray | memoryview") -> str:
         return ZERO_DIGEST
     return hashlib.blake2b(view, digest_size=16).hexdigest()
 
-_STRUCTS = {
-    ("i32", 4): struct.Struct("<I"),
-    ("i64", 8): struct.Struct("<Q"),
-    ("f32", 4): struct.Struct("<f"),
-    ("f64", 8): struct.Struct("<d"),
-}
-
 _U8 = struct.Struct("<B")
 _I8 = struct.Struct("<b")
 _U16 = struct.Struct("<H")
@@ -100,6 +93,11 @@ class Page:
     writable: bool
     shared: bool
     notify: object = None
+
+
+#: kind -> (old, operand) -> new value of a read-modify-write atomic, before masking.
+_RMW = {"add": lambda o, x: o + x, "sub": lambda o, x: o - x, "and": lambda o, x: o & x,
+        "or": lambda o, x: o | x, "xor": lambda o, x: o ^ x, "xchg": lambda o, x: x}
 
 
 def _fresh_page() -> Page:
@@ -215,14 +213,20 @@ class LinearMemory:
     def from_frozen_pages(cls, views: list[memoryview], memtype: MemoryType) -> "LinearMemory":
         """Build a memory whose pages alias ``views`` copy-on-write."""
         mem = cls.__new__(cls)
-        mem.memtype, mem.cow_faults = memtype, 0
+        mem.memtype, mem.cow_faults, mem.pages = memtype, 0, []
         mem.alias_frozen(views)
         return mem
 
     def alias_frozen(self, views: list[memoryview]) -> None:
-        """Make ``views``, copy-on-write, the whole page table: grown and
-        privatised pages are dropped (a restore, or a Faaslet's reset)."""
-        self.pages = [Page(v, writable=False, shared=False) for v in views]
+        """Make ``views`` the whole page table (a restore, or a Faaslet's
+        reset): grown pages go, a page the last call privatised keeps its
+        buffer with the snapshot's bytes copied back (a warm call stores
+        without a fault), every other page aliases its view copy-on-write."""
+        old, self.pages = self.pages, [Page(v, writable=False, shared=False) for v in views]
+        for i, page in enumerate(old[:len(views)]):
+            if page.writable and not page.shared and page.view is not views[i]:
+                page.view[:] = views[i]
+                self.pages[i] = page
 
     def _fault_store(self, page_idx: int, offset: int, data) -> None:
         """Store ``data`` at ``offset`` of a protected page (a "page fault").
@@ -257,15 +261,9 @@ class LinearMemory:
         page_idx, offset = divmod(addr, PAGE_SIZE)
         if offset + size <= PAGE_SIZE:
             return bytes(self.pages[page_idx].view[offset : offset + size])
-        chunks = []
-        remaining = size
-        while remaining > 0:
-            take = min(PAGE_SIZE - offset, remaining)
-            chunks.append(bytes(self.pages[page_idx].view[offset : offset + take]))
-            remaining -= take
-            page_idx += 1
-            offset = 0
-        return b"".join(chunks)
+        out = bytearray(size)
+        self.read_into(addr, memoryview(out))
+        return bytes(out)
 
     def read_into(self, addr: int, dest: memoryview) -> None:
         """Copy ``len(dest)`` bytes starting at ``addr`` straight into
@@ -312,11 +310,8 @@ class LinearMemory:
         self._check(addr, size)
         page_idx, offset = divmod(addr, PAGE_SIZE)
         if offset + size <= PAGE_SIZE:
-            raw = self.pages[page_idx].view[offset : offset + size]
-            value = int.from_bytes(raw, "little", signed=signed)
-        else:
-            value = int.from_bytes(self.read(addr, size), "little", signed=signed)
-        return value
+            return int.from_bytes(self.pages[page_idx].view[offset : offset + size], "little", signed=signed)
+        return int.from_bytes(self.read(addr, size), "little", signed=signed)
 
     def store_int(self, addr: int, value: int, size: int) -> None:
         self._check(addr, size)
@@ -333,7 +328,7 @@ class LinearMemory:
 
     def load_float(self, addr: int, size: int) -> float:
         self._check(addr, size)
-        st = _STRUCTS[("f32", 4)] if size == 4 else _STRUCTS[("f64", 8)]
+        st = _F32 if size == 4 else _F64
         page_idx, offset = divmod(addr, PAGE_SIZE)
         if offset + size <= PAGE_SIZE:
             return st.unpack_from(self.pages[page_idx].view, offset)[0]
@@ -341,7 +336,7 @@ class LinearMemory:
 
     def store_float(self, addr: int, value: float, size: int) -> None:
         self._check(addr, size)
-        st = _STRUCTS[("f32", 4)] if size == 4 else _STRUCTS[("f64", 8)]
+        st = _F32 if size == 4 else _F64
         page_idx, offset = divmod(addr, PAGE_SIZE)
         if offset + size <= PAGE_SIZE:
             page = self.pages[page_idx]
@@ -390,24 +385,10 @@ class LinearMemory:
         """
         self._check_aligned(addr, size)
         self._check(addr, size)
-        mask = (1 << (8 * size)) - 1
+        rmw = _RMW[kind]
         with _ATOMIC_LOCK:
             old = self.load_int(addr, size, False)
-            if kind == "add":
-                new = (old + operand) & mask
-            elif kind == "sub":
-                new = (old - operand) & mask
-            elif kind == "and":
-                new = old & operand
-            elif kind == "or":
-                new = old | operand
-            elif kind == "xor":
-                new = old ^ operand
-            elif kind == "xchg":
-                new = operand & mask
-            else:  # pragma: no cover - table-driven callers
-                raise ValueError(f"unknown rmw kind {kind!r}")
-            self.store_int(addr, new, size)
+            self.store_int(addr, rmw(old, operand), size)  # store_int masks to ``size``
         return old
 
     def atomic_cmpxchg(
@@ -431,9 +412,7 @@ class LinearMemory:
         COW pages still aliasing a snapshot and shared-region pages are not
         counted, mirroring how PSS/RSS differ for containers in Tab. 3.
         """
-        return sum(
-            PAGE_SIZE for p in self.pages if p.writable and not p.shared
-        )
+        return sum(PAGE_SIZE for p in self.pages if p.writable and not p.shared)
 
 
 #: op mnemonic -> (struct (un)packer, canonicalising suffix): the accesses

@@ -39,7 +39,7 @@ from repro.wasm import (
     values,
 )
 from repro.wasm.codecache import GLOBAL_CODE_CACHE
-from repro.wasm.compiled import _Lowering
+from repro.wasm.compiled import _Lowering, lower_function
 
 # ----------------------------------------------------------------------
 # Random-program generator (superset of the soundness-fuzz pool: adds the
@@ -629,7 +629,12 @@ def test_polybench_kernels_identical_whole_cut_and_across_a_page(name):
     """Every kernel at its ``poly-exec`` size, and again behind a pad that
     leaves its first array one f64 before the first page boundary, so that
     array straddles two pages: run whole, then cut by fuel at half the run,
-    both tiers agree on result or trap kind, instructions and fuel left."""
+    both tiers agree on result or trap kind, instructions and fuel left.
+    And the compiled tier ran it: no function fell back to the interpreter
+    (a refused fold leaves every result right and the kernel on the interpreter)."""
+    fallbacks = [GLOBAL_CODE_CACHE.metrics.counter("wasm.compile_fallbacks", cause=c)
+                 for c in ("unverified", "too-deep")]
+    before = [c.value for c in fallbacks]
     kernel = KERNELS[name]
     n = _POLY_EXEC.get(name, max(4, kernel.default_n // 8))
     pad = (PAGE_SIZE - HEAP_BASE) // 8 - 1
@@ -650,6 +655,8 @@ def test_polybench_kernels_identical_whole_cut_and_across_a_page(name):
             whole = per_tier["interp"][1]
             assert per_tier["interp"][0] == "OutOfFuel" if fuel == "half" else per_tier["interp"][3] == 1 + (
                 entry == "padded")
+    assert all(lower_function(fn, module) for fn in compile_module(module))
+    assert [c.value for c in fallbacks] == before
 
 
 def test_guest_interpreter_identical():
