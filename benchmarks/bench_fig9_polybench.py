@@ -1,20 +1,18 @@
 """Fig. 9a — Polybench kernels in Faaslets vs native execution.
 
-Runs each kernel twice: compiled via minilang to the wasm VM inside a
-Faaslet, and as the pure-Python native mirror, reporting the runtime ratio.
+Each kernel is uploaded once (compiled to wasm, its definition built, its
+Proto-Faaslet captured and every function lowered to Python: WAVM's compile
+at upload, §3.4), timed as ``upload_ms``. A warm call, as the runtime makes
+one (``reset``, then call a Faaslet restored from that Proto-Faaslet), is
+timed best of five against the kernel's pure-Python native mirror.
 
-**Scope note (see EXPERIMENTS.md):** the paper's ratios are ≈1× because
-WAVM JIT-compiles WebAssembly to machine code; our VM is an interpreter
-hosted in Python, so absolute ratios here are orders of magnitude larger.
-What this benchmark *does* reproduce and assert:
-
-* the full toolchain executes every kernel correctly (checksums match the
-  native mirror bit-for-bit);
-* the overhead ratio is roughly uniform across kernels (the paper's key
-  qualitative finding is that SFI adds no per-kernel pathologies beyond
-  two loop-optimisation outliers);
-* a calibrated column shows the paper's reported per-kernel ratios for
-  comparison.
+**Scope note (see EXPERIMENTS.md):** the paper's ratios are ≈1× because WAVM
+emits machine code; ours is generated Python with its SFI checks hoisted out
+of its loops: measured warm ratios are a median 3.1–3.3× with subscripted
+pass loads and 2.4–2.5× with streamed ones (2-vCPU VM, CPython 3.11).
+Asserted: every checksum matches the native mirror bit-for-bit, and no kernel
+is pathologically slower than the suite median (the paper's finding: SFI
+adds no per-kernel pathologies beyond two loop-optimisation outliers).
 """
 
 from __future__ import annotations
@@ -24,7 +22,12 @@ import time
 import pytest
 
 from conftest import report
-from repro.apps.kernels import KERNELS, run_kernel_in_faaslet, run_kernel_native
+from repro.apps.kernels import KERNELS, run_kernel_native
+from repro.faaslet import FunctionDefinition
+from repro.faaslet.snapshot import ProtoFaaslet
+from repro.host import StandaloneEnvironment
+from repro.minilang import build
+from repro.wasm.compiled import lower_function
 
 #: Per-kernel ratios as read off the paper's Fig. 9a bars (≈1.0 for most;
 #: two kernels lose loop optimisations under wasm).
@@ -36,44 +39,51 @@ PAPER_RATIOS = {
 }
 
 
-def _time(fn, repeats: int = 3) -> float:
-    best = float("inf")
+def _best(fn, repeats: int = 5) -> float:
+    times = []
     for _ in range(repeats):
         start = time.perf_counter()
         fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def _upload(kernel):
+    """Compile, build, capture and lower once; the upload time and a Faaslet
+    restored from the Proto-Faaslet."""
+    start, env = time.perf_counter(), StandaloneEnvironment()
+    module = build(kernel.source)
+    definition = FunctionDefinition.build(kernel.name, module, entry="kernel")
+    proto = ProtoFaaslet.capture(definition, env)
+    for fn in definition.compiled:
+        fn.compiled = fn.compiled or lower_function(fn, module)
+    return time.perf_counter() - start, proto.restore(env)
 
 
 def test_fig9a_polybench(benchmark):
     def run_suite():
         rows = []
         for name in sorted(KERNELS):
-            kernel = KERNELS[name]
-            n = kernel.default_n
-            sandboxed = run_kernel_in_faaslet(kernel, n)
-            native = run_kernel_native(kernel, n)
-            assert sandboxed == pytest.approx(native, rel=1e-12), name
-            t_faaslet = _time(lambda: run_kernel_in_faaslet(kernel, n), repeats=1)
-            t_native = _time(lambda: run_kernel_native(kernel, n), repeats=2)
-            rows.append(
-                {
-                    "kernel": name,
-                    "faaslet_ms": round(t_faaslet * 1e3, 1),
-                    "native_ms": round(t_native * 1e3, 2),
-                    "ratio": round(t_faaslet / t_native, 1),
-                    "paper_ratio": PAPER_RATIOS[name],
-                }
-            )
+            kernel, n = KERNELS[name], KERNELS[name].default_n
+            upload, faaslet = _upload(kernel)
+
+            def warm():
+                faaslet.reset()
+                return faaslet.invoke_export("kernel", n)
+
+            assert warm() == pytest.approx(run_kernel_native(kernel, n), rel=1e-12), name
+            t_faaslet, t_native = _best(warm), _best(lambda: run_kernel_native(kernel, n))
+            rows.append({"kernel": name, "upload_ms": round(upload * 1e3, 1),
+                         "faaslet_ms": round(t_faaslet * 1e3, 2), "native_ms": round(t_native * 1e3, 2),
+                         "ratio": round(t_faaslet / t_native, 2), "paper_ratio": PAPER_RATIOS[name]})
         return rows
 
     rows = benchmark.pedantic(run_suite, rounds=1, iterations=1)
-    report("fig9a_polybench", "Fig. 9a: Polybench in Faaslets vs native", rows)
+    report("fig9a_polybench", "Fig. 9a: Polybench warm calls in Faaslets vs native", rows)
 
     ratios = [r["ratio"] for r in rows]
-    # Interpreter overhead should be roughly uniform across kernels: no
-    # kernel pathologically worse than the suite median (the paper's
-    # outliers are ~1.5x the others; we allow 4x for interpreter noise).
+    # No kernel pathologically worse than the suite median (the paper's
+    # outliers are ~1.5x the others; we allow 4x for the generated code).
     median = sorted(ratios)[len(ratios) // 2]
     for row in rows:
         assert row["ratio"] < 4 * median, f"pathological kernel {row['kernel']}"
@@ -86,17 +96,7 @@ def test_fig9a_sfi_checks_are_the_overhead(benchmark):
     paper's argument that memory-safety enforcement is cheap."""
     kernel = KERNELS["mvt"]
     n = kernel.default_n
-
-    from repro.faaslet import Faaslet, FunctionDefinition
-    from repro.host import StandaloneEnvironment
-    from repro.minilang import build
-
-    definition = FunctionDefinition.build("mvt", build(kernel.source), entry="kernel")
-    faaslet = Faaslet(definition, StandaloneEnvironment())
-
-    def run():
-        return faaslet.invoke_export("kernel", n)
-
-    benchmark(run)
+    _, faaslet = _upload(kernel)
+    benchmark(lambda: faaslet.invoke_export("kernel", n))
     instructions = faaslet.instance.instructions_executed
     assert instructions > 100_000  # the kernel is non-trivial

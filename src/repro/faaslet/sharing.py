@@ -65,11 +65,11 @@ class SharedRegion:
             fn(start, end)
 
     def reprotect_mappings(self) -> None:
-        """Re-arm page-granular write tracking on every mapping after a
-        drain: the next guest store to each shared page faults once and
-        re-marks it — the reset step of Faasm's dirty-page tracking cycle. A
-        store racing the reset may go unrecorded until its page faults
-        again, which the eventually-consistent DDOs tolerate (§4.1/§6.2)."""
+        """Re-arm page-granular write tracking on every mapping after a drain:
+        the next guest store to each shared page faults once and re-marks it.
+        A pass never stores to a mapped page; only an inline store, between
+        its ``writable`` test and its store, can race this reset and go
+        unrecorded until its page faults again (DDOs tolerate it, §4.1/§6.2)."""
         with self._lock:
             for page in self._mapped_pages:
                 page.writable = False

@@ -45,8 +45,9 @@ _KEY_ATTR, _TEXT_ATTR = "_codecache_key", "_printed_text"
 #: "5" divides with the Python operator where its result is the wasm one;
 #: "6" checks a 2-deep rectangular counted nest's range once per nest entry
 #: and runs each of its inner loops whole as a pass of its own; "7" lowers a
-#: pass with its guard's facts (no dead mask, signed reading or trap test).
-ISA_VERSION = "repro-isa-7"
+#: pass with its guard's facts (no dead mask, signed reading or trap test);
+#: "8" streams a pass's loads and stores untested to pages proved private.
+ISA_VERSION = "repro-isa-8"
 
 
 def module_text(module: Module) -> str:

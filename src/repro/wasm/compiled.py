@@ -58,24 +58,34 @@ Lowering rules
   ``<=``, no call, grow, atomic or v128 access, addresses ``B + S*iv`` over
   locals the loop never writes) a guard ``_h`` checks one iteration,
   ``z + c < 2**31`` for the last value ``z``, each access's page and
-  in-page offset at ``iv`` and ``z``, and stored-to pages ``writable``. On
-  a hit, when an iteration is one superblock, the loop's first statement is
-  one pass ``for iv in range(iv, min(iv + (lim - ex) // K * c, z + 1), c)``
-  over the body alone: only the iterations fuel pays for (``K`` each,
-  charged after the pass), on views bound once, f64/i32/i64 accesses as
-  items of a typed ``view.cast`` view (little-endian hosts; base and stride
-  aligned by the guard), each store behind its page's ``writable`` test. A
-  body with an ``if`` instead runs whole iterations, its exit test and step
-  on plain ints, while ``ex + K <= lim``. A 2-deep *nest* is the same plan
-  over a list of counters: an outer loop whose body is superblocks and inner
-  counted loops, each starting from a constant and bounded by locals the
-  nest never writes, every access affine in both counters. Its guard boxes
-  each access at every corner of the counters' ranges; its pass runs whole
-  outer iterations (``K`` adds each inner trip count times its cost), each
-  inner loop as its own ``for j in range(j0, z_j + 1, c_j)``. Either way the
-  metered arm, where another guest thread can run, is never inside; a
-  store's miss clears ``_h`` and leaves after that (outer) iteration, and
-  today's code, inner guards included, carries on.
+  in-page offset at ``iv`` and ``z``, and stored-to pages ``writable`` and
+  ``not shared``. On a hit, when an iteration is one superblock, the loop's
+  first statement is one pass ``for iv in range(iv, min(iv + (lim - ex) //
+  K * c, z + 1), c)`` over the body alone: only the iterations fuel pays for
+  (``K`` each, charged after the pass), on views bound once, f64/i32/i64
+  accesses as items of a typed ``view.cast`` view (little-endian hosts; base
+  and stride aligned by the guard). A body with an ``if`` runs whole
+  iterations instead, its exit test and step on plain ints, while ``ex + K
+  <= lim``. A 2-deep *nest* is the same plan over a list of counters: an
+  outer loop whose body is superblocks and inner counted loops, each from a
+  constant and bounded by locals the nest never writes, every access affine
+  in both counters. Its guard boxes each access at every corner of the
+  counters' ranges; its pass runs whole outer iterations (``K`` adds each
+  inner trip count times its cost), each inner loop as its own ``for j in
+  range(j0, z_j + 1, c_j)``. The metered arm, where another guest thread
+  can run, is never inside; after the pass, today's code carries on.
+
+* **A pass streams its loads and tests no store.** In an innermost pass
+  loop, a typed load before the body's first store, at an item stride
+  ``t > 0`` in the counter (an ``_f`` the guard tests positive), is the next
+  item of the slice ``view[B + lo*t : B + z*t + 1 : t*c]`` zipped after the
+  counter's range: the range ends the loop first, and a ``memoryview``
+  iterator reads an item when its iteration starts, after every earlier
+  store. A store is a plain item store: only ``reprotect_mappings`` (shared
+  pages) and a capture's ``freeze_pages`` (between calls, never with live
+  guest threads) clear ``Page.writable``, so a page the guard found
+  writable and private stays so for the call; a loop storing to mapped
+  state misses its guard and runs today's per-store test.
 
 * **A pass lowers with what its guard proved.** In it each counter lies in
   ``[start, z]`` within ``[0, 2**31)``. The guard gains, per invariant local
@@ -85,12 +95,11 @@ Lowering rules
   bounded loses its mask and signed reading; a ``div``/``rem`` of one by a
   proved local or constant, and an ``f64.div`` by ``float()`` of one, lose
   their trap or zero test; pure expressions over invariant locals are
-  computed once, before the pass. A failing conjunct is a guard miss. SFI
-  holds because a miss is today's code and :mod:`repro.wasm.verify`
-  (trusted, like the validator) checks every function before it compiles;
-  what it refuses, or what passes CPython's 20 nested loops or ~100
-  indentation levels, runs on the interpreter
-  (``wasm.compile_fallbacks{cause="unverified"|"too-deep"}``).
+  computed once, before the pass. SFI holds because a guard miss is
+  today's code and :mod:`repro.wasm.verify` (trusted, like the validator)
+  checks every function before it compiles; what it refuses, or what passes
+  CPython's 20 nested loops or ~100 indentation levels, runs on the
+  interpreter (``wasm.compile_fallbacks{cause="unverified"|"too-deep"}``).
 """
 
 from __future__ import annotations
@@ -496,7 +505,7 @@ class _Lowering:
         for pc in sorted(self.merged, reverse=True):
             if plan := _counted(fn.code, pc + 1, end_of[pc] - 1, self.loops):
                 self.loops[pc + 1] = plan
-        self.hoist, self.hoisted = None, {}
+        self.hoist, self.hoisted, self.streams = None, {}, {}
         #: In a pass: the locals its nest writes (None elsewhere), each counter in range → its
         #: last value, and its facts' needs: invariant locals (True: a divisor), corner tests
         #: and the invariant expressions computed once, before it.
@@ -846,7 +855,7 @@ class _Lowering:
         L, h, levels, cmp = f"L{top.iv}", f"_h{pc}", [top, *inner], self.code[top.cmp][0]
         if len(self.pyloops) + len(inner) >= MAX_PY_LOOPS:  # the ``while`` and each ``for``
             raise _TooDeep
-        conds, heads, ends, pages, casts, items, strides, self.hoisted = [], [], {}, {}, {}, [], {}, {}
+        conds, heads, ends, pages, casts, items, strides, self.hoisted, self.streams = [], [], {}, {}, {}, [], {}, {}, {}
         for lv in levels:
             n, z, s, op = f"_n{lv.pc}", f"_z{lv.pc}", L if lv is top else str(lv.start), self.code[lv.cmp][0]
             e = f"({_pexpr(lv.bound)}) & {_M32}"
@@ -872,18 +881,30 @@ class _Lowering:
                 conds.append(f"0 <= _p{g} < npg")
             self.emit(f"_b{q} = {_pexpr(alpha)} - (_p{g} << 16)")
             conds += [f"{off} <= _b{q}{at(c)} <= {PAGE_SIZE - size}" for c in product(*(ends[x] for x, _ in terms))]
-            conds += [f"pages[_p{g}].writable"] * (op in STORE_OPS)
+            conds += [f"pages[_p{g}].writable", f"not pages[_p{g}].shared"] * (op in STORE_OPS)
             fmt, k, typed = top.one and _TYPED.get(op), size.bit_length() - 1, None
             if fmt and all(c[0] == "_" or not int(c) % size for _, c in terms):  # whole items of a view
                 conds += [f"not {x} & {size - 1}" for x in (f"_b{q}", *(c for _, c in terms)) if x[0] == "_"]
-                casts[f"_c{g}{fmt}"], typed, items = g, f"_c{g}{fmt}[_e{q}", items + [f"_e{q} = _b{q} >> {k}"]
+                view, items, ts = f"_c{g}{fmt}", items + [f"_e{q} = _b{q} >> {k}"], []
+                casts[view] = g
                 for l, (x, c) in enumerate(terms):  # each stride in items: a constant, or ``_f = _m >> k``
                     items += [f"_f{q}{l} = {c} >> {k}"] * (c[0] == "_")
-                    t = f"_f{q}{l}" if c[0] == "_" else str(int(c) >> k)
-                    typed += f" + {x}" if t == "1" else f" + {x} * {t}"
-                typed += "]"
-            self.hoisted[q] = (f"_v{g}, _b{q}{here}", f"_P{g}.writable", f"(_p{g} << 16) + _b{q}{here}", typed)
-        binds = [x for g in pages.values() for x in (f"_P{g} = pages[_p{g}]", f"_v{g} = _P{g}.view", *(
+                    ts.append(f"_f{q}{l}" if c[0] == "_" else str(int(c) >> k))
+                ix = [f" + {x}" if t == "1" else f" + {x} * {t}" for (x, _), t in zip(terms, ts)]
+                typed, lv = f"{view}[_e{q}{''.join(ix)}]", [v for v in levels if v.pc < q < v.stop][-1]
+                t = ts[-1] if terms and terms[-1][0] == f"L{lv.iv}" else "0"  # its item stride in lv's counter
+                # A stream (module doc): a load before the first store of an innermost loop, t > 0.
+                if op in LOAD_OPS and (lv is not top or not inner) and (t[0] == "_" or int(t) > 0) \
+                        and not any(self.code[p][0] in STORE_OPS for p in range(lv.pc, q)):
+                    conds += [f"0 < {terms[-1][1]}"] * (t[0] == "_")
+                    b, item = f"_e{q}{''.join(ix[:-1])}", (lambda v: v) if t == "1" else (lambda v: f"{v} * {t}")
+                    step = str(int(t) * lv.step) if t[0] != "_" else t if lv.step == 1 else f"{t} * {lv.step}"
+                    lo = L if lv is top else lv.start
+                    self.streams.setdefault(lv.pc, []).append(
+                        (f"_r{q}", f"{view}[{b} + {item(lo)}:{b} + {item(f'_z{lv.pc}')} + 1:{step}]"))
+                    typed = f"_r{q}"
+            self.hoisted[q] = (f"_v{g}, _b{q}{here}", typed)
+        binds = [x for g in pages.values() for x in (f"_v{g} = pages[_p{g}].view", *(
             f"{c} = _v{g}.cast({c[-1]!r})" for c, of in casts.items() if of == g))] + items
         guard = len(self.lines) + len(heads), "    " * self.ind
         for line in heads + [h] + [f"if {h}:"] * bool(pages):  # the guard, once the pass's facts are known
@@ -898,19 +919,17 @@ class _Lowering:
         self.emit(f"if {h} and ex + {cost} <= lim:")
         self.indent()
         saved, first = (list(self.sym), list(self.ctrl), self.ntemp), len(self.lines)
-        self.hoist = (top.iv, top.cmp, _cmp(L, f"_n{pc}", _EXIT[cmp]), h, top.one)
+        self.hoist = (top.iv, top.cmp, _cmp(L, f"_n{pc}", _EXIT[cmp]), top.one)
         self.zs, self.need, self.corners, self.pre = {top.iv: f"_z{pc}"}, {}, {}, {}
         if top.one:  # the iterations fuel can pay for, capped at z; charged after
             self.written = {ins[1] for ins in self.code[pc:top.stop] if ins[0] in _SETS}  # facts on
             self.emit(f"_s{pc} = {L}")
-            self.emit(f"for {L} in range({L}, min({L} + (lim - ex) // {cost}"
-                      f"{f' * {top.step}' * (top.step > 1)}, _z{pc} + 1), {top.step}):")
-            self.indent()
+            self.for_(pc, L, f"range({L}, min({L} + (lim - ex) // {cost}"
+                      f"{f' * {top.step}' * (top.step > 1)}, _z{pc} + 1), {top.step})")
             at = top.cmp + 3
             for lv in inner:  # each inner loop whole, its counter stepped past its z after it
                 self.segment(at, lv.pc - 1)
-                self.emit(f"for L{lv.iv} in range({lv.start}, _z{lv.pc} + 1, {lv.step}):")
-                self.indent()
+                self.for_(lv.pc, f"L{lv.iv}", f"range({lv.start}, _z{lv.pc} + 1, {lv.step})")
                 self.zs[lv.iv] = f"_z{lv.pc}"
                 self.segment(lv.cmp + 3, lv.stop - 7)
                 del self.zs[lv.iv]
@@ -918,9 +937,6 @@ class _Lowering:
                 self.emit(f"L{lv.iv} = (L{lv.iv} + {lv.step})")
                 at = lv.stop
             self.segment(at, top.stop - 7)
-            if any(self.code[q][0] in STORE_OPS for q in self.hoisted):
-                self.emit(f"if not {h}:")  # a store missed: leave after this iteration
-                self.emit("    break")
             self.dedent()
             done = f"{L} - _s{pc} + 1" if top.step == 1 else f"({L} - _s{pc}) // {top.step} + 1"
             self.emit(f"ex += ({done}) * {cost}")
@@ -934,6 +950,13 @@ class _Lowering:
         self.hoist, (self.sym, self.ctrl, self.ntemp), self.live, self.written = None, saved, True, None
         self.dedent()
         self.emit(f"{h} = 0")  # this entry of the loop stays general from here
+
+    def for_(self, pc: int, iv: str, rng: str) -> None:
+        """Open a pass's ``for`` over ``rng``, zipped with the streams of the loop at ``pc``."""
+        s = self.streams.get(pc)
+        self.emit(f"for {iv}{''.join(f', {r}' for r, _ in s)} in zip({rng}, {', '.join(x for _, x in s)}):"
+                  if s else f"for {iv} in {rng}:")
+        self.indent()
 
     def segment(self, start: int, stop: int) -> None:
         """Lower straight-line code of a pass, closing its last superblock."""
@@ -1081,11 +1104,14 @@ class _Lowering:
             ty, size, signed = LOAD_OPS[op]
             if self.hoist and pc in self.hoisted:  # the guard bounded it
                 sym.pop()
-                typed = self.hoisted[pc][3]
-                self.push_now(typed or f"{self.bind(unpack)}({self.hoisted[pc][0]})[0]{fix}")
+                place, typed = self.hoisted[pc]
+                if typed and typed[:2] == "_r":  # the item its stream took this iteration
+                    sym.append(_Val(typed, temp=self.ntemp, atom=True))
+                else:
+                    self.push_now(typed or f"{self.bind(unpack)}({place})[0]{fix}")
                 return
             hit, address = self.page_access(op, ins, size)
-            miss = (f"mem.load_v128({address})" if size == 16 else
+            miss = (f"mem.read({address}, 16)" if size == 16 else
                     f"mem.load_float({address}, {size})" if ty.is_float else
                     f"mem.load_int({address}, {size}, {signed}){fix}")
             self.push_now(f"{self.bind(unpack)}(pages[_p].view, _o)[0]{fix} "
@@ -1094,20 +1120,17 @@ class _Lowering:
             pack, fix = INLINE_STORES[op]
             ty, size = STORE_OPS[op]
             v = self.as_atom(self.pop())
-            if self.hoist and pc in self.hoisted:  # the guard bounded it
+            if self.hoist and pc in self.hoisted:  # the guard proved its page in range, writable, private
                 sym.pop()
-                place, writable, address, typed = self.hoisted[pc]
-            else:
-                hit, address = self.page_access(op, ins, size)
-                place, writable, typed = "pages[_p].view, _o", f"{hit} and pages[_p].writable", None
-            self.emit(f"if {writable}:")
-            self.emit(f"    {typed} = {v.expr}" if typed else
-                      f"    {self.bind(pack)}({place}, {v.expr}{fix})")
+                place, typed = self.hoisted[pc]
+                self.emit(f"{typed} = {v.expr}" if typed else f"{self.bind(pack)}({place}, {v.expr}{fix})")
+                return
+            hit, address = self.page_access(op, ins, size)
+            self.emit(f"if {hit} and pages[_p].writable:")
+            self.emit(f"    {self.bind(pack)}(pages[_p].view, _o, {v.expr}{fix})")
             self.emit("else:")
-            kind = "v128" if size == 16 else "float" if ty.is_float else "int"
-            self.emit(f"    mem.store_{kind}({address}, {v.expr}{f', {size}' * (size < 16)})")
-            if self.hoist and pc in self.hoisted:  # then leave the pass after this iteration
-                self.emit(f"    {self.hoist[3]} = 0")
+            self.emit(f"    mem.write({address}, {v.expr})" if size == 16 else
+                      f"    mem.store_{'float' if ty.is_float else 'int'}({address}, {v.expr}, {size})")
         elif op in SIMD_EXTRACT_OPS:
             a = self.pop()
             self.push(f"{self.bind(SIMD_EXTRACT_OPS[op])}({a.expr}, {ins[1]})", a)

@@ -535,7 +535,7 @@ class Instance:
                 if ty is ValType.F32 or ty is ValType.F64:
                     stack.append(mem.load_float(addr, size))
                 elif ty is ValType.V128:
-                    stack.append(mem.load_v128(addr))
+                    stack.append(mem.read(addr, 16))
                 else:
                     if op in _ATOMIC_LOADS:
                         mem._check_aligned(addr, size)
@@ -550,7 +550,7 @@ class Instance:
                 if ty is ValType.F32 or ty is ValType.F64:
                     mem.store_float(addr, value, size)
                 elif ty is ValType.V128:
-                    mem.store_v128(addr, value)
+                    mem.write(addr, value)
                 else:
                     if op in _ATOMIC_STORES:
                         mem._check_aligned(addr, size)

@@ -25,6 +25,7 @@ import hashlib
 import struct
 import threading
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import OutOfBoundsMemoryAccess, UnalignedAtomicAccess
 from .types import MAX_PAGES, PAGE_SIZE, Limits, MemoryType
@@ -104,15 +105,6 @@ def _fresh_page() -> Page:
     return Page(memoryview(bytearray(PAGE_SIZE)), writable=True, shared=False)
 
 
-def _page_notifier(on_write, start: int, end: int):
-    """Bind one page's region byte range into a zero-argument fault hook."""
-
-    def notify() -> None:
-        on_write(start, end)
-
-    return notify
-
-
 class LinearMemory:
     """A growable, bounds-checked linear memory backed by a page table."""
 
@@ -179,8 +171,7 @@ class LinearMemory:
             if on_write is None:
                 self.pages.append(Page(view, writable=True, shared=True))
             else:
-                start = i * PAGE_SIZE
-                notify = _page_notifier(on_write, start, start + PAGE_SIZE)
+                notify = partial(on_write, i * PAGE_SIZE, (i + 1) * PAGE_SIZE)  # the page's region range
                 self.pages.append(
                     Page(view, writable=False, shared=True, notify=notify)
                 )
@@ -257,13 +248,18 @@ class LinearMemory:
 
     def read(self, addr: int, size: int) -> bytes:
         """Read ``size`` bytes starting at ``addr``."""
+        return bytes(self._span(addr, size))
+
+    def _span(self, addr: int, size: int) -> memoryview:
+        """The ``size`` bytes at ``addr``: a view of their page when they lie
+        in one (the typed loads read it in place), else a copy."""
         self._check(addr, size)
         page_idx, offset = divmod(addr, PAGE_SIZE)
         if offset + size <= PAGE_SIZE:
-            return bytes(self.pages[page_idx].view[offset : offset + size])
-        out = bytearray(size)
-        self.read_into(addr, memoryview(out))
-        return bytes(out)
+            return self.pages[page_idx].view[offset : offset + size]
+        out = memoryview(bytearray(size))
+        self.read_into(addr, out)
+        return out
 
     def read_into(self, addr: int, dest: memoryview) -> None:
         """Copy ``len(dest)`` bytes starting at ``addr`` straight into
@@ -286,6 +282,9 @@ class LinearMemory:
         size = len(data)
         self._check(addr, size)
         page_idx, offset = divmod(addr, PAGE_SIZE)
+        if offset + size <= PAGE_SIZE and self.pages[page_idx].writable:  # the typed stores' case
+            self.pages[page_idx].view[offset : offset + size] = data
+            return
         data = memoryview(data)
         pos = 0
         while pos < size:
@@ -304,71 +303,19 @@ class LinearMemory:
         self.write(addr, bytes([value & 0xFF]) * size)
 
     # ------------------------------------------------------------------
-    # Typed access (used by the interpreter's load/store ops)
+    # Typed access: the interpreter's, and the compiled tier's on a miss
     # ------------------------------------------------------------------
     def load_int(self, addr: int, size: int, signed: bool) -> int:
-        self._check(addr, size)
-        page_idx, offset = divmod(addr, PAGE_SIZE)
-        if offset + size <= PAGE_SIZE:
-            return int.from_bytes(self.pages[page_idx].view[offset : offset + size], "little", signed=signed)
-        return int.from_bytes(self.read(addr, size), "little", signed=signed)
+        return int.from_bytes(self._span(addr, size), "little", signed=signed)
 
     def store_int(self, addr: int, value: int, size: int) -> None:
-        self._check(addr, size)
-        page_idx, offset = divmod(addr, PAGE_SIZE)
-        data = (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-        if offset + size <= PAGE_SIZE:
-            page = self.pages[page_idx]
-            if page.writable:
-                page.view[offset : offset + size] = data
-            else:
-                self._fault_store(page_idx, offset, data)
-        else:
-            self.write(addr, data)
+        self.write(addr, (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little"))
 
     def load_float(self, addr: int, size: int) -> float:
-        self._check(addr, size)
-        st = _F32 if size == 4 else _F64
-        page_idx, offset = divmod(addr, PAGE_SIZE)
-        if offset + size <= PAGE_SIZE:
-            return st.unpack_from(self.pages[page_idx].view, offset)[0]
-        return st.unpack(self.read(addr, size))[0]
+        return (_F32 if size == 4 else _F64).unpack(self._span(addr, size))[0]
 
     def store_float(self, addr: int, value: float, size: int) -> None:
-        self._check(addr, size)
-        st = _F32 if size == 4 else _F64
-        page_idx, offset = divmod(addr, PAGE_SIZE)
-        if offset + size <= PAGE_SIZE:
-            page = self.pages[page_idx]
-            if page.writable:
-                st.pack_into(page.view, offset, value)
-            else:
-                self._fault_store(page_idx, offset, st.pack(value))
-        else:
-            self.write(addr, st.pack(value))
-
-    # ------------------------------------------------------------------
-    # v128 access (the interpreter, and the compiled tier's miss path from
-    # INLINE_LOADS/INLINE_STORES)
-    # ------------------------------------------------------------------
-    def load_v128(self, addr: int) -> bytes:
-        if addr >= 0:
-            page_idx, offset = divmod(addr, PAGE_SIZE)
-            if offset <= PAGE_SIZE - 16 and page_idx < len(self.pages):
-                return bytes(self.pages[page_idx].view[offset : offset + 16])
-        self._check(addr, 16)
-        return self.read(addr, 16)
-
-    def store_v128(self, addr: int, value: bytes) -> None:
-        if addr >= 0:
-            page_idx, offset = divmod(addr, PAGE_SIZE)
-            if offset <= PAGE_SIZE - 16 and page_idx < len(self.pages):
-                page = self.pages[page_idx]
-                if page.writable:
-                    page.view[offset : offset + 16] = value
-                    return
-        self._check(addr, 16)
-        self.write(addr, value)
+        self.write(addr, (_F32 if size == 4 else _F64).pack(value))
 
     # ------------------------------------------------------------------
     # Atomics (sequentially consistent; unaligned accesses trap)
@@ -416,14 +363,12 @@ class LinearMemory:
 
 
 #: op mnemonic -> (struct (un)packer, canonicalising suffix): the accesses
-#: the compiled tier inlines when they fall inside one page, testing
-#: bounds, page straddle and (stores) ``Page.writable`` itself. On a miss
-#: it calls the typed accessor of the same width above (COW fault,
-#: dirty-tracking ``notify``, the trap), so this table is the only other
-#: statement of the single-page case. An atomic load or store is the plain
-#: access behind an alignment test (``_check_aligned``). The
-#: read-modify-write atomics are absent: they always go through their
-#: accessors.
+#: the compiled tier inlines when they fall inside one page, testing bounds,
+#: page straddle and (stores) ``Page.writable`` itself; a miss calls an
+#: accessor above (v128: ``read``/``write``; COW fault, ``notify``, trap). An
+#: atomic load or store is the plain access behind an alignment test
+#: (``_check_aligned``); the read-modify-write atomics always go through
+#: their accessors.
 INLINE_LOADS = {
     "v128.load": (_V128.unpack_from, ""),
     "i32.load": (_U32.unpack_from, ""),

@@ -4,12 +4,14 @@ SFI confines guest accesses to linear memory (§3.1) and trusts the code
 generator that makes that cheap (§3.4): here :mod:`repro.wasm.compiled`,
 whose output :func:`verify` checks in one walk before it is compiled. Every
 page view goes to a ``struct`` (un)pack under its bounds test, or to one a
-guarded iteration's entry guard covered; a typed view is subscripted only
-inside a pass capped at the guard's last iteration, at an item the guard
-aligned and bounded. A nest's guard is the same rule over a box of counters:
-an access is covered at every corner of the ranges its counters' passes
-hold them in, and an inner bound reads no counter or local the nest writes.
-DESIGN.md §2.1 states the rules.
+guarded iteration's entry guard covered; a typed view is subscripted, or
+streamed (sliced from the item at the counter's first value to the one after
+its last, at a positive stride), only inside a pass capped at the guard's
+last iteration, at items the guard aligned and bounded, and stored to only
+if the guard found its page ``writable`` and ``not shared``. A nest's guard
+is the same rule over a box of counters: an access is covered at every
+corner of its counters' ranges, and an inner bound reads no counter or local
+the nest writes. DESIGN.md §2.1 states the rules.
 """
 
 from __future__ import annotations
@@ -25,19 +27,19 @@ from .ops import BINOPS, UNOPS
 from .simd import SIMD_EXTRACT_OPS, SIMD_REPLACE_OPS
 from .types import PAGE_SIZE, FuncType
 
-#: Builtins generated code may read (``range`` and ``min`` only as a pass's range).
-BUILTINS = frozenset(["float", "abs", "len", "range", "min"])
+#: Builtins generated code may read (``range``, ``min`` and ``zip`` only as a pass's range).
+BUILTINS = frozenset(["float", "abs", "len", "range", "min", "zip"])
 _PRELUDE = frozenset(["_code", "_UNMETERED", "_CallStackExhausted", "_Unreachable"])
 _FIXED = {"pages": "mem.pages", "mem": "inst.memory", "npg": "len(pages)", "inst": "inst"}
 _WATCHED = frozenset(["_a", "_p", "_o", *_FIXED])
 #: A guarded iteration's invariants, views and page objects: fixed inside it.
-_FROZEN = re.compile(r"_[nzpbmvPef]\d+|_c\d+[dIQ]")
+_FROZEN = re.compile(r"_[nzpbmvef]\d+|_c\d+[dIQ]")
 #: A pass's typed page view: the page's ``view.cast(<its last letter>)``.
 _CAST = re.compile(r"_c\d+([dIQ])")
 #: An address known >= 0: a local, temp, slot, constant or mask (plus a constant).
 _NONNEG = re.compile(r"(?:L|_t|s)?\d+|\(.* & \d+\)|\((?:(?:L|_t|s)?\d+|\(.* & \d+\)) \+ \d+\)")
-_LOCAL = re.compile(r"(?:L|_t|s|_[nzpbmvPhef])\d+|_c\d+[dIQ]|_x")
-_TYPED = re.compile(r"mem\.(load|store)_(int|float)|float|abs|len")
+_LOCAL = re.compile(r"(?:L|_t|s|_[nzpbmvhef])\d+|_c\d+[dIQ]|_x")
+_TYPED = re.compile(r"float|abs|len")
 _SYM = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.FloorDiv: "//", ast.LShift: "<<",
         ast.RShift: ">>", ast.BitAnd: "&", ast.Lt: "<", ast.LtE: "<=", ast.USub: "-",
         ast.Not: "not "}
@@ -124,7 +126,7 @@ class _Checker:
                         if type(n) is ast.Name:
                             names.append(n.id)
                         elif type(n) is ast.Subscript:  # only a typed view's item
-                            self.covered(n, None, {c for x in tests for c in _conj(x)}, 0, True)
+                            self.covered(n, None, 0, True)
                         else:
                             self.expr(n, tests, env)
                 assigned.update(names)
@@ -180,7 +182,7 @@ class _Checker:
         t = type(n)
         kids = _KIDS.get(t)
         if t is ast.Subscript and _CAST.fullmatch(_src(n.value)):
-            self.covered(n, None, {c for x in tests for c in _conj(x)}, 0, False)
+            self.covered(n, None, 0, False)
         elif kids:
             for k in kids(n):
                 if type(k) is ast.Name:
@@ -217,7 +219,7 @@ class _Checker:
     def access(self, call, facts, env, kind, size) -> None:
         args, g = [_src(a) for a in call.args], self.g
         if g and args[0] in g["views"]:
-            return self.covered(call, args[1], facts, size, kind == "store" and g["views"][args[0]])
+            return self.covered(call, args[1], size, kind == "store" and g["views"][args[0]])
         split = env.get("_p")
         if args[:2] != ["pages[_p].view", "_o"] or split is None or split is not env.get("_o"):
             _fail(call, "access is not split from one address into _p and _o")
@@ -259,14 +261,15 @@ class _Checker:
                 _src(getattr(clear, "targets", [s])[0]) != h:
             _fail(s, "guard is not followed by its views and a loop opening with its iteration")
         binds = " ".join(f"{_stmt(b)};" for b in bind.body)
-        found = re.findall(r"(_P\d+) = pages\[(_p\d+)\]; (_v\d+) = \1\.view;((?: _c\d+[dIQ] = "
-                           r"\3\.cast\('[dIQ]'\);)*)", binds)
-        g["views"] = {view: obj for obj, page, view, _ in found if f"(0 <= {page} < npg)" in conj}
-        g["writable"] = {obj for obj, page, _, _ in found if f"pages[{page}].writable" in conj}
-        g["typed"] = {c: (g["views"][view], struct.calcsize(f)) for _, _, view, casts in found
+        found = re.findall(r"(_v\d+) = pages\[(_p\d+)\]\.view;((?: _c\d+[dIQ] = \1\.cast\('[dIQ]'\);)*)", binds)
+        g["views"] = {view: page for view, page, _ in found if f"(0 <= {page} < npg)" in conj}
+        g["private"] = {page for _, page, _ in found  # stores need no test: nothing clears these mid-call
+                        if {f"pages[{page}].writable", f"(not pages[{page}].shared)"} <= {*conj}}
+        g["positive"] = {m[1] for c in conj if (m := re.fullmatch(r"\(0 < (_m\d+)\)", c))}
+        g["typed"] = {c: (g["views"][view], struct.calcsize(f)) for view, _, casts in found
                       if view in g["views"] for c, f in re.findall(r"(_c\d+(\w)) = \S+\('\2'\)", casts)}
         g["items"] = dict(re.findall(r"(_[ef]\d+) = (\(_[bm]\d+ >> \d\));", binds))
-        if len(g["views"]) * 2 + len(g["typed"]) + len(g["items"]) != len(bind.body):
+        if len(g["views"]) + len(g["typed"]) + len(g["items"]) != len(bind.body):
             _fail(bind, "guarded iteration binds something other than views of checked pages")
         self.g, g["top"] = g, first.body
         assigned = self.block([first], [], {})
@@ -276,10 +279,11 @@ class _Checker:
                 _fail(x, "inner bound reads a counter or a local the nest writes")
         return 1 + (bind is rest[0]), assigned | self.block(loop.body[1:], [], {})
 
-    def covered(self, node, at, facts, size, obj) -> None:
+    def covered(self, node, at, size, obj) -> None:
         """An access at ``at`` (its base plus ``(counter * stride)`` terms) where
         a pass or the exit test holds each counter in range, boxed at every
-        corner of those ranges. A typed view's item (``at`` None, ``obj`` the
+        corner of those ranges; a store's page (``obj``) proved writable and
+        private by the guard. A typed view's item (``at`` None, ``obj`` the
         store flag) has its index read back from items to bytes, aligned."""
         g, terms, typed = self.g or {"in": {}}, [], at is None
         if typed:
@@ -288,8 +292,7 @@ class _Checker:
         k = size.bit_length() - 1
         while m := re.fullmatch(r"\((.+) \+ (?:(L\d+)|\((L\d+) \* (\d+|\(-\d+\)|_m\d+|\(_m\d+ >> \d\))\))\)", at):
             at, terms = m[1], [(m[2] or m[3], m[4] or "1"), *terms]
-        if not g["in"] or typed and not view or any(c not in g["in"] for c, _ in terms) or obj and (
-                f"{obj}.writable" not in facts or obj not in g["writable"]):
+        if not g["in"] or typed and not view or any(c not in g["in"] for c, _ in terms) or obj and obj not in g["private"]:
             _fail(node, "access outside the tested pass or its writable test")
         base = re.fullmatch(rf"\((_b\d+) >> {k}\)" if typed else r"_b\d+", at)
         strides = [s if not typed else re.sub(rf"^\((_m\d+) >> {k}\)$", r"\1", s) if "_" in s else
@@ -304,8 +307,15 @@ class _Checker:
     def pass_(self, s, tests, env, top) -> set:
         """``for iv in range(iv, min(<fuel>, z + 1), c)`` at the top, or an inner
         loop's ``for j in range(<its first value>, z + 1, c)``: the counter's
-        values from the guard's first one up to its ``z``."""
-        g, it, iv = self.g, s.iter, _src(s.target)
+        values from the guard's first one up to its ``z``. Zipped after the
+        range, its target after the counter: streams, one ``_r`` each."""
+        g, it = self.g, s.iter
+        zipped = type(it) is ast.Call and _src(it.func) == "zip" and not it.keywords and it.args
+        names = [_src(x) for x in s.target.elts] if zipped and type(s.target) is ast.Tuple else [_src(s.target)]
+        iv, streams, it = names[0], it.args[1:] if zipped else [], it.args[0] if zipped else it
+        if len(names) != 1 + len(streams) or len({*names}) != len(names) or not all(
+                re.fullmatch(r"_r\d+", t) for t in names[1:]):
+            _fail(s, "stream targets are not the counter and fresh temps")
         args = it.args if type(it) is ast.Call and not it.keywords and len(it.args) == 3 else [s] * 3
         cap = args[1]
         fuel = cap.args[0] if top and type(cap) is ast.Call and not cap.keywords and len(cap.args) == 2 else None
@@ -319,6 +329,27 @@ class _Checker:
         if fuel:
             self.expr(fuel, tests, env)
         g["in"][iv] = (lo, z)
+        for x in streams:
+            self.stream(x, iv, lo, z, c)
         inner = self.block(s.body, [], {})
         del g["in"][iv]
-        return inner
+        return inner | {*names}
+
+    def stream(self, x, iv, lo, z, c) -> None:
+        """``view[B + lo*t : B + z*t + 1 : t*c]`` with a positive item stride
+        ``t`` (1 unwritten): the items ``view[B + iv*t]`` takes over the pass,
+        each boxed as that subscript is."""
+        k = x.slice if type(x) is ast.Subscript else None
+        lower = k.lower if type(k) is ast.Slice and type(k.lower) is ast.BinOp and type(k.lower.op) is ast.Add else None
+        mult = lower and type(lower.right) is ast.BinOp and type(lower.right.op) is ast.Mult
+        first, t = (lower.right.left, lower.right.right) if mult else (lower and lower.right, ast.Constant(1))
+        b, u = _src(lower.left) if lower else "", _src(t)
+        m = re.fullmatch(r"\((_m\d+) >> \d\)", self.g["items"].get(u, ""))
+        last = f"(({b} + ({z} * {u})) + 1)" if mult else f"(({b} + {z}) + 1)"
+        if not lower or _src(first) != lo or _src(k.upper) != last \
+                or _src(k.step) != (repr(int(u) * int(c)) if u.isdigit() else u if c == "1" else f"({u} * {c})") \
+                or not (u.isdigit() and int(u) > 0 or m and m[1] in self.g["positive"]):
+            _fail(x, "stream is not the counter's items from its first value to its last, at a positive stride")
+        self.expr(ast.Tuple([k.lower, k.upper, k.step]), [], {})
+        self.covered(ast.Subscript(x.value, ast.BinOp(lower.left, ast.Add(), ast.BinOp(ast.Name(iv), ast.Mult(), t)
+                                                      if mult else ast.Name(iv))), None, 0, False)

@@ -11,8 +11,9 @@ otherwise refuse it -- to show the test catches that mutant:
 * a guest thread preempted inside a guarded loop while another thread
   copies a copy-on-write page the loop reads (mutant: the loop keeps taking
   guarded iterations after the metered arm ran);
-* a counted loop storing into a mapped, write-protected state page
-  (mutant: stores hoisted without any ``writable`` test);
+* a counted loop storing into a mapped, write-protected state page: its
+  guard misses, as it does on every mapped page (mutant: the guard tests
+  neither ``writable`` nor ``not shared``, and a pass store has no test);
 * a loop whose last iteration is out of bounds (mutant: the guard omits the
   upper end at the last iteration).
 
@@ -72,7 +73,7 @@ def _guarded(module):
 
 def _passes(module):
     """How many loops of ``module`` run as a pass."""
-    return len(re.findall(r"^ +for L\d+ in range\(", _guarded(module), re.M))
+    return len(re.findall(r"^ +for L\d+(?:, _r\d+)* in (?:zip\()?range\(", _guarded(module), re.M))
 
 
 # ----------------------------------------------------------------------
@@ -151,7 +152,7 @@ def test_preempted_reader_sees_the_copied_page(monkeypatch, lowering):
 
 
 # ----------------------------------------------------------------------
-# A write-protected state page: every store keeps its writable test
+# A write-protected state page: a pass never stores to a mapped page
 # ----------------------------------------------------------------------
 
 _STATE = """
@@ -183,9 +184,8 @@ def test_store_to_protected_state_page_notifies_and_pushes(monkeypatch, lowering
     assert _passes(build(_STATE)) >= 1 and ".cast('d')" in _guarded(build(_STATE))
     expected = b"".join(struct.pack("<d", i + 0.25) for i in range(64))
     assert _pushed("interp") == expected
-    if lowering == "mutant":  # no writable test at the guard or at the store
-        counts = _mutate(monkeypatch, r" and pages\[_p\d+\]\.writable|_P\d+\.writable",
-                         lambda m: "" if m[0].startswith(" and") else "True")
+    if lowering == "mutant":  # the guard tests neither writable nor private: stores go unmarked
+        counts = _mutate(monkeypatch, r" and pages\[_p\d+\]\.writable and not pages\[_p\d+\]\.shared", "")
         assert _pushed("compiled") != expected and sum(counts)
     else:
         assert _pushed("compiled") == expected
@@ -253,6 +253,43 @@ def test_every_fuel_limit_matches_through_a_guarded_loop(n):
             per_tier.append((outcome, inst.fuel, inst.instructions_executed,
                              inst.memory.read(65000, 536)))
         assert per_tier[0] == per_tier[1]
+
+
+_CARRY = """
+export float carry(int n) {
+    float[] a = new float[n + 1];
+    a[0] = 0.5;
+    for (int i = 0; i < n; i = i + 1) { a[i + 1] = a[i] * 1.5 + 0.25; }
+    float s = 0.0;
+    for (int i = 0; i < n + 1; i = i + 1) { s = s + a[i]; }
+    return s;
+}
+"""
+
+
+def test_a_stream_reads_what_the_previous_iteration_stored():
+    """``a[i + 1] = a[i] * 1.5 + 0.25``: the pass streams ``a[i]``, a slice
+    of the view it stores into; each item is read when its iteration starts,
+    after the last one stored it. Whole and at a hundred fuel limits across
+    the run, the tiers agree on result, fuel, count and trap."""
+    module = build(_CARRY)
+    assert re.search(r"^ +for L\d+, _r\d+ in zip\(range\(", _guarded(module), re.M)
+    whole = None
+    for fuel in [None, *range(0, 2300, 23)]:
+        runs = []
+        for tier in ("interp", "compiled"):
+            inst = instantiate(module, tier=tier, fuel=fuel, precompiled=compile_module(module))
+            try:
+                outcome = inst.invoke("carry", 40)
+            except Trap as trap:
+                outcome = type(trap).__name__
+            runs.append((outcome, inst.fuel, inst.instructions_executed))
+        assert runs[0] == runs[1], fuel
+        whole = whole or runs[0]
+    a = [0.5]
+    for _ in range(40):
+        a.append(a[-1] * 1.5 + 0.25)
+    assert whole[0] == sum(a)
 
 
 # ----------------------------------------------------------------------
@@ -380,7 +417,7 @@ def test_preempted_reader_resumes_compiled_code_mid_nest():
     writer's copy of page 0 exactly as the interpreter does."""
     nested = _THREADS.replace("(br_if $done (i32.ge_u (local.get $r) (i32.const 12)))",
                               "(br_if $done (i32.eqz (i32.lt_s (local.get $r) (i32.const 12))))")
-    assert "in range(0, _z" in _guarded(parse_module(nested))
+    assert "range(0, _z" in _guarded(parse_module(nested))
     interp = _threaded("interp", nested)
     assert 0 < interp[0] < 12 * 64 and interp[1] == 2
     assert _threaded("compiled", nested) == interp

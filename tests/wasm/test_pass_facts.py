@@ -65,7 +65,7 @@ MISSES = {
 def _module():
     module = build(GUEST)
     # The nest's two, the inner loop's own (where the nest's guard misses) and the sum's.
-    assert len(re.findall(r"^ +for L\d+ in range\(", _source(module), re.M)) == 4
+    assert len(re.findall(r"^ +for L\d+(?:, _r\d+)* in (?:zip\()?range\(", _source(module), re.M)) == 4
     return module
 
 

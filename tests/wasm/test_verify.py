@@ -79,8 +79,8 @@ def test_corpus_verifies_with_no_fallback():
 # ----------------------------------------------------------------------
 
 def _jacobi():
-    """The ``jacobi-1d`` kernel: general loads and stores, and guarded
-    iterations with hoisted loads and a hoisted store."""
+    """The ``jacobi-1d`` kernel: general loads and stores, and passes with
+    streamed loads and hoisted stores."""
     return _lowered(build(KERNELS["jacobi-1d"].source))["kernel"]
 
 
@@ -103,12 +103,12 @@ _UNSAFE = {  # name: (pattern, replacement, what the verifier says)
     # Builtins and the instance's class are out of reach.
     "reachable-import": (r"^(def f\(.*\):)$", r"\1\n    __import__('os')", "dunder"),
     "reachable-class": (r"^(def f\(.*\):)$", r"\1\n    _c = inst.__class__", "__class__"),
-    # A hoisted load copied above its pass runs at a counter the pass never tested.
+    # A hoisted access copied above its pass runs at a counter the pass never tested.
     "hoisted-before-exit-test": (
         r"(?s)(if _h\d+ and ex \+ \d+ <= lim:\n)( +)((?:(?!if _h\d).)*?)"
-        r"(_t\d+ = _c\d+d\[[^\n]*\n)", r"\1\2\4\2\3\4", "outside the tested"),
+        r"(_c\d+d\[[^\n]*\] = _t\d+\n)", r"\1\2\4\2\3\4", "outside the tested"),
     # A view of a page the guard never bounded.
-    "view-of-unchecked-page": (r"_P(\d+) = pages\[_p\1\]", r"_P\1 = pages[_p\1 + 1]",
+    "view-of-unchecked-page": (r"_v(\d+) = pages\[_p\1\]", r"_v\1 = pages[_p\1 + 1]",
                                "checked pages"),
     # The counter stepped by two walks past z.
     "counter-steps-past-last": (r"^( +)(L\d+) = \(\2 \+ 1\)$", r"\1\2 = (\2 + 2)",
@@ -121,9 +121,9 @@ _UNSAFE = {  # name: (pattern, replacement, what the verifier says)
     "pass-past-last": (r"(range\(.*, _z\d+ \+ )1\)", r"\g<1>2)", "capped"),
     # A typed index whose base the guard never aligned reads the wrong item.
     "typed-index-unaligned": (r" and not _b\d+ & 7", "", "aligned"),
-    # A typed store that skips Page.writable would write a protected page.
-    "typed-store-outside-writable": (r"^( +)if _P(\d+)\.writable:(\n +_c\2d\[)", r"\1if True:\3",
-                                     "writable test"),
+    # A pass store whose guard lacks ``not shared`` could write a mapped page
+    # between a push's re-protection and its fault.
+    "typed-store-outside-writable": (r" and not pages\[_p\d+\]\.shared", "", "writable test"),
     # A typed view of a page the guard never bounded.
     "typed-view-of-unchecked-page": (r"(_c(\d+)d) = _v\2\.cast", r"\1 = pages[_p\2 + 1].view.cast",
                                      "checked pages"),
@@ -133,6 +133,15 @@ _UNSAFE = {  # name: (pattern, replacement, what the verifier says)
     # Only the ``for`` steps the counter inside a pass.
     "counter-written-in-pass": (r"^( +)(for (L\d+) in range\(.*:)$", r"\1\2\n\1    \3 = (\3 + 1)",
                                 "counter written"),
+    # A stream one item past z reads the item after the guard's last.
+    "stream-past-last": (r"(_c\d+d\[[^:\]]+:_e\d+ \+ _z\d+ \+ )1:", r"\g<1>2:", "stream is not"),
+    # A stream stepping two items where the counter steps one.
+    "stream-step-not-stride": (r"(_c\d+d\[[^:\]]+:[^:\]]+:)1\]", r"\g<1>2]", "stream is not"),
+    # A stream from a view of a page the guard never bounded.
+    "stream-of-unchecked-page": (r", (_c(\d+)d)\[(_e\d+ \+ 1:)", r", pages[_p\2 + 1].view.cast('d')[\3",
+                                 "outside the tested"),
+    # A streamed item bound to the counter would overwrite it every iteration.
+    "stream-shadows-counter": (r"for (L\d+), _r\d+", r"for \1, \1", "stream targets"),
     # A raw view subscript bypasses every bounds test.
     "raw-view-read": (r"^(def f\(.*\):)$", r"\1\n    _t99 = inst.memory.pages[0].view[0]",
                       "'view'"),
@@ -163,6 +172,8 @@ _UNSAFE_NEST = {  # name: (pattern, replacement, what the verifier says)
                                   r"\1", "did not test this access"),
     # A store's page is not tested writable when the nest is entered.
     "nest-guard-omits-writable": (_NEST_GUARD + r" and pages\[_p\d+\]\.writable", r"\1", "writable test"),
+    # A stream at a variable stride the guard never tested positive.
+    "stream-stride-not-positive": (r" and 0 < _m\d+", "", "stream is not"),
     # The inner loop's bound moves with the outer counter: a triangle.
     "inner-bound-reads-outer-counter": (r"^( +_z\d+ = (L\d+) \+ .*\n +_n\d+ = \(_x if \(_x := \()L\d+\)",
                                         r"\1\2)", "inner bound reads"),
