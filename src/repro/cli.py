@@ -39,28 +39,11 @@ Commands (``python -m repro <command> --help`` lists each one's flags)::
                   one Poisson stream per weighted tenant) through the
                   ingestion plane and report throughput, sojourn latency
                   and per-tenant fairness.
-    profiles      Drive the built-in mixed workload (a chained pipeline
-                  over byte-ranges of a shared state key plus the
-                  snapshotted demo kernel) through a cluster with trace
-                  mining on, persist the mined per-function access profiles
-                  content-addressed in the object store, and print them
-                  back *from the store*. ``--flame-dir`` also writes
-                  collapsed-stack and speedscope flamegraph artifacts from
-                  the continuous guest profiler.
-    top           Live cluster dashboard: churns the demo workload in the
-                  background and refreshes the per-function table every
-                  interval (``--plain`` appends frames instead of
-                  redrawing, for logs/CI).
-    report        Drive the demo workload and emit a cluster report
-                  (markdown, or HTML with ``--html``): aggregate counters,
-                  the per-function table and every persisted profile.
 
-Three pieces are shared. :func:`_run_guest` is the one guest runner behind
+Two pieces are shared. :func:`_run_guest` is the one guest runner behind
 ``run``, ``profile``, ``trace`` and ``metrics``, whose guest flags come
-from one argparse parent. :func:`_function_view` is the one per-function
-view (a table row and a section per function, from the SLO report and the
-mined or stored profiles) that ``profiles``, ``top`` and ``report`` print.
-:func:`_render` lays out every table and report as text, markdown or HTML.
+from one argparse parent. :func:`_render` lays out every table and
+message block as aligned text.
 """
 
 from __future__ import annotations
@@ -93,51 +76,17 @@ def _load_module(path: str):
 # The one table renderer
 # ---------------------------------------------------------------------------
 
-_HTML_HEAD = (
-    "<!DOCTYPE html>\n<html><head><meta charset='utf-8'>\n"
-    "<title>repro cluster report</title>\n"
-    "<style>body{font-family:sans-serif;margin:2em}"
-    "table{border-collapse:collapse}"
-    "td,th{border:1px solid #999;padding:0.25em 0.6em}"
-    "code{background:#eee;padding:0 0.2em}</style>\n"
-    "</head><body>\n"
-)
-
-
-def _html(text: str) -> str:
-    """Escape ``text`` for HTML, turning its `code` spans into <code>."""
-    import html
-    import re
-
-    return re.sub(r"`([^`]+)`", r"<code>\1</code>", html.escape(text))
-
-
 class _Table:
-    """Rows under a header, laid out as aligned text, markdown or HTML.
-
-    The first column is left-aligned and the rest right-aligned; a cell
-    is anything ``str()`` formats and may carry `code` spans (plain text
-    drops the backticks)."""
+    """Rows under a header, laid out as aligned text: the first column
+    left-aligned and the rest right-aligned; a cell is anything ``str()``
+    formats."""
 
     def __init__(self, header, rows=()):
         self.header = header
         self.rows = list(rows)
 
-    def render(self, fmt: str) -> str:
+    def render(self) -> str:
         cells = [[str(c) for c in row] for row in (self.header, *self.rows)]
-        if fmt == "markdown":
-            rule = ["---"] + ["---:"] * (len(self.header) - 1)
-            return "\n".join(
-                "| " + " | ".join(row) + " |"
-                for row in (cells[0], rule, *cells[1:])
-            )
-        if fmt == "html":
-            tags = ["th"] + ["td"] * len(self.rows)
-            return "<table>\n" + "\n".join(
-                "<tr>" + "".join(f"<{t}>{_html(c)}</{t}>" for c in row) + "</tr>"
-                for t, row in zip(tags, cells)
-            ) + "\n</table>"
-        cells = [[c.replace("`", "") for c in row] for row in cells]
         widths = [max(map(len, column)) for column in zip(*cells)]
         return "\n".join(
             "  ".join(
@@ -148,30 +97,13 @@ class _Table:
         )
 
 
-def _render(blocks, fmt: str = "text") -> str:
-    """Lay out a list of blocks in ``fmt`` (text, markdown or html): a
-    :class:`_Table`, a heading (a string starting with ``#``), or a
-    paragraph (any other string, `code` spans allowed)."""
-    out = []
-    for block in blocks:
-        if isinstance(block, _Table):
-            out.append(block.render(fmt))
-            continue
-        text = block.lstrip("#")
-        level = len(block) - len(text)
-        text = text.strip()
-        if fmt == "markdown":
-            out.append(block)
-        elif fmt == "html":
-            tag = f"h{level}" if level else "p"
-            out.append(f"<{tag}>{_html(text)}</{tag}>")
-        else:
-            text = text.replace("`", "")
-            out.append(f"\n== {text} ==" if level else text)
-    if fmt == "markdown":
-        return "\n\n".join(out) + "\n"
-    body = "\n".join(out) + "\n"
-    return _HTML_HEAD + body + "</body></html>\n" if fmt == "html" else body
+def _render(blocks) -> str:
+    """Lay out a list of blocks, each a :class:`_Table` or a line of
+    text, one under the other."""
+    return "".join(
+        (block.render() if isinstance(block, _Table) else block) + "\n"
+        for block in blocks
+    )
 
 
 def _emit(payload: str, path: str | None, what: str) -> None:
@@ -418,10 +350,9 @@ def cmd_kernels(args) -> int:
     return 0
 
 
-#: The demo wasm guest: ``repro snapshots`` drives it when no source file
-#: is given, the observability commands as ``kernel``. Its init dirties a
-#: spread of pages, so the snapshot has a real payload, and its nested
-#: calls give the continuous profiler stacks to sample.
+#: The demo wasm guest ``repro snapshots`` drives when no source file is
+#: given. Its init dirties a spread of pages, so the snapshot has a real
+#: payload.
 _DEMO_KERNEL_SRC = """
 global int ready = 0;
 export void init() {
@@ -534,251 +465,6 @@ def cmd_chaos(args) -> int:
             "every call reached exactly one terminal state",
         ]), end="")
     return 0 if report.ok else 1
-
-
-# ---------------------------------------------------------------------------
-# Observability plane: profiles / top / report
-# ---------------------------------------------------------------------------
-
-#: The demo workload the observability commands drive when the user does
-#: not bring their own cluster: a chained pipeline whose stages touch
-#: distinct byte-ranges of one shared state key (so mined profiles show
-#: per-key bytes, round trips and fan-out), plus the snapshotted demo
-#: kernel (so snapshot-page counters, fuel distributions, and the
-#: continuous profiler's stacks all have data).
-_GRID_KEY = "grid"
-_GRID_SIZE = 64 * 1024
-_GRID_CHUNK = 4 * 1024
-
-
-def _pipeline_fn(ctx):
-    import pickle
-
-    stages = pickle.loads(ctx.input()) if ctx.input() else 4
-    ctx.state.get_state(_GRID_KEY, _GRID_SIZE)
-    ctx.state.push_state(_GRID_KEY)
-    cids = [ctx.chain_object("stage", {"slot": i}) for i in range(stages)]
-    ctx.await_all(cids)
-    total = sum(ctx.call_output_object(cid) for cid in cids)
-    ctx.write_output_object(total)
-
-
-def _stage_fn(ctx):
-    slot = ctx.input_object()["slot"]
-    offset = (slot * _GRID_CHUNK) % _GRID_SIZE
-    view = ctx.state.get_state_offset(_GRID_KEY, offset, _GRID_CHUNK)
-    view[0] = (view[0] + 1) % 256
-    ctx.state.push_state_offset(_GRID_KEY, offset, _GRID_CHUNK)
-    ctx.write_output_object(int(view[0]))
-
-
-def _observability_cluster(hosts: int):
-    """A cluster with the full observability plane on and the demo
-    workload registered."""
-    from repro.runtime import FaasmCluster
-    from repro.telemetry import Telemetry
-
-    telemetry = Telemetry(enabled=True, per_function=True)
-    cluster = FaasmCluster(n_hosts=hosts, telemetry=telemetry)
-    cluster.register_python("pipeline", _pipeline_fn)
-    cluster.register_python("stage", _stage_fn)
-    cluster.upload("kernel", _DEMO_KERNEL_SRC, init="init")
-    if hosts > 1:
-        # Advertise stage as warm on the last host so chained stages are
-        # shared across the bus: the mined profiles then show genuinely
-        # remote state pulls (bytes and round-trips), not just
-        # same-host replica hits.
-        cluster.warm_sets.add("stage", f"host-{hosts - 1}")
-    return cluster
-
-
-def _drive_demo(cluster, rounds: int, stages: int = 4) -> None:
-    import pickle
-
-    for _ in range(rounds):
-        cluster.invoke("pipeline", pickle.dumps(stages))
-        cluster.invoke("kernel")
-
-
-def _function_view(profiles: dict, slos: dict, digests: dict | None = None):
-    """``(table, sections)`` for ``profiles``, ``top`` and ``report``: from
-    mined or stored ``profiles`` and the SLO report ``slos``, a row per
-    function (calls, latency percentiles, SLO standing, placement) and a
-    section per function with the rest of its profile."""
-    table = _Table((
-        "function", "calls", "p50ms", "p95ms", "p99ms",
-        "objective", "compliance", "burn", "slo", "hosts",
-    ))
-    sections = []
-    for fn, p in sorted(profiles.items()):
-        slo = slos.get(fn)
-        table.rows.append((
-            f"`{fn}`", p.calls,
-            *(f"{p.latency.percentile(q) * 1e3:.2f}" if p.latency.count else "-"
-              for q in (50, 95, 99)),
-            *((f"{slo['objective']:.2%}", f"{slo['compliance']:.2%}",
-               f"{slo['burn_rate']:.2f}", "FIRE" if slo["alerting"] else "ok")
-              if slo else ("-",) * 4),
-            " ".join(f"{host}:{n}" for host, n in sorted(p.hosts.items())),
-        ))
-        faults = ", ".join(f"{c} x{n}" for c, n in sorted(p.fault_causes.items()))
-        sections += [
-            f"### `{fn}`",
-            (f"digest `{digests[fn]}`: " if digests else "")
-            + f"calls {p.calls}, cold {p.cold_starts}, errors {p.errors},"
-            f" retries {p.retries}" + (f", faults {faults}" if faults else ""),
-        ]
-        if p.fuel.count:
-            sections.append(
-                f"fuel p50 {p.fuel.percentile(50):,.0f}"
-                f", p99 {p.fuel.percentile(99):,.0f} instructions"
-            )
-        if p.phases:
-            sections.append(_Table(("phase", "count", "total ms"), (
-                (f"`{name}`", count, f"{total * 1e3:.2f}")
-                for name, (count, total) in sorted(
-                    p.phases.items(), key=lambda kv: -kv[1][1]
-                )
-            )))
-        sections += [
-            f"`{key}`: {kp.pulls} pulls / {kp.pushes} pushes, "
-            f"{kp.bytes_pulled:,} B in / {kp.bytes_pushed:,} B out, "
-            f"{kp.round_trips} round-trips"
-            for key, kp in sorted(p.state.items())
-        ]
-        snap = p.snapshot
-        if any(snap.values()):
-            sections.append(
-                f"snapshot: {snap['restores']} restores"
-                f" ({snap['cached']} cache hits), {snap['payload_pages']} payload"
-                f" / {snap['missing_pages']} missing pages,"
-                f" {snap['bytes_shipped']:,} bytes shipped"
-            )
-        if p.chains:
-            sections.append("chains: " + ", ".join(
-                f"`{callee}` x{n}" for callee, n in sorted(p.chains.items())
-            ))
-    return table, sections
-
-
-def cmd_profiles(args) -> int:
-    """``repro profiles``: mine, persist, and print access profiles."""
-    import json
-    import os
-    from urllib.parse import quote
-
-    cluster = _observability_cluster(args.hosts)
-    try:
-        _drive_demo(cluster, args.calls)
-        digests = cluster.persist_profiles()
-        functions = [args.function] if args.function else sorted(digests)
-        # Print what the object store holds, not what the miner holds:
-        # the round-trip through the content-addressed artifact is the
-        # path any consumer will take.
-        loaded = {fn: cluster.load_profile(fn) for fn in functions}
-        if None in loaded.values():
-            print(f"no profile for {args.function!r}; mined: "
-                  f"{sorted(digests)}", file=sys.stderr)
-            return 1
-        if args.json:
-            print(json.dumps(
-                {fn: p.to_dict() for fn, p in loaded.items()}, indent=2
-            ))
-        else:
-            table, sections = _function_view(
-                loaded, cluster.telemetry.slos.report(), digests
-            )
-            print(_render([
-                f"{len(digests)} profile(s) persisted content-addressed"
-                f" ({cluster.profiles.spans_mined} spans folded)",
-                table,
-                *sections,
-            ]), end="")
-        if args.flame_dir:
-            profiler = cluster.telemetry.profiler
-            os.makedirs(args.flame_dir, exist_ok=True)
-            for fn in profiler.functions():
-                base = os.path.join(args.flame_dir, quote(fn, safe=""))
-                with open(base + ".collapsed", "w") as f:
-                    f.write(profiler.collapsed(fn))
-                with open(base + ".speedscope.json", "w") as f:
-                    json.dump(profiler.speedscope(fn), f)
-            print(
-                f"wrote flamegraph artifacts for "
-                f"{len(profiler.functions())} function(s) to {args.flame_dir}",
-                file=sys.stderr,
-            )
-        return 0
-    finally:
-        cluster.shutdown()
-
-
-def _render_ingest_row(cluster) -> str:
-    """The dashboard's ingestion row: arrival rate, total queue depth
-    (admission + bus + executor pools), and p99 sojourn. Clusters without
-    an ingestion plane still show their bus queue depth."""
-    stats = cluster.ingestion_stats()
-    if stats:
-        depth = (
-            stats["admission_backlog"]
-            + stats["bus_pending"]
-            + stats["pool_backlog"]
-        )
-        return (
-            f"ingest {stats['arrival_rate']:7.0f}/s"
-            f"  queued {depth}"
-            f"  p99 sojourn {stats['sojourn_p99_s'] * 1e3:.1f} ms"
-        )
-    depths = cluster.bus.update_queue_gauges()
-    return f"ingest       -/s  queued {sum(depths.values())}  p99 sojourn -"
-
-
-def cmd_top(args) -> int:
-    """``repro top``: live per-function dashboard over a churning cluster."""
-    import threading
-
-    cluster = _observability_cluster(args.hosts)
-    stop = threading.Event()
-
-    def churn():
-        while not stop.is_set():
-            _drive_demo(cluster, 1)
-
-    worker = threading.Thread(target=churn, daemon=True, name="top-churn")
-    try:
-        worker.start()
-        started = time.perf_counter()
-        for frame in range(1, args.frames + 1):
-            time.sleep(args.interval)
-            agg = cluster.metrics_snapshot()["aggregates"]
-            table, _ = _function_view(
-                cluster.profiles.profiles(), cluster.telemetry.slos.report()
-            )
-            if not args.plain:
-                sys.stdout.write("\x1b[2J\x1b[H")
-            print(_render([
-                f"repro top — {len(cluster.instances)} hosts,"
-                f" up {time.perf_counter() - started:5.1f}s"
-                f"   frame {frame}/{args.frames}",
-                f"calls {agg['instance.calls_executed']:.0f}"
-                f"  cold {agg['instance.cold_starts']:.0f}"
-                f"  warm {agg['instance.warm_hits']:.0f}"
-                f"  retries {agg['call.retries']:.0f}"
-                f"  failed {agg['call.failed']:.0f}"
-                f"  state {(agg['state.bytes_sent'] + agg['state.bytes_received']) / 2**20:.2f} MiB"
-                f"  simd {agg['simd.ops']:.0f}"
-                f"  threads {agg['thread.spawned']:.0f}"
-                f"  workers {agg['instance.workers']:.0f}"
-                f" ({agg['instance.workers_born']:.0f} born)",
-                _render_ingest_row(cluster),
-                "",
-                table,
-            ]), flush=True)
-        return 0
-    finally:
-        stop.set()
-        worker.join(timeout=10.0)
-        cluster.shutdown()
 
 
 def _tenant_weights(spec: str) -> dict[str, float]:
@@ -914,45 +600,6 @@ def cmd_ingest(args) -> int:
         cluster.shutdown()
 
 
-def cmd_report(args) -> int:
-    """``repro report``: one-shot cluster report (markdown or HTML)."""
-    cluster = _observability_cluster(args.hosts)
-    try:
-        _drive_demo(cluster, args.calls)
-        digests = cluster.persist_profiles()
-        agg = cluster.metrics_snapshot()["aggregates"]
-        agg.update(_pull_counters(i.local_tier for i in cluster.instances))
-        table, sections = _function_view(
-            {fn: cluster.load_profile(fn) for fn in digests},
-            cluster.telemetry.slos.report(), digests,
-        )
-        exposition = cluster.scrape_metrics()
-        samples = sum(
-            1 for line in exposition.splitlines() if not line.startswith("#")
-        )
-        payload = _render([
-            "# repro cluster report",
-            f"{len(cluster.instances)} host(s), {args.calls} demo round(s) "
-            f"driven; {len(digests)} access profile(s) persisted "
-            "content-addressed.",
-            "## Cluster aggregates",
-            _Table(("series", "total"), (
-                (f"`{name}`", f"{value:g}") for name, value in agg.items()
-            )),
-            "## Service levels",
-            table,
-            "## Function profiles",
-            *sections,
-            "## Metrics exposition",
-            f"The OpenMetrics endpoint served {samples} samples across "
-            f"{exposition.count('# TYPE')} series in this scrape.",
-        ], "html" if args.html else "markdown")
-        _emit(payload, args.out, "report")
-        return 0
-    finally:
-        cluster.shutdown()
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     from repro.wasm import TIERS
@@ -978,17 +625,13 @@ def main(argv: list[str] | None = None) -> int:
     tiered = argparse.ArgumentParser(add_help=False, parents=[guest])
     tiered.add_argument("--tier", choices=TIERS,
                         help="execution tier (default: compiled)")
-    # ... and the cluster commands a cluster size, a JSON switch, and the
-    # observability ones a number of demo rounds.
+    # ... and the cluster commands a cluster size and a JSON switch.
     cluster = argparse.ArgumentParser(add_help=False)
     cluster.add_argument("--hosts", type=int, default=2,
                          help="cluster size (default 2)")
     as_json = argparse.ArgumentParser(add_help=False)
     as_json.add_argument("--json", action="store_true",
                          help="print as JSON instead of tables")
-    demo = argparse.ArgumentParser(add_help=False, parents=[cluster])
-    demo.add_argument("--calls", type=int, default=6,
-                      help="demo workload rounds to drive (default 6)")
 
     command(cmd_run, "compile and execute in a Faaslet", [tiered],
             profile=False)
@@ -1078,28 +721,6 @@ def main(argv: list[str] | None = None) -> int:
                         "possible (default 0)")
     p.add_argument("--timeout", type=float, default=60.0,
                    help="drain deadline in seconds (default 60)")
-
-    p = command(cmd_profiles,
-                "mine, persist, and print per-function access profiles",
-                [demo, as_json])
-    p.add_argument("function", nargs="?",
-                   help="show only this function (default: all mined)")
-    p.add_argument("--flame-dir",
-                   help="write collapsed-stack + speedscope flamegraph "
-                        "artifacts per function into DIR")
-
-    p = command(cmd_top, "live per-function cluster dashboard", [cluster])
-    p.add_argument("--interval", type=float, default=1.0,
-                   help="seconds between frames (default 1.0)")
-    p.add_argument("--frames", type=int, default=10,
-                   help="frames to render before exiting (default 10)")
-    p.add_argument("--plain", action="store_true",
-                   help="append frames instead of redrawing the screen")
-
-    p = command(cmd_report, "emit a cluster report (markdown or HTML)", [demo])
-    p.add_argument("--html", action="store_true",
-                   help="render the report as standalone HTML")
-    p.add_argument("--out", help="write the report to FILE")
 
     args = parser.parse_args(argv)
     return args.fn(args)

@@ -206,7 +206,7 @@ class MessageBus:
 
     def update_queue_gauges(self) -> dict[str, int]:
         """Refresh the ``bus.queue_depth{host=}`` gauges and return the
-        depths. Called lazily (autoscaler scan, ``repro top`` frames) so
+        depths. Called lazily (autoscaler scan, ingestion stats) so
         the send path never pays for gauge upkeep."""
         with self._mutex:
             queues = dict(self._queues)

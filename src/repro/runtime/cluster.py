@@ -34,8 +34,7 @@ from operator import attrgetter
 
 from repro.host.filesystem import GlobalObjectStore
 from repro.state.kv import GlobalStateStore
-from repro.telemetry import ProfileStore, Telemetry, export as telemetry_export
-from repro.telemetry.openmetrics import render_openmetrics
+from repro.telemetry import Telemetry, export as telemetry_export
 
 from .bus import ExecuteBatch, MessageBus, Shutdown
 from .calls import CallRecord, InvocationRegistry
@@ -101,9 +100,6 @@ class FaasmCluster:
             self.global_state = GlobalStateStore()
             self.bus = MessageBus(metrics=self.telemetry.metrics)
         self.object_store = GlobalObjectStore()
-        #: Content-addressed persistence for mined access profiles
-        #: (``profiles/<fn>/<digest>.json`` in the object store).
-        self.profile_store = ProfileStore(self.object_store)
         self.registry = FunctionRegistry(
             self.object_store, metrics=self.telemetry.metrics
         )
@@ -519,34 +515,6 @@ class FaasmCluster:
             for name in self.AGGREGATE_SERIES
         }
         return snapshot
-
-    # ------------------------------------------------------------------
-    # Access profiles (trace miner) and the OpenMetrics scrape
-    # ------------------------------------------------------------------
-    @property
-    def profiles(self):
-        """The trace miner (``Telemetry(per_function=True)``), or None."""
-        return self.telemetry.profiles
-
-    def persist_profiles(self) -> dict[str, str]:
-        """Write every mined access profile to the object store; returns
-        ``{function: content digest}``."""
-        miner = self.telemetry.profiles
-        if miner is None:
-            return {}
-        return {
-            function: self.profile_store.save(profile)
-            for function, profile in sorted(miner.profiles().items())
-        }
-
-    def load_profile(self, function: str, digest: str | None = None):
-        """A persisted access profile from the object store (the
-        round-trip path ``repro profiles`` reads)."""
-        return self.profile_store.load(function, digest)
-
-    def scrape_metrics(self) -> str:
-        """One OpenMetrics exposition of the cluster's registry."""
-        return render_openmetrics(self.telemetry.metrics)
 
     def trace_spans(self):
         """All spans recorded by this cluster's tracer."""

@@ -376,7 +376,7 @@ class FaasmRuntimeInstance:
         wire = message.trace
         tracer = self.cluster.telemetry.tracer
         ctx = context_from_wire(wire)
-        with tracer.activate(ctx, self.host, record.function):
+        with tracer.activate(ctx, self.host):
             with span("call.invoke", call_id=record.call_id,
                       function=record.function, shared=bool(message.shared)) as sp:
                 sp.set_attr("queue_wait_s", time.perf_counter() - wire[3])
@@ -502,12 +502,6 @@ class FaasmRuntimeInstance:
         # Pooled before the caller wakes; ``output`` is immutable bytes.
         self._complete(record, message, code, output)
 
-    def _tap_profiler(self, faaslet: Faaslet, function: str) -> None:
-        """Feed the continuous profiler (when enabled) this Faaslet's calls."""
-        profiler = self.cluster.telemetry.profiler
-        if profiler is not None:
-            profiler.attach(faaslet.instance, function)
-
     def _acquire_faaslet(self, definition: FunctionDefinition) -> tuple[Faaslet, bool]:
         with self._mutex:
             pool = self._warm.get(definition.name)
@@ -518,7 +512,6 @@ class FaasmRuntimeInstance:
             with span("faaslet.acquire", function=definition.name) as sp:
                 sp.set_attr("mode", "warm")
                 faaslet.reset()
-            self._tap_profiler(faaslet, definition.name)
             return faaslet, False
         if faaslet is not None:  # pooled before a re-upload: its code is gone
             self._discard(faaslet)
@@ -535,7 +528,6 @@ class FaasmRuntimeInstance:
     def _new_faaslet(self, proto) -> Faaslet:
         faaslet = proto.restore(self.env)
         self.cgroup.add_member(faaslet.name)
-        self._tap_profiler(faaslet, proto.definition.name)
         return faaslet
 
     def _discard_stale(self, definition: FunctionDefinition) -> None:

@@ -530,7 +530,7 @@ class LocalTier:
         return rep
 
     def pull_stats(self) -> dict:
-        """This host's forced-pull counters (``repro metrics`` / ``report``)."""
+        """This host's forced-pull counters (``repro metrics``)."""
         with self._stats_mutex:
             return {
                 "delta_pulls": self.delta_pulls,

@@ -119,8 +119,7 @@ class MetricsRegistry:
 
     def histogram(self, name: str, **labels) -> StreamingHistogram:
         """A log-bucketed streaming histogram: O(1) memory, no recency
-        bias, mergeable across label sets (see
-        :mod:`repro.telemetry.streaming`)."""
+        bias (see :mod:`repro.telemetry.streaming`)."""
         return self._get(StreamingHistogram, name, labels)
 
     # ------------------------------------------------------------------
@@ -144,17 +143,6 @@ class MetricsRegistry:
         for m in metrics:
             total += m.count if m.kind == "histogram" else m.value
         return total
-
-    def items(self) -> list[tuple[str, dict, object]]:
-        """(name, labels, metric) for every registered series — the raw
-        iteration the OpenMetrics exposition renders from."""
-        with self._lock:
-            return [
-                (name, dict(label_key), metric)
-                for (name, label_key), metric in sorted(
-                    self._metrics.items(), key=lambda kv: kv[0]
-                )
-            ]
 
     def snapshot(self) -> dict:
         """Full registry dump: {kind: {series-name: value-or-summary}}."""

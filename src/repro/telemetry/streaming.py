@@ -1,8 +1,7 @@
 """Streaming log-bucketed histograms (HDR-style, O(1) memory).
 
 A window of the most recent N observations gives recency-biased
-percentiles on long runs — wrong for million-call SLO windows — and cannot
-be merged across hosts. A :class:`StreamingHistogram`, the repo's one
+percentiles on long runs. A :class:`StreamingHistogram`, the repo's one
 histogram, instead keeps **logarithmic buckets**: an observation ``v``
 lands in bucket ``floor(log(v) / log(growth))``, and a percentile is answered by a rank walk over the bucket counts, returning
 the geometric midpoint of the bucket holding that rank.
@@ -16,8 +15,6 @@ Properties:
   geometric midpoint ``g^(k+0.5)`` is within a factor ``sqrt(g)`` of
   every value in the bucket, so with the default ``growth=1.08`` a
   reported quantile is within ~3.9% of the true value at that rank.
-* **Mergeable** — bucket counts add, so per-host series fold into a
-  cluster-wide distribution without resampling.
 
 ``count``/``sum``/``min``/``max`` stay exact over the full stream, and
 reported percentiles are clamped into ``[min, max]``.
@@ -34,7 +31,7 @@ DEFAULT_GROWTH = 1.08
 
 
 class StreamingHistogram:
-    """Log-bucketed observation distribution with mergeable state.
+    """Log-bucketed observation distribution.
 
     Registered through :meth:`MetricsRegistry.histogram`.
     """
@@ -141,30 +138,6 @@ class StreamingHistogram:
                 break
         return min(max(value, lo), hi)
 
-    # ------------------------------------------------------------------
-    def merge(self, other: "StreamingHistogram") -> None:
-        """Fold another histogram (same growth) into this one."""
-        if other.growth != self.growth:
-            raise ValueError(
-                f"cannot merge histograms with growth "
-                f"{other.growth} into {self.growth}"
-            )
-        with other._lock:
-            pos = dict(other._pos)
-            neg = dict(other._neg)
-            zero, count = other._zero, other._count
-            total, lo, hi = other._sum, other._min, other._max
-        with self._lock:
-            for i, n in pos.items():
-                self._pos[i] = self._pos.get(i, 0) + n
-            for i, n in neg.items():
-                self._neg[i] = self._neg.get(i, 0) + n
-            self._zero += zero
-            self._count += count
-            self._sum += total
-            self._min = min(self._min, lo)
-            self._max = max(self._max, hi)
-
     def reset(self) -> None:
         with self._lock:
             self._pos.clear()
@@ -175,8 +148,6 @@ class StreamingHistogram:
             self._min = math.inf
             self._max = -math.inf
 
-    # ------------------------------------------------------------------
-    # Serialisation (the access-profile store persists these)
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
         return {
@@ -189,45 +160,3 @@ class StreamingHistogram:
             "p95": self.percentile(95),
             "p99": self.percentile(99),
         }
-
-    def buckets(self) -> list[tuple[float, int]]:
-        """(upper bound, count) pairs in ascending bound order — the
-        ``le`` buckets the OpenMetrics exposition publishes."""
-        with self._lock:
-            out = [
-                (-(self.growth ** i), n)
-                for i, n in sorted(self._neg.items(), reverse=True)
-            ]
-            if self._zero:
-                out.append((0.0, self._zero))
-            out.extend(
-                (self.growth ** (i + 1), n)
-                for i, n in sorted(self._pos.items())
-            )
-        return out
-
-    def to_dict(self) -> dict:
-        with self._lock:
-            return {
-                "growth": self.growth,
-                "count": self._count,
-                "sum": self._sum,
-                "min": self._min if self._count else 0.0,
-                "max": self._max if self._count else 0.0,
-                "zero": self._zero,
-                "pos": sorted(self._pos.items()),
-                "neg": sorted(self._neg.items()),
-            }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StreamingHistogram":
-        hist = cls(growth=data["growth"])
-        hist._count = int(data["count"])
-        hist._sum = float(data["sum"])
-        if hist._count:
-            hist._min = float(data["min"])
-            hist._max = float(data["max"])
-        hist._zero = int(data["zero"])
-        hist._pos = {int(i): int(n) for i, n in data["pos"]}
-        hist._neg = {int(i): int(n) for i, n in data["neg"]}
-        return hist

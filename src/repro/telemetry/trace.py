@@ -66,11 +66,7 @@ def context_from_wire(wire: Wire) -> TraceContext:
 
 @dataclass
 class Span:
-    """One finished, timed interval of a trace.
-
-    ``function`` is the function whose call the opening thread was running
-    (see :meth:`Tracer.activate`); it attributes the span for the trace
-    miner and is not exported."""
+    """One finished, timed interval of a trace."""
 
     name: str
     trace_id: str
@@ -81,7 +77,6 @@ class Span:
     end: float = 0.0
     attrs: dict = field(default_factory=dict)
     thread: int = field(default_factory=threading.get_ident)
-    function: str | None = None
 
     @property
     def duration(self) -> float:
@@ -102,8 +97,7 @@ class Span:
         }
 
 
-#: (tracer, context, host, owning function) of the innermost active span
-#: on this thread.
+#: (tracer, context, host) of the innermost active span on this thread.
 _ACTIVE: ContextVar[tuple | None] = ContextVar("repro_trace_active", default=None)
 
 
@@ -159,7 +153,6 @@ class SpanHandle:
                 self._tracer,
                 TraceContext(self.span.trace_id, self.span.span_id, True),
                 self.span.host,
-                self.span.function,
             )
         )
         return self
@@ -198,7 +191,7 @@ class _UnsampledSpan:
         self._token = None
 
     def __enter__(self) -> "_UnsampledSpan":
-        self._token = _ACTIVE.set((self._tracer, self._ctx, self._host, None))
+        self._token = _ACTIVE.set((self._tracer, self._ctx, self._host))
         return self
 
     def __exit__(self, *exc) -> bool:
@@ -253,14 +246,14 @@ class Tracer:
             return NOOP_SPAN
         state = _ACTIVE.get()
         if state is not None:
-            tracer, ctx, active_host, function = state
-            return tracer._span(name, ctx, host or active_host, attrs, function)
+            tracer, ctx, active_host = state
+            return tracer._span(name, ctx, host or active_host, attrs)
         ctx = TraceContext(_new_id(), None, self._random.random() < self.sample_rate)
         if not ctx.sampled:
             return _UnsampledSpan(self, ctx, host)
-        return self._span(name, ctx, host, attrs, None)
+        return self._span(name, ctx, host, attrs)
 
-    def _span(self, name: str, ctx: TraceContext, host, attrs: dict, function):
+    def _span(self, name: str, ctx: TraceContext, host, attrs: dict):
         if not ctx.sampled:
             return NOOP_SPAN
         return SpanHandle(
@@ -273,25 +266,17 @@ class Tracer:
                 host=host,
                 start=time.perf_counter(),
                 attrs=dict(attrs),
-                function=function,
             ),
         )
 
     @contextmanager
-    def activate(
-        self,
-        ctx: TraceContext | None,
-        host: str | None = None,
-        function: str | None = None,
-    ):
+    def activate(self, ctx: TraceContext | None, host: str | None = None):
         """Install a (possibly remote) context as this thread's ambient
-        parent — the receive-side half of cross-host propagation.
-        ``function`` is the call this thread now runs: every span opened
-        under it is stamped as that function's."""
+        parent — the receive-side half of cross-host propagation."""
         if ctx is None or not self.enabled:
             yield
             return
-        token = _ACTIVE.set((self, ctx, host, function))
+        token = _ACTIVE.set((self, ctx, host))
         try:
             yield
         finally:
@@ -330,7 +315,7 @@ def span(name: str, **attrs):
     state = _ACTIVE.get()
     if state is None:
         return NOOP_SPAN
-    tracer, ctx, host, function = state
+    tracer, ctx, host = state
     if not ctx.sampled:
         return NOOP_SPAN
-    return tracer._span(name, ctx, host, attrs, function)
+    return tracer._span(name, ctx, host, attrs)

@@ -145,10 +145,6 @@ class Instance:
         #: thread at quantum boundaries instead of trapping ``OutOfFuel``.
         self._thread_runtime = None
         self._refuel_hook: Callable | None = None
-        #: Continuous-profiler tap (``repro.telemetry.profiler``): when
-        #: installed, every guest call pushes/pops a shadow-stack frame;
-        #: None keeps the call path at a single attribute check.
-        self._profiler = None
 
         imports = imports or {}
         self.funcs: list[HostFunc | CompiledFunction] = []
@@ -233,7 +229,7 @@ class Instance:
         inst.module, inst.call_depth_limit, inst._fuel = module, call_depth_limit, fuel
         inst._select_tier(tier, profile)
         inst.instructions_executed = inst.metered_instructions = 0
-        inst._thread_runtime = inst._refuel_hook = inst._profiler = None
+        inst._thread_runtime = inst._refuel_hook = None
         inst.funcs, inst.memory, inst.globals, inst.table = funcs, memory, globals_, table
         inst._exports = module.export_map()
         return inst
@@ -341,24 +337,10 @@ class Instance:
     # Interpreter core
     # ------------------------------------------------------------------
     def _call(self, index: int, args: list, depth: int) -> list:
-        if self._profiler is not None:
-            return self._call_profiled(self._profiler, index, args, depth)
         fn = self.funcs[index]
         if isinstance(fn, HostFunc):
             return self._call_host(fn, args)
         return self._execute(self, fn, args, depth)
-
-    def _call_profiled(self, prof, index: int, args: list, depth: int) -> list:
-        """:meth:`_call` with the continuous-profiler tap around it; the
-        finally keeps the shadow stack balanced across traps."""
-        prof.enter(self, index)
-        try:
-            fn = self.funcs[index]
-            if isinstance(fn, HostFunc):
-                return self._call_host(fn, args)
-            return self._execute(self, fn, args, depth)
-        finally:
-            prof.exit()
 
     def _call_host(self, fn: HostFunc, args: list) -> list:
         if fn.pass_instance:

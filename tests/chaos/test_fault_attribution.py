@@ -1,4 +1,4 @@
-"""Chaos fault causes surface on retry spans and in mined profiles."""
+"""Chaos fault causes surface on retry spans."""
 
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ def dropped_cluster():
     plan = ChaosPlan(seed=1, drop_rate=1.0)  # every first dispatch is lost
     cluster = FaasmCluster(
         n_hosts=2, chaos=plan, retry_policy=FAST,
-        telemetry=Telemetry(enabled=True, per_function=True),
+        telemetry=Telemetry(enabled=True),
     )
     cluster.register_python(
         "echo", lambda ctx: ctx.write_output(b"echo:" + ctx.input())
@@ -50,12 +50,3 @@ def test_engine_reports_faults_per_call(dropped_cluster):
     # Armed-outage bookkeeping entries never masquerade as call faults.
     assert "outage-armed" not in faults
 
-
-def test_mined_profile_attributes_fault_causes(dropped_cluster):
-    cluster = dropped_cluster
-    for i in range(3):
-        call_id = cluster.dispatch("echo", str(i).encode())
-        assert cluster.calls.wait(call_id, 10.0) == 0
-    profile = cluster.profiles.profile("echo")
-    assert profile.retries >= 3
-    assert any("drop" in cause for cause in profile.fault_causes)

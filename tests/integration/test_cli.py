@@ -138,6 +138,9 @@ def test_metrics_json_and_profile_fold(guest_file, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert set(doc) >= {"counters", "gauges", "histograms"}
     assert doc["counters"]["state.delta_pulls"] == 0
+    # The forced-pull fall-backs, one series per cause.
+    for cause in ("unknown-version", "partial", "overflow", "resized"):
+        assert doc["counters"][f"state.full_fallbacks{{cause={cause}}}"] == 0
     assert "span.cli.run{host=local}" in doc["histograms"]
     assert "simd.ops" not in doc["counters"]
     assert main([

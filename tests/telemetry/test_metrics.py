@@ -100,13 +100,10 @@ def test_histogram_exact_totals_with_bounded_window():
     assert h.max == 19.0
     # ...in memory bounded by the value range, not the observation count.
     assert h.bucket_count() <= 20
-    # Per-label series fold into one distribution.
+    # Per-label series sum into one cluster-wide count.
     other = reg.histogram("h", host="b")
     other.observe(50.0)
-    total = StreamingHistogram()
-    total.merge(h)
-    total.merge(other)
-    assert total.count == 20_001 and total.max == 50.0
+    assert reg.aggregate("h") == 20_001
 
 
 def test_histogram_percentile_uses_shared_implementation():
