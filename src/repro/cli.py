@@ -128,7 +128,7 @@ def _run_guest(args, out=None, traced=True):
     otherwise ``--input`` is the call input. The result, guest output and
     exit code go to ``out`` (default stderr). With ``args.profile`` the
     guest runs on the counting interpreter and its opcode families are
-    folded into the metrics as ``simd.ops`` / ``atomic.ops``. Returns
+    folded into the metrics as ``atomic.ops``. Returns
     ``(faaslet, telemetry, exit code, seconds in the guest)``."""
     from repro.faaslet import Faaslet, FunctionDefinition
     from repro.host import StandaloneEnvironment
@@ -167,8 +167,7 @@ def _run_guest(args, out=None, traced=True):
             print(f"exit code: {code}", file=out)
     if args.profile:
         families = dict(faaslet.instance.dispatch_family_report())
-        for family in ("simd", "atomic"):
-            telemetry.metrics.counter(f"{family}.ops").inc(families.get(family, 0))
+        telemetry.metrics.counter("atomic.ops").inc(families.get("atomic", 0))
     return faaslet, telemetry, code, elapsed
 
 
@@ -658,7 +657,7 @@ def main(argv: list[str] | None = None) -> int:
                 [tiered, as_json])
     p.add_argument("--profile", action="store_true",
                    help="run on the counting interpreter and fold the "
-                        "opcode-family rollups (simd.ops / atomic.ops) "
+                        "atomic opcode-family rollup (atomic.ops) "
                         "into the dump")
 
     command(cmd_disasm, "print text-format disassembly").add_argument("file")

@@ -138,7 +138,7 @@ class SnapshotManifest:
         table_snapshot = decode_value(view[pos : pos + tlen])
         if type(globals_snapshot) is not list or type(table_snapshot) not in (list, type(None)) or not all(
                 type(g) is tuple and len(g) == 3 and type(g[0]) is ValType and type(g[1]) is bool
-                and type(g[2]) in (int, float, bytes) for g in globals_snapshot) or not all(
+                and type(g[2]) in (int, float) for g in globals_snapshot) or not all(
                 e is None or type(e) is int for e in table_snapshot or ()):
             raise ValueError("snapshot manifest: globals or table of the wrong shape")
         return cls(name, version, tuple(digests), globals_snapshot, table_snapshot)

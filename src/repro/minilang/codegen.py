@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.wasm import BlockType, FuncType, Instr, ModuleBuilder
 from repro.wasm.module import Module
-from repro.wasm.types import F64, I32, I64, V128, ValType
+from repro.wasm.types import F64, I32, I64, ValType
 
 from . import ast
 from .errors import TypeErrorML
@@ -114,227 +114,6 @@ def _uses_parallel_for(program: ast.Program) -> bool:
     )
 
 
-# ----------------------------------------------------------------------
-# Vector intrinsics: v128 library functions
-# ----------------------------------------------------------------------
-
-_F_ARR = ast.Type("float", is_array=True)
-_I_ARR = ast.Type("int", is_array=True)
-
-#: name -> (minilang parameter types, return type). Each lowers to a call
-#: into a lazily-emitted library function whose hot loop runs on v128
-#: values (f64x2 / i32x4 lanes) with a scalar tail for the remainder.
-_VEC_BUILTINS = {
-    "vec_add_f": ([_F_ARR, _F_ARR, _F_ARR, ast.INT], ast.VOID),
-    "vec_mul_f": ([_F_ARR, _F_ARR, _F_ARR, ast.INT], ast.VOID),
-    "vec_axpy_f": ([ast.FLOAT, _F_ARR, _F_ARR, ast.INT], ast.VOID),
-    "vec_dot_f": ([_F_ARR, _F_ARR, ast.INT], ast.FLOAT),
-    "vec_add_i": ([_I_ARR, _I_ARR, _I_ARR, ast.INT], ast.VOID),
-    "vec_min_i": ([_I_ARR, _I_ARR, _I_ARR, ast.INT], ast.VOID),
-    "vec_axpy_i": ([ast.INT, _I_ARR, _I_ARR, ast.INT], ast.VOID),
-}
-
-
-def _advance(locals_: tuple[int, ...], delta: int) -> list[Instr]:
-    out = []
-    for idx in locals_:
-        out += [
-            Instr("local.get", (idx,)),
-            Instr("i32.const", (delta,)),
-            Instr("i32.add"),
-            Instr("local.set", (idx,)),
-        ]
-    return out
-
-
-def _count_loop(ptr: int, end: int, body: list[Instr]) -> Instr:
-    """``while (ptr < end) body`` as a block/loop pair."""
-    return Instr(
-        "block",
-        (
-            BlockType(),
-            [
-                Instr(
-                    "loop",
-                    (
-                        BlockType(),
-                        [
-                            Instr("local.get", (ptr,)),
-                            Instr("local.get", (end,)),
-                            Instr("i32.ge_u"),
-                            Instr("br_if", (1,)),
-                            *body,
-                            Instr("br", (0,)),
-                        ],
-                    ),
-                )
-            ],
-        ),
-    )
-
-
-def _set_end(base: int, n: int, lanes: int, shift: int, end: int) -> list[Instr]:
-    """``end = base + ((n & -lanes) << shift)`` (lanes=1 for the full end)."""
-    out = [Instr("local.get", (base,)), Instr("local.get", (n,))]
-    if lanes > 1:
-        out += [Instr("i32.const", (-lanes,)), Instr("i32.and")]
-    out += [
-        Instr("i32.const", (shift,)),
-        Instr("i32.shl"),
-        Instr("i32.add"),
-        Instr("local.set", (end,)),
-    ]
-    return out
-
-
-def _build_vec_elementwise(simd_op: str, esize: int, scalar: list[Instr]):
-    """out[i] = a[i] <op> b[i] — params (a, b, out, n), pointer-walking."""
-    lanes = 16 // esize
-    shift = esize.bit_length() - 1
-    A, B, O, N = 0, 1, 2, 3
-    PA, PB, PO, END = 4, 5, 6, 7
-    body = [
-        Instr("local.get", (A,)), Instr("local.set", (PA,)),
-        Instr("local.get", (B,)), Instr("local.set", (PB,)),
-        Instr("local.get", (O,)), Instr("local.set", (PO,)),
-        *_set_end(A, N, lanes, shift, END),
-        _count_loop(PA, END, [
-            Instr("local.get", (PO,)),
-            Instr("local.get", (PA,)), Instr("v128.load", (0,)),
-            Instr("local.get", (PB,)), Instr("v128.load", (0,)),
-            Instr(simd_op),
-            Instr("v128.store", (0,)),
-            *_advance((PA, PB, PO), 16),
-        ]),
-        *_set_end(A, N, 1, shift, END),
-        _count_loop(PA, END, [*scalar, *_advance((PA, PB, PO), esize)]),
-    ]
-    locals_ = [I32, I32, I32, I32]
-    if simd_op == "i32x4.min_s":
-        locals_ += [I32, I32]  # scalar-min temporaries
-    return FuncType((I32, I32, I32, I32), ()), locals_, body
-
-
-def _scalar_binop(ty: str, op_body: list[Instr], esize: int) -> list[Instr]:
-    """``*out = *a <op> *b`` with the operator given as instructions."""
-    PA, PB, PO = 4, 5, 6
-    return [
-        Instr("local.get", (PO,)),
-        Instr("local.get", (PA,)), Instr(f"{ty}.load", (0,)),
-        Instr("local.get", (PB,)), Instr(f"{ty}.load", (0,)),
-        *op_body,
-        Instr(f"{ty}.store", (0,)),
-    ]
-
-
-def _build_vec_axpy(prefix: str, ty: str, esize: int):
-    """y[i] = y[i] + alpha * x[i] — params (alpha, x, y, n)."""
-    lanes = 16 // esize
-    shift = esize.bit_length() - 1
-    AL, X, Y, N = 0, 1, 2, 3
-    PX, PY, END, VS = 4, 5, 6, 7
-    body = [
-        Instr("local.get", (AL,)), Instr(f"{prefix}.splat"), Instr("local.set", (VS,)),
-        Instr("local.get", (X,)), Instr("local.set", (PX,)),
-        Instr("local.get", (Y,)), Instr("local.set", (PY,)),
-        *_set_end(X, N, lanes, shift, END),
-        _count_loop(PX, END, [
-            Instr("local.get", (PY,)),
-            Instr("local.get", (PY,)), Instr("v128.load", (0,)),
-            Instr("local.get", (VS,)),
-            Instr("local.get", (PX,)), Instr("v128.load", (0,)),
-            Instr(f"{prefix}.mul"),
-            Instr(f"{prefix}.add"),
-            Instr("v128.store", (0,)),
-            *_advance((PX, PY), 16),
-        ]),
-        *_set_end(X, N, 1, shift, END),
-        _count_loop(PX, END, [
-            Instr("local.get", (PY,)),
-            Instr("local.get", (PY,)), Instr(f"{ty}.load", (0,)),
-            Instr("local.get", (AL,)),
-            Instr("local.get", (PX,)), Instr(f"{ty}.load", (0,)),
-            Instr(f"{ty}.mul"),
-            Instr(f"{ty}.add"),
-            Instr(f"{ty}.store", (0,)),
-            *_advance((PX, PY), esize),
-        ]),
-    ]
-    alpha_vt = I32 if ty == "i32" else F64
-    return FuncType((alpha_vt, I32, I32, I32), ()), [I32, I32, I32, V128], body
-
-
-def _build_vec_dot_f():
-    """sum(a[i] * b[i]) -> f64 — params (a, b, n)."""
-    A, B, N = 0, 1, 2
-    PA, PB, END, ACC, S = 3, 4, 5, 6, 7
-    body = [
-        Instr("v128.const", (bytes(16),)), Instr("local.set", (ACC,)),
-        Instr("local.get", (A,)), Instr("local.set", (PA,)),
-        Instr("local.get", (B,)), Instr("local.set", (PB,)),
-        *_set_end(A, N, 2, 3, END),
-        _count_loop(PA, END, [
-            Instr("local.get", (ACC,)),
-            Instr("local.get", (PA,)), Instr("v128.load", (0,)),
-            Instr("local.get", (PB,)), Instr("v128.load", (0,)),
-            Instr("f64x2.mul"),
-            Instr("f64x2.add"),
-            Instr("local.set", (ACC,)),
-            *_advance((PA, PB), 16),
-        ]),
-        Instr("local.get", (ACC,)), Instr("f64x2.extract_lane", (0,)),
-        Instr("local.get", (ACC,)), Instr("f64x2.extract_lane", (1,)),
-        Instr("f64.add"),
-        Instr("local.set", (S,)),
-        *_set_end(A, N, 1, 3, END),
-        _count_loop(PA, END, [
-            Instr("local.get", (S,)),
-            Instr("local.get", (PA,)), Instr("f64.load", (0,)),
-            Instr("local.get", (PB,)), Instr("f64.load", (0,)),
-            Instr("f64.mul"),
-            Instr("f64.add"),
-            Instr("local.set", (S,)),
-            *_advance((PA, PB), 8),
-        ]),
-        Instr("local.get", (S,)),
-    ]
-    return FuncType((I32, I32, I32), (F64,)), [I32, I32, I32, V128, F64], body
-
-
-def _build_vec_func(name: str):
-    if name == "vec_add_f":
-        return _build_vec_elementwise(
-            "f64x2.add", 8, _scalar_binop("f64", [Instr("f64.add")], 8)
-        )
-    if name == "vec_mul_f":
-        return _build_vec_elementwise(
-            "f64x2.mul", 8, _scalar_binop("f64", [Instr("f64.mul")], 8)
-        )
-    if name == "vec_add_i":
-        return _build_vec_elementwise(
-            "i32x4.add", 4, _scalar_binop("i32", [Instr("i32.add")], 4)
-        )
-    if name == "vec_min_i":
-        # Scalar i32 min: select(t1, t2, t1 < t2) through two temporaries.
-        PA, PB, PO, T1, T2 = 4, 5, 6, 8, 9
-        scalar = [
-            Instr("local.get", (PA,)), Instr("i32.load", (0,)), Instr("local.set", (T1,)),
-            Instr("local.get", (PB,)), Instr("i32.load", (0,)), Instr("local.set", (T2,)),
-            Instr("local.get", (PO,)),
-            Instr("local.get", (T1,)), Instr("local.get", (T2,)),
-            Instr("local.get", (T1,)), Instr("local.get", (T2,)), Instr("i32.lt_s"),
-            Instr("select"),
-            Instr("i32.store", (0,)),
-        ]
-        return _build_vec_elementwise("i32x4.min_s", 4, scalar)
-    if name == "vec_axpy_f":
-        return _build_vec_axpy("f64x2", "f64", 8)
-    if name == "vec_axpy_i":
-        return _build_vec_axpy("i32x4", "i32", 4)
-    assert name == "vec_dot_f", name
-    return _build_vec_dot_f()
-
-
 class _FuncContext:
     def __init__(self, func: ast.FuncDef):
         self.func = func
@@ -381,16 +160,12 @@ class Compiler:
         #: Interned string literals: bytes -> data-segment address.
         self._strings: dict[bytes, int] = {}
         self._data_cursor = 16  # low addresses reserved for string data
-        #: Synthetic functions queued during emission (outlined parallel_for
-        #: workers and the vector library), emitted after all user functions
-        #: so their pre-assigned indices line up. Entries are either
-        #: ("ast", FuncDef) or ("raw", name, FuncType, locals, body).
-        self._synthetics: list[tuple] = []
+        #: Outlined parallel_for workers queued during emission, emitted
+        #: after all user functions so their pre-assigned indices line up.
+        self._synthetics: list[ast.FuncDef] = []
         self._synthetic_base = 0
         #: Function indices placed in the table (parallel_for spawn targets).
         self._elem_funcs: list[int] = []
-        #: Lazily-instantiated vector-library functions: name -> func index.
-        self._vec_lib: dict[str, int] = {}
         self._pf_count = 0
 
     # ------------------------------------------------------------------
@@ -446,16 +221,11 @@ class Compiler:
         for func, _ in declared:
             self._emit_func(func)
 
-        # Emit queued synthetics (a synthetic may queue more — e.g. a
-        # vec_* call inside an outlined parallel_for body).
+        # Emit queued workers (a worker may queue more — e.g. a
+        # parallel_for nested in an outlined parallel_for body).
         qi = 0
         while qi < len(self._synthetics):
-            entry = self._synthetics[qi]
-            if entry[0] == "ast":
-                self._emit_func(entry[1])
-            else:
-                _, name, ftype, locals_, body = entry
-                self.builder.add_function(name, ftype, locals_, body)
+            self._emit_func(self._synthetics[qi])
             qi += 1
         if self._elem_funcs:
             self.builder.add_table(len(self._elem_funcs), len(self._elem_funcs))
@@ -802,7 +572,7 @@ class Compiler:
         )
         widx = self._synthetic_base + len(self._synthetics)
         self.funcs[wname] = (widx, ast.VOID, [ast.INT])
-        self._synthetics.append(("ast", worker))
+        self._synthetics.append(worker)
         elem_index = len(self._elem_funcs)
         self._elem_funcs.append(widx)
 
@@ -1108,26 +878,6 @@ class Compiler:
                 self._coerce(atype, ast.FLOAT, out, expr.line)
             out.append(Instr(_FLOAT_BINARY_BUILTINS[expr.name]))
             return ast.FLOAT
-        if expr.name in _VEC_BUILTINS:
-            ptypes, rtype = _VEC_BUILTINS[expr.name]
-            if len(expr.args) != len(ptypes):
-                raise TypeErrorML(
-                    f"{expr.name} expects {len(ptypes)} arguments, got "
-                    f"{len(expr.args)}",
-                    expr.line,
-                )
-            for arg, ptype in zip(expr.args, ptypes):
-                atype = self._gen_expr(ctx, arg, out)
-                if ptype.is_array:
-                    if atype != ptype:
-                        raise TypeErrorML(
-                            f"{expr.name} expects {ptype}, got {atype}", expr.line
-                        )
-                else:
-                    self._coerce(atype, ptype, out, expr.line)
-            out.append(Instr("call", (self._vec_func(expr.name),)))
-            return rtype
-
         if expr.name not in self.funcs:
             raise TypeErrorML(f"call to unknown function {expr.name!r}", expr.line)
         index, rtype, ptypes = self.funcs[expr.name]
@@ -1141,16 +891,6 @@ class Compiler:
             self._coerce(atype, ptype, out, expr.line)
         out.append(Instr("call", (index,)))
         return rtype
-
-    def _vec_func(self, name: str) -> int:
-        """Queue (once) and return the index of a vector-library function."""
-        idx = self._vec_lib.get(name)
-        if idx is None:
-            ftype, locals_, body = _build_vec_func(name)
-            idx = self._synthetic_base + len(self._synthetics)
-            self._synthetics.append(("raw", f"__{name}", ftype, locals_, body))
-            self._vec_lib[name] = idx
-        return idx
 
     # ------------------------------------------------------------------
     # Type coercion

@@ -206,8 +206,8 @@ class MessageBus:
 
     def update_queue_gauges(self) -> dict[str, int]:
         """Refresh the ``bus.queue_depth{host=}`` gauges and return the
-        depths. Called lazily (autoscaler scan, ingestion stats) so
-        the send path never pays for gauge upkeep."""
+        depths. Called lazily (the autoscaler's scan) so the send
+        path never pays for gauge upkeep."""
         with self._mutex:
             queues = dict(self._queues)
         depths = {host: q.qsize() for host, q in queues.items()}

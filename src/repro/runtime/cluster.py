@@ -480,8 +480,8 @@ class FaasmCluster:
         }
 
     #: Headline series summed across label sets in :meth:`metrics_snapshot`
-    #: — includes the ISA-level counters (SIMD / atomics / guest threads)
-    #: so the vector-and-threads workload is visible in one place.
+    #: — includes the ISA-level counters (atomics / guest threads) so the
+    #: threads workload is visible in one place.
     AGGREGATE_SERIES = (
         "instance.calls_executed",
         "instance.cold_starts",
@@ -491,7 +491,6 @@ class FaasmCluster:
         "state.bytes_sent",
         "state.bytes_received",
         "state.round_trips",
-        "simd.ops",
         "atomic.ops",
         "thread.spawned",
         "atomic.waits",

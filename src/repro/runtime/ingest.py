@@ -37,11 +37,6 @@ from typing import NamedTuple
 
 from repro.telemetry.stats import percentile
 
-#: Sliding window over which :meth:`IngestionPlane.stats` reports the
-#: arrival rate.
-_RATE_WINDOW_S = 5.0
-
-
 @dataclass(frozen=True)
 class TenantSpec:
     """One tenant's admission contract."""
@@ -224,7 +219,6 @@ class IngestionPlane:
         self._serving = threading.Lock()
         #: Recently-admitted records, for sojourn percentiles.
         self._recent: deque = deque(maxlen=65536)
-        self._admit_times: deque = deque(maxlen=16384)
         self._recent_lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -268,7 +262,6 @@ class IngestionPlane:
         if items:
             with self._recent_lock:
                 self._recent.extend(records)
-                self._admit_times.extend(repeat(items[0].enqueued_at, len(items)))
             if not self.cluster.bus.total_pending():
                 self.serve()
         results = [(record.call_id, "admitted") for record in records]
@@ -338,28 +331,10 @@ class IngestionPlane:
             "n": len(latencies),
         }
 
-    def arrival_rate(self) -> float:
-        """Admitted calls/sec over the trailing window."""
-        now = time.monotonic()
-        with self._recent_lock:
-            times = list(self._admit_times)
-        recent = [t for t in times if now - t <= _RATE_WINDOW_S]
-        if not recent:
-            return 0.0
-        window = max(now - recent[0], 1e-6)
-        return len(recent) / window
-
     def stats(self) -> dict:
-        """The ingestion row: arrival rate, queue depths, sojourn, and
-        per-tenant admission accounting."""
-        depths = self.cluster.bus.update_queue_gauges()
-        pools = sum(i.pool_backlog() for i in self.cluster.instances)
+        """The ingestion row: sojourn and per-tenant admission accounting."""
         sojourn = self.sojourn_percentiles()
         return {
-            "arrival_rate": self.arrival_rate(),
-            "admission_backlog": self.admission.backlog(),
-            "bus_pending": sum(depths.values()),
-            "pool_backlog": pools,
             "sojourn_p50_s": sojourn["p50"],
             "sojourn_p99_s": sojourn["p99"],
             "tenants": self.admission.stats(),

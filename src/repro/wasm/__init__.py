@@ -54,7 +54,6 @@ from .module import (
     ModuleBuilder,
 )
 from .printer import print_module
-from .simd import canon_v128, f64x2, f64x2_lanes, i32x4, i32x4_lanes, v128_to_int
 from .text import parse_module
 from .types import (
     F32,
@@ -62,7 +61,6 @@ from .types import (
     I32,
     I64,
     PAGE_SIZE,
-    V128,
     FuncType,
     GlobalType,
     Limits,

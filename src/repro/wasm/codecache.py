@@ -38,7 +38,7 @@ _KEY_ATTR, _TEXT_ATTR = "_codecache_key", "_printed_text"
 #: different lowering), so object code cached by an older build is never
 #: reused for a module that now compiles differently — the analogue of a
 #: machine-code version tag in an on-disk object cache. "2" added the
-#: vector ISA (v128), shared-memory atomics and the guest-thread ops; "3"
+#: vector ISA, shared-memory atomics and the guest-thread ops; "3"
 #: replaced closure-threaded blocks with whole-function compiled code;
 #: "4" checks an innermost counted loop's range once per entry (its guard),
 #: and runs a guarded iteration that is one superblock as one ``for`` pass;
@@ -46,8 +46,9 @@ _KEY_ATTR, _TEXT_ATTR = "_codecache_key", "_printed_text"
 #: "6" checks a 2-deep rectangular counted nest's range once per nest entry
 #: and runs each of its inner loops whole as a pass of its own; "7" lowers a
 #: pass with its guard's facts (no dead mask, signed reading or trap test);
-#: "8" streams a pass's loads and stores untested to pages proved private.
-ISA_VERSION = "repro-isa-8"
+#: "8" streams a pass's loads and stores untested to pages proved private;
+#: "9" removes the vector ISA.
+ISA_VERSION = "repro-isa-9"
 
 
 def module_text(module: Module) -> str:

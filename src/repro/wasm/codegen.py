@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 
 from .instructions import CONST_OPS, Instr
 from .module import Function, Module
-from .simd import canon_v128
 from .types import FuncType, ValType
 from .values import to_f32, wrap32, wrap64
 
@@ -64,8 +63,6 @@ def _canon_const(op: str, value):
         return wrap64(int(value))
     if ty is ValType.F32:
         return to_f32(float(value))
-    if ty is ValType.V128:
-        return canon_v128(value)
     return float(value)
 
 

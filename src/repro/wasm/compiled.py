@@ -46,16 +46,16 @@ Lowering rules
   (guest-thread preemption) resumes compiled code. The arm charges the
   superblock's closing control instruction; the shared code evaluates it.
 
-* **The single-page memory fast path is inline** (v128 included): bounds,
-  page-straddle and (stores) ``Page.writable`` tests sit in the generated
-  code; a miss calls the typed :class:`~repro.wasm.memory.LinearMemory`
-  access the interpreter uses (COW, dirty-tracking ``notify``, the trap).
+* **The single-page memory fast path is inline**: bounds, page-straddle
+  and (stores) ``Page.writable`` tests sit in the generated code; a miss
+  calls the typed :class:`~repro.wasm.memory.LinearMemory` access the
+  interpreter uses (COW, dirty-tracking ``notify``, the trap).
   ``npg`` caches ``len(pages)``; pages are removed only between calls (a
   Faaslet's reset), so a stale value only sends an access down that path.
 
 * **A counted loop checks its range once per entry.** For the ``for``
   shape (counter ``iv`` stepped last by ``+c``, exit test ``iv < n`` or
-  ``<=``, no call, grow, atomic or v128 access, addresses ``B + S*iv`` over
+  ``<=``, no call, grow or atomic access, addresses ``B + S*iv`` over
   locals the loop never writes) a guard ``_h`` checks one iteration,
   ``z + c < 2**31`` for the last value ``z``, each access's page and
   in-page offset at ``iv`` and ``z``, and stored-to pages ``writable`` and
@@ -125,7 +125,6 @@ from .instructions import (
 )
 from .memory import INLINE_LOADS, INLINE_STORES
 from .ops import BINOPS, UNOPS
-from .simd import SIMD_EXTRACT_OPS, SIMD_REPLACE_OPS
 from .types import PAGE_SIZE
 from .values import default_value
 from .verify import Unverified, verify
@@ -372,7 +371,7 @@ def _analyse(code):
 #: Exit compares of a counted loop, ``iv <op> bound``, as Python operators.
 _EXIT = {"i32.lt_s": "<", "i32.lt_u": "<", "i32.le_s": "<=", "i32.le_u": "<="}
 _UNHOISTABLE = frozenset("call call_indirect memory.grow loop br br_if br_table return "
-                         "unreachable v128.load v128.store".split())
+                         "unreachable".split())
 #: What an exit test may run before its compare for the loop to take a pass.
 _PURE = frozenset("local.get i32.const i32.add i32.sub i32.mul i32.shl".split())
 #: Accesses a pass makes through a typed view (``memoryview.cast``) of a page:
@@ -984,9 +983,7 @@ class _Lowering:
         if self.uses_glb:
             head.append("    G = inst.globals")
         for i, t in enumerate(fn.local_types, n_params):
-            zero = default_value(t)
-            head.append(f"    L{i} = "
-                        f"{self.bind(zero) if isinstance(zero, bytes) else zero!r}")
+            head.append(f"    L{i} = {default_value(t)!r}")
         if self.uses_br:
             head.append("    _br = 0")
         return "\n".join(head + self.lines) + "\n"
@@ -1054,8 +1051,8 @@ class _Lowering:
             sym.append(v)
         elif op in CONST_OPS:
             k = ins[1]
-            if isinstance(k, bytes) or not math.isfinite(k):
-                # v128, nan and inf have no literal: bind the object.
+            if not math.isfinite(k):
+                # nan and inf have no literal: bind the object.
                 text = self.bind(k)
             else:
                 text = repr(k) if repr(k)[0] != "-" else f"({k!r})"
@@ -1111,8 +1108,7 @@ class _Lowering:
                     self.push_now(typed or f"{self.bind(unpack)}({place})[0]{fix}")
                 return
             hit, address = self.page_access(op, ins, size)
-            miss = (f"mem.read({address}, 16)" if size == 16 else
-                    f"mem.load_float({address}, {size})" if ty.is_float else
+            miss = (f"mem.load_float({address}, {size})" if ty.is_float else
                     f"mem.load_int({address}, {size}, {signed}){fix}")
             self.push_now(f"{self.bind(unpack)}(pages[_p].view, _o)[0]{fix} "
                           f"if {hit} else {miss}")
@@ -1129,14 +1125,7 @@ class _Lowering:
             self.emit(f"if {hit} and pages[_p].writable:")
             self.emit(f"    {self.bind(pack)}(pages[_p].view, _o, {v.expr}{fix})")
             self.emit("else:")
-            self.emit(f"    mem.write({address}, {v.expr})" if size == 16 else
-                      f"    mem.store_{'float' if ty.is_float else 'int'}({address}, {v.expr}, {size})")
-        elif op in SIMD_EXTRACT_OPS:
-            a = self.pop()
-            self.push(f"{self.bind(SIMD_EXTRACT_OPS[op])}({a.expr}, {ins[1]})", a)
-        elif op in SIMD_REPLACE_OPS:
-            x, a = self.pop(), self.pop()
-            self.push(f"{self.bind(SIMD_REPLACE_OPS[op])}({a.expr}, {x.expr}, {ins[1]})", a, x)
+            self.emit(f"    mem.store_{'float' if ty.is_float else 'int'}({address}, {v.expr}, {size})")
         elif op in ATOMIC_RMW_OPS:
             _ty, size, kind = ATOMIC_RMW_OPS[op]
             v, a = self.pop(), self.pop()

@@ -37,7 +37,6 @@ from .instructions import (
 from .memory import LinearMemory
 from .module import Module
 from .ops import BINOPS, UNOPS
-from .simd import SIMD_EXTRACT_OPS, SIMD_REPLACE_OPS, canon_v128
 from .types import FuncType, ValType
 from .validation import validate_module
 from .values import (
@@ -87,8 +86,6 @@ def _canon(value, valtype: ValType):
         return int(value) & MASK64
     if valtype is ValType.F32:
         return to_f32(float(value))
-    if valtype is ValType.V128:
-        return canon_v128(value)
     return float(value)
 
 
@@ -106,7 +103,7 @@ def _external(value, valtype: ValType):
 class GlobalInstance:
     valtype: ValType
     mutable: bool
-    value: int | float | bytes
+    value: int | float
 
 
 class Instance:
@@ -428,8 +425,8 @@ class Instance:
         return ranked
 
     def dispatch_family_report(self) -> list[tuple[str, int]]:
-        """Dispatch counts rolled up by opcode family (simd, atomic,
-        memory, var, const, control, numeric), descending."""
+        """Dispatch counts rolled up by opcode family (atomic, memory,
+        var, const, control, numeric), descending."""
         if self.op_counts is None:
             raise ValueError("instance was not created with profile=True")
         families: Counter = Counter()
@@ -506,7 +503,6 @@ class Instance:
                 or op == "i64.const"
                 or op == "f32.const"
                 or op == "f64.const"
-                or op == "v128.const"
             ):
                 stack.append(ins[1])
             elif op in unops:
@@ -516,8 +512,6 @@ class Instance:
                 addr = stack.pop() + ins[1]
                 if ty is ValType.F32 or ty is ValType.F64:
                     stack.append(mem.load_float(addr, size))
-                elif ty is ValType.V128:
-                    stack.append(mem.read(addr, 16))
                 else:
                     if op in _ATOMIC_LOADS:
                         mem._check_aligned(addr, size)
@@ -531,8 +525,6 @@ class Instance:
                 addr = stack.pop() + ins[1]
                 if ty is ValType.F32 or ty is ValType.F64:
                     mem.store_float(addr, value, size)
-                elif ty is ValType.V128:
-                    mem.write(addr, value)
                 else:
                     if op in _ATOMIC_STORES:
                         mem._check_aligned(addr, size)
@@ -621,11 +613,6 @@ class Instance:
                 stack.append(mem.size_pages)
             elif op == "memory.grow":
                 stack.append(mem.grow(stack.pop()) & MASK32)
-            elif op in SIMD_EXTRACT_OPS:
-                stack[-1] = SIMD_EXTRACT_OPS[op](stack[-1], ins[1])
-            elif op in SIMD_REPLACE_OPS:
-                x = stack.pop()
-                stack[-1] = SIMD_REPLACE_OPS[op](stack[-1], x, ins[1])
             elif op in ATOMIC_RMW_OPS:
                 _ty, size, kind = ATOMIC_RMW_OPS[op]
                 operand = stack.pop()

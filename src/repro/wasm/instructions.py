@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .types import F32, F64, I32, I64, V128, ValType
+from .types import F32, F64, I32, I64, ValType
 
 
 @dataclass(frozen=True)
@@ -135,36 +135,6 @@ INSTR_SIGS.update(
     }
 )
 
-# -- vector ISA (v128, i32x4/f64x2 lane shapes) -------------------------------
-
-_SIMD_I32X4_BIN = ["add", "sub", "mul", "min_s", "max_s"]
-_SIMD_F64X2_BIN = ["add", "sub", "mul", "min", "max"]
-
-INSTR_SIGS.update(_binops("i32x4", V128, _SIMD_I32X4_BIN))
-INSTR_SIGS.update(_binops("f64x2", V128, _SIMD_F64X2_BIN))
-INSTR_SIGS.update(
-    {
-        "i32x4.neg": ((V128,), (V128,)),
-        "f64x2.neg": ((V128,), (V128,)),
-        "i32x4.splat": ((I32,), (V128,)),
-        "f64x2.splat": ((F64,), (V128,)),
-        "i32x4.extract_lane": ((V128,), (I32,)),
-        "f64x2.extract_lane": ((V128,), (F64,)),
-        "i32x4.replace_lane": ((V128, I32), (V128,)),
-        "f64x2.replace_lane": ((V128, F64), (V128,)),
-        "v128.load": ((I32,), (V128,)),
-        "v128.store": ((I32, V128), ()),
-    }
-)
-
-#: Lane-indexed SIMD ops: mnemonic -> lane count its immediate must respect.
-SIMD_LANE_IMM_OPS = {
-    "i32x4.extract_lane": 4,
-    "i32x4.replace_lane": 4,
-    "f64x2.extract_lane": 2,
-    "f64x2.replace_lane": 2,
-}
-
 # -- shared-memory atomics ----------------------------------------------------
 
 _RMW_KINDS = ["add", "sub", "and", "or", "xor", "xchg"]
@@ -211,7 +181,6 @@ LOAD_OPS: dict[str, tuple[ValType, int, bool]] = {
     "i32.load16_u": (I32, 2, False),
     "i64.load32_s": (I64, 4, True),
     "i64.load32_u": (I64, 4, False),
-    "v128.load": (V128, 16, False),
     "i32.atomic.load": (I32, 4, False),
     "i64.atomic.load": (I64, 8, False),
 }
@@ -224,7 +193,6 @@ STORE_OPS: dict[str, tuple[ValType, int]] = {
     "i32.store8": (I32, 1),
     "i32.store16": (I32, 2),
     "i64.store32": (I64, 4),
-    "v128.store": (V128, 16),
     "i32.atomic.store": (I32, 4),
     "i64.atomic.store": (I64, 8),
 }
@@ -234,7 +202,6 @@ CONST_OPS: dict[str, ValType] = {
     "i64.const": I64,
     "f32.const": F32,
     "f64.const": F64,
-    "v128.const": V128,
 }
 
 #: Every atomic mnemonic (sequentially-consistent accesses; unaligned traps).
@@ -274,14 +241,11 @@ _CONTROL_FAMILY = frozenset(
 def op_family(op: str) -> str:
     """Coarse opcode family for dispatch-profile rollups.
 
-    Families: ``simd`` (v128 values, lane ops, vector loads/stores),
-    ``atomic`` (rmw/cmpxchg/wait/notify and atomic accesses), ``memory``
-    (plain loads/stores, size/grow), ``var`` (locals/globals), ``const``,
-    ``control`` and ``numeric`` (everything else: scalar arithmetic,
-    comparisons, conversions).
+    Families: ``atomic`` (rmw/cmpxchg/wait/notify and atomic accesses),
+    ``memory`` (plain loads/stores, size/grow), ``var`` (locals/globals),
+    ``const``, ``control`` and ``numeric`` (everything else: scalar
+    arithmetic, comparisons, conversions).
     """
-    if op.startswith(("v128", "i32x4.", "f64x2.")):
-        return "simd"
     if ".atomic." in op or op.startswith("memory.atomic."):
         return "atomic"
     if op.startswith(("local.", "global.")):

@@ -68,7 +68,6 @@ _I32 = struct.Struct("<i")
 _U64 = struct.Struct("<Q")
 _F32 = struct.Struct("<f")
 _F64 = struct.Struct("<d")
-_V128 = struct.Struct("16s")
 
 
 @dataclass(slots=True)
@@ -365,12 +364,10 @@ class LinearMemory:
 #: op mnemonic -> (struct (un)packer, canonicalising suffix): the accesses
 #: the compiled tier inlines when they fall inside one page, testing bounds,
 #: page straddle and (stores) ``Page.writable`` itself; a miss calls an
-#: accessor above (v128: ``read``/``write``; COW fault, ``notify``, trap). An
-#: atomic load or store is the plain access behind an alignment test
-#: (``_check_aligned``); the read-modify-write atomics always go through
-#: their accessors.
+#: accessor above (COW fault, ``notify``, trap). An atomic load or store
+#: is the plain access behind an alignment test (``_check_aligned``); the
+#: read-modify-write atomics always go through their accessors.
 INLINE_LOADS = {
-    "v128.load": (_V128.unpack_from, ""),
     "i32.load": (_U32.unpack_from, ""),
     "i64.load": (_U64.unpack_from, ""),
     "f32.load": (_F32.unpack_from, ""),
@@ -386,7 +383,6 @@ INLINE_LOADS = {
 }
 
 INLINE_STORES = {
-    "v128.store": (_V128.pack_into, ""),
     "i32.store": (_U32.pack_into, ""),
     "i64.store": (_U64.pack_into, ""),
     "f32.store": (_F32.pack_into, ""),

@@ -63,7 +63,7 @@ _T_BOOL_FALSE = 12
 _U32 = struct.Struct("<I")
 _F64 = struct.Struct("<d")
 
-_VALTYPE_CODES = {vt: code for code, vt in enumerate(ValType)}  # i32 = 0 … v128 = 4
+_VALTYPE_CODES = {vt: code for code, vt in enumerate(ValType)}  # i32 = 0 … f64 = 3
 _VALTYPE_FROM = {v: k for k, v in _VALTYPE_CODES.items()}
 
 

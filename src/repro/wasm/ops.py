@@ -159,12 +159,3 @@ UNOPS.update(
         "f64.reinterpret_i64": v.reinterpret_i64_as_f64,
     }
 )
-
-# Vector lane kernels (i32x4/f64x2 over 16-byte v128 values), defined in
-# repro.wasm.simd; registering them here lets both execution tiers dispatch
-# SIMD exactly like scalar operators.
-from .simd import SIMD_BINOPS as _SIMD_BINOPS  # noqa: E402
-from .simd import SIMD_UNOPS as _SIMD_UNOPS  # noqa: E402
-
-BINOPS.update(_SIMD_BINOPS)
-UNOPS.update(_SIMD_UNOPS)

@@ -8,7 +8,6 @@ artifacts, and by the test-suite's round-trip property tests.
 from __future__ import annotations
 
 from .instructions import CONST_OPS, MEMARG_OPS, Instr
-from .simd import canon_v128, v128_to_int
 from .module import Module
 from .types import FuncType
 
@@ -87,9 +86,7 @@ class _Printer:
         for i, g in enumerate(module.globals_):
             ty = str(g.type.valtype)
             typedesc = f"(mut {ty})" if g.type.mutable else ty
-            if g.type.valtype.is_vector:
-                init = f"({ty}.const 0x{v128_to_int(canon_v128(g.init)):032x})"
-            elif g.type.valtype.is_float:
+            if g.type.valtype.is_float:
                 init = f"({ty}.const {_float_repr(float(g.init))})"
             else:
                 init = f"({ty}.const {int(g.init)})"
@@ -163,9 +160,7 @@ class _Printer:
             return
         if op in CONST_OPS:
             value = ins.args[0]
-            if op == "v128.const":
-                self.emit(f"{op} 0x{v128_to_int(canon_v128(value)):032x}")
-            elif op.startswith("f"):
+            if op.startswith("f"):
                 self.emit(f"{op} {_float_repr(float(value))}")
             else:
                 self.emit(f"{op} {int(value)}")

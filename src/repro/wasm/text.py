@@ -21,7 +21,6 @@ from .instructions import (
     ALL_OPS,
     CONST_OPS,
     MEMARG_OPS,
-    SIMD_LANE_IMM_OPS,
     BlockType,
     Instr,
 )
@@ -523,11 +522,6 @@ class _BodyContext:
                 used += 1
                 tok = atom(start + used)
             return used, (offset,)
-        if op in SIMD_LANE_IMM_OPS:
-            tok = atom(start)
-            if tok is None:
-                raise ParseError(f"{op} requires a lane immediate")
-            return 1, (_parse_int(tok.value, tok.line),)
         return 0, ()
 
     def _local_index(self, tok) -> int:

@@ -24,7 +24,6 @@ class ValType(enum.Enum):
     I64 = "i64"
     F32 = "f32"
     F64 = "f64"
-    V128 = "v128"
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
@@ -38,13 +37,7 @@ class ValType(enum.Enum):
         return self in (ValType.F32, ValType.F64)
 
     @property
-    def is_vector(self) -> bool:
-        return self is ValType.V128
-
-    @property
     def bits(self) -> int:
-        if self is ValType.V128:
-            return 128
         return 32 if self in (ValType.I32, ValType.F32) else 64
 
     @classmethod
@@ -59,7 +52,6 @@ I32 = ValType.I32
 I64 = ValType.I64
 F32 = ValType.F32
 F64 = ValType.F64
-V128 = ValType.V128
 
 
 @dataclass(frozen=True)

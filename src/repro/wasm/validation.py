@@ -21,7 +21,6 @@ from .instructions import (
     CONST_OPS,
     INSTR_SIGS,
     LOAD_OPS,
-    SIMD_LANE_IMM_OPS,
     STORE_OPS,
     BlockType,
     Instr,
@@ -38,11 +37,6 @@ _ATOMIC_MEMARG = (
     | frozenset(ATOMIC_WAIT_NOTIFY_OPS)
 )
 
-
-def _valid_v128_init(value) -> bool:
-    if isinstance(value, (bytes, bytearray)):
-        return len(value) == 16
-    return isinstance(value, int) and 0 <= value < (1 << 128)
 
 #: Sentinel for a stack slot of unknown (polymorphic) type.
 _UNKNOWN = None
@@ -150,10 +144,6 @@ class _FuncValidator:
                 raise ValidationError(f"{op} immediate must be int")
             if ty.is_float and not isinstance(value, (int, float)):
                 raise ValidationError(f"{op} immediate must be numeric")
-            if ty.is_vector and not _valid_v128_init(value):
-                raise ValidationError(
-                    f"{op} immediate must be 16 bytes or a 128-bit int"
-                )
             self.push_val(ty)
             return
         if op in LOAD_OPS:
@@ -175,14 +165,6 @@ class _FuncValidator:
         if op in _ATOMIC_MEMARG:
             self._require_memory(op)
             self._check_offset(ins)
-        if op in SIMD_LANE_IMM_OPS:
-            lanes = SIMD_LANE_IMM_OPS[op]
-            lane = ins.args[0] if ins.args else None
-            if not isinstance(lane, int) or not 0 <= lane < lanes:
-                raise ValidationError(
-                    f"{self._where()}: {op} lane immediate must be in "
-                    f"[0, {lanes})"
-                )
         if op in INSTR_SIGS:
             pops, pushes = INSTR_SIGS[op]
             self.pop_vals(pops)
@@ -351,10 +333,6 @@ def validate_module(module: Module) -> None:
             raise ValidationError(f"global {i}: init value must be int")
         if g.type.valtype.is_float and not isinstance(g.init, (int, float)):
             raise ValidationError(f"global {i}: init value must be numeric")
-        if g.type.valtype.is_vector and not _valid_v128_init(g.init):
-            raise ValidationError(
-                f"global {i}: init value must be 16 bytes or a 128-bit int"
-            )
 
     # Exports: names unique, indices in range.
     seen: set[str] = set()

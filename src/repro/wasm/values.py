@@ -233,14 +233,8 @@ def reinterpret_i64_as_f64(value: int) -> float:
     return _F64_STRUCT.unpack(_U64_STRUCT.pack(value & MASK64))[0]
 
 
-#: Canonical zero vector: v128 values travel as immutable 16-byte strings.
-V128_ZERO = b"\x00" * 16
-
-
-def default_value(valtype) -> int | float | bytes:
+def default_value(valtype) -> int | float:
     """The zero value used to initialise locals and globals."""
     from .types import ValType
 
-    if valtype is ValType.V128:
-        return V128_ZERO
     return 0.0 if valtype in (ValType.F32, ValType.F64) else 0

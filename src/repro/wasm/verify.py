@@ -24,7 +24,6 @@ from itertools import product
 from .futex import atomic_notify, atomic_wait32
 from .memory import INLINE_LOADS, INLINE_STORES
 from .ops import BINOPS, UNOPS
-from .simd import SIMD_EXTRACT_OPS, SIMD_REPLACE_OPS
 from .types import PAGE_SIZE, FuncType
 
 #: Builtins generated code may read (``range``, ``min`` and ``zip`` only as a pass's range).
@@ -45,8 +44,7 @@ _SYM = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.FloorDiv: "//", ast.LShif
         ast.Not: "not "}
 _KIND = {id(f): ("load", f.__self__.size) for f, _ in INLINE_LOADS.values()}
 _KIND |= {id(f): ("store", f.__self__.size) for f, _ in INLINE_STORES.values()}
-_KIND |= {id(f): ("fn", 0) for f in [*BINOPS.values(), *UNOPS.values(),
-          *SIMD_EXTRACT_OPS.values(), *SIMD_REPLACE_OPS.values(), atomic_notify, atomic_wait32]}
+_KIND |= {id(f): ("fn", 0) for f in [*BINOPS.values(), *UNOPS.values(), atomic_notify, atomic_wait32]}
 #: The operand nodes of the expression kinds generated code uses.
 _KIDS = {ast.BinOp: lambda n: (n.left, n.right), ast.List: lambda n: n.elts,
          ast.Tuple: lambda n: n.elts, ast.Compare: lambda n: (n.left, *n.comparators),
@@ -104,7 +102,7 @@ def verify(tree: ast.Module, ns: dict) -> None:
         obj = ns.get(name, ns) if name[:2] == "_k" else None
         if name[:2] == "__" or _KIND.get(id(obj), "?")[0] in "ls" or _CAST.fullmatch(name) or name not in known and (
                 not _LOCAL.fullmatch(name) and id(obj) not in _KIND  # else at worst a NameError
-                and not isinstance(obj, (bytes, float, tuple, FuncType))):
+                and not isinstance(obj, (float, tuple, FuncType))):
             _fail(fn, f"name {name!r} is a dunder, unbound, or an (un)pack outside an access")
 
 

@@ -436,6 +436,7 @@ class TestProtoFaaslet:
         ("globals_snapshot", [(ValType.I32, False, None)]),
         ("table_snapshot", 5),
         ("table_snapshot", [0, "x"]),
+        ("globals_snapshot", [(ValType.I32, False, bytes(16))]),
     ])
     def test_a_manifest_of_the_wrong_shape_is_refused_at_the_wire(self, field, value):
         """Well-encoded globals or a table of the wrong shape are refused

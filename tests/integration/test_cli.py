@@ -103,7 +103,8 @@ def test_profile_prints_opcodes_and_exports_artifact(guest_file, tmp_path, capsy
     assert "by opcode family" in captured.out
     doc = json.loads(artifact.read_text())
     assert {"cli.run", "guest.exec"} <= {s["name"] for s in doc["spans"]}
-    assert doc["metrics"]["counters"]["simd.ops"] == 0
+    assert doc["metrics"]["counters"]["atomic.ops"] == 0
+    assert "simd.ops" not in doc["metrics"]["counters"]
     assert doc["dispatch"]["total"] > 0
     assert doc["dispatch"]["opcodes"]["i32.mul"] == 1
 
@@ -142,14 +143,14 @@ def test_metrics_json_and_profile_fold(guest_file, capsys):
     for cause in ("unknown-version", "partial", "overflow", "resized"):
         assert doc["counters"][f"state.full_fallbacks{{cause={cause}}}"] == 0
     assert "span.cli.run{host=local}" in doc["histograms"]
-    assert "simd.ops" not in doc["counters"]
+    assert "atomic.ops" not in doc["counters"]
     assert main([
         "metrics", guest_file, "--entry", "square", "--arg", "4",
         "--json", "--profile",
     ]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["counters"]["simd.ops"] == 0
     assert doc["counters"]["atomic.ops"] == 0
+    assert "simd.ops" not in doc["counters"]
     assert main(["metrics", guest_file, "--input", "x"]) == 0
     assert "state.delta_pulls" in capsys.readouterr().out
 

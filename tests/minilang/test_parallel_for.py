@@ -1,10 +1,8 @@
-"""minilang vector intrinsics and ``parallel_for`` fork-join regions.
+"""minilang ``parallel_for`` fork-join regions.
 
-The `vec_*` builtins must match their scalar-loop equivalents on both
-execution tiers (including non-multiple-of-lane-width tails), and
-``parallel_for`` must outline its body correctly: chunked iteration,
-read-only scalar capture, shared arrays/globals, and clamping of
-degenerate thread counts and ranges.
+``parallel_for`` must outline its body correctly on both execution tiers:
+chunked iteration, read-only scalar capture, shared arrays/globals, and
+clamping of degenerate thread counts and ranges.
 """
 
 import pytest
@@ -12,7 +10,6 @@ import pytest
 from repro.faaslet import Faaslet, FunctionDefinition
 from repro.host import StandaloneEnvironment
 from repro.minilang import TypeErrorML, build
-from repro.wasm import instantiate
 
 TIERS = ("interp", "compiled")
 
@@ -24,97 +21,6 @@ def run_export(src: str, tier: str, entry: str, *args):
         tier=tier,
     )
     return faaslet, faaslet.invoke_export(entry, *args)
-
-
-# ----------------------------------------------------------------------
-# Vector intrinsics
-# ----------------------------------------------------------------------
-
-_VEC_F_SRC = """
-export int check(int n) {
-    float[] a = new float[n];
-    float[] b = new float[n];
-    float[] o = new float[n];
-    for (int i = 0; i < n; i += 1) {
-        a[i] = (float) i * 0.5;
-        b[i] = (float) (n - i);
-    }
-    vec_add_f(a, b, o, n);
-    for (int i = 0; i < n; i += 1) {
-        if (o[i] != a[i] + b[i]) { return 1; }
-    }
-    vec_mul_f(a, b, o, n);
-    for (int i = 0; i < n; i += 1) {
-        if (o[i] != a[i] * b[i]) { return 2; }
-    }
-    vec_axpy_f(1.5, a, o, n);
-    for (int i = 0; i < n; i += 1) {
-        if (o[i] != a[i] * b[i] + 1.5 * a[i]) { return 3; }
-    }
-    float dot = vec_dot_f(a, b, n);
-    float want = 0.0;
-    for (int i = 0; i < n; i += 1) { want += a[i] * b[i]; }
-    if (dot != want) { return 4; }
-    return 0;
-}
-"""
-
-_VEC_I_SRC = """
-export int check(int n) {
-    int[] a = new int[n];
-    int[] b = new int[n];
-    int[] o = new int[n];
-    for (int i = 0; i < n; i += 1) {
-        a[i] = i * 3 - 50;
-        b[i] = 40 - i * 2;
-    }
-    vec_add_i(a, b, o, n);
-    for (int i = 0; i < n; i += 1) {
-        if (o[i] != a[i] + b[i]) { return 1; }
-    }
-    vec_min_i(a, b, o, n);
-    for (int i = 0; i < n; i += 1) {
-        int m = a[i];
-        if (b[i] < m) { m = b[i]; }
-        if (o[i] != m) { return 2; }
-    }
-    vec_axpy_i(7, a, o, n);
-    for (int i = 0; i < n; i += 1) {
-        int m = a[i];
-        if (b[i] < m) { m = b[i]; }
-        if (o[i] != m + 7 * a[i]) { return 3; }
-    }
-    return 0;
-}
-"""
-
-
-@pytest.mark.parametrize("tier", TIERS)
-@pytest.mark.parametrize("src", [_VEC_F_SRC, _VEC_I_SRC], ids=["f64x2", "i32x4"])
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7, 8, 33])
-def test_vec_builtins_match_scalar_loops(tier, src, n):
-    """Covers empty inputs, pure-tail sizes and multiple-of-lane sizes."""
-    _, result = run_export(src, tier, "check", n)
-    assert result == 0
-
-
-def test_vec_builtins_execute_simd_ops():
-    inst = instantiate(build(_VEC_F_SRC), profile=True)
-    inst.invoke("check", 16)
-    families = dict(inst.dispatch_family_report())
-    assert families.get("simd", 0) > 0
-
-
-def test_vec_builtin_rejects_scalar_argument():
-    src = """
-    export int main() {
-        float[] a = new float[4];
-        vec_add_f(a, 1.0, a, 4);
-        return 0;
-    }
-    """
-    with pytest.raises(TypeErrorML):
-        build(src)
 
 
 # ----------------------------------------------------------------------
@@ -254,9 +160,9 @@ def test_parallel_for_shares_globals(tier):
 
 
 @pytest.mark.parametrize("tier", TIERS)
-def test_parallel_for_vec_intrinsic_in_body(tier):
-    """An outlined worker may itself call the SIMD library (synthetic
-    functions queueing further synthetics during emission)."""
+def test_parallel_for_pointer_rows_in_body(tier):
+    """An outlined worker reaches each row of the parent's arrays through
+    a pointer computed from its own counter."""
     src = """
     export int main() {
         int n = 64;
@@ -266,8 +172,10 @@ def test_parallel_for_vec_intrinsic_in_body(tier):
         float[] o = new float[n];
         for (int i = 0; i < n; i += 1) { a[i] = (float) i; b[i] = 2.0; }
         parallel_for (int r = 0; rows; 2) {
-            vec_add_f(farr(ptr(a) + r * 128), farr(ptr(b) + r * 128),
-                      farr(ptr(o) + r * 128), 16);
+            float[] ra = farr(ptr(a) + r * 128);
+            float[] rb = farr(ptr(b) + r * 128);
+            float[] ro = farr(ptr(o) + r * 128);
+            for (int i = 0; i < 16; i += 1) { ro[i] = ra[i] + rb[i]; }
         }
         for (int i = 0; i < n; i += 1) {
             if (o[i] != (float) i + 2.0) { return 1 + i; }
@@ -317,7 +225,7 @@ def test_parallel_for_nested_region_traps_at_runtime():
 
 def test_parallel_for_module_roundtrips_through_printer():
     """The code cache keys on printed module text, so modules with
-    tables, elements and v128 library code must print/parse stably."""
+    tables and elements must print/parse stably."""
     from repro.wasm.printer import print_module
     from repro.wasm.text import parse_module
 

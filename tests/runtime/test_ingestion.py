@@ -482,11 +482,7 @@ def test_ingestion_stats_shape():
         cluster.submit("echo", b"1", tenant="gold")
         plane.drain(timeout=10.0)
         stats = cluster.ingestion_stats()
-        for key in (
-            "arrival_rate", "admission_backlog", "bus_pending",
-            "pool_backlog", "sojourn_p50_s", "sojourn_p99_s", "tenants",
-        ):
-            assert key in stats
+        assert set(stats) == {"sojourn_p50_s", "sojourn_p99_s", "tenants"}
         assert stats["tenants"]["gold"]["served"] == 1
     finally:
         cluster.shutdown()

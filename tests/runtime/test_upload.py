@@ -6,7 +6,7 @@ import pytest
 
 from repro.faaslet import HostSnapshotCache
 from repro.runtime import FaasmCluster
-from repro.wasm import Trap
+from repro.wasm import ParseError, Trap
 
 V1 = "export int main() { return 41; }"
 V2 = "export int main() { return 107; }"
@@ -16,8 +16,8 @@ export void init() { int zero = 0; int x = 1 / zero; }
 export int main() { return 3; }
 """
 
-#: A v128 global set by ``init`` and a v128 local: (7, 5, 0, 0) doubled
-#: and its first two lanes summed is 24 on every call, warm or cold.
+#: A guest of the vector ISA, which no longer exists: a v128 global set by
+#: ``init`` and a v128 local.
 V128_WAT = """
 (module
   (memory 1)
@@ -40,11 +40,15 @@ def cluster():
     c.shutdown()
 
 
-def test_a_v128_module_uploads_and_runs(cluster):
-    cluster.upload("vec", V128_WAT, lang="wat", init="init")
-    assert [cluster.invoke("vec")[0] for _ in range(3)] == [24, 24, 24]
-    instance = cluster.instances[0]
-    assert (instance.metrics.cold_starts, instance.metrics.warm_hits) == (1, 2)
+def test_a_v128_module_is_refused_and_registers_nothing(cluster):
+    with pytest.raises(ParseError):
+        cluster.upload("vec", V128_WAT, lang="wat", init="init")
+    assert not cluster.registry.exists("vec")
+    assert cluster.registry.snapshots.functions() == []
+    assert not cluster.object_store.exists("functions/vec.obj")
+    assert not cluster.object_store.exists("protos/vec.manifest")
+    with pytest.raises(KeyError):
+        cluster.instances[0].snapshots.get_proto("vec")
 
 
 def test_a_trapping_init_registers_nothing(cluster):

@@ -9,6 +9,7 @@ from repro.faaslet import Faaslet, FunctionDefinition
 from repro.host import StandaloneEnvironment
 from repro.minilang import build
 from repro.wasm import ValType, instantiate, parse_module
+from repro.wasm import objectfile
 from repro.wasm.codegen import compile_module
 from repro.wasm.objectfile import (
     ObjectFileError,
@@ -148,26 +149,30 @@ def test_meta_carries_definition_fields():
     assert definition.user == "alice"
 
 
-def test_v128_locals_and_globals_round_trip():
+def test_the_old_v128_valtype_code_is_refused(monkeypatch):
+    # i32, i64, f32 and f64 keep the codes they had; 4 was v128's.
+    assert [encode_value(vt) for vt in ValType] == [bytes([8, code]) for code in range(4)]
     module = parse_module(
         """
         (module
-          (global $g (mut v128) (v128.const 0x00000000000000090000000800000007))
+          (global $g (mut f64) (f64.const 1.5))
           (func (export "main") (result i32)
-            (local $v v128)
-            (local.set $v (i32x4.add (global.get $g) (global.get $g)))
-            (i32x4.extract_lane 2 (local.get $v))))
+            (local $x f64)
+            (i32.const 0)))
         """
     )
-    restored_module, compiled, _ = roundtrip(module)
-    assert restored_module.globals_[0].type.valtype is ValType.V128
-    assert restored_module.funcs[0].locals == [ValType.V128]
-    inst = instantiate(restored_module, validated=True, precompiled=compiled)
-    assert inst.invoke("main") == 18
+    compiled = compile_module(module)
+    assert read_object(write_object(module, compiled))[0].globals_[0].type.valtype is ValType.F64
+    # The same module written by an encoder that gives f64 the v128 code.
+    monkeypatch.setitem(objectfile._VALTYPE_CODES, ValType.F64, 4)
+    blob = write_object(module, compiled)
+    monkeypatch.undo()
+    with pytest.raises(ObjectFileError):
+        read_object(blob)
 
 
 def test_value_encoder_round_trips_and_refuses_what_it_did_not_write():
-    value = [(ValType.V128, True, bytes(range(16))), (ValType.F64, False, -2.5), None]
+    value = [(ValType.I32, True, bytes(range(16))), (ValType.F64, False, -2.5), None]
     assert decode_value(encode_value(value)) == value
     for bad in (
         pickle.dumps(value),  # not this encoder's: never unpickled

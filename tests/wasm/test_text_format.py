@@ -124,6 +124,24 @@ def test_unknown_instruction_rejected():
         parse_module('(module (func $f (i32.frobnicate)))')
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '(module (func $f (local $v v128)))',
+        '(module (global $g v128 (i32.const 0)))',
+        '(module (func $f (param v128)))',
+        '(module (func $f (drop (v128.const 0))))',
+        '(module (func $f (drop (i32x4.add (i32.const 0) (i32.const 0)))))',
+    ],
+    ids=["local", "global", "param", "v128.const", "i32x4.add"],
+)
+def test_vector_isa_is_refused(text):
+    """There is no vector ISA: a ``v128`` type or a lane op is as unknown
+    as any other made-up name."""
+    with pytest.raises(ParseError, match="unknown (value type|instruction)"):
+        parse_module(text)
+
+
 def test_unknown_label_rejected():
     with pytest.raises(ParseError, match="unknown label"):
         parse_module('(module (func $f (block $a (br $nope))))')
